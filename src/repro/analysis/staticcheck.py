@@ -1,10 +1,10 @@
-"""Whole-program concurrency & protocol checker (rules C001–C006).
+"""Whole-program concurrency & protocol checker (rules C001–C005).
 
 Sibling of the per-module determinism linter: where the D-pack checks
 that decisions are pure functions of the seed, the C-pack checks the
 *protocols* the concurrent control planes rely on — lock discipline,
-timer/event lifecycle, fencing, and affinity — over a project-wide
-symbol table and call graph (:mod:`repro.analysis.callgraph`,
+timer/event lifecycle, and fencing — over a project-wide symbol table
+and call graph (:mod:`repro.analysis.callgraph`,
 :mod:`repro.analysis.lockgraph`).
 
 Rules
@@ -15,7 +15,6 @@ C002  lock-order inversion (cycle in the lock-acquisition graph)
 C003  module-level mutable state written from sim-process code
 C004  Timeout/Event created and dropped (orphaned timer)
 C005  unfenced store write from a leader-elected component
-C006  process spawned in an affinity scope without affinity
 
 Suppressions reuse the linter's machinery: per-line
 ``# repro: allow[CXXX] why`` comments, the shared
@@ -74,9 +73,6 @@ LEADER_ELECTED_CLASSES = ("ControllerManager", "StoreCoordinator",
 # Raw-store write methods (C005) when called on a ``...store`` object.
 _STORE_WRITE_METHODS = {"put", "delete", "txn"}
 
-# Spawn methods on sim-like receivers (C006).
-_SPAWN_RECEIVERS = {"sim", "self.sim", "self", "syncer", "self.syncer"}
-
 
 def parse_hb_carriers(source):
     """Line numbers carrying a ``# repro: hb-carrier[why]`` marker."""
@@ -98,7 +94,7 @@ def parse_hb_carriers(source):
 
 
 class _ModuleChecker(ast.NodeVisitor):
-    """Per-module pass for C003/C004/C005/C006 (project-informed)."""
+    """Per-module pass for C003/C004/C005 (project-informed)."""
 
     def __init__(self, project, module, sim_reachable):
         self.project = project
@@ -176,29 +172,23 @@ class _ModuleChecker(ast.NodeVisitor):
 
     _BINDINGS_ATTR = "_staticcheck_local_bindings"
 
-    def _binding_lines(self, info):
-        """name -> first binding line (0 for params) in ``info``."""
+    def _local_bindings(self, info):
+        """Names bound locally (params and assignments) in ``info``."""
         cached = getattr(info.node, self._BINDINGS_ATTR, None)
         if cached is not None:
             return cached
-        bindings = {name: 0 for name in info.params}
+        bindings = set(info.params)
         hoisted = set()
         for node in ast.walk(info.node):
             if isinstance(node, ast.Name) \
                     and isinstance(node.ctx, (ast.Store, ast.Del)):
-                line = bindings.get(node.id)
-                if line is None or node.lineno < line:
-                    bindings[node.id] = node.lineno
+                bindings.add(node.id)
             elif isinstance(node, ast.Global):
                 # `global NAME` writes the module binding, not a local.
                 hoisted.update(node.names)
-        for name in sorted(hoisted):
-            bindings.pop(name, None)
+        bindings -= hoisted
         setattr(info.node, self._BINDINGS_ATTR, bindings)
         return bindings
-
-    def _local_bindings(self, info):
-        return self._binding_lines(info)
 
     def _in_sim_code(self):
         return bool(self._func_stack) and any(
@@ -316,7 +306,7 @@ class _ModuleChecker(ast.NodeVisitor):
                             f"combined, stored, or returned — an "
                             f"orphaned timer/event")
 
-    # -- C005 / C006 / C003 call & write sites -------------------------
+    # -- C005 / C003 call & write sites --------------------------------
 
     def _subscript_bases(self, targets):
         for target in targets:
@@ -344,7 +334,6 @@ class _ModuleChecker(ast.NodeVisitor):
 
     def visit_Call(self, node):
         self._check_fencing(node)
-        self._check_affinity(node)
         # C003: in-place mutator methods and next() on module mutables.
         func = node.func
         if isinstance(func, ast.Attribute) \
@@ -384,37 +373,6 @@ class _ModuleChecker(ast.NodeVisitor):
                     f"raw store write {name}() from leader-elected "
                     f"{cls} bypasses the fencing-token check; route "
                     f"it through a fenced transaction")
-
-    def _check_affinity(self, node):
-        func = node.func
-        if not isinstance(func, ast.Attribute) \
-                or func.attr not in ("process", "spawn"):
-            return
-        base = dotted_name(func.value)
-        if base not in _SPAWN_RECEIVERS:
-            return
-        if not node.args:
-            return  # accessor/no-op, not a spawn
-        if any(kw.arg == "affinity" for kw in node.keywords):
-            return
-        if not self._func_stack:
-            return
-        info = self._func_stack[-1]
-        bindings = self._binding_lines(info)
-        if "affinity" in bindings:
-            return  # forwarding wrapper (spawn(..., affinity=affinity))
-        # Only a tenant bound *before* the spawn counts as "in hand":
-        # a later `for tenant in ...` loop doesn't scope earlier,
-        # cluster-wide spawns (shard workers serving every tenant).
-        tenant_line = bindings.get("tenant")
-        if tenant_line is None or tenant_line > node.lineno:
-            return
-        self._emit(
-            node, "C006",
-            f"{base}.{func.attr}(...) spawned with a tenant in scope "
-            f"but no affinity=; the process (and every event it "
-            f"creates) falls off the tenant's partition — pass "
-            f"affinity=tenant")
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ def run(seed, tenants=2, pods_per_tenant=3, horizon=40.0, nodes=3,
         report=False, convergence_timeout=300.0, optimized=True,
         kill_leader=False, replicas=2, record=False, detect_races=False,
         kill_store=False, replicas_store=1, wal_corrupt=False,
-        apf=False, tenant_storm=False, workers=None):
+        apf=False, tenant_storm=False):
     config = optimized_config() if optimized else DEFAULT_CONFIG
     if apf:
         # Admission control + scale-to-zero are opt-in (DESIGN.md §15);
@@ -65,7 +65,7 @@ def run(seed, tenants=2, pods_per_tenant=3, horizon=40.0, nodes=3,
     if record or detect_races:
         from repro.simkernel import Simulation
 
-        sim = Simulation(seed=seed, workers=workers)
+        sim = Simulation(seed=seed)
     if record:
         # Determinism check: hash every store emission so two same-seed
         # runs can be diffed (and bisected) by repro.analysis.bisect.
@@ -80,7 +80,7 @@ def run(seed, tenants=2, pods_per_tenant=3, horizon=40.0, nodes=3,
         RaceDetector(sim)
     env = VirtualClusterEnv(
         seed=seed, config=config, sim=sim, num_virtual_nodes=nodes,
-        workers=workers, scan_interval=5.0, dws_workers=4, uws_workers=4,
+        scan_interval=5.0, dws_workers=4, uws_workers=4,
         syncer_replicas=replicas if kill_leader else 1,
         # None (not 1) keeps the default store construction untouched,
         # so runs without storage flags stay byte-identical to the seed.
@@ -156,12 +156,10 @@ def run(seed, tenants=2, pods_per_tenant=3, horizon=40.0, nodes=3,
             converged = False
             detail = f"{len(detector.conflicts)} race conflict(s)"
     status = "CONVERGED" if converged else "FAILED TO CONVERGE"
-    backend = (f" workers={env.sim.workers}" if env.sim.workers else "")
-    print(f"seed={seed} horizon={horizon:g}s sim_time={env.sim.now:.1f}s"
-          f"{backend} -> {status}")
+    print(f"seed={seed} horizon={horizon:g}s sim_time={env.sim.now:.1f}s "
+          f"-> {status}")
     if not converged:
         print(f"  detail: {detail}")
-    env.sim.close()  # shut down the parallel worker pool, if any
     if record:
         return converged, engine, recorder
     return converged, engine
@@ -191,33 +189,6 @@ def check_determinism(seed, report=False, **kwargs):
     print(divergence.format())
     print(f"  reproduce standalone: PYTHONPATH=src python -m repro.analysis "
           f"bisect --seed {seed}")
-    return False
-
-
-def compare_workers(seed, workers, report=False, **kwargs):
-    """Run the chaos config serially and with ``workers`` threads, diff.
-
-    The parallel backend's merge barrier guarantees byte-identical store
-    emissions for any worker count (DESIGN.md §16); this is the CI gate
-    that holds it to that.  On divergence, bisects to the first
-    divergent store event.  Returns True when both runs converged AND
-    their digest streams are identical.
-    """
-    from repro.analysis.bisect import first_divergence
-
-    converged_a, _engine, run_a = run(seed, report=report, record=True,
-                                      workers=0, **kwargs)
-    converged_b, _engine_b, run_b = run(seed, report=False, record=True,
-                                        workers=workers, **kwargs)
-    divergence = first_divergence(run_a, run_b)
-    if divergence is None:
-        print(f"parallel check: OK — {len(run_a.digests)} store events "
-              f"byte-identical between workers=0 and workers={workers} "
-              f"(seed={seed})")
-        return converged_a and converged_b
-    print(f"parallel check: FAILED — workers={workers} diverged from the "
-          f"serial run (seed={seed})")
-    print(divergence.format())
     return False
 
 
@@ -277,17 +248,6 @@ def main(argv=None):
                              "free-tier tenant floods the super "
                              "apiserver with LISTs; APF must shed it "
                              "while other tiers keep converging")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel-backend worker threads for the "
-                             "sim kernel (default: REPRO_WORKERS / "
-                             "serial); results are byte-identical for "
-                             "any value (DESIGN.md §16)")
-    parser.add_argument("--compare-workers", type=int, default=None,
-                        metavar="N",
-                        help="run the chaos config twice — serial and "
-                             "with N workers — with store-event "
-                             "recording, and fail on any digest "
-                             "divergence (the parallel-backend CI gate)")
     parser.add_argument("--detect-races", action="store_true",
                         help="run under the vector-clock race detector; "
                              "any unordered cross-process store/cache "
@@ -309,21 +269,6 @@ def main(argv=None):
         parser.error("--nodes must be >= 1")
     if args.horizon <= 0:
         parser.error("--horizon must be > 0")
-    if args.workers is not None and args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.compare_workers is not None:
-        if args.compare_workers < 1:
-            parser.error("--compare-workers must be >= 1")
-        ok = compare_workers(
-            args.seed, args.compare_workers, tenants=args.tenants,
-            pods_per_tenant=args.pods, horizon=args.horizon,
-            nodes=args.nodes, report=args.report,
-            optimized=not args.no_optimized, kill_leader=args.kill_leader,
-            replicas=args.replicas, kill_store=args.kill_store,
-            replicas_store=args.replicas_store,
-            wal_corrupt=args.wal_corrupt, apf=args.apf,
-            tenant_storm=args.tenant_storm)
-        return 0 if ok else 1
     if args.check_determinism:
         ok = check_determinism(
             args.seed, tenants=args.tenants, pods_per_tenant=args.pods,
@@ -332,7 +277,7 @@ def main(argv=None):
             replicas=args.replicas, kill_store=args.kill_store,
             replicas_store=args.replicas_store,
             wal_corrupt=args.wal_corrupt, apf=args.apf,
-            tenant_storm=args.tenant_storm, workers=args.workers)
+            tenant_storm=args.tenant_storm)
         return 0 if ok else 1
     converged, _engine = run(
         args.seed, tenants=args.tenants, pods_per_tenant=args.pods,
@@ -341,7 +286,7 @@ def main(argv=None):
         replicas=args.replicas, detect_races=args.detect_races,
         kill_store=args.kill_store, replicas_store=args.replicas_store,
         wal_corrupt=args.wal_corrupt, apf=args.apf,
-        tenant_storm=args.tenant_storm, workers=args.workers)
+        tenant_storm=args.tenant_storm)
     return 0 if converged else 1
 
 

@@ -105,8 +105,8 @@ class VirtualClusterEnv:
                  vc_namespace="vc-manager", sim=None, name="super",
                  circuit_breaker=True, syncer_replicas=1,
                  warm_standby=True, store_replicas=None, store_wal=None,
-                 apf=None, scale_to_zero=None, workers=None):
-        self.sim = sim or Simulation(seed=seed, workers=workers)
+                 apf=None, scale_to_zero=None):
+        self.sim = sim or Simulation(seed=seed)
         self.name = name
         self.config = config or DEFAULT_CONFIG
         if store_replicas is not None or store_wal is not None:

@@ -141,8 +141,7 @@ class HealthTracker:
         self.syncer.metrics_inc("breaker_open")
         if tenant not in self._probe_processes:
             self._probe_processes[tenant] = self.syncer.spawn(
-                self._probe_loop(tenant), name=f"breaker-probe-{tenant}",
-                affinity=tenant)
+                self._probe_loop(tenant), name=f"breaker-probe-{tenant}")
 
     # ------------------------------------------------------------------
     # Parking

@@ -13,15 +13,9 @@ interpreter time), so ``__init_subclass__`` compiles a specialized
 ``__init__``/``to_dict``/``from_dict`` per type — the field loop,
 container dispatch, and default handling are resolved at class-creation
 time, the way :mod:`dataclasses` builds ``__init__``.  The generated
-code is behaviourally identical to the generic interpreted path below,
-which remains in place as the ``REPRO_KERNEL_LEGACY=1`` ablation
-baseline used by the kernel-speedup benchmark (and for any subclass
-that overrides the serde methods by hand).
+methods are the only serde: a subclass declares ``FIELDS`` and never
+writes them by hand.
 """
-
-import os
-
-_LEGACY_SERDE = bool(os.environ.get("REPRO_KERNEL_LEGACY"))
 
 
 class Field:
@@ -58,11 +52,6 @@ class Field:
         self.default = default
         self.default_factory = default_factory
 
-    def make_default(self):
-        if self.default_factory is not None:
-            return self.default_factory()
-        return self.default
-
 
 def _to_camel(snake):
     head, *rest = snake.split("_")
@@ -70,14 +59,24 @@ def _to_camel(snake):
 
 
 class Serializable:
-    """Base class implementing serde over a ``FIELDS`` declaration."""
+    """Base class implementing serde over a ``FIELDS`` declaration.
+
+    Every subclass gets three generated methods (see
+    :class:`_SerdeCodegen`): ``__init__(**kwargs)`` filling undeclared
+    fields with their defaults, ``to_dict()`` producing the camelCase
+    wire representation, and the classmethod ``from_dict(data)`` reading
+    it back (unknown keys ignored, ``None`` passed through).
+    """
 
     FIELDS = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if not _LEGACY_SERDE:
-            _install_fast_serde(cls)
+        gen = _SerdeCodegen(cls)
+        fields = tuple(cls._field_index().values())
+        cls.__init__ = gen.gen_init(fields)
+        cls.to_dict = gen.gen_to_dict(fields)
+        cls.from_dict = classmethod(gen.gen_from_dict(fields))
 
     @classmethod
     def _wire_header(cls):
@@ -87,18 +86,6 @@ class Serializable:
         class-creation time by the serde codegen).
         """
         return ()
-
-    def __init__(self, **kwargs):
-        cls = type(self)
-        fields = cls._field_index()
-        for field in fields.values():
-            if field.py_name in kwargs:
-                setattr(self, field.py_name, kwargs.pop(field.py_name))
-            else:
-                setattr(self, field.py_name, field.make_default())
-        if kwargs:
-            unknown = ", ".join(sorted(kwargs))
-            raise TypeError(f"{cls.__name__}: unknown fields: {unknown}")
 
     @classmethod
     def _field_index(cls):
@@ -110,62 +97,6 @@ class Serializable:
                     cached[field.py_name] = field
             cls._FIELD_INDEX = cached
         return cached
-
-    def to_dict(self):
-        """Serialize to the camelCase wire representation.
-
-        Empty collections are omitted — except when the field's default is
-        non-empty, in which case an explicit empty value is meaningful
-        (e.g. a Namespace whose ``spec.finalizers`` were cleared) and must
-        round-trip rather than resurrect the default.
-        """
-        out = {}
-        for key, value in self._wire_header():
-            out[key] = value
-        for field in self._field_index().values():
-            value = getattr(self, field.py_name)
-            if value is None:
-                continue
-            if field.container == "list":
-                if not value:
-                    if field.default_factory is not None \
-                            and field.default_factory():
-                        out[field.json_name] = []
-                    continue
-                out[field.json_name] = [_dump(item) for item in value]
-            elif field.container == "map":
-                if not value:
-                    if field.default_factory is not None \
-                            and field.default_factory():
-                        out[field.json_name] = {}
-                    continue
-                out[field.json_name] = {k: _dump(v) for k, v in value.items()}
-            else:
-                out[field.json_name] = _dump(value)
-        return out
-
-    @classmethod
-    def from_dict(cls, data):
-        """Deserialize from the wire representation (unknown keys ignored)."""
-        if data is None:
-            return None
-        obj = cls.__new__(cls)
-        attrs = obj.__dict__
-        for field in cls._field_index().values():
-            raw = data.get(field.json_name)
-            if raw is None:
-                attrs[field.py_name] = field.make_default()
-            elif field.container == "list":
-                attrs[field.py_name] = [_load(field.type, item)
-                                        for item in raw]
-            elif field.container == "map":
-                attrs[field.py_name] = {
-                    key: _load(field.type, value)
-                    for key, value in raw.items()
-                }
-            else:
-                attrs[field.py_name] = _load(field.type, raw)
-        return obj
 
     def copy(self):
         """Deep copy via a wire round-trip."""
@@ -210,52 +141,23 @@ def _dump(value):
     return value
 
 
-def _load(field_type, raw):
-    if field_type is None:
-        # Untyped payloads are copied so a decoded object never aliases
-        # the wire dict it was built from.
-        if type(raw) is dict or type(raw) is list:
-            return fast_deep_copy(raw)
-        return raw
-    if hasattr(field_type, "from_dict") and isinstance(raw, dict):
-        return field_type.from_dict(raw)
-    if hasattr(field_type, "from_serialized"):
-        return field_type.from_serialized(raw)
-    return raw
-
-
 # ---------------------------------------------------------------------------
 # Per-class serde codegen
 # ---------------------------------------------------------------------------
 
 _MISSING = object()
 
-# isinstance() of any of these implies _dump/_load are identity; checked
-# first because the overwhelming majority of field values are scalars.
+# isinstance() of any of these implies _dump is identity; checked first
+# because the overwhelming majority of field values are scalars.
 _SCALAR_TYPES = (str, int, float, bool)
-
-
-def _manual_override(cls, name):
-    """True when a hand-written ``name`` is in effect between ``cls`` and
-    :class:`Serializable` — codegen must not clobber it."""
-    for klass in cls.__mro__:
-        if klass is Serializable:
-            return False
-        fn = klass.__dict__.get(name)
-        if fn is not None:
-            fn = getattr(fn, "__func__", fn)
-            return not getattr(fn, "_repro_generated", False)
-    return False
 
 
 class _SerdeCodegen:
     """Compiles specialized ``__init__``/``to_dict``/``from_dict``.
 
-    The generated source mirrors the generic methods on
-    :class:`Serializable` line for line; the per-field dispatch (field
-    iteration, container branching, default construction, nested-type
-    probing) that the generic path re-derives on every call is resolved
-    here once, at class-creation time.
+    The per-field dispatch (field iteration, container branching,
+    default construction, nested-type probing) is resolved here once, at
+    class-creation time, instead of on every call.
     """
 
     def __init__(self, cls):
@@ -279,9 +181,7 @@ class _SerdeCodegen:
         code = compile(source, f"<serde {self.cls.__name__}.{name}>", "exec")
         scope = {}
         exec(code, self.ns, scope)
-        fn = scope[name]
-        fn._repro_generated = True
-        return fn
+        return scope[name]
 
     def default_expr(self, field):
         if field.default_factory is not None:
@@ -309,6 +209,8 @@ class _SerdeCodegen:
     def load_expr(self, field, raw):
         ftype = field.type
         if ftype is None:
+            # Untyped payloads are copied so a decoded object never
+            # aliases the wire dict it was built from.
             return (f"(fast_deep_copy({raw}) if type({raw}) is dict"
                     f" or type({raw}) is list else {raw})")
         tname = self.const("ty", ftype)
@@ -373,10 +275,12 @@ class _SerdeCodegen:
                     empty = "{}"
                 lines.append("    if v:")
                 lines.append(f"        out[{field.json_name!r}] = {expr}")
-                # The generic path emits an explicit empty collection only
-                # when the field's default is non-empty (see to_dict above);
-                # that predicate is constant per field, so it is resolved
-                # here at class-creation time.
+                # Empty collections are omitted — except when the field's
+                # default is non-empty, in which case an explicit empty
+                # value is meaningful (e.g. a Namespace whose
+                # ``spec.finalizers`` were cleared) and must round-trip
+                # rather than resurrect the default.  That predicate is
+                # constant per field, so it is resolved here.
                 if field.default_factory is not None \
                         and field.default_factory():
                     lines.append("    elif v is not None:")
@@ -387,14 +291,3 @@ class _SerdeCodegen:
                              f"{self.dump_expr(field, 'v')}")
         lines.append("    return out")
         return self.compile("to_dict", lines)
-
-
-def _install_fast_serde(cls):
-    gen = _SerdeCodegen(cls)
-    fields = tuple(cls._field_index().values())
-    if not _manual_override(cls, "__init__"):
-        cls.__init__ = gen.gen_init(fields)
-    if not _manual_override(cls, "to_dict"):
-        cls.to_dict = gen.gen_to_dict(fields)
-    if not _manual_override(cls, "from_dict"):
-        cls.from_dict = classmethod(gen.gen_from_dict(fields))

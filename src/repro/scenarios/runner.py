@@ -319,8 +319,7 @@ def run_scenario(scenario, race_check=None):
     for index, job in enumerate(compiled):
         sim.spawn(_drive_job(sim, generator, handles[job.tenant], job,
                              finished),
-                  name=f"load-{job.tenant}-{job.workload}",
-                  affinity=job.tenant)
+                  name=f"load-{job.tenant}-{job.workload}")
 
     env.run_for(scenario.horizon)
     engine.stop()

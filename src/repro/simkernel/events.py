@@ -18,11 +18,6 @@ class Event:
     (raised inside waiters on failure).
     """
 
-    # Tenant/shard affinity tag for the parallel backend's partitioner
-    # (repro.simkernel.parallel).  Purely advisory: it steers which worker
-    # a ready event lands on, never what the dispatch order is.
-    affinity = None
-
     def __init__(self, sim):
         self.sim = sim
         self.callbacks = []
@@ -32,11 +27,6 @@ class Event:
         # "defused"; undefused failures crash the simulation loudly instead
         # of passing silently.
         self.defused = False
-        # Events created inside a process inherit its tenant affinity, so
-        # a control plane's timers/IO route to its tenant's partition.
-        active = sim._active_process
-        if active is not None and active.affinity is not None:
-            self.affinity = active.affinity
 
     @property
     def triggered(self):

@@ -8,22 +8,15 @@ and far faster than wall-clock execution.
 """
 
 import heapq
-import os
 import random
 
 from .accounting import Accounting
 from .errors import SimulationDeadlock, StopSimulation
 from .events import Event, Timeout, all_of, any_of
-from .metrics import MetricsRegistry
 from .process import Process
 from .timerwheel import MIN_WHEEL_DELAY, TimerWheel
 
 _CALLBACK = object()
-
-# REPRO_KERNEL_LEGACY=1 disables the timer wheel (and, in repro.objects,
-# the serde codegen): the ablation baseline the kernel-speedup benchmark
-# measures against.  Results are byte-identical either way.
-_LEGACY_KERNEL = bool(os.environ.get("REPRO_KERNEL_LEGACY"))
 
 
 class Simulation:
@@ -34,33 +27,20 @@ class Simulation:
     seed:
         Seed for the simulation-owned random generator.  Every run with the
         same seed and workload produces identical timelines.
-    workers:
-        Parallel-backend worker count (``repro.simkernel.parallel``).
-        ``None`` reads ``REPRO_WORKERS``; 0 means serial.  Any value
-        produces byte-identical results — the merge barrier fixes the
-        global dispatch order.
     """
 
-    def __init__(self, seed=0, perturb_swap=None, workers=None):
+    def __init__(self, seed=0, perturb_swap=None):
         self._now = 0.0
         self._heap = []
         self._seq = 0
         self._active_process = None
         self.rng = random.Random(seed)
         self._process_count = 0
-        if workers is None:
-            workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
-        if workers < 0:
-            raise ValueError(f"negative worker count: {workers}")
-        self.workers = workers
-        self._executor = None
         # Far-future timers are staged in a hierarchical wheel instead of
         # the heap; `_wheel_next` caches the earliest bucket boundary so
         # the hot loop pays one float compare per pop.
-        self._wheel = None if _LEGACY_KERNEL else TimerWheel()
+        self._wheel = TimerWheel()
         self._wheel_next = None
-        self._batches = 0
-        self._parallel_batches = 0
         self._orphans_skipped = 0
         self._peak_heap = 0
         # Analysis hooks (repro.analysis): a RaceDetector stamps events
@@ -73,7 +53,6 @@ class Simulation:
         # bisector has a real divergence to localize.  Never set outside
         # tests/diagnostics.
         self._perturb_swap = perturb_swap
-        self.metrics = MetricsRegistry(self)
         self.accounting = Accounting(self)
         # Unified telemetry hub (repro.telemetry imports nothing from
         # repro.*, so this is cycle-free).
@@ -101,9 +80,9 @@ class Simulation:
         if self.race_detector is not None:
             self.race_detector.stamp_event(event)
         self._seq += 1
-        wheel = self._wheel
-        if wheel is not None and delay >= MIN_WHEEL_DELAY:
-            start = wheel.add(self._now + delay, self._seq, event, self._now)
+        if delay >= MIN_WHEEL_DELAY:
+            start = self._wheel.add(self._now + delay, self._seq, event,
+                                    self._now)
             if self._wheel_next is None or start < self._wheel_next:
                 self._wheel_next = start
             return
@@ -112,12 +91,12 @@ class Simulation:
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
 
-    def _schedule_callback(self, fn, delay=0):
+    def _schedule_callback(self, fn):
         """Schedule a bare callable (used for late subscribers, interrupts)."""
         if self.race_detector is not None:
             self.race_detector.stamp_callback(fn)
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, (_CALLBACK, fn)))
+        heapq.heappush(self._heap, (self._now, self._seq, (_CALLBACK, fn)))
 
     # ------------------------------------------------------------------
     # Event factories
@@ -139,15 +118,10 @@ class Simulation:
         """Event succeeding when all of ``events`` succeed."""
         return all_of(self, events)
 
-    def process(self, generator, name=None, affinity=None):
-        """Start a new process from ``generator`` and return it.
-
-        ``affinity`` tags the process (and, transitively, every event it
-        creates) with a tenant/shard key for the parallel backend's
-        partitioner; it has no effect on scheduling order.
-        """
+    def process(self, generator, name=None):
+        """Start a new process from ``generator`` and return it."""
         self._process_count += 1
-        return Process(self, generator, name=name, affinity=affinity)
+        return Process(self, generator, name=name)
 
     # Alias that reads better at call sites spawning background work.
     spawn = process
@@ -184,36 +158,18 @@ class Simulation:
                     if stop_at is not None:
                         self._now = stop_at
                     break
-                when, seq, item = heap[0]
+                when, _seq, item = heap[0]
                 if stop_at is not None and when > stop_at:
                     self._now = stop_at
                     break
                 heapq.heappop(heap)
                 self._now = when
                 self._dispatched += 1
-                self._batches += 1
-                if self._perturb_swap is not None:
-                    if (self._dispatched >= self._perturb_swap and heap):
-                        self._perturb_swap = None
-                        _when2, _seq2, early = heapq.heappop(heap)
-                        self._dispatch_item(early)
-                    self._dispatch_item(item)
-                    continue
-                if heap and heap[0][0] == when:
-                    # Drain the whole ready batch at this timestamp.  Items
-                    # scheduled *by* these dispatches carry higher seqs, so
-                    # finishing the batch before re-draining preserves the
-                    # exact serial order.
-                    batch = [(when, seq, item)]
-                    while heap and heap[0][0] == when:
-                        batch.append(heapq.heappop(heap))
-                    self._dispatched += len(batch) - 1
-                    if self.workers:
-                        self._run_parallel_batch(batch)
-                    else:
-                        self._run_serial_batch(batch)
-                else:
-                    self._dispatch_ready(item)
+                if self._perturb_swap is not None \
+                        and self._dispatched >= self._perturb_swap and heap:
+                    self._perturb_swap = None
+                    self._dispatch_item(heapq.heappop(heap)[2])
+                self._dispatch_ready(item)
         except StopSimulation as stop:
             event = stop.args[0]
             if not event.ok:
@@ -250,33 +206,6 @@ class Simulation:
                 break
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
-
-    def _run_serial_batch(self, batch):
-        """Dispatch a same-timestamp batch in seq order on this thread."""
-        index = 0
-        try:
-            for index in range(len(batch)):
-                self._dispatch_ready(batch[index][2])
-        except BaseException:
-            # Leave exactly the state a pop-one-at-a-time loop would
-            # have: undispatched items back in the heap, original keys.
-            for entry in batch[index + 1:]:
-                heapq.heappush(self._heap, entry)
-            raise
-
-    def _run_parallel_batch(self, batch):
-        """Dispatch a batch on the worker pool behind the merge barrier."""
-        executor = self._executor
-        if executor is None:
-            from .parallel import ParallelExecutor
-
-            executor = self._executor = ParallelExecutor(self, self.workers)
-        self._parallel_batches += 1
-        undone, exc = executor.run_batch(batch, self._dispatch_ready)
-        if exc is not None:
-            for entry in undone:
-                heapq.heappush(self._heap, entry)
-            raise exc
 
     def _dispatch_ready(self, item):
         """Dispatch one popped item, skipping orphaned events.
@@ -338,28 +267,15 @@ class Simulation:
     def kernel_stats(self):
         """Counters describing how the kernel executed (perf tooling)."""
         wheel = self._wheel
-        # `is not None`, not truthiness: TimerWheel defines __len__, so a
-        # drained wheel is falsy and would zero these counters.
-        present = wheel is not None
         return {
             "dispatched": self._dispatched,
-            "batches": self._batches,
             "peak_heap": self._peak_heap,
-            "pending": len(self._heap) + (len(wheel) if present else 0),
-            "wheel_scheduled": wheel.staged if present else 0,
-            "timers_cancelled": wheel.cancelled if present else 0,
+            "pending": len(self._heap) + len(wheel),
+            "wheel_scheduled": wheel.staged,
+            "timers_cancelled": wheel.cancelled,
             "orphans_skipped": self._orphans_skipped,
-            "parallel_batches": self._parallel_batches,
-            "workers": self.workers,
         }
 
-    def close(self):
-        """Shut down the parallel worker pool, if one was started."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
     def __repr__(self):
-        wheel = self._wheel
-        pending = len(self._heap) + (len(wheel) if wheel is not None else 0)
+        pending = len(self._heap) + len(self._wheel)
         return f"<Simulation now={self._now:.6f} pending={pending}>"

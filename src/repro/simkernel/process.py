@@ -13,16 +13,12 @@ from .events import Event
 class Process(Event):
     """Wraps a generator and drives it through the event loop."""
 
-    def __init__(self, sim, generator, name=None, affinity=None):
+    def __init__(self, sim, generator, name=None):
         super().__init__(sim)
         if not hasattr(generator, "send"):
             raise TypeError(f"process body must be a generator, got {generator!r}")
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        if affinity is not None:
-            # Explicit tag wins over the affinity inherited (via
-            # Event.__init__) from the spawning process.
-            self.affinity = affinity
         self._waiting_on = None
         if sim.race_detector is not None:
             sim.race_detector.register_process(self)

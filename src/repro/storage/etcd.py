@@ -15,7 +15,6 @@ deep-copies values in and out, like a real store serializes to bytes, so
 callers can never alias stored state.
 """
 
-import os
 from bisect import bisect_left
 
 from repro.objects.base import fast_deep_copy
@@ -33,12 +32,6 @@ from .errors import (
 
 EVENT_PUT = "PUT"
 EVENT_DELETE = "DELETE"
-
-# REPRO_KERNEL_LEGACY=1 restores the pre-optimization set-based prefix
-# index (a full sort on every list/count) alongside the kernel's legacy
-# paths, so the speedup benchmark ablates against the seed's behavior.
-# Results are byte-identical either way.
-_LEGACY_INDEX = bool(os.environ.get("REPRO_KERNEL_LEGACY"))
 
 
 class StoredValue:
@@ -189,9 +182,9 @@ class EtcdStore:
 
     # Buckets hold their keys as persistently *sorted* lists maintained by
     # bisect on write, so prefix reads are a binary search + slice instead
-    # of the full re-sort the old set-based index paid on every
-    # list_prefix/count_prefix call.  Keys sharing a prefix are contiguous
-    # in sorted order, which also makes count_prefix allocation-free.
+    # of a filter + full sort on every list_prefix/count_prefix call.
+    # Keys sharing a prefix are contiguous in sorted order, which also
+    # makes count_prefix allocation-free.
 
     def _index_add(self, key):
         keys = self._buckets.setdefault(self._bucket_of(key), [])
@@ -398,9 +391,8 @@ class EtcdStore:
     def count_prefix(self, prefix):
         """Number of keys under a prefix, without materializing them.
 
-        A pure bisect over the sorted bucket: no per-call sort (the old
-        implementation sorted the whole bucket just to take ``len()``)
-        and no list allocation.
+        A pure bisect over the sorted bucket: no per-call sort and no
+        list allocation.
         """
         _keys, lo, hi = self._prefix_range(prefix)
         return hi - lo
@@ -715,28 +707,3 @@ class EtcdStore:
             "wal": self.wal.stats() if self.wal is not None else None,
         }
 
-
-if _LEGACY_INDEX:
-    # The seed's index: buckets are plain sets, every prefix read pays a
-    # filter + full sort, and count_prefix materializes the sorted list
-    # just to take its length.  Kept verbatim as the ablation baseline.
-
-    def _legacy_index_add(self, key):
-        self._buckets.setdefault(self._bucket_of(key), set()).add(key)
-
-    def _legacy_index_remove(self, key):
-        bucket = self._buckets.get(self._bucket_of(key))
-        if bucket is not None:
-            bucket.discard(key)
-
-    def _legacy_keys_under(self, prefix):
-        keys = self._buckets.get(self._bucket_of(prefix), ())
-        return sorted(k for k in keys if k.startswith(prefix))
-
-    def _legacy_count_prefix(self, prefix):
-        return len(self._legacy_keys_under(prefix))
-
-    EtcdStore._index_add = _legacy_index_add
-    EtcdStore._index_remove = _legacy_index_remove
-    EtcdStore._keys_under = _legacy_keys_under
-    EtcdStore.count_prefix = _legacy_count_prefix

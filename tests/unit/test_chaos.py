@@ -89,8 +89,8 @@ class FakeSyncer:
     def metrics_inc(self, counter):
         self.counters[counter] = self.counters.get(counter, 0) + 1
 
-    def spawn(self, coroutine, name=None, affinity=None):
-        return self.sim.spawn(coroutine, name=name, affinity=affinity)
+    def spawn(self, coroutine, name=None):
+        return self.sim.spawn(coroutine, name=name)
 
     def enqueue_downward(self, tenant, plural, key):
         self.requeued.append(("downward", tenant, plural, key))

@@ -11,6 +11,7 @@ Each test pins one fixed true positive:
   bisector, not the linter).
 """
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -166,29 +167,16 @@ class TestPerSimulationContainerSerials:
         assert ids[0] == ids[1] == "runc-sb-000001"
 
 
-class TestTenantAffinitySpawns:
-    """staticcheck C006: tenant-scoped processes spawned without
-    affinity= fall off the tenant's partition under the parallel
-    backend."""
+class TestNoEnvironmentSwitches:
+    """Behaviour is a function of seed and arguments only: nothing under
+    ``src/repro/`` may read the process environment, so an import-time
+    switch cannot come back unnoticed."""
 
-    def test_vnode_removal_spawn_carries_tenant_affinity(self):
-        from repro.core.syncer.vnode import VNodeManager
-
-        spawns = []
-
-        class _Telemetry:
-            def counter(self, *args, **kwargs):
-                return self
-
-            def labels(self, **kwargs):
-                return SimpleNamespace(inc=lambda *a, **k: None)
-
-        sim = Simulation(seed=3)
-        syncer = SimpleNamespace(
-            sim=sim, name="t1-syncer", _telemetry=_Telemetry(),
-            spawn=lambda coroutine, name=None, affinity=None: (
-                spawns.append((name, affinity)), coroutine.close()))
-        manager = VNodeManager(syncer)
-        manager.pod_bound("t1", "default/p", "node-a")
-        manager.pod_deleted("t1", "default/p")
-        assert spawns == [("vnode-remove-t1-node-a", "t1")]
+    def test_src_reads_no_environment_variable(self):
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        offenders = [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if any(token in path.read_text(encoding="utf-8")
+                   for token in ("os.environ", "getenv"))]
+        assert offenders == []

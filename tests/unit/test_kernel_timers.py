@@ -1,15 +1,12 @@
-"""Unit tests for the kernel's execution machinery added for the
-parallel backend: the hierarchical timer wheel, the deterministic merge
-barrier, orphan-timer cancellation, and the kernel-correctness bugfix
-sweep (late-failing ``any_of`` losers, waiter-abandonment defusing, and
-the Event-wide undefused-failure check)."""
-
-import threading
+"""Unit tests for the kernel's timer machinery: the hierarchical timer
+wheel, orphan-timer cancellation, the kernel-correctness bugfix sweep
+(late-failing ``any_of`` losers, waiter-abandonment defusing, and the
+Event-wide undefused-failure check), and what an aborted or stopped
+``run()`` leaves in the heap."""
 
 import pytest
 
 from repro.simkernel import Simulation
-from repro.simkernel.parallel import MergeBarrier, ParallelExecutor, shard_hash
 from repro.simkernel.timerwheel import GRANULARITY, MIN_WHEEL_DELAY, SPAN
 
 
@@ -153,6 +150,32 @@ class TestOrphanCancellation:
         assert seen == [(10.0, "slow")]
 
 
+    def test_loser_population_never_reaches_the_heap(self):
+        """4,000 staggered racers, each a short wait against a 600 s
+        watchdog: every loser is cancelled at wheel flush, so the heap
+        holds only the in-flight sliver and the run ends with the last
+        winner instead of idling to the watchdog deadline."""
+        sim = Simulation(seed=0)
+        racers = 4000
+
+        def racer(index):
+            fast = sim.timeout(0.5 + (index % 100) * 0.01)
+            slow = sim.timeout(600.0)
+            yield sim.any_of([fast, slow])
+
+        def launcher():
+            for index in range(racers):
+                sim.process(racer(index))
+                yield sim.timeout(0.001)
+
+        sim.process(launcher())
+        sim.run()
+        stats = sim.kernel_stats()
+        assert stats["timers_cancelled"] == racers
+        assert sim.now < 10
+        assert stats["peak_heap"] < 1000
+
+
 # ----------------------------------------------------------------------
 # Bugfix sweep regressions
 # ----------------------------------------------------------------------
@@ -237,186 +260,44 @@ class TestUndefusedFailures:
 
 
 # ----------------------------------------------------------------------
-# Merge barrier & partitioning
+# Aborted and stopped runs
 # ----------------------------------------------------------------------
 
 
-class TestMergeBarrier:
-    def test_turns_granted_in_global_seq_order(self):
-        barrier = MergeBarrier()
-        barrier.start((3, 5, 9))
+class TestRunAbort:
+    def test_abort_mid_timestamp_leaves_rest_in_heap(self):
+        """An undefused failure mid-timestamp leaves the undispatched
+        same-time items in the heap with their original keys."""
+        sim = Simulation()
         order = []
-
-        def worker(seq):
-            assert barrier.acquire_turn(seq)
-            order.append(seq)
-            barrier.release_turn()
-
-        threads = [threading.Thread(target=worker, args=(seq,))
-                   for seq in (9, 5, 3)]  # deliberately reversed start
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert order == [3, 5, 9]
-
-    def test_fail_denies_later_turns(self):
-        barrier = MergeBarrier()
-        barrier.start((1, 2))
-        boom = RuntimeError("boom")
-        barrier.fail(1, boom)
-        assert barrier.acquire_turn(2) is False
-        assert barrier.failure == (1, boom)
-
-
-class TestPartitioning:
-    def test_affinity_routes_like_the_sharded_queue(self):
-        sim = Simulation()
-        executor = ParallelExecutor(sim, workers=4)
-        try:
-            class Item:
-                def __init__(self, affinity):
-                    self.affinity = affinity
-
-            entries = [(0.0, seq, Item(f"tenant-{seq % 3}"))
-                       for seq in range(12)]
-            parts = executor.partition(entries)
-            for part in parts:
-                for _when, seq, item in part:
-                    expected = shard_hash(item.affinity) % 4
-                    assert parts[expected] is part
-        finally:
-            executor.close()
-
-    def test_no_affinity_round_robins(self):
-        sim = Simulation()
-        executor = ParallelExecutor(sim, workers=2)
-        try:
-            class Item:
-                affinity = None
-
-            entries = [(0.0, seq, Item()) for seq in range(4)]
-            parts = executor.partition(entries)
-            assert [len(part) for part in parts] == [2, 2]
-        finally:
-            executor.close()
-
-
-class TestAffinityPropagation:
-    def test_process_affinity_inherited_by_its_events(self):
-        sim = Simulation()
-        seen = {}
-
-        def proc():
-            timer = sim.timeout(1)
-            seen["affinity"] = timer.affinity
-            yield timer
-
-        sim.process(proc(), affinity="tenant-a")
-        sim.run()
-        assert seen["affinity"] == "tenant-a"
-
-    def test_events_without_process_have_no_affinity(self):
-        sim = Simulation()
-        assert sim.timeout(1).affinity is None
-
-
-# ----------------------------------------------------------------------
-# Parallel execution: serial equivalence on the kernel itself
-# ----------------------------------------------------------------------
-
-
-def _traced_run(workers, seed=7):
-    """A same-timestamp-heavy workload; returns its dispatch trace."""
-    sim = Simulation(seed=seed, workers=workers)
-    trace = []
-
-    def worker(index, tenant):
-        for step in range(6):
-            delay = sim.rng.choice([0.0, 0.1, 0.25, 0.5, 1.0])
-            yield sim.timeout(delay)
-            trace.append((round(sim.now, 9), index, step))
-
-    for index in range(9):
-        sim.process(worker(index, f"tenant-{index % 3}"),
-                    affinity=f"tenant-{index % 3}")
-    sim.run()
-    stats = sim.kernel_stats()
-    sim.close()
-    return trace, stats
-
-
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_trace_identical_to_serial(self, workers):
-        serial, _ = _traced_run(0)
-        parallel, stats = _traced_run(workers)
-        assert parallel == serial
-        assert stats["workers"] == workers
-        assert stats["parallel_batches"] > 0
-
-    def test_batch_abort_leaves_serial_heap_state(self):
-        """An undefused failure mid-batch re-pushes the untouched tail
-        with original keys, identically in serial and parallel mode."""
-
-        def run_once(workers):
-            sim = Simulation(workers=workers)
-            order = []
-            for index in range(6):
-                event = sim.event()
-                if index == 2:
-                    event.fail(RuntimeError("boom"))
-                else:
-                    event.succeed(index)
-                    event.add_callback(
-                        lambda e: order.append(e.value))
-            with pytest.raises(RuntimeError, match="boom"):
-                sim.run()
-            at_abort = list(order)
-            sim.run()  # resume: the re-pushed tail dispatches in order
-            sim.close()
-            return at_abort, order
-
-        assert run_once(2) == run_once(0) == ([0, 1], [0, 1, 3, 4, 5])
-
-    def test_run_until_event_stops_identically(self):
-        def run_once(workers):
-            sim = Simulation(workers=workers)
-            order = []
-
-            def maker(name):
-                def proc():
-                    yield sim.timeout(1.0)
-                    order.append(name)
-                    return name
-
-                return proc()
-
-            sim.process(maker("a"))
-            stopper = sim.process(maker("b"))
-            sim.process(maker("c"))
-            result = sim.run(until=stopper)
-            at_stop = list(order)
+        for index in range(6):
+            event = sim.event()
+            if index == 2:
+                event.fail(RuntimeError("boom"))
+            else:
+                event.succeed(index)
+                event.add_callback(lambda e: order.append(e.value))
+        keys = [entry[:2] for entry in sorted(sim._heap)]
+        with pytest.raises(RuntimeError, match="boom"):
             sim.run()
-            sim.close()
-            return result, at_stop, order
+        assert order == [0, 1]
+        assert [entry[:2] for entry in sorted(sim._heap)] == keys[3:]
+        sim.run()  # resume: the tail dispatches in order
+        assert order == [0, 1, 3, 4, 5]
 
-        assert run_once(2) == run_once(0)
-
-    def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            Simulation(workers=-1)
-
-    def test_env_var_selects_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
+    def test_run_until_event_stops_mid_timestamp(self):
+        """``run(until=event)`` returns as the event is processed; later
+        same-time items stay queued for the next ``run()``."""
         sim = Simulation()
-        assert sim.workers == 3
-        monkeypatch.setenv("REPRO_WORKERS", "")
-        assert Simulation().workers == 0
-
-
-class TestShardHashReExport:
-    def test_fairqueue_still_exports_shard_hash(self):
-        from repro.clientgo.fairqueue import shard_hash as exported
-
-        assert exported is shard_hash
+        order = []
+        events = [sim.event() for _ in range(4)]
+        for index, event in enumerate(events):
+            event.succeed(index)
+            event.add_callback(lambda e: order.append(e.value))
+        assert sim.run(until=events[1]) == 1
+        assert order == [0, 1]
+        stats = sim.kernel_stats()
+        assert (stats["dispatched"], stats["pending"]) == (2, 2)
+        sim.run()
+        assert order == [0, 1, 2, 3]
+        assert sim.kernel_stats()["dispatched"] == 4

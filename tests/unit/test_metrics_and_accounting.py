@@ -1,4 +1,4 @@
-"""Unit tests for metrics, accounting, and reporting helpers."""
+"""Unit tests for accounting and reporting helpers."""
 
 import pytest
 
@@ -10,52 +10,6 @@ from repro.metrics import (
     summarize,
 )
 from repro.simkernel import Simulation
-from repro.simkernel.metrics import Histogram, SampleSeries
-
-
-class TestHistogram:
-    def test_observe_into_buckets(self):
-        histogram = Histogram(bounds=[1, 2, 4])
-        for value in [0.5, 1.5, 3.0, 10.0]:
-            histogram.observe(value)
-        assert histogram.counts == [1, 1, 1, 1]
-        assert histogram.total == 4
-        assert histogram.mean == pytest.approx(3.75)
-
-    def test_percentiles(self):
-        histogram = Histogram(bounds=[100])
-        for value in range(1, 101):
-            histogram.observe(float(value))
-        assert histogram.percentile(50) == pytest.approx(50.5)
-        assert histogram.percentile(99) == pytest.approx(99.01)
-        assert histogram.percentile(0) == 1.0
-        assert histogram.percentile(100) == 100.0
-
-    def test_empty_percentile(self):
-        assert Histogram(bounds=[1]).percentile(99) == 0.0
-
-    def test_bucket_counts_layout(self):
-        histogram = Histogram(bounds=[1, 2])
-        histogram.observe(0.5)
-        histogram.observe(5.0)
-        buckets = histogram.bucket_counts()
-        assert buckets[0] == ((0.0, 1), 1)
-        assert buckets[-1] == ((2, None), 1)
-
-
-class TestSampleSeries:
-    def test_peak_and_last(self):
-        series = SampleSeries()
-        series.record(0.0, 10)
-        series.record(1.0, 30)
-        series.record(2.0, 20)
-        assert series.peak == 30
-        assert series.last == 20
-
-    def test_empty(self):
-        series = SampleSeries()
-        assert series.peak == 0.0
-        assert series.last == 0.0
 
 
 class TestAccounting:
@@ -91,16 +45,6 @@ class TestAccounting:
         sim = Simulation()
         assert sim.accounting.cpu_account("x") is \
             sim.accounting.cpu_account("x")
-
-    def test_metrics_registry(self):
-        sim = Simulation()
-        sim.metrics.inc("ops")
-        sim.metrics.inc("ops", 2)
-        assert sim.metrics.counters["ops"] == 3
-        sim.metrics.observe("latency", 1.5, bounds=[1, 2])
-        assert sim.metrics.histogram("latency").total == 1
-        sim.metrics.sample("depth", 7)
-        assert sim.metrics.series["depth"].last == 7
 
 
 class TestReporting:
