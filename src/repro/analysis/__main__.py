@@ -4,9 +4,13 @@ Usage::
 
     PYTHONPATH=src python -m repro.analysis lint src/ [--strict]
     PYTHONPATH=src python -m repro.analysis staticcheck src/ [--strict]
-    PYTHONPATH=src python -m repro.analysis race --seed 0
-    PYTHONPATH=src python -m repro.analysis bisect --seed 0 [--perturb K]
+    PYTHONPATH=src python -m repro.analysis race SCENARIO.yaml
+    PYTHONPATH=src python -m repro.analysis bisect SCENARIO.yaml [--perturb K]
     PYTHONPATH=src python -m repro.analysis rules
+
+``race`` and ``bisect`` run a scenario file through
+``repro.scenarios.run_scenario`` — the one run harness — with the
+detector attached, or twice with the store-event streams diffed.
 
 Exit codes: 0 clean; 1 usage/internal error; 2 findings (active lint
 or staticcheck findings, race conflicts, or a localized replay
@@ -17,9 +21,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bisect import bisect_seed
+from .bisect import first_divergence
 from .linter import format_report, lint_paths, load_allowlist
-from .racedetect import run_under_detector
 from .rules import format_rule_catalog
 from .staticcheck import check_paths, format_json, format_sarif
 
@@ -75,25 +78,27 @@ def _cmd_staticcheck(args):
 
 
 def _cmd_race(args):
-    detector = run_under_detector(
-        args.seed, tenants=args.tenants, pods_per_tenant=args.pods,
-        nodes=args.nodes, horizon=args.horizon,
-        track_reads=args.track_reads,
-        store_replicas=args.replicas_store)
-    print(detector.report())
-    return 0 if detector.ok else 2
+    from repro.scenarios import load_scenario, run_scenario
+
+    result = run_scenario(load_scenario(args.scenario), race_check=True,
+                          track_reads=args.track_reads)
+    print(result.detector.report())
+    return 0 if result.detector.ok else 2
 
 
 def _cmd_bisect(args):
-    divergence, run_a, run_b = bisect_seed(
-        args.seed, tenants=args.tenants, pods_per_tenant=args.pods,
-        nodes=args.nodes, horizon=args.horizon, perturb=args.perturb)
+    from repro.scenarios import load_scenario, run_scenario
+
+    scenario = load_scenario(args.scenario)
+    run_a = run_scenario(scenario).recorder
+    run_b = run_scenario(scenario, perturb_swap=args.perturb).recorder
+    divergence = first_divergence(run_a, run_b)
     if divergence is None:
-        print(f"seed {args.seed}: replay deterministic — "
+        print(f"{scenario.name}: replay deterministic — "
               f"{len(run_a.digests)} store events, final digest "
               f"{run_a.final_digest[:16]}… identical across runs")
         return 0
-    print(f"seed {args.seed}: replay DIVERGED")
+    print(f"{scenario.name}: replay DIVERGED")
     print(divergence.format())
     return 2
 
@@ -103,16 +108,7 @@ def _cmd_rules(_args):
     return 0
 
 
-def _add_run_args(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tenants", type=int, default=2)
-    parser.add_argument("--pods", type=int, default=3,
-                        help="pods per tenant")
-    parser.add_argument("--nodes", type=int, default=3)
-    parser.add_argument("--horizon", type=float, default=30.0)
-
-
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="determinism & isolation analysis suite")
@@ -149,21 +145,18 @@ def main(argv=None):
         help="print suppressed and allowlisted findings too (text)")
     staticcheck.set_defaults(func=_cmd_staticcheck)
 
-    race = sub.add_parser("race",
-                          help="run a deployment under the race detector")
-    _add_run_args(race)
+    race = sub.add_parser(
+        "race", help="run a scenario file under the race detector")
+    race.add_argument("scenario", help="scenario YAML file")
     race.add_argument("--track-reads", action="store_true",
                       help="also flag read-write conflicts (diagnostic; "
                            "level-triggered reads make this noisy)")
-    race.add_argument("--replicas-store", type=int, default=1,
-                      help="run the super cluster on a replicated store "
-                           "(WAL streaming + follower applies must stay "
-                           "race-free; default 1 = seed store)")
     race.set_defaults(func=_cmd_race)
 
     bisect = sub.add_parser(
-        "bisect", help="run a seed twice and localize the first divergence")
-    _add_run_args(bisect)
+        "bisect",
+        help="run a scenario file twice and localize the first divergence")
+    bisect.add_argument("scenario", help="scenario YAML file")
     bisect.add_argument("--perturb", type=int, default=None,
                         help="flip the order of the Kth dispatched event "
                              "in the second run (divergence fixture)")
@@ -172,7 +165,11 @@ def main(argv=None):
     rules = sub.add_parser("rules", help="print the rule catalog")
     rules.set_defaults(func=_cmd_rules)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -131,48 +131,3 @@ def first_divergence(run_a, run_b):
         entry_b = run_b.entries[index] if index < len(run_b.entries) else None
         return Divergence(index, entry_a, entry_b, probes=probes)
     return None
-
-
-# ----------------------------------------------------------------------
-# Recorded reference runs (CLI + chaos self-diagnosis)
-# ----------------------------------------------------------------------
-
-
-def run_recorded(seed, tenants=2, pods_per_tenant=3, nodes=3, horizon=30.0,
-                 perturb=None):
-    """One small recorded deployment run; returns the recorder.
-
-    ``perturb`` (event index) applies the one-shot order flip — the
-    fixture used to validate that the bisector localizes a real
-    divergence, never in normal operation.
-    """
-    from repro.core.env import VirtualClusterEnv
-    from repro.simkernel.loop import Simulation
-
-    sim = Simulation(seed=seed, perturb_swap=perturb)
-    recorder = ReplayRecorder(sim)
-    env = VirtualClusterEnv(seed=seed, sim=sim, num_virtual_nodes=nodes,
-                            scan_interval=5.0, dws_workers=2, uws_workers=2)
-    env.bootstrap()
-    handles = [env.run_coroutine(env.create_tenant(f"tenant-{i}"))
-               for i in range(tenants)]
-    for handle in handles:
-        for index in range(pods_per_tenant):
-            env.run_coroutine(handle.create_pod(f"pod-{index}"))
-    env.run_for(horizon)
-    return recorder
-
-
-def bisect_seed(seed, tenants=2, pods_per_tenant=3, nodes=3, horizon=30.0,
-                perturb=None):
-    """Run a seed twice (optionally perturbing the second run) and diff.
-
-    Returns ``(divergence_or_None, recorder_a, recorder_b)``.
-    """
-    run_a = run_recorded(seed, tenants=tenants,
-                         pods_per_tenant=pods_per_tenant, nodes=nodes,
-                         horizon=horizon)
-    run_b = run_recorded(seed, tenants=tenants,
-                         pods_per_tenant=pods_per_tenant, nodes=nodes,
-                         horizon=horizon, perturb=perturb)
-    return first_divergence(run_a, run_b), run_a, run_b

@@ -333,35 +333,3 @@ class RaceDetector:
                  f"track_reads={self.track_reads}"]
         lines.extend(conflict.format() for conflict in self.conflicts)
         return "\n".join(lines)
-
-
-def run_under_detector(seed, tenants=2, pods_per_tenant=3, nodes=3,
-                       horizon=30.0, track_reads=False, store_replicas=1):
-    """One small deployment run with the detector on; returns it.
-
-    This is the CLI/CI entry: a healthy build reports zero conflicts
-    because every apiserver store write is CAS-guarded (release-acquire)
-    and all cross-process hand-off flows through kernel edges.
-
-    ``store_replicas >= 2`` runs the super cluster on a replicated
-    store (DESIGN.md §13): WAL records carry the writer's vector stamp
-    and each follower apply absorbs it, so replication must add no
-    unordered cross-process access either.
-    """
-    from repro.core.env import VirtualClusterEnv
-    from repro.simkernel.loop import Simulation
-
-    sim = Simulation(seed=seed)
-    detector = RaceDetector(sim, track_reads=track_reads)
-    env = VirtualClusterEnv(
-        seed=seed, sim=sim, num_virtual_nodes=nodes,
-        scan_interval=5.0, dws_workers=2, uws_workers=2,
-        store_replicas=store_replicas if store_replicas > 1 else None)
-    env.bootstrap()
-    handles = [env.run_coroutine(env.create_tenant(f"tenant-{i}"))
-               for i in range(tenants)]
-    for handle in handles:
-        for index in range(pods_per_tenant):
-            env.run_coroutine(handle.create_pod(f"pod-{index}"))
-    env.run_for(horizon)
-    return detector

@@ -113,7 +113,7 @@ class PriorityLevel:
         self.queues = [deque() for _ in range(spec.queues)]
         self._cursor = 0              # round-robin dispatch cursor
         self._hands = {}              # flow -> dealt queue indices
-        # Report counters (exported via metrics.format_apf).
+        # Report counters (exported via snapshot()).
         self.dispatched = 0
         self.rejected_queue_full = 0
         self.rejected_timeout = 0
@@ -384,7 +384,7 @@ class APFLimiter:
     # ------------------------------------------------------------------
 
     def snapshot(self):
-        """Deterministic per-level stats for metrics.format_apf."""
+        """Deterministic per-level stats (seats, peak, shed by reason)."""
         out = []
         for level in self.levels.values():
             out.append({

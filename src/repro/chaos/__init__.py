@@ -11,18 +11,26 @@ random-within-seed) over *injection points* wired into the simulation:
 Everything is driven by the simulation clock and the simulation RNG, so
 a chaos run is exactly reproducible from its seed.
 
-Typical use::
+Every schedulable fault is one row of :data:`repro.chaos.faults.FAULTS`
+(DSL name → class, legal targets, parameters, builder); a scenario
+file's ``chaos:`` block is the front door (``python -m repro.scenarios
+run FILE --report``).  Programmatic use::
 
     env = VirtualClusterEnv(num_virtual_nodes=3)
-    engine = ChaosEngine(env)
-    engine.add(OneShot(5.0), ApiServerCrash(env.syncer_cp_for(t), down=3.0))
+    env.bootstrap()
+    tenant = env.run_coroutine(env.create_tenant("acme"))
+    engine = ChaosEngine(env, seed=7)
+    engine.add(OneShot(5.0, duration=3.0),
+               ApiServerCrash(tenant.control_plane))
     engine.start()
-    ...
+    env.run_for(20.0)
+    engine.stop()
     report = engine.report()
 """
 
-from .engine import ChaosEngine, ha_plan, random_plan
+from .engine import ChaosEngine, random_plan
 from .faults import (
+    FAULTS,
     ApiRequestFault,
     ApiServerCrash,
     CrashControlPlane,
@@ -41,6 +49,7 @@ __all__ = [
     "ApiServerCrash",
     "ChaosEngine",
     "CrashControlPlane",
+    "FAULTS",
     "Fault",
     "ForcedCompaction",
     "KillLeader",
@@ -52,6 +61,5 @@ __all__ = [
     "Schedule",
     "WatchDrop",
     "WorkerCrash",
-    "ha_plan",
     "random_plan",
 ]

@@ -15,15 +15,8 @@ from repro.simkernel.errors import Interrupt
 from .faults import (
     ApiRequestFault,
     ApiServerCrash,
-    CrashControlPlane,
     ForcedCompaction,
-    KillLeader,
-    KillStore,
     NetworkPartition,
-    ReplicaLag,
-    RestoreFromSnapshot,
-    TenantStorm,
-    WalCorruption,
     WatchDrop,
     WorkerCrash,
 )
@@ -114,41 +107,16 @@ class ChaosEngine:
     # ------------------------------------------------------------------
 
     def report(self):
-        faults = []
-        for schedule, fault in self._entries:
-            entry = {
-                "fault": fault.name,
-                "schedule": schedule.describe(),
-                "injections": fault.injections,
-            }
-            for counter in ("errors_injected", "latency_injected",
-                            "streams_dropped", "requests_blocked",
-                            "workers_killed", "stores_killed",
-                            "mid_txn_kills", "lagged", "tails_torn"):
-                value = getattr(fault, counter, None)
-                if value is not None:
-                    entry[counter] = value
-            faults.append(entry)
         return {
             "seed": self.seed,
-            "faults": faults,
+            "faults": [{"fault": fault.name,
+                        "schedule": schedule.describe(),
+                        "injections": fault.injections,
+                        **fault.counters()}
+                       for schedule, fault in self._entries],
             "events": len(self.timeline),
             "timeline": list(self.timeline),
         }
-
-    def format_report(self):
-        """ASCII summary of the run (used by ``python -m repro.chaos``)."""
-        lines = [f"chaos report (seed={self.seed})",
-                 f"{'fault':<34} {'schedule':<34} {'fired':>5}  extra"]
-        lines.append("-" * 86)
-        for entry in self.report()["faults"]:
-            extra = " ".join(
-                f"{key}={entry[key]}" for key in sorted(entry)
-                if key not in ("fault", "schedule", "injections"))
-            lines.append(f"{entry['fault']:<34.34} "
-                         f"{entry['schedule']:<34.34} "
-                         f"{entry['injections']:>5}  {extra}")
-        return "\n".join(lines)
 
     def verify_convergence(self, timeout=300.0, poll=1.0):
         """Run the sim until the whole system converges; raise on timeout.
@@ -164,6 +132,25 @@ class ChaosEngine:
 
         env.run_until(converged, timeout=timeout, poll=poll)
         return check_convergence(env)[1]
+
+
+def format_report(report):
+    """ASCII rendering of a :meth:`ChaosEngine.report` dict: one row
+    per fault (did it bite?), then the inject/restore timeline."""
+    lines = [f"chaos report (seed={report['seed']})",
+             f"{'fault':<34} {'schedule':<34} {'fired':>5}  extra",
+             "-" * 86]
+    for entry in report["faults"]:
+        extra = " ".join(
+            f"{key}={entry[key]}" for key in sorted(entry)
+            if key not in ("fault", "schedule", "injections"))
+        lines.append(f"{entry['fault']:<34.34} "
+                     f"{entry['schedule']:<34.34} "
+                     f"{entry['injections']:>5}  {extra}")
+    lines.append("timeline:")
+    lines.extend(f"  t={when:9.3f}s  {action:<7} {fault}"
+                 for when, fault, action in report["timeline"])
+    return "\n".join(lines)
 
 
 def _decoded_pods(api):
@@ -288,110 +275,4 @@ def random_plan(engine, horizon=60.0):
     # Syncer worker crashes: the watchdog has to respawn them.
     engine.add(Periodic(period=horizon / 6.0, count=4),
                WorkerCrash(syncer, count=1))
-    return engine
-
-
-def ha_plan(engine, horizon=60.0):
-    """The HA fault mix (DESIGN.md §10) on top of :func:`random_plan`.
-
-    Kept separate — and always added *after* ``random_plan`` — so the
-    base plan draws the same RNG sequence with or without HA faults and
-    existing chaos seeds keep reproducing byte-identically.
-
-    Requires an env built with ``syncer_replicas > 1`` for the leader
-    kill; the control-plane crash/rollback faults work on any env.
-    """
-    env = engine.env
-    rng = engine.rng
-    if env.syncer_ha is not None:
-        # Crash the leader mid-run; the window end restarts the victim
-        # as a standby, so a later kill has somewhere to fail over to.
-        engine.add(
-            OneShot(at=rng.uniform(horizon / 4.0, horizon / 2.0),
-                    duration=horizon / 6.0),
-            KillLeader(env.syncer_ha, mode="crash"))
-    tenant_keys = sorted(env.tenants)
-    if tenant_keys:
-        crash_victim = rng.choice(tenant_keys)
-        engine.add(
-            OneShot(at=rng.uniform(horizon / 3.0, 2.0 * horizon / 3.0)),
-            CrashControlPlane(env.tenant_operator, crash_victim))
-        rollback_victim = rng.choice(tenant_keys)
-        engine.add(
-            OneShot(at=rng.uniform(horizon / 2.0, 0.9 * horizon)),
-            RestoreFromSnapshot(env.tenant_operator, rollback_victim))
-    return engine
-
-
-def durability_plan(engine, horizon=60.0, kill=True, mid_txn=True,
-                    wal_corrupt=True):
-    """Storage durability faults (DESIGN.md §13): leader kill -9 (plain
-    and mid-``txn``), follower lag, and a torn WAL tail.
-
-    Like :func:`ha_plan`, always added *after* the other plans so the
-    base RNG draws — and every existing chaos seed — stay byte-identical
-    when durability chaos is off.
-
-    Requires an env built with ``store_replicas >= 2`` (the super
-    cluster's store is a :class:`~repro.storage.ReplicatedStore`); a
-    plain single store gets only the in-place WAL tail tear.
-    """
-    env = engine.env
-    rng = engine.rng
-    store = env.super_cluster.api.store
-    replicated = isinstance(getattr(store, "replicas", None), list)
-    if kill and replicated:
-        # Plain leader kill early; the window end restarts the victim.
-        engine.add(
-            OneShot(at=rng.uniform(horizon / 5.0, horizon / 3.0),
-                    duration=horizon / 5.0),
-            KillStore(store))
-        if mid_txn:
-            # Armed kill: the leader dies between two WAL appends of a
-            # single multi-op txn.  Short arming window; the restart
-            # rides on the window close.
-            engine.add(
-                OneShot(at=rng.uniform(horizon / 2.0, 0.7 * horizon),
-                        duration=horizon / 6.0),
-                KillStore(store, mid_txn=True))
-        engine.add(
-            RandomWindows(mean_gap=horizon / 3.0,
-                          duration_range=(horizon / 20.0, horizon / 8.0),
-                          count=2),
-            ReplicaLag(store, extra_lag=rng.uniform(0.1, 0.5)))
-    if wal_corrupt and (replicated
-                        or getattr(store, "wal", None) is not None):
-        engine.add(
-            OneShot(at=rng.uniform(0.6 * horizon, 0.85 * horizon),
-                    duration=horizon / 8.0),
-            WalCorruption(store))
-    return engine
-
-
-def storm_plan(engine, horizon=60.0, qps=400.0, tier="free"):
-    """An abusive-tenant front-door storm (DESIGN.md §15).
-
-    Like :func:`ha_plan` and :func:`durability_plan`, always added
-    *after* the other plans so the base RNG draws — and every existing
-    chaos seed — stay byte-identical when the storm is off.
-
-    One tenant identity (named after a random existing tenant, or a
-    synthetic abuser when the env has none) floods the super apiserver
-    in two windows across the run.  With APF enabled the storm should
-    shed at the free tier while system traffic stays exempt; without it
-    the storm competes for the shared inflight pool.
-    """
-    env = engine.env
-    rng = engine.rng
-    tenant_keys = sorted(env.tenants)
-    if tenant_keys:
-        abuser = env.tenants[rng.choice(tenant_keys)].name
-    else:
-        abuser = "abuser"
-    engine.add(
-        RandomWindows(mean_gap=horizon / 3.0,
-                      duration_range=(horizon / 8.0, horizon / 4.0),
-                      count=2),
-        TenantStorm(env.super_cluster, user=f"storm-{abuser}",
-                    qps=qps, concurrency=200, tier=tier))
     return engine

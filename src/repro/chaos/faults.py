@@ -34,9 +34,15 @@ ReplicaLag              ``ReplicatedStore.set_extra_lag()`` (one
 WalCorruption           ``WriteAheadLog.tear_tail()`` (torn tail
                         record; recovery keeps the committed prefix
                         and resyncs the rest from the leader)
+TenantStorm             none — ordinary (abusive) client traffic at the
+                        super apiserver's front door, which APF
+                        admission must shed
 ======================  ==================================================
 
 Faults draw any randomness from the engine RNG handed to ``bind()``.
+:data:`FAULTS` at the bottom of this module is the one table of what a
+scenario file may schedule: DSL name, class, legal targets, parameters,
+and how to build the fault against a live env.
 """
 
 from repro.apiserver.errors import ServerUnavailable
@@ -62,6 +68,13 @@ class Fault:
     def restore(self):
         """Close the window (no-op for instantaneous faults)."""
 
+    def counters(self):
+        """What the fault did beyond opening windows, as ``{name:
+        count}`` for :meth:`ChaosEngine.report`.  Every fault states
+        its own (``{}`` when ``injections`` says it all), so a new one
+        cannot be silently missing from the report."""
+        raise NotImplementedError
+
     def describe(self):
         return self.name
 
@@ -84,6 +97,9 @@ class ApiServerCrash(Fault):
 
     def restore(self):
         self.api.recover()
+
+    def counters(self):
+        return {}
 
 
 class ApiRequestFault(Fault):
@@ -143,6 +159,10 @@ class ApiRequestFault(Fault):
             self.errors_injected += 1
             raise self.error_factory()
 
+    def counters(self):
+        return {"errors_injected": self.errors_injected,
+                "latency_injected": self.latency_injected}
+
     def describe(self):
         parts = [self.name]
         if self.verbs:
@@ -178,6 +198,9 @@ class WatchDrop(Fault):
             stream.stop()
             self.streams_dropped += 1
 
+    def counters(self):
+        return {"streams_dropped": self.streams_dropped}
+
 
 class ForcedCompaction(Fault):
     """Compact one etcd's watch history down to ``keep`` events.
@@ -195,6 +218,9 @@ class ForcedCompaction(Fault):
     def inject(self):
         self.injections += 1
         self.store.compact(keep=self.keep)
+
+    def counters(self):
+        return {}
 
 
 class NetworkPartition(Fault):
@@ -231,6 +257,9 @@ class NetworkPartition(Fault):
             self.requests_blocked += 1
             raise ServerUnavailable(f"{self.name}: link down")
 
+    def counters(self):
+        return {"requests_blocked": self.requests_blocked}
+
 
 class KillLeader(Fault):
     """Kill the serving syncer leader (DESIGN.md §10).
@@ -266,6 +295,9 @@ class KillLeader(Fault):
         else:
             self.ha.heal(victim)
 
+    def counters(self):
+        return {"leaders_killed": self.leaders_killed}
+
 
 class CrashControlPlane(Fault):
     """Crash one tenant control plane with total data loss.
@@ -285,6 +317,9 @@ class CrashControlPlane(Fault):
         if self.operator.crash_control_plane(self.key):
             self.injections += 1
             self.crashes += 1
+
+    def counters(self):
+        return {"crashes": self.crashes}
 
 
 class RestoreFromSnapshot(Fault):
@@ -309,6 +344,9 @@ class RestoreFromSnapshot(Fault):
         self.injections += 1
         self.rollbacks += 1
         control_plane.api.store.restore(snapshot)
+
+    def counters(self):
+        return {"rollbacks": self.rollbacks}
 
 
 class KillStore(Fault):
@@ -359,6 +397,10 @@ class KillStore(Fault):
             self.store.disarm_kill()
             self.store.restart_replica()
 
+    def counters(self):
+        return {"stores_killed": self.stores_killed,
+                "mid_txn_kills": self.mid_txn_kills}
+
 
 class ReplicaLag(Fault):
     """Slow one follower's apply pump by ``extra_lag`` seconds/record.
@@ -388,6 +430,9 @@ class ReplicaLag(Fault):
         victim, self._victim = self._victim, None
         if victim is not None:
             self.store.set_extra_lag(0.0, index=victim)
+
+    def counters(self):
+        return {"lagged": self.lagged}
 
 
 class WalCorruption(Fault):
@@ -438,6 +483,9 @@ class WalCorruption(Fault):
         if victim is not None:
             self.store.restart_replica(victim)
 
+    def counters(self):
+        return {"tails_torn": self.tails_torn}
+
 
 class WorkerCrash(Fault):
     """Kill random syncer workers; the watchdog must respawn them."""
@@ -462,6 +510,9 @@ class WorkerCrash(Fault):
             if process is not None:
                 self.workers_killed += 1
                 process.interrupt(f"{self.name}: chaos kill")
+
+    def counters(self):
+        return {"workers_killed": self.workers_killed}
 
 
 class TenantStorm(Fault):
@@ -540,6 +591,140 @@ class TenantStorm(Fault):
         except Interrupt:
             return
 
+    def counters(self):
+        return {"requests_ok": self.requests_ok,
+                "requests_shed": self.requests_shed,
+                "requests_failed": self.requests_failed}
+
     def describe(self):
         return (f"{self.name} qps={self.qps:g} x{self.concurrency} "
                 f"ok={self.requests_ok} shed={self.requests_shed}")
+
+
+# ----------------------------------------------------------------------
+# The fault table: every schedulable fault, enumerated once
+# ----------------------------------------------------------------------
+
+
+class FaultKind:
+    """One row of :data:`FAULTS`.
+
+    ``targets`` are the legal target kinds (``"tenant"`` means any
+    declared tenant name, ``"super"`` and ``"syncer"`` are literal);
+    ``params`` the optional parameter names; ``build(env, handles,
+    target, params)`` constructs the fault against a live env, where
+    ``handles`` maps tenant name → :class:`TenantHandle`.  ``requires``
+    is an optional ``(description, predicate(control))`` pair naming
+    the deployment the fault needs (e.g. a replicated store).
+    """
+
+    def __init__(self, cls, targets, params, build, requires=None):
+        self.cls = cls
+        self.targets = targets
+        self.params = params
+        self.build = build
+        self.requires = requires
+
+
+def _plane(env, handles, target):
+    """The cluster/control plane an apiserver-level fault acts on."""
+    if target == "super":
+        return env.super_cluster
+    return handles[target].control_plane
+
+
+def _build_request_fault(env, handles, target, params):
+    verbs = params.get("verbs")
+    return ApiRequestFault(
+        _plane(env, handles, target), verbs=tuple(verbs) if verbs else None,
+        error_rate=params.get("error_rate", 1.0),
+        extra_latency=params.get("extra_latency", 0.0),
+        name=f"reqfault:{target}")
+
+
+def _build_storm(env, handles, target, params):
+    # The abuser floods the *super* apiserver under a per-tenant storm
+    # identity; its tier defaults to the tenant's declared tier so APF
+    # classifies (and sheds) it accordingly.
+    return TenantStorm(
+        env.super_cluster, user=f"storm-{target}",
+        qps=float(params.get("qps", 400.0)),
+        concurrency=int(params.get("concurrency", 200)),
+        tier=params.get("tier") or handles[target].tier,
+        name=f"storm:{target}")
+
+
+_REPLICATED_STORE = ("control.store_replicas >= 2",
+                     lambda control: control.store_replicas >= 2)
+
+#: DSL name → :class:`FaultKind`.  The scenario model validates against
+#: this table and the runner builds from it; nothing else lists faults.
+FAULTS = {
+    "apiserver-crash": FaultKind(
+        ApiServerCrash, ("tenant", "super"), (),
+        lambda env, handles, target, params: ApiServerCrash(
+            _plane(env, handles, target), name=f"crash:{target}")),
+    "request-fault": FaultKind(
+        ApiRequestFault, ("tenant", "super"),
+        ("error_rate", "extra_latency", "verbs"), _build_request_fault),
+    "watch-drop": FaultKind(
+        WatchDrop, ("tenant", "super"), ("fraction",),
+        lambda env, handles, target, params: WatchDrop(
+            _plane(env, handles, target),
+            fraction=params.get("fraction", 1.0),
+            name=f"watchdrop:{target}")),
+    "compaction": FaultKind(
+        ForcedCompaction, ("tenant", "super"), ("keep",),
+        lambda env, handles, target, params: ForcedCompaction(
+            _plane(env, handles, target), keep=int(params.get("keep", 0)),
+            name=f"compact:{target}")),
+    "partition": FaultKind(
+        NetworkPartition, ("tenant",), (),
+        lambda env, handles, target, params: NetworkPartition(
+            env.syncer.tenants[handles[target].key].client,
+            name=f"partition:{target}")),
+    "worker-crash": FaultKind(
+        WorkerCrash, ("syncer",), ("count",),
+        lambda env, handles, target, params: WorkerCrash(
+            env.syncer, count=int(params.get("count", 1)))),
+    "tenant-storm": FaultKind(
+        TenantStorm, ("tenant",), ("qps", "concurrency", "tier"),
+        _build_storm),
+    "kill-leader": FaultKind(
+        KillLeader, ("syncer",), ("mode", "notice_delay"),
+        lambda env, handles, target, params: KillLeader(
+            env.syncer_ha, mode=params.get("mode", "crash"),
+            notice_delay=float(params.get("notice_delay", 2.0))),
+        requires=("control.syncer_replicas >= 2",
+                  lambda control: control.syncer_replicas >= 2)),
+    "crash-control-plane": FaultKind(
+        CrashControlPlane, ("tenant",), (),
+        lambda env, handles, target, params: CrashControlPlane(
+            env.tenant_operator, handles[target].key,
+            name=f"cpcrash:{target}")),
+    "restore-snapshot": FaultKind(
+        RestoreFromSnapshot, ("tenant",), (),
+        lambda env, handles, target, params: RestoreFromSnapshot(
+            env.tenant_operator, handles[target].key,
+            name=f"rollback:{target}")),
+    "kill-store": FaultKind(
+        KillStore, ("super",), ("mid_txn", "max_ops"),
+        lambda env, handles, target, params: KillStore(
+            env.super_cluster.api.store,
+            mid_txn=bool(params.get("mid_txn", False)),
+            max_ops=int(params.get("max_ops", 4))),
+        requires=_REPLICATED_STORE),
+    "replica-lag": FaultKind(
+        ReplicaLag, ("super",), ("extra_lag",),
+        lambda env, handles, target, params: ReplicaLag(
+            env.super_cluster.api.store,
+            extra_lag=float(params.get("extra_lag", 0.5))),
+        requires=_REPLICATED_STORE),
+    "wal-corruption": FaultKind(
+        WalCorruption, ("super",), (),
+        lambda env, handles, target, params: WalCorruption(
+            env.super_cluster.api.store),
+        requires=("control.store_replicas >= 2 or control.store_wal",
+                  lambda control: (control.store_replicas >= 2
+                                   or control.store_wal))),
+}

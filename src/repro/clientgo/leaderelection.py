@@ -36,6 +36,7 @@ window in which split-brain writes are emitted and fencing must hold.
 from repro.apiserver.errors import ApiError
 from repro.objects import Lease, LeaseSpec, ObjectMeta
 from repro.simkernel import Interrupt
+from repro.telemetry import telemetry_of
 
 from .backoff import JitteredBackoff
 
@@ -90,6 +91,13 @@ class LeaderElector:
         self.acquisitions = 0
         self.renewals = 0
         self.losses = 0
+        # One series per lease ("syncer-leader", "store-<name>", …):
+        # every elected group's failovers in the registry, whoever
+        # owns the elector.
+        self._transitions_counter = telemetry_of(sim).counter(
+            "leader_transitions_total",
+            "lease acquisitions (leadership terms started)",
+            labels=("domain",)).labels(domain=name)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -293,6 +301,7 @@ class LeaderElector:
         self._deadline = written_now + self.lease_duration
         self._token = lease.spec.lease_transitions
         self.acquisitions += 1
+        self._transitions_counter.inc()
         if self.on_started_leading is not None:
             self.on_started_leading(self._token)
 

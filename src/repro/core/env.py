@@ -43,6 +43,7 @@ class TenantHandle:
         self.vc = vc
         self.control_plane = control_plane
         self.credential = control_plane.tenant_credential
+        self.tier = None  # declared admission tier (set_tenant_tier)
         self.client = control_plane.client(
             credential=self.credential,
             user_agent=f"tenant-{vc.name}", qps=10_000, burst=20_000)
@@ -340,6 +341,7 @@ class VirtualClusterEnv:
     def set_tenant_tier(self, handle, tier=None):
         """Wire one tenant's tier into APF classification and the
         scale-to-zero autoscaler (no-ops when neither is enabled)."""
+        handle.tier = tier
         apf = self.super_cluster.apf
         if apf is not None and tier is not None:
             # The tenant's identity on the super apiserver (used by

@@ -1,33 +1,19 @@
 """Reporting helpers for the benchmark harness."""
 
 from .reporting import (
-    format_apf,
     format_bucket_table,
-    format_durability,
-    format_failover,
     format_histogram,
-    format_hotpath,
     format_phase_breakdown,
-    format_swapper,
-    format_syncer_health,
     format_table,
     format_telemetry,
-    pods_per_node,
     summarize,
 )
 
 __all__ = [
-    "format_apf",
     "format_bucket_table",
-    "format_durability",
-    "format_failover",
     "format_histogram",
-    "format_hotpath",
     "format_phase_breakdown",
-    "format_swapper",
-    "format_syncer_health",
     "format_table",
     "format_telemetry",
-    "pods_per_node",
     "summarize",
 ]

@@ -73,149 +73,6 @@ def format_bucket_table(phase_buckets, bucket_width=2.0,
     return format_table(headers, rows, title=title)
 
 
-def format_syncer_health(syncer, title="Syncer health"):
-    """Render per-tenant circuit state plus watchdog restart counts.
-
-    One row per tenant the syncer has health data for: breaker state,
-    consecutive failures, total opens/probes, items currently parked,
-    and accumulated time in a degraded (non-closed) state.  A trailing
-    section lists worker restart counts from the watchdog.
-    """
-    rows = [
-        [tenant, entry["state"], entry["consecutive_failures"],
-         entry["opens_total"], entry["probes_total"], entry["parked"],
-         entry["time_degraded"]]
-        for tenant, entry in sorted(syncer.health.stats().items())
-    ]
-    if not rows:
-        rows = [["(no tenants)", "-", 0, 0, 0, 0, 0.0]]
-    table = format_table(
-        ["tenant", "circuit", "consec", "opens", "probes", "parked",
-         "degraded (s)"],
-        rows, title=title)
-    restarts = syncer.worker_restarts
-    total = sum(restarts.values())
-    lines = [table, f"worker restarts: {total}"]
-    for label, count in sorted(restarts.items()):
-        lines.append(f"  {label}: {count}")
-    return "\n".join(lines)
-
-
-def format_failover(ha, title="Syncer HA failover"):
-    """Render the failover log of a :class:`SyncerHA` group: one row per
-    leadership term (identity, fencing token, time-to-sync, MTTR), plus
-    the elector counters and the fenced-write / fencing-rejection totals
-    that prove the split-brain guard ran (DESIGN.md §10)."""
-    rows = [
-        [record["identity"], record["token"],
-         f"{record['elected_at']:.2f}", f"{record['serving_at']:.2f}",
-         f"{record['sync_seconds']:.3f}",
-         "-" if record["mttr"] is None else f"{record['mttr']:.3f}"]
-        for record in ha.failovers
-    ]
-    if not rows:
-        rows = [["(no leader yet)", "-", "-", "-", "-", "-"]]
-    table = format_table(
-        ["leader", "token", "elected", "serving", "sync (s)", "MTTR (s)"],
-        rows, title=title)
-    lines = [table]
-    for elector in ha.electors:
-        stats = elector.stats()
-        lines.append(
-            f"  {stats['identity']}: acquisitions={stats['acquisitions']} "
-            f"renewals={stats['renewals']} losses={stats['losses']}"
-            + (" [leading]" if stats["is_leader"] else ""))
-    store = ha.super_cluster.api.store
-    lines.append(f"fenced writes: {ha.stats()['fenced_writes']}  "
-                 f"fencing rejections: {store.fencing_rejections}")
-    return "\n".join(lines)
-
-
-def format_durability(store, title="Store durability"):
-    """Render a :class:`~repro.storage.ReplicatedStore` group's health:
-    one row per replica (role, applied revision, lag, WAL size), the
-    recovery log (who died, who took over, MTTR, committed writes
-    lost — the number that must stay 0), and the stale-read counter
-    from the follower-read path (DESIGN.md §13)."""
-    stats = store.stats()
-    rows = []
-    for replica in stats.get("replicas", []):
-        wal = replica["wal"] or {}
-        rows.append([
-            replica["name"], replica["role"],
-            "up" if replica["alive"] else "down",
-            replica["applied_revision"], replica["lag"],
-            replica["records_applied"],
-            wal.get("records", 0), wal.get("torn_records", 0),
-        ])
-    if not rows:
-        rows = [["(single store)", "-", "-", stats.get("revision", 0),
-                 0, 0, 0, 0]]
-    table = format_table(
-        ["replica", "role", "state", "applied", "lag", "streamed",
-         "wal recs", "torn"],
-        rows, title=title)
-    lines = [table]
-    for record in stats.get("recoveries_log", []):
-        mttr = record.get("mttr")
-        lines.append(
-            f"  {record['victim']} died ({record['reason']}) "
-            f"@{record['killed_at']:.2f}s -> {record.get('promoted', '?')} "
-            f"token={record.get('token', '?')} "
-            f"MTTR={'-' if mttr is None else f'{mttr:.3f}s'} "
-            f"lost_writes={record.get('lost_writes', '?')}")
-    lines.append(
-        f"failovers: {stats.get('failovers', 0)}  "
-        f"stale reads rejected: {stats.get('stale_reads', 0)}  "
-        f"store recoveries: {stats.get('recoveries', 0)}")
-    return "\n".join(lines)
-
-
-def format_apf(limiter, title="APF admission (priority & fairness)"):
-    """Render an :class:`~repro.apiserver.APFLimiter`'s per-level stats:
-    seats vs. peak concurrency (borrowing shows as peak > seats),
-    dispatched/shed counts split by shed reason (queue overflow vs.
-    bounded-wait timeout), and mean queue wait (DESIGN.md §15)."""
-    rows = []
-    for level in limiter.snapshot():
-        seats = "exempt" if level["exempt"] else level["seats"]
-        rows.append([
-            level["level"], seats, level["peak_in_use"],
-            level["borrowed_peak"], level["dispatched"],
-            level["rejected_queue_full"], level["rejected_timeout"],
-            f"{level['mean_wait']*1000:.1f}ms",
-        ])
-    table = format_table(
-        ["level", "seats", "peak", "borrowed", "dispatched",
-         "shed(full)", "shed(timeout)", "mean wait"],
-        rows, title=title)
-    return table
-
-
-def format_swapper(swapper, title="Scale-to-zero swapper"):
-    """Render an :class:`~repro.core.IdleSwapper`'s fleet state: how
-    many tracked planes are swapped out, resident memory, wake counts
-    split warm/cold, and the wake-latency p99 against the SLO."""
-    total = len(swapper._tracked)
-    swapped = swapper.swapped_count()
-    wakes = len(swapper.wake_samples)
-    warm = sum(1 for _t, kind, _e in swapper.wake_samples
-               if kind == "warm")
-    p99 = swapper.wake_p99()
-    rows = [
-        ["tracked planes", total],
-        ["swapped out", f"{swapped} ({100.0*swapped/total:.1f}%)"
-         if total else "0"],
-        ["resident bytes", f"{swapper.total_resident_bytes():,.0f}"],
-        ["swap-outs", swapper.swap_out_count],
-        ["wakes (warm/cold)", f"{wakes} ({warm}/{wakes - warm})"],
-        ["wake p99", f"{p99:.3f}s" if wakes else "-"],
-        ["wake SLO", "-" if swapper.wake_slo is None
-         else f"{swapper.wake_slo:.3f}s"],
-    ]
-    return format_table(["metric", "value"], rows, title=title)
-
-
 def summarize(result):
     """One-line summary of a StressResult."""
     return (f"{result.mode}: pods={result.num_pods} "
@@ -224,28 +81,13 @@ def summarize(result):
             f"p99={result.percentile(99):.2f}s")
 
 
-def pods_per_node(syncer):
-    """Super pods currently bound to each physical node.
-
-    Reads the pods cache's node index (one posting lookup per node)
-    instead of scanning every cached pod per node — the same index the
-    hot-path report uses to surface placement skew.
-    """
-    from repro.core.syncer.conversion import INDEX_NODE, node_index
-
-    pods = syncer.super_informer("pods").cache
-    pods.add_index(INDEX_NODE, node_index)  # idempotent
-    return {node: len(pods.index_keys(INDEX_NODE, node))
-            for node in syncer.super_informer("nodes").cache.keys()}
-
-
 def format_telemetry(snapshot, title="Telemetry", families=None,
                      max_series=8):
     """Render a registry snapshot (``Telemetry.snapshot()``) compactly.
 
     One row per series: counters/gauges show their value, histograms
-    their count / mean / p99.  ``families`` restricts the listing (e.g.
-    the chaos report shows only the core families); per family at most
+    their count / mean.  ``families`` restricts the listing (e.g. to
+    the core families); per family at most
     ``max_series`` series print, the rest collapse into a ``(+N more)``
     row with the family total so big label spaces stay readable.
     """
@@ -284,39 +126,4 @@ def format_telemetry(snapshot, title="Telemetry", families=None,
         lines.append(format_table(
             ["span", "count", "errors", "mean (s)"], span_rows,
             title="Span aggregates"))
-    return "\n".join(lines)
-
-
-def format_hotpath(syncer, title="Syncer hot path"):
-    """Render the DESIGN.md §9 hot-path counters: dispatch sharding,
-    downward write batching, and per-node placement from the pod index."""
-    stats = syncer.stats()
-    downward = stats["downward"]
-    rows = [
-        ["dispatch shards", stats["dispatch_shards"]],
-        ["active shards", downward.get("active_shards", 1)],
-        ["shard rebalances", downward.get("rebalances", 0)],
-        ["dws depth by shard", downward.get("depth_by_shard",
-                                            [downward["depth"]])],
-        ["dws lock contentions", stats["dws_lock_contentions"]],
-        ["uws lock contentions", stats["uws_lock_contentions"]],
-    ]
-    batching = stats["downward_batching"]
-    rows.append(["downward batching",
-                 "on" if batching["enabled"] else "off (pass-through)"])
-    if batching["enabled"]:
-        rows.extend([
-            ["  batches flushed", batching["batches_flushed"]],
-            ["  ops batched", batching["ops_batched"]],
-            ["  largest batch", batching["largest_batch"]],
-        ])
-    table = format_table(["metric", "value"], rows, title=title)
-    placement = pods_per_node(syncer)
-    busiest = sorted(placement.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    lines = [table, "busiest nodes (pods via node index):"]
-    if busiest:
-        for node, count in busiest:
-            lines.append(f"  {node}: {count}")
-    else:
-        lines.append("  (no nodes)")
     return "\n".join(lines)

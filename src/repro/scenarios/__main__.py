@@ -1,9 +1,13 @@
 """CLI: ``python -m repro.scenarios {list,run,record,verify}``.
 
 ``list``    show the corpus (tier, checks, golden status);
-``run``     run one scenario file and print its result;
+``run``     run one scenario file and print its result (``--report``
+            adds the chaos fault table + timeline and the telemetry
+            registry — did each fault bite, did each feature engage);
 ``record``  run and write the golden block back into the file(s);
-``verify``  replay every scenario twice against its golden digest.
+``verify``  replay every scenario twice against its golden digest; a
+            replay that differs from the previous one is bisected to
+            its first divergent store event and owning component.
 
 ``record`` rewrites only the ``golden:`` block, preserving the rest of
 the hand-authored YAML (comments included).
@@ -14,6 +18,9 @@ import json
 import os
 import re
 import sys
+
+from repro.chaos.engine import format_report
+from repro.metrics import format_telemetry
 
 from .errors import GoldenMismatch, ScenarioError
 from .loader import corpus_paths, load_scenario
@@ -105,6 +112,10 @@ def cmd_run(args):
         result = run_scenario(scenario,
                               race_check=True if args.race else None)
         _print_result(result, as_json=args.json)
+        if args.report:
+            if result.chaos_report is not None:
+                print(format_report(result.chaos_report))
+            print(format_telemetry(result.env.sim.telemetry.snapshot()))
         if not result.ok:
             status = 1
     return status
@@ -138,7 +149,7 @@ def cmd_verify(args):
     return status
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.scenarios",
         description="Declarative scenario corpus: list, run, record, "
@@ -156,6 +167,9 @@ def main(argv=None):
     p_run.add_argument("--race", action="store_true",
                        help="attach the vector-clock race detector")
     p_run.add_argument("--json", action="store_true")
+    p_run.add_argument("--report", action="store_true",
+                       help="also print the chaos report (per-fault "
+                            "counters, timeline) and the telemetry table")
     p_run.set_defaults(func=cmd_run)
 
     p_record = sub.add_parser(
@@ -170,7 +184,11 @@ def main(argv=None):
                           help="replays per scenario (default 2)")
     p_verify.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -24,24 +24,12 @@ scenario construction and YAML loading share one validation path.
 
 import re
 
+from repro.chaos.faults import FAULTS
+
 from .errors import ScenarioError
 from .shapes import SequentialShape, shape_from_dict
 
 _NAME_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
-
-#: Chaos faults a scenario may schedule, with their optional parameters
-#: and legal targets ("tenant" means any declared tenant name).
-FAULT_CATALOG = {
-    "apiserver-crash": {"params": (), "targets": ("tenant", "super")},
-    "request-fault": {"params": ("error_rate", "extra_latency", "verbs"),
-                      "targets": ("tenant", "super")},
-    "watch-drop": {"params": ("fraction",), "targets": ("tenant", "super")},
-    "partition": {"params": (), "targets": ("tenant",)},
-    "worker-crash": {"params": ("count",), "targets": ("syncer",)},
-    "compaction": {"params": ("keep",), "targets": ("tenant", "super")},
-    "tenant-storm": {"params": ("qps", "concurrency", "tier"),
-                     "targets": ("tenant",)},
-}
 
 #: Admission tiers a tenant may declare (DESIGN.md §15).  ``system`` is
 #: reserved for infrastructure credentials and is not assignable here.
@@ -81,6 +69,24 @@ def _number(data, key, where, default=None, minimum=None, required=False):
     if minimum is not None and value < minimum:
         raise ScenarioError(
             f"{where}.{key}: must be >= {minimum}, got {value!r}")
+    return value
+
+
+def _integer(data, key, where, default=None, minimum=None, required=False):
+    """Like :func:`_number`, but ``2.7`` is an error, not a silent 2."""
+    value = _number(data, key, where, default, minimum, required)
+    if value is not None and not isinstance(value, int):
+        raise ScenarioError(
+            f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _boolean(data, key, where, default):
+    """``true``/``false`` only: a quoted ``"no"`` is truthy in Python."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioError(
+            f"{where}.{key}: expected true or false, got {value!r}")
     return value
 
 
@@ -165,7 +171,7 @@ class ElasticSpec(_Spec):
     @classmethod
     def from_dict(cls, data, where):
         _check_keys(data, where, cls.fields)
-        return cls(initial=_number(data, "initial", where, 1, minimum=0),
+        return cls(initial=_integer(data, "initial", where, 1, minimum=0),
                    interval=_number(data, "interval", where, 5.0))
 
 
@@ -208,7 +214,7 @@ class PoolSpec(_Spec):
         elastic = (ElasticSpec.from_dict(data["elastic"], f"{where}.elastic")
                    if data.get("elastic") is not None else None)
         return cls(name=data["name"],
-                   nodes=_number(data, "nodes", where, required=True),
+                   nodes=_integer(data, "nodes", where, required=True),
                    link=link, elastic=elastic)
 
 
@@ -355,7 +361,7 @@ class TenantSpec(_Spec):
             raise ScenarioError(f"{where}.workloads: expected a list")
         return cls(
             name=data["name"],
-            weight=_number(data, "weight", where, 1),
+            weight=_integer(data, "weight", where, 1),
             tier=data.get("tier"),
             workloads=[WorkloadSpec.from_dict(w, f"{where}.workloads[{i}]")
                        for i, w in enumerate(workloads)])
@@ -381,8 +387,9 @@ class ScheduleSpec(_Spec):
         self.count = count
         self.offset = float(offset)
         self.mean_gap = mean_gap
-        self.duration_range = (list(duration_range)
-                               if duration_range is not None else None)
+        self.duration_range = (
+            list(duration_range)
+            if isinstance(duration_range, (list, tuple)) else duration_range)
 
     def validate(self, where):
         if self.type not in SCHEDULE_TYPES:
@@ -392,6 +399,11 @@ class ScheduleSpec(_Spec):
         if self.duration < 0:
             raise ScenarioError(
                 f"{where}.duration: must be >= 0, got {self.duration!r}")
+        if self.count is not None and (
+                isinstance(self.count, bool)
+                or not isinstance(self.count, int)):
+            raise ScenarioError(
+                f"{where}.count: expected an integer, got {self.count!r}")
         if self.type == "oneshot":
             if self.at is None or self.at < 0:
                 raise ScenarioError(
@@ -416,6 +428,15 @@ class ScheduleSpec(_Spec):
                 raise ScenarioError(
                     f"{where}: random needs 'count' >= 1, got "
                     f"{self.count!r}")
+            span = self.duration_range
+            if span is not None and not (
+                    isinstance(span, list) and len(span) == 2
+                    and all(isinstance(v, (int, float))
+                            and not isinstance(v, bool) for v in span)
+                    and 0 <= span[0] <= span[1]):
+                raise ScenarioError(
+                    f"{where}.duration_range: expected two numbers "
+                    f"[lo, hi] with 0 <= lo <= hi, got {span!r}")
 
     def windows(self):
         """Statically known ``[start, end)`` windows (for overlap checks).
@@ -484,13 +505,13 @@ class ChaosSpec(_Spec):
         self.schedule = schedule
         self.params = dict(params or {})
 
-    def validate(self, where, tenant_names):
-        entry = FAULT_CATALOG.get(self.fault)
-        if entry is None:
+    def validate(self, where, tenant_names, control):
+        kind = FAULTS.get(self.fault)
+        if kind is None:
             raise ScenarioError(
                 f"{where}.fault: unknown fault {self.fault!r} "
-                f"(valid faults: {', '.join(sorted(FAULT_CATALOG))})")
-        targets = entry["targets"]
+                f"(valid faults: {', '.join(sorted(FAULTS))})")
+        targets = kind.targets
         if self.target in ("super", "syncer"):
             if self.target not in targets:
                 raise ScenarioError(
@@ -507,13 +528,18 @@ class ChaosSpec(_Spec):
             raise ScenarioError(
                 f"{where}.target: fault {self.fault!r} targets "
                 f"{'/'.join(targets)}, got {self.target!r}")
-        unknown = sorted(set(self.params) - set(entry["params"]))
+        unknown = sorted(set(self.params) - set(kind.params))
         if unknown:
             raise ScenarioError(
                 f"{where}.params: unknown parameter(s) "
                 f"{', '.join(map(repr, unknown))} for fault "
                 f"{self.fault!r} (valid: "
-                f"{', '.join(entry['params']) or 'none'})")
+                f"{', '.join(kind.params) or 'none'})")
+        if kind.requires is not None:
+            needed, satisfied = kind.requires
+            if not satisfied(control):
+                raise ScenarioError(
+                    f"{where}.fault: {self.fault!r} needs {needed}")
         self.schedule.validate(f"{where}.schedule")
 
     def to_dict(self):
@@ -529,10 +555,14 @@ class ChaosSpec(_Spec):
         for key in ("fault", "target", "schedule"):
             if key not in data:
                 raise ScenarioError(f"{where}: chaos entry needs {key!r}")
+        params = data.get("params") or {}
+        if not isinstance(params, dict):
+            raise ScenarioError(
+                f"{where}.params: expected a mapping, got {params!r}")
         return cls(fault=data["fault"], target=data["target"],
                    schedule=ScheduleSpec.from_dict(data["schedule"],
                                                    f"{where}.schedule"),
-                   params=data.get("params") or {})
+                   params=params)
 
 
 def _check_chaos_overlaps(entries, where):
@@ -635,9 +665,9 @@ class ExpectSpec(_Spec):
         if not isinstance(telemetry, list):
             raise ScenarioError(f"{where}.telemetry: expected a list")
         return cls(
-            converged=data.get("converged", True),
-            min_pods_created=_number(data, "min_pods_created", where, 0,
-                                     minimum=0),
+            converged=_boolean(data, "converged", where, True),
+            min_pods_created=_integer(data, "min_pods_created", where, 0,
+                                      minimum=0),
             telemetry=[TelemetryExpect.from_dict(t,
                                                  f"{where}.telemetry[{i}]")
                        for i, t in enumerate(telemetry)])
@@ -675,8 +705,8 @@ class GoldenSpec(_Spec):
             if key not in data:
                 raise ScenarioError(f"{where}: golden needs {key!r}")
         spec = cls(digest=data["digest"],
-                   store_events=_number(data, "store_events", where,
-                                        required=True),
+                   store_events=_integer(data, "store_events", where,
+                                         required=True),
                    sim_time=_number(data, "sim_time", where, 0.0))
         spec.validate(where)
         return spec
@@ -694,18 +724,23 @@ class ControlSpec(_Spec):
     (tenant tiers, shuffle-shard queues, 429 + Retry-After shedding);
     ``scale_to_zero`` turns on the idle swapper, with
     ``idle_threshold`` overriding how long a tenant control plane must
-    see no user traffic before it is paged out (DESIGN.md §15).  Both
-    default off, so existing scenarios run the exact pre-§15 stack and
-    keep their golden digests.
+    see no user traffic before it is paged out (DESIGN.md §15).
+    ``syncer_replicas`` > 1 runs the syncer as a leader-elected HA group
+    (DESIGN.md §10); ``store_replicas`` > 1 replicates every
+    control-plane store and ``store_wal`` puts a write-ahead log under
+    a single one (DESIGN.md §13).  All default off, so scenarios that
+    do not name them run the exact seed stack and keep their digests.
     """
 
     fields = ("scan_interval", "dws_workers", "uws_workers",
               "fair_queuing", "optimized", "apf", "scale_to_zero",
-              "idle_threshold")
+              "idle_threshold", "syncer_replicas", "store_replicas",
+              "store_wal")
 
     def __init__(self, scan_interval=5.0, dws_workers=4, uws_workers=4,
                  fair_queuing=True, optimized=True, apf=False,
-                 scale_to_zero=False, idle_threshold=None):
+                 scale_to_zero=False, idle_threshold=None,
+                 syncer_replicas=1, store_replicas=1, store_wal=False):
         self.scan_interval = float(scan_interval)
         self.dws_workers = int(dws_workers)
         self.uws_workers = int(uws_workers)
@@ -715,6 +750,9 @@ class ControlSpec(_Spec):
         self.scale_to_zero = bool(scale_to_zero)
         self.idle_threshold = (float(idle_threshold)
                                if idle_threshold is not None else None)
+        self.syncer_replicas = int(syncer_replicas)
+        self.store_replicas = int(store_replicas)
+        self.store_wal = bool(store_wal)
 
     def validate(self, where):
         if self.scan_interval <= 0:
@@ -723,6 +761,9 @@ class ControlSpec(_Spec):
         if self.dws_workers < 1 or self.uws_workers < 1:
             raise ScenarioError(
                 f"{where}: dws_workers/uws_workers must be >= 1")
+        if self.syncer_replicas < 1 or self.store_replicas < 1:
+            raise ScenarioError(
+                f"{where}: syncer_replicas/store_replicas must be >= 1")
         if self.idle_threshold is not None:
             if self.idle_threshold <= 0:
                 raise ScenarioError(
@@ -744,6 +785,12 @@ class ControlSpec(_Spec):
             out["scale_to_zero"] = True
         if self.idle_threshold is not None:
             out["idle_threshold"] = self.idle_threshold
+        if self.syncer_replicas != 1:
+            out["syncer_replicas"] = self.syncer_replicas
+        if self.store_replicas != 1:
+            out["store_replicas"] = self.store_replicas
+        if self.store_wal:
+            out["store_wal"] = True
         return out
 
     @classmethod
@@ -751,13 +798,16 @@ class ControlSpec(_Spec):
         _check_keys(data, where, cls.fields)
         spec = cls(
             scan_interval=_number(data, "scan_interval", where, 5.0),
-            dws_workers=_number(data, "dws_workers", where, 4),
-            uws_workers=_number(data, "uws_workers", where, 4),
-            fair_queuing=data.get("fair_queuing", True),
-            optimized=data.get("optimized", True),
-            apf=data.get("apf", False),
-            scale_to_zero=data.get("scale_to_zero", False),
-            idle_threshold=_number(data, "idle_threshold", where))
+            dws_workers=_integer(data, "dws_workers", where, 4),
+            uws_workers=_integer(data, "uws_workers", where, 4),
+            fair_queuing=_boolean(data, "fair_queuing", where, True),
+            optimized=_boolean(data, "optimized", where, True),
+            apf=_boolean(data, "apf", where, False),
+            scale_to_zero=_boolean(data, "scale_to_zero", where, False),
+            idle_threshold=_number(data, "idle_threshold", where),
+            syncer_replicas=_integer(data, "syncer_replicas", where, 1),
+            store_replicas=_integer(data, "store_replicas", where, 1),
+            store_wal=_boolean(data, "store_wal", where, False))
         spec.validate(where)
         return spec
 
@@ -815,7 +865,7 @@ class Scenario(_Spec):
             seen[tenant.name] = index
         tenant_names = set(seen)
         for index, entry in enumerate(self.chaos):
-            entry.validate(f"chaos[{index}]", tenant_names)
+            entry.validate(f"chaos[{index}]", tenant_names, self.control)
         _check_chaos_overlaps(self.chaos, "chaos")
         self.expect.validate("expect")
         if self.golden is not None:
@@ -869,12 +919,12 @@ class Scenario(_Spec):
         scenario = cls(
             name=data["name"],
             description=data.get("description", ""),
-            seed=_number(data, "seed", where, 0),
+            seed=_integer(data, "seed", where, 0),
             horizon=_number(data, "horizon", where, 40.0),
             convergence_timeout=_number(data, "convergence_timeout", where,
                                         180.0),
-            tier1=data.get("tier1", False),
-            race_check=data.get("race_check", False),
+            tier1=_boolean(data, "tier1", where, False),
+            race_check=_boolean(data, "race_check", where, False),
             control=(ControlSpec.from_dict(data["control"], "control")
                      if data.get("control") is not None else None),
             topology=(TopologySpec.from_dict(data["topology"], "topology")

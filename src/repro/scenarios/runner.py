@@ -26,19 +26,11 @@ golden digests at all.
 import random
 import zlib
 
-from repro.analysis.bisect import ReplayRecorder
+from repro.analysis.bisect import ReplayRecorder, first_divergence
 from repro.analysis.racedetect import RaceDetector
 from repro.apiserver.errors import ApiError
 from repro.chaos.engine import ChaosEngine, check_convergence
-from repro.chaos.faults import (
-    ApiRequestFault,
-    ApiServerCrash,
-    ForcedCompaction,
-    NetworkPartition,
-    TenantStorm,
-    WatchDrop,
-    WorkerCrash,
-)
+from repro.chaos.faults import FAULTS
 from repro.chaos.schedule import OneShot, Periodic, RandomWindows
 from repro.config import DEFAULT_CONFIG
 from repro.core.env import VirtualClusterEnv
@@ -126,57 +118,6 @@ def compile_schedule(spec):
         count=spec.count)
 
 
-def _compile_fault(entry, env, handles, tenant_specs=None):
-    """ChaosSpec → a bound-able fault against the live env."""
-    params = entry.params
-    tenant_specs = tenant_specs or {}
-    if entry.target == "super":
-        target = env.super_cluster
-        label = "super"
-    elif entry.target == "syncer":
-        target = None
-        label = "syncer"
-    else:
-        handle = handles[entry.target]
-        target = handle.control_plane
-        label = entry.target
-    if entry.fault == "apiserver-crash":
-        return ApiServerCrash(target, name=f"crash:{label}")
-    if entry.fault == "request-fault":
-        verbs = params.get("verbs")
-        return ApiRequestFault(
-            target, verbs=tuple(verbs) if verbs else None,
-            error_rate=params.get("error_rate", 1.0),
-            extra_latency=params.get("extra_latency", 0.0),
-            name=f"reqfault:{label}")
-    if entry.fault == "watch-drop":
-        return WatchDrop(target, fraction=params.get("fraction", 1.0),
-                         name=f"watchdrop:{label}")
-    if entry.fault == "compaction":
-        return ForcedCompaction(target, keep=int(params.get("keep", 0)),
-                                name=f"compact:{label}")
-    if entry.fault == "partition":
-        handle = handles[entry.target]
-        client = env.syncer.tenants[handle.key].client
-        return NetworkPartition(client, name=f"partition:{label}")
-    if entry.fault == "worker-crash":
-        return WorkerCrash(env.syncer, count=int(params.get("count", 1)))
-    if entry.fault == "tenant-storm":
-        # The abuser floods the *super* apiserver under a per-tenant
-        # storm identity; its tier defaults to the tenant's declared
-        # tier so APF classifies (and sheds) it accordingly.
-        tier = params.get("tier")
-        if tier is None:
-            spec = tenant_specs.get(entry.target)
-            tier = spec.tier if spec is not None else None
-        return TenantStorm(
-            env.super_cluster, user=f"storm-{label}",
-            qps=float(params.get("qps", 400.0)),
-            concurrency=int(params.get("concurrency", 200)),
-            tier=tier, name=f"storm:{label}")
-    raise ScenarioError(f"unknown fault {entry.fault!r}")  # pragma: no cover
-
-
 def scenario_config(control):
     """ControlSpec → a latency/behavior config for the env."""
     from dataclasses import replace
@@ -214,20 +155,25 @@ def scenario_config(control):
 class ScenarioResult:
     """Everything one run produced: digest, counters, verdicts."""
 
-    def __init__(self, scenario, digest, store_events, sim_time, converged,
+    def __init__(self, scenario, env, recorder, detector, converged,
                  convergence_detail, pods_created, load_errors, telemetry,
-                 failures, race_report=None, chaos_report=None):
+                 failures, chaos_report=None):
         self.scenario = scenario
-        self.digest = digest
-        self.store_events = store_events
-        self.sim_time = sim_time
+        #: The live objects the run built, for post-run inspection: the
+        #: env (telemetry registry, syncer), the store-event recorder
+        #: (what ``bisect`` diffs) and the race detector (or None).
+        self.env = env
+        self.recorder = recorder
+        self.detector = detector
+        self.digest = recorder.final_digest
+        self.store_events = len(recorder.digests)
+        self.sim_time = env.sim.now
         self.converged = converged
         self.convergence_detail = convergence_detail
         self.pods_created = pods_created
         self.load_errors = load_errors
         self.telemetry = telemetry
         self.failures = failures
-        self.race_report = race_report
         self.chaos_report = chaos_report
 
     @property
@@ -244,15 +190,21 @@ class ScenarioResult:
             "pods_created": self.pods_created,
             "load_errors": self.load_errors,
             "telemetry": self.telemetry,
+            "chaos": self.chaos_report,
             "failures": list(self.failures),
             "ok": self.ok,
         }
 
 
-def run_scenario(scenario, race_check=None):
+def run_scenario(scenario, race_check=None, track_reads=False,
+                 perturb_swap=None):
     """Build, run, and judge one scenario.  Returns a ScenarioResult.
 
-    ``race_check`` overrides ``scenario.race_check`` when not None.
+    ``race_check`` overrides ``scenario.race_check`` when not None;
+    ``track_reads`` makes the detector flag read-write conflicts too
+    (diagnostic).  ``perturb_swap=K`` flips the dispatch order of the
+    K-th ready event — the divergence fixture ``analysis bisect
+    --perturb`` localizes, never set in normal operation.
     Expectation violations land in ``result.failures`` (the golden
     digest is *not* checked here — see :func:`verify_scenario`).
     """
@@ -261,15 +213,22 @@ def run_scenario(scenario, race_check=None):
                   else bool(race_check))
     compiled = compile_load(scenario)
 
-    sim = Simulation(seed=scenario.seed)
+    sim = Simulation(seed=scenario.seed, perturb_swap=perturb_swap)
     recorder = ReplayRecorder(sim)
-    detector = RaceDetector(sim) if want_races else None
+    detector = (RaceDetector(sim, track_reads=track_reads)
+                if want_races else None)
     control = scenario.control
     env = VirtualClusterEnv(
         seed=scenario.seed, config=scenario_config(control), sim=sim,
         num_virtual_nodes=0, fair_queuing=control.fair_queuing,
         dws_workers=control.dws_workers, uws_workers=control.uws_workers,
-        scan_interval=control.scan_interval)
+        scan_interval=control.scan_interval,
+        syncer_replicas=control.syncer_replicas,
+        # None (not 1/False) leaves the store construction untouched, so
+        # scenarios without storage knobs keep the seed's plain store.
+        store_replicas=(control.store_replicas
+                        if control.store_replicas > 1 else None),
+        store_wal=True if control.store_wal else None)
     env.bootstrap()
 
     # -- topology: node pools, uplinks, elastic staged joins ------------
@@ -307,10 +266,10 @@ def run_scenario(scenario, race_check=None):
     # -- chaos overlay ---------------------------------------------------
     engine = ChaosEngine(env, seed=derive_seed(scenario.seed, "chaos"),
                          name=f"chaos-{scenario.name}")
-    tenant_specs = {t.name: t for t in scenario.tenants}
     for entry in scenario.chaos:
         engine.add(compile_schedule(entry.schedule),
-                   _compile_fault(entry, env, handles, tenant_specs))
+                   FAULTS[entry.fault].build(env, handles, entry.target,
+                                             entry.params))
     engine.start()
 
     # -- load ------------------------------------------------------------
@@ -342,12 +301,10 @@ def run_scenario(scenario, race_check=None):
     failures = _judge(scenario, converged, detail, generator, telemetry,
                       detector)
     return ScenarioResult(
-        scenario=scenario, digest=recorder.final_digest,
-        store_events=len(recorder.digests), sim_time=sim.now,
+        scenario=scenario, env=env, recorder=recorder, detector=detector,
         converged=converged, convergence_detail=detail,
         pods_created=generator.submitted, load_errors=generator.errors,
         telemetry=telemetry, failures=failures,
-        race_report=(detector.report() if detector else None),
         chaos_report=engine.report() if scenario.chaos else None)
 
 
@@ -442,7 +399,10 @@ def verify_scenario(scenario, runs=2):
 
     Every run must reproduce the golden digest exactly (else
     :class:`GoldenMismatch`) and meet the scenario's expectations (else
-    :class:`ScenarioError`).  Returns the results.
+    :class:`ScenarioError`).  When a replay differs from an *earlier
+    replay of the same call* — nondeterminism, not drift — the mismatch
+    carries the bisected first divergent store event and its owning
+    component.  Returns the results.
     """
     if scenario.golden is None:
         raise ScenarioError(
@@ -455,7 +415,10 @@ def verify_scenario(scenario, runs=2):
             raise GoldenMismatch(
                 scenario.name, scenario.golden.digest, result.digest,
                 expected_events=scenario.golden.store_events,
-                actual_events=result.store_events)
+                actual_events=result.store_events,
+                divergence=(first_divergence(results[0].recorder,
+                                             result.recorder)
+                            if results else None))
         if not result.ok:
             raise ScenarioError(
                 f"scenario {scenario.name!r} failed expectations: "

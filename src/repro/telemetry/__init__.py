@@ -23,7 +23,7 @@ from .registry import (
 from .spans import Span, SpanTracer
 
 #: Metric families every instrumented run must expose; the tier-1
-#: telemetry smoke (scripts/tier1.sh --telemetry-smoke) asserts these
+#: telemetry smoke (scenarios/smoke/telemetry_core.yaml) asserts these
 #: appear in the JSON export with non-zero activity.
 CORE_FAMILIES = (
     "apiserver_requests_total",

@@ -1,15 +1,15 @@
 """Telemetry snapshot/export CLI.
 
-Runs a small seeded stress mix through the VirtualCluster pipeline and
+Runs one scenario file through ``repro.scenarios.run_scenario`` and
 prints the resulting telemetry snapshot::
 
-    PYTHONPATH=src python -m repro.telemetry --seed 0 --format text
-    PYTHONPATH=src python -m repro.telemetry --format json --check
+    PYTHONPATH=src python -m repro.telemetry scenarios/smoke/telemetry_core.yaml
+    PYTHONPATH=src python -m repro.telemetry FILE --format json --check
 
 ``--check`` verifies the export contains every core metric family with
-activity (the tier-1 telemetry smoke); exit status 1 lists what's
-missing.  Output is deterministic per seed, so diffs between runs are
-meaningful.
+activity; exit status 1 lists what's missing (or which of the
+scenario's own expectations failed).  Output is deterministic per
+scenario seed, so diffs between runs are meaningful.
 """
 
 import argparse
@@ -18,26 +18,11 @@ import sys
 from .export import check_core_families, render_json, render_text
 
 
-def run_snapshot(seed=0, pods=40, tenants=4, nodes=10):
-    """Run a small stress mix and return the telemetry snapshot."""
-    from repro.workloads.stress import run_vc_stress
-
-    result = run_vc_stress(pods, tenants, dws_workers=4, uws_workers=8,
-                           num_nodes=nodes, seed=seed, scan_interval=30.0,
-                           keep_env=True)
-    return result.env.sim.telemetry.snapshot()
-
-
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="run a small stress mix and export its telemetry")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pods", type=int, default=40,
-                        help="total pods across tenants (default 40)")
-    parser.add_argument("--tenants", type=int, default=4)
-    parser.add_argument("--nodes", type=int, default=10,
-                        help="virtual-kubelet nodes (default 10)")
+        description="run a scenario file and export its telemetry")
+    parser.add_argument("scenario", help="scenario YAML file")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
     parser.add_argument("--output", default=None,
@@ -45,16 +30,18 @@ def main(argv=None):
     parser.add_argument("--check", action="store_true",
                         help="fail unless every core metric family is "
                              "present with activity")
-    args = parser.parse_args(argv)
-    if args.pods < 1:
-        parser.error("--pods must be >= 1")
-    if args.tenants < 1:
-        parser.error("--tenants must be >= 1")
-    if args.nodes < 1:
-        parser.error("--nodes must be >= 1")
+    return parser
 
-    snapshot = run_snapshot(seed=args.seed, pods=args.pods,
-                            tenants=args.tenants, nodes=args.nodes)
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+
+    # Imported here: the telemetry package itself imports nothing from
+    # the rest of ``repro`` (the kernel owns a hub without a cycle).
+    from repro.scenarios import load_scenario, run_scenario
+
+    result = run_scenario(load_scenario(args.scenario))
+    snapshot = result.env.sim.telemetry.snapshot()
     rendered = (render_json(snapshot) if args.format == "json"
                 else render_text(snapshot))
     if args.output:
@@ -63,14 +50,15 @@ def main(argv=None):
     else:
         print(rendered, end="" if rendered.endswith("\n") else "\n")
 
+    problems = [f"scenario expectation failed: {failure}"
+                for failure in result.failures]
     if args.check:
-        problems = check_core_families(snapshot)
-        if problems:
-            for problem in problems:
-                print(f"check: {problem}", file=sys.stderr)
-            return 1
+        problems.extend(check_core_families(snapshot))
+    for problem in problems:
+        print(f"check: {problem}", file=sys.stderr)
+    if args.check and not problems:
         print("check: all core metric families present", file=sys.stderr)
-    return 0
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

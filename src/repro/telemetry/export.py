@@ -3,7 +3,7 @@
 ``render_text`` produces a Prometheus-exposition-flavoured dump plus a
 span-aggregate table; ``render_json`` is a stable, sorted-key JSON
 encoding — two same-seed runs produce byte-identical output in either
-format.  ``check_core_families`` backs the tier-1 telemetry smoke.
+format.  ``check_core_families`` backs the CLI's ``--check``.
 """
 
 import json

@@ -3,11 +3,22 @@ and the ``python -m repro.telemetry`` export CLI."""
 
 import itertools
 import json
+from pathlib import Path
 
 from repro.objects import meta
+from repro.scenarios import load_scenario, run_scenario
 from repro.telemetry import CORE_FAMILIES
-from repro.telemetry.__main__ import main, run_snapshot
+from repro.telemetry.__main__ import main
 from repro.telemetry.export import check_core_families, render_json
+
+SCENARIO = str(Path(__file__).resolve().parents[2]
+               / "scenarios" / "smoke" / "telemetry_core.yaml")
+
+
+def run_snapshot(seed):
+    scenario = load_scenario(SCENARIO)
+    scenario.seed = seed
+    return run_scenario(scenario).env.sim.telemetry.snapshot()
 
 
 def test_same_seed_snapshots_byte_identical():
@@ -20,16 +31,16 @@ def test_same_seed_snapshots_byte_identical():
     saved = meta._uid_counter
     try:
         meta._uid_counter = itertools.count(10_000_000)
-        first = run_snapshot(seed=3, pods=16, tenants=2, nodes=4)
+        first = run_snapshot(seed=3)
         meta._uid_counter = itertools.count(10_000_000)
-        second = run_snapshot(seed=3, pods=16, tenants=2, nodes=4)
+        second = run_snapshot(seed=3)
     finally:
         meta._uid_counter = saved
     assert render_json(first) == render_json(second)
 
 
 def test_stress_run_covers_core_families_and_spans():
-    snapshot = run_snapshot(seed=1, pods=16, tenants=2, nodes=4)
+    snapshot = run_snapshot(seed=1)
     assert check_core_families(snapshot) == []
     # The cross-component span set: request -> syncer -> bind.
     for name in ("apiserver.create", "apiserver.update",
@@ -48,11 +59,15 @@ def test_stress_run_covers_core_families_and_spans():
 
 def test_cli_writes_parseable_json_with_core_families(tmp_path):
     out = tmp_path / "snapshot.json"
-    code = main(["--seed", "1", "--pods", "12", "--tenants", "2",
-                 "--nodes", "4", "--format", "json",
-                 "--output", str(out), "--check"])
+    code = main([SCENARIO, "--format", "json", "--output", str(out),
+                 "--check"])
     assert code == 0
     snapshot = json.loads(out.read_text())
     assert check_core_families(snapshot) == []
     names = {family["name"] for family in snapshot["families"]}
     assert set(CORE_FAMILIES) <= names
+    # The scenario file itself floors every core family, so `scenarios
+    # verify` fails on a silent component without this CLI.
+    floored = {bound.metric
+               for bound in load_scenario(SCENARIO).expect.telemetry}
+    assert set(CORE_FAMILIES) <= floored

@@ -19,13 +19,17 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import FAULTS
 from repro.scenarios import (
     BurstShape,
+    ChaosSpec,
     ConstantShape,
+    ControlSpec,
     DiurnalShape,
     FlashCrowdShape,
     RollingUpgradeShape,
     Scenario,
+    ScheduleSpec,
     SequentialShape,
     TenantSpec,
     TopologySpec,
@@ -85,6 +89,47 @@ continuous_shape_st = st.one_of(constant_st, diurnal_st, flash_st)
 name_st = st.from_regex(r"[a-z][a-z0-9-]{0,6}[a-z0-9]", fullmatch=True)
 
 
+control_st = st.builds(
+    ControlSpec, syncer_replicas=st.integers(1, 3),
+    store_replicas=st.integers(1, 3), store_wal=st.booleans())
+
+#: The HA/storage faults and one drawable value per parameter.
+HA_STORAGE_PARAMS = {
+    "kill-leader": {"mode": st.sampled_from(["crash", "partition"]),
+                    "notice_delay": st.floats(0.0, 4.0)},
+    "crash-control-plane": {},
+    "restore-snapshot": {},
+    "kill-store": {"mid_txn": st.booleans(), "max_ops": st.integers(1, 8)},
+    "replica-lag": {"extra_lag": st.floats(0.0, 1.0)},
+    "wal-corruption": {},
+}
+
+
+@st.composite
+def chaos_st(draw, control, tenant_names):
+    """Chaos entries over the HA/storage faults the drawn ``control``
+    can host, on staggered windows so same-fault entries never overlap."""
+    legal = sorted(
+        name for name in HA_STORAGE_PARAMS
+        if FAULTS[name].requires is None
+        or FAULTS[name].requires[1](control))
+    entries = []
+    for index, fault in enumerate(draw(st.lists(
+            st.sampled_from(legal), max_size=4))):
+        kind = FAULTS[fault]
+        target = (draw(st.sampled_from(tenant_names))
+                  if "tenant" in kind.targets else kind.targets[0])
+        params = {name: draw(value)
+                  for name, value in HA_STORAGE_PARAMS[fault].items()
+                  if draw(st.booleans())}
+        entries.append(ChaosSpec(
+            fault, target,
+            ScheduleSpec("oneshot", at=1.0 + 5.0 * index,
+                         duration=draw(st.floats(0.0, 4.0))),
+            params=params))
+    return entries
+
+
 @st.composite
 def scenario_st(draw):
     tenant_names = draw(st.lists(name_st, min_size=1, max_size=3,
@@ -103,16 +148,23 @@ def scenario_st(draw):
         tenants.append(TenantSpec(
             tenant_name, weight=draw(st.integers(1, 8)),
             workloads=workloads))
+    control = draw(control_st)
     scenario = Scenario(
         name=draw(name_st), seed=draw(st.integers(0, 2**31)),
         horizon=500.0,  # generous: every generated window fits
+        control=control,
         topology=TopologySpec(pools=[
             PoolSpec("pool", nodes=draw(st.integers(1, 8)))]),
-        tenants=tenants)
+        tenants=tenants,
+        chaos=draw(chaos_st(control, tenant_names)))
     return scenario.validate()
 
 
 class TestRoundTrip:
+    def test_strategy_draws_every_parameter_the_table_declares(self):
+        for fault, params in HA_STORAGE_PARAMS.items():
+            assert set(params) == set(FAULTS[fault].params), fault
+
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenario_st())
     def test_yaml_round_trip_is_identity(self, scenario):

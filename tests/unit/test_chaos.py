@@ -9,7 +9,10 @@ import pytest
 
 from repro.apiserver import ADMIN, APIServer, NotFound
 from repro.chaos import (
+    FAULTS,
     ApiRequestFault,
+    ChaosEngine,
+    Fault,
     NetworkPartition,
     OneShot,
     Periodic,
@@ -242,6 +245,44 @@ class TestFaultUnits:
         pods, _rev = run(sim, cut.list("pods"))
         assert pods == []
         assert fault.requests_blocked == 1
+
+    def test_fault_table_lists_every_fault_class_once(self):
+        """`FAULTS` is the only enumeration of faults: a new subclass
+        that is not schedulable from a scenario file fails here."""
+        listed = [kind.cls for kind in FAULTS.values()]
+        assert sorted(c.__name__ for c in listed) == sorted(
+            c.__name__ for c in Fault.__subclasses__())
+        assert len(set(listed)) == len(listed)
+        for name, kind in FAULTS.items():
+            assert set(kind.targets) <= {"tenant", "super", "syncer"}, name
+
+    def test_every_fault_states_its_own_counters(self):
+        for cls in Fault.__subclasses__():
+            assert "counters" in vars(cls), (
+                f"{cls.__name__} must define counters() (return {{}} when "
+                f"`injections` says it all)")
+        with pytest.raises(NotImplementedError):
+            Fault().counters()
+
+    def test_report_carries_each_faults_counters(self, sim, api):
+        client = Client(sim, api, ADMIN, user_agent="t", qps=10000,
+                        burst=10000, max_retries=0)
+        run(sim, client.create(make_namespace("default")))
+        engine = ChaosEngine(SimpleNamespace(sim=sim), seed=1)
+        engine.add(OneShot(1.0, duration=2.0),
+                   ApiRequestFault(api, verbs=("create",), name="flaky"))
+        engine.add(OneShot(1.0, duration=2.0),
+                   NetworkPartition(client, name="cut"))
+        engine.start()
+        sim.run(until=sim.now + 1.5)
+        with pytest.raises(Exception):
+            run(sim, client.list("pods"))
+        sim.run(until=sim.now + 5.0)
+        flaky, cut = engine.report()["faults"]
+        assert flaky == {"fault": "flaky", "schedule": "one-shot@1s/2s",
+                         "injections": 1, "errors_injected": 0,
+                         "latency_injected": 0}
+        assert cut["injections"] == 1 and cut["requests_blocked"] == 1
 
 
 class TestWatchdog:

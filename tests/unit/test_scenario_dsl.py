@@ -14,6 +14,7 @@ from repro.scenarios import (
     BurstShape,
     ChaosSpec,
     ConstantShape,
+    ControlSpec,
     LinkSpec,
     PoolSpec,
     RollingUpgradeShape,
@@ -241,6 +242,111 @@ class TestChaosValidation:
             ChaosSpec("apiserver-crash", "acme",
                       ScheduleSpec("oneshot", at=5.0, duration=4.0)),
         ]).validate()
+
+
+class TestChaosNeedsItsDeployment:
+    """The storage/HA faults have nothing to fail over to on the
+    default single-replica stack; that is an authoring error."""
+
+    @pytest.mark.parametrize("fault,target,needs", [
+        ("kill-leader", "syncer", "syncer_replicas >= 2"),
+        ("kill-store", "super", "store_replicas >= 2"),
+        ("replica-lag", "super", "store_replicas >= 2"),
+        ("wal-corruption", "super", "store_wal"),
+    ])
+    def test_rejected_on_the_default_stack(self, fault, target, needs):
+        with pytest.raises(ScenarioError) as excinfo:
+            build_scenario(chaos=[ChaosSpec(
+                fault, target, ScheduleSpec("oneshot", at=1.0))]).validate()
+        message = str(excinfo.value)
+        assert "chaos[0].fault" in message and needs in message
+
+    def test_accepted_with_the_control_fields_set(self):
+        build_scenario(
+            control=ControlSpec(syncer_replicas=2, store_replicas=3),
+            chaos=[
+                ChaosSpec("kill-leader", "syncer",
+                          ScheduleSpec("oneshot", at=1.0, duration=2.0)),
+                ChaosSpec("kill-store", "super",
+                          ScheduleSpec("oneshot", at=1.0, duration=2.0),
+                          params={"mid_txn": True}),
+                ChaosSpec("wal-corruption", "super",
+                          ScheduleSpec("oneshot", at=5.0)),
+                ChaosSpec("crash-control-plane", "acme",
+                          ScheduleSpec("oneshot", at=6.0)),
+                ChaosSpec("restore-snapshot", "acme",
+                          ScheduleSpec("oneshot", at=8.0)),
+            ]).validate()
+        build_scenario(
+            control=ControlSpec(store_wal=True),
+            chaos=[ChaosSpec("wal-corruption", "super",
+                             ScheduleSpec("oneshot", at=5.0))]).validate()
+
+    def test_replica_counts_must_be_positive(self):
+        with pytest.raises(ScenarioError, match="store_replicas"):
+            loads(minimal_yaml() + "control: {store_replicas: 0}\n")
+
+
+class TestMalformedInputIsRejectedNotCrashed:
+    """Each of these used to raise a bare TypeError/ValueError (at load
+    or, worse, mid-run) or be silently coerced."""
+
+    CHAOS = ("chaos:\n"
+             "  - fault: apiserver-crash\n"
+             "    target: acme\n")
+
+    def rejects(self, text, *needles):
+        with pytest.raises(ScenarioError) as excinfo:
+            loads(text)
+        for needle in needles:
+            assert needle in str(excinfo.value)
+
+    def test_fractional_schedule_count(self):
+        self.rejects(minimal_yaml(chaos=self.CHAOS + (
+            "    schedule: {type: periodic, period: 2.0, count: 2.5}\n")),
+            "chaos[0].schedule.count", "2.5")
+
+    @pytest.mark.parametrize("bad", ['"ab"', "[3]", "[3, 1]", "[-1, 2]",
+                                     "[1, x]", "7"])
+    def test_duration_range_must_be_two_ordered_numbers(self, bad):
+        self.rejects(minimal_yaml(chaos=self.CHAOS + (
+            "    schedule: {type: random, mean_gap: 2.0, count: 2,\n"
+            f"               duration_range: {bad}}}\n")),
+            "chaos[0].schedule.duration_range")
+
+    def test_params_must_be_a_mapping(self):
+        self.rejects(minimal_yaml(chaos=self.CHAOS + (
+            "    schedule: {type: oneshot, at: 1.0}\n"
+            "    params: [1]\n")), "chaos[0].params", "[1]")
+
+    def test_fractional_node_count_not_truncated(self):
+        self.rejects(minimal_yaml().replace("nodes: 2", "nodes: 2.7"),
+                     "topology.pools[0].nodes", "2.7")
+
+    @pytest.mark.parametrize("extra,where", [
+        ("control: {dws_workers: 3.5}\n", "control.dws_workers"),
+        ("expect: {min_pods_created: 4.5}\n", "expect.min_pods_created"),
+        ("control: {syncer_replicas: 2.5}\n", "control.syncer_replicas"),
+    ])
+    def test_fractional_integers_elsewhere(self, extra, where):
+        self.rejects(minimal_yaml() + extra, where)
+
+    def test_fractional_weight_and_seed(self):
+        self.rejects(minimal_yaml().replace(
+            "  - name: acme\n", "  - name: acme\n    weight: 1.5\n"),
+            "tenants[0].weight")
+        self.rejects(minimal_yaml().replace("seed: 1", "seed: 1.5"),
+                     "seed", "1.5")
+
+    @pytest.mark.parametrize("extra,where", [
+        ('tier1: "no"\n', "tier1"),
+        ("race_check: 1\n", "race_check"),
+        ('control: {apf: "false"}\n', "control.apf"),
+        ('control: {store_wal: "yes"}\n', "control.store_wal"),
+        ("expect: {converged: 0}\n", "expect.converged"),
+    ])
+    def test_booleans_must_be_booleans(self, extra, where):
+        self.rejects(minimal_yaml() + extra, where, "true or false")
 
 
 class TestCompilation:
