@@ -612,7 +612,7 @@ class APIServer:
     def watch(self, credential, plural, namespace=None, from_revision=None,
               label_selector=None, field_selector=None):
         """Open a watch stream (synchronous registration)."""
-        from repro.objects.selectors import match_fields
+        from repro.objects.selectors import equality_hint, match_fields
 
         credential = self.authenticator.authenticate(credential)
         self.authorizer.authorize(credential, "watch", plural, namespace)
@@ -631,8 +631,11 @@ class APIServer:
                     return False
                 return True
 
+        # An equality on one field lets the store ask only the watches
+        # selecting the event's value of it; the predicate still decides.
         watch = self.store.watch(prefix, from_revision=from_revision,
-                                 predicate=predicate)
+                                 predicate=predicate,
+                                 hint=equality_hint(field_selector))
         stream = WatchStream(self, obj_type, watch)
         self._watch_streams.append(stream)
         return stream

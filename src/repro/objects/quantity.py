@@ -32,7 +32,12 @@ class InvalidQuantity(ValueError):
 
 
 class Quantity:
-    """An exact resource amount, e.g. ``Quantity.parse("250m")``."""
+    """An exact resource amount, e.g. ``Quantity.parse("250m")``.
+
+    A value: ``milli`` is never reassigned after construction, so
+    :meth:`parse` hands a ``Quantity`` argument back as is and resource
+    lists may share instances.
+    """
 
     __slots__ = ("milli",)
 
@@ -43,7 +48,7 @@ class Quantity:
     def parse(cls, text):
         """Parse a quantity string such as ``"2"``, ``"500m"``, ``"1Gi"``."""
         if isinstance(text, Quantity):
-            return Quantity(text.milli)
+            return text
         if isinstance(text, (int, float)):
             return cls(round(text * 1000))
         match = _QUANTITY_RE.match(str(text).strip())

@@ -1,5 +1,7 @@
 """Label and field selectors, as used by list/watch, services, and affinity."""
 
+from collections.abc import Hashable
+
 from .base import Field, Serializable
 
 
@@ -108,3 +110,12 @@ def match_fields(field_selector, obj_dict):
             if actual != expected:
                 return False
     return True
+
+
+def equality_hint(field_selector):
+    """One ``(path, value)`` equality every match of the selector must
+    satisfy, or None — what a store may index a watch by."""
+    for path, expected in (field_selector or {}).items():
+        if not path.endswith("!") and isinstance(expected, Hashable):
+            return path, expected
+    return None

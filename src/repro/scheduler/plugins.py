@@ -5,9 +5,25 @@ for a pod, each score plugin rates surviving nodes.  Covers the semantics
 the paper's experiments rely on — resource fit, node selector/affinity,
 taints, and required inter-pod (anti-)affinity, which underpins the vNode
 comparison in Fig. 6.
+
+Plugins read the :class:`ClusterSnapshot`, which holds every amount as an
+integer in milli-units (the unit :class:`~repro.objects.Quantity` stores),
+parsed once per Node object and once per assignment — never per
+(Pod, node) pair.
 """
 
-from repro.objects import Quantity, add_resource_lists, fits_within
+from repro.objects import Quantity
+
+_HARD_TAINT_EFFECTS = ("NoSchedule", "NoExecute")
+
+
+def pod_requests(pod):
+    """What a Pod takes from a node: ``total_requests()`` plus one Pod
+    slot, in milli-units."""
+    requests = {name: quantity.milli
+                for name, quantity in pod.spec.total_requests().items()}
+    requests["pods"] = requests.get("pods", 0) + 1000
+    return requests
 
 
 class FilterPlugin:
@@ -17,28 +33,153 @@ class FilterPlugin:
         """Return None to accept the node or a string reason to reject."""
         raise NotImplementedError
 
+    # The scheduler skips :meth:`filter` for a (Pod, node) pair only
+    # where one of these says it cannot reject; the answer must follow
+    # from the argument alone.
+
+    def may_reject_node(self, node):
+        """False when :meth:`filter` accepts this Node for every Pod."""
+        return True
+
+    def may_reject_pod(self, pod):
+        """False when :meth:`filter` accepts every node for this Pod."""
+        return True
+
 
 class ScorePlugin:
     name = "score"
+    # False promises the score is a function of the node's snapshot entry
+    # alone, so the scheduler may keep it until that entry changes.
+    depends_on_pod = True
 
     def score(self, pod, node, snapshot):
         """Return a number; higher is better."""
         raise NotImplementedError
 
 
+class NodeInfo:
+    """One node as the scheduler sees it."""
+
+    __slots__ = ("node", "allocatable", "usage", "pods", "filters", "score")
+
+    def __init__(self, node=None):
+        self.usage = {}         # resource name -> milli-units assigned
+        self.pods = {}          # pod key -> Pod assigned (or assumed)
+        self.set_node(node)
+
+    def set_node(self, node):
+        """Adopt a (new version of the) Node object; None when Pods are
+        assigned to a node the scheduler has no object for."""
+        self.node = node
+        self.allocatable = {} if node is None else {
+            name: Quantity.parse(quantity).milli
+            for name, quantity in node.status.allocatable.items()}
+        self.filters = None     # scheduler: filters that may reject it
+        self.score = None       # scheduler: cached pod-independent score
+
+
 class ClusterSnapshot:
-    """Scheduler's view of nodes and assignments during one cycle."""
+    """The scheduler's view of nodes and assignments.
 
-    def __init__(self, nodes, pods_by_node, usage_by_node):
-        self.nodes = nodes
-        self.pods_by_node = pods_by_node
-        self.usage_by_node = usage_by_node
+    Long-lived: the scheduler updates it from its informer handlers
+    (:meth:`set_node` / :meth:`remove_node` / :meth:`assign` /
+    :meth:`unassign`) instead of rebuilding it per cycle.  ``nodes``
+    iterate in the node informer cache's order — add order, an update
+    keeps its place, delete-then-add moves to the end — because the
+    first of equally-scored nodes wins.
+    """
 
-    def node_usage(self, node_name):
-        return self.usage_by_node.get(node_name, {})
+    def __init__(self, nodes=(), pods_by_node=None, usage_by_node=None):
+        self._infos = {}        # node name -> NodeInfo
+        self._listed = {}       # the subset with a Node object, in order
+        self._assignments = {}  # pod key -> node name
+        self._requests_of = (None, None)
+        for node in nodes:
+            self.set_node(node)
+        for name, pods in (pods_by_node or {}).items():
+            self._info(name).pods = {pod.key: pod for pod in pods}
+        for name, usage in (usage_by_node or {}).items():
+            self._info(name).usage = {
+                resource: Quantity.parse(quantity).milli
+                for resource, quantity in usage.items()}
 
-    def node_pods(self, node_name):
-        return self.pods_by_node.get(node_name, [])
+    def _info(self, name):
+        info = self._infos.get(name)
+        if info is None:
+            info = self._infos[name] = NodeInfo()
+        return info
+
+    @property
+    def nodes(self):
+        return [info.node for info in self._listed.values()]
+
+    def infos(self):
+        """Live view of the listed nodes' entries, in ``nodes`` order."""
+        return self._listed.values()
+
+    def info(self, node):
+        """The entry plugins read for ``node``."""
+        info = self._infos.get(node.metadata.name)
+        if info is None or info.node is not node:
+            # Not the object this snapshot holds (a plugin called
+            # directly with its own Node): parse it for this call.
+            known, info = info, NodeInfo(node)
+            if known is not None:
+                info.usage, info.pods = known.usage, known.pods
+        return info
+
+    def requests_for(self, pod):
+        """:func:`pod_requests`, computed once per Pod object rather
+        than once per node it is tried on."""
+        if self._requests_of[0] is not pod:
+            self._requests_of = (pod, pod_requests(pod))
+        return self._requests_of[1]
+
+    # -- maintenance ----------------------------------------------------
+
+    def set_node(self, node):
+        name = node.metadata.name
+        info = self._info(name)
+        info.set_node(node)
+        self._listed[name] = info
+        return info
+
+    def remove_node(self, name):
+        info = self._listed.pop(name, None)
+        if info is not None:
+            info.set_node(None)
+            if not info.pods:
+                del self._infos[name]
+
+    def assign(self, pod):
+        """Count ``pod`` against ``pod.spec.node_name`` (moving it there
+        if it was counted elsewhere; a repeat is a no-op)."""
+        key, name = pod.key, pod.spec.node_name
+        previous = self._assignments.get(key)
+        if previous == name:
+            return
+        if previous is not None:
+            self.unassign(key)
+        self._assignments[key] = name
+        info = self._info(name)
+        info.pods[key] = pod
+        self._account(info, pod, 1)
+
+    def unassign(self, pod_key):
+        name = self._assignments.pop(pod_key, None)
+        if name is None:
+            return
+        info = self._infos[name]
+        self._account(info, info.pods.pop(pod_key), -1)
+        if not info.pods and info.node is None:
+            del self._infos[name]
+
+    @staticmethod
+    def _account(info, pod, sign):
+        info.score = None
+        usage = info.usage
+        for resource, amount in pod_requests(pod).items():
+            usage[resource] = usage.get(resource, 0) + sign * amount
 
 
 class NodeUnschedulable(FilterPlugin):
@@ -49,6 +190,9 @@ class NodeUnschedulable(FilterPlugin):
             return "node is unschedulable"
         return None
 
+    def may_reject_node(self, node):
+        return bool(node.spec.unschedulable)
+
 
 class NodeReady(FilterPlugin):
     name = "NodeReady"
@@ -58,21 +202,21 @@ class NodeReady(FilterPlugin):
             return "node is not ready"
         return None
 
+    def may_reject_node(self, node):
+        return not node.status.is_ready
+
 
 class NodeResourcesFit(FilterPlugin):
     name = "NodeResourcesFit"
 
     def filter(self, pod, node, snapshot):
-        requests = add_resource_lists(
-            pod.spec.total_requests(), {"pods": Quantity.parse(1)})
-        used = snapshot.node_usage(node.metadata.name)
-        allocatable = node.status.allocatable
-        remaining = {}
-        for name, capacity in allocatable.items():
-            remaining[name] = (Quantity.parse(capacity)
-                               - used.get(name, Quantity.zero()))
-        if not fits_within(requests, remaining):
-            return "insufficient resources"
+        info = snapshot.info(node)
+        allocatable = info.allocatable
+        used = info.usage
+        for name, amount in snapshot.requests_for(pod).items():
+            capacity = allocatable.get(name)
+            if capacity is None or amount > capacity - used.get(name, 0):
+                return "insufficient resources"
         return None
 
 
@@ -90,17 +234,26 @@ class NodeSelectorMatch(FilterPlugin):
                 return "node affinity not satisfied"
         return None
 
+    def may_reject_pod(self, pod):
+        affinity = pod.spec.affinity
+        return bool(pod.spec.node_selector
+                    or (affinity and affinity.node_affinity))
+
 
 class TaintToleration(FilterPlugin):
     name = "TaintToleration"
 
     def filter(self, pod, node, snapshot):
         for taint in node.spec.taints:
-            if taint.effect not in ("NoSchedule", "NoExecute"):
+            if taint.effect not in _HARD_TAINT_EFFECTS:
                 continue
             if not any(tol.tolerates(taint) for tol in pod.spec.tolerations):
                 return f"untolerated taint {taint.key}"
         return None
+
+    def may_reject_node(self, node):
+        return any(taint.effect in _HARD_TAINT_EFFECTS
+                   for taint in node.spec.taints)
 
 
 class InterPodAffinity(FilterPlugin):
@@ -114,7 +267,7 @@ class InterPodAffinity(FilterPlugin):
     name = "InterPodAffinity"
 
     def filter(self, pod, node, snapshot):
-        node_pods = snapshot.node_pods(node.metadata.name)
+        node_pods = snapshot.info(node).pods.values()
         anti = self._terms(pod, anti=True)
         for term in anti:
             if self._any_match(term, node_pods, pod.namespace):
@@ -124,6 +277,10 @@ class InterPodAffinity(FilterPlugin):
             if not self._any_match(term, node_pods, pod.namespace):
                 return "pod affinity not satisfied"
         return None
+
+    def may_reject_pod(self, pod):
+        return bool(self._terms(pod, anti=True)
+                    or self._terms(pod, anti=False))
 
     def _terms(self, pod, anti):
         affinity = pod.spec.affinity
@@ -149,26 +306,24 @@ class LeastAllocated(ScorePlugin):
     """Prefer nodes with the most free CPU fraction (spreads load)."""
 
     name = "LeastAllocated"
+    depends_on_pod = False
 
     def score(self, pod, node, snapshot):
-        allocatable = node.status.allocatable.get("cpu")
-        if not allocatable:
+        info = snapshot.info(node)
+        total = info.allocatable.get("cpu")
+        if total is None or total <= 0:
             return 0.0
-        used = snapshot.node_usage(node.metadata.name).get(
-            "cpu", Quantity.zero())
-        total = Quantity.parse(allocatable).milli
-        if total <= 0:
-            return 0.0
-        return 1.0 - (used.milli / total)
+        return 1.0 - (info.usage.get("cpu", 0) / total)
 
 
 class BalancedPodCount(ScorePlugin):
     """Prefer nodes with fewer pods (tie-breaker for request-less pods)."""
 
     name = "BalancedPodCount"
+    depends_on_pod = False
 
     def score(self, pod, node, snapshot):
-        return -len(snapshot.node_pods(node.metadata.name))
+        return -len(snapshot.info(node).pods)
 
 
 def default_filters():

@@ -11,7 +11,6 @@ which produces the Super-Sched phase delays of Fig. 8 / Table I.
 
 from repro.apiserver.errors import ApiError, Conflict, NotFound
 from repro.clientgo import WorkQueue
-from repro.objects import Quantity, add_resource_lists
 from repro.simkernel.errors import Interrupt
 from repro.telemetry import telemetry_of
 
@@ -44,12 +43,17 @@ class Scheduler:
         self.queue = WorkQueue(sim, name=f"{name}-queue")
         self._pod_informer = informer_factory.informer("pods")
         self._node_informer = informer_factory.informer("nodes")
-        self._pods_by_node = {}
-        self._usage_by_node = {}
-        self._assignments = {}
+        # Maintained by the informer handlers below, never rebuilt.
+        self.snapshot = ClusterSnapshot()
+        self._keep_scores = not any(plugin.depends_on_pod
+                                    for plugin in self.scorers)
         self.scheduled_count = 0
         self.failed_count = 0
         self.schedule_latency_total = 0.0
+        # Exact work counters: cycles that reached node selection and
+        # filter plugin calls made in them (binds are scheduled_count).
+        self.cycles = 0
+        self.filter_evaluations = 0
         self._stopped = False
         self._workers = []
         telemetry = telemetry_of(sim)
@@ -75,6 +79,11 @@ class Scheduler:
             on_update=self._on_pod_update,
             on_delete=self._on_pod_delete,
         )
+        self._node_informer.add_handlers(
+            on_add=self._on_node_add,
+            on_update=self._on_node_update,
+            on_delete=self._on_node_delete,
+        )
 
     # ------------------------------------------------------------------
     # Informer handlers
@@ -82,45 +91,26 @@ class Scheduler:
 
     def _on_pod_add(self, pod):
         if pod.spec.node_name:
-            self._track_assignment(pod)
+            self.snapshot.assign(pod)
         elif not pod.is_terminal:
             self.queue.add(pod.key)
 
     def _on_pod_update(self, old, pod):
-        if pod.spec.node_name:
-            self._track_assignment(pod)
-        elif not pod.is_terminal:
-            self.queue.add(pod.key)
+        self._on_pod_add(pod)
 
     def _on_pod_delete(self, pod):
-        self._untrack_assignment(pod.key)
+        self.snapshot.unassign(pod.key)
 
-    def _track_assignment(self, pod):
-        previous = self._assignments.get(pod.key)
-        if previous == pod.spec.node_name:
-            return
-        if previous is not None:
-            self._untrack_assignment(pod.key)
-        node = pod.spec.node_name
-        self._assignments[pod.key] = node
-        self._pods_by_node.setdefault(node, {})[pod.key] = pod
-        requests = add_resource_lists(
-            pod.spec.total_requests(), {"pods": Quantity.parse(1)})
-        self._usage_by_node[node] = add_resource_lists(
-            self._usage_by_node.get(node, {}), requests)
+    def _on_node_add(self, node):
+        info = self.snapshot.set_node(node)
+        info.filters = [plugin for plugin in self.filters
+                        if plugin.may_reject_node(node)]
 
-    def _untrack_assignment(self, pod_key):
-        node = self._assignments.pop(pod_key, None)
-        if node is None:
-            return
-        pod = self._pods_by_node.get(node, {}).pop(pod_key, None)
-        if pod is not None:
-            requests = add_resource_lists(
-                pod.spec.total_requests(), {"pods": Quantity.parse(1)})
-            usage = self._usage_by_node.get(node, {})
-            for name, quantity in requests.items():
-                if name in usage:
-                    usage[name] = usage[name] - quantity
+    def _on_node_update(self, old, node):
+        self._on_node_add(node)
+
+    def _on_node_delete(self, node):
+        self.snapshot.remove_node(node.metadata.name)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -153,7 +143,9 @@ class Scheduler:
                 self.queue.done(pod_key)
 
     def _schedule_one(self, pod_key, enqueued_at):
-        pod = self._pod_informer.cache.get_copy(pod_key)
+        # The cached object is read-only here; only the two paths that
+        # change a field take a copy.
+        pod = self._pod_informer.cache.get(pod_key)
         if pod is None or pod.spec.node_name or pod.is_terminal:
             return
         cfg = self.config.scheduler
@@ -161,23 +153,17 @@ class Scheduler:
                                       cfg.service_jitter)
         yield self.sim.timeout(max(0.0, cfg.service_time + jitter))
 
-        snapshot = ClusterSnapshot(
-            self._node_informer.cache.items(),
-            {node: list(pods.values())
-             for node, pods in self._pods_by_node.items()},
-            self._usage_by_node,
-        )
-        chosen, reasons = self._select_node(pod, snapshot)
+        chosen, reasons = self._select_node(pod)
         if chosen is None:
             self.failed_count += 1
             self._unschedulable_counter.inc()
-            yield from self._record_failure(pod, reasons)
+            yield from self._record_failure(pod.copy(), reasons)
             return
         # Assume the pod onto the node and bind asynchronously, like the
         # real scheduler: the sequential loop moves on immediately.
         assumed = pod.copy()
         assumed.spec.node_name = chosen.metadata.name
-        self._track_assignment(assumed)
+        self.snapshot.assign(assumed)
         self.sim.spawn(
             self._bind_async(pod, chosen.metadata.name, pod_key,
                              enqueued_at),
@@ -190,11 +176,11 @@ class Scheduler:
                                                 node_name)
             except (Conflict, NotFound):
                 self._bind_failures_counter.inc()
-                self._untrack_assignment(pod_key)
+                self.snapshot.unassign(pod_key)
                 return
             except ApiError:
                 self._bind_failures_counter.inc()
-                self._untrack_assignment(pod_key)
+                self.snapshot.unassign(pod_key)
                 self.queue.add(pod_key)
                 return
         self.scheduled_count += 1
@@ -202,27 +188,43 @@ class Scheduler:
         self.schedule_latency_total += self.sim.now - enqueued_at
         self._latency_hist.observe(self.sim.now - enqueued_at)
 
-    def _select_node(self, pod, snapshot):
+    def _select_node(self, pod):
+        """(best node or None, {node name: first rejection}).
+
+        Nodes are visited in snapshot order and filters in plugin order;
+        a filter is skipped only where it declared it cannot reject.
+        """
+        snapshot = self.snapshot
+        filters = [plugin for plugin in self.filters
+                   if plugin.may_reject_pod(pod)]
+        evaluations = 0
         feasible = []
         reasons = {}
-        for node in snapshot.nodes:
-            rejection = None
-            for plugin in self.filters:
+        for info in snapshot.infos():
+            node = info.node
+            for plugin in info.filters:
+                if plugin not in filters:
+                    continue
+                evaluations += 1
                 rejection = plugin.filter(pod, node, snapshot)
                 if rejection is not None:
                     reasons[node.metadata.name] = rejection
                     break
-            if rejection is None:
-                feasible.append(node)
-        if not feasible:
-            return None, reasons
+            else:
+                feasible.append(info)
+        self.cycles += 1
+        self.filter_evaluations += evaluations
         best = None
         best_score = None
-        for node in feasible:
-            score = sum(plugin.score(pod, node, snapshot)
-                        for plugin in self.scorers)
+        for info in feasible:
+            score = info.score
+            if score is None:
+                score = sum(plugin.score(pod, info.node, snapshot)
+                            for plugin in self.scorers)
+                if self._keep_scores:
+                    info.score = score
             if best_score is None or score > best_score:
-                best = node
+                best = info.node
                 best_score = score
         return best, reasons
 

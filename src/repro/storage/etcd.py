@@ -15,9 +15,12 @@ deep-copies values in and out, like a real store serializes to bytes, so
 callers can never alias stored state.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import attrgetter
 
 from repro.objects.base import fast_deep_copy
+from repro.objects.selectors import get_field
 from repro.telemetry import telemetry_of
 
 from .errors import (
@@ -32,6 +35,9 @@ from .errors import (
 
 EVENT_PUT = "PUT"
 EVENT_DELETE = "DELETE"
+
+_REVISION = attrgetter("revision")
+_SEQ = attrgetter("seq")
 
 
 class StoredValue:
@@ -69,13 +75,20 @@ class Watch:
     time — this is how the apiserver implements server-side field/label
     selector filtering for watches, so a kubelet watching
     ``spec.nodeName=node-7`` never receives other nodes' pod events.
+
+    ``hint`` is an optional ``(path, value)`` promise about the predicate:
+    it rejects every event whose value does not hold ``value`` at the
+    dotted ``path``.  The store uses it only to avoid asking (see
+    :meth:`EtcdStore._watch_candidates`); :meth:`wants` still decides.
     """
 
-    def __init__(self, store, prefix, channel, predicate=None):
+    def __init__(self, store, prefix, channel, predicate=None, hint=None):
         self.store = store
         self.prefix = prefix
         self.channel = channel
         self.predicate = predicate
+        self.hint = hint
+        self.seq = 0  # registration order within the store
         self.cancelled = False
 
     def wants(self, event):
@@ -86,7 +99,7 @@ class Watch:
     def cancel(self):
         if not self.cancelled:
             self.cancelled = True
-            self.store._watches.pop(self, None)
+            self.store._unregister_watch(self)
             self.channel.close()
 
 
@@ -124,6 +137,17 @@ class EtcdStore:
         # _emit must not depend on set hash order, which varies with
         # PYTHONHASHSEED across processes (linter rule D003).
         self._watches = {}
+        # Fan-out index over the same watches, by the bucket their prefix
+        # lies in (see _bucket_of); a prefix shorter than a bucket can
+        # match keys of several, so those watches are always asked.
+        # Every slot is a list in registration order and exists only
+        # while a watch is registered in it.
+        self._watch_seq = 0
+        self._wide_watches = []
+        self._watch_buckets = {}    # bucket -> [un-hinted watches]
+        self._hinted_watches = {}   # bucket -> {path: {value: [watches]}}
+        self.watch_evals = 0
+        self.watch_deliveries = 0
         # Fencing tokens: domain -> highest token observed (see
         # :meth:`check_fence`).  Survives snapshot/restore.
         self._fences = {}
@@ -402,12 +426,13 @@ class EtcdStore:
     # ------------------------------------------------------------------
 
     def watch(self, prefix, from_revision=None, channel_factory=None,
-              predicate=None):
+              predicate=None, hint=None):
         """Register a watch on a key prefix.
 
         When ``from_revision`` is given, history events after that revision
         are replayed into the channel first; raises
         :class:`RevisionCompacted` when they are no longer available.
+        ``hint`` is described on :class:`Watch`.
         """
         from repro.simkernel.resources import Channel
 
@@ -415,16 +440,83 @@ class EtcdStore:
         factory = channel_factory or (lambda: Channel(self.sim,
                                                       name=f"watch:{prefix}"))
         channel = factory()
-        watch = Watch(self, prefix, channel, predicate=predicate)
+        watch = Watch(self, prefix, channel, predicate=predicate, hint=hint)
         if from_revision is not None and from_revision < self._revision:
             if from_revision < self._compacted_revision:
                 raise RevisionCompacted(from_revision,
                                         self._compacted_revision)
-            for event in self._history:
-                if event.revision > from_revision and watch.wants(event):
+            for event in self._history_after(from_revision):
+                if watch.wants(event):
                     channel.try_put(event)
+        self._watch_seq += 1
+        watch.seq = self._watch_seq
         self._watches[watch] = None
+        self._watch_slot(watch, create=True).append(watch)
         return watch
+
+    def _history_after(self, revision):
+        """Held events newer than ``revision``: history is in revision
+        order, so the tail starts at a bisect, not a scan."""
+        history = self._history
+        return history[bisect_right(history, revision, key=_REVISION):]
+
+    def _watch_slot(self, watch, create=False):
+        """The index list ``watch`` belongs in (None when nothing is
+        registered there and ``create`` is off)."""
+        if watch.prefix.count("/") < 3:
+            return self._wide_watches
+        name = self._bucket_of(watch.prefix)
+        if watch.hint is None:
+            slots, key = self._watch_buckets, name
+        else:
+            path, key = watch.hint
+            if create:
+                slots = self._hinted_watches.setdefault(
+                    name, {}).setdefault(path, {})
+            else:
+                slots = self._hinted_watches.get(name, {}).get(path, {})
+        return slots.setdefault(key, []) if create else slots.get(key)
+
+    def _unregister_watch(self, watch):
+        self._watches.pop(watch, None)
+        slot = self._watch_slot(watch)
+        if not slot or watch not in slot:
+            return
+        slot.remove(watch)
+        if slot or slot is self._wide_watches:
+            return
+        # Last watch of its slot: drop the emptied index entries.
+        name = self._bucket_of(watch.prefix)
+        if watch.hint is None:
+            del self._watch_buckets[name]
+            return
+        path, value = watch.hint
+        by_path = self._hinted_watches[name]
+        del by_path[path][value]
+        if not by_path[path]:
+            del by_path[path]
+        if not by_path:
+            del self._hinted_watches[name]
+
+    def _watch_candidates(self, event):
+        """The watches that may want ``event``, in registration order.
+
+        Everything a linear scan would deliver to is in here: a watch is
+        left out only because its prefix lies in another bucket or its
+        hint promises a rejection.  An unhashable field value equals no
+        hint value.
+        """
+        name = self._bucket_of(event.key)
+        groups = [self._wide_watches, self._watch_buckets.get(name)]
+        for path, by_value in self._hinted_watches.get(name, {}).items():
+            try:
+                groups.append(by_value.get(get_field(event.value, path)))
+            except TypeError:
+                pass
+        groups = [group for group in groups if group]
+        if len(groups) == 1:
+            return list(groups[0])
+        return sorted(chain.from_iterable(groups), key=_SEQ)
 
     def _emit(self, event):
         recorder = getattr(self.sim, "replay_recorder", None)
@@ -440,8 +532,11 @@ class EtcdStore:
         self._history.append(event)
         if len(self._history) > self._history_limit:
             self.compact(keep=self._history_limit // 2)
-        for watch in list(self._watches):
+        candidates = self._watch_candidates(event)
+        self.watch_evals += len(candidates)
+        for watch in candidates:
             if watch.wants(event):
+                self.watch_deliveries += 1
                 watch.channel.try_put(event)
 
     def compact(self, keep=1000):
@@ -598,7 +693,7 @@ class EtcdStore:
                        event.revision,
                        prev_value=fast_deep_copy(event.prev_value)
                        if event.prev_value is not None else None)
-            for event in self._history if event.revision > revision
+            for event in self._history_after(revision)
         ]
 
     def wipe(self):
@@ -697,6 +792,8 @@ class EtcdStore:
             "revision": self._revision,
             "history": len(self._history),
             "watches": len(self._watches),
+            "watch_evals": self.watch_evals,
+            "watch_deliveries": self.watch_deliveries,
             "compacted_revision": self._compacted_revision,
             "txns": self.txns,
             "txn_ops": self.txn_ops,

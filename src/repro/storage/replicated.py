@@ -603,10 +603,10 @@ class ReplicatedStore:
         return self._leader_store().count_prefix(prefix)
 
     def watch(self, prefix, from_revision=None, channel_factory=None,
-              predicate=None):
+              predicate=None, hint=None):
         return self._leader_store().watch(prefix, from_revision=from_revision,
                                           channel_factory=channel_factory,
-                                          predicate=predicate)
+                                          predicate=predicate, hint=hint)
 
     def events_since(self, revision):
         return self._leader_store().events_since(revision)
@@ -682,6 +682,10 @@ class ReplicatedStore:
         # would hide a restarted victim's recovery.
         out["recoveries"] = sum(
             replica.store.recoveries for replica in self.replicas)
+        # Likewise fan-out work: each leader of the group's life did some.
+        for counter in ("watch_evals", "watch_deliveries"):
+            out[counter] = sum(getattr(replica.store, counter)
+                               for replica in self.replicas)
         out["recoveries_log"] = list(self.recoveries)
         return out
 

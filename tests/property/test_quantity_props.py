@@ -77,3 +77,41 @@ def test_request_always_fits_within_itself(request):
 def test_request_never_fits_within_less(request):
     smaller = {name: q - Quantity(1) for name, q in request.items()}
     assert not fits_within(request, smaller)
+
+
+@given(quantities)
+def test_parse_of_a_quantity_is_the_quantity(q):
+    assert Quantity.parse(q) is q
+
+
+@given(quantities, quantities)
+def test_operators_leave_operands_unchanged(a, b):
+    before = (a.milli, b.milli)
+    for result in (a + b, a - b, -a, a * 2):
+        assert result is not a and result is not b
+    a == b, a < b, a <= b, hash(a), str(a), bool(a)
+    assert (a.milli, b.milli) == before
+
+
+@given(quantities, quantities)
+def test_equality_hash_and_order_agree(a, b):
+    assert (a == b) == (a.milli == b.milli)
+    if a == b:
+        assert hash(a) == hash(b) and str(a) == str(b)
+    assert (a < b) == (not a >= b) and (a > b) == (not a <= b)
+
+
+@given(st.dictionaries(st.sampled_from(["cpu", "memory", "pods"]),
+                       quantities, max_size=3),
+       st.dictionaries(st.sampled_from(["cpu", "memory", "pods"]),
+                       quantities, max_size=3))
+def test_add_resource_lists_does_not_alias_its_inputs(a, b):
+    """The sum may share Quantity instances with its inputs (they are
+    values); editing the sum's slots must not show through."""
+    image = ({k: v.milli for k, v in a.items()},
+             {k: v.milli for k, v in b.items()})
+    total = add_resource_lists(a, b)
+    for name in list(total):
+        total[name] = total[name] + Quantity(1)
+    assert ({k: v.milli for k, v in a.items()},
+            {k: v.milli for k, v in b.items()}) == image

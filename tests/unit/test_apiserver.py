@@ -300,6 +300,28 @@ class TestWatch:
         run(sim, api.create(ADMIN, make_pod("b", node_name="n2")))
         assert len(stream._watch.channel) == 1
 
+    def test_field_selector_watch_is_hinted_and_others_are_not_asked(
+            self, sim, api):
+        setup_namespace(sim, api)
+        kubelets = [api.watch(ADMIN, "pods",
+                              field_selector={"spec.nodeName": f"n{i}"})
+                    for i in range(5)]
+        unbound = api.watch(ADMIN, "pods",
+                            field_selector={"spec.nodeName": None})
+        not_n1 = api.watch(ADMIN, "pods",
+                           field_selector={"spec.nodeName!": "n1"})
+        assert kubelets[1]._watch.hint == ("spec.nodeName", "n1")
+        assert unbound._watch.hint == ("spec.nodeName", None)
+        assert not_n1._watch.hint is None
+        before = api.store.stats()["watch_evals"]
+        run(sim, api.create(ADMIN, make_pod("a", node_name="n1")))
+        run(sim, api.create(ADMIN, make_pod("b")))
+        # Each write asks its one hinted taker and the un-hinted watch.
+        assert api.store.stats()["watch_evals"] - before == 4
+        assert [len(k._watch.channel) for k in kubelets] == [0, 1, 0, 0, 0]
+        assert len(unbound._watch.channel) == 1
+        assert len(not_n1._watch.channel) == 1
+
     def test_crash_closes_watches(self, sim, api):
         setup_namespace(sim, api)
         stream = api.watch(ADMIN, "pods", namespace="default")

@@ -193,3 +193,156 @@ class TestWatch:
         stats = store.stats()
         assert stats["keys"] == 1
         assert stats["revision"] == 1
+
+
+def _replayed(store, revision, prefix="/registry/pods/"):
+    watch = store.watch(prefix, from_revision=revision)
+    return [event.revision for event in watch.channel._items]
+
+
+class TestHistoryTail:
+    """Replay and the WAL tail start at a bisect into history; the
+    boundaries are where an off-by-one would hide."""
+
+    def _fill(self, store, count=6):
+        for index in range(count):
+            store.create(f"/registry/pods/ns/p{index}", {"i": index})
+
+    def test_replay_from_first_and_last_held_revision(self, store):
+        self._fill(store)                       # revisions 1..6
+        assert _replayed(store, 0) == [1, 2, 3, 4, 5, 6]
+        assert _replayed(store, 1) == [2, 3, 4, 5, 6]
+        assert _replayed(store, 5) == [6]
+        assert _replayed(store, 6) == []        # nothing newer: empty tail
+        assert _replayed(store, 99) == []       # a future revision
+
+    def test_replay_just_after_compaction(self, store):
+        self._fill(store)
+        store.compact(keep=2)                   # holds 5, 6; floor is 4
+        assert store.stats()["compacted_revision"] == 4
+        assert _replayed(store, 4) == [5, 6]
+        assert _replayed(store, 5) == [6]
+        with pytest.raises(RevisionCompacted):
+            _replayed(store, 3)
+
+    def test_replay_still_applies_prefix_and_predicate(self, store):
+        self._fill(store, count=3)
+        store.create("/registry/nodes/n1", {})
+        store.create("/registry/pods/ns/last", {"i": 1})
+        watch = store.watch("/registry/pods/", from_revision=1,
+                            predicate=lambda e: e.value["i"] == 1)
+        assert [e.revision for e in watch.channel._items] == [2, 5]
+
+    def test_events_since_boundaries(self, store):
+        self._fill(store)
+        assert [e.revision for e in store.events_since(0)] == \
+            [1, 2, 3, 4, 5, 6]
+        assert [e.revision for e in store.events_since(5)] == [6]
+        assert store.events_since(6) == []
+        store.compact(keep=2)
+        assert [e.revision for e in store.events_since(4)] == [5, 6]
+        with pytest.raises(RevisionCompacted):
+            store.events_since(3)
+
+    def test_tail_after_restore_starts_past_the_snapshot(self, store):
+        self._fill(store, count=3)
+        snapshot = store.snapshot()
+        store.restore(snapshot)                 # history restarts empty
+        store.create("/registry/pods/ns/new", {})
+        assert _replayed(store, 3) == [4]
+
+
+class TestWatchIndex:
+    """The fan-out index: who is asked, in what order, and that it holds
+    nothing once its watches are gone."""
+
+    HINT = ("spec.nodeName", "n1")
+
+    def _watch_all_kinds(self, store):
+        return [
+            store.watch("/registry/"),                      # wide
+            store.watch("/registry/pods/"),                 # bucket, plain
+            store.watch("/registry/pods/ns/",
+                        predicate=lambda e: True, hint=self.HINT),
+            store.watch("/registry/nodes/"),
+        ]
+
+    def _index_is_empty(self, store):
+        return not (store._watches or store._wide_watches
+                    or store._watch_buckets or store._hinted_watches)
+
+    def test_only_candidates_are_asked(self, store):
+        for index in range(10):
+            store.watch("/registry/pods/", hint=("spec.nodeName", f"n{index}"),
+                        predicate=lambda e, n=f"n{index}":
+                            e.value["spec"]["nodeName"] == n)
+        informer = store.watch("/registry/pods/")
+        store.watch("/registry/nodes/")
+        store.create("/registry/pods/ns/a", {"spec": {"nodeName": "n3"}})
+        stats = store.stats()
+        assert (stats["watch_evals"], stats["watch_deliveries"]) == (2, 2)
+        assert len(informer.channel) == 1
+
+    def test_hint_never_decides_delivery(self, store):
+        """A hinted watch whose predicate says no is asked, not told."""
+        watch = store.watch("/registry/pods/", hint=self.HINT,
+                            predicate=lambda e: False)
+        store.create("/registry/pods/ns/a", {"spec": {"nodeName": "n1"}})
+        assert store.stats()["watch_evals"] == 1
+        assert len(watch.channel) == 0
+
+    def test_opaque_predicate_without_hint_is_always_asked(self, store):
+        watch = store.watch("/registry/pods/",
+                            predicate=lambda e: e.value.get("node") == "n1")
+        store.create("/registry/pods/ns/a", {"node": "n1"})
+        store.create("/registry/pods/ns/b", {"node": "n2"})
+        assert store.stats()["watch_evals"] == 2
+        assert len(watch.channel) == 1
+
+    def test_mixed_groups_deliver_in_registration_order(self, store):
+        order = []
+
+        class Tap:
+            closed = False
+
+            def __init__(self, name):
+                self.name = name
+
+            def try_put(self, event):
+                order.append(self.name)
+
+            def close(self):
+                pass
+
+        for name, prefix, hint in [
+                ("hinted-1", "/registry/pods/", self.HINT),
+                ("wide", "/registry/", None),
+                ("plain", "/registry/pods/", None),
+                ("hinted-2", "/registry/pods/ns/", self.HINT),
+                ("wide-2", "/", None)]:
+            store.watch(prefix, hint=hint,
+                        channel_factory=lambda name=name: Tap(name))
+        store.create("/registry/pods/ns/a", {"spec": {"nodeName": "n1"}})
+        assert order == ["hinted-1", "wide", "plain", "hinted-2", "wide-2"]
+
+    def test_empty_after_cancel(self, store):
+        watches = self._watch_all_kinds(store)
+        assert sorted(store._watch_buckets) == ["/registry/nodes",
+                                                "/registry/pods"]
+        assert list(store._hinted_watches) == ["/registry/pods"]
+        for watch in watches:
+            watch.cancel()
+            watch.cancel()                      # idempotent
+        assert self._index_is_empty(store)
+
+    @pytest.mark.parametrize("sever", ["restore", "wipe", "power_off"])
+    def test_empty_after_store_discontinuity(self, store, sever):
+        store.create("/registry/pods/ns/a", {})
+        snapshot = store.snapshot()
+        watches = self._watch_all_kinds(store)
+        if sever == "restore":
+            store.restore(snapshot)
+        else:
+            getattr(store, sever)()
+        assert all(watch.cancelled for watch in watches)
+        assert self._index_is_empty(store)

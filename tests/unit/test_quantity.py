@@ -40,6 +40,12 @@ class TestParsing:
         q = Quantity.parse("100m")
         assert Quantity.parse(q) == q
 
+    def test_parse_returns_a_quantity_itself(self):
+        """A Quantity is a value, so parsing one allocates nothing."""
+        q = Quantity.parse("100m")
+        assert Quantity.parse(q) is q
+        assert Quantity.from_serialized(q) is q
+
     @pytest.mark.parametrize("bad", ["", "abc", "1Qi", "--3", "1.2.3"])
     def test_invalid(self, bad):
         with pytest.raises(InvalidQuantity):
@@ -121,3 +127,40 @@ class TestResourceLists:
     def test_fits_within_false_missing_resource(self):
         assert not fits_within({"gpu": Quantity.parse("1")},
                                {"cpu": Quantity.parse("2")})
+
+
+class TestValueSemantics:
+    """Instances may be shared (``parse`` returns its argument), so every
+    operation must build a new object and leave its operands alone."""
+
+    def test_arithmetic_never_mutates_operands(self):
+        a, b = Quantity.parse("1"), Quantity.parse("250m")
+        results = [a + b, a - b, a * 3, -a, a + "1", a - 1]
+        assert (a.milli, b.milli) == (1000, 250)
+        assert all(r is not a and r is not b for r in results)
+        assert [r.milli for r in results] == [1250, 750, 3000, -1000,
+                                              2000, 0]
+
+    def test_equal_values_are_interchangeable(self):
+        a, b = Quantity.parse("1Gi"), Quantity.parse("1024Mi")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not a < b and a <= b and a >= b and not a > b
+        assert str(a) == str(b) == "1Gi"
+        assert len({a, b}) == 1
+
+    def test_add_resource_lists_shares_but_never_changes_inputs(self):
+        cpu, memory = Quantity.parse("1"), Quantity.parse("1Gi")
+        a, b = {"cpu": cpu, "memory": memory}, {"cpu": Quantity.parse("2")}
+        total = add_resource_lists(a, b)
+        assert total is not a and total is not b
+        assert total["memory"] is memory        # shared, not copied
+        assert total["cpu"] is not cpu and total["cpu"].milli == 3000
+        total["memory"] = total["memory"] + "1Gi"   # rebinding the slot
+        total["cpu"] = total["cpu"] - 1
+        assert (a["cpu"].milli, a["memory"], b["cpu"].milli) == \
+            (1000, Quantity.parse("1Gi"), 2000)
+
+    def test_milli_is_the_only_state(self):
+        assert Quantity.__slots__ == ("milli",)
+        with pytest.raises(AttributeError):
+            Quantity(1).unit = "cpu"

@@ -102,6 +102,39 @@ class TestFailover:
         settle(sim, store)
         assert store.failovers >= 1
 
+    def test_hinted_watch_survives_failover_rewatch(self):
+        """The group forwards the watch hint to whichever replica leads;
+        the dead leader's index empties and its fan-out work stays in
+        the group's counters."""
+        sim, store = make_group()
+        hint = ("spec.nodeName", "n1")
+
+        def kubelet_watch():
+            return store.watch(
+                "/registry/pods/", hint=hint,
+                predicate=lambda e: e.value["spec"]["nodeName"] == "n1")
+
+        first = kubelet_watch()
+        old = store.leader.store
+        store.create("/registry/pods/ns/a", {"spec": {"nodeName": "n1"}})
+        store.create("/registry/pods/ns/b", {"spec": {"nodeName": "n2"}})
+        assert len(first.channel) == 1
+        settle(sim, store)
+        store.kill_leader()
+        assert first.cancelled
+        assert not old._watches and not old._hinted_watches
+        sim.run(until=sim.now + 15.0)
+        second = kubelet_watch()                # the reflector's re-watch
+        assert store.leader.store is not old
+        assert list(store.leader.store._hinted_watches) == ["/registry/pods"]
+        store.create("/registry/pods/ns/c", {"spec": {"nodeName": "n1"}})
+        store.create("/registry/pods/ns/d", {"spec": {"nodeName": "n2"}})
+        assert len(second.channel) == 1
+        stats = store.stats()
+        assert (stats["watch_evals"], stats["watch_deliveries"]) == (2, 2)
+        second.cancel()
+        assert not store.leader.store._hinted_watches
+
     def test_restart_replica_recovers_from_own_wal(self):
         sim, store = make_group()
         fill(store, 5)

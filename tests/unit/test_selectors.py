@@ -3,6 +3,7 @@
 from repro.objects.selectors import (
     LabelSelector,
     LabelSelectorRequirement,
+    equality_hint,
     get_field,
     match_fields,
     match_label_dict,
@@ -112,6 +113,31 @@ class TestFieldSelectors:
     def test_empty_field_selector_matches(self):
         assert match_fields({}, {"a": 1})
         assert match_fields(None, {"a": 1})
+
+    def test_equality_hint_is_the_first_plain_equality(self):
+        assert equality_hint({"spec.nodeName": "n1"}) == \
+            ("spec.nodeName", "n1")
+        assert equality_hint({"status.phase!": "Failed",
+                              "spec.nodeName": None}) == \
+            ("spec.nodeName", None)
+        assert equality_hint({"a": "x", "b": "y"}) == ("a", "x")
+
+    def test_no_equality_hint_without_an_indexable_equality(self):
+        assert equality_hint(None) is None
+        assert equality_hint({}) is None
+        assert equality_hint({"status.phase!": "Failed"}) is None
+        assert equality_hint({"spec.tolerations": ["unhashable"]}) is None
+
+    def test_equality_hint_is_necessary_for_a_match(self):
+        """Whatever matches the selector holds the hinted value."""
+        selector = {"spec.nodeName": "n1", "status.phase!": "Failed"}
+        path, value = equality_hint(selector)
+        for node in ("n1", "n2", None):
+            for phase in ("Running", "Failed"):
+                obj = {"spec": {"nodeName": node},
+                       "status": {"phase": phase}}
+                if match_fields(selector, obj):
+                    assert get_field(obj, path) == value
 
 
 class TestMatchLabelDict:
