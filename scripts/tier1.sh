@@ -33,7 +33,7 @@
 #
 # --lint runs the determinism linter (repro.analysis) over src/ in
 # strict mode against the committed allowlist, then the whole-program
-# concurrency/protocol staticcheck (C001-C005) in strict mode, then
+# concurrency/protocol staticcheck (C001-C006) in strict mode, then
 # the lint- and staticcheck-marked CLI smoke tests.  Exit 0 means zero
 # non-allowlisted findings and no stale suppressions or allowlist
 # entries in either pack.

@@ -17,9 +17,10 @@ base-seed chaos determinism, exact telemetry aggregates:
   the same seed twice with per-write state digests and binary-searches
   to the first divergent store event, with component attribution;
 - :mod:`repro.analysis.staticcheck` — a whole-program concurrency &
-  protocol checker with rules C001–C005 (blocking waits under locks,
+  protocol checker with rules C001–C006 (blocking waits under locks,
   lock-order inversion, unowned module-level mutable state, orphaned
-  timers/events, unfenced leader writes),
+  timers/events, unfenced leader writes, shared snapshots edited in
+  place),
   built on the project symbol table / call graph of
   :mod:`repro.analysis.callgraph` and the interprocedural lock graph of
   :mod:`repro.analysis.lockgraph`.

@@ -132,6 +132,18 @@ RULES = {
         "no fencing= argument, or a raw store put/delete/txn.  A deposed "
         "leader's in-flight writes would land after the new leader's "
         "fence barrier — the split-brain window fencing exists for."),
+    "C006": Rule(
+        "C006", "shared snapshot mutated in place",
+        "An attribute/item store, del, augmented assignment or mutating "
+        "container method whose target is rooted in a value read from "
+        "an informer cache (get/by_index/by_namespace/by_label/"
+        "select_labels/items/select), handed to an informer handler, "
+        "or returned by a client get/list.  Those objects are the "
+        "apiserver's shared snapshots — one object per revision, held "
+        "by every cache and reader — so an in-place edit corrupts all "
+        "of them (the freeze guard turns it into FrozenError in tests). "
+        "Derive a private object first: obj.replace(field=...) for a "
+        "changed field, obj.copy() for a fully private one."),
 }
 
 # Rule packs: prefix -> (name, checker) shown by `rules` and used to

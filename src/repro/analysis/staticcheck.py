@@ -1,4 +1,4 @@
-"""Whole-program concurrency & protocol checker (rules C001–C005).
+"""Whole-program concurrency & protocol checker (rules C001–C006).
 
 Sibling of the per-module determinism linter: where the D-pack checks
 that decisions are pure functions of the seed, the C-pack checks the
@@ -15,6 +15,8 @@ C002  lock-order inversion (cycle in the lock-acquisition graph)
 C003  module-level mutable state written from sim-process code
 C004  Timeout/Event created and dropped (orphaned timer)
 C005  unfenced store write from a leader-elected component
+C006  shared snapshot (cache entry, handler argument, client get/list
+      result) mutated in place without a copy()/replace() rebinding
 
 Suppressions reuse the linter's machinery: per-line
 ``# repro: allow[CXXX] why`` comments, the shared
@@ -51,7 +53,8 @@ _MUTABLE_CONSTRUCTORS = {
     "itertools.count", "count",
 }
 
-# Method calls that mutate a container in place (C003 write sites).
+# Method calls that mutate a container in place (C003 and C006 write
+# sites).
 _MUTATOR_METHODS = {
     "append", "appendleft", "add", "update", "setdefault", "pop",
     "popleft", "popitem", "remove", "discard", "clear", "extend",
@@ -72,6 +75,16 @@ LEADER_ELECTED_CLASSES = ("ControllerManager", "StoreCoordinator",
 
 # Raw-store write methods (C005) when called on a ``...store`` object.
 _STORE_WRITE_METHODS = {"put", "delete", "txn"}
+
+# Shared-snapshot sources (C006).  Cache reads returning one object /
+# a list of objects, on a receiver whose last name segment says cache;
+# client reads are recognised by ``yield from <recv>.<method>(...)``.
+_CACHE_GET_METHODS = {"get"}
+_CACHE_LIST_METHODS = {"by_index", "by_namespace", "by_label",
+                       "select_labels", "items", "select"}
+_CLIENT_GET_METHODS = {"get", "get_pod"}
+_CLIENT_LIST_METHODS = {"list", "list_pods"}
+_HANDLER_KEYWORDS = ("on_add", "on_update", "on_delete")
 
 
 def parse_hb_carriers(source):
@@ -103,6 +116,7 @@ class _ModuleChecker(ast.NodeVisitor):
         self.findings = []
         self.carriers = parse_hb_carriers(module.source)
         self.mutables = self._module_mutables()
+        self.handlers = self._informer_handlers()
         self._class_stack = []
         self._func_stack = []   # FunctionInfo stack
 
@@ -231,6 +245,7 @@ class _ModuleChecker(ast.NodeVisitor):
             return
         self._func_stack.append(info)
         self._check_orphan_events(info)
+        self._check_snapshot_mutation(info)
         self.generic_visit(node)
         self._func_stack.pop()
 
@@ -259,8 +274,10 @@ class _ModuleChecker(ast.NodeVisitor):
             return f"{name}(...)"
         return None
 
-    def _check_orphan_events(self, info):
-        """Flag events created in ``info`` and dropped on every path."""
+    @staticmethod
+    def _body_nodes(info):
+        """Every node of ``info``'s own body (nested defs, lambdas and
+        classes are separate scopes and left out)."""
         body_nodes = []
         stack = list(info.node.body)
         while stack:
@@ -270,6 +287,11 @@ class _ModuleChecker(ast.NodeVisitor):
                 continue
             body_nodes.append(node)
             stack.extend(ast.iter_child_nodes(node))
+        return body_nodes
+
+    def _check_orphan_events(self, info):
+        """Flag events created in ``info`` and dropped on every path."""
+        body_nodes = self._body_nodes(info)
 
         loaded = set()
         for node in body_nodes:
@@ -305,6 +327,145 @@ class _ModuleChecker(ast.NodeVisitor):
                             f"{target.id!r} is never awaited, "
                             f"combined, stored, or returned — an "
                             f"orphaned timer/event")
+
+    # -- C006: shared snapshot mutated in place -------------------------
+
+    def _informer_handlers(self):
+        """Names of this module's methods registered as informer
+        handlers (``add_handlers(on_add=self._x, ...)``)."""
+        names = set()
+        for node in ast.walk(self.module.tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_handlers"):
+                continue
+            values = list(node.args) + [kw.value for kw in node.keywords
+                                        if kw.arg in _HANDLER_KEYWORDS]
+            for value in values:
+                if isinstance(value, ast.Attribute) \
+                        and isinstance(value.value, ast.Name) \
+                        and value.value.id == "self":
+                    names.add(value.attr)
+        return names
+
+    @staticmethod
+    def _snapshot_source(value):
+        """``"object"``/``"list"`` when ``value`` reads shared snapshots
+        from a cache or a client, else None."""
+        from_client = isinstance(value, ast.YieldFrom)
+        call = value.value if from_client else value
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)):
+            return None
+        method = call.func.attr
+        if from_client:
+            if method in _CLIENT_GET_METHODS:
+                return "object"
+            return "list" if method in _CLIENT_LIST_METHODS else None
+        receiver = call.func.value
+        if isinstance(receiver, ast.Call):     # self.super_cache().get(k)
+            receiver = receiver.func
+        name = dotted_name(receiver)
+        if name is None or not name.rsplit(".", 1)[-1].endswith("cache"):
+            return None
+        if method in _CACHE_GET_METHODS:
+            return "object"
+        return "list" if method in _CACHE_LIST_METHODS else None
+
+    @staticmethod
+    def _chain_root(node):
+        """(root Name id, attribute seen, subscript seen) of a pure
+        attribute/subscript chain; root None for anything else."""
+        attribute = subscript = False
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            if isinstance(node, ast.Attribute):
+                attribute = True
+            else:
+                subscript = True
+            node = node.value
+        if isinstance(node, ast.Name):
+            return node.id, attribute, subscript
+        return None, attribute, subscript
+
+    def _check_snapshot_mutation(self, info):
+        """Source-order, intra-procedural taint: names bound from a
+        snapshot source stay tainted until rebound from anything else
+        (``x = x.copy()``, ``x = x.replace(...)``)."""
+        objects = set()     # names holding one shared snapshot
+        lists = set()       # names holding a list of them
+        if info.name in self.handlers:
+            objects.update(p for p in info.params if p != "self")
+
+        def taint_of(value):
+            source = self._snapshot_source(value)
+            if source is not None:
+                return source
+            root, _attribute, subscript = self._chain_root(value)
+            if root in objects:
+                return "object"         # alias: spec = lease.spec
+            if root in lists:
+                return "object" if subscript else "list"
+            return None
+
+        def bind(target, taint):
+            if isinstance(target, ast.Tuple) and taint == "list" \
+                    and target.elts:
+                # items, revision = yield from client.list(...)
+                bind(target.elts[0], "list")
+                return
+            if not isinstance(target, ast.Name):
+                return
+            objects.discard(target.id)
+            lists.discard(target.id)
+            if taint == "object":
+                objects.add(target.id)
+            elif taint == "list":
+                lists.add(target.id)
+
+        def mutated(target):
+            """The tainted root a store/mutator on ``target`` edits."""
+            root, attribute, subscript = self._chain_root(target)
+            if root in objects and (attribute or subscript):
+                return root
+            if root in lists and attribute:     # pods[0].status = ...
+                return root
+            return None
+
+        def flag(node, target, how):
+            root = mutated(target)
+            if root is not None:
+                self._emit(
+                    node, "C006",
+                    f"{how} edits {root!r}, a shared snapshot (cache "
+                    f"entry, informer handler argument or client "
+                    f"get/list result) in place; every other holder sees "
+                    f"the edit — rebind it first with .replace(...) or "
+                    f".copy()")
+
+        nodes = [node for node in self._body_nodes(info)
+                 if hasattr(node, "lineno")]
+        nodes.sort(key=lambda node: (node.lineno, node.col_offset))
+
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    flag(node, target, "assignment")
+                taint = taint_of(node.value)
+                for target in node.targets:
+                    bind(target, taint)
+            elif isinstance(node, ast.AugAssign):
+                flag(node, node.target, "augmented assignment")
+            elif isinstance(node, ast.Delete):
+                for target in node.targets:
+                    flag(node, target, "del")
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                taint = taint_of(node.iter)
+                bind(node.target, "object" if taint == "list" else None)
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATOR_METHODS \
+                    and not isinstance(node.func.value, ast.Name):
+                flag(node, node.func.value, f".{node.func.attr}()")
 
     # -- C005 / C003 call & write sites --------------------------------
 

@@ -132,13 +132,14 @@ class QuotaEnforcer(AdmissionPlugin):
         if request.plural != "pods" or request.verb != "create":
             return
         pod = request.obj
-        quotas = [q for q in reader.read_all("resourcequotas")
-                  if q.namespace == request.namespace]
+        # Namespaced range reads: a create must not list the cluster.
+        quotas = reader.read_all("resourcequotas",
+                                 namespace=request.namespace)
         if not quotas:
             return
-        existing_pods = [p for p in reader.read_all("pods")
-                         if p.namespace == request.namespace
-                         and not p.is_terminal]
+        existing_pods = [p for p in reader.read_all(
+                             "pods", namespace=request.namespace)
+                         if not p.is_terminal]
         usage = {"pods": Quantity.parse(len(existing_pods))}
         for existing in existing_pods:
             usage = add_resource_lists(usage, existing.spec.total_requests())

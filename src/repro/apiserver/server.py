@@ -12,6 +12,8 @@ import string
 
 from repro.config import DEFAULT_CONFIG
 from repro.objects import Namespace, generate_uid
+from repro.objects.base import freeze
+from repro.objects.selectors import equality_hint, match_fields
 from repro.telemetry import telemetry_of
 from repro.objects.validation import ValidationError, validate_metadata
 from repro.storage import (
@@ -38,7 +40,11 @@ _NAME_ALPHABET = string.ascii_lowercase + string.digits
 
 
 class StoreReader:
-    """Zero-latency internal reads used by admission and RBAC."""
+    """Zero-latency internal reads used by admission and RBAC.
+
+    Results are the apiserver's shared snapshots (see
+    :meth:`APIServer._decode`): read, never mutate.
+    """
 
     def __init__(self, server):
         self._server = server
@@ -46,17 +52,18 @@ class StoreReader:
     def read(self, plural, namespace, name):
         obj_type = self._server.registry.get(plural)
         key = self._server._key(obj_type, namespace, name)
-        raw, revision = self._server.store.try_get(key)
-        if raw is None:
+        stored = self._server.store.try_get_stored(key)
+        if stored is None:
             return None
-        return self._server._decode(obj_type, raw, revision)
+        return self._server._decode(obj_type, stored)
 
-    def read_all(self, plural):
+    def read_all(self, plural, namespace=None):
+        """Every object of a resource, or only those in ``namespace``."""
         obj_type = self._server.registry.get(plural)
-        prefix = self._server._prefix(obj_type)
-        items, _revision = self._server.store.list_prefix(prefix)
-        return [self._server._decode(obj_type, raw, rev)
-                for _key, raw, rev in items]
+        prefix = self._server._prefix(obj_type, namespace)
+        items, _revision = self._server.store.list_stored(prefix)
+        return [self._server._decode(obj_type, stored)
+                for _key, stored in items]
 
 
 class WatchStream:
@@ -81,8 +88,7 @@ class WatchStream:
         return self._translate(event)
 
     def _translate(self, event):
-        obj = self._server._decode(self._obj_type, event.value,
-                                   event.revision)
+        obj = self._server._decode(self._obj_type, event.stored)
         if event.type == EVENT_PUT:
             kind = "ADDED" if event.prev_value is None else "MODIFIED"
         else:
@@ -150,6 +156,10 @@ class APIServer:
         # default) keeps the seed's request path byte-identical.
         self.apf = apf
         self._watch_streams = []
+        # Exact read-outs of the decode memo (see _decode): wire values
+        # decoded, and reads served by an already-decoded snapshot.
+        self.decodes = 0
+        self.decode_hits = 0
         self.request_count = 0
         # Requests from tenant users (not system:masters infrastructure):
         # what the idle swapper treats as activity, so syncer heartbeats
@@ -185,10 +195,40 @@ class APIServer:
             return f"/registry/{obj_type.PLURAL}/{namespace}/"
         return f"/registry/{obj_type.PLURAL}/"
 
-    def _decode(self, obj_type, raw, revision):
-        obj = obj_type.from_dict(raw)
-        obj.metadata.resource_version = str(revision)
+    def _decode(self, obj_type, stored):
+        """The typed snapshot of one stored value at its revision.
+
+        Decoded at most once: the first reader fills the
+        :class:`~repro.storage.etcd.StoredValue`'s memo slot, and every
+        later ``get``/``list``/watch delivery of that (key, revision)
+        returns the same object.  It is shared, hence frozen: whoever
+        wants to change it takes ``replace()`` or ``copy()`` first.
+        """
+        obj = stored.decoded
+        if obj is None:
+            self.decodes += 1
+            obj = obj_type.from_dict(stored.value)
+            obj.metadata.resource_version = str(stored.mod_revision)
+            stored.decoded = freeze(obj)
+        else:
+            self.decode_hits += 1
         return obj
+
+    @staticmethod
+    def _raw_matcher(label_selector, field_selector):
+        """Selector test on a wire dict (None when nothing is selected),
+        so lists and watches filter before they decode."""
+        if label_selector is None and not field_selector:
+            return None
+
+        def matches(raw):
+            if label_selector is not None:
+                labels = (raw.get("metadata") or {}).get("labels") or {}
+                if not label_selector.matches(labels):
+                    return False
+            return not field_selector or match_fields(field_selector, raw)
+
+        return matches
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -313,7 +353,8 @@ class APIServer:
         return obj
 
     def create(self, credential, obj, namespace=None):
-        """Coroutine: persist a new object; returns the stored copy."""
+        """Coroutine: persist a new object; returns the stored copy (a
+        private object the caller may edit and send back)."""
         obj = self._prepare_create(obj, namespace)
         credential, span, ticket = yield from self._begin(
             credential, "create", type(obj).PLURAL, obj.metadata.namespace,
@@ -326,44 +367,40 @@ class APIServer:
             self._release(credential, span, ticket)
 
     def get(self, credential, plural, name, namespace=None):
-        """Coroutine: fetch one object; raises NotFound."""
+        """Coroutine: fetch one object (a shared snapshot — ``copy()`` or
+        ``replace()`` before editing); raises NotFound."""
         obj_type = self.registry.get(plural)
         credential, span, ticket = yield from self._begin(
             credential, "get", plural, namespace, name)
         try:
             key = self._key(obj_type, namespace, name)
             try:
-                raw, revision = self.store.get(key)
+                stored = self.store.get_stored(key)
             except KeyNotFound as exc:
                 raise NotFound(f"{plural} {name!r} not found") from exc
             yield self.sim.timeout(self.config.apiserver.etcd_read)
-            return self._decode(obj_type, raw, revision)
+            return self._decode(obj_type, stored)
         finally:
             self._release(credential, span, ticket)
 
     def list(self, credential, plural, namespace=None, label_selector=None,
              field_selector=None):
-        """Coroutine: list objects; returns (items, resource_version)."""
-        from repro.objects.selectors import match_fields
-
+        """Coroutine: list objects (shared snapshots); returns
+        (items, resource_version)."""
         obj_type = self.registry.get(plural)
         credential, span, ticket = yield from self._begin(
             credential, "list", plural, namespace)
         try:
             prefix = self._prefix(obj_type, namespace)
-            raw_items, revision = self.store.list_prefix(prefix)
+            stored_items, revision = self.store.list_stored(prefix)
             cost = (self.config.apiserver.list_base
-                    + self.config.apiserver.list_per_item * len(raw_items))
+                    + self.config.apiserver.list_per_item
+                    * len(stored_items))
             yield self.sim.timeout(cost)
-            items = []
-            for _key, raw, item_rev in raw_items:
-                obj = self._decode(obj_type, raw, item_rev)
-                if label_selector is not None and not label_selector.matches(
-                        obj.metadata.labels):
-                    continue
-                if field_selector and not match_fields(field_selector, raw):
-                    continue
-                items.append(obj)
+            matches = self._raw_matcher(label_selector, field_selector)
+            items = [self._decode(obj_type, stored)
+                     for _key, stored in stored_items
+                     if matches is None or matches(stored.value)]
             return items, str(revision)
         finally:
             self._release(credential, span, ticket)
@@ -392,10 +429,11 @@ class APIServer:
         key = self._key(obj_type, obj.metadata.namespace,
                         obj.metadata.name)
         try:
-            stored_raw, stored_rev = self.store.get(key)
+            record = self.store.get_stored(key)
         except KeyNotFound as exc:
             raise NotFound(f"{plural} {obj.key!r} not found") from exc
-        stored = self._decode(obj_type, stored_raw, stored_rev)
+        stored_rev = record.mod_revision
+        stored = self._decode(obj_type, record)
 
         expected = None
         if obj.metadata.resource_version:
@@ -406,9 +444,14 @@ class APIServer:
                     f"{expected} (current {stored_rev})")
 
         if subresource == "status":
-            new_obj = stored.copy()
+            # Copy-on-write: a new shell around the stored snapshot's
+            # spec and the caller's status, with a metadata shell of its
+            # own for the resourceVersion written below.
+            changes = {"metadata": stored.metadata.replace(
+                resource_version=None)}
             if hasattr(obj, "status"):
-                new_obj.status = obj.status
+                changes["status"] = obj.status
+            new_obj = stored.replace(**changes)
         else:
             new_obj = obj.copy()
             new_obj.metadata.uid = stored.metadata.uid
@@ -443,9 +486,7 @@ class APIServer:
         obj_type = self.registry.get(plural)
         current = yield from self.get(credential, plural, name,
                                       namespace=namespace)
-        merged_raw = _deep_merge(current.to_dict(), patch)
-        merged = self._decode(obj_type, merged_raw,
-                              int(current.metadata.resource_version))
+        merged = obj_type.from_dict(_deep_merge(current.to_dict(), patch))
         merged.metadata.resource_version = current.metadata.resource_version
         return (yield from self.update(credential, merged))
 
@@ -465,19 +506,21 @@ class APIServer:
         obj_type = self.registry.get(plural)
         key = self._key(obj_type, namespace, name)
         try:
-            stored_raw, stored_rev = self.store.get(key)
+            record = self.store.get_stored(key)
         except KeyNotFound as exc:
             raise NotFound(f"{plural} {name!r} not found") from exc
-        obj = self._decode(obj_type, stored_raw, stored_rev)
+        stored_rev = record.mod_revision
+        obj = self._decode(obj_type, record)
 
         needs_finalization = (bool(obj.metadata.finalizers)
                               or self._namespace_pinned(obj))
         if needs_finalization:
             if obj.metadata.deletion_timestamp is None:
-                obj.metadata.deletion_timestamp = self.sim.now
+                obj = obj.replace(metadata=obj.metadata.replace(
+                    deletion_timestamp=self.sim.now, resource_version=None))
                 if isinstance(obj, Namespace):
-                    obj.status.phase = "Terminating"
-                obj.metadata.resource_version = None
+                    obj = obj.replace(
+                        status=obj.status.replace(phase="Terminating"))
                 revision = self.store.update(
                     key, obj.to_dict(), expected_revision=stored_rev)
                 obj.metadata.resource_version = str(revision)
@@ -612,24 +655,16 @@ class APIServer:
     def watch(self, credential, plural, namespace=None, from_revision=None,
               label_selector=None, field_selector=None):
         """Open a watch stream (synchronous registration)."""
-        from repro.objects.selectors import equality_hint, match_fields
-
         credential = self.authenticator.authenticate(credential)
         self.authorizer.authorize(credential, "watch", plural, namespace)
         obj_type = self.registry.get(plural)
         prefix = self._prefix(obj_type, namespace)
 
         predicate = None
-        if label_selector is not None or field_selector:
+        matches = self._raw_matcher(label_selector, field_selector)
+        if matches is not None:
             def predicate(event):
-                raw = event.value
-                if label_selector is not None:
-                    labels = raw.get("metadata", {}).get("labels", {}) or {}
-                    if not label_selector.matches(labels):
-                        return False
-                if field_selector and not match_fields(field_selector, raw):
-                    return False
-                return True
+                return matches(event.value)
 
         # An equality on one field lets the store ask only the watches
         # selecting the event's value of it; the predicate still decides.
@@ -647,7 +682,7 @@ class APIServer:
         if pod.spec.node_name:
             raise Conflict(
                 f"pod {pod.key!r} already bound to {pod.spec.node_name!r}")
-        pod.spec.node_name = node_name
+        pod = pod.replace(spec=pod.spec.replace(node_name=node_name))
         yield self.sim.timeout(self.config.scheduler.binding_write)
         return (yield from self.update(credential, pod))
 

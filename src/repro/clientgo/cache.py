@@ -4,6 +4,12 @@ Reconcilers read object state from here instead of querying the apiserver
 (paper Fig. 3 / Fig. 5); the caches also dominate the syncer's memory
 footprint, so the cache tracks an estimated byte size per object.
 
+Entries are the apiserver's shared snapshots — the same object sits in
+every informer cache watching that apiserver — so everything a cache
+hands out is read-only.  A reconciler that wants to write derives its
+own object first: ``obj.replace(field=...)`` for a changed field,
+``obj.copy()`` for a fully private object (DESIGN.md "Object plane").
+
 Beyond the plain keyed store, the cache maintains **secondary indexes**
 (client-go's ``Indexer``): an index is a named function mapping an object
 to a list of hashable values, and the cache keeps value -> key postings
@@ -136,14 +142,6 @@ class ObjectCache:
         if self._race_probe is not None:
             self._race_probe.read(key)
         return self._items.get(key)
-
-    def get_copy(self, key):
-        """A deep copy safe to mutate (reconcilers must not edit the cache)."""
-        self.gets += 1
-        if self._race_probe is not None:
-            self._race_probe.read(key)
-        obj = self._items.get(key)
-        return obj.copy() if obj is not None else None
 
     def keys(self):
         return list(self._items)

@@ -35,10 +35,9 @@ class EventRecorder:
             if existing is not None:
                 fresh = yield from self.client.get(
                     "events", existing, namespace=obj.namespace)
-                fresh.count += 1
-                fresh.last_timestamp = self.sim.now
-                fresh.message = message
-                yield from self.client.update(fresh)
+                yield from self.client.update(fresh.replace(
+                    count=fresh.count + 1, last_timestamp=self.sim.now,
+                    message=message))
                 self.emitted += 1
                 return
         except ApiError:

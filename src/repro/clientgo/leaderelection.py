@@ -250,13 +250,13 @@ class LeaderElector:
             # on API errors and CAS losses).
             self._retry_backoff.reset()
             return False
-        spec.holder_identity = self.identity
-        spec.lease_duration_seconds = self.lease_duration
-        spec.acquire_time = now
-        spec.renew_time = now
-        spec.lease_transitions = (spec.lease_transitions or 0) + 1
         try:
-            updated = yield from self.client.update(lease)
+            updated = yield from self.client.update(lease.replace(
+                spec=spec.replace(
+                    holder_identity=self.identity,
+                    lease_duration_seconds=self.lease_duration,
+                    acquire_time=now, renew_time=now,
+                    lease_transitions=(spec.lease_transitions or 0) + 1)))
         except ApiError:
             # Conflict: somebody else won the CAS race — back off.
             return False
@@ -275,9 +275,9 @@ class LeaderElector:
             self._lose("lease held by another identity")
             return False
         now = self.sim.now
-        spec.renew_time = now
         try:
-            yield from self.client.update(lease)
+            yield from self.client.update(
+                lease.replace(spec=spec.replace(renew_time=now)))
         except ApiError:
             return False
         self._deadline = now + self.lease_duration
@@ -290,9 +290,9 @@ class LeaderElector:
                 Lease.PLURAL, self.name, namespace=self.namespace)
             if lease.spec.holder_identity != self.identity:
                 return
-            lease.spec.holder_identity = None
-            lease.spec.renew_time = None
-            yield from self.client.update(lease)
+            yield from self.client.update(lease.replace(
+                spec=lease.spec.replace(holder_identity=None,
+                                        renew_time=None)))
         except (ApiError, Interrupt):
             pass
 

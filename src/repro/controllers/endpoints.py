@@ -40,7 +40,7 @@ class EndpointsController(Controller):
 
     def reconcile(self, key):
         namespace, name = split_key(key)
-        service = self._services.cache.get_copy(key)
+        service = self._services.cache.get(key)
         if service is None:
             # Service deleted: remove its endpoints.
             try:
@@ -77,7 +77,7 @@ class EndpointsController(Controller):
         subsets = [subset] if (subset.addresses
                                or subset.not_ready_addresses) else []
 
-        existing = self._endpoints.cache.get_copy(key)
+        existing = self._endpoints.cache.get(key)
         if existing is None:
             endpoints = Endpoints()
             endpoints.metadata.name = name
@@ -91,5 +91,4 @@ class EndpointsController(Controller):
         if [s.to_dict() for s in existing.subsets] == [s.to_dict()
                                                        for s in subsets]:
             return
-        existing.subsets = subsets
-        yield from self.client.update(existing)
+        yield from self.client.update(existing.replace(subsets=subsets))

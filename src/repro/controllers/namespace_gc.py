@@ -43,7 +43,7 @@ class NamespaceController(Controller):
             self.enqueue_object(namespace)
 
     def reconcile(self, key):
-        namespace = self._namespaces.cache.get_copy(key)
+        namespace = self._namespaces.cache.get(key)
         if namespace is None or not namespace.is_terminating:
             return
         remaining = 0
@@ -66,9 +66,10 @@ class NamespaceController(Controller):
             return
         # Everything swept: release the namespace finalizer.
         if "kubernetes" in namespace.spec.finalizers:
-            namespace.spec.finalizers = [
-                f for f in namespace.spec.finalizers if f != "kubernetes"]
             try:
-                yield from self.client.update(namespace)
+                yield from self.client.update(namespace.replace(
+                    spec=namespace.spec.replace(finalizers=[
+                        f for f in namespace.spec.finalizers
+                        if f != "kubernetes"])))
             except (NotFound, Conflict):
                 pass

@@ -46,7 +46,7 @@ class NodeLifecycleController(Controller):
                     self.enqueue(node.key)
 
     def reconcile(self, key):
-        node = self._nodes.cache.get_copy(key)
+        node = self._nodes.cache.get(key)
         if node is None:
             return
         ready = node.status.get_condition("Ready")
@@ -55,10 +55,10 @@ class NodeLifecycleController(Controller):
         beat = ready.last_heartbeat_time
         if beat is None or self.sim.now - beat <= self.grace_period:
             return
-        node.status.set_condition("Ready", "Unknown",
-                                  reason="NodeStatusUnknown",
-                                  now=self.sim.now)
+        status = node.status.copy()
+        status.set_condition("Ready", "Unknown", reason="NodeStatusUnknown",
+                             now=self.sim.now)
         try:
-            yield from self.client.update_status(node)
+            yield from self.client.update_status(node.replace(status=status))
         except NotFound:
             pass

@@ -54,7 +54,7 @@ class PersistentVolumeBinder(Controller):
 
     def reconcile(self, key):
         namespace, _name = split_key(key)
-        pvc = self._pvcs.cache.get_copy(key)
+        pvc = self._pvcs.cache.get(key)
         if pvc is None or pvc.phase == "Bound":
             return
         volume = self._find_available_volume(pvc)
@@ -114,20 +114,19 @@ class PersistentVolumeBinder(Controller):
                 return None
 
     def _bind(self, pvc, volume, namespace):
-        volume = volume.copy()
-        volume.spec = dict(volume.spec or {})
-        volume.spec["claimRef"] = {"namespace": pvc.namespace,
-                                   "name": pvc.name, "uid": pvc.uid}
-        volume.status = {"phase": "Bound"}
+        volume = volume.replace(
+            spec={**(volume.spec or {}),
+                  "claimRef": {"namespace": pvc.namespace,
+                               "name": pvc.name, "uid": pvc.uid}},
+            status={"phase": "Bound"})
         try:
             yield from self.client.update(volume)
         except (Conflict, NotFound):
             self.enqueue(pvc.key)
             return
-        fresh = pvc.copy()
-        fresh.spec = dict(fresh.spec or {})
-        fresh.spec["volumeName"] = volume.metadata.name
-        fresh.status = {"phase": "Bound"}
+        fresh = pvc.replace(
+            spec={**(pvc.spec or {}), "volumeName": volume.metadata.name},
+            status={"phase": "Bound"})
         try:
             yield from self.client.update(fresh)
             self.bound_count += 1

@@ -53,7 +53,7 @@ class ReplicaSetController(Controller):
                 and pod.metadata.deletion_timestamp is None]
 
     def reconcile(self, key):
-        rs = self._replicasets.cache.get_copy(key)
+        rs = self._replicasets.cache.get(key)
         if rs is None or rs.metadata.deletion_timestamp is not None:
             return
         pods = self._owned_pods(rs)
@@ -67,7 +67,7 @@ class ReplicaSetController(Controller):
                 pod.metadata.labels = dict(
                     rs.spec.template.metadata.labels or {})
                 pod.metadata.owner_references = [_controller_ref(rs)]
-                pod.spec = rs.spec.template.spec.copy()
+                pod.spec = rs.spec.template.spec    # create() copies
                 try:
                     yield from self.client.create(pod)
                 except AlreadyExists:
@@ -86,11 +86,11 @@ class ReplicaSetController(Controller):
         if (rs.status.replicas != len(pods)
                 or rs.status.ready_replicas != ready
                 or rs.status.observed_generation != rs.metadata.generation):
-            rs.status.replicas = len(pods)
-            rs.status.ready_replicas = ready
-            rs.status.observed_generation = rs.metadata.generation
             try:
-                yield from self.client.update_status(rs)
+                yield from self.client.update_status(rs.replace(
+                    status=rs.status.replace(
+                        replicas=len(pods), ready_replicas=ready,
+                        observed_generation=rs.metadata.generation)))
             except NotFound:
                 pass
 
@@ -127,7 +127,7 @@ class DeploymentController(Controller):
 
     def reconcile(self, key):
         namespace, _name = split_key(key)
-        deployment = self._deployments.cache.get_copy(key)
+        deployment = self._deployments.cache.get(key)
         if deployment is None:
             return
         template_hash = self._template_hash(deployment)
@@ -145,24 +145,22 @@ class DeploymentController(Controller):
             rs.metadata.owner_references = [_controller_ref(deployment)]
             rs.spec.replicas = deployment.spec.replicas
             rs.spec.selector = deployment.spec.selector
-            rs.spec.template = deployment.spec.template.copy()
-            rs.spec.template.metadata.labels = dict(
-                rs.spec.template.metadata.labels or {})
+            rs.spec.template = deployment.spec.template     # create() copies
             try:
                 yield from self.client.create(rs)
             except AlreadyExists:
                 pass
         else:
             if current.spec.replicas != deployment.spec.replicas:
-                current.spec.replicas = deployment.spec.replicas
-                yield from self.client.update(current)
+                yield from self.client.update(current.replace(
+                    spec=current.spec.replace(
+                        replicas=deployment.spec.replicas)))
         # Scale down old replica sets (recreate-style rollover).
         for rs in owned:
             if rs.name != rs_name and (rs.spec.replicas or 0) > 0:
-                rs = rs.copy()
-                rs.spec.replicas = 0
                 try:
-                    yield from self.client.update(rs)
+                    yield from self.client.update(
+                        rs.replace(spec=rs.spec.replace(replicas=0)))
                 except NotFound:
                     pass
         # Status roll-up.
@@ -170,11 +168,10 @@ class DeploymentController(Controller):
         replicas = sum(rs.status.replicas for rs in owned)
         if (deployment.status.ready_replicas != ready
                 or deployment.status.replicas != replicas):
-            deployment.status.ready_replicas = ready
-            deployment.status.replicas = replicas
-            deployment.status.observed_generation = (
-                deployment.metadata.generation)
             try:
-                yield from self.client.update_status(deployment)
+                yield from self.client.update_status(deployment.replace(
+                    status=deployment.status.replace(
+                        ready_replicas=ready, replicas=replicas,
+                        observed_generation=deployment.metadata.generation)))
             except NotFound:
                 pass

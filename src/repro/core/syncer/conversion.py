@@ -35,33 +35,38 @@ def node_index(obj):
 
 
 def to_super(obj, vc):
-    """Translate a tenant object into its super-cluster representation."""
-    translated = obj.copy()
-    meta = translated.metadata
+    """Translate a tenant object into its super-cluster representation.
+
+    Copy-on-write: the result is a new object with metadata of its own;
+    every other field (spec, status, data, ...) is *the same* value as
+    ``obj``'s — typically a shared snapshot's — so a caller that changes
+    one replaces it (``translated.spec = translated.spec.replace(...)``)
+    rather than editing it.
+    """
+    meta = obj.metadata
     tenant_namespace = meta.namespace
-    if type(obj).NAMESPACED:
-        meta.namespace = super_namespace(vc, tenant_namespace)
-    else:
-        meta.name = super_name(vc, meta.name)
-    meta.uid = None
-    meta.resource_version = None
-    meta.creation_timestamp = None
-    meta.owner_references = []
-    meta.labels = dict(meta.labels or {})
-    meta.labels[LABEL_MANAGED_BY] = MANAGED_BY_VALUE
-    meta.annotations = dict(meta.annotations or {})
-    meta.annotations[ANNOTATION_VC] = vc.key
-    meta.annotations[ANNOTATION_TENANT_NAMESPACE] = tenant_namespace or ""
-    meta.annotations[ANNOTATION_TENANT_NAME] = obj.metadata.name
-    meta.annotations[ANNOTATION_TENANT_UID] = obj.metadata.uid or ""
-    return translated
+    namespaced = type(obj).NAMESPACED
+    return obj.replace(metadata=meta.replace(
+        namespace=(super_namespace(vc, tenant_namespace) if namespaced
+                   else tenant_namespace),
+        name=meta.name if namespaced else super_name(vc, meta.name),
+        uid=None, resource_version=None, creation_timestamp=None,
+        owner_references=[],
+        labels={**(meta.labels or {}), LABEL_MANAGED_BY: MANAGED_BY_VALUE},
+        annotations={
+            **(meta.annotations or {}),
+            ANNOTATION_VC: vc.key,
+            ANNOTATION_TENANT_NAMESPACE: tenant_namespace or "",
+            ANNOTATION_TENANT_NAME: meta.name,
+            ANNOTATION_TENANT_UID: meta.uid or "",
+        }))
 
 
 def to_super_pod(pod, vc):
     """Pods additionally drop the tenant binding — the super scheduler
     binds the super pod to a physical node."""
     translated = to_super(pod, vc)
-    translated.spec.node_name = None
+    translated.spec = pod.spec.replace(node_name=None)
     translated.status = type(pod.status)()
     return translated
 

@@ -78,9 +78,9 @@ class DownwardReconciler:
         if registration is None:
             return
         vc = registration.vc
-        tenant_obj = self.tenant_cache(tenant).get_copy(key)
+        tenant_obj = self.tenant_cache(tenant).get(key)
         skey = super_key_for(self.obj_type, vc, key)
-        super_obj = self.super_cache().get_copy(skey)
+        super_obj = self.super_cache().get(skey)
 
         if tenant_obj is None or tenant_obj.metadata.deletion_timestamp:
             if super_obj is not None and is_managed(super_obj):
@@ -119,7 +119,8 @@ class DownwardReconciler:
         translated.metadata.uid = super_obj.metadata.uid
         if hasattr(translated, "spec") and hasattr(translated.spec,
                                                    "node_name"):
-            translated.spec.node_name = super_obj.spec.node_name
+            translated.spec = translated.spec.replace(
+                node_name=super_obj.spec.node_name)
         if hasattr(translated, "status"):
             translated.status = super_obj.status
         try:
@@ -161,9 +162,9 @@ class NamespaceDownward(DownwardReconciler):
         if registration is None:
             return
         vc = registration.vc
-        tenant_ns = self.tenant_cache(tenant).get_copy(key)
+        tenant_ns = self.tenant_cache(tenant).get(key)
         sname = super_namespace(vc, key)
-        super_ns = self.super_cache().get_copy(sname)
+        super_ns = self.super_cache().get(sname)
         if tenant_ns is None or tenant_ns.is_terminating:
             if super_ns is not None and is_managed(super_ns):
                 try:
@@ -193,9 +194,9 @@ class PodDownward(DownwardReconciler):
         if registration is None:
             return
         vc = registration.vc
-        tenant_pod = self.tenant_cache(tenant).get_copy(key)
+        tenant_pod = self.tenant_cache(tenant).get(key)
         skey = super_key_for(self.obj_type, vc, key)
-        super_pod = self.super_cache().get_copy(skey)
+        super_pod = self.super_cache().get(skey)
 
         if tenant_pod is None or tenant_pod.metadata.deletion_timestamp:
             if super_pod is not None and is_managed(super_pod):
@@ -231,7 +232,7 @@ class ServiceDownward(DownwardReconciler):
         translated = to_super(obj, vc)
         # The super cluster allocates its own cluster IP; the tenant's
         # allocation is only meaningful inside the tenant control plane.
-        translated.spec.cluster_ip = None
+        translated.spec = translated.spec.replace(cluster_ip=None)
         return translated
 
     def update_super(self, tenant_obj, super_obj, vc):
@@ -239,7 +240,8 @@ class ServiceDownward(DownwardReconciler):
                             ignore_fields=("nodeName", "clusterIP")):
             return
         translated = self.translate(tenant_obj, vc)
-        translated.spec.cluster_ip = super_obj.spec.cluster_ip
+        translated.spec = translated.spec.replace(
+            cluster_ip=super_obj.spec.cluster_ip)
         translated.metadata.resource_version = (
             super_obj.metadata.resource_version)
         try:
@@ -282,7 +284,7 @@ class PodUpward(UpwardReconciler):
         registration = self.syncer.tenants.get(tenant)
         if registration is None:
             return
-        super_pod = self.super_cache().get_copy(super_key)
+        super_pod = self.super_cache().get(super_key)
         if super_pod is None:
             return
         t_key = tenant_key(super_pod)
@@ -290,7 +292,7 @@ class PodUpward(UpwardReconciler):
             return
         tenant_client = registration.client
         tenant_pod = self.syncer.tenant_informer(
-            tenant, "pods").cache.get_copy(t_key)
+            tenant, "pods").cache.get(t_key)
         if tenant_pod is None:
             # Tenant pod vanished while the super pod still exists: the
             # downward path (or scanner) will delete the orphan.
@@ -309,7 +311,7 @@ class PodUpward(UpwardReconciler):
                 return
             except Conflict:
                 tenant_pod = self.syncer.tenant_informer(
-                    tenant, "pods").cache.get_copy(t_key)
+                    tenant, "pods").cache.get(t_key)
                 if tenant_pod is None or not tenant_pod.spec.node_name:
                     # Stale cache: the super pod emits no further events,
                     # so retry explicitly rather than dropping the item.
@@ -324,7 +326,7 @@ class PodUpward(UpwardReconciler):
             return
         became_ready = (super_pod.status.is_ready
                         and not tenant_pod.status.is_ready)
-        tenant_pod.status = super_pod.status.copy()
+        tenant_pod = tenant_pod.replace(status=super_pod.status)
         try:
             yield from tenant_client.update_status(tenant_pod)
         except NotFound:
@@ -347,18 +349,17 @@ class EventUpward(UpwardReconciler):
         registration = self.syncer.tenants.get(tenant)
         if registration is None:
             return
-        event = self.super_cache().get_copy(super_key)
+        event = self.super_cache().get(super_key)
         if event is None:
             return
         origin = self.syncer.resolve_super_namespace(event.namespace)
         if origin is None or origin[0] != tenant:
             return
-        translated = event.copy()
-        translated.metadata.namespace = origin[1]
-        translated.metadata.resource_version = None
-        translated.metadata.uid = None
-        if translated.involved_object is not None:
-            translated.involved_object.namespace = origin[1]
+        translated = event.replace(metadata=event.metadata.replace(
+            namespace=origin[1], resource_version=None, uid=None))
+        if event.involved_object is not None:
+            translated.involved_object = event.involved_object.replace(
+                namespace=origin[1])
         try:
             yield from registration.client.create(translated)
         except AlreadyExists:
@@ -387,14 +388,14 @@ class EndpointsUpward(UpwardReconciler):
         registration = self.syncer.tenants.get(tenant)
         if registration is None:
             return
-        endpoints = self.super_cache().get_copy(super_key)
+        endpoints = self.super_cache().get(super_key)
         if endpoints is None:
             return
         t_key = tenant_key(endpoints)
         if t_key is None:
             return
         tenant_eps = self.syncer.tenant_informer(
-            tenant, "endpoints").cache.get_copy(t_key)
+            tenant, "endpoints").cache.get(t_key)
         if tenant_eps is None:
             return
         if ([s.to_dict() for s in tenant_eps.subsets]
@@ -420,7 +421,7 @@ class ClusterResourceUpward(UpwardReconciler):
         registration = self.syncer.tenants.get(tenant)
         if registration is None:
             return
-        obj = self.super_cache().get_copy(super_key)
+        obj = self.super_cache().get(super_key)
         tenant_cache = self.syncer.tenant_informer(tenant, self.plural).cache
         if obj is None:
             if super_key in tenant_cache:
@@ -430,10 +431,9 @@ class ClusterResourceUpward(UpwardReconciler):
                 except NotFound:
                     pass
             return
-        translated = obj.copy()
-        translated.metadata.resource_version = None
-        translated.metadata.uid = None
-        existing = tenant_cache.get_copy(super_key)
+        translated = obj.replace(metadata=obj.metadata.replace(
+            resource_version=None, uid=None))
+        existing = tenant_cache.get(super_key)
         if existing is None:
             try:
                 yield from registration.client.create(translated)

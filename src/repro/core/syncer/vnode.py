@@ -114,19 +114,18 @@ class VNodeManager:
         registration = self.syncer.tenants.get(tenant)
         if registration is None:
             return
-        super_node = self.syncer.super_informer("nodes").cache.get_copy(
-            node_name)
+        super_node = self.syncer.super_informer("nodes").cache.get(node_name)
         if super_node is None:
             return
-        vnode = super_node
-        vnode.metadata.resource_version = None
-        vnode.metadata.uid = None
-        vnode.metadata.labels = dict(vnode.metadata.labels or {})
-        vnode.metadata.labels[VNODE_LABEL] = "true"
         # The vNode advertises the vn-agent port instead of the kubelet
         # port, so tenant log/exec requests are intercepted (§III-B(3)).
-        vnode.status.daemon_endpoints = {
-            "kubeletEndpoint": {"Port": self.syncer.vn_agent_port}}
+        vnode = super_node.replace(
+            metadata=super_node.metadata.replace(
+                resource_version=None, uid=None,
+                labels={**(super_node.metadata.labels or {}),
+                        VNODE_LABEL: "true"}),
+            status=super_node.status.replace(daemon_endpoints={
+                "kubeletEndpoint": {"Port": self.syncer.vn_agent_port}}))
         self._created.add((tenant, node_name))
         try:
             yield from registration.client.create(vnode)
@@ -195,10 +194,10 @@ class VNodeManager:
                 yield self.sim.timeout(self.heartbeat_interval)
             except Interrupt:
                 return
-            # One super-node cache lookup (and deep copy) per distinct
-            # node per tick, shared across all tenants bound to it — the
-            # old per-(tenant, node) lookups made the tick
-            # O(nodes x tenants) in cache gets.
+            # One super-node lookup per distinct node per tick, shared
+            # across all tenants bound to it: every tenant's vNode gets
+            # the conditions the tick started with, however long the
+            # writes below take.
             super_nodes_this_tick = {}
             super_node_cache = self.syncer.super_informer("nodes").cache
             for tenant, nodes in list(self._bindings.items()):
@@ -213,7 +212,7 @@ class VNodeManager:
                     if node_name in super_nodes_this_tick:
                         super_node = super_nodes_this_tick[node_name]
                     else:
-                        super_node = super_node_cache.get_copy(node_name)
+                        super_node = super_node_cache.get(node_name)
                         super_nodes_this_tick[node_name] = super_node
                     if super_node is None:
                         continue
@@ -225,10 +224,10 @@ class VNodeManager:
                             "nodes", node_name)
                     except ApiError:
                         continue
-                    vnode.status.conditions = [
-                        c.copy() for c in super_node.status.conditions]
-                    for condition in vnode.status.conditions:
-                        condition.last_heartbeat_time = self.sim.now
+                    vnode = vnode.replace(status=vnode.status.replace(
+                        conditions=[
+                            c.replace(last_heartbeat_time=self.sim.now)
+                            for c in super_node.status.conditions]))
                     try:
                         yield from registration.client.update_status(vnode)
                         self.heartbeats_sent += 1

@@ -67,7 +67,7 @@ class TenantOperator(Controller):
         return processes
 
     def reconcile(self, key):
-        vc = self._vc_informer.cache.get_copy(key)
+        vc = self._vc_informer.cache.get(key)
         if key in self._needs_restore and key in self.control_planes:
             yield from self._restore(key)
         if vc is None:
@@ -77,8 +77,9 @@ class TenantOperator(Controller):
             yield from self._finalize(vc)
             return
         if VC_FINALIZER not in vc.metadata.finalizers:
-            vc.metadata.finalizers.append(VC_FINALIZER)
-            vc = yield from self.client.update(vc)
+            vc = yield from self.client.update(vc.replace(
+                metadata=vc.metadata.replace(
+                    finalizers=[*vc.metadata.finalizers, VC_FINALIZER])))
         if key in self.control_planes:
             if not vc.is_running:
                 yield from self._mark_running(vc)
@@ -126,15 +127,16 @@ class TenantOperator(Controller):
                                                namespace=vc.namespace)
         except NotFound:
             return
-        fresh.status.phase = "Running"
+        status = fresh.status.replace(
+            phase="Running",
+            control_plane_endpoint=f"https://{cluster_prefix(vc)}.svc:6443")
         if kubeconfig_secret:
-            fresh.status.kubeconfig_secret = kubeconfig_secret
+            status.kubeconfig_secret = kubeconfig_secret
         if cert_hash:
-            fresh.status.cert_hash = cert_hash
-        fresh.status.control_plane_endpoint = (
-            f"https://{cluster_prefix(vc)}.svc:6443")
+            status.cert_hash = cert_hash
         try:
-            yield from self.client.update_status(fresh)
+            yield from self.client.update_status(
+                fresh.replace(status=status))
         except ApiError:
             self.enqueue(vc.key)
 
@@ -146,10 +148,11 @@ class TenantOperator(Controller):
                     "virtualclusters", vc.name, namespace=vc.namespace)
             except NotFound:
                 return
-            fresh.metadata.finalizers = [
-                f for f in fresh.metadata.finalizers if f != VC_FINALIZER]
             try:
-                yield from self.client.update(fresh)
+                yield from self.client.update(fresh.replace(
+                    metadata=fresh.metadata.replace(finalizers=[
+                        f for f in fresh.metadata.finalizers
+                        if f != VC_FINALIZER])))
             except ApiError:
                 self.enqueue(vc.key)
 

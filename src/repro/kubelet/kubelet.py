@@ -88,11 +88,12 @@ class Kubelet:
                 node = yield from self.client.get("nodes", self.node_name)
             except ApiError:
                 continue
-            node.status.set_condition("Ready", "True",
-                                      reason="KubeletReady",
-                                      now=self.sim.now)
+            status = node.status.copy()
+            status.set_condition("Ready", "True", reason="KubeletReady",
+                                 now=self.sim.now)
             try:
-                yield from self.client.update_status(node)
+                yield from self.client.update_status(
+                    node.replace(status=status))
             except ApiError:
                 pass
 
@@ -157,7 +158,7 @@ class Kubelet:
 
     def _sync_pod(self, pod_key):
         yield self.sim.timeout(self.config.kubelet.sync_loop_reaction)
-        pod = self.pod_informer.cache.get_copy(pod_key)
+        pod = self.pod_informer.cache.get(pod_key)
         if pod is None or pod.is_terminal or pod_key in self._sandboxes:
             return
         with self._telemetry.span("kubelet.start_pod",
@@ -274,7 +275,7 @@ class Kubelet:
 
     def _restart_container(self, pod_key, spec, container, runtime):
         """Liveness failure: restart per the pod's restart policy."""
-        pod = self.pod_informer.cache.get_copy(pod_key)
+        pod = self.pod_informer.cache.get(pod_key)
         if pod is None:
             return
         yield from runtime.stop_container(container)
@@ -327,7 +328,7 @@ class Kubelet:
                      container_names=()):
         """Patch the pod status (kubelet status manager)."""
         yield self.sim.timeout(self.config.kubelet.status_update)
-        pod = self.pod_informer.cache.get_copy(pod_key)
+        pod = self.pod_informer.cache.get(pod_key)
         if pod is None:
             try:
                 namespace, name = pod_key.split("/", 1)
@@ -335,6 +336,8 @@ class Kubelet:
                                                  namespace=namespace)
             except ApiError:
                 return
+        # The cached Pod is a shared snapshot: edit a private status.
+        pod = pod.replace(status=pod.status.copy())
         pod.status.phase = phase
         if pod_ip:
             pod.status.pod_ip = pod_ip

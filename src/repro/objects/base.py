@@ -2,10 +2,20 @@
 
 Every API type declares its fields once via :class:`Field`; the base class
 derives the constructor behaviour, ``to_dict``/``from_dict`` (using the
-Kubernetes camelCase wire names), deep copy, and structural equality.  The
-wire format is plain dicts, which is what the simulated etcd stores — just
-like real etcd stores JSON — so no object aliasing can leak between the
-apiserver and its clients.
+Kubernetes camelCase wire names), deep copy, shallow copy-on-write
+(``replace``) and structural equality.  The wire format is JSON-shaped
+dicts, which is what the simulated etcd stores.
+
+Object plane contract (DESIGN.md "Object plane"): a written value is
+immutable and shared, not copied.  The serde is the one place where
+wire dicts and typed objects meet, so it guarantees that they never
+alias each other: ``from_dict`` copies untyped dict/list payloads out of
+the wire dict and ``to_dict`` copies them into it.  A decoded object
+that is handed to more than one reader is a *snapshot*: readers must
+not mutate it, and writers derive their own object from it with
+``replace`` (new shell, untouched children shared) or ``copy`` (fully
+private).  :func:`freeze` is the guard for that rule — see
+:func:`set_freeze_guard`.
 
 Serde is the kernel's hottest path (profiling the Fig. 10 stress run
 puts ``from_dict``/``to_dict`` and their helpers at ~45% of total
@@ -61,11 +71,16 @@ def _to_camel(snake):
 class Serializable:
     """Base class implementing serde over a ``FIELDS`` declaration.
 
-    Every subclass gets three generated methods (see
+    Every subclass gets four generated methods (see
     :class:`_SerdeCodegen`): ``__init__(**kwargs)`` filling undeclared
     fields with their defaults, ``to_dict()`` producing the camelCase
-    wire representation, and the classmethod ``from_dict(data)`` reading
-    it back (unknown keys ignored, ``None`` passed through).
+    wire representation, the classmethod ``from_dict(data)`` reading
+    it back (unknown keys ignored, ``None`` passed through), and
+    ``replace(**fields)`` — a new object of the same type holding the
+    given field values and, for every other field, *the same* value
+    object as ``self``.  ``replace`` is a shallow shell, not a deep
+    copy: it is how a writer changes one field of a shared snapshot
+    (``pod.replace(status=new_status)``) without touching it.
     """
 
     FIELDS = ()
@@ -77,6 +92,7 @@ class Serializable:
         cls.__init__ = gen.gen_init(fields)
         cls.to_dict = gen.gen_to_dict(fields)
         cls.from_dict = classmethod(gen.gen_from_dict(fields))
+        cls.replace = gen.gen_replace(fields)
 
     @classmethod
     def _wire_header(cls):
@@ -99,7 +115,8 @@ class Serializable:
         return cached
 
     def copy(self):
-        """Deep copy via a wire round-trip."""
+        """Deep copy via a wire round-trip: fully private and mutable,
+        whatever ``self`` shares or however it is frozen."""
         return type(self).from_dict(self.to_dict())
 
     def __eq__(self, other):
@@ -136,9 +153,128 @@ def fast_deep_copy(value):
 def _dump(value):
     if isinstance(value, Serializable):
         return value.to_dict()
+    if isinstance(value, _CONTAINER_TYPES):
+        # Untyped payloads are copied so a wire dict never aliases the
+        # object it was dumped from (and frozen containers thaw).
+        return fast_deep_copy(value)
     if hasattr(value, "to_serialized"):
         return value.to_serialized()
     return value
+
+
+# ---------------------------------------------------------------------------
+# The freeze guard
+# ---------------------------------------------------------------------------
+
+_CONTAINER_TYPES = (dict, list)
+_FROZEN = "_frozen"     # marker key in a frozen node's __dict__
+_guard_on = False
+
+
+class FrozenError(TypeError):
+    """A shared snapshot (or a stored wire value) was mutated."""
+
+
+def set_freeze_guard(enabled):
+    """Switch the aliasing guard on or off; returns the previous state.
+
+    A process-local debug toggle — on in the test suite and in
+    ``python -m repro.scenarios verify``, off everywhere else.  While it
+    is on, :func:`freeze` really freezes, so mutating a shared value
+    raises :class:`FrozenError` at the mutation site instead of silently
+    corrupting every other holder.  While it is off, :func:`freeze`
+    returns its argument untouched and attribute stores pay nothing.
+    Nothing may branch on whether a value is frozen: the guard adds
+    exceptions, never a second code path.
+    """
+    global _guard_on
+    previous = _guard_on
+    _guard_on = bool(enabled)
+    if _guard_on:
+        Serializable.__setattr__ = _guarded_setattr
+        Serializable.__delattr__ = _guarded_delattr
+    elif previous:
+        del Serializable.__setattr__
+        del Serializable.__delattr__
+    return previous
+
+
+def freeze(value):
+    """Mark ``value`` immutable, in depth, when the guard is on.
+
+    A :class:`Serializable` is frozen in place (its lists and dicts are
+    swapped for raising subclasses, nested objects frozen too) and
+    returned; a JSON-shaped dict/list is returned as a frozen *copy*,
+    since a plain container cannot be frozen in place.  Already-frozen
+    parts are shared, not walked again.
+    """
+    if not _guard_on:
+        return value
+    return _freeze(value)
+
+
+def _freeze(value):
+    if isinstance(value, Serializable):
+        state = value.__dict__
+        if _FROZEN not in state:
+            for name, item in state.items():
+                state[name] = _freeze(item)
+            state[_FROZEN] = True
+        return value
+    if isinstance(value, dict):
+        if type(value) is FrozenDict:
+            return value
+        return FrozenDict((key, _freeze(item)) for key, item in value.items())
+    if isinstance(value, list):
+        if type(value) is FrozenList:
+            return value
+        return FrozenList(_freeze(item) for item in value)
+    return value
+
+
+def _guarded_setattr(self, name, value):
+    if _FROZEN in self.__dict__:
+        raise FrozenError(
+            f"{type(self).__name__}.{name} assigned on a shared snapshot; "
+            "derive a private object with replace() or copy() first")
+    object.__setattr__(self, name, value)
+
+
+def _guarded_delattr(self, name):
+    if _FROZEN in self.__dict__:
+        raise FrozenError(
+            f"{type(self).__name__}.{name} deleted on a shared snapshot")
+    object.__delattr__(self, name)
+
+
+def _raising(name):
+    def method(self, *args, **kwargs):
+        raise FrozenError(
+            f"{name}() on a frozen {type(self).__bases__[0].__name__}: the "
+            "value is shared; copy it before mutating")
+    method.__name__ = name
+    return method
+
+
+class FrozenDict(dict):
+    """A dict whose mutators raise (guard-only; see :func:`freeze`)."""
+
+    __slots__ = ()
+
+
+class FrozenList(list):
+    """A list whose mutators raise (guard-only; see :func:`freeze`)."""
+
+    __slots__ = ()
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+              "popitem", "setdefault", "update"):
+    setattr(FrozenDict, _name, _raising(_name))
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append",
+              "clear", "extend", "insert", "pop", "remove", "reverse", "sort"):
+    setattr(FrozenList, _name, _raising(_name))
+del _name
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +303,7 @@ class _SerdeCodegen:
             "_dump": _dump,
             "_MISSING": _MISSING,
             "_SCALAR_TYPES": _SCALAR_TYPES,
+            "_CONTAINER_TYPES": _CONTAINER_TYPES,
         }
         self._n = 0
 
@@ -206,13 +343,33 @@ class _SerdeCodegen:
         ]
         return self.compile("__init__", lines)
 
+    def gen_replace(self, fields):
+        lines = ["def replace(self, **changes):",
+                 "    state = self.__dict__",
+                 "    pop = changes.pop",
+                 "    obj = cls.__new__(cls)",
+                 "    d = obj.__dict__"]
+        for field in fields:
+            lines.append(f"    v = pop({field.py_name!r}, _MISSING)")
+            lines.append(f"    d[{field.py_name!r}] = "
+                         f"state[{field.py_name!r}] if v is _MISSING else v")
+        lines += [
+            "    if changes:",
+            "        unknown = ', '.join(sorted(changes))",
+            f"        raise TypeError({self.cls.__name__ + ': unknown fields: '!r}"
+            f" + unknown)",
+            "    return obj",
+        ]
+        self.ns["cls"] = self.cls
+        return self.compile("replace", lines)
+
     def load_expr(self, field, raw):
         ftype = field.type
         if ftype is None:
             # Untyped payloads are copied so a decoded object never
             # aliases the wire dict it was built from.
-            return (f"(fast_deep_copy({raw}) if type({raw}) is dict"
-                    f" or type({raw}) is list else {raw})")
+            return (f"(fast_deep_copy({raw})"
+                    f" if isinstance({raw}, _CONTAINER_TYPES) else {raw})")
         tname = self.const("ty", ftype)
         has_from_dict = hasattr(ftype, "from_dict")
         has_from_serialized = hasattr(ftype, "from_serialized")

@@ -7,7 +7,9 @@
 ``record``  run and write the golden block back into the file(s);
 ``verify``  replay every scenario twice against its golden digest; a
             replay that differs from the previous one is bisected to
-            its first divergent store event and owning component.
+            its first divergent store event and owning component.  Runs
+            with the object plane's freeze guard on, so a mutated shared
+            snapshot fails the replay instead of skewing it.
 
 ``record`` rewrites only the ``golden:`` block, preserving the rest of
 the hand-authored YAML (comments included).
@@ -21,6 +23,7 @@ import sys
 
 from repro.chaos.engine import format_report
 from repro.metrics import format_telemetry
+from repro.objects.base import set_freeze_guard
 
 from .errors import GoldenMismatch, ScenarioError
 from .loader import corpus_paths, load_scenario
@@ -134,6 +137,7 @@ def cmd_record(args):
 
 def cmd_verify(args):
     status = 0
+    set_freeze_guard(True)
     for path in _scenario_files(args.corpus):
         scenario = load_scenario(path)
         try:

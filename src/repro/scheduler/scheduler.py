@@ -143,8 +143,8 @@ class Scheduler:
                 self.queue.done(pod_key)
 
     def _schedule_one(self, pod_key, enqueued_at):
-        # The cached object is read-only here; only the two paths that
-        # change a field take a copy.
+        # The cached object is a shared snapshot; the two paths that
+        # change a field derive their own object from it.
         pod = self._pod_informer.cache.get(pod_key)
         if pod is None or pod.spec.node_name or pod.is_terminal:
             return
@@ -157,13 +157,12 @@ class Scheduler:
         if chosen is None:
             self.failed_count += 1
             self._unschedulable_counter.inc()
-            yield from self._record_failure(pod.copy(), reasons)
+            yield from self._record_failure(pod, reasons)
             return
         # Assume the pod onto the node and bind asynchronously, like the
         # real scheduler: the sequential loop moves on immediately.
-        assumed = pod.copy()
-        assumed.spec.node_name = chosen.metadata.name
-        self.snapshot.assign(assumed)
+        self.snapshot.assign(pod.replace(
+            spec=pod.spec.replace(node_name=chosen.metadata.name)))
         self.sim.spawn(
             self._bind_async(pod, chosen.metadata.name, pod_key,
                              enqueued_at),
@@ -233,12 +232,13 @@ class Scheduler:
         summary = "; ".join(sorted(set(reasons.values()))) or "no nodes"
         self.recorder.event(pod, "FailedScheduling", summary,
                             event_type="Warning")
-        pod.status.set_condition(
+        status = pod.status.copy()
+        status.set_condition(
             "PodScheduled", "False", reason="Unschedulable",
             message=summary,
             now=self.sim.now)
         try:
-            yield from self.client.update_status(pod)
+            yield from self.client.update_status(pod.replace(status=status))
         except ApiError:
             pass
 

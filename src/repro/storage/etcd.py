@@ -10,16 +10,28 @@ Provides exactly the semantics the Kubernetes apiserver depends on:
   live events, failing with :class:`RevisionCompacted` when the requested
   start revision has been compacted away.
 
-Values are plain dicts (the wire form of API objects).  The store always
-deep-copies values in and out, like a real store serializes to bytes, so
-callers can never alias stored state.
+Values are JSON-shaped dicts (the wire form of API objects).  A value
+handed to the store is owned by the store from then on and is immutable:
+it is never copied and never mutated again.  The stored value, the
+``WatchEvent.value`` emitted for the write, the next event's
+``prev_value``, every read result, snapshots, WAL anchors and a
+follower's applied value are the *same* dict — writers must not touch a
+dict after handing it over, and readers must not mutate what they are
+given (DESIGN.md "Object plane").  With the freeze guard on
+(:func:`repro.objects.base.set_freeze_guard`) the hand-off converts the
+value to frozen containers, so a reader that mutates raises.
+
+Each written value also carries one ``decoded`` slot
+(:class:`StoredValue`), shared by the watch event emitted for it, where
+the apiserver keeps the typed snapshot it decoded from the value — so
+every reader of one (key, revision) shares one object.
 """
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import attrgetter
 
-from repro.objects.base import fast_deep_copy
+from repro.objects.base import freeze
 from repro.objects.selectors import get_field
 from repro.telemetry import telemetry_of
 
@@ -41,28 +53,46 @@ _SEQ = attrgetter("seq")
 
 
 class StoredValue:
-    """A value plus its MVCC bookkeeping."""
+    """One key's value at one revision, plus its MVCC bookkeeping.
 
-    __slots__ = ("value", "create_revision", "mod_revision", "version")
+    Immutable once written (an update stores a new ``StoredValue``),
+    except for ``decoded``: a memo slot the store never reads, filled by
+    the first apiserver reader with the typed snapshot of ``value`` at
+    ``mod_revision`` and shared by every later reader.
+    """
+
+    __slots__ = ("value", "create_revision", "mod_revision", "version",
+                 "decoded")
 
     def __init__(self, value, create_revision, mod_revision, version):
         self.value = value
         self.create_revision = create_revision
         self.mod_revision = mod_revision
         self.version = version
+        self.decoded = None
 
 
 class WatchEvent:
-    """One change notification."""
+    """One change notification.
 
-    __slots__ = ("type", "key", "value", "revision", "prev_value")
+    ``stored`` is the :class:`StoredValue` the event describes: for a
+    PUT the very record the store holds for the key at ``revision`` (so
+    watchers and readers share its ``decoded`` memo); a DELETE — whose
+    object carries the delete revision — and an event built outside the
+    store get a record of their own.
+    """
 
-    def __init__(self, type, key, value, revision, prev_value=None):
+    __slots__ = ("type", "key", "value", "revision", "prev_value", "stored")
+
+    def __init__(self, type, key, value, revision, prev_value=None,
+                 stored=None):
         self.type = type
         self.key = key
         self.value = value
         self.revision = revision
         self.prev_value = prev_value
+        self.stored = (stored if stored is not None
+                       else StoredValue(value, revision, revision, 1))
 
     def __repr__(self):
         return f"<WatchEvent {self.type} {self.key} @{self.revision}>"
@@ -277,30 +307,41 @@ class EtcdStore:
         self._race_write(key, release=True)
         self._ops_write.inc()
         self._revision += 1
-        stored = StoredValue(fast_deep_copy(value), self._revision,
-                             self._revision, 1)
+        value = freeze(value)
+        stored = StoredValue(value, self._revision, self._revision, 1)
         self._data[key] = stored
         self._index_add(key)
-        self._emit(WatchEvent(EVENT_PUT, key, fast_deep_copy(value),
-                              self._revision))
+        self._emit(WatchEvent(EVENT_PUT, key, value, self._revision,
+                              stored=stored))
         return self._revision
 
-    def get(self, key):
-        """Return (value, mod_revision); raises KeyNotFound."""
+    def get_stored(self, key):
+        """The :class:`StoredValue` of a key; raises KeyNotFound."""
         stored = self._data.get(key)
         if stored is None:
             raise KeyNotFound(key)
         self._race_read(key)
         self._ops_read.inc()
-        return fast_deep_copy(stored.value), stored.mod_revision
+        return stored
+
+    def get(self, key):
+        """Return (value, mod_revision); raises KeyNotFound."""
+        stored = self.get_stored(key)
+        return stored.value, stored.mod_revision
+
+    def try_get_stored(self, key):
+        """Like :meth:`get_stored` but returns None for a missing key."""
+        stored = self._data.get(key)
+        if stored is not None:
+            self._race_read(key)
+        return stored
 
     def try_get(self, key):
         """Like :meth:`get` but returns (None, 0) for a missing key."""
-        stored = self._data.get(key)
+        stored = self.try_get_stored(key)
         if stored is None:
             return None, 0
-        self._race_read(key)
-        return fast_deep_copy(stored.value), stored.mod_revision
+        return stored.value, stored.mod_revision
 
     def update(self, key, value, expected_revision=None):
         """Replace a key's value, optionally as a CAS on mod_revision."""
@@ -315,12 +356,12 @@ class EtcdStore:
         self._race_write(key, release=expected_revision is not None)
         self._ops_write.inc()
         self._revision += 1
-        prev = stored.value
-        stored.value = fast_deep_copy(value)
-        stored.mod_revision = self._revision
-        stored.version += 1
-        self._emit(WatchEvent(EVENT_PUT, key, fast_deep_copy(value),
-                              self._revision, prev_value=fast_deep_copy(prev)))
+        value = freeze(value)
+        new = StoredValue(value, stored.create_revision, self._revision,
+                          stored.version + 1)
+        self._data[key] = new
+        self._emit(WatchEvent(EVENT_PUT, key, value, self._revision,
+                              prev_value=stored.value, stored=new))
         return self._revision
 
     def delete(self, key, expected_revision=None):
@@ -338,8 +379,8 @@ class EtcdStore:
         self._revision += 1
         del self._data[key]
         self._index_remove(key)
-        self._emit(WatchEvent(EVENT_DELETE, key,
-                              fast_deep_copy(stored.value), self._revision))
+        self._emit(WatchEvent(EVENT_DELETE, key, stored.value,
+                              self._revision))
         return self._revision
 
     def txn(self, ops):
@@ -396,8 +437,8 @@ class EtcdStore:
             callback(self)
         raise self._unavailable(f"{self.name}: killed mid-txn")
 
-    def list_prefix(self, prefix):
-        """All (key, value, mod_revision) under a prefix, plus the revision.
+    def list_stored(self, prefix):
+        """All (key, :class:`StoredValue`) under a prefix, in key order.
 
         Returns ``(items, revision)`` — the revision is the store revision
         at list time, which list+watch reflectors use as their start point.
@@ -405,12 +446,15 @@ class EtcdStore:
         self._check_alive()
         self._race_scan(prefix)
         self._ops_read.inc()
-        items = []
-        for key in self._keys_under(prefix):
-            stored = self._data[key]
-            items.append((key, fast_deep_copy(stored.value),
-                          stored.mod_revision))
-        return items, self._revision
+        data = self._data
+        return ([(key, data[key]) for key in self._keys_under(prefix)],
+                self._revision)
+
+    def list_prefix(self, prefix):
+        """:meth:`list_stored` as (key, value, mod_revision) triples."""
+        items, revision = self.list_stored(prefix)
+        return ([(key, stored.value, stored.mod_revision)
+                 for key, stored in items], revision)
 
     def count_prefix(self, prefix):
         """Number of keys under a prefix, without materializing them.
@@ -580,12 +624,15 @@ class EtcdStore:
     # ------------------------------------------------------------------
 
     def snapshot(self):
-        """A revision-consistent, fully-detached copy of the store.
+        """A revision-consistent image of the store.
 
         Captures data, the revision counter, the compaction floor and
         the fencing floors — everything needed to rebuild an equivalent
-        store.  Watch registrations and replay history are deliberately
-        excluded: they belong to live sessions, which a restore severs.
+        store.  The values are the stored (immutable) dicts themselves;
+        later writes replace them in the store and never change them, so
+        the image stays consistent without a copy.  Watch registrations
+        and replay history are deliberately excluded: they belong to
+        live sessions, which a restore severs.
         """
         return {
             "name": self.name,
@@ -593,7 +640,7 @@ class EtcdStore:
             "compacted_revision": self._compacted_revision,
             "fences": dict(self._fences),
             "data": {
-                key: (fast_deep_copy(stored.value), stored.create_revision,
+                key: (stored.value, stored.create_revision,
                       stored.mod_revision, stored.version)
                 for key, stored in self._data.items()
             },
@@ -643,7 +690,7 @@ class EtcdStore:
         self._buckets = {}
         for key, (value, create_rev, mod_rev, version) in \
                 snapshot["data"].items():
-            self._data[key] = StoredValue(fast_deep_copy(value), create_rev,
+            self._data[key] = StoredValue(freeze(value), create_rev,
                                           mod_rev, version)
             self._index_add(key)
         self._revision = snapshot["revision"]
@@ -664,23 +711,24 @@ class EtcdStore:
         """Apply one WAL event at its recorded revision (no re-emit:
         restore cancelled every watch, and history restarts afterwards)."""
         if event.type == EVENT_PUT:
+            value = freeze(event.value)
             stored = self._data.get(event.key)
             if stored is None:
                 self._data[event.key] = StoredValue(
-                    fast_deep_copy(event.value), event.revision,
-                    event.revision, 1)
+                    value, event.revision, event.revision, 1)
                 self._index_add(event.key)
             else:
-                stored.value = fast_deep_copy(event.value)
-                stored.mod_revision = event.revision
-                stored.version += 1
+                self._data[event.key] = StoredValue(
+                    value, stored.create_revision, event.revision,
+                    stored.version + 1)
         elif event.type == EVENT_DELETE:
             if self._data.pop(event.key, None) is not None:
                 self._index_remove(event.key)
         self._revision = max(self._revision, event.revision)
 
     def events_since(self, revision):
-        """The WAL tail: detached copies of all events after ``revision``.
+        """The WAL tail: all held events after ``revision`` (the events
+        themselves — like their values, they are never modified).
 
         Raises :class:`RevisionCompacted` when part of the tail has been
         compacted away — the caller must fall back to snapshot-only
@@ -688,13 +736,7 @@ class EtcdStore:
         """
         if revision < self._compacted_revision:
             raise RevisionCompacted(revision, self._compacted_revision)
-        return [
-            WatchEvent(event.type, event.key, fast_deep_copy(event.value),
-                       event.revision,
-                       prev_value=fast_deep_copy(event.prev_value)
-                       if event.prev_value is not None else None)
-            for event in self._history_after(revision)
-        ]
+        return self._history_after(revision)
 
     def wipe(self):
         """Simulate catastrophic data loss: everything gone, watches cut.
@@ -772,9 +814,9 @@ class EtcdStore:
             self.wal.compact(snapshot)
 
     def dump(self):
-        """Canonical detached image of current data (tests/benchmarks)."""
+        """Canonical image of current data (tests/benchmarks)."""
         return {
-            key: (fast_deep_copy(stored.value), stored.create_revision,
+            key: (stored.value, stored.create_revision,
                   stored.mod_revision, stored.version)
             for key, stored in self._data.items()
         }

@@ -140,12 +140,11 @@ class StoreReplica:
             return
         if record.revision <= self.applied_revision:
             return  # duplicate delivery (catch-up raced a stream record)
-        store._apply_replayed(WatchEvent(record.type, record.key,
-                                         fields["value"], record.revision))
+        event = WatchEvent(record.type, record.key, fields["value"],
+                           record.revision)
+        store._apply_replayed(event)
         if store.wal is not None:
-            store.wal.append_event(
-                WatchEvent(record.type, record.key, fields["value"],
-                           record.revision), stamp=record.stamp)
+            store.wal.append_event(event, stamp=record.stamp)
         self.applied_revision = record.revision
         self.records_applied += 1
         self.group._replicated_records.inc()
@@ -582,8 +581,14 @@ class ReplicatedStore:
     def get(self, key):
         return self._leader_store().get(key)
 
+    def get_stored(self, key):
+        return self._leader_store().get_stored(key)
+
     def try_get(self, key):
         return self._leader_store().try_get(key)
+
+    def try_get_stored(self, key):
+        return self._leader_store().try_get_stored(key)
 
     def update(self, key, value, expected_revision=None):
         return self._leader_store().update(key, value,
@@ -598,6 +603,9 @@ class ReplicatedStore:
 
     def list_prefix(self, prefix):
         return self._leader_store().list_prefix(prefix)
+
+    def list_stored(self, prefix):
+        return self._leader_store().list_stored(prefix)
 
     def count_prefix(self, prefix):
         return self._leader_store().count_prefix(prefix)

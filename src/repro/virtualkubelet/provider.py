@@ -141,9 +141,11 @@ class VirtualKubelet:
                 return
             try:
                 node = yield from self.client.get("nodes", self.node_name)
-                node.status.set_condition("Ready", "True",
-                                          reason="VKReady", now=self.sim.now)
-                yield from self.client.update_status(node)
+                status = node.status.copy()
+                status.set_condition("Ready", "True", reason="VKReady",
+                                     now=self.sim.now)
+                yield from self.client.update_status(
+                    node.replace(status=status))
             except ApiError:
                 continue
 
@@ -163,10 +165,13 @@ class VirtualKubelet:
         """
         yield self.sim.timeout(self.config.kubelet.virtual_kubelet_ack)
         while not self._stopped:
-            pod = self.pod_informer.cache.get_copy(pod_key)
+            pod = self.pod_informer.cache.get(pod_key)
             if pod is None or pod.status.is_ready:
                 return
-            pod = self.provider.create_pod(pod)
+            # The provider edits the status it is handed; the cached Pod
+            # is a shared snapshot, so hand it a private one.
+            pod = self.provider.create_pod(
+                pod.replace(status=pod.status.copy()))
             try:
                 yield from self.client.update_status(pod)
                 self.pods_acked += 1

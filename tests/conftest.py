@@ -6,9 +6,17 @@ suite — which marks its own fast subset tier1 explicitly), so the
 tier-1 gate can be invoked as ``pytest -m tier1`` — see
 ``scripts/tier1.sh``, which also enforces the coverage floor when
 ``pytest-cov`` is installed.
+
+The whole suite runs with the object plane's freeze guard on: a test (or
+the code under it) that mutates a shared snapshot or a stored wire value
+fails with ``FrozenError`` at the mutation site.
 """
 
 import pytest
+
+from repro.objects.base import set_freeze_guard
+
+set_freeze_guard(True)
 
 _SLOW_BUCKETS = ("soak", "scenario")
 

@@ -58,3 +58,19 @@ class ControllerManager:
     def reconcile(self, ops):
         yield self.client.transaction([], ops)
         self.store.put("/registry/x", b"value")
+
+
+class CacheReader:
+    def __init__(self, informer, client):
+        self.cache = informer.cache
+        self.client = client
+
+    def edit_in_place(self, key):
+        pod = self.cache.get(key)
+        pod.status.phase = "Running"
+
+    def copy_on_write(self, key):
+        pod = self.cache.get(key)
+        pod = pod.replace(status=pod.status.replace(phase="Running"))
+        pod.metadata = pod.metadata.replace(labels={})
+        yield from self.client.update_status(pod)

@@ -18,7 +18,7 @@ def _update_with_retry(run, client, name, namespace, mutate, subresource=None):
     """Get-mutate-update with conflict retry (controllers and conformance
     tests must tolerate concurrent writers such as the scheduler)."""
     for _attempt in range(10):
-        current = run(client.get("pods", name, namespace=namespace))
+        current = run(client.get("pods", name, namespace=namespace)).copy()
         mutate(current)
         try:
             if subresource == "status":

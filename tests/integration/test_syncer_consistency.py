@@ -101,7 +101,7 @@ class TestScannerRemediation:
         env.run_until_pods_ready(tenant, ["default/statusless"], timeout=60)
 
         def regress():
-            pod = yield from tenant.get_pod("statusless")
+            pod = (yield from tenant.get_pod("statusless")).copy()
             pod.status.phase = "Pending"
             pod.status.conditions = []
             yield from tenant.client.update_status(pod)
@@ -186,7 +186,7 @@ class TestQueueHygiene:
 
         def hammer():
             for index in range(30):
-                pod = yield from tenant.get_pod("hot")
+                pod = (yield from tenant.get_pod("hot")).copy()
                 pod.metadata.labels["rev"] = str(index)
                 yield from tenant.client.update(pod)
 

@@ -9,7 +9,13 @@ from repro.apiserver.admission import (
     NamespaceLifecycle,
     PodDefaults,
 )
-from repro.objects import make_namespace, make_pod, make_service
+from repro.objects import (
+    Quantity,
+    ResourceQuota,
+    make_namespace,
+    make_pod,
+    make_service,
+)
 from repro.simkernel import Simulation
 
 
@@ -94,8 +100,45 @@ class TestNamespaceLifecycleViaServer:
         run(api, api.create(ADMIN, pod))
         run(api, api.delete(ADMIN, "namespaces", "zombie"))
         run(api, api.delete(ADMIN, "pods", "p", namespace="zombie"))
-        fresh = run(api, api.get(ADMIN, "pods", "p", namespace="zombie"))
+        fresh = run(api, api.get(ADMIN, "pods", "p",
+                                 namespace="zombie")).copy()
         fresh.metadata.finalizers = []
         run(api, api.update(ADMIN, fresh))  # allowed; removes the pod
         with pytest.raises(Forbidden):
             run(api, api.create(ADMIN, make_pod("new", namespace="zombie")))
+
+
+class TestQuotaEnforcerViaServer:
+    def _quota(self, namespace, pods):
+        quota = ResourceQuota()
+        quota.metadata.name = "q"
+        quota.metadata.namespace = namespace
+        quota.spec.hard = {"pods": Quantity.parse(pods)}
+        return quota
+
+    def test_quotas_in_two_namespaces_are_enforced_apart(self, api):
+        """Each create reads its own namespace's quotas and Pods only
+        (a namespaced range read), with the same admit/deny decisions —
+        including for a namespace whose name prefixes another's."""
+        for namespace, limit in (("team", "1"), ("team-b", "2")):
+            run(api, api.create(ADMIN, make_namespace(namespace)))
+            run(api, api.create(ADMIN, self._quota(namespace, limit)))
+        run(api, api.create(ADMIN, make_namespace("free")))
+        run(api, api.create(ADMIN, make_pod("a", namespace="team")))
+        run(api, api.create(ADMIN, make_pod("a", namespace="team-b")))
+        run(api, api.create(ADMIN, make_pod("b", namespace="team-b")))
+        for index in range(3):      # no quota: never limited
+            run(api, api.create(ADMIN, make_pod(f"p{index}",
+                                                namespace="free")))
+        with pytest.raises(Forbidden):
+            run(api, api.create(ADMIN, make_pod("b", namespace="team")))
+        with pytest.raises(Forbidden):
+            run(api, api.create(ADMIN, make_pod("c", namespace="team-b")))
+
+    def test_reader_ranges_over_one_namespace(self, api):
+        for namespace in ("team", "team-b"):
+            run(api, api.create(ADMIN, make_namespace(namespace)))
+            run(api, api.create(ADMIN, make_pod("p", namespace=namespace)))
+        assert [pod.key for pod in api.reader.read_all(
+            "pods", namespace="team")] == ["team/p"]
+        assert len(api.reader.read_all("pods")) == 2

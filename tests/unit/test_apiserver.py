@@ -26,6 +26,7 @@ from repro.objects import (
     make_pod,
     make_service,
 )
+from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 
 
@@ -113,12 +114,24 @@ class TestCreate:
 
 
 class TestGetListUpdate:
-    def test_get_returns_fresh_copy(self, sim, api):
+    def test_get_returns_shared_frozen_snapshot(self, sim, api):
+        """Every read of one revision is the same object, and the guard
+        makes editing it an error; ``copy()`` is the private object."""
         setup_namespace(sim, api)
         run(sim, api.create(ADMIN, make_pod("p")))
+        before = (api.decodes, api.decode_hits)
         a = run(sim, api.get(ADMIN, "pods", "p", namespace="default"))
         b = run(sim, api.get(ADMIN, "pods", "p", namespace="default"))
-        a.status.phase = "Hacked"
+        listed, _rv = run(sim, api.list(ADMIN, "pods", namespace="default"))
+        assert a is b and len(listed) == 1 and listed[0] is a
+        assert (api.decodes, api.decode_hits) == (before[0] + 1,
+                                                  before[1] + 2)
+        with pytest.raises(FrozenError):
+            a.status.phase = "Hacked"
+        with pytest.raises(FrozenError):
+            a.metadata.labels["x"] = "y"
+        mine = a.copy()
+        mine.status.phase = "Hacked"
         assert b.status.phase == "Pending"
 
     def test_get_missing(self, sim, api):
@@ -135,19 +148,29 @@ class TestGetListUpdate:
         setup_namespace(sim, api)
         run(sim, api.create(ADMIN, make_pod("a", labels={"app": "web"})))
         run(sim, api.create(ADMIN, make_pod("b", labels={"app": "db"})))
+        run(sim, api.create(ADMIN, make_pod("unlabelled")))
+        before = api.decodes
         items, _rv = run(sim, api.list(ADMIN, "pods", namespace="default",
                                        label_selector=parse_selector(
                                            "app=web")))
         assert [p.name for p in items] == ["a"]
+        # Selected on the wire value: only the match was decoded.
+        assert api.decodes - before == 1
+        items, _rv = run(sim, api.list(ADMIN, "pods", namespace="default",
+                                       label_selector=parse_selector(
+                                           "app!=web")))
+        assert [p.name for p in items] == ["b", "unlabelled"]
 
     def test_list_with_field_selector(self, sim, api):
         setup_namespace(sim, api)
         run(sim, api.create(ADMIN, make_pod("a", node_name="n1")))
         run(sim, api.create(ADMIN, make_pod("b")))
+        before = api.decodes
         items, _rv = run(sim, api.list(
             ADMIN, "pods", namespace="default",
             field_selector={"spec.nodeName": "n1"}))
         assert [p.name for p in items] == ["a"]
+        assert api.decodes - before == 1    # "b" was never decoded
 
     def test_update_with_stale_rv_conflicts(self, sim, api):
         setup_namespace(sim, api)
@@ -211,8 +234,8 @@ class TestDelete:
         assert deleted.metadata.deletion_timestamp is not None
         # Still present until the finalizer is removed.
         fresh = run(sim, api.get(ADMIN, "pods", "p", namespace="default"))
-        fresh.metadata.finalizers = []
-        run(sim, api.update(ADMIN, fresh))
+        run(sim, api.update(ADMIN, fresh.replace(
+            metadata=fresh.metadata.replace(finalizers=[]))))
         with pytest.raises(NotFound):
             run(sim, api.get(ADMIN, "pods", "p", namespace="default"))
 
@@ -284,8 +307,9 @@ class TestWatch:
             yield from api.create(ADMIN, make_pod("p"))
             pod = yield from api.get(ADMIN, "pods", "p",
                                      namespace="default")
-            pod.status.phase = "Running"
-            yield from api.update(ADMIN, pod, subresource="status")
+            yield from api.update(
+                ADMIN, pod.replace(status=pod.status.replace(phase="Running")),
+                subresource="status")
 
         sim.process(consumer())
         sim.process(producer())

@@ -5,6 +5,7 @@ import pytest
 from repro.apiserver import ADMIN, APIServer, TooManyRequests
 from repro.clientgo import Client, InformerFactory, SharedInformer
 from repro.objects import make_namespace, make_pod
+from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 
 
@@ -131,14 +132,34 @@ class TestInformer:
         assert events == [("add", "p"), ("update", "p"), ("delete", "p")]
 
     def test_get_copy_isolated_from_cache(self, sim, client):
+        """A cache entry is a shared frozen snapshot — the same object in
+        every informer on that apiserver — so mutating it raises at any
+        depth; ``copy()``/``replace()`` give the writer its own object."""
         bootstrap(sim, client)
-        informer = SharedInformer(sim, client, "pods")
-        informer.start()
-        run(sim, client.create(make_pod("p")))
+        informers = [SharedInformer(sim, client, "pods") for _ in range(2)]
+        for informer in informers:
+            informer.start()
+        run(sim, client.create(make_pod("p", labels={"app": "x"})))
         sim.run(until=sim.now + 0.5)
-        copy1 = informer.cache.get_copy("default/p")
-        copy1.status.phase = "Mutated"
-        assert informer.cache.get("default/p").status.phase == "Pending"
+        entry = informers[0].cache.get("default/p")
+        assert informers[1].cache.get("default/p") is entry
+        assert run(sim, client.get("pods", "p", namespace="default")) is entry
+        for mutate in (
+                lambda: setattr(entry, "status", None),
+                lambda: setattr(entry.status, "phase", "Mutated"),
+                lambda: delattr(entry.spec, "node_name"),
+                lambda: entry.metadata.labels.__setitem__("app", "y"),
+                lambda: entry.spec.containers.append(None),
+                lambda: setattr(entry.spec.containers[0], "image", "evil")):
+            with pytest.raises(FrozenError):
+                mutate()
+        mine = entry.copy()
+        mine.status.phase = "Mutated"
+        mine.metadata.labels["app"] = "y"
+        shell = entry.replace(status=entry.status.replace(phase="Shell"))
+        assert shell.spec is entry.spec
+        assert entry.status.phase == "Pending"
+        assert entry.metadata.labels == {"app": "x"}
 
     def test_relist_after_apiserver_crash(self, sim, api, client):
         bootstrap(sim, client)

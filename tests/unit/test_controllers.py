@@ -136,8 +136,8 @@ class TestReplicaSetController:
         def scale():
             rs = yield from cluster.client.get("replicasets", "rs",
                                                namespace="default")
-            rs.spec.replicas = 1
-            yield from cluster.client.update(rs)
+            yield from cluster.client.update(
+                rs.replace(spec=rs.spec.replace(replicas=1)))
 
         cluster.run(scale())
         cluster.settle(3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 from repro.storage import (
     EVENT_DELETE,
@@ -59,14 +60,68 @@ class TestCrud:
             store.get("/registry/pods/ns/a")
 
     def test_values_are_isolated_copies(self, store):
-        original = {"nested": {"x": 1}}
+        """The contract that replaced "copies in and out": the store
+        owns what it is handed and nobody can change it afterwards —
+        under the guard a read value raises on mutation at any depth,
+        and the hand-off leaves the writer's own dict as it was."""
+        original = {"nested": {"x": 1, "items": [{"y": 2}]}, "tags": ["a"]}
         store.create("/registry/pods/ns/a", original)
-        original["nested"]["x"] = 99
+        assert type(original) is dict and type(original["tags"]) is list
+        assert original == {"nested": {"x": 1, "items": [{"y": 2}]},
+                            "tags": ["a"]}
         value, _mod = store.get("/registry/pods/ns/a")
-        assert value["nested"]["x"] == 1
-        value["nested"]["x"] = 42
-        value2, _mod = store.get("/registry/pods/ns/a")
-        assert value2["nested"]["x"] == 1
+        assert value == original
+        for mutate in (
+                lambda: value.update(z=1),
+                lambda: value.__setitem__("nested", {}),
+                lambda: value.pop("tags"),
+                lambda: value["nested"].__setitem__("x", 42),
+                lambda: value["nested"].__delitem__("x"),
+                lambda: value["nested"]["items"].append({}),
+                lambda: value["nested"]["items"][0].setdefault("w", 0),
+                lambda: value["tags"].sort(),
+                lambda: value["tags"].__iadd__(["b"])):
+            with pytest.raises(FrozenError):
+                mutate()
+        assert store.get("/registry/pods/ns/a")[0] == original
+
+    def test_one_dict_per_revision_everywhere(self, store):
+        """get, list_prefix, the PUT event, the next event's prev_value,
+        events_since, snapshot() and dump() all hand out the same dict."""
+        key = "/registry/pods/ns/a"
+        watch = store.watch("/registry/pods/")
+        store.create(key, {"v": 1})
+        value, _mod = store.get(key)
+        assert store.get(key)[0] is value
+        assert store.try_get(key)[0] is value
+        items, _rev = store.list_prefix("/registry/pods/")
+        assert items[0][1] is value
+        put = watch.channel.get().value
+        assert put.value is value and put.stored is store.get_stored(key)
+        assert store.snapshot()["data"][key][0] is value
+        assert store.dump()[key][0] is value
+        store.update(key, {"v": 2})
+        update = watch.channel.get().value
+        assert update.prev_value is value
+        assert update.value is store.get(key)[0] is not value
+        assert [e.value for e in store.events_since(0)] == [{"v": 1},
+                                                            {"v": 2}]
+        assert store.events_since(0)[0].value is value
+        store.delete(key)
+        deleted = watch.channel.get().value
+        assert deleted.value is update.value
+        # A DELETE decodes at the delete revision: its own memo record.
+        assert deleted.stored is not update.stored
+        assert deleted.stored.mod_revision == deleted.revision
+
+    def test_create_accepts_one_wire_for_many_keys(self, store):
+        wire = {"v": 1}
+        for index in range(3):
+            store.create(f"/registry/pods/ns/p{index}", wire)
+        assert wire == {"v": 1}
+        values = [value for _key, value, _rev
+                  in store.list_prefix("/registry/pods/")[0]]
+        assert values == [wire] * 3
 
 
 class TestCas:

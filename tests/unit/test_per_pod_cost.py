@@ -1,17 +1,44 @@
 """Tier-1 guard: per-Pod work on the super cluster must not grow with
-the number of nodes (and so of ``spec.nodeName`` watchers).
+the number of nodes (and so of ``spec.nodeName`` watchers), nor with the
+number of readers of an object.
 
 Exact counts only — no clock is read — so a reintroduced O(nodes) loop
-in watch fan-out or in the scheduler's resource arithmetic fails here on
-any machine, however loaded.
+in watch fan-out or in the scheduler's resource arithmetic, or a
+per-reader decode or copy on the object plane, fails here on any
+machine, however loaded.
 """
+
+import sys
 
 import pytest
 
 from repro.core import VirtualClusterEnv
-from repro.objects import Quantity, make_namespace, make_pod
+from repro.objects import Pod, Quantity, make_namespace, make_pod
+from repro.objects.base import Serializable, fast_deep_copy
+from repro.simkernel import Simulation
+from repro.storage import EtcdStore
 
 PODS = 30
+
+
+def _submit_and_wait(env, admin):
+    """Create PODS Pods in namespace ``load`` straight in the super
+    cluster and run until the syncer's cache shows them all Ready."""
+    pods = env.syncer.super_informer("pods").cache
+
+    def submit():
+        for index in range(PODS):
+            yield from admin.create(make_pod(
+                f"p{index:02d}", namespace="load", cpu="100m",
+                memory="64Mi"))
+
+    def all_ready():
+        return sum(1 for pod in pods.items()
+                   if pod.metadata.namespace == "load"
+                   and pod.status.is_ready) == PODS
+
+    env.run_coroutine(submit())
+    assert env.run_until(all_ready, timeout=60.0)
 
 
 def _drive(nodes):
@@ -26,26 +53,13 @@ def _drive(nodes):
     scheduler = env.super_cluster.scheduler
     before = dict(store.stats(), cycles=scheduler.cycles,
                   filters=scheduler.filter_evaluations)
-    pods = env.syncer.super_informer("pods").cache
     parses = []
     original = Quantity.parse.__func__
-
-    def submit():
-        for index in range(PODS):
-            yield from admin.create(make_pod(
-                f"p{index:02d}", namespace="load", cpu="100m",
-                memory="64Mi"))
-
-    def all_ready():
-        return sum(1 for pod in pods.items()
-                   if pod.metadata.namespace == "load"
-                   and pod.status.is_ready) == PODS
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Quantity, "parse", classmethod(
             lambda cls, text: parses.append(1) or original(cls, text)))
-        env.run_coroutine(submit())
-        assert env.run_until(all_ready, timeout=60.0)
+        _submit_and_wait(env, admin)
     after = store.stats()
     assert scheduler.scheduled_count >= PODS
     return {
@@ -86,3 +100,114 @@ def test_quantity_parsing_is_independent_of_node_count(counts):
 def test_healthy_nodes_cost_one_filter_evaluation_each(counts):
     for nodes, count in counts.items():
         assert count["filters"] == nodes * PODS
+
+
+# ----------------------------------------------------------------------
+# Object plane: one decode per revision however many readers there are,
+# no copy in the store, and few deep copies per synced Pod.
+# ----------------------------------------------------------------------
+
+
+def _drive_watchers(extra):
+    """The direct-to-super load with ``extra`` more Pod watch streams
+    open and consumed; returns decode counts for the time in flight."""
+    env = VirtualClusterEnv(seed=11, num_virtual_nodes=10)
+    env.bootstrap()
+    admin = env.super_admin_client()
+    env.run_coroutine(admin.create(make_namespace("load")))
+    api = env.super_cluster.api
+    seen = [[] for _ in range(extra)]
+
+    def consume(stream, into):
+        while True:
+            _kind, pod = yield from stream.next()
+            into.append(pod)
+
+    for into in seen:
+        env.sim.spawn(consume(admin.watch("pods", namespace="load"), into),
+                      name="extra-watcher")
+    env.run_for(1.0)
+    decoded = []
+    original = Pod.from_dict.__func__
+
+    before = api.decodes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Pod, "from_dict", classmethod(
+            lambda cls, data: decoded.append(1) or original(cls, data)))
+        _submit_and_wait(env, admin)
+        env.run_for(1.0)    # let every stream drain
+    return {"from_dict": len(decoded), "decodes": api.decodes - before,
+            "seen": seen, "cache": env.syncer.super_informer("pods").cache}
+
+
+@pytest.fixture(scope="module")
+def watcher_counts():
+    return {extra: _drive_watchers(extra) for extra in (1, 4)}
+
+
+def test_decodes_are_independent_of_watcher_count(watcher_counts):
+    """Five Pod watchers cost no more decodes than two: every stream,
+    informer cache and ``get`` shares one snapshot per revision."""
+    one, four = watcher_counts[1], watcher_counts[4]
+    assert one["decodes"] == four["decodes"] > 0
+    assert one["from_dict"] == four["from_dict"] > 0
+    streams = four["seen"]
+    assert all(len(stream) == len(streams[0]) > PODS for stream in streams)
+    for events in zip(*streams):        # the same object on every stream
+        assert all(pod is events[0] for pod in events)
+    last = {pod.key: pod for pod in streams[0]}
+    for key, pod in last.items():       # ... and in the informer cache
+        assert four["cache"].get(key) is pod
+
+
+def test_store_never_deep_copies():
+    """create/update/get/list/watch/snapshot/restore hand the one dict
+    around: ``fast_deep_copy`` is never entered from the storage layer."""
+    store = EtcdStore(Simulation(), name="no-copies")
+    entered = []
+    target = fast_deep_copy.__code__
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is target:
+            entered.append(frame.f_back.f_globals["__name__"])
+
+    sys.setprofile(profile)
+    try:
+        watch = store.watch("/registry/pods/")
+        wire = make_pod("p", cpu="100m").to_dict()
+        for index in range(3):
+            store.create(f"/registry/pods/ns/p{index}", wire)
+        store.update("/registry/pods/ns/p0", wire)
+        store.get("/registry/pods/ns/p0")
+        store.try_get("/registry/pods/ns/p1")
+        store.list_prefix("/registry/pods/")
+        store.delete("/registry/pods/ns/p2")
+        replay = store.events_since(2)
+        snapshot = store.snapshot()
+        store.dump()
+        store.restore(snapshot, replay=replay)
+        assert len(watch.channel) == 5
+    finally:
+        sys.setprofile(None)
+    # The serde's own thaw of a frozen wire is not the store's.
+    assert [name for name in entered
+            if name.startswith("repro.storage")] == []
+
+
+def test_deep_copies_per_synced_pod_stay_small(monkeypatch):
+    """A Pod synced through one tenant (create, downward, schedule,
+    bind, ack, upward) costs at most 10 ``copy()`` calls, all layers."""
+    env = VirtualClusterEnv(seed=11, num_virtual_nodes=4)
+    env.bootstrap()
+    tenant = env.run_coroutine(env.create_tenant("solo"))
+    env.run_for(1.0)
+    copies = []
+    original = Serializable.copy
+    monkeypatch.setattr(Serializable, "copy",
+                        lambda obj: copies.append(1) or original(obj))
+    for index in range(PODS):
+        env.run_coroutine(tenant.create_pod(f"p{index:02d}"))
+    env.run_until_pods_ready(
+        tenant, [f"default/p{index:02d}" for index in range(PODS)],
+        timeout=120.0)
+    assert 0 < len(copies) <= 10 * PODS, len(copies) / PODS

@@ -3,6 +3,7 @@ reads, and crash recovery of the store group (DESIGN.md §13)."""
 
 import pytest
 
+from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 from repro.storage import (
     CompactedError,
@@ -47,6 +48,27 @@ class TestReplication:
             if replica.role == "follower":
                 assert dict(replica.store.dump()) == leader_dump
                 assert replica.applied_revision == store.revision
+
+    def test_follower_apply_converges_with_shared_values(self):
+        """A follower stores the applied value as is (one dict for its
+        store and its own WAL record); the group still converges to
+        equal dumps, and a follower's values are as read-only as the
+        leader's."""
+        sim, store = make_group()
+        fill(store, 5)
+        store.update("/registry/pods/ns/p001", {"n": [1, {"deep": 2}]})
+        store.delete("/registry/pods/ns/p004")
+        settle(sim, store)
+        follower = next(r for r in store.replicas if r.role == "follower")
+        assert follower.store.dump() == store.leader.store.dump()
+        value, _rev = follower.store.get("/registry/pods/ns/p001")
+        with pytest.raises(FrozenError):
+            value["n"][1]["deep"] = 3
+        # The follower's own log rebuilds the same image.
+        expected = follower.store.dump()
+        follower.store.power_off()
+        follower.store.recover_from_wal()
+        assert follower.store.dump() == expected
 
     def test_replica_lag_is_tracked(self):
         sim, store = make_group()

@@ -1,11 +1,14 @@
 """Unit tests for scheduler plugins and the sequential scheduling loop."""
 
+import sys
+
 import pytest
 
 from repro.apiserver import ADMIN, APIServer
 from repro.clientgo import Client, InformerFactory
 from repro.config import DEFAULT_CONFIG
 from repro.objects import (
+    Pod,
     Taint,
     Toleration,
     make_namespace,
@@ -347,12 +350,17 @@ class TestIncrementalSnapshot:
 
     def test_cycle_reads_the_cached_pod_and_never_edits_it(self, sim,
                                                            monkeypatch):
-        """One copy for the assumed Pod (or for the failure write), none
-        just to look at the Pod."""
+        """No deep copy of the Pod in a cycle: the assumed Pod is a
+        ``replace`` shell, the failure write copies only the status."""
         harness = _Harness(sim, num_nodes=1, cpu="1")
         cache = harness.scheduler._pod_informer.cache
-        taken = []
-        monkeypatch.setattr(cache, "get_copy", taken.append)
+        copiers = []   # module of every caller that deep-copies a Pod
+
+        def counting_copy(pod):
+            copiers.append(sys._getframe(1).f_globals["__name__"])
+            return Pod.from_dict(pod.to_dict())
+
+        monkeypatch.setattr(Pod, "copy", counting_copy)
         harness.run(harness.client.create(make_pod("fits")))
         harness.run(harness.client.create(make_pod("big", cpu="64")))
         originals = {key: cache.get(key) for key in cache.keys()}
@@ -361,6 +369,7 @@ class TestIncrementalSnapshot:
         sim.run(until=sim.now + 2)
         assert harness.scheduler.scheduled_count == 1
         assert harness.scheduler.failed_count >= 1
-        assert taken == []
+        assert "repro.apiserver.server" in copiers     # the bind's update
+        assert "repro.scheduler.scheduler" not in copiers
         for key, pod in originals.items():
             assert pod.to_dict() == seen[key]   # not edited in place

@@ -9,6 +9,7 @@ import pytest
 
 from repro.apiserver import ADMIN, APIServer, FencingConflict
 from repro.objects import make_namespace, make_pod
+from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 from repro.storage import (
     EtcdStore,
@@ -47,12 +48,37 @@ class TestSnapshotRestore:
 
     def test_snapshot_is_isolated_from_later_mutation(self, store):
         populate(store, count=1)
+        held, _revision = store.get("/registry/pods/ns/p0")
         snapshot = store.snapshot()
         store.update("/registry/pods/ns/p0", {"v": "changed"})
-        # The snapshot holds deep copies, not references.
+        # The snapshot shares the stored dict; a later write replaces
+        # the store's value and never touches the one the image holds.
+        assert snapshot["data"]["/registry/pods/ns/p0"][0] is held
         store.restore(snapshot)
         value, _revision = store.get("/registry/pods/ns/p0")
-        assert value == {"v": 0}
+        assert value == {"v": 0} and value is held
+
+    def test_stores_restored_from_one_image_share_values_safely(self, store):
+        """restore(snapshot, replay) hands the same dicts to every store
+        built from them; they converge to equal dumps and then diverge
+        independently, with nothing required of the caller."""
+        populate(store)
+        snapshot = store.snapshot()
+        store.update("/registry/pods/ns/p0", {"v": "post"})
+        store.delete("/registry/pods/ns/p1")
+        replay = store.events_since(snapshot["revision"])
+        twins = [EtcdStore(Simulation(), name=f"twin-{i}") for i in range(2)]
+        for twin in twins:
+            twin.restore(snapshot, replay=replay)
+            assert twin.dump() == store.dump()
+        key = "/registry/pods/ns/p0"
+        assert twins[0].get(key)[0] is twins[1].get(key)[0] is \
+            store.get(key)[0]
+        twins[0].update(key, {"v": "only-here"})
+        assert twins[1].dump() == store.dump()
+        assert twins[0].get(key)[0] == {"v": "only-here"}
+        with pytest.raises(FrozenError):
+            twins[1].get(key)[0]["v"] = "leak"
 
     def test_restore_with_wal_replay_reaches_latest_state(self, store):
         populate(store)
@@ -102,12 +128,17 @@ class TestSnapshotRestore:
         store.create("/registry/pods/ns/late", {})
         assert len(store._watches) == 0
 
-    def test_events_since_returns_detached_copies(self, store):
+    def test_events_since_returns_frozen_events(self, store):
+        """The tail is the held events themselves; their values are the
+        stored dicts, which the guard makes read-only."""
         populate(store, count=1)
         events = store.events_since(0)
-        events[0].value["v"] = "mutated"
+        with pytest.raises(FrozenError):
+            events[0].value["v"] = "mutated"
+        events.clear()      # the list itself is the caller's
         fresh = store.events_since(0)
         assert fresh[0].value == {"v": 0}
+        assert fresh[0].value is store.get(fresh[0].key)[0]
 
     def test_wipe_loses_everything(self, store):
         populate(store)

@@ -214,6 +214,99 @@ class TestC005UnfencedWrites:
         """) == []
 
 
+class TestC006SnapshotMutation:
+    def test_cache_entry_edited_in_place_flagged(self, tmp_path):
+        assert codes(tmp_path, """
+            class R:
+                def reconcile(self, key):
+                    pod = self.informer.cache.get(key)
+                    pod.status.phase = "Running"
+                    pod.metadata.labels["a"] = "b"
+                    del pod.spec.node_name
+                    pod.metadata.generation += 1
+                    pod.metadata.finalizers.append("x")
+        """) == ["C006"] * 5
+
+    def test_copy_or_replace_rebinding_clears(self, tmp_path):
+        assert codes(tmp_path, """
+            class R:
+                def reconcile(self, key):
+                    pod = self.tenant_cache(key).get(key)
+                    pod = pod.copy()
+                    pod.status.phase = "Running"
+                    node = self.node_cache.get(key)
+                    status = node.status.copy()
+                    status.conditions.append(None)
+                    node = node.replace(status=status)
+                    node.metadata = node.metadata.replace(labels={})
+                    labels = dict(node.metadata.labels)
+                    labels["a"] = "b"
+        """) == []
+
+    def test_client_get_result_and_alias_flagged(self, tmp_path):
+        assert codes(tmp_path, """
+            class E:
+                def renew(self):
+                    lease = yield from self.client.get("leases", "x")
+                    spec = lease.spec
+                    spec.renew_time = 1.0
+                    yield from self.client.update(lease)
+        """) == ["C006"]
+
+    def test_client_list_items_flagged_and_responses_are_not(self, tmp_path):
+        assert codes(tmp_path, """
+            class E:
+                def sweep(self):
+                    pods, _rv = yield from self.client.list("pods")
+                    for pod in pods:
+                        pod.metadata.labels.update(swept="yes")
+                    pods[0].status = None
+                    pods.sort(key=str)      # the list is the caller's
+                    created = yield from self.client.create(pods[0].copy())
+                    created.metadata.labels["mine"] = "yes"
+        """) == ["C006", "C006"]
+
+    def test_index_reads_taint_their_elements(self, tmp_path):
+        assert codes(tmp_path, """
+            class R:
+                def reconcile(self, namespace):
+                    for rs in self._sets.cache.by_namespace(namespace):
+                        rs.spec.replicas = 0
+                    owned = self.cache.select_labels({"a": "b"})
+                    first = owned[0]
+                    first.status.replicas = 1
+                    for mapping in self.table.items():
+                        mapping.count = 1   # not a cache
+        """) == ["C006", "C006"]
+
+    def test_informer_handler_argument_flagged(self, tmp_path):
+        assert codes(tmp_path, """
+            class C:
+                def __init__(self, informer):
+                    informer.add_handlers(on_add=self._on_add,
+                                          on_update=self._on_update)
+
+                def _on_add(self, pod):
+                    pod.status.phase = "Seen"
+
+                def _on_update(self, old, new):
+                    self.enqueue(new.key)
+
+                def helper(self, pod):
+                    pod.status.phase = "fine: not a handler"
+        """) == ["C006"]
+
+    def test_queue_get_and_plain_dict_get_not_sources(self, tmp_path):
+        assert codes(tmp_path, """
+            class W:
+                def run(self):
+                    item = yield self.queue.get()
+                    item.attempts += 1
+                    entry = self.table.get("k")
+                    entry.count = 2
+        """) == []
+
+
 class TestSuppressionsAndStrict:
     def test_inline_allow_suppresses(self, tmp_path):
         result = check_source(tmp_path, """
@@ -271,7 +364,7 @@ class TestGoldenCorpus:
         result = check_paths(
             ["tests/fixtures/staticcheck/findings_corpus.py"])
         assert {f.code for f in result.active} == {
-            "C001", "C002", "C003", "C004", "C005"}
+            "C001", "C002", "C003", "C004", "C005", "C006"}
 
 
 @pytest.mark.staticcheck
@@ -318,7 +411,7 @@ class TestCli:
         payload = json.loads(out)
         assert payload["ok"] is False
         assert {f["code"] for f in payload["findings"]} == {
-            "C001", "C002", "C003", "C004", "C005"}
+            "C001", "C002", "C003", "C004", "C005", "C006"}
 
     def test_sarif_format_is_valid_sarif_2_1(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -330,7 +423,7 @@ class TestCli:
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"C001", "C002", "C003", "C004", "C005"} <= \
+        assert {"C001", "C002", "C003", "C004", "C005", "C006"} <= \
             rule_ids
         assert all(r["ruleId"].startswith("C") for r in run["results"])
 
@@ -338,7 +431,7 @@ class TestCli:
         code, out = self._run(["rules"], capsys)
         assert code == 0
         assert "D-pack" in out and "C-pack" in out
-        for rule in ("D001", "D006", "C001", "C005"):
+        for rule in ("D001", "D006", "C001", "C006"):
             assert rule in out
 
     def test_missing_path_is_usage_error(self, capsys):

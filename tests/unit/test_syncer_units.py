@@ -114,7 +114,8 @@ class TestSpecComparison:
 
     def test_real_divergence_detected(self, vc):
         tenant_pod = make_pod("p")
-        super_pod = to_super_pod(tenant_pod, vc)
+        # to_super shares the tenant's spec; take a private object to edit.
+        super_pod = to_super_pod(tenant_pod, vc).copy()
         super_pod.spec.containers[0].image = "different"
         assert not specs_equivalent(tenant_pod, super_pod)
 

@@ -1,17 +1,20 @@
 """Regression: vNode heartbeat broadcast is O(distinct nodes) in cache reads.
 
-The heartbeat loop copies the physical node's conditions into every
-tenant's matching vNode each tick.  It used to do one super-node cache
-``get_copy`` per (tenant, node) pair — O(nodes x tenants) deep copies
+The heartbeat loop writes the physical node's conditions into every
+tenant's matching vNode each tick.  It used to do one deep-copying
+super-node cache lookup per (tenant, node) pair — O(nodes x tenants)
 per tick even though every tenant sharing a node needs the *same*
-conditions.  The loop now memoizes one lookup per distinct node per
-tick; this test pins that access pattern via the cache's ``gets``
-counter so the quadratic behavior cannot quietly come back.
+conditions.  The loop reads one shared snapshot per distinct node per
+tick and copies nothing; this test pins both so neither the quadratic
+lookups nor the copies can quietly come back.
 """
+
+import sys
 
 import pytest
 
 from repro.core import VirtualClusterEnv
+from repro.objects.base import Serializable
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +32,7 @@ def env():
     return env
 
 
-def test_heartbeat_lookups_scale_with_distinct_nodes(env):
+def test_heartbeat_lookups_scale_with_distinct_nodes(env, monkeypatch):
     vnodes = env.syncer.vnodes
     bindings = vnodes._bindings
     pairs = sum(len(nodes) for nodes in bindings.values())
@@ -38,27 +41,39 @@ def test_heartbeat_lookups_scale_with_distinct_nodes(env):
     assert pairs > distinct, "setup must bind multiple tenants per node"
 
     node_cache = env.syncer.super_informer("nodes").cache
-    # Count copy-lookups only: the plain-``get`` path is also hit by the
+    # Count the broadcast loop's lookups only: ``get`` is also hit by the
     # reflector delivering the physical nodes' own heartbeat events,
-    # which is unrelated to the broadcast loop under test.
-    copies = {"count": 0}
-    real_get_copy = node_cache.get_copy
+    # which is unrelated to the loop under test.
+    counts = {"lookups": 0, "copies": 0}
+    real_get = node_cache.get
 
-    def counting_get_copy(key):
-        copies["count"] += 1
-        return real_get_copy(key)
+    def from_broadcast_loop(frame):
+        return (frame.f_code.co_name == "_heartbeat_loop"
+                and frame.f_globals["__name__"] == "repro.core.syncer.vnode")
 
-    node_cache.get_copy = counting_get_copy
+    def counting_get(key):
+        if from_broadcast_loop(sys._getframe(1)):
+            counts["lookups"] += 1
+        return real_get(key)
+
+    def counting_copy(obj):
+        if from_broadcast_loop(sys._getframe(1)):
+            counts["copies"] += 1
+        return type(obj).from_dict(obj.to_dict())
+
+    node_cache.get = counting_get
+    monkeypatch.setattr(Serializable, "copy", counting_copy)
     try:
         sent_before = vnodes.heartbeats_sent
         env.run_for(vnodes.heartbeat_interval * 5)
     finally:
-        node_cache.get_copy = real_get_copy
+        del node_cache.get
     ticks, remainder = divmod(vnodes.heartbeats_sent - sent_before, pairs)
     assert ticks >= 4
     assert remainder == 0, "every tick heartbeats every (tenant, node) pair"
+    assert counts["copies"] == 0, "the broadcast shares snapshots"
 
-    lookups = copies["count"]
+    lookups = counts["lookups"]
     # One memoized lookup per distinct node per tick — NOT per pair.
     assert lookups == ticks * distinct, (
         f"{lookups} node-cache lookups over {ticks} ticks; expected "
@@ -67,7 +82,7 @@ def test_heartbeat_lookups_scale_with_distinct_nodes(env):
 
 
 def test_heartbeat_updates_every_tenant_vnode(env):
-    """Sharing one copied super node across tenants must still stamp
+    """Sharing one super-node snapshot across tenants must still stamp
     every tenant's vNode conditions at the tick's sim time."""
     vnodes = env.syncer.vnodes
     env.run_for(vnodes.heartbeat_interval * 2)
@@ -76,7 +91,7 @@ def test_heartbeat_updates_every_tenant_vnode(env):
     for tenant, nodes in vnodes._bindings.items():
         cache = env.syncer.tenant_informer(tenant, "nodes").cache
         for node_name in nodes:
-            vnode = cache.get_copy(node_name)
+            vnode = cache.get(node_name)
             assert vnode is not None
             assert vnode.status.conditions, "heartbeat must copy conditions"
             for condition in vnode.status.conditions:

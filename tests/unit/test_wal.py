@@ -7,6 +7,7 @@ rolling, and snapshot-anchored compaction (DESIGN.md §13).
 
 import pytest
 
+from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 from repro.storage import (
     EVENT_PUT,
@@ -78,6 +79,24 @@ class TestRecovery:
         assert store.available
         assert dict(store.dump()) == expected
         assert store.recoveries == 1
+
+    def test_recovered_values_are_shared_and_read_only(self):
+        """Recovery applies each decoded record's value as is: reads,
+        dump() and the re-anchored snapshot hold that one dict."""
+        sim = Simulation(seed=2)
+        store = make_store(sim)
+        fill(store, 3)
+        store.update("/registry/pods/ns/p001", {"n": {"deep": [1]}})
+        expected = dict(store.dump())
+        store.power_off()
+        store.recover_from_wal()
+        assert dict(store.dump()) == expected
+        key = "/registry/pods/ns/p001"
+        value, _rev = store.get(key)
+        assert store.dump()[key][0] is value
+        assert store.snapshot()["data"][key][0] is value
+        with pytest.raises(FrozenError):
+            value["n"]["deep"].append(2)
 
     def test_recover_is_idempotent(self):
         sim = Simulation(seed=2)
