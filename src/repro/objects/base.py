@@ -1,10 +1,11 @@
 """Declarative serialization base for Kubernetes-style API objects.
 
 Every API type declares its fields once via :class:`Field`; the base class
-derives the constructor behaviour, ``to_dict``/``from_dict`` (using the
-Kubernetes camelCase wire names), deep copy, shallow copy-on-write
-(``replace``) and structural equality.  The wire format is JSON-shaped
-dicts, which is what the simulated etcd stores.
+derives the instance layout, the constructor behaviour,
+``to_dict``/``from_dict`` (using the Kubernetes camelCase wire names),
+deep copy (``copy``), shallow copy-on-write (``replace``) and structural
+equality.  The wire format is JSON-shaped dicts, which is what the
+simulated etcd stores.
 
 Object plane contract (DESIGN.md "Object plane"): a written value is
 immutable and shared, not copied.  The serde is the one place where
@@ -17,15 +18,26 @@ not mutate it, and writers derive their own object from it with
 private).  :func:`freeze` is the guard for that rule — see
 :func:`set_freeze_guard`.
 
+Objects are lean because the informer caches hold one per object per
+revision: every type is slotted (``__slots__`` derived from its own
+``FIELDS``, so no instance carries a ``__dict__``), and ``from_dict``
+gives every absent collection whose default is an empty list or dict
+one shared, always-immutable empty (:data:`EMPTY_LIST`,
+:data:`EMPTY_DICT`) instead of a fresh container per decode.  Objects
+built with the constructor or ``copy()`` get fresh mutable containers.
+
 Serde is the kernel's hottest path (profiling the Fig. 10 stress run
 puts ``from_dict``/``to_dict`` and their helpers at ~45% of total
 interpreter time), so ``__init_subclass__`` compiles a specialized
-``__init__``/``to_dict``/``from_dict`` per type — the field loop,
-container dispatch, and default handling are resolved at class-creation
-time, the way :mod:`dataclasses` builds ``__init__``.  The generated
-methods are the only serde: a subclass declares ``FIELDS`` and never
-writes them by hand.
+``__init__``/``to_dict``/``from_dict``/``replace`` per type — the field
+loop, container dispatch, and default handling are resolved at
+class-creation time, the way :mod:`dataclasses` builds ``__init__`` —
+and ``copy`` the first time a type's ``copy`` is looked up.  The
+generated methods are the only serde: a subclass declares ``FIELDS``
+and never writes them by hand.
 """
+
+from .quantity import Quantity
 
 
 class Field:
@@ -68,21 +80,41 @@ def _to_camel(snake):
     return head + "".join(part.capitalize() for part in rest)
 
 
-class Serializable:
+class _Slotted(type):
+    """Metaclass deriving ``__slots__`` from a class's own ``FIELDS``.
+
+    Inherited fields live in the base classes' slots, so no instance of
+    an API type has a ``__dict__``.
+    """
+
+    def __new__(mcls, name, bases, namespace, **kwargs):
+        if "__slots__" not in namespace:
+            namespace["__slots__"] = tuple(
+                field.py_name for field in namespace.get("FIELDS", ()))
+        return super().__new__(mcls, name, bases, namespace, **kwargs)
+
+
+class Serializable(metaclass=_Slotted):
     """Base class implementing serde over a ``FIELDS`` declaration.
 
-    Every subclass gets four generated methods (see
+    Every subclass gets five generated methods (see
     :class:`_SerdeCodegen`): ``__init__(**kwargs)`` filling undeclared
     fields with their defaults, ``to_dict()`` producing the camelCase
     wire representation, the classmethod ``from_dict(data)`` reading
-    it back (unknown keys ignored, ``None`` passed through), and
-    ``replace(**fields)`` — a new object of the same type holding the
-    given field values and, for every other field, *the same* value
+    it back (unknown keys ignored, ``None`` passed through, absent
+    empty-default collections shared immutable empties), ``copy()`` —
+    a fully private, mutable deep copy, compiled at its first lookup —
+    and ``replace(**fields)`` — a new object of the same type holding
+    the given field values and, for every other field, *the same* value
     object as ``self``.  ``replace`` is a shallow shell, not a deep
     copy: it is how a writer changes one field of a shared snapshot
     (``pod.replace(status=new_status)``) without touching it.
+
+    The one slot declared here is the freeze marker, set only by
+    :func:`freeze` under the guard.
     """
 
+    __slots__ = ("_frozen",)
     FIELDS = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -93,6 +125,8 @@ class Serializable:
         cls.to_dict = gen.gen_to_dict(fields)
         cls.from_dict = classmethod(gen.gen_from_dict(fields))
         cls.replace = gen.gen_replace(fields)
+        # Set on every class, so that none inherits its base's clone.
+        cls.copy = _COPY_ON_FIRST_USE
 
     @classmethod
     def _wire_header(cls):
@@ -114,11 +148,6 @@ class Serializable:
             cls._FIELD_INDEX = cached
         return cached
 
-    def copy(self):
-        """Deep copy via a wire round-trip: fully private and mutable,
-        whatever ``self`` shares or however it is frozen."""
-        return type(self).from_dict(self.to_dict())
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -135,6 +164,21 @@ class Serializable:
         if name is not None:
             return f"<{type(self).__name__} {name!r}>"
         return f"<{type(self).__name__} {self.to_dict()!r}>"
+
+
+class _CopyOnFirstUse:
+    """A class's ``copy`` until it is first looked up: the lookup
+    compiles the class's own direct clone and installs it in place of
+    this stand-in, so importing the API types pays nothing for the many
+    that a process never copies."""
+
+    def __get__(self, obj, owner):
+        fields = tuple(owner._field_index().values())
+        owner.copy = _SerdeCodegen(owner).gen_copy(fields)
+        return owner.copy.__get__(obj, owner)
+
+
+_COPY_ON_FIRST_USE = _CopyOnFirstUse()
 
 
 def fast_deep_copy(value):
@@ -167,7 +211,7 @@ def _dump(value):
 # ---------------------------------------------------------------------------
 
 _CONTAINER_TYPES = (dict, list)
-_FROZEN = "_frozen"     # marker key in a frozen node's __dict__
+_FROZEN = "_frozen"     # the marker slot, set on a frozen node
 _guard_on = False
 
 
@@ -215,11 +259,11 @@ def freeze(value):
 
 def _freeze(value):
     if isinstance(value, Serializable):
-        state = value.__dict__
-        if _FROZEN not in state:
-            for name, item in state.items():
-                state[name] = _freeze(item)
-            state[_FROZEN] = True
+        if not getattr(value, _FROZEN, False):
+            for name in type(value)._field_index():
+                object.__setattr__(value, name,
+                                   _freeze(getattr(value, name)))
+            object.__setattr__(value, _FROZEN, True)
         return value
     if isinstance(value, dict):
         if type(value) is FrozenDict:
@@ -233,7 +277,7 @@ def _freeze(value):
 
 
 def _guarded_setattr(self, name, value):
-    if _FROZEN in self.__dict__:
+    if getattr(self, _FROZEN, False):
         raise FrozenError(
             f"{type(self).__name__}.{name} assigned on a shared snapshot; "
             "derive a private object with replace() or copy() first")
@@ -241,7 +285,7 @@ def _guarded_setattr(self, name, value):
 
 
 def _guarded_delattr(self, name):
-    if _FROZEN in self.__dict__:
+    if getattr(self, _FROZEN, False):
         raise FrozenError(
             f"{type(self).__name__}.{name} deleted on a shared snapshot")
     object.__delattr__(self, name)
@@ -257,13 +301,13 @@ def _raising(name):
 
 
 class FrozenDict(dict):
-    """A dict whose mutators raise (guard-only; see :func:`freeze`)."""
+    """A dict whose mutators raise (see :func:`freeze`, :data:`EMPTY_DICT`)."""
 
     __slots__ = ()
 
 
 class FrozenList(list):
-    """A list whose mutators raise (guard-only; see :func:`freeze`)."""
+    """A list whose mutators raise (see :func:`freeze`, :data:`EMPTY_LIST`)."""
 
     __slots__ = ()
 
@@ -275,6 +319,13 @@ for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append",
               "clear", "extend", "insert", "pop", "remove", "reverse", "sort"):
     setattr(FrozenList, _name, _raising(_name))
 del _name
+
+# What ``from_dict`` puts in every absent collection field whose default
+# is an empty list / dict: one shared value, immutable whether or not
+# the guard is on, so a decoded object costs no container per absent
+# field.  Writers never edit a decoded object in place anyway.
+EMPTY_LIST = FrozenList()
+EMPTY_DICT = FrozenDict()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +340,7 @@ _SCALAR_TYPES = (str, int, float, bool)
 
 
 class _SerdeCodegen:
-    """Compiles specialized ``__init__``/``to_dict``/``from_dict``.
+    """Compiles the specialized per-class serde methods.
 
     The per-field dispatch (field iteration, container branching,
     default construction, nested-type probing) is resolved here once, at
@@ -299,11 +350,14 @@ class _SerdeCodegen:
     def __init__(self, cls):
         self.cls = cls
         self.ns = {
+            "cls": cls,
             "fast_deep_copy": fast_deep_copy,
             "_dump": _dump,
             "_MISSING": _MISSING,
             "_SCALAR_TYPES": _SCALAR_TYPES,
             "_CONTAINER_TYPES": _CONTAINER_TYPES,
+            "_EMPTY_LIST": EMPTY_LIST,
+            "_EMPTY_DICT": EMPTY_DICT,
         }
         self._n = 0
 
@@ -327,43 +381,64 @@ class _SerdeCodegen:
             return "None"
         return self.const("dv", field.default)
 
-    def gen_init(self, fields):
-        lines = ["def __init__(self, **kwargs):",
-                 "    d = self.__dict__",
-                 "    pop = kwargs.pop"]
-        for field in fields:
-            lines.append(f"    v = pop({field.py_name!r}, _MISSING)")
-            lines.append(f"    d[{field.py_name!r}] = "
-                         f"{self.default_expr(field)} if v is _MISSING else v")
-        lines += [
-            "    if kwargs:",
-            "        unknown = ', '.join(sorted(kwargs))",
+    def absent_expr(self, field):
+        """What ``from_dict`` stores for a field the wire omits: the
+        shared empty where the default is an empty list / dict."""
+        if field.default_factory is list:
+            return "_EMPTY_LIST"
+        if field.default_factory is dict:
+            return "_EMPTY_DICT"
+        return self.default_expr(field)
+
+    @staticmethod
+    def keeps_empty(field):
+        """Whether an empty collection is written to the wire.
+
+        Empty collections are omitted — except when the field's default
+        is non-empty, in which case an explicit empty value is
+        meaningful (e.g. a Namespace whose ``spec.finalizers`` were
+        cleared) and must round-trip rather than resurrect the default.
+        """
+        return field.default_factory is not None and bool(
+            field.default_factory())
+
+    def unknown_fields_check(self, kwargs):
+        return [
+            f"    if {kwargs}:",
+            f"        unknown = ', '.join(sorted({kwargs}))",
             f"        raise TypeError({self.cls.__name__ + ': unknown fields: '!r}"
             f" + unknown)",
         ]
+
+    def gen_init(self, fields):
+        lines = ["def __init__(self, **kwargs):",
+                 "    pop = kwargs.pop"]
+        for field in fields:
+            name = field.py_name
+            if field.default_factory is None:
+                lines.append(f"    self.{name} = pop({name!r}, "
+                             f"{self.default_expr(field)})")
+            else:   # only a missing field pays for its factory
+                lines.append(f"    v = pop({name!r}, _MISSING)")
+                lines.append(f"    self.{name} = "
+                             f"{self.default_expr(field)} if v is _MISSING else v")
+        lines += self.unknown_fields_check("kwargs")
         return self.compile("__init__", lines)
 
     def gen_replace(self, fields):
         lines = ["def replace(self, **changes):",
-                 "    state = self.__dict__",
                  "    pop = changes.pop",
-                 "    obj = cls.__new__(cls)",
-                 "    d = obj.__dict__"]
+                 "    obj = cls.__new__(cls)"]
         for field in fields:
-            lines.append(f"    v = pop({field.py_name!r}, _MISSING)")
-            lines.append(f"    d[{field.py_name!r}] = "
-                         f"state[{field.py_name!r}] if v is _MISSING else v")
-        lines += [
-            "    if changes:",
-            "        unknown = ', '.join(sorted(changes))",
-            f"        raise TypeError({self.cls.__name__ + ': unknown fields: '!r}"
-            f" + unknown)",
-            "    return obj",
-        ]
-        self.ns["cls"] = self.cls
+            name = field.py_name
+            lines.append(f"    obj.{name} = pop({name!r}, self.{name})")
+        lines += self.unknown_fields_check("changes")
+        lines.append("    return obj")
         return self.compile("replace", lines)
 
-    def load_expr(self, field, raw):
+    def load_expr(self, field, raw, fresh=False):
+        """``field``'s value decoded from wire value ``raw``; ``fresh``
+        copies a decoded child so that it holds no shared empty."""
         ftype = field.type
         if ftype is None:
             # Untyped payloads are copied so a decoded object never
@@ -373,12 +448,12 @@ class _SerdeCodegen:
         tname = self.const("ty", ftype)
         has_from_dict = hasattr(ftype, "from_dict")
         has_from_serialized = hasattr(ftype, "from_serialized")
+        decode = f"{tname}.from_dict({raw})" + (".copy()" if fresh else "")
         if has_from_dict and has_from_serialized:
-            return (f"({tname}.from_dict({raw}) if isinstance({raw}, dict)"
+            return (f"({decode} if isinstance({raw}, dict)"
                     f" else {tname}.from_serialized({raw}))")
         if has_from_dict:
-            return (f"({tname}.from_dict({raw}) if isinstance({raw}, dict)"
-                    f" else {raw})")
+            return f"({decode} if isinstance({raw}, dict) else {raw})"
         if has_from_serialized:
             return f"{tname}.from_serialized({raw})"
         return raw
@@ -388,7 +463,6 @@ class _SerdeCodegen:
                  "    if data is None:",
                  "        return None",
                  "    obj = cls.__new__(cls)",
-                 "    d = obj.__dict__",
                  "    get = data.get"]
         for field in fields:
             if field.container == "list":
@@ -399,11 +473,73 @@ class _SerdeCodegen:
             else:
                 expr = self.load_expr(field, "raw")
             lines.append(f"    raw = get({field.json_name!r})")
-            lines.append(f"    d[{field.py_name!r}] = "
-                         f"{self.default_expr(field)} if raw is None"
+            lines.append(f"    obj.{field.py_name} = "
+                         f"{self.absent_expr(field)} if raw is None"
                          f" else {expr}")
         lines.append("    return obj")
         return self.compile("from_dict", lines)
+
+    def loader(self, field):
+        """A compiled one-argument ``from_dict`` step for one wire value
+        of ``field``, returning a fresh object; returns its name."""
+        name = self.const("ld", None)
+        self.ns[name] = self.compile(
+            name, [f"def {name}(raw):",
+                   f"    return {self.load_expr(field, 'raw', fresh=True)}"])
+        return name
+
+    def copy_item_expr(self, field, item):
+        """``item`` (a field value or a collection element) as the wire
+        round trip would give it back, without the wire where possible:
+        scalars and :class:`Quantity` values are shared, a child of
+        exactly the declared type copies itself, untyped payloads go
+        through ``_dump`` (which copies containers), and anything else
+        — a dict or string standing in for a typed value, a subclass —
+        really is dumped and loaded."""
+        ftype = field.type
+        if ftype is None:
+            return (f"{item} if isinstance({item}, _SCALAR_TYPES)"
+                    f" else _dump({item})")
+        tname = self.const("ty", ftype)
+        reload = f"{self.loader(field)}(_dump({item}))"
+        if issubclass(ftype, Serializable):
+            return f"{item}.copy() if type({item}) is {tname} else {reload}"
+        if ftype is Quantity:
+            return f"{item} if type({item}) is {tname} else {reload}"
+        return reload
+
+    def copy_expr(self, field):
+        default = self.default_expr(field)
+        if field.container is None:
+            return f"{default} if v is None else {self.copy_item_expr(field, 'v')}"
+        if field.container == "list":
+            value = f"[{self.copy_item_expr(field, 'item')} for item in v]"
+            empty = "[]"
+        else:
+            value = (f"{{k: {self.copy_item_expr(field, 'item')}"
+                     f" for k, item in v.items()}}")
+            empty = "{}"
+        # An empty or absent collection comes back as to_dict + from_dict
+        # would return it, but always as a fresh container.
+        if field.default_factory in (list, dict):
+            fallback = empty
+        elif self.keeps_empty(field):
+            fallback = f"({empty} if v is not None else {default})"
+        else:
+            fallback = default
+        return f"{value} if v else {fallback}"
+
+    def gen_copy(self, fields):
+        lines = ["def copy(self):",
+                 '    """Deep copy: a fully private, mutable object equal'
+                 ' field for field to ``from_dict(to_dict())``, built'
+                 ' without the wire."""',
+                 "    obj = cls.__new__(cls)"]
+        for field in fields:
+            lines.append(f"    v = self.{field.py_name}")
+            lines.append(f"    obj.{field.py_name} = {self.copy_expr(field)}")
+        lines.append("    return obj")
+        return self.compile("copy", lines)
 
     def dump_expr(self, field, value):
         if field.type is None:
@@ -432,14 +568,7 @@ class _SerdeCodegen:
                     empty = "{}"
                 lines.append("    if v:")
                 lines.append(f"        out[{field.json_name!r}] = {expr}")
-                # Empty collections are omitted — except when the field's
-                # default is non-empty, in which case an explicit empty
-                # value is meaningful (e.g. a Namespace whose
-                # ``spec.finalizers`` were cleared) and must round-trip
-                # rather than resurrect the default.  That predicate is
-                # constant per field, so it is resolved here.
-                if field.default_factory is not None \
-                        and field.default_factory():
+                if self.keeps_empty(field):
                     lines.append("    elif v is not None:")
                     lines.append(f"        out[{field.json_name!r}] = {empty}")
             else:

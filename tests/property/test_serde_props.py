@@ -8,14 +8,26 @@ from repro.core.crd import VirtualCluster, make_virtual_cluster
 from repro.core.syncer.conversion import tenant_origin, to_super
 from repro.objects import (
     BUILTIN_TYPES,
+    Container,
+    Namespace,
     Pod,
     Quantity,
     Service,
+    make_node,
     make_pod,
     make_service,
 )
-from repro.objects.base import FrozenError, Serializable, freeze
+from repro.objects.base import (
+    EMPTY_DICT,
+    EMPTY_LIST,
+    FrozenDict,
+    FrozenError,
+    FrozenList,
+    Serializable,
+    freeze,
+)
 from repro.objects.crd import make_custom_type
+from repro.objects.pod import ContainerPort
 
 names = st.from_regex(r"[a-z][a-z0-9-]{0,20}[a-z0-9]", fullmatch=True)
 namespaces = st.sampled_from(["default", "prod", "team-a"])
@@ -163,8 +175,8 @@ def _nodes(value, out):
     """Every typed node, dict and list reachable from ``value``."""
     if isinstance(value, Serializable):
         out.append(value)
-        for item in value.__dict__.values():
-            _nodes(item, out)
+        for name in type(value)._field_index():
+            _nodes(getattr(value, name), out)
     elif isinstance(value, dict):
         out.append(value)
         for item in value.values():
@@ -239,13 +251,11 @@ def test_replace_is_shallow_copy_on_write(obj, data):
         obj.replace(no_such_field=1)
 
 
-@given(any_registered)
-@settings(max_examples=150, deadline=None)
-def test_copy_of_frozen_object_is_private_and_mutable(obj):
-    freeze(obj)
-    clone = obj.copy()
-    assert clone.to_dict() == obj.to_dict()
-    assert not _ids(clone) & _ids(obj)
+def _assert_private_and_mutable(clone, source):
+    """``clone`` shares no typed node, dict or list with ``source`` (nor
+    the shared empties), and every one of them takes a mutation."""
+    shared = _ids(source) | {id(EMPTY_LIST), id(EMPTY_DICT)}
+    assert not _ids(clone) & shared
     for node in _nodes(clone, []):
         if isinstance(node, Serializable):
             for name in type(node)._field_index():
@@ -254,6 +264,110 @@ def test_copy_of_frozen_object_is_private_and_mutable(obj):
             node["probe"] = 1
         else:
             node.append(None)
+
+
+@given(any_registered)
+@settings(max_examples=150, deadline=None)
+def test_copy_of_frozen_object_is_private_and_mutable(obj):
+    freeze(obj)
+    clone = obj.copy()
+    assert clone.to_dict() == obj.to_dict()
+    _assert_private_and_mutable(clone, obj)
+
+
+_THAWED = {FrozenList: list, FrozenDict: dict}
+
+
+def _shape(value):
+    """The type of every node and leaf reachable from ``value`` (a frozen
+    container counted as the plain one it stands for)."""
+    kind = _THAWED.get(type(value), type(value))
+    if isinstance(value, Serializable):
+        return kind, tuple((name, _shape(getattr(value, name)))
+                           for name in type(value)._field_index())
+    if isinstance(value, dict):
+        return kind, tuple((key, _shape(item)) for key, item in value.items())
+    if isinstance(value, list):
+        return kind, tuple(_shape(item) for item in value)
+    return kind
+
+
+def _assert_copy_is_wire_round_trip(obj):
+    before = obj.to_dict()
+    clone = obj.copy()
+    reference = type(obj).from_dict(before)
+    assert type(clone) is type(obj)
+    assert clone.to_dict() == reference.to_dict()
+    assert _shape(clone) == _shape(reference)
+    assert obj.to_dict() == before
+    _assert_private_and_mutable(clone, obj)
+
+
+@given(any_registered, st.data())
+@settings(max_examples=200, deadline=None)
+def test_copy_is_the_wire_round_trip(obj, data):
+    """The generated direct ``copy()`` returns what
+    ``from_dict(to_dict())`` returns, field for field and type for type
+    — whatever is None, cleared, shared, decoded or frozen in the
+    source — but always as a private, mutable object."""
+    for node in _nodes(obj, []):
+        if isinstance(node, Serializable):
+            fields = sorted(type(node)._field_index())
+            for name in data.draw(st.sets(st.sampled_from(fields),
+                                          max_size=2)):
+                setattr(node, name, None)
+    if data.draw(st.booleans()):
+        obj = type(obj).from_dict(obj.to_dict())    # holds shared empties
+    if data.draw(st.booleans()):
+        freeze(obj)
+    _assert_copy_is_wire_round_trip(obj)
+
+
+def _cleared_finalizers():
+    namespace = Namespace()
+    namespace.spec.finalizers = []
+    return namespace
+
+
+def _untyped_payloads():
+    pod = make_pod("p", cpu="100m")
+    pod.spec.containers[0].liveness_probe = {"httpGet": {"port": [8080]}}
+    pod.spec.containers[0].args = [{"nested": ["x"]}, "y", None]
+    pod.metadata.annotations = {"a": "b"}
+    return pod
+
+
+def _none_over_defaults():
+    pod = make_pod("p", cpu="100m")
+    pod.spec.service_account_name = None
+    pod.spec.tolerations = None
+    pod.status = None
+    pod.spec.containers[0].ports = [ContainerPort(protocol=None), None]
+    pod.spec.containers[0].resources = None
+    return pod
+
+
+def _quantity_maps():
+    node = make_node("n1", cpu="96", memory="328Gi")
+    node.status.capacity["ephemeral"] = "10Gi"     # a string, not a Quantity
+    return node
+
+
+def _stand_ins():
+    pod = make_pod("p")
+    pod.spec.containers.append({"name": "raw", "image": "img"})
+    return pod
+
+
+@pytest.mark.parametrize("build", [
+    _cleared_finalizers, _untyped_payloads, _none_over_defaults,
+    _quantity_maps, _stand_ins, lambda: Container(name="c"),
+    lambda: Pod.from_dict(make_pod("p").to_dict()),
+], ids=["cleared-finalizers", "untyped-payloads", "none-over-defaults",
+        "quantity-maps", "dict-for-typed-child", "constructed", "decoded"])
+def test_copy_is_the_wire_round_trip_on_edge_cases(build):
+    _assert_copy_is_wire_round_trip(build())
+    _assert_copy_is_wire_round_trip(freeze(build()))
 
 
 @given(any_registered, st.booleans())

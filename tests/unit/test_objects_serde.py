@@ -1,5 +1,7 @@
 """Serialization, deep copy, and equality of API objects."""
 
+import pytest
+
 from repro.objects import (
     Container,
     Endpoints,
@@ -13,7 +15,13 @@ from repro.objects import (
     make_service,
     with_anti_affinity,
 )
-from repro.objects.base import fast_deep_copy
+from repro.objects.base import (
+    EMPTY_DICT,
+    EMPTY_LIST,
+    FrozenError,
+    fast_deep_copy,
+    set_freeze_guard,
+)
 from repro.objects.service import EndpointAddress
 
 
@@ -102,6 +110,49 @@ class TestCopy:
         pod = Pod.from_dict(data)
         pod.metadata.annotations["k"] = "mutated"
         assert data["metadata"]["annotations"]["k"] == "v"
+
+
+class TestSharedEmpties:
+    """A decoded object's absent collections are one shared immutable
+    empty — with the freeze guard off too, which is how ``bench``, the
+    examples and ``scenarios run`` execute."""
+
+    @pytest.fixture(autouse=True)
+    def guard_off(self):
+        previous = set_freeze_guard(False)
+        yield
+        set_freeze_guard(previous)
+
+    def test_absent_collections_of_a_decoded_object_raise(self):
+        pod = Pod.from_dict(make_pod("p").to_dict())
+        assert pod.metadata.labels is EMPTY_DICT
+        assert pod.spec.tolerations is EMPTY_LIST
+        with pytest.raises(FrozenError):
+            pod.metadata.labels["app"] = "web"
+        with pytest.raises(FrozenError):
+            pod.spec.tolerations.append(None)
+        with pytest.raises(FrozenError):
+            pod.spec.containers[0].command.extend(["sh"])
+        assert EMPTY_LIST == [] and EMPTY_DICT == {}
+
+    def test_constructed_and_copied_objects_take_appends(self):
+        decoded = Pod.from_dict(make_pod("p").to_dict())
+        for pod in (Pod(), make_pod("p"), decoded.copy()):
+            pod.metadata.finalizers.append("f")
+            pod.metadata.labels["app"] = "web"
+            pod.spec.tolerations.append(None)
+            assert pod.metadata.finalizers == ["f"]
+            assert pod.metadata.labels == {"app": "web"}
+        assert decoded.metadata.finalizers == []
+
+    def test_replace_shares_children(self):
+        pod = Pod.from_dict(make_pod("p", labels={"app": "web"}).to_dict())
+        status = Pod().status
+        replaced = pod.replace(status=status)
+        assert replaced.status is status
+        assert replaced.spec is pod.spec
+        assert replaced.metadata is pod.metadata
+        assert replaced.spec.tolerations is EMPTY_LIST
 
 
 class TestEquality:

@@ -14,7 +14,6 @@ import sys
 import pytest
 
 from repro.core import VirtualClusterEnv
-from repro.objects.base import Serializable
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +31,7 @@ def env():
     return env
 
 
-def test_heartbeat_lookups_scale_with_distinct_nodes(env, monkeypatch):
+def test_heartbeat_lookups_scale_with_distinct_nodes(env, copy_calls):
     vnodes = env.syncer.vnodes
     bindings = vnodes._bindings
     pairs = sum(len(nodes) for nodes in bindings.values())
@@ -44,7 +43,7 @@ def test_heartbeat_lookups_scale_with_distinct_nodes(env, monkeypatch):
     # Count the broadcast loop's lookups only: ``get`` is also hit by the
     # reflector delivering the physical nodes' own heartbeat events,
     # which is unrelated to the loop under test.
-    counts = {"lookups": 0, "copies": 0}
+    counts = {"lookups": 0}
     real_get = node_cache.get
 
     def from_broadcast_loop(frame):
@@ -56,13 +55,7 @@ def test_heartbeat_lookups_scale_with_distinct_nodes(env, monkeypatch):
             counts["lookups"] += 1
         return real_get(key)
 
-    def counting_copy(obj):
-        if from_broadcast_loop(sys._getframe(1)):
-            counts["copies"] += 1
-        return type(obj).from_dict(obj.to_dict())
-
     node_cache.get = counting_get
-    monkeypatch.setattr(Serializable, "copy", counting_copy)
     try:
         sent_before = vnodes.heartbeats_sent
         env.run_for(vnodes.heartbeat_interval * 5)
@@ -71,7 +64,8 @@ def test_heartbeat_lookups_scale_with_distinct_nodes(env, monkeypatch):
     ticks, remainder = divmod(vnodes.heartbeats_sent - sent_before, pairs)
     assert ticks >= 4
     assert remainder == 0, "every tick heartbeats every (tenant, node) pair"
-    assert counts["copies"] == 0, "the broadcast shares snapshots"
+    assert ("repro.core.syncer.vnode", "_heartbeat_loop") not in copy_calls, \
+        "the broadcast shares snapshots"
 
     lookups = counts["lookups"]
     # One memoized lookup per distinct node per tick — NOT per pair.
