@@ -40,6 +40,10 @@ from .errors import TooManyRequests
 #: Wake/queue priority rank per tier (lower wakes first).
 TIER_RANK = {"system": 0, "platinum": 1, "standard": 2, "free": 3}
 
+#: Tiers a tenant may declare.  ``system`` is reserved for
+#: infrastructure credentials and is not assignable to a tenant.
+TENANT_TIERS = ("platinum", "standard", "free")
+
 _QUEUED = "queued"
 _ADMITTED = "admitted"
 _REJECTED = "rejected"

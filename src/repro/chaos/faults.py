@@ -45,7 +45,10 @@ scenario file may schedule: DSL name, class, legal targets, parameters,
 and how to build the fault against a live env.
 """
 
+from repro.apiserver.apf import TENANT_TIERS
 from repro.apiserver.errors import ServerUnavailable
+
+from .spec import BOOL, CHOICE, INT, NUMBER, STRS, Field, load
 
 
 class Fault:
@@ -610,20 +613,31 @@ class FaultKind:
     """One row of :data:`FAULTS`.
 
     ``targets`` are the legal target kinds (``"tenant"`` means any
-    declared tenant name, ``"super"`` and ``"syncer"`` are literal);
-    ``params`` the optional parameter names; ``build(env, handles,
-    target, params)`` constructs the fault against a live env, where
-    ``handles`` maps tenant name → :class:`TenantHandle`.  ``requires``
-    is an optional ``(description, predicate(control))`` pair naming
-    the deployment the fault needs (e.g. a replicated store).
+    declared tenant name, ``"super"`` and ``"syncer"`` are literal).
+    ``params`` is the fault's parameter table: one
+    :class:`~repro.chaos.spec.Field` row per parameter (type, default,
+    bounds or choices), keyed by name, so iterating it yields the names.
+    A scenario's ``chaos[].params`` is checked against it at load time.
+    ``make(env, handles, target, params)`` constructs the fault against
+    a live env, where ``handles`` maps tenant name →
+    :class:`TenantHandle` and ``params`` holds every parameter, typed
+    and defaulted by the table; callers go through :meth:`build`.
+    ``requires`` is an optional ``(description, predicate(control))``
+    pair naming the deployment the fault needs (e.g. a replicated
+    store).
     """
 
-    def __init__(self, cls, targets, params, build, requires=None):
+    def __init__(self, cls, targets, params, make, requires=None):
         self.cls = cls
         self.targets = targets
-        self.params = params
-        self.build = build
+        self.params = {row.name: row for row in params}
+        self.make = make
         self.requires = requires
+
+    def build(self, env, handles, target, params):
+        """The fault for one ``chaos:`` entry (``params`` as written)."""
+        return self.make(env, handles, target,
+                         load(self.params.values(), params, "params"))
 
 
 def _plane(env, handles, target):
@@ -633,24 +647,14 @@ def _plane(env, handles, target):
     return handles[target].control_plane
 
 
-def _build_request_fault(env, handles, target, params):
-    verbs = params.get("verbs")
-    return ApiRequestFault(
-        _plane(env, handles, target), verbs=tuple(verbs) if verbs else None,
-        error_rate=params.get("error_rate", 1.0),
-        extra_latency=params.get("extra_latency", 0.0),
-        name=f"reqfault:{target}")
-
-
 def _build_storm(env, handles, target, params):
     # The abuser floods the *super* apiserver under a per-tenant storm
     # identity; its tier defaults to the tenant's declared tier so APF
     # classifies (and sheds) it accordingly.
     return TenantStorm(
-        env.super_cluster, user=f"storm-{target}",
-        qps=float(params.get("qps", 400.0)),
-        concurrency=int(params.get("concurrency", 200)),
-        tier=params.get("tier") or handles[target].tier,
+        env.super_cluster, user=f"storm-{target}", qps=params["qps"],
+        concurrency=params["concurrency"],
+        tier=params["tier"] or handles[target].tier,
         name=f"storm:{target}")
 
 
@@ -666,17 +670,25 @@ FAULTS = {
             _plane(env, handles, target), name=f"crash:{target}")),
     "request-fault": FaultKind(
         ApiRequestFault, ("tenant", "super"),
-        ("error_rate", "extra_latency", "verbs"), _build_request_fault),
+        (Field("error_rate", NUMBER, 1.0, ge=0, le=1),
+         Field("extra_latency", NUMBER, 0.0, ge=0),
+         Field("verbs", STRS, None)),
+        lambda env, handles, target, params: ApiRequestFault(
+            _plane(env, handles, target), verbs=params["verbs"],
+            error_rate=params["error_rate"],
+            extra_latency=params["extra_latency"],
+            name=f"reqfault:{target}")),
     "watch-drop": FaultKind(
-        WatchDrop, ("tenant", "super"), ("fraction",),
+        WatchDrop, ("tenant", "super"),
+        (Field("fraction", NUMBER, 1.0, ge=0, le=1),),
         lambda env, handles, target, params: WatchDrop(
-            _plane(env, handles, target),
-            fraction=params.get("fraction", 1.0),
+            _plane(env, handles, target), fraction=params["fraction"],
             name=f"watchdrop:{target}")),
     "compaction": FaultKind(
-        ForcedCompaction, ("tenant", "super"), ("keep",),
+        ForcedCompaction, ("tenant", "super"),
+        (Field("keep", INT, 0, ge=0),),
         lambda env, handles, target, params: ForcedCompaction(
-            _plane(env, handles, target), keep=int(params.get("keep", 0)),
+            _plane(env, handles, target), keep=params["keep"],
             name=f"compact:{target}")),
     "partition": FaultKind(
         NetworkPartition, ("tenant",), (),
@@ -684,17 +696,22 @@ FAULTS = {
             env.syncer.tenants[handles[target].key].client,
             name=f"partition:{target}")),
     "worker-crash": FaultKind(
-        WorkerCrash, ("syncer",), ("count",),
+        WorkerCrash, ("syncer",), (Field("count", INT, 1, ge=1),),
         lambda env, handles, target, params: WorkerCrash(
-            env.syncer, count=int(params.get("count", 1)))),
+            env.syncer, count=params["count"])),
     "tenant-storm": FaultKind(
-        TenantStorm, ("tenant",), ("qps", "concurrency", "tier"),
+        TenantStorm, ("tenant",),
+        (Field("qps", NUMBER, 400.0, gt=0),
+         Field("concurrency", INT, 200, ge=1),
+         Field("tier", CHOICE, None, choices=TENANT_TIERS)),
         _build_storm),
     "kill-leader": FaultKind(
-        KillLeader, ("syncer",), ("mode", "notice_delay"),
+        KillLeader, ("syncer",),
+        (Field("mode", CHOICE, "crash", choices=("crash", "partition")),
+         Field("notice_delay", NUMBER, 2.0, ge=0)),
         lambda env, handles, target, params: KillLeader(
-            env.syncer_ha, mode=params.get("mode", "crash"),
-            notice_delay=float(params.get("notice_delay", 2.0))),
+            env.syncer_ha, mode=params["mode"],
+            notice_delay=params["notice_delay"]),
         requires=("control.syncer_replicas >= 2",
                   lambda control: control.syncer_replicas >= 2)),
     "crash-control-plane": FaultKind(
@@ -708,17 +725,16 @@ FAULTS = {
             env.tenant_operator, handles[target].key,
             name=f"rollback:{target}")),
     "kill-store": FaultKind(
-        KillStore, ("super",), ("mid_txn", "max_ops"),
+        KillStore, ("super",),
+        (Field("mid_txn", BOOL, False), Field("max_ops", INT, 4, ge=1)),
         lambda env, handles, target, params: KillStore(
-            env.super_cluster.api.store,
-            mid_txn=bool(params.get("mid_txn", False)),
-            max_ops=int(params.get("max_ops", 4))),
+            env.super_cluster.api.store, mid_txn=params["mid_txn"],
+            max_ops=params["max_ops"]),
         requires=_REPLICATED_STORE),
     "replica-lag": FaultKind(
-        ReplicaLag, ("super",), ("extra_lag",),
+        ReplicaLag, ("super",), (Field("extra_lag", NUMBER, 0.5, ge=0),),
         lambda env, handles, target, params: ReplicaLag(
-            env.super_cluster.api.store,
-            extra_lag=float(params.get("extra_lag", 0.5))),
+            env.super_cluster.api.store, extra_lag=params["extra_lag"]),
         requires=_REPLICATED_STORE),
     "wal-corruption": FaultKind(
         WalCorruption, ("super",), (),

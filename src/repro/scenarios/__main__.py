@@ -13,6 +13,10 @@
 
 ``record`` rewrites only the ``golden:`` block, preserving the rest of
 the hand-authored YAML (comments included).
+
+A file that does not load is reported as one ``path: message`` line on
+stderr and the command exits 2; ``verify`` reports it as FAIL and goes
+on to the next file, then exits 2.
 """
 
 import argparse
@@ -32,10 +36,26 @@ from .runner import record_scenario, run_scenario, verify_scenario
 DEFAULT_CORPUS = os.path.join("scenarios", "corpus")
 
 
+class _LoadFailed(Exception):
+    """A scenario file did not load; ``str()`` is ``path: reason``."""
+
+    def __init__(self, path, reason):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 def _scenario_files(path):
     if os.path.isdir(path):
         return corpus_paths(path)
     return [path]
+
+
+def _load(path):
+    try:
+        return load_scenario(path)
+    except (OSError, ScenarioError) as exc:
+        raise _LoadFailed(path, exc) from exc
 
 
 def _golden_block(golden):
@@ -69,7 +89,7 @@ def rewrite_golden(path, golden):
 def cmd_list(args):
     rows = []
     for path in _scenario_files(args.corpus):
-        scenario = load_scenario(path)
+        scenario = _load(path)
         flags = []
         if scenario.tier1:
             flags.append("tier1")
@@ -109,7 +129,7 @@ def _print_result(result, as_json=False):
 def cmd_run(args):
     status = 0
     for path in _scenario_files(args.path):
-        scenario = load_scenario(path)
+        scenario = _load(path)
         if args.seed is not None:
             scenario.seed = args.seed
         result = run_scenario(scenario,
@@ -126,7 +146,7 @@ def cmd_run(args):
 
 def cmd_record(args):
     for path in _scenario_files(args.path):
-        scenario = load_scenario(path)
+        scenario = _load(path)
         result = record_scenario(scenario)
         rewrite_golden(path, scenario.golden)
         print(f"{scenario.name}: recorded {result.digest[:16]}…  "
@@ -139,12 +159,17 @@ def cmd_verify(args):
     status = 0
     set_freeze_guard(True)
     for path in _scenario_files(args.corpus):
-        scenario = load_scenario(path)
+        try:
+            scenario = _load(path)
+        except _LoadFailed as exc:
+            print(f"{exc.path}: FAIL — {exc.reason}")
+            status = 2
+            continue
         try:
             results = verify_scenario(scenario, runs=args.runs)
         except (GoldenMismatch, ScenarioError) as exc:
             print(f"{scenario.name}: FAIL — {exc}")
-            status = 1
+            status = max(status, 1)
             continue
         extra = " race=clean" if scenario.race_check else ""
         print(f"{scenario.name}: ok — {args.runs}× replay matched "
@@ -193,7 +218,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _LoadFailed as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

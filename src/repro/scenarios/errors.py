@@ -1,13 +1,7 @@
 """Scenario DSL errors."""
 
-
-class ScenarioError(ValueError):
-    """A scenario file or model failed validation.
-
-    Messages are written to be actionable: they name the YAML path that
-    failed (``tenants[1].workloads[0].shape``), the offending value,
-    and what would be accepted instead.
-    """
+# Defined beside the field tables, which raise it for fault parameters too.
+from repro.chaos.spec import ScenarioError  # noqa: F401
 
 
 class GoldenMismatch(AssertionError):

@@ -14,9 +14,18 @@ All shapes are deterministic per scenario seed: optional jitter draws
 come from the workload-derived ``random.Random`` the compiler passes
 in, never from global randomness, and generation happens before the
 simulation starts so it cannot interleave with component RNG draws.
+
+Each shape's parameters are one field table (:mod:`repro.chaos.spec`): the
+rows give type, default and bounds, and the shared spec base builds the
+constructor, loading, dumping and the single-field checks from them.
+A shape class keeps only its curve and its cross-field rules (peak at
+least base, the spike fits its duration, a rolling upgrade's batch and
+first wave).
 """
 
 import math
+
+from repro.chaos.spec import INT, NUMBER, Field, Spec
 
 from .errors import ScenarioError
 
@@ -54,16 +63,10 @@ def _integrate_arrivals(rate_fn, duration, rng=None, jitter=0.0):
     return times
 
 
-class Shape:
-    """Base shape.  Subclasses are dataclass-like plain objects."""
+class Shape(Spec):
+    """Base shape: ``kind`` is the YAML ``type``, ``fields`` the table."""
 
     kind = None
-    #: Field names serialized to/from YAML, in order.
-    fields = ()
-
-    def validate(self, where):
-        """Raise :class:`ScenarioError` (prefixed with ``where``) on bad
-        parameters."""
 
     def window(self):
         """(start-relative) seconds of load this shape emits."""
@@ -78,67 +81,46 @@ class Shape:
         """
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Serialization (uniform across subclasses via ``fields``)
-    # ------------------------------------------------------------------
-
     def to_dict(self):
-        out = {"type": self.kind}
-        for field in self.fields:
-            out[field] = getattr(self, field)
-        return out
+        return {"type": self.kind, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data, where):
-        kwargs = {}
-        for key in data:
-            if key == "type":
-                continue
-            if key not in cls.fields:
+        """Parse one ``shape:`` mapping.  On ``Shape`` itself, dispatch on
+        ``type`` (unknown types get an actionable list); on a subclass,
+        load the remaining keys against its table."""
+        if not isinstance(data, dict):
+            raise ScenarioError(
+                f"{where}: shape must be a mapping with a 'type' key, got "
+                f"{type(data).__name__}")
+        if cls is Shape:
+            kind = data.get("type")
+            if kind is None:
                 raise ScenarioError(
-                    f"{where}: unknown parameter {key!r} for shape "
-                    f"{cls.kind!r} (valid: {', '.join(cls.fields)})")
-            kwargs[key] = data[key]
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ScenarioError(
-                f"{where}: shape {cls.kind!r} is missing a required "
-                f"parameter ({exc})") from exc
-
-    def __eq__(self, other):
-        return (type(other) is type(self)
-                and all(getattr(self, f) == getattr(other, f)
-                        for f in self.fields))
-
-    def __repr__(self):
-        params = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.fields)
-        return f"{type(self).__name__}({params})"
+                    f"{where}: shape needs a 'type' key "
+                    f"(one of: {', '.join(sorted(SHAPES))})")
+            if kind not in SHAPES:
+                raise ScenarioError(
+                    f"{where}: unknown shape type {kind!r} "
+                    f"(valid types: {', '.join(sorted(SHAPES))})")
+            return SHAPES[kind].from_dict(data, where)
+        return super().from_dict(
+            {key: value for key, value in data.items() if key != "type"},
+            where)
 
 
-def _require_positive(where, **values):
-    for key, value in values.items():
-        if value < 0:
-            raise ScenarioError(
-                f"{where}: {key} must be >= 0, got {value!r}")
+def _check_peak(shape, where):
+    if shape.peak_rate < shape.base_rate:
+        raise ScenarioError(
+            f"{where}: peak_rate ({shape.peak_rate!r}) must be >= "
+            f"base_rate ({shape.base_rate!r})")
 
 
 class ConstantShape(Shape):
     """A fixed arrival rate for ``duration`` seconds."""
 
     kind = "constant"
-    fields = ("rate", "duration")
-
-    def __init__(self, rate, duration):
-        self.rate = float(rate)
-        self.duration = float(duration)
-
-    def validate(self, where):
-        if self.rate < 0:
-            raise ScenarioError(
-                f"{where}: rate must be >= 0 Pods/s, got {self.rate!r} "
-                "(negative rates are not a thing; use 0 to pause)")
-        _require_positive(where, duration=self.duration)
+    fields = (Field("rate", NUMBER, ge=0), Field("duration", NUMBER, ge=0))
 
     def rate_at(self, t):
         return self.rate if 0.0 <= t <= self.duration else 0.0
@@ -161,28 +143,12 @@ class DiurnalShape(Shape):
     """
 
     kind = "diurnal"
-    fields = ("base_rate", "peak_rate", "period", "duration")
+    fields = (Field("base_rate", NUMBER, ge=0),
+              Field("peak_rate", NUMBER, ge=0),
+              Field("period", NUMBER, gt=0), Field("duration", NUMBER, ge=0))
 
-    def __init__(self, base_rate, peak_rate, period, duration):
-        self.base_rate = float(base_rate)
-        self.peak_rate = float(peak_rate)
-        self.period = float(period)
-        self.duration = float(duration)
-
-    def validate(self, where):
-        if self.base_rate < 0 or self.peak_rate < 0:
-            raise ScenarioError(
-                f"{where}: rates must be >= 0 Pods/s "
-                f"(base_rate={self.base_rate!r}, "
-                f"peak_rate={self.peak_rate!r})")
-        if self.peak_rate < self.base_rate:
-            raise ScenarioError(
-                f"{where}: peak_rate ({self.peak_rate!r}) must be >= "
-                f"base_rate ({self.base_rate!r})")
-        if self.period <= 0:
-            raise ScenarioError(
-                f"{where}: period must be > 0 seconds, got {self.period!r}")
-        _require_positive(where, duration=self.duration)
+    def check(self, where):
+        _check_peak(self, where)
 
     def rate_at(self, t):
         if not 0.0 <= t <= self.duration:
@@ -204,28 +170,11 @@ class FlashCrowdShape(Shape):
     """Steady base load with one spike: ramp to peak, hold, ramp down."""
 
     kind = "flash-crowd"
-    fields = ("base_rate", "peak_rate", "at", "ramp", "hold", "duration")
+    fields = tuple(Field(name, NUMBER, ge=0) for name in (
+        "base_rate", "peak_rate", "at", "ramp", "hold", "duration"))
 
-    def __init__(self, base_rate, peak_rate, at, ramp, hold, duration):
-        self.base_rate = float(base_rate)
-        self.peak_rate = float(peak_rate)
-        self.at = float(at)
-        self.ramp = float(ramp)
-        self.hold = float(hold)
-        self.duration = float(duration)
-
-    def validate(self, where):
-        if self.base_rate < 0 or self.peak_rate < 0:
-            raise ScenarioError(
-                f"{where}: rates must be >= 0 Pods/s "
-                f"(base_rate={self.base_rate!r}, "
-                f"peak_rate={self.peak_rate!r})")
-        if self.peak_rate < self.base_rate:
-            raise ScenarioError(
-                f"{where}: peak_rate ({self.peak_rate!r}) must be >= "
-                f"base_rate ({self.base_rate!r})")
-        _require_positive(where, at=self.at, ramp=self.ramp, hold=self.hold,
-                          duration=self.duration)
+    def check(self, where):
+        _check_peak(self, where)
         if self.at + 2 * self.ramp + self.hold > self.duration:
             raise ScenarioError(
                 f"{where}: the spike (at + 2*ramp + hold = "
@@ -262,17 +211,7 @@ class BurstShape(Shape):
     """``count`` Pods all submitted concurrently at ``at`` (greedy tenant)."""
 
     kind = "burst"
-    fields = ("count", "at")
-
-    def __init__(self, count, at=0.0):
-        self.count = int(count)
-        self.at = float(at)
-
-    def validate(self, where):
-        if self.count < 1:
-            raise ScenarioError(
-                f"{where}: count must be >= 1, got {self.count!r}")
-        _require_positive(where, at=self.at)
+    fields = (Field("count", INT, ge=1), Field("at", NUMBER, 0.0, ge=0))
 
     def window(self):
         return self.at
@@ -289,17 +228,7 @@ class SequentialShape(Shape):
     """
 
     kind = "sequential"
-    fields = ("count", "think")
-
-    def __init__(self, count, think=0.0):
-        self.count = int(count)
-        self.think = float(think)
-
-    def validate(self, where):
-        if self.count < 1:
-            raise ScenarioError(
-                f"{where}: count must be >= 1, got {self.count!r}")
-        _require_positive(where, think=self.think)
+    fields = (Field("count", INT, ge=1), Field("think", NUMBER, 0.0, ge=0))
 
     def window(self):
         return self.count * self.think
@@ -320,36 +249,15 @@ class RollingUpgradeShape(Shape):
     """
 
     kind = "rolling-upgrade"
-    fields = ("count", "startup_rate", "batch", "interval", "waves",
-              "first_wave")
+    fields = (Field("count", INT, ge=1), Field("startup_rate", NUMBER, gt=0),
+              Field("batch", INT, ge=1), Field("interval", NUMBER, gt=0),
+              Field("waves", INT, ge=0), Field("first_wave", NUMBER, ge=0))
 
-    def __init__(self, count, startup_rate, batch, interval, waves,
-                 first_wave):
-        self.count = int(count)
-        self.startup_rate = float(startup_rate)
-        self.batch = int(batch)
-        self.interval = float(interval)
-        self.waves = int(waves)
-        self.first_wave = float(first_wave)
-
-    def validate(self, where):
-        if self.count < 1:
+    def check(self, where):
+        if self.batch > self.count:
             raise ScenarioError(
-                f"{where}: count must be >= 1, got {self.count!r}")
-        if self.startup_rate <= 0:
-            raise ScenarioError(
-                f"{where}: startup_rate must be > 0 Pods/s, got "
-                f"{self.startup_rate!r}")
-        if self.batch < 1 or self.batch > self.count:
-            raise ScenarioError(
-                f"{where}: batch must be in [1, count={self.count}], got "
+                f"{where}.batch: must be <= count ({self.count}), got "
                 f"{self.batch!r}")
-        if self.interval <= 0:
-            raise ScenarioError(
-                f"{where}: interval must be > 0 seconds, got "
-                f"{self.interval!r}")
-        _require_positive(where, waves=self.waves,
-                          first_wave=self.first_wave)
         startup_end = self.count / self.startup_rate
         if self.waves and self.first_wave < startup_end:
             raise ScenarioError(
@@ -380,24 +288,3 @@ SHAPES = {
 
 #: Shapes with a continuous rate curve (integral properties apply).
 CONTINUOUS_SHAPES = ("constant", "diurnal", "flash-crowd")
-
-
-def shape_from_dict(data, where):
-    """Parse one ``shape:`` mapping; unknown types get an actionable list."""
-    if not isinstance(data, dict):
-        raise ScenarioError(
-            f"{where}: shape must be a mapping with a 'type' key, got "
-            f"{type(data).__name__}")
-    kind = data.get("type")
-    if kind is None:
-        raise ScenarioError(
-            f"{where}: shape needs a 'type' key "
-            f"(one of: {', '.join(sorted(SHAPES))})")
-    cls = SHAPES.get(kind)
-    if cls is None:
-        raise ScenarioError(
-            f"{where}: unknown shape type {kind!r} "
-            f"(valid types: {', '.join(sorted(SHAPES))})")
-    shape = cls.from_dict(data, where)
-    shape.validate(where)
-    return shape

@@ -1,6 +1,6 @@
 """Property-based tests for the scenario DSL (DESIGN.md §14).
 
-Three invariants the golden corpus rests on:
+Four invariants the golden corpus rests on:
 
 1. **Round-trip**: ``loads(dumps(s)) == s`` for any valid scenario —
    the YAML layer adds or loses nothing, so a file pins exactly one
@@ -12,8 +12,17 @@ Three invariants the golden corpus rests on:
    compiled arrivals matches the integral of the declared rate curve to
    within one Pod (the documented quantization bound of the midpoint
    integrator) — declared rates are honest, not approximate.
+4. **Hostile input is refused, not crashed on**: any one field of a
+   valid scenario, set to a value of the wrong type, out of range or
+   NaN, either still loads or raises ``ScenarioError`` — never another
+   exception, and NaN never loads.
+
+The control block and every fault's parameters are drawn from the
+same field tables the loader checks against (``repro.chaos.spec``), so a row
+added to a table is drawn without touching this file.
 """
 
+import copy
 import math
 
 from hypothesis import given, settings
@@ -21,16 +30,22 @@ from hypothesis import strategies as st
 
 from repro.chaos import FAULTS
 from repro.scenarios import (
+    SHAPES,
     BurstShape,
     ChaosSpec,
     ConstantShape,
     ControlSpec,
     DiurnalShape,
+    ExpectSpec,
     FlashCrowdShape,
+    GoldenSpec,
     RollingUpgradeShape,
     Scenario,
+    ScenarioError,
     ScheduleSpec,
     SequentialShape,
+    Shape,
+    TelemetryExpect,
     TenantSpec,
     TopologySpec,
     PoolSpec,
@@ -40,6 +55,7 @@ from repro.scenarios import (
     loads,
 )
 from repro.scenarios.shapes import INTEGRATION_STEP
+from repro.chaos.spec import BOOL, CHOICE, INT, NUMBER, SPEC, SPECS, STRS
 
 rate_st = st.floats(min_value=0.1, max_value=8.0, allow_nan=False,
                     allow_infinity=False)
@@ -89,38 +105,54 @@ continuous_shape_st = st.one_of(constant_st, diurnal_st, flash_st)
 name_st = st.from_regex(r"[a-z][a-z0-9-]{0,6}[a-z0-9]", fullmatch=True)
 
 
-control_st = st.builds(
-    ControlSpec, syncer_replicas=st.integers(1, 3),
-    store_replicas=st.integers(1, 3), store_wal=st.booleans())
+def field_st(row):
+    """Values a scalar, choice or list-of-str table row accepts."""
+    if row.kind == BOOL:
+        values = st.booleans()
+    elif row.kind == CHOICE:
+        values = st.sampled_from(row.choices)
+    elif row.kind == STRS:
+        values = st.lists(st.sampled_from(("get", "list", "create",
+                                           "update", "delete")),
+                          max_size=3)
+    elif row.kind == INT:
+        low = row.ge if row.ge is not None else 0
+        values = st.integers(low, low + 7)
+    else:
+        assert row.kind == NUMBER, row.kind
+        low = row.gt if row.gt is not None else (row.ge or 0.0)
+        high = row.le if row.le is not None else (
+            row.lt if row.lt is not None else low + 60.0)
+        values = st.floats(low, high, exclude_min=row.gt is not None,
+                           exclude_max=row.lt is not None)
+    return st.none() | values if row.default is None else values
 
-#: The HA/storage faults and one drawable value per parameter.
-HA_STORAGE_PARAMS = {
-    "kill-leader": {"mode": st.sampled_from(["crash", "partition"]),
-                    "notice_delay": st.floats(0.0, 4.0)},
-    "crash-control-plane": {},
-    "restore-snapshot": {},
-    "kill-store": {"mid_txn": st.booleans(), "max_ops": st.integers(1, 8)},
-    "replica-lag": {"extra_lag": st.floats(0.0, 1.0)},
-    "wal-corruption": {},
-}
+
+@st.composite
+def control_st(draw):
+    values = {row.name: draw(field_st(row)) for row in ControlSpec.fields}
+    if values["idle_threshold"] is not None:
+        values["scale_to_zero"] = True
+    return ControlSpec(**values)
 
 
 @st.composite
 def chaos_st(draw, control, tenant_names):
-    """Chaos entries over the HA/storage faults the drawn ``control``
-    can host, on staggered windows so same-fault entries never overlap."""
+    """Chaos entries over every fault the drawn ``control`` can host,
+    with table-drawn parameters, on staggered windows so same-fault
+    entries never overlap."""
     legal = sorted(
-        name for name in HA_STORAGE_PARAMS
-        if FAULTS[name].requires is None
-        or FAULTS[name].requires[1](control))
+        name for name, kind in FAULTS.items()
+        if kind.requires is None or kind.requires[1](control))
     entries = []
     for index, fault in enumerate(draw(st.lists(
             st.sampled_from(legal), max_size=4))):
         kind = FAULTS[fault]
-        target = (draw(st.sampled_from(tenant_names))
-                  if "tenant" in kind.targets else kind.targets[0])
-        params = {name: draw(value)
-                  for name, value in HA_STORAGE_PARAMS[fault].items()
+        target = draw(st.sampled_from(
+            (tenant_names if "tenant" in kind.targets else [])
+            + [t for t in kind.targets if t != "tenant"]))
+        params = {name: draw(field_st(row))
+                  for name, row in kind.params.items()
                   if draw(st.booleans())}
         entries.append(ChaosSpec(
             fault, target,
@@ -128,6 +160,22 @@ def chaos_st(draw, control, tenant_names):
                          duration=draw(st.floats(0.0, 4.0))),
             params=params))
     return entries
+
+
+expect_st = st.builds(
+    ExpectSpec, converged=st.booleans(),
+    min_pods_created=st.integers(0, 50),
+    telemetry=st.lists(st.builds(
+        TelemetryExpect,
+        metric=st.sampled_from(["scheduler_binds_total",
+                                "syncer_items_total"]),
+        min=st.integers(0, 100), max=st.none() | st.floats(100.0, 1e6)),
+        max_size=2))
+
+golden_st = st.builds(
+    GoldenSpec, digest=st.text("0123456789abcdef", min_size=64,
+                               max_size=64),
+    store_events=st.integers(1, 10_000), sim_time=st.floats(0.0, 1e4))
 
 
 @st.composite
@@ -148,7 +196,7 @@ def scenario_st(draw):
         tenants.append(TenantSpec(
             tenant_name, weight=draw(st.integers(1, 8)),
             workloads=workloads))
-    control = draw(control_st)
+    control = draw(control_st())
     scenario = Scenario(
         name=draw(name_st), seed=draw(st.integers(0, 2**31)),
         horizon=500.0,  # generous: every generated window fits
@@ -156,14 +204,50 @@ def scenario_st(draw):
         topology=TopologySpec(pools=[
             PoolSpec("pool", nodes=draw(st.integers(1, 8)))]),
         tenants=tenants,
-        chaos=draw(chaos_st(control, tenant_names)))
+        chaos=draw(chaos_st(control, tenant_names)),
+        expect=draw(expect_st), golden=draw(st.none() | golden_st))
     return scenario.validate()
 
 
+def _table_slots(cls, data):
+    """``(mapping, key)`` for every row of ``cls``'s table in ``data``,
+    and of the nested tables it holds: shapes by type, fault
+    parameters by fault."""
+    slots = []
+    for row in cls.fields:
+        slots.append((data, row.name))
+        value = data.get(row.name)
+        if row.kind == SPEC and isinstance(value, dict):
+            nested = SHAPES[value["type"]] if row.spec is Shape else row.spec
+            slots += _table_slots(nested, value)
+        elif row.kind == SPECS:
+            for item in value or ():
+                slots += _table_slots(row.spec, item)
+    if cls is ChaosSpec:
+        params = data.setdefault("params", {})
+        slots += [(params, name) for name in FAULTS[data["fault"]].params]
+    return slots
+
+
+hostile_st = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.floats(0.1, 9.9).filter(lambda v: v != int(v)),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1), st.floats(-9.9, -0.1))
+
+
 class TestRoundTrip:
-    def test_strategy_draws_every_parameter_the_table_declares(self):
-        for fault, params in HA_STORAGE_PARAMS.items():
-            assert set(params) == set(FAULTS[fault].params), fault
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_strategy_draws_every_parameter_the_table_declares(self, data):
+        """Every fault parameter and control field is drawable, and
+        each draw is a value its row accepts."""
+        rows = [row for kind in FAULTS.values()
+                for row in kind.params.values()] + list(ControlSpec.fields)
+        row = data.draw(st.sampled_from(rows))
+        row.check(data.draw(field_st(row)), row.name)
 
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenario_st())
@@ -175,6 +259,30 @@ class TestRoundTrip:
     def test_dump_is_stable(self, scenario):
         text = dumps(scenario)
         assert dumps(loads(text)) == text
+
+
+class TestHostileInput:
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=scenario_st(), data=st.data())
+    def test_one_hostile_leaf_loads_or_raises_scenario_error(self, scenario,
+                                                             data):
+        """Each table slot in turn gets one drawn hostile value and then
+        NaN; every load either succeeds, with a scenario that validates,
+        or raises ScenarioError."""
+        document = copy.deepcopy(scenario.to_dict())
+        for mapping, key in _table_slots(Scenario, document):
+            original = mapping.get(key)
+            for value in (data.draw(hostile_st), math.nan):
+                mapping[key] = value
+                try:
+                    loaded = Scenario.from_dict(document)
+                except ScenarioError:
+                    continue
+                assert not (isinstance(value, float)
+                            and math.isnan(value)), f"NaN loaded at {key!r}"
+                loaded.validate()
+                assert Scenario.from_dict(loaded.to_dict()) == loaded
+            mapping[key] = original
 
 
 class TestSeedDeterminism:

@@ -28,6 +28,7 @@ from repro.scenarios import (
     compile_load,
     loads,
 )
+from repro.scenarios.__main__ import main
 
 
 def minimal_yaml(**overrides):
@@ -300,6 +301,73 @@ class TestMalformedInputIsRejectedNotCrashed:
             loads(text)
         for needle in needles:
             assert needle in str(excinfo.value)
+        return str(excinfo.value)
+
+    @staticmethod
+    def with_shape(shape):
+        return minimal_yaml(tenants=(
+            "tenants:\n"
+            "  - name: acme\n"
+            "    workloads:\n"
+            "      - name: web\n"
+            f"        shape: {shape}\n"))
+
+    @pytest.mark.parametrize("shape,where", [
+        # float("fast") used to escape as a bare ValueError.
+        ("{type: constant, rate: fast, duration: 5.0}", "shape.rate"),
+        # float(True) and int(2.7) used to coerce silently.
+        ("{type: constant, rate: true, duration: 5.0}", "shape.rate"),
+        ("{type: burst, count: 2.7}", "shape.count"),
+        ("{type: constant, rate: .nan, duration: 5.0}", "shape.rate"),
+        ("{type: diurnal, base_rate: 1, peak_rate: .inf, period: 5,"
+         " duration: 5}", "shape.peak_rate"),
+    ])
+    def test_shape_parameters_are_typed(self, shape, where):
+        self.rejects(self.with_shape(shape),
+                     f"tenants[0].workloads[0].{where}")
+
+    def test_wrong_typed_shape_parameter_is_not_called_missing(self):
+        message = self.rejects(
+            self.with_shape("{type: constant, rate: [1], duration: 5.0}"),
+            "tenants[0].workloads[0].shape.rate", "[1]")
+        assert "missing" not in message
+
+    @pytest.mark.parametrize("old,new,where", [
+        # NaN passes every < / > check: horizon .nan never finished.
+        ("horizon: 20.0", "horizon: .nan", "horizon"),
+        ("seed: 1", "seed: 1\ndescription: 5", "description"),
+    ])
+    def test_non_finite_and_wrong_typed_scalars(self, old, new, where):
+        self.rejects(minimal_yaml().replace(old, new), where)
+
+    TOPOLOGY = "topology:\n  pools:\n    - {name: pool, nodes: 2}\n"
+
+    @pytest.mark.parametrize("text,needle", [
+        # An absent or null key takes its default, and the default of
+        # tenants/pools (an empty list) breaks its own row.
+        ("name: x\n", "topology.pools"),
+        (minimal_yaml(tenants=""), "at least one tenant"),
+        (minimal_yaml(tenants="tenants:\n"), "at least one tenant"),
+        (minimal_yaml().replace(TOPOLOGY, ""), "node pool"),
+        (minimal_yaml().replace(TOPOLOGY, "topology: {}\n"), "node pool"),
+        (minimal_yaml().replace(TOPOLOGY, "topology:\n  pools:\n"),
+         "node pool"),
+    ], ids=["name-only", "tenants-absent", "tenants-null", "topology-absent",
+            "topology-empty", "pools-null"])
+    def test_defaults_are_held_to_their_rows(self, text, needle):
+        self.rejects(text, needle)
+
+    def test_fault_choice_parameter_checked_at_load(self):
+        # A typo here used to raise ValueError mid-run, from
+        # SyncerHA.kill_leader.
+        self.rejects(minimal_yaml() + (
+            "control: {syncer_replicas: 2}\n"
+            "chaos:\n"
+            "  - fault: kill-leader\n"
+            "    target: syncer\n"
+            "    schedule: {type: oneshot, at: 1.0}\n"
+            "    params: {mode: crsh}\n"),
+            "chaos[0].params.mode", "'crsh'", "crash, partition")
 
     def test_fractional_schedule_count(self):
         self.rejects(minimal_yaml(chaos=self.CHAOS + (
@@ -344,6 +412,13 @@ class TestMalformedInputIsRejectedNotCrashed:
         ('control: {apf: "false"}\n', "control.apf"),
         ('control: {store_wal: "yes"}\n', "control.store_wal"),
         ("expect: {converged: 0}\n", "expect.converged"),
+        # bool("no") is True: the kill used to fire mid-transaction.
+        ("control: {store_replicas: 2}\n"
+         "chaos:\n"
+         "  - fault: kill-store\n"
+         "    target: super\n"
+         "    schedule: {type: oneshot, at: 1.0}\n"
+         "    params: {mid_txn: \"no\"}\n", "chaos[0].params.mid_txn"),
     ])
     def test_booleans_must_be_booleans(self, extra, where):
         self.rejects(minimal_yaml() + extra, where, "true or false")
@@ -392,3 +467,42 @@ class TestCompilation:
         assert first[1].actions == second[1].actions
         # Same shape, same jitter — but workload-derived seeds differ.
         assert first[0].actions != first[1].actions
+
+
+class TestCliReportsUnloadableFiles:
+    """A file that does not load is one ``path: message`` line and exit
+    status 2, not a traceback; ``verify`` marks it FAIL and goes on."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(minimal_yaml().replace("horizon: 20.0",
+                                               "horizon: .nan"))
+        return path
+
+    @pytest.mark.parametrize("command", ["list", "run", "record"])
+    def test_one_line_on_stderr_and_exit_2(self, command, bad, capsys):
+        target = bad.parent if command == "list" else bad
+        assert main([command, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{bad}: horizon: expected a finite number, got nan\n"
+
+    def test_scenario_without_tenants_stops_at_load(self, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text(minimal_yaml(tenants=""))
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"{path}: tenants: must be >= 1, got 0 ")
+        assert err.count("\n") == 1
+
+    def test_verify_reports_fail_and_continues(self, bad, capsys):
+        (bad.parent / "worse.yaml").write_text("name: [1]\n")
+        assert main(["verify", str(bad.parent)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{bad}: FAIL — horizon: expected a finite number, got nan",
+            f"{bad.parent / 'worse.yaml'}: FAIL — name: expected a valid "
+            f"name (lowercase alphanumerics and '-', starting and ending "
+            f"alphanumeric), got [1]"]
