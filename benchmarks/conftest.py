@@ -88,15 +88,21 @@ else:
 _run_cache = {}
 
 
+def config_with(**sections):
+    """The scale's config with section overrides, e.g.
+    ``config_with(syncer={"uws_workers": 1})``."""
+    return (PARAMS["config"] or DEFAULT_CONFIG).with_overrides(**sections)
+
+
 def vc_run(num_pods, num_tenants, dws_workers=20, fair=True, seed=0):
     key = ("vc", num_pods, num_tenants, dws_workers, fair, seed)
     if key not in _run_cache:
         _run_cache[key] = run_vc_stress(
             num_pods=num_pods, num_tenants=num_tenants,
-            dws_workers=dws_workers, fair=fair,
             submission_rate=PARAMS["submission_rate"],
             num_nodes=PARAMS["nodes"], seed=seed, timeout=1800.0,
-            keep_env=True, config=PARAMS["config"])
+            keep_env=True, config=config_with(syncer={
+                "dws_workers": dws_workers, "fair_queuing": fair}))
     return _run_cache[key]
 
 
@@ -119,8 +125,8 @@ def fairness_run(fair, seed=0):
         _run_cache[key] = run_fairness_stress(
             num_greedy=greedy_users, num_regular=regular_users,
             greedy_pods=greedy_pods, regular_pods=regular_pods,
-            fair=fair, num_nodes=PARAMS["nodes"], seed=seed,
-            timeout=3600.0, config=PARAMS["config"])
+            num_nodes=PARAMS["nodes"], seed=seed, timeout=3600.0,
+            config=config_with(syncer={"fair_queuing": fair}))
     return _run_cache[key]
 
 

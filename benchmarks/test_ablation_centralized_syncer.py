@@ -16,7 +16,7 @@ checks (2) via the fairness harness.
 from repro.clientgo import InformerFactory
 from repro.core.syncer.syncer import SUPER_WATCHED
 
-from benchmarks.conftest import PARAMS, once, vc_run
+from benchmarks.conftest import PARAMS, config_with, once, vc_run
 
 
 def test_restart_list_load_centralized_vs_per_tenant(benchmark):
@@ -91,15 +91,15 @@ def test_upward_worker_count_does_affect_latency(benchmark):
 
     def run():
         starved = run_vc_stress(
-            num_pods=num_pods, num_tenants=tenants, uws_workers=1,
+            num_pods=num_pods, num_tenants=tenants,
             submission_rate=PARAMS["submission_rate"],
             num_nodes=PARAMS["nodes"], timeout=1800.0,
-            config=PARAMS["config"])
+            config=config_with(syncer={"uws_workers": 1}))
         default = run_vc_stress(
-            num_pods=num_pods, num_tenants=tenants, uws_workers=100,
+            num_pods=num_pods, num_tenants=tenants,
             submission_rate=PARAMS["submission_rate"],
             num_nodes=PARAMS["nodes"], timeout=1800.0,
-            config=PARAMS["config"])
+            config=config_with(syncer={"uws_workers": 100}))
         return starved, default
 
     starved, default = once(benchmark, run)

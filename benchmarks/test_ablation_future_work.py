@@ -6,6 +6,7 @@
   experience is unchanged.
 """
 
+from repro.config import DEFAULT_CONFIG, SwapperConfig
 from repro.core import IdleSwapper, SuperClusterFleet, VirtualClusterEnv
 from repro.core.swapper import control_plane_memory
 from repro.metrics import format_table
@@ -19,8 +20,7 @@ def test_tenant_weight_latency_shares(benchmark):
 
     def run():
         env = VirtualClusterEnv(num_virtual_nodes=PARAMS["nodes"],
-                                config=PARAMS["config"],
-                                scan_interval=60.0)
+                                config=PARAMS["config"])
         env.bootstrap()
         heavy = env.run_coroutine(env.create_tenant("premium", weight=4))
         light = env.run_coroutine(env.create_tenant("basic", weight=1))
@@ -49,10 +49,15 @@ def test_idle_swapping_memory_vs_wakeup(benchmark):
     """Cost/performance trade-off of swapping idle control planes."""
 
     def run():
-        env = VirtualClusterEnv(num_virtual_nodes=4, scan_interval=600.0)
+        env = VirtualClusterEnv(
+            num_virtual_nodes=4,
+            config=DEFAULT_CONFIG.with_overrides(
+                syncer={"scan_interval": 600.0}))
         env.bootstrap()
-        swapper = IdleSwapper(env.sim, idle_threshold=30.0,
-                              check_interval=5.0, wake_latency=0.8)
+        # The ablation: immediate page-out, no warm pool, unbounded wakes.
+        swapper = IdleSwapper(env.sim, SwapperConfig(
+            idle_threshold=30.0, check_interval=5.0, cold_wake_latency=0.8,
+            swapout_latency=0.0, warm_pool=0, wake_concurrency=0))
         swapper.start()
         tenants = [env.run_coroutine(env.create_tenant(f"t{i}"))
                    for i in range(10)]
@@ -83,8 +88,7 @@ def test_fleet_scales_capacity(benchmark):
 
     def run():
         fleet = SuperClusterFleet(num_super_clusters=2,
-                                  nodes_per_cluster=3,
-                                  scan_interval=60.0)
+                                  nodes_per_cluster=3)
         fleet.bootstrap()
         handles = []
         for index in range(6):

@@ -16,7 +16,6 @@ default small scale (400) keeps the same shape assertions.
 """
 
 import random
-from dataclasses import replace
 
 from repro.chaos.faults import TenantStorm
 from repro.config import DEFAULT_CONFIG
@@ -32,8 +31,7 @@ FLEET_TENANTS = 10_000 if SCALE == "paper" else 400
 # utilization and queueing stays well inside the SLO headroom.
 WAKE_INTERVAL = 0.05
 
-APF_CONFIG = DEFAULT_CONFIG.with_overrides(
-    apf=replace(DEFAULT_CONFIG.apf, enabled=True))
+APF_CONFIG = DEFAULT_CONFIG.with_overrides(apf={"enabled": True})
 
 
 def tier_for(index):
@@ -51,14 +49,8 @@ def test_fleet_scale_to_zero_and_flash_crowd(benchmark):
 
     def run():
         sim = Simulation(seed=42)
-        swapper = IdleSwapper(
-            sim, idle_threshold=20.0, check_interval=5.0,
-            wake_latency=DEFAULT_CONFIG.swapper.cold_wake_latency,
-            swapout_latency=DEFAULT_CONFIG.swapper.swapout_latency,
-            warm_pool=DEFAULT_CONFIG.swapper.warm_pool,
-            warm_wake_latency=DEFAULT_CONFIG.swapper.warm_wake_latency,
-            wake_concurrency=DEFAULT_CONFIG.swapper.wake_concurrency,
-            wake_slo=DEFAULT_CONFIG.swapper.wake_slo)
+        swapper = IdleSwapper(sim, DEFAULT_CONFIG.with_overrides(
+            swapper={"idle_threshold": 20.0, "check_interval": 5.0}).swapper)
         swapper.start()
         # Bare control planes — no per-tenant KCM, which is exactly the
         # point: a swapped plane costs only its residual bytes.
@@ -96,7 +88,7 @@ def test_fleet_scale_to_zero_and_flash_crowd(benchmark):
                         if kind == "warm"),
             "p99": swapper.wake_p99(),
             "p99_platinum": swapper.wake_p99("platinum"),
-            "slo": swapper.wake_slo,
+            "slo": swapper.config.wake_slo,
         }
 
     stats = once(benchmark, run)

@@ -14,6 +14,7 @@ into every other tenant's latency.
   workers and the healthy tenants stall behind them.
 """
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.env import VirtualClusterEnv
 from repro.metrics import format_table
 
@@ -30,9 +31,10 @@ SETTLE = 6.0
 
 
 def _run(circuit_breaker, crash):
-    env = VirtualClusterEnv(seed=0, num_virtual_nodes=3, scan_interval=5.0,
-                            dws_workers=3, uws_workers=2,
-                            circuit_breaker=circuit_breaker)
+    config = DEFAULT_CONFIG.with_overrides(syncer={
+        "scan_interval": 5.0, "dws_workers": 3, "uws_workers": 2,
+        "circuit_breaker": circuit_breaker})
+    env = VirtualClusterEnv(seed=0, config=config, num_virtual_nodes=3)
     env.bootstrap()
     healthy = [env.run_coroutine(env.create_tenant(f"healthy-{i}"))
                for i in range(3)]

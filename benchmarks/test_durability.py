@@ -29,6 +29,7 @@ import pytest
 from benchmarks.conftest import once
 
 from repro.apiserver.errors import ServerUnavailable
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 from repro.core.crd import cluster_prefix
 from repro.storage import StoreUnavailable
@@ -68,8 +69,9 @@ class DurabilityResult:
 
 def _run_scenario(mode):
     env = VirtualClusterEnv(
-        seed=0, num_virtual_nodes=5, scan_interval=SCAN_INTERVAL,
-        store_replicas=STORE_REPLICAS)
+        seed=0, num_virtual_nodes=5, config=DEFAULT_CONFIG.with_overrides(
+            syncer={"scan_interval": SCAN_INTERVAL},
+            storage={"replicas": STORE_REPLICAS}))
     env.bootstrap()
     tenants = [env.run_coroutine(env.create_tenant(f"tenant-{index}"))
                for index in range(NUM_TENANTS)]

@@ -25,6 +25,7 @@ import json
 
 from benchmarks.conftest import once
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 from repro.core.crd import cluster_prefix
 
@@ -56,8 +57,9 @@ class FailoverResult:
 
 def _run_scenario(mode):
     env = VirtualClusterEnv(
-        seed=0, num_virtual_nodes=5, scan_interval=SCAN_INTERVAL,
-        syncer_replicas=2, warm_standby=(mode != "cold"))
+        seed=0, num_virtual_nodes=5, config=DEFAULT_CONFIG.with_overrides(
+            syncer={"scan_interval": SCAN_INTERVAL, "replicas": 2,
+                    "warm_standby": mode != "cold"}))
     env.bootstrap()
     tenants = [env.run_coroutine(env.create_tenant(f"tenant-{index}"))
                for index in range(NUM_TENANTS)]

@@ -53,7 +53,7 @@ def test_fig11a_fair_queuing_enabled(benchmark):
     dispatch = registry_family(result, "fairqueue_dispatch_total")
     served = {s["labels"]["tenant"]: s["value"]
               for s in dispatch["series"]
-              if s["labels"]["queue"].endswith("-downward")}
+              if "-downward-shard" in s["labels"]["queue"]}
     for tenant in result.per_tenant_mean:
         assert served.get(tenant, 0) > 0
     print(format_table(

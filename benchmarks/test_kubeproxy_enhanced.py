@@ -13,17 +13,20 @@ Findings to reproduce:
 - overall, the cost of supporting cluster-IP services is small.
 """
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 from repro.objects import make_service
 
 from benchmarks.conftest import once
+
+SLOW_SCAN = DEFAULT_CONFIG.with_overrides(syncer={"scan_interval": 120.0})
 
 NUM_SERVICES = 100
 NUM_PODS = 30
 
 
 def _run_experiment():
-    env = VirtualClusterEnv(num_real_nodes=1, scan_interval=120.0)
+    env = VirtualClusterEnv(num_real_nodes=1, config=SLOW_SCAN)
     env.bootstrap(settle=3.0)
     admin = env.super_admin_client()
 
@@ -86,7 +89,7 @@ def test_workload_start_gated_on_rules(benchmark):
     readiness time includes the injection latency."""
 
     def run():
-        env = VirtualClusterEnv(num_real_nodes=1, scan_interval=120.0)
+        env = VirtualClusterEnv(num_real_nodes=1, config=SLOW_SCAN)
         env.bootstrap(settle=3.0)
         admin = env.super_admin_client()
 

@@ -52,7 +52,6 @@ def _run(optimized):
         _memo[key] = run_vc_stress(
             num_pods=PARAMS["pods_sweep"][-1],
             num_tenants=PARAMS["tenants_default"],
-            dws_workers=20, uws_workers=100,
             # 5x the Fig. 9 pacing so arrival never caps the optimized
             # run; the syncer dispatch path is the limiter under test.
             submission_rate=PARAMS["submission_rate"] * 5,

@@ -8,12 +8,15 @@ tenant barely notices; with a shared FIFO it queues behind the flood.
 Run with:  python examples/noisy_neighbor.py
 """
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 from repro.workloads import LoadGenerator, TenantLoadPattern
 
 
 def run_scenario(fair):
-    env = VirtualClusterEnv(num_virtual_nodes=10, fair_queuing=fair)
+    env = VirtualClusterEnv(
+        num_virtual_nodes=10,
+        config=DEFAULT_CONFIG.with_overrides(syncer={"fair_queuing": fair}))
     env.bootstrap()
     greedy = env.run_coroutine(env.create_tenant("greedy-corp"))
     regular = env.run_coroutine(env.create_tenant("small-team"))

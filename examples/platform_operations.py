@@ -13,6 +13,7 @@ Three operator-facing capabilities beyond the core framework:
 Run with:  python examples/platform_operations.py
 """
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import IdleSwapper, VirtualClusterEnv
 from repro.core.crd import super_namespace
 from repro.core.swapper import control_plane_memory
@@ -21,7 +22,7 @@ from repro.workloads import LoadGenerator, TenantLoadPattern
 
 
 def main():
-    env = VirtualClusterEnv(num_virtual_nodes=10, scan_interval=60.0)
+    env = VirtualClusterEnv(num_virtual_nodes=10)
     env.bootstrap()
 
     # --- 1. tenant weights -------------------------------------------------
@@ -78,8 +79,8 @@ def main():
           f"{synced.namespace}/{synced.name} spec={synced.spec}")
 
     # --- 3. idle control-plane swapping --------------------------------------
-    swapper = IdleSwapper(env.sim, idle_threshold=20.0, check_interval=5.0,
-                          wake_latency=0.8)
+    swapper = IdleSwapper(env.sim, DEFAULT_CONFIG.with_overrides(
+        swapper={"idle_threshold": 20.0, "check_interval": 5.0}).swapper)
     swapper.start()
     idlers = [env.run_coroutine(env.create_tenant(f"idle-{index}"))
               for index in range(5)]

@@ -10,6 +10,10 @@ is :class:`repro.core.VirtualClusterEnv`:
     env.bootstrap()
     tenant = env.run_coroutine(env.create_tenant("acme"))
 
+Every deployment setting is a :class:`repro.config.LatencyConfig` field,
+never a constructor switch: ``VirtualClusterEnv(config=DEFAULT_CONFIG.
+with_overrides(syncer={"replicas": 2}))`` runs a leader-elected syncer pair.
+
 See README.md for the architecture overview and DESIGN.md for the
 paper-to-code map.
 """

@@ -14,14 +14,16 @@ a chaos run is exactly reproducible from its seed.
 Every schedulable fault is one row of :data:`repro.chaos.faults.FAULTS`
 (DSL name → class, legal targets, parameters, builder); a scenario
 file's ``chaos:`` block is the front door (``python -m repro.scenarios
-run FILE --report``).  Programmatic use::
+run FILE --report``).  Programmatic use, on a two-replica syncer::
 
-    env = VirtualClusterEnv(num_virtual_nodes=3)
+    config = DEFAULT_CONFIG.with_overrides(syncer={"replicas": 2})
+    env = VirtualClusterEnv(config=config, num_virtual_nodes=3)
     env.bootstrap()
     tenant = env.run_coroutine(env.create_tenant("acme"))
     engine = ChaosEngine(env, seed=7)
     engine.add(OneShot(5.0, duration=3.0),
                ApiServerCrash(tenant.control_plane))
+    engine.add(OneShot(10.0, duration=5.0), KillLeader(env.syncer_ha))
     engine.start()
     env.run_for(20.0)
     engine.stop()

@@ -6,10 +6,15 @@ measured behaviour — a sequential scheduler peaking at a few hundred Pods
 per second, ~18 s to create 10,000 Pods directly — and the VirtualCluster
 pipeline lands near the paper's ~23 s with the reported phase breakdown.
 
-Tests and benchmarks construct their own :class:`LatencyConfig` when they
-need a different regime, so nothing here is process-global state.
+:class:`LatencyConfig` is also the only place a deployment is shaped:
+worker counts, fair queuing, syncer replicas, the WAL, APF and the
+swapper are fields here, never constructor switches.  Tests and
+benchmarks derive their own config with :meth:`LatencyConfig.with_overrides`
+when they need a different regime, so nothing here is process-global
+state.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 
@@ -57,11 +62,15 @@ class SyncerLatency:
     scan_per_object: float = 0.00015   # periodic scanner per object
     per_item_cpu_overhead: float = 0.0025  # serde/bookkeeping CPU per item
     vnode_heartbeat_write: float = 0.0006
-    default_dws_workers: int = 20
-    default_uws_workers: int = 100
+    dws_workers: int = 20
+    uws_workers: int = 100
     scan_interval: float = 60.0
+    # Per-tenant sub-queues with weighted round-robin dispatch (paper
+    # §III-C); False degrades both queues to one shared FIFO (Fig. 11b).
+    fair_queuing: bool = True
     # Per-tenant circuit breaker (fail fast when a tenant control plane
     # is unreachable instead of blocking shared workers).
+    circuit_breaker: bool = True
     breaker_failure_threshold: int = 3
     breaker_open_duration: float = 2.0     # initial open period before probing
     breaker_max_open_duration: float = 30.0
@@ -85,6 +94,11 @@ class SyncerLatency:
     downward_batch_max: int = 1
     downward_batch_linger: float = 0.001   # wait to fill a batch (seconds)
     # --- HA / crash recovery (DESIGN.md §10) -----------------------------
+    # Syncer replicas behind one lease; 1 == the paper's single syncer.
+    replicas: int = 1
+    # Standbys keep warm informer caches; False is the cold-takeover
+    # ablation (a takeover pays the full relist).
+    warm_standby: bool = True
     # Leader lease: the active replica renews every lease_renew_interval;
     # standbys retry at lease_retry_interval and take over once the lease
     # lapses.  MTTR ~= lease_duration + takeover scan, so these defaults
@@ -96,13 +110,6 @@ class SyncerLatency:
     # Tenant control-plane durability: etcd snapshot cadence used by the
     # tenant operator for crash/restore (DESIGN.md §10.3).
     snapshot_interval: float = 15.0
-    # --- Telemetry (DESIGN.md §11) ---------------------------------------
-    # Max live PodTrace objects in the syncer's TraceStore; completed
-    # traces beyond it are folded into compact records and evicted, so
-    # chaos soaks don't leak memory while aggregates stay exact.  Set
-    # above every paper experiment's pod count so full-fidelity traces
-    # survive a whole benchmark run.
-    trace_retention_cap: int = 50_000
 
 
 @dataclass
@@ -207,7 +214,7 @@ class SwapperConfig:
     cold_wake_latency: float = 0.8  # page-in from swap
     warm_wake_latency: float = 0.15  # page-in from the warm pool
     warm_pool: int = 8             # recently-swapped planes kept warm
-    wake_concurrency: int = 32     # concurrent page-ins (I/O bound)
+    wake_concurrency: int = 32     # concurrent page-ins (I/O); 0: no cap
     wake_slo: float = 2.5          # p99 budget incl. wake-queue wait
     residual_fraction: float = 0.15
 
@@ -260,7 +267,15 @@ class LatencyConfig:
     swapper: SwapperConfig = field(default_factory=SwapperConfig)
 
     def with_overrides(self, **sections):
-        """Copy with some sections replaced, e.g. ``with_overrides(syncer=...)``."""
+        """Copy with some sections replaced.
+
+        A value is a whole section or a mapping of that section's fields,
+        e.g. ``with_overrides(syncer={"scan_interval": 5.0})``.  An
+        unknown section or field raises ``TypeError`` naming it.
+        """
+        for name, value in sections.items():
+            if isinstance(value, Mapping) and name in self.__dataclass_fields__:
+                sections[name] = replace(getattr(self, name), **value)
         return replace(self, **sections)
 
 

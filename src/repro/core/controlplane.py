@@ -95,7 +95,7 @@ class SuperCluster(ControlPlane):
         # Tiered admission (DESIGN.md §15): only when opted in, so the
         # default request path stays byte-identical to the seed.
         self.apf = None
-        if getattr(config, "apf", None) is not None and config.apf.enabled:
+        if config.apf.enabled:
             from repro.apiserver.apf import APFLimiter
 
             self.apf = APFLimiter(sim, config.apf, name=f"{name}-apf")
@@ -138,8 +138,8 @@ def _build_store(sim, name, config):
     write-ahead log; with ``replicas > 1`` it becomes a replicated group
     with leader election and WAL streaming (DESIGN.md §13).
     """
-    storage = getattr(config, "storage", None)
-    if storage is None or not storage.durable:
+    storage = config.storage
+    if not storage.durable:
         return None
     from repro.storage import EtcdStore, ReplicatedStore, WriteAheadLog
 

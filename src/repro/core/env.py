@@ -29,10 +29,14 @@ from repro.virtualkubelet import VirtualKubelet
 
 from .controlplane import SuperCluster
 from .crd import make_virtual_cluster
+from .swapper import IdleSwapper
 from .syncer.ha import SyncerHA
 from .syncer.syncer import Syncer
 from .tenant_operator import TenantOperator
 from .vn_agent import VnAgent
+
+# Super-cluster namespace holding the VirtualCluster objects.
+VC_NAMESPACE = "vc-manager"
 
 
 class TenantHandle:
@@ -98,46 +102,18 @@ class TenantHandle:
 
 
 class VirtualClusterEnv:
-    """The full simulated deployment."""
+    """The full simulated deployment.
+
+    Everything that shapes it (syncer sizing and replicas, storage
+    durability, APF, the swapper) comes from ``config``; the arguments
+    here only say how big it is and where it lives.
+    """
 
     def __init__(self, seed=0, config=None, num_virtual_nodes=0,
-                 num_real_nodes=0, fair_queuing=True, dws_workers=None,
-                 uws_workers=None, scan_interval=None,
-                 vc_namespace="vc-manager", sim=None, name="super",
-                 circuit_breaker=True, syncer_replicas=1,
-                 warm_standby=True, store_replicas=None, store_wal=None,
-                 apf=None, scale_to_zero=None):
+                 num_real_nodes=0, sim=None, name="super"):
         self.sim = sim or Simulation(seed=seed)
         self.name = name
         self.config = config or DEFAULT_CONFIG
-        if store_replicas is not None or store_wal is not None:
-            # Durable-storage opt-in (DESIGN.md §13): every control-plane
-            # store gets a WAL, and with replicas > 1 becomes a
-            # replicated group with leader election.
-            from dataclasses import replace as _replace
-
-            storage = _replace(
-                self.config.storage,
-                replicas=(store_replicas if store_replicas is not None
-                          else self.config.storage.replicas),
-                wal_enabled=(bool(store_wal) if store_wal is not None
-                             else self.config.storage.wal_enabled))
-            self.config = self.config.with_overrides(storage=storage)
-        if apf is not None or scale_to_zero is not None:
-            # Overload-protection opt-ins (DESIGN.md §15): tiered APF
-            # admission on the super apiserver and/or the scale-to-zero
-            # control-plane autoscaler.  Both default off (paper-faithful).
-            from dataclasses import replace as _replace
-
-            overrides = {}
-            if apf is not None:
-                overrides["apf"] = _replace(self.config.apf,
-                                            enabled=bool(apf))
-            if scale_to_zero is not None:
-                overrides["swapper"] = _replace(self.config.swapper,
-                                                enabled=bool(scale_to_zero))
-            self.config = self.config.with_overrides(**overrides)
-        self.vc_namespace = vc_namespace
         self.super_cluster = SuperCluster(self.sim, self.config, name=name)
         self.super_cluster.start()
         self.vpc = Vpc("tenant-vpc")
@@ -149,35 +125,25 @@ class VirtualClusterEnv:
             self.sim, self.super_cluster, self.config,
             on_deprovisioned=self._on_tenant_deprovisioned)
         self.tenant_operator.start()
-        syncer_name = "syncer" if name == "super" else f"{name}-syncer"
-        syncer_kwargs = dict(
-            fair_queuing=fair_queuing, dws_workers=dws_workers,
-            uws_workers=uws_workers, scan_interval=scan_interval,
-            circuit_breaker=circuit_breaker)
-        if syncer_replicas > 1:
+        if self.config.syncer.replicas > 1:
             # HA mode (DESIGN.md §10): N replicas behind a lease; the
             # ``syncer`` property resolves to the serving leader.
-            self.syncer_ha = SyncerHA(
-                self.sim, self.super_cluster, config=self.config,
-                replicas=syncer_replicas, warm_standby=warm_standby,
-                **syncer_kwargs)
+            self.syncer_ha = SyncerHA(self.sim, self.super_cluster,
+                                      self.config)
             self._syncer = None
             self.syncer_ha.start()
         else:
             self.syncer_ha = None
             self._syncer = Syncer(
-                self.sim, self.super_cluster, config=self.config,
-                name=syncer_name, **syncer_kwargs)
+                self.sim, self.super_cluster, self.config,
+                name="syncer" if name == "super" else f"{name}-syncer")
             self._syncer.start()
         self.tenants = {}
         # Scale-to-zero autoscaler over tenant control planes; tenants
         # are tracked (with their tier) as they are created.
         self.swapper = None
         if self.config.swapper.enabled:
-            from .swapper import IdleSwapper
-
-            self.swapper = IdleSwapper.from_config(self.sim,
-                                                   self.config.swapper)
+            self.swapper = IdleSwapper(self.sim, self.config.swapper)
             self.swapper.start()
         self._num_virtual_nodes = num_virtual_nodes
         self._num_real_nodes = num_real_nodes
@@ -222,7 +188,7 @@ class VirtualClusterEnv:
     def _bootstrap(self):
         admin = self.super_cluster.client(user_agent="bootstrap",
                                           qps=100000, burst=200000)
-        for namespace in ("default", "kube-system", self.vc_namespace):
+        for namespace in ("default", "kube-system", VC_NAMESPACE):
             try:
                 yield from admin.create(make_namespace(namespace))
             except ApiError:
@@ -301,14 +267,14 @@ class VirtualClusterEnv:
         """
         admin = self.super_cluster.client(user_agent="admin", qps=100000,
                                           burst=200000)
-        vc = make_virtual_cluster(name, namespace=self.vc_namespace,
+        vc = make_virtual_cluster(name, namespace=VC_NAMESPACE,
                                   weight=weight, mode=mode)
         vc = yield from admin.create(vc)
         while True:
             control_plane = self.tenant_operator.control_plane_for(vc.key)
             if control_plane is not None:
                 fresh = yield from admin.get("virtualclusters", name,
-                                             namespace=self.vc_namespace)
+                                             namespace=VC_NAMESPACE)
                 if fresh.is_running:
                     vc = fresh
                     break
@@ -336,7 +302,7 @@ class VirtualClusterEnv:
             self._syncer.unregister_tenant(handle.key)
         self.tenants.pop(handle.key, None)
         yield from admin.delete("virtualclusters", handle.name,
-                                namespace=self.vc_namespace)
+                                namespace=VC_NAMESPACE)
 
     def set_tenant_tier(self, handle, tier=None):
         """Wire one tenant's tier into APF classification and the

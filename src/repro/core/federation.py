@@ -27,18 +27,14 @@ class SuperClusterFleet:
     """Several super clusters behind one tenant-facing entry point."""
 
     def __init__(self, num_super_clusters=2, nodes_per_cluster=10,
-                 seed=0, config=None, fair_queuing=True,
-                 scan_interval=None):
+                 seed=0, config=None):
         if num_super_clusters < 1:
             raise ValueError("need at least one super cluster")
         self.sim = Simulation(seed=seed)
-        self.members = []
-        for index in range(num_super_clusters):
-            member = VirtualClusterEnv(
-                sim=self.sim, name=f"sc{index}", config=config,
-                num_virtual_nodes=nodes_per_cluster,
-                fair_queuing=fair_queuing, scan_interval=scan_interval)
-            self.members.append(member)
+        self.members = [
+            VirtualClusterEnv(sim=self.sim, name=f"sc{index}", config=config,
+                              num_virtual_nodes=nodes_per_cluster)
+            for index in range(num_super_clusters)]
         self._tenant_member = {}
         self._bootstrapped = False
 

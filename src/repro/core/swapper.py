@@ -31,6 +31,7 @@ resident set and neither keep a plane awake nor page it back in.
 import heapq
 
 from repro.apiserver.apf import TIER_RANK
+from repro.config import DEFAULT_CONFIG
 from repro.simkernel.errors import Interrupt
 from repro.simkernel.events import Event
 from repro.telemetry import telemetry_of
@@ -185,31 +186,17 @@ class IdleSwapper:
     """Watches tenant control planes and swaps out the idle ones.
 
     A control plane is idle when its apiserver served no *tenant*
-    requests for ``idle_threshold`` simulated seconds.  Swapping is
-    transparent to tenants except for the wake-up latency on their next
-    request — the performance/cost trade-off the paper describes.
-
-    Constructed directly it behaves like the original ablation
-    (immediate page-out, no warm pool, unbounded wake concurrency);
-    :meth:`from_config` applies the production
-    :class:`~repro.config.SwapperConfig` settings.
+    requests for ``config.idle_threshold`` simulated seconds.  Swapping
+    is transparent to tenants except for the wake-up latency on their
+    next request — the performance/cost trade-off the paper describes.
+    Every setting comes from one :class:`~repro.config.SwapperConfig`.
     """
 
-    def __init__(self, sim, idle_threshold=60.0, check_interval=10.0,
-                 wake_latency=0.8, residual_fraction=0.15,
-                 swapout_latency=0.0, warm_pool=0, warm_wake_latency=0.15,
-                 wake_concurrency=None, wake_slo=None):
+    def __init__(self, sim, config=None):
         self.sim = sim
-        self.idle_threshold = idle_threshold
-        self.check_interval = check_interval
-        self.wake_latency = wake_latency
-        self.residual_fraction = residual_fraction
-        self.swapout_latency = swapout_latency
-        self.warm_pool = warm_pool
-        self.warm_wake_latency = warm_wake_latency
-        self.wake_slo = wake_slo
-        self.wake_gate = (WakeGate(sim, wake_concurrency)
-                         if wake_concurrency else None)
+        self.config = config or DEFAULT_CONFIG.swapper
+        self.wake_gate = (WakeGate(sim, self.config.wake_concurrency)
+                          if self.config.wake_concurrency else None)
         self._tracked = {}
         self._warm = {}      # name -> {"rank": tier rank, "seq": admit seq}
         self._warm_seq = 0
@@ -231,20 +218,6 @@ class IdleSwapper:
             "resident memory of tracked control planes")
         self._resident_bytes.set_function(self.total_resident_bytes)
 
-    @classmethod
-    def from_config(cls, sim, cfg):
-        """Production settings from a :class:`~repro.config.SwapperConfig`."""
-        return cls(sim,
-                   idle_threshold=cfg.idle_threshold,
-                   check_interval=cfg.check_interval,
-                   wake_latency=cfg.cold_wake_latency,
-                   residual_fraction=cfg.residual_fraction,
-                   swapout_latency=cfg.swapout_latency,
-                   warm_pool=cfg.warm_pool,
-                   warm_wake_latency=cfg.warm_wake_latency,
-                   wake_concurrency=cfg.wake_concurrency,
-                   wake_slo=cfg.wake_slo)
-
     # ------------------------------------------------------------------
     # Tracking
     # ------------------------------------------------------------------
@@ -254,8 +227,8 @@ class IdleSwapper:
         api = control_plane.api
         if getattr(api, "swap_state", None) is None:
             api.swap_state = SwapState(
-                self.sim, wake_latency=self.wake_latency, swapper=self,
-                name=control_plane.name, tier=tier)
+                self.sim, wake_latency=self.config.cold_wake_latency,
+                swapper=self, name=control_plane.name, tier=tier)
         else:
             api.swap_state.swapper = self
             api.swap_state.tier = tier
@@ -283,7 +256,7 @@ class IdleSwapper:
     def _loop(self):
         while True:
             try:
-                yield self.sim.timeout(self.check_interval)
+                yield self.sim.timeout(self.config.check_interval)
             except Interrupt:
                 return
             now = self.sim.now
@@ -294,7 +267,7 @@ class IdleSwapper:
                     entry["last_activity"] = now
                     continue
                 idle_for = now - entry["last_activity"]
-                if (idle_for >= self.idle_threshold
+                if (idle_for >= self.config.idle_threshold
                         and api.swap_state.state == RESIDENT):
                     self._begin_swapout(entry, api.swap_state)
 
@@ -304,7 +277,7 @@ class IdleSwapper:
 
     def _begin_swapout(self, entry, state):
         state._swap_epoch += 1
-        if self.swapout_latency <= 0:
+        if self.config.swapout_latency <= 0:
             self._finish_swapout(entry, state)
             return
         state.state = SWAPPING_OUT
@@ -312,7 +285,7 @@ class IdleSwapper:
                        name=f"swapout-{entry['control_plane'].name}")
 
     def _swapout_window(self, entry, state, epoch):
-        yield self.sim.timeout(self.swapout_latency)
+        yield self.sim.timeout(self.config.swapout_latency)
         if state.state == SWAPPING_OUT and state._swap_epoch == epoch:
             self._finish_swapout(entry, state)
 
@@ -324,12 +297,13 @@ class IdleSwapper:
         self._warm_admit(entry["control_plane"].name, entry["tier"])
 
     def _warm_admit(self, name, tier):
-        if self.warm_pool <= 0:
+        warm_pool = self.config.warm_pool
+        if warm_pool <= 0:
             return
         self._warm_seq += 1
         self._warm[name] = {"rank": TIER_RANK.get(tier, 2),
                             "seq": self._warm_seq}
-        if len(self._warm) > self.warm_pool:
+        if len(self._warm) > warm_pool:
             # Evict the least-retainable entry: lowest tier first,
             # oldest within a tier (higher rank == lower tier).
             victim = max(self._warm.items(),
@@ -343,8 +317,8 @@ class IdleSwapper:
     def wake_latency_for(self, name):
         """(latency, kind) of one page-in; consumes the warm slot."""
         if self._warm.pop(name, None) is not None:
-            return self.warm_wake_latency, "warm"
-        return self.wake_latency, "cold"
+            return self.config.warm_wake_latency, "warm"
+        return self.config.cold_wake_latency, "cold"
 
     def record_wake(self, state, elapsed, kind):
         self._wakeups_total.labels(tier=state.tier, kind=kind).inc()
@@ -358,7 +332,7 @@ class IdleSwapper:
     def total_resident_bytes(self):
         return sum(
             control_plane_memory(entry["control_plane"],
-                                 self.residual_fraction)
+                                 self.config.residual_fraction)
             for entry in self._tracked.values()
         )
 

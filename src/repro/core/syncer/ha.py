@@ -5,8 +5,9 @@ durable data (everything rebuilds from list+watch), but while it is down
 no tenant state converges.  :class:`SyncerHA` runs N syncer replicas
 behind one lease:
 
-- every replica registers every tenant and — with ``warm_standby`` —
-  runs its informers, so caches are primed on all replicas;
+- every replica registers every tenant and — with
+  ``config.syncer.warm_standby`` — runs its informers, so caches are
+  primed on all replicas;
 - exactly one replica (the lease holder) runs workers, scanners and
   heartbeats; the others idle on warm caches;
 - the winner of an election performs a *takeover*: rebuild in-memory-only
@@ -18,30 +19,32 @@ behind one lease:
   deposed leader's writes carry a strictly lower token and are rejected
   by the store (:class:`~repro.apiserver.errors.FencingConflict`).
 
-``warm_standby=False`` is the ablation: standbys keep no caches and a
+``warm_standby: False`` is the ablation: standbys keep no caches and a
 takeover pays the full cold relist, which is what the MTTR benchmark
 compares against.
 """
 
 from repro.clientgo import LeaderElector
+from repro.config import DEFAULT_CONFIG
 from repro.simkernel.errors import Interrupt
 
 from .syncer import Syncer
+
+LEASE_NAME = "syncer-leader"
 
 
 class SyncerHA:
     """N syncer replicas, one lease, hot (or cold) standby failover."""
 
-    def __init__(self, sim, super_cluster, config=None, replicas=2,
-                 warm_standby=True, lease_name="syncer-leader",
-                 **syncer_kwargs):
-        if replicas < 1:
+    def __init__(self, sim, super_cluster, config=None):
+        config = config or DEFAULT_CONFIG
+        cfg = config.syncer
+        if cfg.replicas < 1:
             raise ValueError("need at least one replica")
         self.sim = sim
         self.super_cluster = super_cluster
-        self.warm_standby = warm_standby
-        self.lease_name = lease_name
-        self.domain = f"syncer/{lease_name}"
+        self.warm_standby = cfg.warm_standby
+        self.domain = f"syncer/{LEASE_NAME}"
         self.replicas = []
         self.electors = []
         self.active = None
@@ -52,16 +55,14 @@ class SyncerHA:
         self._last_leader_loss = None
         self._takeover_process = None
 
-        syncer_kwargs.setdefault("config", config)
-        for index in range(replicas):
-            syncer = Syncer(sim, super_cluster,
-                            name=f"syncer-{index}", **syncer_kwargs)
+        for index in range(cfg.replicas):
+            syncer = Syncer(sim, super_cluster, config,
+                            name=f"syncer-{index}")
             syncer.ha_domain = self.domain
             self.replicas.append(syncer)
-        cfg = (config or self.replicas[0].config).syncer
         for syncer in self.replicas:
             elector = LeaderElector(
-                sim, syncer.super_client, lease_name, syncer.name,
+                sim, syncer.super_client, LEASE_NAME, syncer.name,
                 lease_duration=cfg.lease_duration,
                 renew_interval=cfg.lease_renew_interval,
                 retry_interval=cfg.lease_retry_interval,

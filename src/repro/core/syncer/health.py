@@ -54,11 +54,11 @@ class TenantHealth:
 class HealthTracker:
     """Tracks every tenant's health and parks work for open circuits."""
 
-    def __init__(self, syncer, enabled=True):
+    def __init__(self, syncer):
         self.syncer = syncer
         self.sim = syncer.sim
-        self.enabled = enabled
         cfg = syncer.config.syncer
+        self.enabled = cfg.circuit_breaker
         self.failure_threshold = cfg.breaker_failure_threshold
         self.base_open_duration = cfg.breaker_open_duration
         self.max_open_duration = cfg.breaker_max_open_duration

@@ -23,10 +23,10 @@ from .conversion import (
 class PeriodicScanner:
     """One scanning process per tenant (as in the paper's evaluation)."""
 
-    def __init__(self, syncer, interval=None):
+    def __init__(self, syncer):
         self.syncer = syncer
         self.sim = syncer.sim
-        self.interval = interval or syncer.config.syncer.scan_interval
+        self.interval = syncer.config.syncer.scan_interval
         self._processes = {}
         self._telemetry = syncer._telemetry
         self._scans_counter = self._telemetry.counter(

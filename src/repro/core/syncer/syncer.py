@@ -21,7 +21,6 @@ restart benchmark.
 
 from repro.apiserver.errors import ApiError
 from repro.clientgo import (
-    FairWorkQueue,
     InformerFactory,
     JitteredBackoff,
     ShardedFairWorkQueue,
@@ -30,6 +29,7 @@ from repro.clientgo import (
 from repro.config import DEFAULT_CONFIG
 from repro.objects import Namespace
 from repro.simkernel.errors import Interrupt
+from repro.simkernel.resources import Lock
 from repro.telemetry import telemetry_of
 
 from ..crd import super_namespace
@@ -91,19 +91,12 @@ class TenantRegistration:
 class Syncer:
     """The centralized syncer controller."""
 
-    def __init__(self, sim, super_cluster, config=None, fair_queuing=True,
-                 dws_workers=None, uws_workers=None, vn_agent_port=10550,
-                 name="syncer", scan_interval=None, circuit_breaker=True):
+    def __init__(self, sim, super_cluster, config=None, name="syncer"):
         self.sim = sim
         self.super_cluster = super_cluster
         self.config = config or DEFAULT_CONFIG
         self.name = name
-        self.fair_queuing = fair_queuing
-        self.circuit_breaker = circuit_breaker
-        self.vn_agent_port = vn_agent_port
         cfg = self.config.syncer
-        self.dws_workers = dws_workers or cfg.default_dws_workers
-        self.uws_workers = uws_workers or cfg.default_uws_workers
 
         self.cpu = sim.accounting.cpu_account(name)
         self.mem = sim.accounting.memory_account(name)
@@ -118,45 +111,29 @@ class Syncer:
             size_overhead=mem_cfg.informer_overhead_bytes,
             handler_cost=cfg.informer_handler, cpu_account=self.cpu)
 
-        # Dispatch sharding (DESIGN.md §9): with shards == 1 this is the
-        # paper's single serialized queue + lock; with N shards, tenants
-        # hash to independent queues, each with its own critical section.
-        self.dispatch_shards = max(1, cfg.dispatch_shards)
-        from repro.simkernel.resources import Lock
-
-        if self.dispatch_shards > 1:
-            self.downward = ShardedFairWorkQueue(
-                sim, name=f"{name}-downward", shards=self.dispatch_shards,
-                fair=fair_queuing)
-            self.upward = ShardedFairWorkQueue(
-                sim, name=f"{name}-upward", shards=self.dispatch_shards,
-                fair=fair_queuing)
-            self.dws_locks = [Lock(sim, name=f"{name}-dws-lock-{i}")
-                              for i in range(self.dispatch_shards)]
-            self.uws_locks = [Lock(sim, name=f"{name}-uws-lock-{i}")
-                              for i in range(self.dispatch_shards)]
-        else:
-            self.downward = FairWorkQueue(sim, name=f"{name}-downward",
-                                          fair=fair_queuing)
-            self.upward = FairWorkQueue(sim, name=f"{name}-upward",
-                                        fair=fair_queuing)
-            self.dws_locks = [Lock(sim, name=f"{name}-dws-lock")]
-            self.uws_locks = [Lock(sim, name=f"{name}-uws-lock")]
-        # Shard 0's lock keeps the historical attribute names alive for
-        # tests and reports.
-        self.dws_lock = self.dws_locks[0]
-        self.uws_lock = self.uws_locks[0]
+        # Dispatch (DESIGN.md §9): tenants hash to one of
+        # ``dispatch_shards`` fair queues, each with its own serialized
+        # critical section; one shard is the paper's single queue + lock.
+        self.downward = ShardedFairWorkQueue(
+            sim, name=f"{name}-downward", shards=cfg.dispatch_shards,
+            fair=cfg.fair_queuing)
+        self.upward = ShardedFairWorkQueue(
+            sim, name=f"{name}-upward", shards=cfg.dispatch_shards,
+            fair=cfg.fair_queuing)
+        self.dispatch_shards = self.downward.num_shards
+        self.dws_locks = [Lock(sim, name=f"{name}-dws-lock-{i}")
+                          for i in range(self.dispatch_shards)]
+        self.uws_locks = [Lock(sim, name=f"{name}-uws-lock-{i}")
+                          for i in range(self.dispatch_shards)]
         self.super_writer = DownwardBatchWriter(self)
 
         self.tenants = {}
         telemetry = telemetry_of(sim)
         self._telemetry = telemetry
-        self.trace_store = TraceStore(cap=cfg.trace_retention_cap,
-                                      telemetry=telemetry)
+        self.trace_store = TraceStore(telemetry=telemetry)
         self.vnodes = VNodeManager(self)
         self.crd_sync = CrdSyncManager(self)
-        self.scanner = PeriodicScanner(
-            self, interval=scan_interval or cfg.scan_interval)
+        self.scanner = PeriodicScanner(self)
         # Bookkeeping counters live in the registry (one family, labeled
         # by syncer and event); :attr:`counters` renders the historical
         # dict view from it.
@@ -168,7 +145,7 @@ class Syncer:
             labels=("syncer", "direction"))
         self._items_dws = items.labels(syncer=name, direction="downward")
         self._items_uws = items.labels(syncer=name, direction="upward")
-        self.health = HealthTracker(self, enabled=circuit_breaker)
+        self.health = HealthTracker(self)
         # label -> live worker Process, maintained by the supervisors.
         self.worker_processes = {}
         # label -> respawn count (watchdog restarts after crashes).
@@ -537,14 +514,14 @@ class Syncer:
         self._started = True
         self._stopped = False
         self.super_writer.start()
-        for index in range(self.dws_workers):
+        for index in range(self.config.syncer.dws_workers):
             label = f"{self.name}-dws-{index}"
             shard = index % self.dispatch_shards
             self._processes.append(self.spawn(
                 self._supervise(label,
                                 lambda s=shard: self._dws_worker(s)),
                 name=f"{label}-watchdog"))
-        for index in range(self.uws_workers):
+        for index in range(self.config.syncer.uws_workers):
             label = f"{self.name}-uws-{index}"
             shard = index % self.dispatch_shards
             self._processes.append(self.spawn(
@@ -681,18 +658,12 @@ class Syncer:
             except Interrupt:
                 return
 
-    def _queue_get(self, queue, shard):
-        if self.dispatch_shards > 1:
-            return queue.get(shard)
-        return queue.get()
-
     def _dws_worker(self, shard=0):
         cfg = self.config.syncer
-        dws_lock = self.dws_locks[shard % len(self.dws_locks)]
+        dws_lock = self.dws_locks[shard]
         while not self._stopped:
             try:
-                tenant, item, _enqueued_at = yield self._queue_get(
-                    self.downward, shard)
+                tenant, item, _enqueued_at = yield self.downward.get(shard)
             except (ShutDown, Interrupt):
                 return
             plural, key = item
@@ -743,11 +714,10 @@ class Syncer:
 
     def _uws_worker(self, shard=0):
         cfg = self.config.syncer
-        uws_lock = self.uws_locks[shard % len(self.uws_locks)]
+        uws_lock = self.uws_locks[shard]
         while not self._stopped:
             try:
-                tenant, item, _enqueued_at = yield self._queue_get(
-                    self.upward, shard)
+                tenant, item, _enqueued_at = yield self.upward.get(shard)
             except (ShutDown, Interrupt):
                 return
             plural, key = item

@@ -9,13 +9,8 @@ boundaries the paper defines:
 4. UWS-Queue   — time in the upward worker queue;
 5. UWS-Process — upward synchronization (status back to the tenant).
 
-Retention is bounded: when a ``cap`` is set, completing a trace folds it
-into a compact per-pod record (tenant, total, five phase durations — a
-few floats instead of a :class:`PodTrace` plus its key) and the oldest
-completed :class:`PodTrace` objects beyond the cap are evicted.  Every
-aggregate — percentiles, phase means, bucket counts, per-tenant means —
-reads the compact records, so they stay **exact** over an entire chaos
-soak while ``len(store)`` stays bounded.
+Every trace is kept for the syncer's lifetime; the aggregates read the
+completed :class:`PodTrace` objects directly, in completion order.
 """
 
 PHASES = ("DWS-Queue", "DWS-Process", "Super-Sched", "UWS-Queue",
@@ -62,40 +57,20 @@ class PodTrace:
         }
 
 
-class _CompletedRecord:
-    """Compact fold of one completed trace (survives eviction)."""
-
-    __slots__ = ("tenant", "total", "phases")
-
-    def __init__(self, tenant, total, phases):
-        self.tenant = tenant
-        self.total = total
-        self.phases = phases  # tuple in PHASES order
-
-
 class TraceStore:
     """All Pod traces for one syncer.
 
-    ``cap``
-        maximum live :class:`PodTrace` objects (``len(store)``); the
-        oldest *completed* traces are evicted past it.  ``None`` keeps
-        everything (the historical behaviour).
     ``telemetry``
         optional :class:`~repro.telemetry.Telemetry` hub; completed
         traces observe ``pod_creation_seconds{tenant}`` and
         ``pod_phase_seconds{phase}`` histograms.
     """
 
-    def __init__(self, cap=None, telemetry=None):
+    def __init__(self, telemetry=None):
         self._traces = {}
-        self._cap = cap
-        # Completed keys in completion order (eviction order), and keys
-        # ever completed (so a relist's replayed add can't re-trace an
-        # evicted pod and double-count it).
-        self._completed_order = []
-        self._evict_cursor = 0
-        self._completed_keys = set()
-        self._records = []
+        # Traces in the order :meth:`mark` completed them, every phase
+        # stamped: what :attr:`completed_count` and the aggregates read.
+        self._completed = []
         self._creation_hist = None
         self._phase_hist = None
         if telemetry is not None:
@@ -107,120 +82,78 @@ class TraceStore:
                 labels=("phase",))
 
     def begin(self, tenant, pod_key, created):
+        """The Pod's trace, started at ``created`` if it has none yet (a
+        replayed informer add never restarts a trace)."""
         key = (tenant, pod_key)
-        if key in self._completed_keys:
-            # Already completed (possibly evicted): a replayed informer
-            # add must not restart the trace.
-            return self._traces.get(key)
-        if key not in self._traces:
-            self._traces[key] = PodTrace(tenant, pod_key, created)
-        return self._traces[key]
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = PodTrace(tenant, pod_key, created)
+        return trace
 
     def get(self, tenant, pod_key):
         return self._traces.get((tenant, pod_key))
 
     def mark(self, tenant, pod_key, field, now):
-        key = (tenant, pod_key)
-        trace = self._traces.get(key)
+        trace = self._traces.get((tenant, pod_key))
         if trace is None or getattr(trace, field) is not None:
             return
         setattr(trace, field, now)
         if trace.complete:
-            self._fold(key, trace)
-
-    def _fold(self, key, trace):
-        """Record a just-completed trace and evict past the cap."""
-        self._completed_keys.add(key)
-        self._completed_order.append(key)
-        phases = trace.phases()
-        self._records.append(_CompletedRecord(
-            trace.tenant, trace.total,
-            tuple(phases[phase] for phase in PHASES)))
-        if self._creation_hist is not None:
-            self._creation_hist.labels(tenant=trace.tenant).observe(
-                trace.total)
-            for phase, value in phases.items():
-                self._phase_hist.labels(phase=phase).observe(value)
-        if self._cap is None:
-            return
-        while (len(self._traces) > self._cap
-               and self._evict_cursor < len(self._completed_order)):
-            victim = self._completed_order[self._evict_cursor]
-            self._evict_cursor += 1
-            self._traces.pop(victim, None)
-        if self._evict_cursor > self._cap:
-            # Drop the consumed prefix so the order list stays O(cap).
-            del self._completed_order[:self._evict_cursor]
-            self._evict_cursor = 0
-
-    def _sync_folds(self):
-        """Fold traces completed without :meth:`mark` (callers that set
-        the phase fields directly on the :class:`PodTrace`)."""
-        for key, trace in list(self._traces.items()):
-            if trace.complete and key not in self._completed_keys:
-                self._fold(key, trace)
+            # Raises TypeError while an earlier phase is still unstamped
+            # (``uws_done`` landed first); the trace is recorded by the
+            # mark that stamps its last phase.
+            phases = trace.phases()
+            self._completed.append(trace)
+            if self._creation_hist is not None:
+                self._creation_hist.labels(tenant=tenant).observe(
+                    trace.total)
+                for phase, value in phases.items():
+                    self._phase_hist.labels(phase=phase).observe(value)
 
     def completed(self):
-        """Completed traces still retained (full-fidelity objects).
-
-        Under a retention cap old completed traces are evicted — use
-        :attr:`completed_count` and the aggregate methods for exact
-        whole-run numbers.
-        """
+        """Traces with ``uws_done`` stamped, in the order their Pods were
+        first seen."""
         return [t for t in self._traces.values() if t.complete]
 
     @property
     def completed_count(self):
-        """Exact count of traces ever completed (eviction-proof)."""
-        self._sync_folds()
-        return len(self._records)
-
-    def all(self):
-        return list(self._traces.values())
+        return len(self._completed)
 
     def __len__(self):
         return len(self._traces)
 
     # ------------------------------------------------------------------
-    # Aggregations used by the benchmark harness (exact: read the
-    # compact records, never the evictable trace objects)
+    # Aggregations used by the benchmark harness
     # ------------------------------------------------------------------
 
     def creation_times(self):
-        self._sync_folds()
-        return [record.total for record in self._records]
+        return [trace.total for trace in self._completed]
 
     def mean_phase_breakdown(self):
         """Average seconds per phase across completed traces (Fig. 8)."""
-        self._sync_folds()
-        if not self._records:
+        if not self._completed:
             return {phase: 0.0 for phase in PHASES}
-        sums = [0.0] * len(PHASES)
-        for record in self._records:
-            for index, value in enumerate(record.phases):
-                sums[index] += value
-        count = len(self._records)
-        return {phase: sums[index] / count
-                for index, phase in enumerate(PHASES)}
+        sums = dict.fromkeys(PHASES, 0.0)
+        for trace in self._completed:
+            for phase, value in trace.phases().items():
+                sums[phase] += value
+        return {phase: sums[phase] / len(self._completed)
+                for phase in PHASES}
 
     def phase_bucket_counts(self, bucket_width=2.0, bucket_count=5):
         """Table I: per-phase counts in fixed-width time buckets."""
-        self._sync_folds()
         buckets = {phase: [0] * bucket_count for phase in PHASES}
-        for record in self._records:
-            for index, phase in enumerate(PHASES):
-                slot = min(int(record.phases[index] // bucket_width),
-                           bucket_count - 1)
-                buckets[phase][slot] += 1
+        for trace in self._completed:
+            for phase, value in trace.phases().items():
+                buckets[phase][min(int(value // bucket_width),
+                                   bucket_count - 1)] += 1
         return buckets
 
     def mean_creation_time_by_tenant(self):
         """Fig. 11: average Pod creation time per tenant."""
-        self._sync_folds()
         sums = {}
         counts = {}
-        for record in self._records:
-            sums[record.tenant] = (sums.get(record.tenant, 0.0)
-                                   + record.total)
-            counts[record.tenant] = counts.get(record.tenant, 0) + 1
+        for trace in self._completed:
+            sums[trace.tenant] = sums.get(trace.tenant, 0.0) + trace.total
+            counts[trace.tenant] = counts.get(trace.tenant, 0) + 1
         return {tenant: sums[tenant] / counts[tenant] for tenant in sums}

@@ -15,6 +15,8 @@ constraints like anti-affinity become invisible.  The syncer:
 from repro.apiserver.errors import AlreadyExists, ApiError, NotFound
 from repro.simkernel.errors import Interrupt
 
+from ..vn_agent import VN_AGENT_PORT
+
 VNODE_LABEL = "tenancy.x-k8s.io/vnode"
 
 
@@ -125,7 +127,7 @@ class VNodeManager:
                 labels={**(super_node.metadata.labels or {}),
                         VNODE_LABEL: "true"}),
             status=super_node.status.replace(daemon_endpoints={
-                "kubeletEndpoint": {"Port": self.syncer.vn_agent_port}}))
+                "kubeletEndpoint": {"Port": VN_AGENT_PORT}}))
         self._created.add((tenant, node_name))
         try:
             yield from registration.client.create(vnode)

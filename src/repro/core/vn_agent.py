@@ -15,12 +15,15 @@ from repro.apiserver.errors import Forbidden, NotFound, Unauthorized
 
 from .crd import super_namespace
 
+# The port every vNode advertises as its kubelet endpoint.
+VN_AGENT_PORT = 10550
+
 
 class VnAgent:
     """One node's kubelet-API proxy."""
 
     def __init__(self, sim, node_name, kubelet, tenant_operator,
-                 port=10550, proxy_latency=0.002):
+                 port=VN_AGENT_PORT, proxy_latency=0.002):
         self.sim = sim
         self.node_name = node_name
         self.kubelet = kubelet

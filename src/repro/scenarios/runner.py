@@ -119,32 +119,29 @@ def compile_schedule(spec):
 
 
 def scenario_config(control):
-    """ControlSpec → a latency/behavior config for the env."""
-    from dataclasses import replace
-
-    config = DEFAULT_CONFIG
+    """ControlSpec → the deployment's config: the only mapping from a
+    scenario's ``control`` block to how the env is built."""
+    syncer = {"scan_interval": control.scan_interval,
+              "dws_workers": control.dws_workers,
+              "uws_workers": control.uws_workers,
+              "fair_queuing": control.fair_queuing,
+              "replicas": control.syncer_replicas}
     if control.optimized:
         # The §9 hot-path optimizations (indexes, sharded dispatch,
         # batched downward writes) — the configuration every corpus
         # scenario runs.
-        config = config.with_overrides(syncer=replace(
-            config.syncer, use_cache_indexes=True, dispatch_shards=2,
-            downward_batch_max=8))
-    overrides = {}
-    if control.apf:
-        overrides["apf"] = replace(config.apf, enabled=True)
-    if control.scale_to_zero:
-        swapper = replace(config.swapper, enabled=True)
-        if control.idle_threshold is not None:
-            # Keep the poll cadence proportional so short thresholds
-            # are actually observed within a scenario horizon.
-            swapper = replace(
-                swapper, idle_threshold=control.idle_threshold,
-                check_interval=max(0.5, control.idle_threshold / 5.0))
-        overrides["swapper"] = swapper
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config
+        syncer.update(use_cache_indexes=True, dispatch_shards=2,
+                      downward_batch_max=8)
+    swapper = {"enabled": control.scale_to_zero}
+    if control.idle_threshold is not None:
+        # Keep the poll cadence proportional so short thresholds are
+        # actually observed within a scenario horizon.
+        swapper.update(idle_threshold=control.idle_threshold,
+                       check_interval=max(0.5, control.idle_threshold / 5.0))
+    return DEFAULT_CONFIG.with_overrides(
+        syncer=syncer, swapper=swapper, apf={"enabled": control.apf},
+        storage={"replicas": control.store_replicas,
+                 "wal_enabled": control.store_wal})
 
 
 # ----------------------------------------------------------------------
@@ -217,18 +214,8 @@ def run_scenario(scenario, race_check=None, track_reads=False,
     recorder = ReplayRecorder(sim)
     detector = (RaceDetector(sim, track_reads=track_reads)
                 if want_races else None)
-    control = scenario.control
-    env = VirtualClusterEnv(
-        seed=scenario.seed, config=scenario_config(control), sim=sim,
-        num_virtual_nodes=0, fair_queuing=control.fair_queuing,
-        dws_workers=control.dws_workers, uws_workers=control.uws_workers,
-        scan_interval=control.scan_interval,
-        syncer_replicas=control.syncer_replicas,
-        # None (not 1/False) leaves the store construction untouched, so
-        # scenarios without storage knobs keep the seed's plain store.
-        store_replicas=(control.store_replicas
-                        if control.store_replicas > 1 else None),
-        store_wal=True if control.store_wal else None)
+    env = VirtualClusterEnv(seed=scenario.seed,
+                            config=scenario_config(scenario.control), sim=sim)
     env.bootstrap()
 
     # -- topology: node pools, uplinks, elastic staged joins ------------

@@ -62,23 +62,21 @@ class StressResult:
                       for bucket, count in counts.items())
 
 
-def _build_env(num_tenants, dws_workers, uws_workers, fair, seed,
-               num_nodes, scan_interval, config=None):
-    env = VirtualClusterEnv(
-        seed=seed, config=config, num_virtual_nodes=num_nodes,
-        fair_queuing=fair, dws_workers=dws_workers,
-        uws_workers=uws_workers, scan_interval=scan_interval)
+def _build_env(seed, num_nodes, config):
+    env = VirtualClusterEnv(seed=seed, config=config,
+                            num_virtual_nodes=num_nodes)
     env.bootstrap()
     return env
 
 
-def run_vc_stress(num_pods, num_tenants, dws_workers=20, uws_workers=100,
-                  fair=True, submission_rate=1000.0, num_nodes=100,
-                  seed=0, timeout=600.0, scan_interval=60.0, env=None,
-                  keep_env=False, config=None):
-    """The VirtualCluster stress run (Figs. 7-10 VC series)."""
-    env = env or _build_env(num_tenants, dws_workers, uws_workers, fair,
-                            seed, num_nodes, scan_interval, config=config)
+def run_vc_stress(num_pods, num_tenants, submission_rate=1000.0,
+                  num_nodes=100, seed=0, timeout=600.0, keep_env=False,
+                  config=None):
+    """The VirtualCluster stress run (Figs. 7-10 VC series).
+
+    Syncer sizing, fair queuing and the scan period come from ``config``.
+    """
+    env = _build_env(seed, num_nodes, config)
 
     tenants = []
 
@@ -139,9 +137,7 @@ def run_baseline_stress(num_pods, num_threads, submission_rate=1000.0,
     One namespace per submission thread (as one would per tenant), with
     the same aggregate submission rate as the VC run.
     """
-    env = VirtualClusterEnv(seed=seed, config=config,
-                            num_virtual_nodes=num_nodes)
-    env.bootstrap()
+    env = _build_env(seed, num_nodes, config)
     admin = env.super_admin_client()
 
     namespaces = [f"load-{i:03d}" for i in range(num_threads)]
@@ -206,12 +202,13 @@ def run_baseline_stress(num_pods, num_threads, submission_rate=1000.0,
 
 
 def run_fairness_stress(num_greedy=10, num_regular=40, greedy_pods=900,
-                        regular_pods=10, fair=True, num_nodes=100, seed=0,
+                        regular_pods=10, num_nodes=100, seed=0,
                         timeout=1200.0, config=None):
-    """The Fig. 11 experiment: greedy bursts vs regular sequential users."""
+    """The Fig. 11 experiment: greedy bursts vs regular sequential users
+    (``config.syncer.fair_queuing`` picks Fig. 11a or 11b)."""
     num_tenants = num_greedy + num_regular
-    env = _build_env(num_tenants, 20, 100, fair, seed, num_nodes, 60.0,
-                     config=config)
+    env = _build_env(seed, num_nodes, config)
+    fair = env.config.syncer.fair_queuing
 
     tenants = []
 

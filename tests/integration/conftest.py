@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 
 
 @pytest.fixture
 def env():
     """3 virtual-kubelet nodes, fast tenant provisioning."""
-    environment = VirtualClusterEnv(num_virtual_nodes=3, scan_interval=5.0)
+    environment = VirtualClusterEnv(
+        num_virtual_nodes=3,
+        config=DEFAULT_CONFIG.with_overrides(syncer={"scan_interval": 5.0}))
     environment.bootstrap()
     return environment
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.chaos import ChaosEngine, random_plan
 from repro.chaos.engine import check_convergence
+from repro.config import DEFAULT_CONFIG
 from repro.core.env import VirtualClusterEnv
 from repro.simkernel.errors import Interrupt
 
@@ -19,8 +20,9 @@ SOAK_SEEDS = (1, 7, 23, 101)
 
 
 def build_env(seed, tenants=2, pods_per_tenant=2, nodes=3):
-    env = VirtualClusterEnv(seed=seed, num_virtual_nodes=nodes,
-                            scan_interval=5.0, dws_workers=4, uws_workers=4)
+    config = DEFAULT_CONFIG.with_overrides(syncer={
+        "scan_interval": 5.0, "dws_workers": 4, "uws_workers": 4})
+    env = VirtualClusterEnv(seed=seed, config=config, num_virtual_nodes=nodes)
     env.bootstrap()
     handles = []
     for index in range(tenants):

@@ -3,6 +3,7 @@ services over a VPC (paper §III-B(4)-(5), evaluated in §IV-E)."""
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 from repro.core.crd import super_namespace
 from repro.network import ConnectivityChecker
@@ -11,7 +12,9 @@ from repro.objects import make_service
 
 @pytest.fixture
 def dp_env():
-    environment = VirtualClusterEnv(num_real_nodes=1, scan_interval=30.0)
+    environment = VirtualClusterEnv(
+        num_real_nodes=1,
+        config=DEFAULT_CONFIG.with_overrides(syncer={"scan_interval": 30.0}))
     environment.bootstrap(settle=3.0)
     return environment
 

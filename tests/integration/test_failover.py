@@ -9,13 +9,15 @@ no matter how the deletion arrived.
 import pytest
 
 from repro.apiserver import ADMIN, FencingConflict
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 
 
 @pytest.fixture
 def ha_env():
     environment = VirtualClusterEnv(
-        num_virtual_nodes=3, scan_interval=5.0, syncer_replicas=2)
+        num_virtual_nodes=3, config=DEFAULT_CONFIG.with_overrides(
+            syncer={"scan_interval": 5.0, "replicas": 2}))
     environment.bootstrap()
     return environment
 

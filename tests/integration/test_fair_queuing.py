@@ -6,17 +6,18 @@ benchmarks/; here a scaled-down version verifies the mechanism quickly.
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.workloads import run_fairness_stress
 
 
 @pytest.fixture(scope="module")
 def fairness_results():
     fair = run_fairness_stress(num_greedy=2, num_regular=6, greedy_pods=900,
-                               regular_pods=5, fair=True, num_nodes=10,
-                               seed=7)
-    unfair = run_fairness_stress(num_greedy=2, num_regular=6,
-                                 greedy_pods=900, regular_pods=5,
-                                 fair=False, num_nodes=10, seed=7)
+                               regular_pods=5, num_nodes=10, seed=7)
+    unfair = run_fairness_stress(
+        num_greedy=2, num_regular=6, greedy_pods=900, regular_pods=5,
+        num_nodes=10, seed=7,
+        config=DEFAULT_CONFIG.with_overrides(syncer={"fair_queuing": False}))
     return fair, unfair
 
 

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.federation import FleetCapacityError, SuperClusterFleet
 
 
 @pytest.fixture
 def fleet():
-    fleet = SuperClusterFleet(num_super_clusters=2, nodes_per_cluster=2,
-                              scan_interval=30.0)
+    fleet = SuperClusterFleet(
+        num_super_clusters=2, nodes_per_cluster=2,
+        config=DEFAULT_CONFIG.with_overrides(syncer={"scan_interval": 30.0}))
     fleet.bootstrap()
     return fleet
 

@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.config import SwapperConfig
 from repro.core.swapper import IdleSwapper, control_plane_memory
 
 
 @pytest.fixture
 def swapper(env):
-    swapper = IdleSwapper(env.sim, idle_threshold=20.0, check_interval=5.0,
-                          wake_latency=0.8)
+    # The ablation: immediate page-out, no warm pool, unbounded wakes.
+    swapper = IdleSwapper(env.sim, SwapperConfig(
+        idle_threshold=20.0, check_interval=5.0, cold_wake_latency=0.8,
+        swapout_latency=0.0, warm_pool=0, wake_concurrency=0))
     swapper.start()
     return swapper
 

@@ -14,7 +14,7 @@ from repro.workloads import LoadGenerator, TenantLoadPattern
 
 @pytest.fixture(scope="module")
 def weighted_run():
-    env = VirtualClusterEnv(num_virtual_nodes=10, scan_interval=60.0)
+    env = VirtualClusterEnv(num_virtual_nodes=10)
     env.bootstrap()
     heavy = env.run_coroutine(env.create_tenant("premium", weight=4))
     light = env.run_coroutine(env.create_tenant("basic", weight=1))

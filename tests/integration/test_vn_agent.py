@@ -7,12 +7,15 @@ holding containers to stream logs from.
 import pytest
 
 from repro.apiserver import Credential, NotFound, Unauthorized
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 
 
 @pytest.fixture
 def real_env():
-    environment = VirtualClusterEnv(num_real_nodes=2, scan_interval=30.0)
+    environment = VirtualClusterEnv(
+        num_real_nodes=2,
+        config=DEFAULT_CONFIG.with_overrides(syncer={"scan_interval": 30.0}))
     environment.bootstrap(settle=3.0)
     return environment
 

@@ -2,6 +2,7 @@
 scheduling constraints remain visible to the tenant — unlike virtual
 kubelet, which collapses everything onto one synthetic node object."""
 
+from repro.core.vn_agent import VN_AGENT_PORT
 from repro.objects import make_pod, with_anti_affinity
 
 
@@ -57,7 +58,7 @@ class TestVNodeLifecycle:
         assert vnode.status.capacity == physical.status.capacity
         # The vNode points at the vn-agent port, not the kubelet port.
         port = vnode.status.daemon_endpoints["kubeletEndpoint"]["Port"]
-        assert port == env.syncer.vn_agent_port
+        assert port == VN_AGENT_PORT
 
     def test_heartbeats_reach_vnodes(self, env, tenant):
         env.syncer.vnodes.heartbeat_interval = 2.0

@@ -140,7 +140,10 @@ class TestCircuitBreaker:
         assert tracker.state("t1") == STATE_CLOSED
 
     def test_disabled_tracker_always_allows(self, sim):
-        tracker = HealthTracker(FakeSyncer(sim), enabled=False)
+        syncer = FakeSyncer(sim)
+        syncer.config = DEFAULT_CONFIG.with_overrides(
+            syncer={"circuit_breaker": False})
+        tracker = HealthTracker(syncer)
         for _ in range(10):
             tracker.record_failure("t1")
         assert tracker.allow("t1")
@@ -293,7 +296,8 @@ class TestWatchdog:
 
         super_cluster = SuperCluster(sim, DEFAULT_CONFIG)
         super_cluster.start()
-        syncer = Syncer(sim, super_cluster, dws_workers=2, uws_workers=1)
+        syncer = Syncer(sim, super_cluster, DEFAULT_CONFIG.with_overrides(
+            syncer={"dws_workers": 2, "uws_workers": 1}))
         syncer.start()
         sim.run(until=sim.now + 1.0)
         return syncer

@@ -183,8 +183,7 @@ class TestDeterminismAcrossComponents:
         from repro.core import VirtualClusterEnv
 
         def run_once(seed):
-            env = VirtualClusterEnv(seed=seed, num_virtual_nodes=2,
-                                    scan_interval=60.0)
+            env = VirtualClusterEnv(seed=seed, num_virtual_nodes=2)
             env.bootstrap()
             tenant = env.run_coroutine(env.create_tenant("t"))
             env.run_coroutine(tenant.create_pod("p"))

@@ -13,8 +13,11 @@ will hit constantly; each gets a focused test here:
 Plus the warm-pool retention policy and the WakeGate's tier priority.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import SwapperConfig
 from repro.core.swapper import (
     RESIDENT,
     SWAPPED,
@@ -28,6 +31,11 @@ from repro.simkernel import Simulation
 from repro.simkernel.errors import Interrupt
 
 pytestmark = pytest.mark.apf
+
+# The original ablation's settings (immediate page-out, no warm pool,
+# unbounded page-in concurrency); each test overrides what it exercises.
+ABLATION = SwapperConfig(swapout_latency=0.0, warm_pool=0,
+                         wake_concurrency=0)
 
 
 def run_awake(sim, state, box=None, name="requester"):
@@ -43,7 +51,7 @@ def run_awake(sim, state, box=None, name="requester"):
 class TestSwapStateMachine:
     def test_request_mid_swapout_aborts_for_free(self):
         sim = Simulation(seed=1)
-        swapper = IdleSwapper(sim, swapout_latency=0.5)
+        swapper = IdleSwapper(sim, replace(ABLATION, swapout_latency=0.5))
         state = SwapState(sim, swapper=swapper, name="cp")
         entry = {"control_plane": None, "tier": "standard"}
         # Drive the page-out window by hand (no control plane needed).
@@ -176,8 +184,9 @@ class TestWakeGate:
 class TestWarmPool:
     def test_warm_hit_then_cold(self):
         sim = Simulation(seed=1)
-        swapper = IdleSwapper(sim, wake_latency=0.8, warm_pool=2,
-                              warm_wake_latency=0.15)
+        swapper = IdleSwapper(sim, replace(
+            ABLATION, cold_wake_latency=0.8, warm_pool=2,
+            warm_wake_latency=0.15))
         swapper._warm_admit("cp-a", "standard")
         latency, kind = swapper.wake_latency_for("cp-a")
         assert (latency, kind) == (0.15, "warm")
@@ -187,7 +196,7 @@ class TestWarmPool:
 
     def test_eviction_prefers_dropping_low_tiers(self):
         sim = Simulation(seed=1)
-        swapper = IdleSwapper(sim, warm_pool=2)
+        swapper = IdleSwapper(sim, replace(ABLATION, warm_pool=2))
         swapper._warm_admit("cp-free", "free")
         swapper._warm_admit("cp-plat", "platinum")
         swapper._warm_admit("cp-std", "standard")
@@ -196,7 +205,7 @@ class TestWarmPool:
 
     def test_eviction_drops_oldest_within_a_tier(self):
         sim = Simulation(seed=1)
-        swapper = IdleSwapper(sim, warm_pool=2)
+        swapper = IdleSwapper(sim, replace(ABLATION, warm_pool=2))
         swapper._warm_admit("cp-1", "standard")
         swapper._warm_admit("cp-2", "standard")
         swapper._warm_admit("cp-3", "standard")

@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 from repro.core.syncer.syncer import Syncer
 from repro.objects import make_pod
 
 
+SLOW_SCAN = DEFAULT_CONFIG.with_overrides(syncer={"scan_interval": 120.0})
+
+
 @pytest.fixture(scope="module")
 def env_and_tenant():
-    env = VirtualClusterEnv(num_virtual_nodes=2, scan_interval=120.0)
+    env = VirtualClusterEnv(num_virtual_nodes=2, config=SLOW_SCAN)
     env.bootstrap()
     tenant = env.run_coroutine(env.create_tenant("acme"))
     return env, tenant
@@ -105,7 +109,7 @@ class TestSyncerBookkeeping:
         assert snapshot["tenant-informer-caches"] > 0
 
     def test_unregister_tenant_removes_queues(self):
-        env = VirtualClusterEnv(num_virtual_nodes=1, scan_interval=120.0)
+        env = VirtualClusterEnv(num_virtual_nodes=1, config=SLOW_SCAN)
         env.bootstrap()
         tenant = env.run_coroutine(env.create_tenant("gone"))
         assert tenant.key in env.syncer.downward.tenants

@@ -156,27 +156,28 @@ class TestTracing:
         assert a is b
         assert a.created == 0.0
 
+    @staticmethod
+    def _stamp(store, tenant, key, *stamps):
+        """Mark the five phase boundaries in order."""
+        fields = ("dws_dequeue", "dws_done", "super_ready", "uws_dequeue",
+                  "uws_done")
+        store.begin(tenant, key, created=0.0)
+        for field, when in zip(fields, stamps):
+            store.mark(tenant, key, field, when)
+
     def test_mean_phase_breakdown(self):
         store = TraceStore()
         for i in range(2):
-            trace = store.begin("t", f"ns/p{i}", created=0.0)
-            trace.dws_dequeue = 1.0 + i
-            trace.dws_done = 2.0 + i
-            trace.super_ready = 3.0 + i
-            trace.uws_dequeue = 4.0 + i
-            trace.uws_done = 5.0 + i
+            self._stamp(store, "t", f"ns/p{i}",
+                        1.0 + i, 2.0 + i, 3.0 + i, 4.0 + i, 5.0 + i)
         means = store.mean_phase_breakdown()
         assert means["DWS-Queue"] == pytest.approx(1.5)
         assert set(means) == set(PHASES)
 
     def test_bucket_counts(self):
         store = TraceStore()
-        trace = store.begin("t", "ns/p", created=0.0)
-        trace.dws_dequeue = 3.0   # bucket [2,4)
-        trace.dws_done = 3.1
-        trace.super_ready = 3.2
-        trace.uws_dequeue = 3.3
-        trace.uws_done = 3.4
+        # DWS-Queue lands in bucket [2,4), every other phase in [0,2).
+        self._stamp(store, "t", "ns/p", 3.0, 3.1, 3.2, 3.3, 3.4)
         buckets = store.phase_bucket_counts(bucket_width=2.0, bucket_count=5)
         assert buckets["DWS-Queue"] == [0, 1, 0, 0, 0]
         assert buckets["DWS-Process"] == [1, 0, 0, 0, 0]
@@ -184,19 +185,32 @@ class TestTracing:
     def test_per_tenant_means(self):
         store = TraceStore()
         for tenant, total in (("a", 2.0), ("a", 4.0), ("b", 10.0)):
-            key = f"ns/p{total}-{tenant}"
-            trace = store.begin(tenant, key, created=0.0)
-            trace.dws_dequeue = trace.dws_done = trace.super_ready = 0.0
-            trace.uws_dequeue = 0.0
-            trace.uws_done = total
+            self._stamp(store, tenant, f"ns/p{total}-{tenant}",
+                        0.0, 0.0, 0.0, 0.0, total)
         means = store.mean_creation_time_by_tenant()
         assert means["a"] == pytest.approx(3.0)
         assert means["b"] == pytest.approx(10.0)
 
+    def test_out_of_order_completion_counts_once(self):
+        """``uws_done`` before ``super_ready``: the early mark raises (as
+        it always has, inside the caller's worker) and the trace counts
+        once, when its last phase lands."""
+        store = TraceStore()
+        store.begin("t", "ns/p", created=0.0)
+        for field, when in (("dws_dequeue", 1.0), ("dws_done", 2.0),
+                            ("uws_dequeue", 4.0)):
+            store.mark("t", "ns/p", field, when)
+        with pytest.raises(TypeError):
+            store.mark("t", "ns/p", "uws_done", 5.0)
+        assert store.completed_count == 0
+        assert store.creation_times() == []
+        store.mark("t", "ns/p", "super_ready", 3.0)
+        assert store.completed_count == 1
+        assert store.creation_times() == [5.0]
+
 
 class TestTraceRetention:
-    """Bounded TraceStore retention: ``len(store)`` stays under the cap
-    during a long soak while every aggregate stays exact."""
+    """The TraceStore keeps every trace; completions feed the registry."""
 
     @staticmethod
     def _complete(store, tenant, key, created, total=5.0):
@@ -206,49 +220,6 @@ class TestTraceRetention:
         store.mark(tenant, key, "super_ready", created + 3.0)
         store.mark(tenant, key, "uws_dequeue", created + 4.0)
         store.mark(tenant, key, "uws_done", created + total)
-
-    def test_soak_stays_under_cap_with_exact_percentiles(self):
-        cap = 100
-        capped = TraceStore(cap=cap)
-        exact = TraceStore()  # uncapped reference
-        total_pods = 5000
-        for i in range(total_pods):
-            total = 5.0 + (i % 97)
-            self._complete(capped, f"t{i % 7}", f"ns/p{i}",
-                           created=float(i), total=total)
-            self._complete(exact, f"t{i % 7}", f"ns/p{i}",
-                           created=float(i), total=total)
-            assert len(capped) <= cap
-        assert capped.completed_count == total_pods
-        # The whole distribution — hence every percentile — is identical
-        # to the uncapped store's, despite 98% of traces being evicted.
-        assert sorted(capped.creation_times()) == \
-            sorted(exact.creation_times())
-        assert capped.mean_phase_breakdown() == \
-            exact.mean_phase_breakdown()
-        assert capped.mean_creation_time_by_tenant() == \
-            exact.mean_creation_time_by_tenant()
-        assert capped.phase_bucket_counts() == exact.phase_bucket_counts()
-
-    def test_incomplete_traces_never_evicted(self):
-        store = TraceStore(cap=10)
-        for i in range(10):
-            store.begin("t", f"ns/live{i}", created=0.0)
-        for i in range(50):
-            self._complete(store, "t", f"ns/done{i}", created=0.0)
-        for i in range(10):
-            assert store.get("t", f"ns/live{i}") is not None
-        assert store.completed_count == 50
-
-    def test_evicted_key_cannot_be_retraced(self):
-        store = TraceStore(cap=2)
-        for i in range(5):
-            self._complete(store, "t", f"ns/p{i}", created=0.0)
-        # p0 was evicted; a replayed informer add must not restart its
-        # trace and double-count the pod.
-        assert store.begin("t", "ns/p0", created=99.0) is None
-        store.mark("t", "ns/p0", "dws_dequeue", 100.0)  # no-op
-        assert store.completed_count == 5
 
     def test_uncapped_keeps_everything(self):
         store = TraceStore()
@@ -265,7 +236,7 @@ class TestTraceRetention:
             active_process = None
 
         telemetry = Telemetry(_StubSim())
-        store = TraceStore(cap=4, telemetry=telemetry)
+        store = TraceStore(telemetry=telemetry)
         for i in range(12):
             self._complete(store, "acme", f"ns/p{i}", created=0.0)
         family = telemetry.registry.get("pod_creation_seconds")

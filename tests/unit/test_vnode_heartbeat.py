@@ -13,12 +13,15 @@ import sys
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core import VirtualClusterEnv
 
 
 @pytest.fixture(scope="module")
 def env():
-    env = VirtualClusterEnv(num_virtual_nodes=2, scan_interval=600.0)
+    env = VirtualClusterEnv(
+        num_virtual_nodes=2,
+        config=DEFAULT_CONFIG.with_overrides(syncer={"scan_interval": 600.0}))
     env.bootstrap()
     tenants = [env.run_coroutine(env.create_tenant(f"hb-{i}"))
                for i in range(3)]
