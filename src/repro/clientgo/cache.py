@@ -2,7 +2,9 @@
 
 Reconcilers read object state from here instead of querying the apiserver
 (paper Fig. 3 / Fig. 5); the caches also dominate the syncer's memory
-footprint, so the cache tracks an estimated byte size per object.
+footprint, so the cache tracks an estimated byte size per object and
+adds every change into its informer factory's running total
+(:class:`ByteTotal`) — a memory meter reads one integer, not every cache.
 
 Entries are the apiserver's shared snapshots — the same object sits in
 every informer cache watching that apiserver — so everything a cache
@@ -45,15 +47,26 @@ def _labels_index(obj):
     return tuple(f"{key}={value}" for key, value in labels.items())
 
 
+class ByteTotal:
+    """A running byte count that several caches add into (one per
+    informer factory), so reading a factory's footprint is O(1)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = 0
+
+
 class ObjectCache:
     """Keyed store of the latest observed object versions, with indexes."""
 
-    def __init__(self, size_factor=0.0, size_overhead=0):
+    def __init__(self, size_factor=0.0, size_overhead=0, byte_total=None):
         self._items = {}
         self._sizes = {}
         self._size_factor = size_factor
         self._size_overhead = size_overhead
         self.total_bytes = 0
+        self._byte_total = byte_total
         # name -> index function (obj -> iterable of hashable values)
         self._index_funcs = {}
         # name -> {value -> set(key)}
@@ -72,6 +85,11 @@ class ObjectCache:
 
     def set_race_probe(self, probe):
         self._race_probe = probe
+
+    def _add_bytes(self, delta):
+        self.total_bytes += delta
+        if self._byte_total is not None:
+            self._byte_total.value += delta
 
     # ------------------------------------------------------------------
     # Index maintenance
@@ -122,7 +140,7 @@ class ObjectCache:
         if self._size_factor:
             new_size = estimate_object_bytes(obj, self._size_factor,
                                              self._size_overhead)
-            self.total_bytes += new_size - self._sizes.get(key, 0)
+            self._add_bytes(new_size - self._sizes.get(key, 0))
             self._sizes[key] = new_size
         if key in self._items:
             self._index_drop(key)
@@ -134,7 +152,7 @@ class ObjectCache:
             self._race_probe.write(key)
         if key in self._items:
             del self._items[key]
-            self.total_bytes -= self._sizes.pop(key, 0)
+            self._add_bytes(-self._sizes.pop(key, 0))
             self._index_drop(key)
 
     def get(self, key):
@@ -163,7 +181,7 @@ class ObjectCache:
         """Atomically replace contents (reflector relist)."""
         self._items.clear()
         self._sizes.clear()
-        self.total_bytes = 0
+        self._add_bytes(-self.total_bytes)
         self._indexed_values.clear()
         for postings in self._postings.values():
             postings.clear()

@@ -7,7 +7,7 @@ apiserver (paper Fig. 3 and Fig. 5).
 
 from repro.telemetry import telemetry_of
 
-from .cache import ObjectCache
+from .cache import ByteTotal, ObjectCache
 from .reflector import ADDED, DELETED, MODIFIED, Reflector
 
 
@@ -27,11 +27,13 @@ class SharedInformer:
 
     def __init__(self, sim, client, plural, namespace=None,
                  label_selector=None, field_selector=None, size_factor=0.0,
-                 size_overhead=0, handler_cost=0.0, cpu_account=None):
+                 size_overhead=0, handler_cost=0.0, cpu_account=None,
+                 byte_total=None):
         self.sim = sim
         self.plural = plural
         self.cache = ObjectCache(size_factor=size_factor,
-                                 size_overhead=size_overhead)
+                                 size_overhead=size_overhead,
+                                 byte_total=byte_total)
         detector = getattr(sim, "race_detector", None)
         if detector is not None:
             self.cache.set_race_probe(
@@ -137,6 +139,7 @@ class InformerFactory:
         self._size_overhead = size_overhead
         self._handler_cost = handler_cost
         self._cpu_account = cpu_account
+        self._byte_total = ByteTotal()
         self.informers = {}
 
     def informer(self, plural, namespace=None, field_selector=None):
@@ -149,7 +152,8 @@ class InformerFactory:
                 size_factor=self._size_factor,
                 size_overhead=self._size_overhead,
                 handler_cost=self._handler_cost,
-                cpu_account=self._cpu_account)
+                cpu_account=self._cpu_account,
+                byte_total=self._byte_total)
         return self.informers[key]
 
     def start_all(self):
@@ -168,4 +172,6 @@ class InformerFactory:
 
     @property
     def total_cache_bytes(self):
-        return sum(inf.cache.total_bytes for inf in self.informers.values())
+        """Estimated bytes across this factory's caches, kept as a
+        running total by the caches themselves (O(1) to read)."""
+        return self._byte_total.value

@@ -6,6 +6,7 @@ point drift.  Arithmetic and comparisons are supported so schedulers and
 quota admission can sum requests against node allocatable.
 """
 
+import functools
 import re
 
 _BINARY_SUFFIXES = {
@@ -31,12 +32,31 @@ class InvalidQuantity(ValueError):
     """The string is not a valid Kubernetes quantity."""
 
 
+def _parse_milli(text):
+    """The milli-unit amount a quantity string denotes."""
+    match = _QUANTITY_RE.match(str(text).strip())
+    if not match:
+        raise InvalidQuantity(f"invalid quantity: {text!r}")
+    number, suffix = match.groups()
+    value = float(number) if "." in number else int(number)
+    if suffix == "":
+        return round(value * 1000)
+    if suffix == "m":
+        return round(value)
+    if suffix in _BINARY_SUFFIXES:
+        return round(value * _BINARY_SUFFIXES[suffix] * 1000)
+    if suffix in _DECIMAL_SUFFIXES:
+        return round(value * _DECIMAL_SUFFIXES[suffix] * 1000)
+    raise InvalidQuantity(f"unknown suffix {suffix!r} in {text!r}")
+
+
 class Quantity:
     """An exact resource amount, e.g. ``Quantity.parse("250m")``.
 
     A value: ``milli`` is never reassigned after construction, so
-    :meth:`parse` hands a ``Quantity`` argument back as is and resource
-    lists may share instances.
+    :meth:`parse` hands a ``Quantity`` argument back as is,
+    :meth:`from_serialized` hands out one instance per distinct wire
+    string, and resource lists may share instances.
     """
 
     __slots__ = ("milli",)
@@ -51,20 +71,7 @@ class Quantity:
             return text
         if isinstance(text, (int, float)):
             return cls(round(text * 1000))
-        match = _QUANTITY_RE.match(str(text).strip())
-        if not match:
-            raise InvalidQuantity(f"invalid quantity: {text!r}")
-        number, suffix = match.groups()
-        value = float(number) if "." in number else int(number)
-        if suffix == "":
-            return cls(round(value * 1000))
-        if suffix == "m":
-            return cls(round(value))
-        if suffix in _BINARY_SUFFIXES:
-            return cls(round(value * _BINARY_SUFFIXES[suffix] * 1000))
-        if suffix in _DECIMAL_SUFFIXES:
-            return cls(round(value * _DECIMAL_SUFFIXES[suffix] * 1000))
-        raise InvalidQuantity(f"unknown suffix {suffix!r} in {text!r}")
+        return cls(_parse_milli(text))
 
     @classmethod
     def zero(cls):
@@ -80,6 +87,9 @@ class Quantity:
 
     @classmethod
     def from_serialized(cls, raw):
+        """Decode a wire value: one shared instance per distinct string."""
+        if isinstance(raw, str):
+            return _interned(raw)
         return cls.parse(raw)
 
     # ------------------------------------------------------------------
@@ -135,6 +145,12 @@ class Quantity:
 
     def __repr__(self):
         return f"Quantity({str(self)!r})"
+
+
+@functools.lru_cache(maxsize=4096)
+def _interned(text):
+    # Sharing is safe: a Quantity is a value (see its docstring).
+    return Quantity(_parse_milli(text))
 
 
 def add_resource_lists(a, b):

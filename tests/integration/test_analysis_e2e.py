@@ -14,6 +14,7 @@ Acceptance anchors for the static-analysis PR:
   ``scripts/tier1.sh --lint``).
 """
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,23 @@ CHAOS = str(SMOKE / "chaos_base.yaml")
 
 def run_file(path, **kwargs):
     return run_scenario(load_scenario(path), **kwargs)
+
+
+@functools.cache
+def diverging_swap():
+    """The first dispatch index K >= 200 whose ``perturb_swap`` makes
+    CHAOS diverge from its plain replay.
+
+    Many adjacent dispatches commute (swapping them changes no store
+    event), and which ones do shifts whenever the kernel's event count
+    does; a bounded, deterministic scan keeps the perturbation tests on a
+    real divergence instead of a hard-coded index."""
+    plain = run_file(CHAOS).recorder
+    for swap in range(200, 300):
+        perturbed = run_file(CHAOS, perturb_swap=swap).recorder
+        if first_divergence(plain, perturbed) is not None:
+            return swap
+    raise AssertionError("no swap in [200, 300) makes CHAOS diverge")
 
 
 class TestRaceDetectorFullEnv:
@@ -66,7 +84,7 @@ class TestReplayDeterminismFullEnv:
     def test_perturbed_run_bisected_to_first_event(self):
         """Flipping one dispatch order mid-run is localized exactly."""
         run_a = run_file(CHAOS).recorder
-        run_p = run_file(CHAOS, perturb_swap=200).recorder
+        run_p = run_file(CHAOS, perturb_swap=diverging_swap()).recorder
         divergence = first_divergence(run_a, run_p)
         assert divergence is not None
         # Exact localization: every event before the divergence index
@@ -104,11 +122,12 @@ class TestVerifyDiagnosesNondeterminism:
     def flaky_replays(self, monkeypatch):
         calls = []
         plain = scenario_runner.run_scenario
+        swap = diverging_swap()
 
         def flaky(scenario, **kwargs):
             calls.append(scenario.name)
             if len(calls) > 1:
-                kwargs["perturb_swap"] = 200
+                kwargs["perturb_swap"] = swap
             return plain(scenario, **kwargs)
 
         monkeypatch.setattr(scenario_runner, "run_scenario", flaky)
@@ -162,7 +181,8 @@ class TestAnalysisCliRuns:
         assert analysis_main(["bisect", QUIET]) == 0
 
     def test_bisect_subcommand_perturbed_exit(self, capsys):
-        exit_code = analysis_main(["bisect", CHAOS, "--perturb", "200"])
+        exit_code = analysis_main(["bisect", CHAOS, "--perturb",
+                                   str(diverging_swap())])
         assert exit_code == 2
         out = capsys.readouterr().out
         assert "diverg" in out.lower()

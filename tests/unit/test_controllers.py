@@ -8,6 +8,7 @@ from repro.controllers import ControllerManager
 from repro.objects import (
     Deployment,
     LabelSelector,
+    OwnerReference,
     ReplicaSet,
     make_namespace,
     make_pod,
@@ -160,16 +161,20 @@ class TestReplicaSetController:
         assert rs.status.replicas == 2
 
 
+def _make_deployment(name="web", replicas=2):
+    deployment = Deployment()
+    deployment.metadata.name = name
+    deployment.metadata.namespace = "default"
+    deployment.spec.replicas = replicas
+    deployment.spec.selector = LabelSelector(match_labels={"app": name})
+    deployment.spec.template.metadata.labels = {"app": name}
+    deployment.spec.template.spec = make_pod("t").spec
+    return deployment
+
+
 class TestDeploymentController:
     def test_deployment_creates_replicaset_and_pods(self, cluster):
-        deployment = Deployment()
-        deployment.metadata.name = "web"
-        deployment.metadata.namespace = "default"
-        deployment.spec.replicas = 2
-        deployment.spec.selector = LabelSelector(match_labels={"app": "web"})
-        deployment.spec.template.metadata.labels = {"app": "web"}
-        deployment.spec.template.spec = make_pod("t").spec
-        cluster.run(cluster.client.create(deployment))
+        cluster.run(cluster.client.create(_make_deployment()))
         cluster.settle(4)
         replicasets = cluster.list("replicasets")
         assert len(replicasets) == 1
@@ -177,12 +182,137 @@ class TestDeploymentController:
         assert len(cluster.list("pods")) == 2
 
 
+def _owner_ref(owner, controller=True):
+    return OwnerReference(api_version=owner.API_VERSION, kind=owner.KIND,
+                          name=owner.name, uid=owner.uid,
+                          controller=controller)
+
+
+class _RecordingClient:
+    """Forwards every call to a client, recording the method's name."""
+
+    def __init__(self, client):
+        self._client = client
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._client, name)
+
+        def record(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return record
+
+
+@pytest.fixture
+def collector(cluster):
+    """The cluster's garbage collector, its API calls recorded."""
+    gc = cluster.manager.get("garbage-collector")
+    gc.client = _RecordingClient(gc.client)
+    return gc
+
+
 class TestGarbageCollector:
     def test_orphaned_pods_deleted(self, cluster):
+        """The owner's delete event enqueues its dependents, so they go
+        well within the 0.5 sim-s a scan tick used to take."""
         cluster.run(cluster.client.create(_make_replicaset(replicas=2)))
         cluster.settle(3)
         assert len(cluster.list("pods")) == 2
         cluster.run(cluster.client.delete("replicasets", "rs",
                                           namespace="default"))
+        cluster.settle(0.1)
+        assert cluster.list("pods") == []
+
+    def test_deployment_delete_cascades_through_replicaset(self, cluster):
+        cluster.run(cluster.client.create(_make_deployment(replicas=2)))
         cluster.settle(4)
+        assert len(cluster.list("replicasets")) == 1
+        assert len(cluster.list("pods")) == 2
+        cluster.run(cluster.client.delete("deployments", "web",
+                                          namespace="default"))
+        cluster.settle(2)
+        assert cluster.list("replicasets") == []
+        assert cluster.list("pods") == []
+
+    def test_owner_recreated_under_a_new_uid_orphans_old_dependents(
+            self, cluster):
+        cluster.run(cluster.client.create(_make_replicaset(replicas=2)))
+        cluster.settle(3)
+        old = cluster.run(cluster.client.get("replicasets", "rs",
+                                             namespace="default"))
+
+        def recreate():
+            yield from cluster.client.delete("replicasets", "rs",
+                                             namespace="default")
+            return (yield from cluster.client.create(
+                _make_replicaset(replicas=0)))
+
+        new = cluster.run(recreate())
+        cluster.settle(2)
+        assert new.name == old.name and new.uid != old.uid
+        assert cluster.list("pods") == []
+
+    def test_owner_missing_only_from_the_cache_keeps_its_dependent(
+            self, cluster, collector):
+        """A lagging owner informer never costs a live dependent: the
+        live read finds the owner, and nothing is deleted."""
+        cluster.manager.informer_factory.informer("replicasets").stop()
+        owner = cluster.run(cluster.client.create(
+            _make_replicaset("lagging", replicas=0)))
+        pod = make_pod("dependent")
+        pod.metadata.owner_references = [_owner_ref(owner)]
+        cluster.run(cluster.client.create(pod))
+        cluster.settle(2)
+        assert [p.name for p in cluster.list("pods")] == ["dependent"]
+        assert collector.client.calls == ["get"]
+
+    def test_unrelated_objects_untouched(self, cluster):
+        cluster.run(cluster.client.create(_make_replicaset("doomed", 1)))
+        cluster.run(cluster.client.create(_make_replicaset("kept", 1)))
+        cluster.run(cluster.client.create(make_pod("loose")))
+        doomed = cluster.run(cluster.client.get("replicasets", "doomed",
+                                                namespace="default"))
+        # A non-controller reference does not make a dependent.
+        bystander = make_pod("bystander")
+        bystander.metadata.owner_references = [
+            _owner_ref(doomed, controller=False)]
+        cluster.run(cluster.client.create(bystander))
+        cluster.settle(3)
+        cluster.run(cluster.client.delete("replicasets", "doomed",
+                                          namespace="default"))
+        cluster.settle(2)
+        names = sorted(pod.name for pod in cluster.list("pods"))
+        assert "bystander" in names and "loose" in names
+        assert [name for name in names if name.startswith("kept-")]
+        assert not [name for name in names if name.startswith("doomed-")]
+        assert [rs.name for rs in cluster.list("replicasets")] == ["kept"]
+
+    def test_no_orphans_no_requests(self, cluster, collector):
+        cluster.run(cluster.client.create(_make_replicaset(replicas=2)))
+        cluster.run(cluster.client.create(make_pod("loose")))
+        cluster.settle(3)
+        victim = next(pod for pod in cluster.list("pods")
+                      if pod.name.startswith("rs-"))
+        cluster.run(cluster.client.delete("pods", victim.name,
+                                          namespace="default"))
+        cluster.settle(3)
+        assert len(cluster.list("pods")) == 3
+        assert collector.client.calls == []
+        assert collector.queue.added_total == 0
+
+    def test_promoted_standby_sweeps_once(self, cluster):
+        """Owners that vanished while the collector was stopped (an HA
+        standby) are collected by the sweep in ``start``."""
+        gc = cluster.manager.get("garbage-collector")
+        cluster.run(cluster.client.create(_make_replicaset(replicas=2)))
+        cluster.settle(3)
+        gc.stop()
+        cluster.run(cluster.client.delete("replicasets", "rs",
+                                          namespace="default"))
+        cluster.settle(2)
+        assert len(cluster.list("pods")) == 2
+        gc.start()
+        cluster.settle(1)
         assert cluster.list("pods") == []

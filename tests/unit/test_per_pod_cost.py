@@ -94,8 +94,8 @@ def test_watch_work_is_independent_of_node_count(counts):
 
 def test_quantity_parsing_is_independent_of_node_count(counts):
     assert counts[10]["cycles"] == counts[40]["cycles"] == PODS
-    # What remains is serde (two requests per Pod decode) and one
-    # total_requests() per cycle and per assignment.
+    # What remains is one total_requests() per cycle and per assignment
+    # (serde decodes wire strings through from_serialized's intern table).
     assert counts[10]["parses"] == counts[40]["parses"] > 0
 
 

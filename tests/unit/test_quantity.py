@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.objects import Pod, make_pod
 from repro.objects.quantity import (
     InvalidQuantity,
     Quantity,
@@ -159,6 +160,29 @@ class TestValueSemantics:
         total["cpu"] = total["cpu"] - 1
         assert (a["cpu"].milli, a["memory"], b["cpu"].milli) == \
             (1000, Quantity.parse("1Gi"), 2000)
+
+    def test_equal_wire_strings_decode_to_one_instance(self):
+        first = Quantity.from_serialized("250m")
+        again = Quantity.from_serialized("".join(["250", "m"]))
+        assert first is again
+        assert Quantity.from_serialized("1Gi") is not first
+
+    def test_interned_decode_leaves_values_unchanged(self):
+        for text in ["1", "500m", "3Gi", "128Mi", "7", "12k", "1.5", "-2"]:
+            decoded = Quantity.from_serialized(text)
+            assert decoded.milli == Quantity.parse(text).milli
+            assert str(decoded) == str(Quantity.parse(text))
+        with pytest.raises(InvalidQuantity):
+            Quantity.from_serialized("1Qi")
+
+    def test_decoded_objects_share_their_quantities(self):
+        wire = make_pod("p", cpu="250m", memory="64Mi").to_dict()
+        first, second = Pod.from_dict(wire), Pod.from_dict(wire)
+        requests = [pod.spec.containers[0].resources.requests
+                    for pod in (first, second)]
+        assert requests[0]["cpu"] is requests[1]["cpu"]
+        assert requests[0]["memory"] is requests[1]["memory"]
+        assert requests[0]["cpu"].milli == 250
 
     def test_milli_is_the_only_state(self):
         assert Quantity.__slots__ == ("milli",)
