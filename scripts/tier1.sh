@@ -31,12 +31,11 @@
 # outside testpaths and is the only check that bench/'s imports from
 # src/ still resolve.
 #
-# --lint runs the determinism linter (repro.analysis) over src/ in
-# strict mode against the committed allowlist, then the whole-program
-# concurrency/protocol staticcheck (C001-C006) in strict mode, then
-# the lint- and staticcheck-marked CLI smoke tests.  Exit 0 means zero
-# non-allowlisted findings and no stale suppressions or allowlist
-# entries in either pack.
+# --lint runs the static analyzer (repro.analysis check: determinism
+# rules D001-D006 and concurrency/protocol rules C001-C006 in one pass)
+# over src/ in strict mode against the committed allowlist, then the
+# lint-marked CLI smoke tests.  Exit 0 means zero non-allowlisted
+# findings and no stale suppressions or allowlist entries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,17 +62,13 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
 fi
 
 if [[ "${1:-}" == "--lint" ]]; then
-    echo "tier1: determinism lint (strict) over src/" >&2
+    echo "tier1: static analyzer (strict) over src/" >&2
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m repro.analysis lint src --strict \
+        python -m repro.analysis check src --strict \
         --allowlist analysis-allowlist.txt
-    echo "tier1: concurrency/protocol staticcheck (strict) over src/" >&2
+    echo "tier1: lint-marked CLI smoke tests" >&2
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m repro.analysis staticcheck src --strict \
-        --allowlist analysis-allowlist.txt
-    echo "tier1: lint- and staticcheck-marked CLI smoke tests" >&2
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m pytest -x -q -m "lint or staticcheck"
+        python -m pytest -x -q -m lint
     exit 0
 fi
 

@@ -2,19 +2,18 @@
 
 Usage::
 
-    PYTHONPATH=src python -m repro.analysis lint src/ [--strict]
-    PYTHONPATH=src python -m repro.analysis staticcheck src/ [--strict]
+    PYTHONPATH=src python -m repro.analysis check src/ [--strict] [--format json]
     PYTHONPATH=src python -m repro.analysis race SCENARIO.yaml
     PYTHONPATH=src python -m repro.analysis bisect SCENARIO.yaml [--perturb K]
     PYTHONPATH=src python -m repro.analysis rules
 
-``race`` and ``bisect`` run a scenario file through
+``lint`` and ``staticcheck`` are aliases of ``check`` (the two packs'
+former commands); each runs both packs.  ``race`` and ``bisect`` run a scenario file through
 ``repro.scenarios.run_scenario`` — the one run harness — with the
 detector attached, or twice with the store-event streams diffed.
 
-Exit codes: 0 clean; 1 usage/internal error; 2 findings (active lint
-or staticcheck findings, race conflicts, or a localized replay
-divergence).
+Exit codes: 0 clean; 1 usage/internal error; 2 findings (active or
+A000 findings, race conflicts, or a localized replay divergence).
 """
 
 import argparse
@@ -22,14 +21,19 @@ import sys
 from pathlib import Path
 
 from .bisect import first_divergence
-from .linter import format_report, lint_paths, load_allowlist
 from .rules import format_rule_catalog
-from .staticcheck import check_paths, format_json, format_sarif
+from .staticcheck import (
+    check_paths,
+    format_json,
+    format_report,
+    format_sarif,
+    load_allowlist,
+)
 
 DEFAULT_ALLOWLIST = "analysis-allowlist.txt"
 
 
-def _cmd_lint(args):
+def _cmd_check(args):
     allowlist = ()
     allowlist_path = args.allowlist
     if allowlist_path is None and Path(DEFAULT_ALLOWLIST).is_file():
@@ -38,32 +42,11 @@ def _cmd_lint(args):
         try:
             allowlist = load_allowlist(allowlist_path)
         except (OSError, ValueError) as exc:
-            print(f"lint: bad allowlist: {exc}", file=sys.stderr)
+            print(f"check: bad allowlist: {exc}", file=sys.stderr)
             return 1
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
-        print(f"lint: no such path(s): {', '.join(missing)}",
-              file=sys.stderr)
-        return 1
-    result = lint_paths(args.paths, allowlist=allowlist, strict=args.strict)
-    print(format_report(result, verbose=args.verbose))
-    return 0 if result.ok else 2
-
-
-def _cmd_staticcheck(args):
-    allowlist = ()
-    allowlist_path = args.allowlist
-    if allowlist_path is None and Path(DEFAULT_ALLOWLIST).is_file():
-        allowlist_path = DEFAULT_ALLOWLIST
-    if allowlist_path is not None:
-        try:
-            allowlist = load_allowlist(allowlist_path)
-        except (OSError, ValueError) as exc:
-            print(f"staticcheck: bad allowlist: {exc}", file=sys.stderr)
-            return 1
-    missing = [path for path in args.paths if not Path(path).exists()]
-    if missing:
-        print(f"staticcheck: no such path(s): {', '.join(missing)}",
+        print(f"check: no such path(s): {', '.join(missing)}",
               file=sys.stderr)
         return 1
     result = check_paths(args.paths, allowlist=allowlist,
@@ -114,36 +97,22 @@ def build_parser():
         description="determinism & isolation analysis suite")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lint = sub.add_parser("lint", help="run the determinism linter")
-    lint.add_argument("paths", nargs="+", help="files or trees to lint")
-    lint.add_argument("--allowlist", default=None,
-                      help=f"allowlist file (default: {DEFAULT_ALLOWLIST} "
-                           f"in the current directory, when present)")
-    lint.add_argument("--strict", action="store_true",
-                      help="also fail stale suppressions/allowlist entries")
-    lint.add_argument("--verbose", action="store_true",
-                      help="print suppressed and allowlisted findings too")
-    lint.set_defaults(func=_cmd_lint)
-
-    staticcheck = sub.add_parser(
-        "staticcheck",
-        help="run the whole-program concurrency/protocol checker")
-    staticcheck.add_argument("paths", nargs="+",
-                             help="files or trees to check")
-    staticcheck.add_argument(
-        "--allowlist", default=None,
-        help=f"allowlist file (default: {DEFAULT_ALLOWLIST} in the "
-             f"current directory, when present)")
-    staticcheck.add_argument(
-        "--strict", action="store_true",
-        help="also fail stale C-rule suppressions/allowlist entries")
-    staticcheck.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text)")
-    staticcheck.add_argument(
-        "--verbose", action="store_true",
-        help="print suppressed and allowlisted findings too (text)")
-    staticcheck.set_defaults(func=_cmd_staticcheck)
+    check = sub.add_parser(
+        "check", aliases=("lint", "staticcheck"),
+        help="run the static analyzer (D- and C-rules; `lint` and "
+             "`staticcheck` are the pre-merge names)")
+    check.add_argument("paths", nargs="+", help="files or trees to check")
+    check.add_argument("--allowlist", default=None,
+                       help=f"allowlist file (default: {DEFAULT_ALLOWLIST} "
+                            f"in the current directory, when present)")
+    check.add_argument("--strict", action="store_true",
+                       help="also fail stale suppressions/allowlist entries")
+    check.add_argument("--format", choices=("text", "json", "sarif"),
+                       default="text", help="report format (default: text)")
+    check.add_argument("--verbose", action="store_true",
+                       help="print suppressed and allowlisted findings too "
+                            "(text)")
+    check.set_defaults(func=_cmd_check)
 
     race = sub.add_parser(
         "race", help="run a scenario file under the race detector")

@@ -1,10 +1,11 @@
-"""Project-wide symbol table and call graph (staticcheck substrate).
+"""Project-wide symbol table and call graph (the analyzer's substrate).
 
 :class:`Project` parses every module under the given roots once and
-builds the whole-program facts the C-rule pack needs:
+builds the whole-program facts both rule packs need:
 
 - a symbol table of modules, classes, and functions with qualified
-  names (``repro.core.syncer.ha.SyncerHA._takeover``);
+  names (``repro.core.syncer.ha.SyncerHA._takeover``), and one import
+  resolver per module (:meth:`ModuleInfo.resolve`);
 - per-class attribute types inferred from ``self.x = ClassName(...)``
   assignments, so ``self.x.method()`` calls resolve across modules;
 - a call graph with one edge per syntactic call site, resolved through
@@ -17,7 +18,7 @@ builds the whole-program facts the C-rule pack needs:
 The resolution is deliberately class-hierarchy-analysis-lite: precise
 where the repo's idioms make precision cheap (``self.`` calls, module
 imports, locally-defined helpers), and explicitly unresolved otherwise.
-Soundness/precision trade-offs are documented in DESIGN.md §17.
+Soundness/precision trade-offs are documented in DESIGN.md §12.1.
 """
 
 import ast
@@ -130,6 +131,21 @@ class ModuleInfo:
         self.functions = {}      # top-level name -> FunctionInfo
         self.classes = {}        # top-level name -> ClassInfo
 
+    def resolve(self, name):
+        """A dotted name with this module's imports applied and its own
+        top-level classes/functions qualified (``np.zeros`` ->
+        ``numpy.zeros``, ``Widget`` -> ``pkg.mod.Widget``)."""
+        head, _, rest = name.partition(".")
+        if head in self.name_imports:
+            base = self.name_imports[head]
+        elif head in self.module_aliases:
+            base = self.module_aliases[head]
+        elif head in self.classes or head in self.functions:
+            base = f"{self.name}.{head}"
+        else:
+            return name
+        return f"{base}.{rest}" if rest else base
+
 
 class CallSite:
     """One syntactic call: caller, resolved callee (or None), location."""
@@ -230,15 +246,12 @@ class _CallCollector(ast.NodeVisitor):
     # -- scope bookkeeping --------------------------------------------
 
     def visit_ClassDef(self, node):
+        # Named as the symbol table names it: module-qualified even
+        # when nested in a class or function body.
         self._class_stack.append(
-            self.project.classes[self._class_qualname(node)])
+            self.project.classes[f"{self.module.name}.{node.name}"])
         self.generic_visit(node)
         self._class_stack.pop()
-
-    def _class_qualname(self, node):
-        if self._class_stack:
-            return f"{self._class_stack[-1].qualname}.{node.name}"
-        return f"{self.module.name}.{node.name}"
 
     def _visit_func(self, node):
         if self._func_stack:
@@ -297,25 +310,9 @@ class _CallCollector(ast.NodeVisitor):
         name = dotted_name(func)
         if name is None:
             return None
-        resolved = self._resolve_dotted(name)
-        return self.project.classes.get(resolved) if resolved else None
+        return self.project.classes.get(self.module.resolve(name))
 
     # -- call resolution ----------------------------------------------
-
-    def _resolve_dotted(self, name):
-        """Apply import aliases to a dotted name."""
-        head, _, rest = name.partition(".")
-        imports = self.module.name_imports
-        aliases = self.module.module_aliases
-        if head in imports:
-            base = imports[head]
-            return f"{base}.{rest}" if rest else base
-        if head in aliases:
-            base = aliases[head]
-            return f"{base}.{rest}" if rest else base
-        if head in self.module.classes or head in self.module.functions:
-            return f"{self.module.name}.{name}"
-        return name
 
     def _lookup_method(self, cls, method):
         """Resolve ``method`` on ``cls`` or its project-known bases."""
@@ -329,7 +326,7 @@ class _CallCollector(ast.NodeVisitor):
             if method in current.methods:
                 return current.methods[method]
             for base in current.bases:
-                resolved = self._resolve_dotted(base)
+                resolved = self.module.resolve(base)
                 base_cls = self.project.classes.get(resolved)
                 if base_cls is None:
                     base_cls = self.project.class_by_name(
@@ -365,7 +362,7 @@ class _CallCollector(ast.NodeVisitor):
                     if method is not None:
                         return method.qualname, name, False
         # Module-level / imported name, possibly a class constructor.
-        resolved = self._resolve_dotted(name)
+        resolved = self.module.resolve(name)
         target = self.project.functions.get(resolved)
         if target is not None:
             return target.qualname, name, False
@@ -400,6 +397,7 @@ class Project:
         self.method_index = {}   # method name -> [class-method qualnames]
         self.call_sites = {}     # caller qualname -> [CallSite]
         self._edges = {}         # caller qualname -> set of callee names
+        self.unparsed = []       # (path, SyntaxError/ValueError)
 
     # -- loading -------------------------------------------------------
 
@@ -407,7 +405,10 @@ class Project:
     def load(cls, paths):
         project = cls()
         for file_path in cls.iter_py_files(paths):
-            project.add_file(file_path)
+            try:
+                project.add_file(file_path)
+            except (SyntaxError, ValueError) as exc:  # bad syntax/encoding
+                project.unparsed.append((Path(file_path).as_posix(), exc))
         project.finish()
         return project
 

@@ -1,29 +1,27 @@
-"""AST determinism linter (rules D001–D006).
+"""Determinism rules D001–D006: the per-module half of the analyzer.
 
-Two passes per module:
+Two passes per module, both over the tree and imports already parsed
+into a :class:`~repro.analysis.callgraph.ModuleInfo`:
 
-1. a *collect* pass resolves imports, infers which local names and
-   ``self.X`` attributes are set-typed (for D003), and records which
-   identifiers feed heap priorities or timeout delays (for D005);
-2. a *check* pass walks expressions and emits findings.
+1. a *collect* pass infers which local names and ``self.X``
+   attributes are set-typed (for D003), and records which identifiers
+   feed heap priorities or timeout delays (for D005);
+2. a *check* pass walks expressions and emits findings, resolving call
+   targets through :meth:`ModuleInfo.resolve`.
 
-The linter is deliberately a static approximation: it prefers precise,
-high-signal patterns (set literals, ``set()`` construction, attributes
-initialized as sets in the same class) over whole-program type
-inference, and every rule has an in-place escape hatch
+The rules are deliberately a static approximation: they prefer
+precise, high-signal patterns (set literals, ``set()`` construction,
+attributes initialized as sets in the same class) over whole-program
+type inference, and every rule has an in-place escape hatch
 (``# repro: allow[DXXX]``) plus a file-scoped allowlist for the
-irreducible residue.
+irreducible residue.  :func:`repro.analysis.staticcheck.check_paths`
+runs them next to the C-rules.
 """
 
 import ast
-import io
-import re
-import tokenize
-from pathlib import Path
 
-from .rules import RULES, SUPPRESSIBLE, Finding
-
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
+from .callgraph import dotted_name
+from .rules import Finding
 
 # Calls whose dotted name ends with one of these are wall-clock reads.
 _WALLCLOCK = {
@@ -54,18 +52,6 @@ _HASH_FUNCS = {
 _REPR_METHODS = {"__repr__", "__str__", "__format__"}
 
 
-def _dotted(node):
-    """The dotted name of an expression (``a.b.c``), or None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _target_key(node):
     """A scope-local key for an assignment target: name or ``self.attr``."""
     if isinstance(node, ast.Name):
@@ -78,13 +64,9 @@ def _target_key(node):
 
 
 class _ModuleFacts(ast.NodeVisitor):
-    """Collect pass: imports, set-typed names, priority identifiers."""
+    """Collect pass: set-typed names, priority identifiers."""
 
     def __init__(self):
-        # alias -> real module ("import numpy as np" -> {"np": "numpy"}).
-        self.module_aliases = {}
-        # bare name -> "module.name" ("from time import time").
-        self.name_imports = {}
         # scope id -> set of keys known set-typed ("x", "self._watches").
         self.set_names = {}
         # identifiers whose value feeds a heap priority / timeout delay.
@@ -114,21 +96,6 @@ class _ModuleFacts(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_func
     visit_AsyncFunctionDef = _visit_func
-
-    # -- imports -------------------------------------------------------
-
-    def visit_Import(self, node):
-        for alias in node.names:
-            self.module_aliases[alias.asname or alias.name.split(".")[0]] = \
-                alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node):
-        if node.module:
-            for alias in node.names:
-                self.name_imports[alias.asname or alias.name] = \
-                    f"{node.module}.{alias.name}"
-        self.generic_visit(node)
 
     # -- set-typed inference -------------------------------------------
 
@@ -175,7 +142,7 @@ class _ModuleFacts(ast.NodeVisitor):
         return out
 
     def visit_Call(self, node):
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted and (dotted.endswith("heappush")
                        or dotted.endswith("heapreplace")
                        or dotted.endswith("heappushpop")):
@@ -192,8 +159,8 @@ class _ModuleFacts(ast.NodeVisitor):
 class _Checker(ast.NodeVisitor):
     """Check pass: emits findings using the collected module facts."""
 
-    def __init__(self, path, facts):
-        self.path = path
+    def __init__(self, module, facts):
+        self.module = module
         self.facts = facts
         self.findings = []
         self._scope_stack = [("module",)]
@@ -202,8 +169,8 @@ class _Checker(ast.NodeVisitor):
         self._exempt = set()
 
     def _emit(self, node, code, message):
-        self.findings.append(Finding(self.path, node.lineno, node.col_offset,
-                                     code, message))
+        self.findings.append(Finding(self.module.path, node.lineno,
+                                     node.col_offset, code, message))
 
     # -- scope bookkeeping (must mirror the collect pass) --------------
 
@@ -225,17 +192,9 @@ class _Checker(ast.NodeVisitor):
     # -- type resolution helpers ---------------------------------------
 
     def _resolve_call(self, func):
-        """Dotted name of a call target with import aliases applied."""
-        dotted = _dotted(func)
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        if head in self.facts.name_imports and not rest:
-            return self.facts.name_imports[head]
-        if head in self.facts.module_aliases:
-            module = self.facts.module_aliases[head]
-            return f"{module}.{rest}" if rest else module
-        return dotted
+        """Dotted name of a call target with imports applied."""
+        dotted = dotted_name(func)
+        return None if dotted is None else self.module.resolve(dotted)
 
     def _is_set_like(self, node, depth=0):
         if depth > 4:
@@ -274,7 +233,7 @@ class _Checker(ast.NodeVisitor):
         if id(iter_node) in self._exempt:
             return
         if self._is_set_like(iter_node):
-            name = _dotted(iter_node) or "<set expression>"
+            name = dotted_name(iter_node) or "<set expression>"
             self._emit(iter_node, "D003",
                        f"iteration over unordered set {name!r} {where}; "
                        f"wrap in sorted(...) or use an insertion-ordered "
@@ -421,197 +380,11 @@ class _Checker(ast.NodeVisitor):
         return None
 
 
-# ----------------------------------------------------------------------
-# Suppressions, allowlist, driver
-# ----------------------------------------------------------------------
-
-
-def parse_suppressions(source, path):
-    """Per-line ``# repro: allow[...]`` codes plus D000s for bad codes.
-
-    Only real comment tokens count — the syntax can be *mentioned* in a
-    docstring or string literal without being a suppression.  Returns
-    ``(suppressions, errors)`` where ``suppressions`` maps line number
-    -> set of rule codes and ``errors`` is a list of D000 findings for
-    unknown codes.
-    """
-    suppressions = {}
-    errors = []
-    try:
-        comments = [
-            (token.start[0], token.start[1], token.string)
-            for token in tokenize.generate_tokens(
-                io.StringIO(source).readline)
-            if token.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError):
-        comments = []
-    for lineno, col, text in comments:
-        match = _ALLOW_RE.search(text)
-        if not match:
-            continue
-        codes = {code.strip() for code in match.group(1).split(",")
-                 if code.strip()}
-        unknown = sorted(code for code in codes if code not in SUPPRESSIBLE)
-        for code in unknown:
-            errors.append(Finding(
-                path, lineno, col, "D000",
-                f"suppression names unknown rule code {code!r} "
-                f"(known: {', '.join(sorted(SUPPRESSIBLE))})"))
-        known = codes - set(unknown)
-        if known:
-            suppressions[lineno] = known
-    return suppressions, errors
-
-
-def load_allowlist(path):
-    """Parse the committed allowlist.
-
-    Format (one entry per line)::
-
-        <path-suffix>  <rule-code>  <justification...>
-
-    Blank lines and ``#`` comments are ignored.  An entry allowlists
-    every finding of that rule in files whose path ends with the
-    suffix; the justification is mandatory so the file stays a report,
-    not a mute button.
-    """
-    entries = []
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(None, 2)
-        if len(parts) < 3:
-            raise ValueError(
-                f"{path}:{lineno}: allowlist entry needs "
-                f"'<path> <rule> <justification>', got {stripped!r}")
-        suffix, code, justification = parts
-        if code not in SUPPRESSIBLE:
-            raise ValueError(
-                f"{path}:{lineno}: unknown rule code {code!r}")
-        entries.append((suffix, code, justification))
-    return entries
-
-
-class LintResult:
-    """Findings bucketed by status, plus strict-mode bookkeeping."""
-
-    def __init__(self):
-        self.active = []
-        self.suppressed = []
-        self.allowlisted = []
-        self.stale = []          # D000 findings (strict mode)
-        self.files_checked = 0
-
-    @property
-    def ok(self):
-        return not self.active and not self.stale
-
-    def all_findings(self):
-        return self.active + self.stale + self.suppressed + self.allowlisted
-
-    def summary(self):
-        return (f"{self.files_checked} files checked: "
-                f"{len(self.active)} finding(s), "
-                f"{len(self.stale)} stale/invalid suppression(s), "
-                f"{len(self.suppressed)} suppressed, "
-                f"{len(self.allowlisted)} allowlisted")
-
-
-def lint_source(source, path):
-    """Lint one module's source text; returns raw findings (no
-    suppression handling — see :func:`lint_paths`)."""
-    tree = ast.parse(source, filename=path)
+def lint_module(module):
+    """D-rule findings for one parsed module (no suppression handling —
+    see :func:`repro.analysis.staticcheck.check_paths`)."""
     facts = _ModuleFacts()
-    facts.visit(tree)
-    checker = _Checker(path, facts)
-    checker.visit(tree)
+    facts.visit(module.tree)
+    checker = _Checker(module, facts)
+    checker.visit(module.tree)
     return checker.findings
-
-
-def _iter_py_files(paths):
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        else:
-            yield path
-
-
-def lint_paths(paths, allowlist=(), strict=False):
-    """Lint files/trees; returns a :class:`LintResult`.
-
-    ``allowlist`` is a list of ``(path_suffix, code, justification)``
-    entries from :func:`load_allowlist`.  ``strict`` also fails
-    suppressions that no longer match a finding and allowlist entries
-    that no longer match any file.
-    """
-    result = LintResult()
-    used_allowlist = set()
-    for file_path in _iter_py_files(paths):
-        source = file_path.read_text()
-        rel = file_path.as_posix()
-        result.files_checked += 1
-        findings = lint_source(source, rel)
-        suppressions, errors = parse_suppressions(source, rel)
-        result.stale.extend(errors)
-        used_suppressions = set()
-        for finding in findings:
-            codes = suppressions.get(finding.line, ())
-            if finding.code in codes:
-                finding.status = "suppressed"
-                used_suppressions.add((finding.line, finding.code))
-                result.suppressed.append(finding)
-                continue
-            allow = next(
-                (entry for entry in allowlist
-                 if rel.endswith(entry[0]) and finding.code == entry[1]),
-                None)
-            if allow is not None:
-                finding.status = "allowlisted"
-                used_allowlist.add(allow)
-                result.allowlisted.append(finding)
-                continue
-            result.active.append(finding)
-        if strict:
-            # Staleness is scoped to the pack this tool owns: C-rule
-            # suppressions belong to repro.analysis.staticcheck, which
-            # runs its own strict check over them.
-            for lineno, codes in sorted(suppressions.items()):
-                for code in sorted(codes):
-                    if not code.startswith("D"):
-                        continue
-                    if (lineno, code) not in used_suppressions:
-                        result.stale.append(Finding(
-                            rel, lineno, 0, "D000",
-                            f"stale suppression: no {code} finding on "
-                            f"this line (remove the allow comment)"))
-    if strict:
-        for entry in allowlist:
-            if not entry[1].startswith("D"):
-                continue
-            if entry not in used_allowlist:
-                result.stale.append(Finding(
-                    entry[0], 0, 0, "D000",
-                    f"stale allowlist entry: no {entry[1]} finding "
-                    f"matches {entry[0]!r}"))
-    result.active.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    result.stale.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return result
-
-
-def format_report(result, verbose=False):
-    lines = [finding.format() for finding in result.active]
-    lines += [finding.format() for finding in result.stale]
-    if verbose:
-        lines += [f"{finding.format()} [{finding.status}]"
-                  for finding in result.suppressed + result.allowlisted]
-    lines.append(result.summary())
-    for finding in result.active:
-        rule = RULES.get(finding.code)
-        if rule:
-            lines.append(f"  {finding.code}: {rule.title}")
-            break
-    return "\n".join(lines)

@@ -12,11 +12,10 @@ three-layered:
    repo's idiom keeps locks on ``self`` or at module scope.
 
 2. **Held-region scan.**  Each function body is scanned in source
-   order with a held-lock stack: ``yield x.acquire()`` (kernel locks),
-   bare ``x.acquire()`` and ``with x:`` (thread locks) push;
-   ``x.release()`` and ``with``-exit pop.  While the stack is
-   non-empty the scan records (a) direct nested acquisitions, (b) every
-   call site with the locks held at it, and (c) blocking kernel waits
+   order with a held-lock stack: ``yield x.acquire()`` pushes,
+   ``x.release()`` pops.  While the stack is non-empty the scan
+   records (a) direct nested acquisitions, (b) every call site with
+   the locks held at it, and (c) blocking kernel waits
    (``sim.timeout``, ``any_of``/``all_of``, bare event yields) — the
    C001 events.
 
@@ -29,21 +28,16 @@ three-layered:
 Branches are scanned sequentially (both arms of an ``if`` contribute),
 which can neither miss a nesting that exists on some path nor invent a
 lock identity — it can at worst pair an acquire in one arm with a wait
-in another; see DESIGN.md §17 for the precision notes.
+in another; see DESIGN.md §12.1 for the precision notes.
 """
 
 import ast
 
 from .callgraph import dotted_name
 
-# Constructors whose result is a lock.  Kernel locks (the simkernel
-# primitives) participate in C001 — holding one across a kernel wait
-# stalls every FIFO waiter; thread locks only participate in C002.
+# Constructors whose result is a kernel lock (the simkernel primitives):
+# holding one across a kernel wait stalls every FIFO waiter.
 KERNEL_LOCK_CONSTRUCTORS = {"Lock", "Semaphore"}
-THREAD_LOCK_CONSTRUCTORS = {
-    "threading.Lock", "threading.RLock", "threading.Condition",
-    "threading.Semaphore", "threading.BoundedSemaphore",
-}
 
 # Dotted-name suffixes of blocking kernel waits (C001).
 _WAIT_SUFFIXES = (".timeout", ".any_of", ".all_of")
@@ -51,17 +45,15 @@ _WAIT_NAMES = {"Timeout", "any_of", "all_of"}
 
 
 class LockInfo:
-    """One lock (or lock family): identity plus kind."""
+    """One lock (or lock family), named by where it lives."""
 
-    __slots__ = ("lock_id", "kernel")
+    __slots__ = ("lock_id",)
 
-    def __init__(self, lock_id, kernel):
+    def __init__(self, lock_id):
         self.lock_id = lock_id
-        self.kernel = kernel
 
     def __repr__(self):
-        kind = "kernel" if self.kernel else "thread"
-        return f"<LockInfo {self.lock_id} ({kind})>"
+        return f"<LockInfo {self.lock_id}>"
 
 
 class LockEdge:
@@ -95,19 +87,6 @@ class WaitWhileHeld:
         self.line = line
         self.col = col
         self.caller = caller
-
-
-def _constructor_kind(resolved):
-    """'kernel' / 'thread' / None for a resolved constructor name."""
-    if resolved is None:
-        return None
-    tail = resolved.rsplit(".", 1)[-1]
-    if resolved in THREAD_LOCK_CONSTRUCTORS:
-        return "thread"
-    if tail in KERNEL_LOCK_CONSTRUCTORS \
-            and not resolved.startswith("threading."):
-        return "kernel"
-    return None
 
 
 class _FunctionScan(ast.NodeVisitor):
@@ -175,20 +154,24 @@ class _FunctionScan(ast.NodeVisitor):
         return None
 
     def _on_yield(self, node):
+        """Push a yielded ``acquire()``; record a yielded blocking wait
+        while locks are held.  True when the yield was an acquire."""
         value = node.value
         if not isinstance(value, ast.Call):
-            return
+            return False
         func = value.func
         if isinstance(func, ast.Attribute) and func.attr == "acquire":
-            return  # the descent into the Call pushes the lock
+            lock = self._lock_for(func.value)
+            if lock is not None:
+                self._push(lock, value)
+                return True
         wait = self._classify_wait(value)
-        if wait is None:
-            return
-        for holder in self.held:
-            if holder.kernel:
+        if wait is not None:
+            for holder in self.held:
                 self.graph.waits.append(WaitWhileHeld(
                     holder.lock_id, wait, self.info.path, node.lineno,
                     node.col_offset, self.info.qualname))
+        return False
 
     # -- traversal -----------------------------------------------------
 
@@ -198,18 +181,14 @@ class _FunctionScan(ast.NodeVisitor):
                              ast.Lambda, ast.ClassDef)):
             return
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            self._on_yield(node)
+            if self._on_yield(node):
+                return
         elif isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute) \
-                    and func.attr in ("acquire", "release"):
+            if isinstance(func, ast.Attribute) and func.attr == "release":
                 lock = self._lock_for(func.value)
                 if lock is not None:
-                    if func.attr == "acquire":
-                        # Bare (un-yielded) acquire: thread-lock idiom.
-                        self._push(lock, node)
-                    else:
-                        self._pop(lock)
+                    self._pop(lock)
                     return
             self._on_call(node)
         for child in ast.iter_child_nodes(node):
@@ -220,6 +199,8 @@ class _FunctionScan(ast.NodeVisitor):
             self._scan_stmt(stmt)
 
     def _scan_stmt(self, stmt):
+        """Statements in source order; nested blocks recurse as
+        statements so lock aliases bind wherever they are assigned."""
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             return
@@ -231,37 +212,13 @@ class _FunctionScan(ast.NodeVisitor):
                     if isinstance(target, ast.Name):
                         self.aliases[target.id] = lock
             return
-        if isinstance(stmt, ast.With):
-            entered = []
-            for item in stmt.items:
-                self._scan_expr(item.context_expr)
-                lock = self._lock_for(item.context_expr)
-                if lock is not None:
-                    self._push(lock, item.context_expr)
-                    entered.append(lock)
-            self._scan_stmts(stmt.body)
-            for lock in reversed(entered):
-                self._pop(lock)
-            return
-        if isinstance(stmt, ast.Try):
-            self._scan_stmts(stmt.body)
-            for handler in stmt.handlers:
-                self._scan_stmts(handler.body)
-            self._scan_stmts(stmt.orelse)
-            self._scan_stmts(stmt.finalbody)
-            return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self._scan_expr(stmt.test)
-            self._scan_stmts(stmt.body)
-            self._scan_stmts(stmt.orelse)
-            return
-        if isinstance(stmt, ast.For):
-            self._scan_expr(stmt.iter)
-            self._scan_stmts(stmt.body)
-            self._scan_stmts(stmt.orelse)
-            return
         for child in ast.iter_child_nodes(stmt):
-            self._scan_expr(child)
+            if isinstance(child, ast.stmt):
+                self._scan_stmt(child)
+            elif isinstance(child, ast.excepthandler):
+                self._scan_stmts(child.body)
+            else:
+                self._scan_expr(child)
 
     def run(self):
         self._scan_stmts(self.info.node.body)
@@ -293,9 +250,7 @@ class LockGraph:
                 for node in ast.walk(method.node):
                     if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                         continue
-                    value = node.value
-                    kind = self._value_lock_kind(value, cls.module)
-                    if kind is None:
+                    if not self._is_lock_value(node.value, cls.module):
                         continue
                     targets = (node.targets
                                if isinstance(node, ast.Assign)
@@ -306,46 +261,35 @@ class LockGraph:
                                 and target.value.id == "self"):
                             lock_id = f"{qualname}.{target.attr}"
                             self.class_locks[(qualname, target.attr)] = \
-                                LockInfo(lock_id, kind == "kernel")
+                                LockInfo(lock_id)
         for name in sorted(self.project.modules):
             module = self.project.modules[name]
             for node in module.tree.body:
                 if not isinstance(node, ast.Assign):
                     continue
-                kind = self._value_lock_kind(node.value, name)
-                if kind is None:
+                if not self._is_lock_value(node.value, name):
                     continue
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         lock_id = f"{name}.{target.id}"
                         self.module_locks[(name, target.id)] = \
-                            LockInfo(lock_id, kind == "kernel")
+                            LockInfo(lock_id)
 
-    def _value_lock_kind(self, value, module_name):
-        """Lock kind of an assigned value (constructors, lock lists)."""
+    def _is_lock_value(self, value, module_name):
+        """True for an assigned lock constructor call or lock list."""
         if isinstance(value, (ast.List, ast.Tuple)):
-            for element in value.elts:
-                kind = self._value_lock_kind(element, module_name)
-                if kind is not None:
-                    return kind
-            return None
+            return any(self._is_lock_value(element, module_name)
+                       for element in value.elts)
         if isinstance(value, ast.ListComp):
-            return self._value_lock_kind(value.elt, module_name)
+            return self._is_lock_value(value.elt, module_name)
         if not isinstance(value, ast.Call):
-            return None
+            return False
         name = dotted_name(value.func)
         if name is None:
-            return None
-        module = self.project.modules.get(module_name)
-        if module is not None:
-            head, _, rest = name.partition(".")
-            if head in module.name_imports:
-                base = module.name_imports[head]
-                name = f"{base}.{rest}" if rest else base
-            elif head in module.module_aliases:
-                base = module.module_aliases[head]
-                name = f"{base}.{rest}" if rest else base
-        return _constructor_kind(name)
+            return False
+        name = self.project.modules[module_name].resolve(name)
+        return name.rsplit(".", 1)[-1] in KERNEL_LOCK_CONSTRUCTORS \
+            and not name.startswith("threading.")
 
     def lock_attr(self, cls_qualname, attr):
         """LockInfo for ``self.<attr>``, searching base classes too."""

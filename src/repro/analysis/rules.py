@@ -1,18 +1,15 @@
-"""The analysis rule catalog: determinism (D-pack) and concurrency
-(C-pack) rules.
+"""The analysis rule catalog: determinism (D-pack), concurrency
+(C-pack) and the one meta-rule A000.
 
 Each D-rule names one mechanism by which a code path can make a
 scheduling-visible decision that is not a pure function of the
 simulation seed — exactly the failures that silently break the repo's
-byte-identical-convergence and chaos-replay claims.  They are checked
-per-module by :mod:`repro.analysis.linter`.
-
-Each C-rule names one concurrency or protocol hazard that is visible
-in the source but only *manifests* under a particular schedule — the
-bug classes the vector-clock race detector can catch only dynamically,
-per-schedule, and that PR 9's kernel sweep fixed by hand.  They are
-checked whole-program by :mod:`repro.analysis.staticcheck`, which
-builds a project-wide symbol table and call graph first.
+byte-identical-convergence and chaos-replay claims.  Each C-rule names
+one concurrency or protocol hazard that is visible in the source but
+only *manifests* under a particular schedule.  Both packs are checked
+in one pass by :func:`repro.analysis.staticcheck.check_paths`: D-rules
+per module (:mod:`repro.analysis.linter`), C-rules over the project-wide
+symbol table, call graph and lock graph.
 
 Suppression syntax
 ------------------
@@ -21,11 +18,11 @@ A finding can be acknowledged in place with a trailing comment::
 
     items = list(self._members)  # repro: allow[D003] snapshot, order unused
 
-Multiple codes are comma-separated: ``# repro: allow[D003,D004]``.
-Unknown codes are rejected (finding ``D000``), and under ``--strict``
+Multiple codes are comma-separated: ``# repro: allow[D003,C004]``.
+Unknown codes are rejected (finding ``A000``), and under ``--strict``
 a suppression on a line with no matching finding fails the run as
 *stale*.  File-scoped exceptions live in the committed allowlist (see
-:func:`repro.analysis.linter.load_allowlist`).
+:func:`repro.analysis.staticcheck.load_allowlist`).
 """
 
 
@@ -41,11 +38,12 @@ class Rule:
 
 
 RULES = {
-    "D000": Rule(
-        "D000", "invalid or stale suppression",
-        "A '# repro: allow[...]' comment names an unknown rule code, or "
-        "(--strict) suppresses a finding that no longer exists on that "
-        "line.  Meta-rule: D000 itself cannot be suppressed."),
+    "A000": Rule(
+        "A000", "invalid or stale suppression, or unparseable file",
+        "A '# repro: allow[...]' comment names an unknown rule code; a "
+        "file does not parse; or (--strict) a suppression or allowlist "
+        "entry no longer matches any finding.  Meta-rule: A000 itself "
+        "cannot be suppressed."),
     "D001": Rule(
         "D001", "wall-clock time outside the sim clock",
         "Calls to time.time/monotonic/perf_counter/sleep or "
@@ -85,12 +83,6 @@ RULES = {
         "str() of a non-string depend on memory addresses or per-process "
         "hash seeds, so 'stable' routing or digests silently stop being "
         "stable (e.g. tenant->shard routing must hash canonical bytes)."),
-    "C000": Rule(
-        "C000", "invalid or stale staticcheck suppression",
-        "A '# repro: allow[...]' comment names a C-rule with no matching "
-        "staticcheck finding on that line (--strict), or an allowlist "
-        "entry for a C-rule matches nothing.  Meta-rule: C000 itself "
-        "cannot be suppressed."),
     "C001": Rule(
         "C001", "blocking kernel wait while holding a lock",
         "A sim process yields a blocking kernel wait (sim.timeout, "
@@ -146,19 +138,10 @@ RULES = {
         "changed field, obj.copy() for a fully private one."),
 }
 
-# Rule packs: prefix -> (name, checker) shown by `rules` and used to
-# scope --strict staleness checks to the tool that owns the code.
-RULE_PACKS = {
-    "D": ("determinism", "python -m repro.analysis lint"),
-    "C": ("concurrency/protocol", "python -m repro.analysis staticcheck"),
-}
-
-# Meta rules report invalid/stale suppressions and cannot themselves be
-# suppressed.
-META_RULES = frozenset(("D000", "C000"))
-
-# Codes that may appear in allow[...] comments.
-SUPPRESSIBLE = frozenset(code for code in RULES if code not in META_RULES)
+# The meta-rule reports invalid/stale suppressions and unparseable
+# files; every other code may appear in allow[...] comments.
+META_RULE = "A000"
+SUPPRESSIBLE = frozenset(code for code in RULES if code != META_RULE)
 
 
 class Finding:
@@ -193,11 +176,11 @@ class Finding:
 
 
 def format_rule_catalog():
-    """The ``python -m repro.analysis rules`` output (both packs)."""
-    lines = ["analysis rule catalog", ""]
-    for prefix in sorted(RULE_PACKS):
-        pack_name, checker = RULE_PACKS[prefix]
-        lines.append(f"{prefix}-pack: {pack_name} rules ({checker})")
+    """The ``python -m repro.analysis rules`` output (every pack)."""
+    lines = ["analysis rule catalog (python -m repro.analysis check)", ""]
+    for prefix, pack in (("A", "meta"), ("D", "determinism"),
+                         ("C", "concurrency/protocol")):
+        lines.append(f"{prefix}-pack: {pack} rules")
         lines.append("")
         for code in sorted(code for code in RULES
                            if code.startswith(prefix)):

@@ -1,14 +1,15 @@
-"""Whole-program concurrency & protocol checker (rules C001–C006).
+"""The static analyzer: one driver over both rule packs, plus the C-rules.
 
-Sibling of the per-module determinism linter: where the D-pack checks
-that decisions are pure functions of the seed, the C-pack checks the
-*protocols* the concurrent control planes rely on — lock discipline,
-timer/event lifecycle, and fencing — over a project-wide symbol table
-and call graph (:mod:`repro.analysis.callgraph`,
-:mod:`repro.analysis.lockgraph`).
+:func:`check_paths` loads one :class:`~repro.analysis.callgraph.Project`
+(each file parsed once), then for every module runs the determinism
+rules D001–D006 (:mod:`repro.analysis.linter`) and the concurrency &
+protocol rules below, reads its ``allow[...]``/``hb-carrier[...]``
+comments in one tokenize pass, and buckets every finding as active,
+suppressed, allowlisted or stale in one place.
 
-Rules
------
+C-rules (whole-program, over the symbol table, call graph and the lock
+graph of :mod:`repro.analysis.lockgraph`)
+------------------------------------------------------------------------
 
 C001  blocking kernel wait while holding a Lock/Semaphore
 C002  lock-order inversion (cycle in the lock-acquisition graph)
@@ -18,16 +19,16 @@ C005  unfenced store write from a leader-elected component
 C006  shared snapshot (cache entry, handler argument, client get/list
       result) mutated in place without a copy()/replace() rebinding
 
-Suppressions reuse the linter's machinery: per-line
-``# repro: allow[CXXX] why`` comments, the shared
-``analysis-allowlist.txt``, and ``--strict`` staleness checks scoped to
-the C-pack (the D-linter owns D-code staleness).  C003 additionally
-honors a *definition-site* exemption — ``# repro: hb-carrier[why]`` on
-the module-level assignment marks the object as a registered
-happens-before carrier, exempting every write to it.
+Every finding can be suppressed per line with ``# repro: allow[XXXX]
+why`` or per file in ``analysis-allowlist.txt``.  The meta-rule A000
+(unsuppressible) reports unknown codes, unparseable files and, under
+``--strict``, suppressions or allowlist entries that match nothing.
+C003 additionally honors a *definition-site* exemption — ``# repro:
+hb-carrier[why]`` on the module-level assignment marks the object as a
+registered happens-before carrier, exempting every write to it.
 
-CLI: ``python -m repro.analysis staticcheck [paths] [--strict]
-[--format text|json|sarif]``.
+CLI: ``python -m repro.analysis check PATHS [--strict] [--allowlist F]
+[--format text|json|sarif] [--verbose]``.
 """
 
 import ast
@@ -35,12 +36,14 @@ import io
 import json
 import re
 import tokenize
+from pathlib import Path
 
 from .callgraph import Project, dotted_name
-from .linter import LintResult, parse_suppressions
+from .linter import lint_module
 from .lockgraph import LockGraph
-from .rules import RULES, Finding
+from .rules import META_RULE, RULES, SUPPRESSIBLE, Finding
 
+_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
 _HB_CARRIER_RE = re.compile(r"#\s*repro:\s*hb-carrier\[([^\]]*)\]")
 
 # Mutable module-level containers (C003).  itertools.count is included:
@@ -87,34 +90,53 @@ _CLIENT_LIST_METHODS = {"list", "list_pods"}
 _HANDLER_KEYWORDS = ("on_add", "on_update", "on_delete")
 
 
-def parse_hb_carriers(source):
-    """Line numbers carrying a ``# repro: hb-carrier[why]`` marker."""
-    carriers = {}
+def parse_comments(source, path):
+    """``(suppressions, carriers, errors)`` from one tokenize pass.
+
+    Only real comment tokens count — the syntax can be *mentioned* in a
+    docstring or string literal without taking effect.
+    ``suppressions`` maps line -> set of known rule codes, ``carriers``
+    maps line -> the ``hb-carrier[why]`` justification, and ``errors``
+    holds one A000 finding per unknown code.
+    """
+    suppressions, carriers, errors = {}, {}, []
     try:
         comments = [
-            (token.start[0], token.string)
+            (token.start, token.string)
             for token in tokenize.generate_tokens(
                 io.StringIO(source).readline)
             if token.type == tokenize.COMMENT
         ]
     except (tokenize.TokenError, IndentationError):
         comments = []
-    for lineno, text in comments:
-        match = _HB_CARRIER_RE.search(text)
-        if match:
-            carriers[lineno] = match.group(1).strip()
-    return carriers
+    for (lineno, col), text in comments:
+        carrier = _HB_CARRIER_RE.search(text)
+        if carrier:
+            carriers[lineno] = carrier.group(1).strip()
+        match = _ALLOW_RE.search(text)
+        if not match:
+            continue
+        codes = {code.strip() for code in match.group(1).split(",")
+                 if code.strip()}
+        for code in sorted(codes - SUPPRESSIBLE):
+            errors.append(Finding(
+                path, lineno, col, META_RULE,
+                f"suppression names unknown rule code {code!r} "
+                f"(known: {', '.join(sorted(SUPPRESSIBLE))})"))
+        if codes & SUPPRESSIBLE:
+            suppressions[lineno] = codes & SUPPRESSIBLE
+    return suppressions, carriers, errors
 
 
 class _ModuleChecker(ast.NodeVisitor):
-    """Per-module pass for C003/C004/C005 (project-informed)."""
+    """Per-module pass for C003–C006 (project-informed)."""
 
-    def __init__(self, project, module, sim_reachable):
+    def __init__(self, project, module, sim_reachable, carriers):
         self.project = project
         self.module = module
         self.sim_reachable = sim_reachable
         self.findings = []
-        self.carriers = parse_hb_carriers(module.source)
+        self.carriers = carriers
         self.mutables = self._module_mutables()
         self.handlers = self._informer_handlers()
         self._class_stack = []
@@ -154,20 +176,10 @@ class _ModuleChecker(ast.NodeVisitor):
             name = dotted_name(value.func)
             if name is None:
                 return False
-            resolved = self._resolve(name)
+            resolved = self.module.resolve(name)
             return resolved in _MUTABLE_CONSTRUCTORS \
                 or name in _MUTABLE_CONSTRUCTORS
         return False
-
-    def _resolve(self, name):
-        head, _, rest = name.partition(".")
-        if head in self.module.name_imports:
-            base = self.module.name_imports[head]
-            return f"{base}.{rest}" if rest else base
-        if head in self.module.module_aliases:
-            base = self.module.module_aliases[head]
-            return f"{base}.{rest}" if rest else base
-        return name
 
     def _mutable_target(self, name):
         """The module-level mutable ``name`` refers to, or None.
@@ -244,8 +256,9 @@ class _ModuleChecker(ast.NodeVisitor):
             self.generic_visit(node)
             return
         self._func_stack.append(info)
-        self._check_orphan_events(info)
-        self._check_snapshot_mutation(info)
+        body_nodes = self._body_nodes(info)
+        self._check_orphan_events(body_nodes)
+        self._check_snapshot_mutation(info, body_nodes)
         self.generic_visit(node)
         self._func_stack.pop()
 
@@ -269,7 +282,7 @@ class _ModuleChecker(ast.NodeVisitor):
                     base in ("sim", "self.sim")
                     or base.endswith(".sim")):
                 return f"{name}(...)"
-        resolved = self._resolve(name)
+        resolved = self.module.resolve(name)
         if resolved in _SIM_EVENT_QUALS:
             return f"{name}(...)"
         return None
@@ -289,10 +302,9 @@ class _ModuleChecker(ast.NodeVisitor):
             stack.extend(ast.iter_child_nodes(node))
         return body_nodes
 
-    def _check_orphan_events(self, info):
-        """Flag events created in ``info`` and dropped on every path."""
-        body_nodes = self._body_nodes(info)
-
+    def _check_orphan_events(self, body_nodes):
+        """Flag events created in a function body and dropped on every
+        path."""
         loaded = set()
         for node in body_nodes:
             if isinstance(node, ast.Name) \
@@ -387,7 +399,7 @@ class _ModuleChecker(ast.NodeVisitor):
             return node.id, attribute, subscript
         return None, attribute, subscript
 
-    def _check_snapshot_mutation(self, info):
+    def _check_snapshot_mutation(self, info, body_nodes):
         """Source-order, intra-procedural taint: names bound from a
         snapshot source stay tainted until rebound from anything else
         (``x = x.copy()``, ``x = x.replace(...)``)."""
@@ -442,8 +454,7 @@ class _ModuleChecker(ast.NodeVisitor):
                     f"the edit — rebind it first with .replace(...) or "
                     f".copy()")
 
-        nodes = [node for node in self._body_nodes(info)
-                 if hasattr(node, "lineno")]
+        nodes = [node for node in body_nodes if hasattr(node, "lineno")]
         nodes.sort(key=lambda node: (node.lineno, node.col_offset))
 
         for node in nodes:
@@ -541,8 +552,63 @@ class _ModuleChecker(ast.NodeVisitor):
 # ----------------------------------------------------------------------
 
 
-class CheckResult(LintResult):
-    """C-pack findings bucketed by status (same shape as lint)."""
+def load_allowlist(path):
+    """Parse the committed allowlist.
+
+    Format (one entry per line)::
+
+        <path-suffix>  <rule-code>  <justification...>
+
+    Blank lines and ``#`` comments are ignored.  An entry allowlists
+    every finding of that rule in files whose path ends with the
+    suffix; the justification is mandatory so the file stays a report,
+    not a mute button.
+    """
+    entries = []
+    text = Path(path).read_text()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split(None, 2)
+        if len(parts) < 3:
+            raise ValueError(
+                f"{path}:{lineno}: allowlist entry needs "
+                f"'<path> <rule> <justification>', got {stripped!r}")
+        suffix, code, justification = parts
+        if code not in SUPPRESSIBLE:
+            raise ValueError(
+                f"{path}:{lineno}: unknown rule code {code!r}")
+        entries.append((suffix, code, justification))
+    return entries
+
+
+class CheckResult:
+    """Findings bucketed by status; ``stale`` holds the A000s."""
+
+    def __init__(self):
+        self.active = []
+        self.suppressed = []
+        self.allowlisted = []
+        self.stale = []
+        self.files_checked = 0
+
+    @property
+    def ok(self):
+        return not self.active and not self.stale
+
+    def failures(self):
+        """Active and A000 findings, in report order."""
+        return sorted(self.active + self.stale,
+                      key=lambda f: (f.path, f.line, f.col, f.code))
+
+    def summary(self):
+        return (f"{self.files_checked} files checked: "
+                f"{len(self.active)} finding(s), "
+                f"{len(self.stale)} A000 (stale/invalid suppression or "
+                f"unparseable file), "
+                f"{len(self.suppressed)} suppressed, "
+                f"{len(self.allowlisted)} allowlisted")
 
 
 def _lock_findings(lock_graph):
@@ -568,67 +634,65 @@ def _lock_findings(lock_graph):
 
 
 def check_paths(paths, allowlist=(), strict=False):
-    """Run the C-rule pack over files/trees; returns a CheckResult."""
+    """Run every rule over files/trees; returns a :class:`CheckResult`.
+
+    ``allowlist`` is a list of ``(path_suffix, code, justification)``
+    entries from :func:`load_allowlist`.  ``strict`` also fails
+    suppressions that no longer match a finding and allowlist entries
+    that no longer match any file.
+    """
     project = Project.load(paths)
     sim_reachable = project.sim_reachable()
-    lock_graph = LockGraph(project)
-
     by_path = {}
-    for finding in _lock_findings(lock_graph):
+    for finding in _lock_findings(LockGraph(project)):
         by_path.setdefault(finding.path, []).append(finding)
 
     result = CheckResult()
+    for path, exc in project.unparsed:
+        result.stale.append(Finding(
+            path, getattr(exc, "lineno", None) or 1,
+            max((getattr(exc, "offset", None) or 1) - 1, 0), META_RULE,
+            f"syntax error: {getattr(exc, 'msg', exc)}; file not checked"))
     used_allowlist = set()
     for name in sorted(project.modules):
         module = project.modules[name]
         result.files_checked += 1
-        checker = _ModuleChecker(project, module, sim_reachable)
+        suppressions, carriers, errors = parse_comments(module.source,
+                                                        module.path)
+        result.stale.extend(errors)
+        checker = _ModuleChecker(project, module, sim_reachable, carriers)
         checker.visit(module.tree)
-        findings = checker.findings + by_path.get(module.path, [])
+        findings = (lint_module(module) + checker.findings
+                    + by_path.get(module.path, []))
         findings.sort(key=lambda f: (f.line, f.col, f.code, f.message))
-        suppressions, _errors = parse_suppressions(module.source,
-                                                   module.path)
-        # Unknown-code suppression errors are the D-linter's to report
-        # (it owns the comment syntax); re-reporting them here would
-        # double every D000.
         used_suppressions = set()
         for finding in findings:
-            codes = suppressions.get(finding.line, ())
-            if finding.code in codes:
+            if finding.code in suppressions.get(finding.line, ()):
                 finding.status = "suppressed"
                 used_suppressions.add((finding.line, finding.code))
-                result.suppressed.append(finding)
-                continue
-            allow = next(
-                (entry for entry in allowlist
-                 if module.path.endswith(entry[0])
-                 and finding.code == entry[1]),
-                None)
-            if allow is not None:
-                finding.status = "allowlisted"
-                used_allowlist.add(allow)
-                result.allowlisted.append(finding)
-                continue
-            result.active.append(finding)
+            else:
+                entry = next(
+                    (entry for entry in allowlist
+                     if module.path.endswith(entry[0])
+                     and finding.code == entry[1]), None)
+                if entry is not None:
+                    finding.status = "allowlisted"
+                    used_allowlist.add(entry)
+            getattr(result, finding.status).append(finding)
         if strict:
-            for lineno, codes in sorted(suppressions.items()):
-                for code in sorted(codes):
-                    if not code.startswith("C"):
-                        continue  # D-code staleness belongs to lint
-                    if (lineno, code) not in used_suppressions:
-                        result.stale.append(Finding(
-                            module.path, lineno, 0, "C000",
-                            f"stale suppression: no {code} finding on "
-                            f"this line (remove the allow comment)"))
+            result.stale.extend(
+                Finding(module.path, lineno, 0, META_RULE,
+                        f"stale suppression: no {code} finding on this "
+                        f"line (remove the allow comment)")
+                for lineno, codes in sorted(suppressions.items())
+                for code in sorted(codes)
+                if (lineno, code) not in used_suppressions)
     if strict:
-        for entry in allowlist:
-            if not entry[1].startswith("C"):
-                continue
-            if entry not in used_allowlist:
-                result.stale.append(Finding(
-                    entry[0], 0, 0, "C000",
+        result.stale.extend(
+            Finding(entry[0], 0, 0, META_RULE,
                     f"stale allowlist entry: no {entry[1]} finding "
-                    f"matches {entry[0]!r}"))
+                    f"matches {entry[0]!r}")
+            for entry in allowlist if entry not in used_allowlist)
     result.active.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     result.stale.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return result
@@ -639,10 +703,25 @@ def check_paths(paths, allowlist=(), strict=False):
 # ----------------------------------------------------------------------
 
 
+def format_report(result, verbose=False):
+    """Human-readable report: one clickable line per failure."""
+    lines = [finding.format() for finding in result.failures()]
+    if verbose:
+        lines += [f"{finding.format()} [{finding.status}]"
+                  for finding in result.suppressed + result.allowlisted]
+    lines.append(result.summary())
+    for finding in result.active:
+        rule = RULES.get(finding.code)
+        if rule:
+            lines.append(f"  {finding.code}: {rule.title}")
+            break
+    return "\n".join(lines)
+
+
 def format_json(result):
     """Machine-readable report: findings + summary counters."""
     return json.dumps({
-        "findings": [f.to_dict() for f in result.active + result.stale],
+        "findings": [f.to_dict() for f in result.failures()],
         "suppressed": [f.to_dict() for f in result.suppressed],
         "allowlisted": [f.to_dict() for f in result.allowlisted],
         "files_checked": result.files_checked,
@@ -651,20 +730,15 @@ def format_json(result):
 
 
 def format_sarif(result):
-    """SARIF 2.1.0 report (one run, rule metadata included)."""
-    codes = sorted({f.code for f in result.all_findings()} | {
-        code for code in RULES if code.startswith("C")})
-    rules = []
-    for code in codes:
-        rule = RULES[code]
-        rules.append({
-            "id": code,
-            "name": rule.title,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-        })
+    """SARIF 2.1.0 report (one run, every rule's metadata included)."""
+    rules = [{
+        "id": code,
+        "name": RULES[code].title,
+        "shortDescription": {"text": RULES[code].title},
+        "fullDescription": {"text": RULES[code].rationale},
+    } for code in sorted(RULES)]
     results = []
-    for finding in result.active + result.stale:
+    for finding in result.failures():
         results.append({
             "ruleId": finding.code,
             "level": "error",
@@ -685,7 +759,7 @@ def format_sarif(result):
         "version": "2.1.0",
         "runs": [{
             "tool": {"driver": {
-                "name": "repro.analysis.staticcheck",
+                "name": "repro.analysis",
                 "informationUri": "https://example.invalid/repro",
                 "rules": rules,
             }},

@@ -1,4 +1,4 @@
-"""Golden corpus: one deliberate instance of every C-rule.
+"""Golden corpus: one deliberate instance of every rule (A, C and D).
 
 The expected findings (exact rule codes, lines, and messages) live in
 ``findings_corpus.expected``; the conformance test fails on any drift
@@ -74,3 +74,41 @@ class CacheReader:
         pod = pod.replace(status=pod.status.replace(phase="Running"))
         pod.metadata = pod.metadata.replace(labels={})
         yield from self.client.update_status(pod)
+
+
+# -- D-pack and the A000 meta-rule (appended: the C lines above stay put)
+
+import hashlib  # noqa: E402
+import heapq  # noqa: E402
+import random  # noqa: E402
+import time  # noqa: E402
+
+
+def wall_clock():
+    return time.time()
+
+
+def module_random():
+    return random.random()
+
+
+def set_order(members):
+    pending = set(members)
+    return [name for name in pending]
+
+
+def identity_key(obj):
+    return id(obj)
+
+
+def drifting_deadline(heap, step):
+    deadline = 0.0
+    deadline += step
+    heapq.heappush(heap, (deadline, "tick"))
+
+
+def repr_digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+UNKNOWN_CODE = 1  # repro: allow[X999] names no rule

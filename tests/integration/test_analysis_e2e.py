@@ -9,7 +9,7 @@ Acceptance anchors for the static-analysis PR:
   deliberately perturbed run is bisected to its exact first divergent
   event with component attribution — by ``analysis bisect`` and by
   ``scenarios verify``'s 2x replay;
-* the linter CLI exits clean over ``src/`` with the committed
+* the static analyzer CLI exits clean over ``src/`` with the committed
   allowlist (the ``lint``-marked smoke test mirrors
   ``scripts/tier1.sh --lint``).
 """
@@ -154,14 +154,14 @@ class TestLintCli:
     def test_lint_src_clean_with_committed_allowlist(self):
         """Mirror of ``scripts/tier1.sh --lint``: src/ lints clean."""
         exit_code = analysis_main([
-            "lint", str(REPO_ROOT / "src"), "--strict",
+            "check", str(REPO_ROOT / "src"), "--strict",
             "--allowlist", str(REPO_ROOT / "analysis-allowlist.txt")])
         assert exit_code == 0
 
     def test_lint_finds_planted_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nnow = time.time()\n")
-        exit_code = analysis_main(["lint", str(bad)])
+        exit_code = analysis_main(["check", str(bad)])
         assert exit_code == 2
         out = capsys.readouterr().out
         assert "D001" in out

@@ -360,28 +360,3 @@ class TestLockGraph:
                     yield self.sim.timeout(1.0)
         """)
         assert LockGraph(project).waits == []
-
-    def test_with_block_thread_lock_scopes_held_region(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            import threading
-
-            _GUARD = threading.Lock()
-            _OTHER = threading.Lock()
-
-            def inside():
-                with _GUARD:
-                    _OTHER.acquire()
-                    _OTHER.release()
-
-            def outside():
-                with _GUARD:
-                    pass
-                _OTHER.acquire()
-                _OTHER.release()
-        """)
-        graph = LockGraph(project)
-        edges = [(held.rsplit(".", 1)[-1], acq.rsplit(".", 1)[-1])
-                 for held, acq in graph.edges]
-        assert ("_GUARD", "_OTHER") in edges
-        sites = graph.edges[next(k for k in graph.edges)]
-        assert all(e.caller.endswith(".inside") for e in sites)

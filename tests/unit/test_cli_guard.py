@@ -46,7 +46,7 @@ def test_the_guard_finds_the_gate_and_doc_commands():
     found = {(module, tuple(argv[:1])) for module, argv in (
         p.values for p in _commands())}
     assert ("repro.scenarios", ("verify",)) in found
-    assert ("repro.analysis", ("lint",)) in found
+    assert ("repro.analysis", ("check",)) in found
     assert len(found) >= 6
 
 

@@ -1,28 +1,37 @@
-"""Unit tests for the determinism AST linter (repro.analysis.linter).
+"""Unit tests for the determinism rules D001–D006
+(repro.analysis.linter), run through the one analyzer driver.
 
 Each rule gets positive cases (must flag) and negative cases (must stay
-silent), exercised through ``lint_source`` so tests are plain
-source-text in / findings out.  Suppression comments, the committed
-allowlist format, and --strict staleness checks are covered at the
-``lint_paths`` level against temp files.
+silent), stated as source text written to a temp ``test.py`` and
+checked with ``check_paths`` — source text in, active codes out.
+Suppression comments, the committed allowlist format, and --strict
+staleness checks are covered against temp files too.
 """
 
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths, load_allowlist
-from repro.analysis.linter import (
-    format_report,
-    lint_source,
-    parse_suppressions,
-)
 from repro.analysis.rules import RULES, Finding
+from repro.analysis.staticcheck import (
+    check_paths,
+    format_report,
+    load_allowlist,
+    parse_comments,
+)
 
 
 def codes(source):
-    findings = lint_source(textwrap.dedent(source), "test.py")
-    return [f.code for f in findings]
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "test.py").write_text(textwrap.dedent(source))
+        return [f.code for f in check_paths([root]).active]
+
+
+def parse_suppressions(source, path):
+    suppressions, _carriers, errors = parse_comments(source, path)
+    return suppressions, errors
 
 
 class TestD001WallClock:
@@ -180,7 +189,7 @@ class TestSuppressions:
         _suppressions, errors = parse_suppressions(
             "x = 1  # repro: allow[D999]\n", "test.py")
         assert len(errors) == 1
-        assert errors[0].code == "D000"
+        assert errors[0].code == "A000"
         assert "D999" in errors[0].message
 
     def test_allow_in_string_literal_ignored(self):
@@ -200,7 +209,7 @@ class TestLintPaths:
     def test_active_finding_fails(self, tmp_path):
         self._write(tmp_path, "mod.py",
                     "import time\nnow = time.time()\n")
-        result = lint_paths([tmp_path])
+        result = check_paths([tmp_path])
         assert not result.ok
         assert [f.code for f in result.active] == ["D001"]
 
@@ -208,44 +217,44 @@ class TestLintPaths:
         self._write(
             tmp_path, "mod.py",
             "import time\nnow = time.time()  # repro: allow[D001]\n")
-        result = lint_paths([tmp_path])
+        result = check_paths([tmp_path])
         assert result.ok
         assert [f.code for f in result.suppressed] == ["D001"]
 
     def test_stale_suppression_fails_strict_only(self, tmp_path):
         self._write(tmp_path, "mod.py",
                     "x = 1  # repro: allow[D001]\n")
-        assert lint_paths([tmp_path]).ok
-        strict = lint_paths([tmp_path], strict=True)
+        assert check_paths([tmp_path]).ok
+        strict = check_paths([tmp_path], strict=True)
         assert not strict.ok
-        assert any(f.code == "D000" for f in strict.stale)
+        assert any(f.code == "A000" for f in strict.stale)
 
     def test_allowlist_entry_absorbs_finding(self, tmp_path):
         self._write(tmp_path, "mod.py",
                     "import time\nnow = time.time()\n")
         allowlist = (("mod.py", "D001", "test fixture"),)
-        result = lint_paths([tmp_path], allowlist=allowlist)
+        result = check_paths([tmp_path], allowlist=allowlist)
         assert result.ok
         assert [f.code for f in result.allowlisted] == ["D001"]
 
     def test_stale_allowlist_entry_fails_strict(self, tmp_path):
         self._write(tmp_path, "mod.py", "x = 1\n")
         allowlist = (("mod.py", "D001", "obsolete"),)
-        assert lint_paths([tmp_path], allowlist=allowlist).ok
-        strict = lint_paths([tmp_path], allowlist=allowlist, strict=True)
+        assert check_paths([tmp_path], allowlist=allowlist).ok
+        strict = check_paths([tmp_path], allowlist=allowlist, strict=True)
         assert not strict.ok
 
     def test_unknown_suppression_code_always_fails(self, tmp_path):
         self._write(tmp_path, "mod.py",
                     "x = 1  # repro: allow[D999]\n")
-        result = lint_paths([tmp_path])
+        result = check_paths([tmp_path])
         assert not result.ok
-        assert any(f.code == "D000" for f in result.stale)
+        assert any(f.code == "A000" for f in result.stale)
 
     def test_format_report_lists_findings(self, tmp_path):
         self._write(tmp_path, "mod.py",
                     "import time\nnow = time.time()\n")
-        result = lint_paths([tmp_path])
+        result = check_paths([tmp_path])
         report = format_report(result)
         assert "D001" in report
         assert "mod.py" in report

@@ -1,22 +1,32 @@
-"""Unit tests for the whole-program C-rule checker
+"""Unit tests for the analyzer driver and its whole-program C-rules
 (repro.analysis.staticcheck).
 
 Each rule gets positive cases (must flag) and negative cases (must stay
 silent) stated as inline programs written to a temp ``src/pkg/``
 layout.  The committed fixtures under ``tests/fixtures/staticcheck/``
 pin the deadlock-cycle / clean-diamond behavior and a byte-exact golden
-findings corpus; CLI coverage (exit codes, --strict, JSON and SARIF
-output) is marked ``staticcheck`` for the tier-1 lint gate.
+findings corpus covering every rule; CLI coverage (exit codes,
+--strict, JSON and SARIF output) is marked ``lint`` for the tier-1 lint
+gate.
 """
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.linter import format_report
-from repro.analysis.staticcheck import check_paths, format_json, format_sarif
+from repro.analysis.rules import RULES
+from repro.analysis.staticcheck import (
+    check_paths,
+    format_json,
+    format_report,
+    format_sarif,
+    load_allowlist,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "staticcheck"
@@ -322,11 +332,12 @@ class TestSuppressionsAndStrict:
             def quiet():
                 return 1  # repro: allow[C004] nothing here anymore
         """, strict=True)
-        assert [f.code for f in result.stale] == ["C000"]
+        assert [f.code for f in result.stale] == ["A000"]
         assert not result.ok
 
     def test_strict_ignores_d_code_suppressions(self, tmp_path):
-        # D-code staleness belongs to the determinism linter.
+        # A used D-code suppression is not stale: both packs run in the
+        # one pass that decides staleness.
         result = check_source(tmp_path, """
             import time
 
@@ -346,8 +357,48 @@ class TestSuppressionsAndStrict:
                 yield sim.timeout(0.1)
         """, allowlist=allowlist, strict=True)
         assert [f.code for f in result.allowlisted] == ["C004"]
-        assert [f.code for f in result.stale] == ["C000"]
+        assert [f.code for f in result.stale] == ["A000"]
         assert "gone.py" in result.stale[0].message
+
+    def test_strict_flags_unknown_and_stale_d_codes(self, tmp_path):
+        result = check_source(tmp_path, """
+            import time
+
+            def quiet():
+                return 1  # repro: allow[D009] no such rule
+
+            def wall():
+                return time.time()
+        """, strict=True)
+        assert [f.code for f in result.active] == ["D001"]
+        assert [f.code for f in result.stale] == ["A000"]
+        assert "D009" in result.stale[0].message
+
+
+class TestUnparseableFile:
+    def test_syntax_error_is_one_finding_and_others_still_checked(
+            self, tmp_path):
+        root = tmp_path / "src" / "pkg"
+        root.mkdir(parents=True)
+        (root / "broken.py").write_text(
+            "def f(:  # repro: allow[A000]\n    pass\n")
+        (root / "good.py").write_text("import time\nnow = time.time()\n")
+        result = check_paths([tmp_path / "src"])
+        assert [f.code for f in result.active] == ["D001"]
+        assert [(Path(f.path).name, f.line, f.code)
+                for f in result.stale] == [("broken.py", 1, "A000")]
+        assert "syntax error" in result.stale[0].message
+        assert result.suppressed == []      # A000 is unsuppressible
+        assert result.files_checked == 1
+
+    def test_cli_reports_it_and_exits_2(self, tmp_path, capsys):
+        from repro.analysis.__main__ import main
+        broken = tmp_path / "broken.py"
+        broken.write_text("x = (\n")
+        assert main(["check", str(broken)]) == 2
+        out = capsys.readouterr().out
+        assert f"{broken.as_posix()}:" in out
+        assert "A000 syntax error" in out
 
 
 class TestGoldenCorpus:
@@ -355,7 +406,7 @@ class TestGoldenCorpus:
         monkeypatch.chdir(REPO_ROOT)
         result = check_paths(
             ["tests/fixtures/staticcheck/findings_corpus.py"])
-        got = "\n".join(f.format() for f in result.active) + "\n"
+        got = "\n".join(f.format() for f in result.failures()) + "\n"
         expected = (FIXTURES / "findings_corpus.expected").read_text()
         assert got == expected
 
@@ -363,14 +414,12 @@ class TestGoldenCorpus:
         monkeypatch.chdir(REPO_ROOT)
         result = check_paths(
             ["tests/fixtures/staticcheck/findings_corpus.py"])
-        assert {f.code for f in result.active} == {
-            "C001", "C002", "C003", "C004", "C005", "C006"}
+        assert {f.code for f in result.failures()} == set(RULES)
 
 
-@pytest.mark.staticcheck
+@pytest.mark.lint
 class TestTreeClean:
     def test_source_tree_passes_strict(self, monkeypatch):
-        from repro.analysis.linter import load_allowlist
         monkeypatch.chdir(REPO_ROOT)
         allowlist = load_allowlist("analysis-allowlist.txt")
         result = check_paths(["src/repro"], allowlist=allowlist,
@@ -378,7 +427,7 @@ class TestTreeClean:
         assert result.ok, format_report(result)
 
 
-@pytest.mark.staticcheck
+@pytest.mark.lint
 class TestCli:
     def _run(self, argv, capsys):
         from repro.analysis.__main__ import main
@@ -389,7 +438,7 @@ class TestCli:
                                                 monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         code, out = self._run(
-            ["staticcheck",
+            ["check",
              "tests/fixtures/staticcheck/findings_corpus.py"], capsys)
         assert code == 2
         assert "C001" in out and "files checked" in out
@@ -397,7 +446,7 @@ class TestCli:
     def test_exit_0_on_clean_fixture(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         code, _out = self._run(
-            ["staticcheck",
+            ["check",
              "tests/fixtures/staticcheck/clean_diamond.py"], capsys)
         assert code == 0
 
@@ -405,27 +454,25 @@ class TestCli:
                                                      monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         code, out = self._run(
-            ["staticcheck", "--format", "json",
+            ["check", "--format", "json",
              "tests/fixtures/staticcheck/findings_corpus.py"], capsys)
         assert code == 2
         payload = json.loads(out)
         assert payload["ok"] is False
-        assert {f["code"] for f in payload["findings"]} == {
-            "C001", "C002", "C003", "C004", "C005", "C006"}
+        assert {f["code"] for f in payload["findings"]} == set(RULES)
 
     def test_sarif_format_is_valid_sarif_2_1(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         code, out = self._run(
-            ["staticcheck", "--format", "sarif",
+            ["check", "--format", "sarif",
              "tests/fixtures/staticcheck/findings_corpus.py"], capsys)
         assert code == 2
         payload = json.loads(out)
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"C001", "C002", "C003", "C004", "C005", "C006"} <= \
-            rule_ids
-        assert all(r["ruleId"].startswith("C") for r in run["results"])
+        assert rule_ids == set(RULES)
+        assert {r["ruleId"] for r in run["results"]} == set(RULES)
 
     def test_rules_subcommand_lists_both_packs(self, capsys):
         code, out = self._run(["rules"], capsys)
@@ -434,9 +481,17 @@ class TestCli:
         for rule in ("D001", "D006", "C001", "C006"):
             assert rule in out
 
+    def test_pre_merge_command_names_alias_check(self, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        corpus = "tests/fixtures/staticcheck/findings_corpus.py"
+        _code, expected = self._run(["check", corpus], capsys)
+        for name in ("lint", "staticcheck"):
+            assert self._run([name, corpus], capsys) == (2, expected)
+
     def test_missing_path_is_usage_error(self, capsys):
         from repro.analysis.__main__ import main
-        code = main(["staticcheck", "no/such/tree"])
+        code = main(["check", "no/such/tree"])
         assert code == 1
 
 
@@ -462,3 +517,16 @@ class TestFormatters:
             "physicalLocation"]["region"]
         assert region["startLine"] >= 1
         assert region["startColumn"] >= 1
+
+
+def test_runtime_path_does_not_import_the_static_analyzer():
+    """The scenario runner loads ``repro.analysis`` for the race detector
+    and bisector; the static analyzer must not ride along."""
+    code = ("import sys, repro.scenarios; print(sorted(m for m in ("
+            "'linter', 'staticcheck', 'callgraph', 'lockgraph', 'rules') "
+            "if f'repro.analysis.{m}' in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}).stdout
+    assert out.strip() == "[]"
