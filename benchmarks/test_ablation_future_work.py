@@ -1,15 +1,12 @@
 """Ablations for the paper's §V future-work features (implemented here).
 
 - custom tenant weights (footnote 2): WRR shares follow the weights;
-- idle control-plane swapping: fleet memory savings vs wake latency;
-- multiple super clusters: capacity scales with members while tenant
-  experience is unchanged.
+- idle control-plane swapping: fleet memory savings vs wake latency.
 """
 
 from repro.config import DEFAULT_CONFIG, SwapperConfig
-from repro.core import IdleSwapper, SuperClusterFleet, VirtualClusterEnv
+from repro.core import IdleSwapper, VirtualClusterEnv
 from repro.core.swapper import control_plane_memory
-from repro.metrics import format_table
 from repro.workloads import LoadGenerator, TenantLoadPattern
 
 from benchmarks.conftest import PARAMS, once
@@ -81,37 +78,3 @@ def test_idle_swapping_memory_vs_wakeup(benchmark):
     benchmark.extra_info["wake_s"] = round(wake, 2)
     assert after < 0.4 * before
     assert 0.5 < wake < 2.0
-
-
-def test_fleet_scales_capacity(benchmark):
-    """Two super clusters double schedulable capacity transparently."""
-
-    def run():
-        fleet = SuperClusterFleet(num_super_clusters=2,
-                                  nodes_per_cluster=3)
-        fleet.bootstrap()
-        handles = []
-        for index in range(6):
-            handle = fleet.run_coroutine(
-                fleet.create_tenant(f"tenant-{index}"))
-            fleet.run_coroutine(handle.create_pod("w"))
-            fleet.run_until_pods_ready(handle, ["default/w"], timeout=120)
-            handles.append(handle)
-        return fleet, handles
-
-    fleet, handles = once(benchmark, run)
-    rows = [(name, used, total)
-            for name, (used, total) in sorted(fleet.utilization().items())]
-    print()
-    print(format_table(["super cluster", "pods used", "pod capacity"],
-                       rows, title="fleet utilization"))
-    placements = {}
-    for handle in handles:
-        member = fleet.member_of(handle).name
-        placements[member] = placements.get(member, 0) + 1
-    benchmark.extra_info["placements"] = placements
-    # Both members took tenants; no tenant-visible difference.
-    assert len(placements) == 2
-    for handle in handles:
-        pod = fleet.run_coroutine(handle.get_pod("w"))
-        assert pod.status.is_ready

@@ -21,9 +21,11 @@
 # telemetry floors that fail if a feature did not engage) and under
 # scenarios/corpus replays to its recorded converged-state digest
 # twice in a row — a replay that differs from the previous one is
-# bisected to its first divergent store event — with race-checked
-# scenarios under the vector-clock detector; then the scenario-,
-# durability- and apf-marked suites run.  Exit 0 means zero drift.
+# bisected to its first divergent store event — and then runs each
+# schedule_check file under 3 schedule seeds (same-timestamp ties
+# permuted), each of which must meet the file's expect block; then the
+# scenario-, durability- and apf-marked suites run.  Exit 0 means zero
+# drift and no schedule-dependent failure.
 #
 # --bench-smoke runs the perf-ledger gate (bench/README.md): every
 # benchmark workload once at smoke scale with its determinism and
@@ -32,7 +34,7 @@
 # src/ still resolve.
 #
 # --lint runs the static analyzer (repro.analysis check: determinism
-# rules D001-D006 and concurrency/protocol rules C001-C006 in one pass)
+# rules D001-D006 and concurrency/protocol rules C003-C006 in one pass)
 # over src/ in strict mode against the committed allowlist, then the
 # lint-marked CLI smoke tests.  Exit 0 means zero non-allowlisted
 # findings and no stale suppressions or allowlist entries.

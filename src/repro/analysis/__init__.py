@@ -9,33 +9,26 @@ chaos determinism, exact telemetry aggregates:
   determinism rules D001–D006 (:mod:`repro.analysis.linter`: wall-clock
   use, unseeded randomness, unordered-set iteration, identity-based
   ordering, float priority accumulation, non-canonical hash inputs) and
-  the concurrency & protocol rules C001–C006 (blocking waits under
-  locks, lock-order inversion via :mod:`repro.analysis.lockgraph`,
-  unowned module-level mutable state, orphaned timers/events, unfenced
-  leader writes, shared snapshots edited in place);
-- :mod:`repro.analysis.racedetect` — an opt-in vector-clock race
-  detector for sim processes, flagging shared-state accesses on
-  :class:`~repro.storage.etcd.EtcdStore` and
-  :class:`~repro.clientgo.cache.ObjectCache` that are not ordered by a
-  kernel happens-before edge;
+  the concurrency & protocol rules C003–C006 (unowned module-level
+  mutable state, orphaned timers/events, unfenced leader writes, shared
+  snapshots edited in place);
 - :mod:`repro.analysis.bisect` — a replay-divergence bisector that runs
   the same seed twice with per-write state digests and binary-searches
-  to the first divergent store event, with component attribution.
+  to the first divergent store event, with component attribution.  It
+  localizes both nondeterminism and a schedule-dependent outcome found
+  by the scenario runner's schedule check (``Simulation(schedule=S)``).
 
-Only the two runtime tools are imported here — the scenario runner
-loads this package on every run, and the static analyzer is never on
-that path; import it from its submodules.
+Only the runtime tool is imported here — the scenario runner loads this
+package on every run, and the static analyzer is never on that path;
+import it from its submodules.
 
-CLI: ``python -m repro.analysis {check,race,bisect,rules}``.
+CLI: ``python -m repro.analysis {check,bisect,rules}``.
 """
 
 from .bisect import Divergence, ReplayRecorder, first_divergence
-from .racedetect import RaceConflict, RaceDetector
 
 __all__ = [
     "Divergence",
-    "RaceConflict",
-    "RaceDetector",
     "ReplayRecorder",
     "first_divergence",
 ]

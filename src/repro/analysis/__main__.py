@@ -3,17 +3,17 @@
 Usage::
 
     PYTHONPATH=src python -m repro.analysis check src/ [--strict] [--format json]
-    PYTHONPATH=src python -m repro.analysis race SCENARIO.yaml
-    PYTHONPATH=src python -m repro.analysis bisect SCENARIO.yaml [--perturb K]
+    PYTHONPATH=src python -m repro.analysis bisect SCENARIO.yaml [--schedule S]
     PYTHONPATH=src python -m repro.analysis rules
 
 ``lint`` and ``staticcheck`` are aliases of ``check`` (the two packs'
-former commands); each runs both packs.  ``race`` and ``bisect`` run a scenario file through
-``repro.scenarios.run_scenario`` — the one run harness — with the
-detector attached, or twice with the store-event streams diffed.
+former commands); each runs both packs.  ``bisect`` runs a scenario
+file twice through ``repro.scenarios.run_scenario`` — the one run
+harness — and diffs the store-event streams; with ``--schedule S`` the
+second run uses schedule seed ``S``.
 
 Exit codes: 0 clean; 1 usage/internal error; 2 findings (active or
-A000 findings, race conflicts, or a localized replay divergence).
+A000 findings, or a localized replay divergence).
 """
 
 import argparse
@@ -60,21 +60,12 @@ def _cmd_check(args):
     return 0 if result.ok else 2
 
 
-def _cmd_race(args):
-    from repro.scenarios import load_scenario, run_scenario
-
-    result = run_scenario(load_scenario(args.scenario), race_check=True,
-                          track_reads=args.track_reads)
-    print(result.detector.report())
-    return 0 if result.detector.ok else 2
-
-
 def _cmd_bisect(args):
     from repro.scenarios import load_scenario, run_scenario
 
     scenario = load_scenario(args.scenario)
     run_a = run_scenario(scenario).recorder
-    run_b = run_scenario(scenario, perturb_swap=args.perturb).recorder
+    run_b = run_scenario(scenario, schedule=args.schedule).recorder
     divergence = first_divergence(run_a, run_b)
     if divergence is None:
         print(f"{scenario.name}: replay deterministic — "
@@ -114,21 +105,13 @@ def build_parser():
                             "(text)")
     check.set_defaults(func=_cmd_check)
 
-    race = sub.add_parser(
-        "race", help="run a scenario file under the race detector")
-    race.add_argument("scenario", help="scenario YAML file")
-    race.add_argument("--track-reads", action="store_true",
-                      help="also flag read-write conflicts (diagnostic; "
-                           "level-triggered reads make this noisy)")
-    race.set_defaults(func=_cmd_race)
-
     bisect = sub.add_parser(
         "bisect",
         help="run a scenario file twice and localize the first divergence")
     bisect.add_argument("scenario", help="scenario YAML file")
-    bisect.add_argument("--perturb", type=int, default=None,
-                        help="flip the order of the Kth dispatched event "
-                             "in the second run (divergence fixture)")
+    bisect.add_argument("--schedule", type=int, default=None,
+                        help="run the second replay under this schedule "
+                             "seed (same-timestamp tie-break order)")
     bisect.set_defaults(func=_cmd_bisect)
 
     rules = sub.add_parser("rules", help="print the rule catalog")

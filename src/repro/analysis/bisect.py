@@ -10,10 +10,10 @@ digests_b[i]`` is false, then true, over *i* — so
 :func:`first_divergence` binary-searches it in O(log n) comparisons and
 attributes the event to the sim process that performed the write.
 
-The deliberate-perturbation fixture (``Simulation(perturb_swap=K)``)
-dispatches the (K+1)-th ready item before the K-th, flipping exactly one
-event order; the bisector must localize the flip's first store-visible
-consequence.
+A run under a schedule seed (``Simulation(schedule=S)``) orders the
+items that share a timestamp differently from the FIFO run; the
+bisector localizes the first store-visible consequence of that
+reordering.
 """
 
 import hashlib

@@ -9,7 +9,7 @@ one concurrency or protocol hazard that is visible in the source but
 only *manifests* under a particular schedule.  Both packs are checked
 in one pass by :func:`repro.analysis.staticcheck.check_paths`: D-rules
 per module (:mod:`repro.analysis.linter`), C-rules over the project-wide
-symbol table, call graph and lock graph.
+symbol table and call graph.
 
 Suppression syntax
 ------------------
@@ -83,31 +83,15 @@ RULES = {
         "str() of a non-string depend on memory addresses or per-process "
         "hash seeds, so 'stable' routing or digests silently stop being "
         "stable (e.g. tenant->shard routing must hash canonical bytes)."),
-    "C001": Rule(
-        "C001", "blocking kernel wait while holding a lock",
-        "A sim process yields a blocking kernel wait (sim.timeout, "
-        "any_of/all_of, a Condition) between Lock/Semaphore acquire and "
-        "release.  Every other process needing that lock stalls for the "
-        "full wait — and if the wait can only be satisfied by a process "
-        "that needs the lock, the simulation deadlocks.  Model timed "
-        "critical sections deliberately or release before waiting."),
-    "C002": Rule(
-        "C002", "lock-order inversion (deadlock cycle)",
-        "The interprocedural lock-acquisition graph — an edge A->B when "
-        "lock B is acquired (possibly through calls) while A is held — "
-        "contains a cycle.  Two processes entering the cycle from "
-        "different edges deadlock under the right schedule; the kernel's "
-        "FIFO locks make this unrecoverable.  Acquire locks in one "
-        "global order."),
     "C003": Rule(
         "C003", "module-level mutable state written from sim-process code",
         "A module-level dict/list/set/counter is mutated from code "
         "reachable by sim processes without a registered happens-before "
         "carrier.  It leaks state across Simulation instances in one "
-        "interpreter, and unordered access is a hazard the vector-clock "
-        "detector can only catch dynamically, per-schedule.  Own the "
-        "state per-sim, or mark the "
-        "definition '# repro: hb-carrier[why]' if access is provably "
+        "interpreter, and unordered access is a hazard the schedule "
+        "check can only catch dynamically, per-schedule.  Own the "
+        "state per-sim, or mark the definition "
+        "'# repro: hb-carrier[why]' if access is provably "
         "kernel-ordered."),
     "C004": Rule(
         "C004", "orphaned Timeout/Event (created and dropped)",

@@ -7,12 +7,9 @@ protocol rules below, reads its ``allow[...]``/``hb-carrier[...]``
 comments in one tokenize pass, and buckets every finding as active,
 suppressed, allowlisted or stale in one place.
 
-C-rules (whole-program, over the symbol table, call graph and the lock
-graph of :mod:`repro.analysis.lockgraph`)
-------------------------------------------------------------------------
+C-rules (whole-program, over the symbol table and call graph)
+------------------------------------------------------------
 
-C001  blocking kernel wait while holding a Lock/Semaphore
-C002  lock-order inversion (cycle in the lock-acquisition graph)
 C003  module-level mutable state written from sim-process code
 C004  Timeout/Event created and dropped (orphaned timer)
 C005  unfenced store write from a leader-elected component
@@ -40,7 +37,6 @@ from pathlib import Path
 
 from .callgraph import Project, dotted_name
 from .linter import lint_module
-from .lockgraph import LockGraph
 from .rules import META_RULE, RULES, SUPPRESSIBLE, Finding
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
@@ -611,28 +607,6 @@ class CheckResult:
                 f"{len(self.allowlisted)} allowlisted")
 
 
-def _lock_findings(lock_graph):
-    """C001/C002 findings from the lock graph, deterministic order."""
-    findings = []
-    for wait in lock_graph.waits:
-        findings.append(Finding(
-            wait.path, wait.line, wait.col, "C001",
-            f"blocking kernel wait {wait.wait} while holding "
-            f"{wait.lock_id!r} (in {wait.caller}); every FIFO waiter "
-            f"on the lock stalls for the full wait — release first, "
-            f"or suppress if the timed critical section is the model"))
-    for component in lock_graph.cycles():
-        cycle = " -> ".join(component + [component[0]])
-        for edge in lock_graph.cycle_edges(component):
-            via = f" via {edge.via}" if edge.via else ""
-            findings.append(Finding(
-                edge.path, edge.line, edge.col, "C002",
-                f"lock-order inversion: {edge.acquired!r} acquired "
-                f"while holding {edge.held!r}{via}, closing the cycle "
-                f"[{cycle}]; acquire locks in one global order"))
-    return findings
-
-
 def check_paths(paths, allowlist=(), strict=False):
     """Run every rule over files/trees; returns a :class:`CheckResult`.
 
@@ -643,9 +617,6 @@ def check_paths(paths, allowlist=(), strict=False):
     """
     project = Project.load(paths)
     sim_reachable = project.sim_reachable()
-    by_path = {}
-    for finding in _lock_findings(LockGraph(project)):
-        by_path.setdefault(finding.path, []).append(finding)
 
     result = CheckResult()
     for path, exc in project.unparsed:
@@ -662,8 +633,7 @@ def check_paths(paths, allowlist=(), strict=False):
         result.stale.extend(errors)
         checker = _ModuleChecker(project, module, sim_reachable, carriers)
         checker.visit(module.tree)
-        findings = (lint_module(module) + checker.findings
-                    + by_path.get(module.path, []))
+        findings = lint_module(module) + checker.findings
         findings.sort(key=lambda f: (f.line, f.col, f.code, f.message))
         used_suppressions = set()
         for finding in findings:

@@ -24,9 +24,7 @@ This module reproduces the shape of Kubernetes API Priority & Fairness:
   stack honors the hint instead of blind exponential retry.
 
 Everything is deterministic per seed: queue dealing and jitter derive
-from crc32 streams, dispatch order is fixed, and seat hand-off mirrors
-the kernel Semaphore's release-stamp bookkeeping so the vector-clock
-race detector sees real happens-before edges.
+from crc32 streams, dispatch order is fixed.
 """
 
 import random
@@ -206,10 +204,6 @@ class APFLimiter:
         # enabling APF never perturbs unrelated draws.
         self._jitter_rng = random.Random(
             zlib.crc32(f"apf:{name}:{config.shuffle_seed}".encode("utf-8")))
-        # Race detector: as in simkernel Semaphore — a seat released with
-        # no waiter parks the releaser's stamp; the next uncontended
-        # acquire absorbs it (release-acquire through the seat counter).
-        self._release_stamp = None
         telemetry = telemetry_of(sim)
         self._rejected_total = telemetry.counter(
             "apf_rejected_total", "requests shed by APF admission",
@@ -248,7 +242,7 @@ class APFLimiter:
             return ticket
 
         if level.waiting == 0 and self._can_admit(level):
-            self._seat(level, ticket, absorb=True)
+            self._seat(level, ticket)
             return ticket
 
         index = level.shortest_queue(flow, self.config.shuffle_seed)
@@ -288,11 +282,7 @@ class APFLimiter:
             return
         level.in_use -= 1
         self.total_in_use -= 1
-        if not self._dispatch():
-            detector = self.sim.race_detector
-            if detector is not None:
-                self._release_stamp = detector.merge_stamps(
-                    self._release_stamp, detector.current_stamp())
+        self._dispatch()
 
     # ------------------------------------------------------------------
     # Seat accounting
@@ -302,7 +292,7 @@ class APFLimiter:
         return (level.in_use < level.borrow_cap
                 and self.total_in_use < self.total_seats)
 
-    def _seat(self, level, ticket, absorb=False):
+    def _seat(self, level, ticket):
         ticket.state = _ADMITTED
         level.in_use += 1
         self.total_in_use += 1
@@ -312,13 +302,9 @@ class APFLimiter:
             level.borrowed_peak = max(level.borrowed_peak,
                                       level.in_use - level.seats)
         self._admitted_total.labels(level=level.name).inc()
-        if absorb:
-            detector = self.sim.race_detector
-            if detector is not None and self._release_stamp is not None:
-                detector.absorb(self._release_stamp)
 
     def _dispatch(self):
-        """Hand one freed seat to a waiter; returns True if one was seated.
+        """Hand one freed seat to a waiter, if any can take it.
 
         Starved-first: levels still under their nominal share are served
         before levels that would be borrowing, both in fixed tier order —
@@ -337,16 +323,15 @@ class APFLimiter:
             if candidate is None:
                 candidate = level
         if candidate is None:
-            return False
+            return
         ticket = candidate.pop_next()
         if ticket is None:
             # Queues held only expired tickets or dead waiters
             # (pop_next already fixed the waiting count).
-            return False
+            return
         candidate.waiting -= 1
         self._seat(candidate, ticket)
         ticket.event.succeed()
-        return True
 
     # ------------------------------------------------------------------
     # Shedding

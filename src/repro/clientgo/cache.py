@@ -77,14 +77,8 @@ class ObjectCache:
         self.gets = 0
         self.index_lookups = 0
         self.full_scans = 0
-        # Optional race-detector probe (repro.analysis.racedetect); the
-        # cache has no sim reference, so the owner attaches it.
-        self._race_probe = None
         self.add_index(INDEX_NAMESPACE, _namespace_index)
         self.add_index(INDEX_LABELS, _labels_index)
-
-    def set_race_probe(self, probe):
-        self._race_probe = probe
 
     def _add_bytes(self, delta):
         self.total_bytes += delta
@@ -135,8 +129,6 @@ class ObjectCache:
 
     def upsert(self, obj):
         key = obj.key
-        if self._race_probe is not None:
-            self._race_probe.write(key)
         if self._size_factor:
             new_size = estimate_object_bytes(obj, self._size_factor,
                                              self._size_overhead)
@@ -148,8 +140,6 @@ class ObjectCache:
         self._index_insert(key, obj)
 
     def delete(self, key):
-        if self._race_probe is not None:
-            self._race_probe.write(key)
         if key in self._items:
             del self._items[key]
             self._add_bytes(-self._sizes.pop(key, 0))
@@ -157,8 +147,6 @@ class ObjectCache:
 
     def get(self, key):
         self.gets += 1
-        if self._race_probe is not None:
-            self._race_probe.read(key)
         return self._items.get(key)
 
     def keys(self):
@@ -166,15 +154,11 @@ class ObjectCache:
 
     def items(self):
         self.full_scans += 1
-        if self._race_probe is not None:
-            self._race_probe.scan()
         return list(self._items.values())
 
     def select(self, predicate):
         """Brute-force filter over every cached object (O(n))."""
         self.full_scans += 1
-        if self._race_probe is not None:
-            self._race_probe.scan()
         return [obj for obj in self._items.values() if predicate(obj)]
 
     def replace(self, objs):

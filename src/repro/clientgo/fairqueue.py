@@ -40,9 +40,6 @@ class FairWorkQueue:
         self._processing = set()
         self._waiters = deque()
         self._enqueue_times = {}
-        # Producer stamps per queued item for the race detector (see
-        # WorkQueue._item_stamps).
-        self._item_stamps = {}
         self._shutdown = False
         self.added_total = 0
         self.deduped_total = 0
@@ -92,7 +89,6 @@ class FairWorkQueue:
         for item in queue:
             self._dirty.discard((tenant, item))
             self._enqueue_times.pop((tenant, item), None)
-            self._item_stamps.pop((tenant, item), None)
         index = self._rr_order.index(tenant)
         del self._rr_order[index]
         if index < self._rr_index:
@@ -133,10 +129,6 @@ class FairWorkQueue:
         item = (tenant, key)
         self.added_total += 1
         self._adds_counter.inc()
-        detector = self.sim.race_detector
-        if detector is not None:
-            self._item_stamps[item] = detector.merge_stamps(
-                self._item_stamps.get(item), detector.current_stamp())
         if item in self._dirty:
             self.deduped_total += 1
             self._deduped_counter.inc()
@@ -206,9 +198,6 @@ class FairWorkQueue:
 
     def _dispatch(self, item, event):
         tenant, key = item
-        stamp = self._item_stamps.pop(item, None)
-        if stamp is not None:
-            event._race_acc = stamp
         self._dirty.discard(item)
         self._processing.add(item)
         queued_at = self._enqueue_times.pop(item, self.sim.now)
@@ -271,16 +260,9 @@ class FairWorkQueue:
                 else:
                     kept.append((item_tenant, key))
             self._shared = kept
-        detector = self.sim.race_detector
         for key in drained:
             self._dirty.discard((tenant, key))
             self._enqueue_times.pop((tenant, key), None)
-            stamp = self._item_stamps.pop((tenant, key), None)
-            if detector is not None and stamp is not None:
-                # The rebalancer re-adds these keys elsewhere; absorbing
-                # the producers' stamps keeps them ordered before the
-                # new shard's workers.
-                detector.absorb(stamp)
         return drained
 
     def stats(self):

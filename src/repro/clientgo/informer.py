@@ -34,10 +34,6 @@ class SharedInformer:
         self.cache = ObjectCache(size_factor=size_factor,
                                  size_overhead=size_overhead,
                                  byte_total=byte_total)
-        detector = getattr(sim, "race_detector", None)
-        if detector is not None:
-            self.cache.set_race_probe(
-                detector.cache_probe(f"cache:{plural}"))
         self._handlers = []
         self._handler_cost = handler_cost
         self._cpu_account = cpu_account

@@ -39,10 +39,6 @@ class WorkQueue:
         self.added_total = 0
         self.deduped_total = 0
         self._enqueue_times = {}
-        # Race detector: producers' stamps per queued item, attached to
-        # the worker's get() event at dispatch (the queue buffer is a
-        # cross-process carrier with no event edge of its own).
-        self._item_stamps = {}
         self.wait_time_total = 0.0
         # Registry counters aggregate across same-named queues (one
         # informer queue per control plane shares a name); the int
@@ -71,12 +67,6 @@ class WorkQueue:
             return
         self.added_total += 1
         self._adds_counter.inc()
-        detector = self.sim.race_detector
-        if detector is not None:
-            # Merged, not replaced: a dedup-absorbed add still orders
-            # this producer before the item's eventual worker.
-            self._item_stamps[item] = detector.merge_stamps(
-                self._item_stamps.get(item), detector.current_stamp())
         if item in self._dirty:
             self.deduped_total += 1
             self._deduped_counter.inc()
@@ -114,9 +104,6 @@ class WorkQueue:
         queued_at = self._enqueue_times.pop(item, self.sim.now)
         self.wait_time_total += self.sim.now - queued_at
         self._wait_hist.observe(self.sim.now - queued_at)
-        stamp = self._item_stamps.pop(item, None)
-        if stamp is not None:
-            waiter.event._race_acc = stamp
         waiter.succeed((item, queued_at))
 
     def get(self):

@@ -5,7 +5,6 @@ resource syncer (fair queuing, periodic scan, vNodes), and the vn-agent.
 """
 
 from .controlplane import ControlPlane, SuperCluster, TenantControlPlane
-from .federation import FleetCapacityError, SuperClusterFleet
 from .swapper import IdleSwapper, control_plane_memory
 from .crd import (
     VirtualCluster,
@@ -28,12 +27,10 @@ from .vn_agent import VnAgent
 
 __all__ = [
     "ControlPlane",
-    "FleetCapacityError",
     "IdleSwapper",
     "PHASES",
     "PodTrace",
     "SuperCluster",
-    "SuperClusterFleet",
     "Syncer",
     "TenantControlPlane",
     "TenantHandle",

@@ -682,7 +682,7 @@ class Syncer:
                     # lock per dispatch shard.
                     yield dws_lock.acquire()
                     try:
-                        yield self.sim.timeout(cfg.dws_dequeue_cs)  # repro: allow[C001] modeled dequeue critical-section cost; contention is the measured effect
+                        yield self.sim.timeout(cfg.dws_dequeue_cs)
                     finally:
                         dws_lock.release()
                     self.cpu.charge(cfg.dws_dequeue_cs,
@@ -730,7 +730,7 @@ class Syncer:
                                           resource=plural):
                     yield uws_lock.acquire()
                     try:
-                        yield self.sim.timeout(cfg.uws_dequeue_cs)  # repro: allow[C001] modeled dequeue critical-section cost; contention is the measured effect
+                        yield self.sim.timeout(cfg.uws_dequeue_cs)
                     finally:
                         uws_lock.release()
                     self.cpu.charge(cfg.uws_dequeue_cs,

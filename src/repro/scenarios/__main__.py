@@ -7,7 +7,9 @@
 ``record``  run and write the golden block back into the file(s);
 ``verify``  replay every scenario twice against its golden digest; a
             replay that differs from the previous one is bisected to
-            its first divergent store event and owning component.  Runs
+            its first divergent store event and owning component.  A
+            ``schedule_check: true`` file is then run under 3 schedule
+            seeds and must meet its ``expect`` block under each.  Runs
             with the object plane's freeze guard on, so a mutated shared
             snapshot fails the replay instead of skewing it.
 
@@ -31,7 +33,12 @@ from repro.objects.base import set_freeze_guard
 
 from .errors import GoldenMismatch, ScenarioError
 from .loader import corpus_paths, load_scenario
-from .runner import record_scenario, run_scenario, verify_scenario
+from .runner import (
+    SCHEDULE_SEEDS,
+    record_scenario,
+    run_scenario,
+    verify_scenario,
+)
 
 DEFAULT_CORPUS = os.path.join("scenarios", "corpus")
 
@@ -93,8 +100,8 @@ def cmd_list(args):
         flags = []
         if scenario.tier1:
             flags.append("tier1")
-        if scenario.race_check:
-            flags.append("race")
+        if scenario.schedule_check:
+            flags.append("schedule")
         if scenario.chaos:
             flags.append(f"chaos×{len(scenario.chaos)}")
         rows.append((
@@ -132,8 +139,7 @@ def cmd_run(args):
         scenario = _load(path)
         if args.seed is not None:
             scenario.seed = args.seed
-        result = run_scenario(scenario,
-                              race_check=True if args.race else None)
+        result = run_scenario(scenario, schedule=args.schedule)
         _print_result(result, as_json=args.json)
         if args.report:
             if result.chaos_report is not None:
@@ -171,7 +177,8 @@ def cmd_verify(args):
             print(f"{scenario.name}: FAIL — {exc}")
             status = max(status, 1)
             continue
-        extra = " race=clean" if scenario.race_check else ""
+        extra = (f" schedules={SCHEDULE_SEEDS}× ok"
+                 if scenario.schedule_check else "")
         print(f"{scenario.name}: ok — {args.runs}× replay matched "
               f"{scenario.golden.digest[:16]}… "
               f"({results[0].store_events} events){extra}")
@@ -193,8 +200,9 @@ def build_parser():
     p_run.add_argument("path")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-    p_run.add_argument("--race", action="store_true",
-                       help="attach the vector-clock race detector")
+    p_run.add_argument("--schedule", type=int, default=None,
+                       help="same-timestamp tie-break seed (default: "
+                            "FIFO, the order goldens are recorded in)")
     p_run.add_argument("--json", action="store_true")
     p_run.add_argument("--report", action="store_true",
                        help="also print the chaos report (per-fault "

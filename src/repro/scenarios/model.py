@@ -376,7 +376,7 @@ class Scenario(Spec):
         Field("horizon", NUMBER, 40.0, gt=0),
         Field("convergence_timeout", NUMBER, 180.0, gt=0),
         Field("tier1", BOOL, False),
-        Field("race_check", BOOL, False),
+        Field("schedule_check", BOOL, False),
         Field("control", SPEC, ControlSpec, spec=ControlSpec),
         Field("topology", SPEC, TopologySpec, spec=TopologySpec),
         Field("tenants", SPECS, (), spec=TenantSpec, ge=1,

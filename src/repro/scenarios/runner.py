@@ -9,8 +9,8 @@ The pipeline has two halves with a sharp boundary:
    names (stable across runs and processes — never ``hash()``).  Two
    calls with the same scenario produce identical plans.
 2. **Execution is seeded.**  :func:`run_scenario` builds the familiar
-   recorded stack — ``Simulation(seed)`` → :class:`ReplayRecorder` (and
-   optional :class:`RaceDetector`) → :class:`VirtualClusterEnv` — then
+   recorded stack — ``Simulation(seed)`` → :class:`ReplayRecorder` →
+   :class:`VirtualClusterEnv` — then
    lays the scenario onto it: node pools (with shared
    :class:`~repro.network.NetworkLink` uplinks and elastic staged
    joins), tenants, the chaos overlay, and finally the compiled load.
@@ -27,7 +27,6 @@ import random
 import zlib
 
 from repro.analysis.bisect import ReplayRecorder, first_divergence
-from repro.analysis.racedetect import RaceDetector
 from repro.apiserver.errors import ApiError
 from repro.chaos.engine import ChaosEngine, check_convergence
 from repro.chaos.faults import FAULTS
@@ -40,6 +39,10 @@ from repro.workloads import LoadGenerator, TenantLoadPattern, TimedActions
 
 from .errors import GoldenMismatch, ScenarioError
 from .model import GoldenSpec
+
+# Schedule seeds a ``schedule_check: true`` scenario is replayed under
+# by :func:`verify_scenario`, after its golden replays.
+SCHEDULE_SEEDS = 3
 
 
 def derive_seed(base, *parts):
@@ -152,16 +155,15 @@ def scenario_config(control):
 class ScenarioResult:
     """Everything one run produced: digest, counters, verdicts."""
 
-    def __init__(self, scenario, env, recorder, detector, converged,
+    def __init__(self, scenario, env, recorder, converged,
                  convergence_detail, pods_created, load_errors, telemetry,
                  failures, chaos_report=None):
         self.scenario = scenario
         #: The live objects the run built, for post-run inspection: the
-        #: env (telemetry registry, syncer), the store-event recorder
-        #: (what ``bisect`` diffs) and the race detector (or None).
+        #: env (telemetry registry, syncer) and the store-event recorder
+        #: (what ``bisect`` diffs).
         self.env = env
         self.recorder = recorder
-        self.detector = detector
         self.digest = recorder.final_digest
         self.store_events = len(recorder.digests)
         self.sim_time = env.sim.now
@@ -193,27 +195,20 @@ class ScenarioResult:
         }
 
 
-def run_scenario(scenario, race_check=None, track_reads=False,
-                 perturb_swap=None):
+def run_scenario(scenario, schedule=None):
     """Build, run, and judge one scenario.  Returns a ScenarioResult.
 
-    ``race_check`` overrides ``scenario.race_check`` when not None;
-    ``track_reads`` makes the detector flag read-write conflicts too
-    (diagnostic).  ``perturb_swap=K`` flips the dispatch order of the
-    K-th ready event — the divergence fixture ``analysis bisect
-    --perturb`` localizes, never set in normal operation.
+    ``schedule`` is the kernel's same-timestamp tie-break
+    (``Simulation(schedule=...)``): ``None`` is the FIFO order the
+    goldens were recorded under, an int seeds a permutation.
     Expectation violations land in ``result.failures`` (the golden
     digest is *not* checked here — see :func:`verify_scenario`).
     """
     scenario.validate()
-    want_races = (scenario.race_check if race_check is None
-                  else bool(race_check))
     compiled = compile_load(scenario)
 
-    sim = Simulation(seed=scenario.seed, perturb_swap=perturb_swap)
+    sim = Simulation(seed=scenario.seed, schedule=schedule)
     recorder = ReplayRecorder(sim)
-    detector = (RaceDetector(sim, track_reads=track_reads)
-                if want_races else None)
     env = VirtualClusterEnv(seed=scenario.seed,
                             config=scenario_config(scenario.control), sim=sim)
     env.bootstrap()
@@ -285,10 +280,9 @@ def run_scenario(scenario, race_check=None, track_reads=False,
         family = sim.telemetry.registry.get(expect.metric)
         telemetry[expect.metric] = family.total() if family else 0.0
 
-    failures = _judge(scenario, converged, detail, generator, telemetry,
-                      detector)
+    failures = _judge(scenario, converged, detail, generator, telemetry)
     return ScenarioResult(
-        scenario=scenario, env=env, recorder=recorder, detector=detector,
+        scenario=scenario, env=env, recorder=recorder,
         converged=converged, convergence_detail=detail,
         pods_created=generator.submitted, load_errors=generator.errors,
         telemetry=telemetry, failures=failures,
@@ -322,7 +316,7 @@ def _drive_job(sim, generator, handle, job, finished):
         finished.append(job.workload)
 
 
-def _judge(scenario, converged, detail, generator, telemetry, detector):
+def _judge(scenario, converged, detail, generator, telemetry):
     """Evaluate the declared expectations; return failure strings."""
     failures = []
     expect = scenario.expect
@@ -352,10 +346,6 @@ def _judge(scenario, converged, detail, generator, telemetry, detector):
             failures.append(
                 f"telemetry {bound.metric}={total:g} above expected "
                 f"maximum {bound.max:g}")
-    if detector is not None and not detector.ok:
-        failures.append(
-            f"race detector flagged {len(detector.conflicts)} "
-            f"conflict(s): {detector.conflicts[0].format()}")
     return failures
 
 
@@ -381,15 +371,27 @@ def record_scenario(scenario):
     return result
 
 
-def verify_scenario(scenario, runs=2):
-    """Replay ``runs`` times against the recorded golden.
+def schedule_seeds(scenario):
+    """The :data:`SCHEDULE_SEEDS` schedule seeds the schedule check
+    replays ``scenario`` under, derived from its seed."""
+    return [derive_seed(scenario.seed, "schedule", str(index))
+            for index in range(SCHEDULE_SEEDS)]
 
-    Every run must reproduce the golden digest exactly (else
+
+def verify_scenario(scenario, runs=2):
+    """Replay ``runs`` times against the recorded golden, then run the
+    schedule check if the scenario asks for it.
+
+    Every replay must reproduce the golden digest exactly (else
     :class:`GoldenMismatch`) and meet the scenario's expectations (else
     :class:`ScenarioError`).  When a replay differs from an *earlier
     replay of the same call* — nondeterminism, not drift — the mismatch
     carries the bisected first divergent store event and its owning
-    component.  Returns the results.
+    component.  A ``schedule_check: true`` scenario is then run once per
+    :func:`schedule_seeds` seed; each run must meet the expectations
+    (convergence, Pod floor, telemetry bounds) but not the digest, which
+    a different schedule legitimately changes.  A failure names its
+    schedule seed.  Returns the golden replays' results.
     """
     if scenario.golden is None:
         raise ScenarioError(
@@ -411,4 +413,15 @@ def verify_scenario(scenario, runs=2):
                 f"scenario {scenario.name!r} failed expectations: "
                 f"{'; '.join(result.failures)}")
         results.append(result)
+    if scenario.schedule_check:
+        for schedule in schedule_seeds(scenario):
+            result = run_scenario(scenario, schedule=schedule)
+            if not result.ok:
+                raise ScenarioError(
+                    f"scenario {scenario.name!r} failed expectations "
+                    f"under schedule {schedule} (reproduce with "
+                    f"'python -m repro.scenarios run FILE --schedule "
+                    f"{schedule}', localize with 'python -m "
+                    f"repro.analysis bisect FILE --schedule {schedule}'): "
+                    f"{'; '.join(result.failures)}")
     return results

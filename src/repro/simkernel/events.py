@@ -158,13 +158,6 @@ class Condition(Event):
             # undefused-failure check surfaces it, unless another waiter
             # handles it first ("undefused failures crash loudly").
             return
-        detector = self.sim.race_detector
-        if detector is not None:
-            # Accumulate every constituent event's stamp: a waiter on
-            # all_of(...) happens-after each of its events, not only the
-            # one whose dispatch finally triggers the condition.
-            self._race_acc = detector.merge_stamps(
-                getattr(self, "_race_acc", None), detector.context_stamp())
         if not event.ok:
             event.defused = True
             self.fail(event.value)

@@ -8,6 +8,7 @@ and far faster than wall-clock execution.
 """
 
 import heapq
+import itertools
 import random
 
 from .accounting import Accounting
@@ -15,8 +16,6 @@ from .errors import SimulationDeadlock, StopSimulation
 from .events import Event, Timeout, all_of, any_of
 from .process import Process
 from .timerwheel import MIN_WHEEL_DELAY, TimerWheel
-
-_CALLBACK = object()
 
 
 class Simulation:
@@ -27,12 +26,24 @@ class Simulation:
     seed:
         Seed for the simulation-owned random generator.  Every run with the
         same seed and workload produces identical timelines.
+    schedule:
+        How items that share a timestamp are ordered.  ``None`` dispatches
+        them FIFO, in the order they were scheduled.  An int seeds a
+        permutation of them: each item draws random high bits over its
+        FIFO sequence number, so the order among ties is shuffled while
+        no item ever moves across a timestamp.  The schedule stream is
+        separate from :attr:`rng`, so the model draws the same numbers.
     """
 
-    def __init__(self, seed=0, perturb_swap=None):
+    def __init__(self, seed=0, schedule=None):
         self._now = 0.0
         self._heap = []
-        self._seq = 0
+        counter = itertools.count(1)
+        if schedule is None:
+            self._tiebreak = counter.__next__
+        else:
+            draw = random.Random(schedule).getrandbits
+            self._tiebreak = lambda: (draw(32) << 48) | next(counter)
         self._active_process = None
         self.rng = random.Random(seed)
         self._process_count = 0
@@ -43,16 +54,10 @@ class Simulation:
         self._wheel_next = None
         self._orphans_skipped = 0
         self._peak_heap = 0
-        # Analysis hooks (repro.analysis): a RaceDetector stamps events
-        # with vector clocks, a ReplayRecorder hashes store emissions.
-        self.race_detector = None
+        # Analysis hook (repro.analysis): a ReplayRecorder hashes store
+        # emissions.
         self.replay_recorder = None
         self._dispatched = 0
-        # Divergence fixture: dispatch the (K+1)-th ready item before
-        # the K-th, once — flips exactly one event order so the replay
-        # bisector has a real divergence to localize.  Never set outside
-        # tests/diagnostics.
-        self._perturb_swap = perturb_swap
         self.accounting = Accounting(self)
         # Unified telemetry hub (repro.telemetry imports nothing from
         # repro.*, so this is cycle-free).
@@ -77,26 +82,21 @@ class Simulation:
     def _schedule(self, event, delay=0):
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        if self.race_detector is not None:
-            self.race_detector.stamp_event(event)
-        self._seq += 1
+        seq = self._tiebreak()
         if delay >= MIN_WHEEL_DELAY:
-            start = self._wheel.add(self._now + delay, self._seq, event,
-                                    self._now)
+            start = self._wheel.add(self._now + delay, seq, event, self._now)
             if self._wheel_next is None or start < self._wheel_next:
                 self._wheel_next = start
             return
         heap = self._heap
-        heapq.heappush(heap, (self._now + delay, self._seq, event))
+        heapq.heappush(heap, (self._now + delay, seq, event))
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
 
     def _schedule_callback(self, fn):
-        """Schedule a bare callable (used for late subscribers, interrupts)."""
-        if self.race_detector is not None:
-            self.race_detector.stamp_callback(fn)
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now, self._seq, (_CALLBACK, fn)))
+        """Schedule a bare callable (used for late subscribers, interrupts);
+        it rides the heap as a 1-tuple so dispatch tells it from an event."""
+        heapq.heappush(self._heap, (self._now, self._tiebreak(), (fn,)))
 
     # ------------------------------------------------------------------
     # Event factories
@@ -165,10 +165,6 @@ class Simulation:
                 heapq.heappop(heap)
                 self._now = when
                 self._dispatched += 1
-                if self._perturb_swap is not None \
-                        and self._dispatched >= self._perturb_swap and heap:
-                    self._perturb_swap = None
-                    self._dispatch_item(heapq.heappop(heap)[2])
                 self._dispatch_ready(item)
         except StopSimulation as stop:
             event = stop.args[0]
@@ -208,43 +204,23 @@ class Simulation:
             self._peak_heap = len(heap)
 
     def _dispatch_ready(self, item):
-        """Dispatch one popped item, skipping orphaned events.
+        """Dispatch one popped item (event or bare callback), skipping
+        orphaned events.
 
         An event that is triggered-ok with zero callbacks left (e.g. an
         ``any_of``-loser ``Timeout`` the winning condition detached from)
         would process as a pure no-op; marking it processed without the
         dispatch bookkeeping is observationally identical and cheaper.
         """
-        if type(item) is not tuple:
-            callbacks = item.callbacks
-            if item._ok and callbacks is not None and not callbacks:
-                item.callbacks = None
-                self._orphans_skipped += 1
-                return
-        self._dispatch_item(item)
-
-    def _dispatch_item(self, item):
-        """Dispatch one popped heap item (event or bare callback)."""
-        detector = self.race_detector
-        if isinstance(item, tuple) and item[0] is _CALLBACK:
-            fn = item[1]
-            if detector is not None:
-                detector.begin_dispatch(getattr(fn, "_race_stamp", None))
-                try:
-                    fn()
-                finally:
-                    detector.end_dispatch()
-            else:
-                fn()
+        if type(item) is tuple:
+            item[0]()
             return
-        if detector is not None:
-            detector.begin_dispatch(getattr(item, "_race_stamp", None))
-            try:
-                item._process()
-            finally:
-                detector.end_dispatch()
-        else:
-            item._process()
+        callbacks = item.callbacks
+        if item._ok and callbacks is not None and not callbacks:
+            item.callbacks = None
+            self._orphans_skipped += 1
+            return
+        item._process()
         # "Undefused failures crash loudly": any failed event nobody
         # handled — not just a Process — stops the run.  A waiter (or a
         # Condition watching the event) defuses on delivery; a failure

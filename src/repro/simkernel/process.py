@@ -20,8 +20,6 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on = None
-        if sim.race_detector is not None:
-            sim.race_detector.register_process(self)
         # Kick off the process at the current simulation time.
         init = Event(sim)
         init._ok = True
@@ -65,11 +63,6 @@ class Process(Event):
         sim = self.sim
         prev = sim._active_process
         sim._active_process = self
-        if sim.race_detector is not None:
-            # Merge the dispatched event's stamp into this process's
-            # clock: resuming on an event is a happens-before edge from
-            # whoever triggered it.
-            sim.race_detector.on_step(self)
         try:
             if throw:
                 target = self._generator.throw(value)

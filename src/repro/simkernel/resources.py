@@ -27,10 +27,6 @@ class Lock:
         self.acquisitions = 0
         self.contentions = 0
         self.wait_time = 0.0
-        # Race detector: an uncontended release leaves no event edge to
-        # the next acquirer, so the releaser's stamp is parked here and
-        # merged on the next acquire (release-acquire semantics).
-        self._release_stamp = None
 
     @property
     def locked(self):
@@ -41,10 +37,6 @@ class Lock:
         self.acquisitions += 1
         if not self._locked:
             self._locked = True
-            detector = self.sim.race_detector
-            if detector is not None and self._release_stamp is not None:
-                detector.absorb(self._release_stamp)
-                self._release_stamp = None
             event.succeed()
         else:
             self.contentions += 1
@@ -60,9 +52,6 @@ class Lock:
             event.succeed()
         else:
             self._locked = False
-            detector = self.sim.race_detector
-            if detector is not None:
-                self._release_stamp = detector.current_stamp()
 
     def locked_section(self, body):
         """Run generator ``body`` while holding the lock (helper process)."""
@@ -89,9 +78,6 @@ class Semaphore:
         self.capacity = capacity
         self._in_use = 0
         self._waiters = deque()
-        # As for Lock: merged stamps of releases with no waiter, carried
-        # to the next uncontended acquire.
-        self._release_stamp = None
 
     @property
     def in_use(self):
@@ -101,9 +87,6 @@ class Semaphore:
         event = Event(self.sim)
         if self._in_use < self.capacity:
             self._in_use += 1
-            detector = self.sim.race_detector
-            if detector is not None and self._release_stamp is not None:
-                detector.absorb(self._release_stamp)
             event.succeed()
         else:
             self._waiters.append(event)
@@ -116,10 +99,6 @@ class Semaphore:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
-            detector = self.sim.race_detector
-            if detector is not None:
-                self._release_stamp = detector.merge_stamps(
-                    self._release_stamp, detector.current_stamp())
 
 
 class Channel:
@@ -139,17 +118,6 @@ class Channel:
         self._getters = deque()
         self._putters = deque()  # (event, item)
         self._closed = False
-        # Race detector: buffered items carry their producer's stamp in
-        # lockstep deques (a buffered hand-off has no event edge — the
-        # getter's wake-up event is stamped by the getter side).  Pushed
-        # as None when no detector is attached so the deques always stay
-        # aligned with _items/_putters.
-        self._item_stamps = deque()
-        self._putter_stamps = deque()
-
-    def _producer_stamp(self):
-        detector = self.sim.race_detector
-        return detector.current_stamp() if detector is not None else None
 
     def __len__(self):
         return len(self._items)
@@ -168,11 +136,9 @@ class Channel:
             event.succeed()
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            self._item_stamps.append(self._producer_stamp())
             event.succeed()
         else:
             self._putters.append((event, item))
-            self._putter_stamps.append(self._producer_stamp())
         return event
 
     def try_put(self, item):
@@ -184,23 +150,16 @@ class Channel:
             return True
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            self._item_stamps.append(self._producer_stamp())
             return True
         return False
 
     def get(self):
         event = Event(self.sim)
         if self._items:
-            value = self._items.popleft()
-            stamp = self._item_stamps.popleft()
-            detector = self.sim.race_detector
-            if detector is not None and stamp is not None:
-                detector.absorb(stamp)
-            event.succeed(value)
+            event.succeed(self._items.popleft())
             if self._putters:
                 putter, item = self._putters.popleft()
                 self._items.append(item)
-                self._item_stamps.append(self._putter_stamps.popleft())
                 putter.succeed()
         elif self._closed:
             event.fail(ChannelClosed(self.name))
@@ -218,7 +177,6 @@ class Channel:
         while self._putters:
             putter, _item = self._putters.popleft()
             putter.fail(ChannelClosed(self.name))
-        self._putter_stamps.clear()
 
 
 class ChannelClosed(Exception):

@@ -279,32 +279,11 @@ class EtcdStore:
     def revision(self):
         return self._revision
 
-    # Race-detector probes (no-ops unless a RaceDetector is attached to
-    # the sim).  create and CAS-guarded update/delete are release-writes:
-    # the revision check serializes them, so they synchronize rather
-    # than conflict; blind writes are checked for concurrency.
-
-    def _race_write(self, key, release):
-        detector = getattr(self.sim, "race_detector", None)
-        if detector is not None:
-            detector.on_write(self.name, key, release=release)
-
-    def _race_read(self, key):
-        detector = getattr(self.sim, "race_detector", None)
-        if detector is not None:
-            detector.on_read(self.name, key)
-
-    def _race_scan(self, prefix):
-        detector = getattr(self.sim, "race_detector", None)
-        if detector is not None:
-            detector.on_scan(self.name, prefix)
-
     def create(self, key, value):
         """Insert a new key; fails if present. Returns the new revision."""
         self._check_alive()
         if key in self._data:
             raise KeyAlreadyExists(key)
-        self._race_write(key, release=True)
         self._ops_write.inc()
         self._revision += 1
         value = freeze(value)
@@ -320,7 +299,6 @@ class EtcdStore:
         stored = self._data.get(key)
         if stored is None:
             raise KeyNotFound(key)
-        self._race_read(key)
         self._ops_read.inc()
         return stored
 
@@ -331,10 +309,7 @@ class EtcdStore:
 
     def try_get_stored(self, key):
         """Like :meth:`get_stored` but returns None for a missing key."""
-        stored = self._data.get(key)
-        if stored is not None:
-            self._race_read(key)
-        return stored
+        return self._data.get(key)
 
     def try_get(self, key):
         """Like :meth:`get` but returns (None, 0) for a missing key."""
@@ -353,7 +328,6 @@ class EtcdStore:
                 and stored.mod_revision != expected_revision):
             raise RevisionConflict(key, expected_revision,
                                    stored.mod_revision)
-        self._race_write(key, release=expected_revision is not None)
         self._ops_write.inc()
         self._revision += 1
         value = freeze(value)
@@ -374,7 +348,6 @@ class EtcdStore:
                 and stored.mod_revision != expected_revision):
             raise RevisionConflict(key, expected_revision,
                                    stored.mod_revision)
-        self._race_write(key, release=expected_revision is not None)
         self._ops_write.inc()
         self._revision += 1
         del self._data[key]
@@ -444,7 +417,6 @@ class EtcdStore:
         at list time, which list+watch reflectors use as their start point.
         """
         self._check_alive()
-        self._race_scan(prefix)
         self._ops_read.inc()
         data = self._data
         return ([(key, data[key]) for key in self._keys_under(prefix)],
@@ -567,12 +539,7 @@ class EtcdStore:
         if recorder is not None:
             recorder.record(self.name, event)
         if self.wal is not None:
-            # The record carries the writer's vector-clock stamp so a
-            # follower (or recovery) applying it absorbs a happens-before
-            # edge from this mutation.
-            detector = getattr(self.sim, "race_detector", None)
-            stamp = detector.current_stamp() if detector is not None else None
-            self.wal.append_event(event, stamp=stamp)
+            self.wal.append_event(event)
         self._history.append(event)
         if len(self._history) > self._history_limit:
             self.compact(keep=self._history_limit // 2)
@@ -615,9 +582,7 @@ class EtcdStore:
         if advanced and self.wal is not None:
             # Floor advances are durable: a recovered store must bounce a
             # deposed leader's stale token just like the one that crashed.
-            detector = getattr(self.sim, "race_detector", None)
-            stamp = detector.current_stamp() if detector is not None else None
-            self.wal.append_fence(domain, token, self._revision, stamp=stamp)
+            self.wal.append_fence(domain, token, self._revision)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (durability for crashed control planes)
@@ -681,11 +646,6 @@ class EtcdStore:
             expected = event.revision
         for watch in list(self._watches):
             watch.cancel()
-        detector = getattr(self.sim, "race_detector", None)
-        if detector is not None:
-            # Discontinuity: pre-restore accesses no longer describe
-            # reachable state, so the access graph restarts.
-            detector.reset_object(self.name)
         self._data = {}
         self._buckets = {}
         for key, (value, create_rev, mod_rev, version) in \
@@ -746,9 +706,6 @@ class EtcdStore:
         """
         for watch in list(self._watches):
             watch.cancel()
-        detector = getattr(self.sim, "race_detector", None)
-        if detector is not None:
-            detector.reset_object(self.name)
         self._data = {}
         self._buckets = {}
         self._history = []
@@ -770,9 +727,6 @@ class EtcdStore:
             self.wal.power_off()
         for watch in list(self._watches):
             watch.cancel()
-        detector = getattr(self.sim, "race_detector", None)
-        if detector is not None:
-            detector.reset_object(self.name)
         self._data = {}
         self._buckets = {}
         self._history = []

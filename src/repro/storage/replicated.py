@@ -14,9 +14,7 @@ Topology and failure model:
   writes need no election round.
 - The leader's WAL ``on_append`` hook streams each durable record into a
   per-follower :class:`Channel`; a pump process applies it after the
-  replication delay (plus any chaos-injected lag).  Channel item stamps
-  and the record's own vector-clock stamp give the race detector
-  happens-before edges from writer to applier.
+  replication delay (plus any chaos-injected lag).
 - Leader election reuses ``clientgo.leaderelection`` against a shared
   *coordination* apiserver (``coordinator_of(sim)``), modeling the
   ZooKeeper/PVC-style external coordination plane from ROADMAP item 4 —
@@ -125,10 +123,6 @@ class StoreReplica:
     def apply(self, record):
         """Apply one streamed/caught-up WAL record to this replica."""
         store = self.store
-        detector = getattr(store.sim, "race_detector", None)
-        if detector is not None and record.stamp is not None:
-            # Happens-before: the leader's mutation precedes this apply.
-            detector.absorb(record.stamp)
         fields = record.decode()
         if record.type == WAL_FENCE:
             floor = store._fences.get(record.key)
@@ -136,7 +130,7 @@ class StoreReplica:
                 store._fences[record.key] = fields["token"]
             if store.wal is not None:
                 store.wal.append_fence(record.key, fields["token"],
-                                       record.revision, stamp=record.stamp)
+                                       record.revision)
             return
         if record.revision <= self.applied_revision:
             return  # duplicate delivery (catch-up raced a stream record)
@@ -144,7 +138,7 @@ class StoreReplica:
                            record.revision)
         store._apply_replayed(event)
         if store.wal is not None:
-            store.wal.append_event(event, stamp=record.stamp)
+            store.wal.append_event(event)
         self.applied_revision = record.revision
         self.records_applied += 1
         self.group._replicated_records.inc()

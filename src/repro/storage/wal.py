@@ -54,18 +54,12 @@ def _encode_payload(fields):
 
 
 class WalRecord:
-    """One log entry: an encoded mutation plus its integrity checksum.
-
-    ``stamp`` carries the appender's vector-clock stamp so a follower
-    applying this record absorbs a happens-before edge from the writer
-    (see ``repro.analysis.racedetect``).
-    """
+    """One log entry: an encoded mutation plus its integrity checksum."""
 
     __slots__ = ("lsn", "type", "revision", "key", "payload", "crc",
-                 "durable", "stamp")
+                 "durable")
 
-    def __init__(self, lsn, type, revision, key, payload, crc,
-                 stamp=None):
+    def __init__(self, lsn, type, revision, key, payload, crc):
         self.lsn = lsn
         self.type = type
         self.revision = revision
@@ -73,13 +67,11 @@ class WalRecord:
         self.payload = payload
         self.crc = crc
         self.durable = False
-        self.stamp = stamp
 
     @classmethod
-    def make(cls, lsn, type, revision, key, fields, stamp=None):
+    def make(cls, lsn, type, revision, key, fields):
         payload = _encode_payload(fields)
-        return cls(lsn, type, revision, key, payload,
-                   zlib.crc32(payload), stamp=stamp)
+        return cls(lsn, type, revision, key, payload, zlib.crc32(payload))
 
     @property
     def nbytes(self):
@@ -164,22 +156,20 @@ class WriteAheadLog:
     # Append path
     # ------------------------------------------------------------------
 
-    def append_event(self, event, stamp=None):
+    def append_event(self, event):
         """Log one store mutation (a :class:`WatchEvent`)."""
         fields = {"type": event.type, "key": event.key,
                   "revision": event.revision, "value": event.value}
-        return self._append(event.type, event.revision, event.key, fields,
-                            stamp=stamp)
+        return self._append(event.type, event.revision, event.key, fields)
 
-    def append_fence(self, domain, token, revision, stamp=None):
+    def append_fence(self, domain, token, revision):
         """Log a fencing-floor advance (no revision bump of its own)."""
         fields = {"type": WAL_FENCE, "key": domain, "revision": revision,
                   "token": token}
-        return self._append(WAL_FENCE, revision, domain, fields, stamp=stamp)
+        return self._append(WAL_FENCE, revision, domain, fields)
 
-    def _append(self, type, revision, key, fields, stamp=None):
-        record = WalRecord.make(self.next_lsn, type, revision, key, fields,
-                                stamp=stamp)
+    def _append(self, type, revision, key, fields):
+        record = WalRecord.make(self.next_lsn, type, revision, key, fields)
         self.next_lsn += 1
         segment = self.segments[-1]
         if len(segment.records) >= self.segment_records:
@@ -433,9 +423,6 @@ class WriteAheadLog:
                                              fields["value"],
                                              record.revision))
             expected = record.revision
-            detector = getattr(self.sim, "race_detector", None)
-            if detector is not None and record.stamp is not None:
-                detector.absorb(record.stamp)
         store._compacted_revision = store.revision
         return store.revision
 

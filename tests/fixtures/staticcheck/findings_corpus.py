@@ -6,7 +6,7 @@ in either direction — a new false positive and a lost true positive
 both break the byte-exact comparison.
 """
 
-from repro.simkernel import Lock, Timeout
+from repro.simkernel import Timeout
 
 SHARED_REGISTRY = {}
 
@@ -14,31 +14,6 @@ SHARED_REGISTRY = {}
 class CorpusWorker:
     def __init__(self, sim):
         self.sim = sim
-        self.lock_a = Lock(sim)
-        self.lock_b = Lock(sim)
-
-    def hold_across_wait(self):
-        yield self.lock_a.acquire()
-        try:
-            yield self.sim.timeout(1.0)
-        finally:
-            self.lock_a.release()
-
-    def forward(self):
-        yield self.lock_a.acquire()
-        try:
-            yield self.lock_b.acquire()
-            self.lock_b.release()
-        finally:
-            self.lock_a.release()
-
-    def backward(self):
-        yield self.lock_b.acquire()
-        try:
-            yield self.lock_a.acquire()
-            self.lock_a.release()
-        finally:
-            self.lock_b.release()
 
     def write_registry(self, key):
         yield self.sim.timeout(0.1)

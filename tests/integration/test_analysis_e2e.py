@@ -2,13 +2,13 @@
 
 Acceptance anchors for the static-analysis PR:
 
-* a full scenario run under the race detector reports **zero**
-  conflicts (every cross-control-plane write is CAS-serialized or
-  event-ordered) — fault-free and under the base chaos mix;
-* same-seed runs are byte-identical at the store-event level, and a
-  deliberately perturbed run is bisected to its exact first divergent
-  event with component attribution — by ``analysis bisect`` and by
-  ``scenarios verify``'s 2x replay;
+* a full scenario run meets its expectations under every schedule seed
+  of the schedule check (same-timestamp ties permuted) — fault-free
+  and under the base chaos mix;
+* same-seed runs are byte-identical at the store-event level, and a run
+  under a different schedule seed is bisected to its exact first
+  divergent event with component attribution — by ``analysis bisect``
+  and by ``scenarios verify``'s 2x replay;
 * the static analyzer CLI exits clean over ``src/`` with the committed
   allowlist (the ``lint``-marked smoke test mirrors
   ``scripts/tier1.sh --lint``).
@@ -21,7 +21,12 @@ import pytest
 
 from repro.analysis import first_divergence
 from repro.analysis.__main__ import main as analysis_main
-from repro.scenarios import GoldenMismatch, load_scenario, run_scenario
+from repro.scenarios import (
+    GoldenMismatch,
+    ScenarioError,
+    load_scenario,
+    run_scenario,
+)
 from repro.scenarios import runner as scenario_runner
 from repro.scenarios.__main__ import main as scenarios_main
 
@@ -36,41 +41,48 @@ def run_file(path, **kwargs):
     return run_scenario(load_scenario(path), **kwargs)
 
 
-@functools.cache
-def diverging_swap():
-    """The first dispatch index K >= 200 whose ``perturb_swap`` makes
-    CHAOS diverge from its plain replay.
+def schedule_runs(scenario):
+    """One run of ``scenario`` per schedule-check seed."""
+    return [run_scenario(scenario, schedule=schedule)
+            for schedule in scenario_runner.schedule_seeds(scenario)]
 
-    Many adjacent dispatches commute (swapping them changes no store
-    event), and which ones do shifts whenever the kernel's event count
-    does; a bounded, deterministic scan keeps the perturbation tests on a
-    real divergence instead of a hard-coded index."""
+
+@functools.cache
+def diverging_schedule():
+    """The first schedule seed that makes CHAOS diverge from its FIFO
+    replay.
+
+    A schedule whose permutations all commute changes no store event; a
+    bounded, deterministic scan keeps the divergence tests on a real
+    divergence instead of a hard-coded seed."""
     plain = run_file(CHAOS).recorder
-    for swap in range(200, 300):
-        perturbed = run_file(CHAOS, perturb_swap=swap).recorder
-        if first_divergence(plain, perturbed) is not None:
-            return swap
-    raise AssertionError("no swap in [200, 300) makes CHAOS diverge")
+    for schedule in range(16):
+        reordered = run_file(CHAOS, schedule=schedule).recorder
+        if first_divergence(plain, reordered) is not None:
+            return schedule
+    raise AssertionError("no schedule in [0, 16) makes CHAOS diverge")
 
 
 class TestRaceDetectorFullEnv:
     def test_default_config_run_has_zero_conflicts(self):
-        detector = run_file(QUIET, race_check=True).detector
-        assert detector.ok, detector.report()
-        assert detector.conflicts == []
+        for result in schedule_runs(load_scenario(QUIET)):
+            assert result.ok, result.failures
 
     def test_detector_saw_the_whole_deployment(self):
-        """The clean verdict covers real work, not an idle sim."""
-        detector = run_file(QUIET, race_check=True).detector
-        # Dozens of processes registered (syncer workers, kubelets,
-        # controllers) — a handful would mean instrumentation fell off.
-        assert len(detector._clocks) > 50
+        """The clean verdict covers real work, not an idle sim: dozens
+        of processes (syncer workers, kubelets, controllers), and the
+        schedules really reordered what they did."""
+        scenario = load_scenario(QUIET)
+        fifo = run_scenario(scenario)
+        reordered = schedule_runs(scenario)
+        assert fifo.env.sim._process_count > 50
+        assert all(result.digest != fifo.digest for result in reordered)
 
     def test_second_seed_also_clean(self):
         scenario = load_scenario(QUIET)
         scenario.seed = 7
-        detector = run_scenario(scenario, race_check=True).detector
-        assert detector.ok, detector.report()
+        for result in schedule_runs(scenario):
+            assert result.ok, result.failures
 
 
 class TestReplayDeterminismFullEnv:
@@ -82,9 +94,9 @@ class TestReplayDeterminismFullEnv:
         assert len(run_a.digests) > 50  # real workload, not an idle sim
 
     def test_perturbed_run_bisected_to_first_event(self):
-        """Flipping one dispatch order mid-run is localized exactly."""
+        """A reordered run is localized exactly."""
         run_a = run_file(CHAOS).recorder
-        run_p = run_file(CHAOS, perturb_swap=diverging_swap()).recorder
+        run_p = run_file(CHAOS, schedule=diverging_schedule()).recorder
         divergence = first_divergence(run_a, run_p)
         assert divergence is not None
         # Exact localization: every event before the divergence index
@@ -106,11 +118,11 @@ class TestChaosIntegration:
         assert first_divergence(first.recorder, second.recorder) is None
 
     def test_chaos_detect_races_clean(self):
-        """Worker kills, partitions and crashes add no unordered
-        cross-process access."""
-        result = run_file(CHAOS, race_check=True)
-        assert result.converged
-        assert result.detector.ok, result.detector.report()
+        """Worker kills, partitions and crashes converge whatever the
+        order of same-timestamp work."""
+        for result in schedule_runs(load_scenario(CHAOS)):
+            assert result.converged
+            assert result.ok, result.failures
 
 
 class TestVerifyDiagnosesNondeterminism:
@@ -122,12 +134,12 @@ class TestVerifyDiagnosesNondeterminism:
     def flaky_replays(self, monkeypatch):
         calls = []
         plain = scenario_runner.run_scenario
-        swap = diverging_swap()
+        schedule = diverging_schedule()
 
         def flaky(scenario, **kwargs):
             calls.append(scenario.name)
             if len(calls) > 1:
-                kwargs["perturb_swap"] = swap
+                kwargs["schedule"] = schedule
             return plain(scenario, **kwargs)
 
         monkeypatch.setattr(scenario_runner, "run_scenario", flaky)
@@ -147,6 +159,52 @@ class TestVerifyDiagnosesNondeterminism:
         out = capsys.readouterr().out
         assert "nondeterministic" in out
         assert "first divergent store event" in out and "run B:" in out
+
+
+class TestScheduleCheck:
+    """After its golden replays, ``verify`` runs a ``schedule_check``
+    file once per schedule seed and holds each run to the file's expect
+    block, not to its digest."""
+
+    @pytest.fixture
+    def schedules_run(self, monkeypatch):
+        """The schedule of every run ``verify`` makes; a run under a
+        schedule in ``planted`` gets one extra failure."""
+        seen = []
+        planted = []
+        plain = scenario_runner.run_scenario
+
+        def recorded(scenario, schedule=None):
+            seen.append(schedule)
+            result = plain(scenario, schedule=schedule)
+            if schedule in planted:
+                result.failures.append("planted failure")
+            return result
+
+        monkeypatch.setattr(scenario_runner, "run_scenario", recorded)
+        return seen, planted
+
+    def test_failure_names_its_schedule_seed(self, schedules_run):
+        seen, planted = schedules_run
+        scenario = load_scenario(QUIET)
+        scenario.schedule_check = True
+        seeds = scenario_runner.schedule_seeds(scenario)
+        planted.append(seeds[-1])
+        with pytest.raises(ScenarioError) as excinfo:
+            scenario_runner.verify_scenario(scenario)
+        assert seen == [None, None, *seeds]
+        assert len(set(seeds)) == scenario_runner.SCHEDULE_SEEDS
+        message = str(excinfo.value)
+        assert f"under schedule {seeds[-1]}" in message
+        assert f"--schedule {seeds[-1]}" in message
+        assert "planted failure" in message
+
+    def test_unmarked_file_is_not_schedule_checked(self, schedules_run):
+        seen, _planted = schedules_run
+        scenario = load_scenario(QUIET)
+        assert not scenario.schedule_check
+        assert len(scenario_runner.verify_scenario(scenario)) == 2
+        assert seen == [None, None]
 
 
 @pytest.mark.lint
@@ -174,15 +232,20 @@ class TestLintCli:
 
 
 class TestAnalysisCliRuns:
-    def test_race_subcommand_clean_exit(self):
-        assert analysis_main(["race", QUIET]) == 0
+    def test_race_subcommand_clean_exit(self, capsys):
+        """``scenarios run --schedule S`` reproduces one schedule-check
+        run; a clean one exits 0."""
+        schedule = scenario_runner.schedule_seeds(load_scenario(QUIET))[0]
+        assert scenarios_main(["run", QUIET, "--schedule",
+                               str(schedule)]) == 0
+        assert ": ok" in capsys.readouterr().out
 
     def test_bisect_subcommand_deterministic_exit(self):
         assert analysis_main(["bisect", QUIET]) == 0
 
     def test_bisect_subcommand_perturbed_exit(self, capsys):
-        exit_code = analysis_main(["bisect", CHAOS, "--perturb",
-                                   str(diverging_swap())])
+        exit_code = analysis_main(["bisect", CHAOS, "--schedule",
+                                   str(diverging_schedule())])
         assert exit_code == 2
         out = capsys.readouterr().out
         assert "diverg" in out.lower()

@@ -89,7 +89,8 @@ def test_corpus_covers_required_axes():
     assert any(p.elastic is not None for s in scenarios
                for p in s.topology.pools), "no elastic-pool scenario"
     assert any(s.chaos for s in scenarios), "no chaos-overlay scenario"
-    assert any(s.race_check for s in scenarios), "no race-checked scenario"
+    assert any(s.schedule_check for s in scenarios), (
+        "no schedule-checked scenario")
     assert sum(1 for s in scenarios if s.tier1) >= 3
     assert all(s.golden is not None for s in scenarios)
     scheduled = {entry.fault

@@ -1,6 +1,5 @@
 """Unit tests for the staticcheck substrate: the project-wide symbol
-table / call graph (repro.analysis.callgraph) and the interprocedural
-lock-acquisition graph (repro.analysis.lockgraph).
+table / call graph (repro.analysis.callgraph).
 
 Projects are built from source text written to temp files, so every
 test states its whole program inline.
@@ -9,7 +8,6 @@ test states its whole program inline.
 import textwrap
 
 from repro.analysis.callgraph import Project, module_name_for
-from repro.analysis.lockgraph import LockGraph
 
 
 def project_from(tmp_path, **modules):
@@ -213,150 +211,3 @@ class TestSimReachability:
                      for q in project.sim_reachable()}
         assert {"proc", "middle", "leaf"} <= reachable
         assert "import_time_only" not in reachable
-
-
-class TestLockGraph:
-    def test_class_attr_lock_identity_is_a_family(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.locks = [Lock(sim) for _ in range(4)]
-
-                def work(self, i):
-                    yield self.locks[i].acquire()
-                    self.locks[i].release()
-        """)
-        graph = LockGraph(project)
-        families = {info.lock_id
-                    for info in graph.class_locks.values()}
-        assert len(families) == 1
-        acquires = next(v for k, v in graph.acquires.items()
-                        if k.endswith(".work"))
-        assert len(acquires) == 1
-
-    def test_direct_nesting_produces_edge(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.a = Lock(sim)
-                    self.b = Lock(sim)
-
-                def work(self):
-                    yield self.a.acquire()
-                    yield self.b.acquire()
-                    self.b.release()
-                    self.a.release()
-        """)
-        graph = LockGraph(project)
-        assert any(held.endswith(".a") and acq.endswith(".b")
-                   for held, acq in graph.edges)
-
-    def test_interprocedural_edge_via_callee(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.a = Lock(sim)
-                    self.b = Lock(sim)
-
-                def inner(self):
-                    yield self.b.acquire()
-                    self.b.release()
-
-                def outer(self):
-                    yield self.a.acquire()
-                    yield from self.inner()
-                    self.a.release()
-        """)
-        graph = LockGraph(project)
-        edge = next(edges[0] for (held, acq), edges in graph.edges.items()
-                    if held.endswith(".a") and acq.endswith(".b"))
-        assert edge.via is not None and edge.via.endswith(".inner")
-
-    def test_deadlock_cycle_detected(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.a = Lock(sim)
-                    self.b = Lock(sim)
-
-                def fwd(self):
-                    yield self.a.acquire()
-                    yield self.b.acquire()
-                    self.b.release()
-                    self.a.release()
-
-                def back(self):
-                    yield self.b.acquire()
-                    yield self.a.acquire()
-                    self.a.release()
-                    self.b.release()
-        """)
-        graph = LockGraph(project)
-        cycles = graph.cycles()
-        assert len(cycles) == 1
-        assert len(cycles[0]) == 2
-
-    def test_consistent_order_is_acyclic(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.a = Lock(sim)
-                    self.b = Lock(sim)
-
-                def one(self):
-                    yield self.a.acquire()
-                    yield self.b.acquire()
-                    self.b.release()
-                    self.a.release()
-
-                def two(self):
-                    yield self.a.acquire()
-                    yield self.b.acquire()
-                    self.b.release()
-                    self.a.release()
-        """)
-        assert LockGraph(project).cycles() == []
-
-    def test_wait_while_held_recorded(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.sim = sim
-                    self.a = Lock(sim)
-
-                def work(self):
-                    yield self.a.acquire()
-                    yield self.sim.timeout(1.0)
-                    self.a.release()
-        """)
-        graph = LockGraph(project)
-        assert len(graph.waits) == 1
-        assert graph.waits[0].lock_id.endswith(".a")
-
-    def test_wait_after_release_not_recorded(self, tmp_path):
-        project = project_from(tmp_path, mod="""
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.sim = sim
-                    self.a = Lock(sim)
-
-                def work(self):
-                    yield self.a.acquire()
-                    self.a.release()
-                    yield self.sim.timeout(1.0)
-        """)
-        assert LockGraph(project).waits == []

@@ -53,11 +53,11 @@ def test_the_guard_finds_the_gate_and_doc_commands():
 def test_extraction_handles_continuations_comments_and_prose():
     text = ('PYTHONPATH=src \\\n    python -m repro.scenarios verify '
             'scenarios/smoke\n'
-            'python -m repro.analysis race f.yaml   # 0 conflicts\n'
+            'python -m repro.analysis bisect f.yaml   # byte-identical\n'
             'see `python -m repro.telemetry` for the export\n')
     assert list(extract_commands(text)) == [
         ("repro.scenarios", ["verify", "scenarios/smoke"]),
-        ("repro.analysis", ["race", "f.yaml"]),
+        ("repro.analysis", ["bisect", "f.yaml"]),
         ("repro.telemetry", []),
     ]
 

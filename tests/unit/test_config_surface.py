@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import DEFAULT_CONFIG, LatencyConfig
-from repro.core import IdleSwapper, SuperClusterFleet, VirtualClusterEnv
+from repro.core import IdleSwapper, VirtualClusterEnv
 from repro.core.controlplane import SuperCluster
 from repro.core.syncer.ha import SyncerHA
 from repro.core.syncer.syncer import Syncer
@@ -40,8 +40,6 @@ CONSTRUCTORS = {
                         "num_real_nodes", "sim", "name"),
     Syncer: ("sim", "super_cluster", "config", "name"),
     SyncerHA: ("sim", "super_cluster", "config"),
-    SuperClusterFleet: ("num_super_clusters", "nodes_per_cluster", "seed",
-                        "config"),
     IdleSwapper: ("sim", "config"),
 }
 CALLABLES = {target.__name__: target

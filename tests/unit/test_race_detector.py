@@ -1,257 +1,172 @@
-"""Unit tests for the vector-clock sim race detector.
+"""Ordering races caught by the schedule check.
 
-The seeded injected race required by the analysis suite lives here:
-two sim processes blind-writing the same etcd key with no
-happens-before edge between them MUST be caught, while the same
-access pattern ordered through an event edge (or serialized through
-CAS guards) MUST stay silent.
+The kernel is one cooperative thread, so an ordering race is a
+same-timestamp tie whose outcome depends on which item the kernel
+dispatches first.  ``Simulation(schedule=S)`` permutes those ties; a
+race is an outcome that differs across schedules.  The seeded injected
+race the analysis suite requires lives here: two sim processes
+blind-writing the same key at the same instant MUST give a
+schedule-dependent result, while the same access pattern ordered
+through an event edge, a hand-off carrier or CAS retries MUST give one
+result under every schedule.
 """
 
-import pytest
+from types import SimpleNamespace
 
-from repro.analysis import RaceDetector
+from repro.clientgo import ObjectCache, WorkQueue
 from repro.simkernel import Channel, Event, Simulation
-from repro.storage import EtcdStore
+from repro.storage import EtcdStore, RevisionConflict
+
+KEY = "/registry/x/a"
+SCHEDULES = (None, *range(8))
 
 
-def _drive(sim, until=10.0):
-    sim.run(until=until)
+def outcomes(build):
+    """The set of outcomes of one workload across :data:`SCHEDULES`.
+
+    ``build(sim)`` spawns the workload and returns a callable reading
+    its outcome once the run is over; more than one outcome is a race.
+    """
+    seen = set()
+    for schedule in SCHEDULES:
+        sim = Simulation(seed=1, schedule=schedule)
+        read = build(sim)
+        sim.run(until=10.0)
+        seen.add(read())
+    return seen
+
+
+def _store(sim):
+    store = EtcdStore(sim, name="etcd")
+    store.create(KEY, {"v": 0})
+    return store
+
+
+def _value(store):
+    return lambda: store.get(KEY)[0]["v"]
 
 
 class TestInjectedRace:
     def test_blind_writes_without_edge_are_caught(self):
-        """The seeded injected race: unordered blind writes conflict."""
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        store = EtcdStore(sim, name="etcd")
-        store.create("/registry/x/a", {"v": 0})
+        """The seeded injected race: unordered blind writes at one
+        instant leave a schedule-dependent value."""
+        def build(sim):
+            store = _store(sim)
 
-        def writer(tag, delay):
-            yield sim.timeout(delay)
-            store.update("/registry/x/a", {"v": tag})
+            def writer(tag):
+                yield sim.timeout(1.0)
+                store.update(KEY, {"v": tag})
 
-        sim.process(writer(1, 1.0), name="writer-1")
-        sim.process(writer(2, 2.0), name="writer-2")
-        _drive(sim)
+            sim.process(writer(1), name="writer-1")
+            sim.process(writer(2), name="writer-2")
+            return _value(store)
 
-        assert not detector.ok
-        conflict = detector.conflicts[0]
-        assert conflict.key == "/registry/x/a"
-        assert conflict.kind == "write-write"
-        assert {conflict.first_name, conflict.second_name} == {
-            "writer-1", "writer-2"}
+        assert outcomes(build) == {1, 2}
 
     def test_event_edge_suppresses_conflict(self):
-        """Same writes, but ordered through an Event: no conflict."""
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        store = EtcdStore(sim, name="etcd")
-        store.create("/registry/x/a", {"v": 0})
-        done = Event(sim)
+        """Same writes, but ordered through an Event: one outcome."""
+        def build(sim):
+            store = _store(sim)
+            done = Event(sim)
 
-        def first():
-            yield sim.timeout(1.0)
-            store.update("/registry/x/a", {"v": 1})
-            done.succeed()
+            def first():
+                yield sim.timeout(1.0)
+                store.update(KEY, {"v": 1})
+                done.succeed()
 
-        def second():
-            yield done
-            store.update("/registry/x/a", {"v": 2})
+            def second():
+                yield done
+                store.update(KEY, {"v": 2})
 
-        sim.process(first(), name="writer-1")
-        sim.process(second(), name="writer-2")
-        _drive(sim)
+            sim.process(first(), name="writer-1")
+            sim.process(second(), name="writer-2")
+            return _value(store)
 
-        assert detector.ok, detector.report()
+        assert outcomes(build) == {2}
 
     def test_cas_writes_do_not_conflict(self):
-        """CAS-guarded updates serialize through observed revisions."""
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        store = EtcdStore(sim, name="etcd")
-        store.create("/registry/x/a", {"v": 0})
+        """CAS-guarded increments with a modelled round trip between
+        read and write lose no update under any schedule."""
+        def build(sim):
+            store = _store(sim)
 
-        def writer(tag, delay):
-            yield sim.timeout(delay)
-            _value, revision = store.get("/registry/x/a")
-            store.update("/registry/x/a", {"v": tag},
-                         expected_revision=revision)
-
-        sim.process(writer(1, 1.0), name="writer-1")
-        sim.process(writer(2, 2.0), name="writer-2")
-        _drive(sim)
-
-        assert detector.ok, detector.report()
-
-    def test_conflict_reported_once_per_pair(self):
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        store = EtcdStore(sim, name="etcd")
-        store.create("/registry/x/a", {"v": 0})
-
-        def writer(tag, delay):
-            yield sim.timeout(delay)
-            store.update("/registry/x/a", {"v": tag})
-            yield sim.timeout(1.0)
-            store.update("/registry/x/a", {"v": tag + 10})
-
-        sim.process(writer(1, 1.0), name="writer-1")
-        sim.process(writer(2, 1.5), name="writer-2")
-        _drive(sim)
-
-        keys = {(c.obj, c.key, c.kind) for c in detector.conflicts}
-        assert len(keys) == len(detector.conflicts)
-
-
-class TestReadTracking:
-    def test_read_write_conflict_needs_track_reads(self):
-        def build(track_reads):
-            sim = Simulation(seed=1)
-            detector = RaceDetector(sim, track_reads=track_reads)
-            store = EtcdStore(sim, name="etcd")
-            store.create("/registry/x/a", {"v": 0})
-
-            def reader():
+            def increment():
                 yield sim.timeout(1.0)
-                store.get("/registry/x/a")
+                while True:
+                    value, revision = store.get(KEY)
+                    yield sim.timeout(0.5)
+                    try:
+                        store.update(KEY, {"v": value["v"] + 1},
+                                     expected_revision=revision)
+                        return
+                    except RevisionConflict:
+                        continue
 
-            def writer():
-                yield sim.timeout(2.0)
-                store.update("/registry/x/a", {"v": 1})
+            sim.process(increment(), name="writer-1")
+            sim.process(increment(), name="writer-2")
+            return _value(store)
 
-            sim.process(reader(), name="reader")
-            sim.process(writer(), name="writer")
-            _drive(sim)
-            return detector
-
-        assert build(track_reads=False).ok
-        detector = build(track_reads=True)
-        assert not detector.ok
-        assert any(c.kind == "read-write" for c in detector.conflicts)
+        assert outcomes(build) == {2}
 
 
 class TestCarrierStamps:
+    """A hand-off carrier orders its producer before its consumer."""
+
     def test_channel_carries_producer_stamp(self):
-        """A value handed through a Channel orders producer and consumer."""
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        store = EtcdStore(sim, name="etcd")
-        store.create("/registry/x/a", {"v": 0})
-        channel = Channel(sim, capacity=4)
+        def build(sim):
+            store = _store(sim)
+            channel = Channel(sim, capacity=4)
 
-        def producer():
-            yield sim.timeout(1.0)
-            store.update("/registry/x/a", {"v": 1})
-            yield channel.put("go")
+            def producer():
+                yield sim.timeout(1.0)
+                store.update(KEY, {"v": 1})
+                yield channel.put("go")
 
-        def consumer():
-            yield channel.get()
-            store.update("/registry/x/a", {"v": 2})
+            def consumer():
+                yield channel.get()
+                store.update(KEY, {"v": 2})
 
-        sim.process(producer(), name="producer")
-        sim.process(consumer(), name="consumer")
-        _drive(sim)
+            sim.process(producer(), name="producer")
+            sim.process(consumer(), name="consumer")
+            return _value(store)
 
-        assert detector.ok, detector.report()
+        assert outcomes(build) == {2}
 
     def test_workqueue_carries_producer_stamp(self):
-        from repro.clientgo import WorkQueue
+        def build(sim):
+            store = _store(sim)
+            queue = WorkQueue(sim)
 
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        store = EtcdStore(sim, name="etcd")
-        store.create("/registry/x/a", {"v": 0})
-        queue = WorkQueue(sim)
+            def producer():
+                yield sim.timeout(1.0)
+                store.update(KEY, {"v": 1})
+                queue.add("item")
 
-        def producer():
-            yield sim.timeout(1.0)
-            store.update("/registry/x/a", {"v": 1})
-            queue.add("item")
+            def consumer():
+                item, _enqueued = yield queue.get()
+                store.update(KEY, {"v": 2})
+                queue.done(item)
 
-        def consumer():
-            item, _enqueued = yield queue.get()
-            assert item == "item"
-            store.update("/registry/x/a", {"v": 2})
-            queue.done(item)
+            sim.process(producer(), name="producer")
+            sim.process(consumer(), name="consumer")
+            return _value(store)
 
-        sim.process(producer(), name="producer")
-        sim.process(consumer(), name="consumer")
-        _drive(sim)
-
-        assert detector.ok, detector.report()
-
-
-class TestLifecycle:
-    def test_reset_object_on_wipe(self):
-        """wipe() clears per-key history so pre-wipe writes don't haunt."""
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        store = EtcdStore(sim, name="etcd")
-
-        def first():
-            yield sim.timeout(1.0)
-            store.create("/registry/x/a", {"v": 1})
-
-        def wiper():
-            yield sim.timeout(2.0)
-            store.wipe()
-
-        def second():
-            yield sim.timeout(3.0)
-            store.create("/registry/x/a", {"v": 2})
-
-        sim.process(first(), name="writer-1")
-        sim.process(wiper(), name="wiper")
-        sim.process(second(), name="writer-2")
-        _drive(sim)
-
-        assert detector.ok, detector.report()
-
-    def test_max_conflicts_caps_reporting(self):
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim, max_conflicts=1)
-        store = EtcdStore(sim, name="etcd")
-        for name in ("a", "b", "c"):
-            store.create(f"/registry/x/{name}", {"v": 0})
-
-        def writer(tag, delay):
-            yield sim.timeout(delay)
-            for name in ("a", "b", "c"):
-                store.update(f"/registry/x/{name}", {"v": tag})
-
-        sim.process(writer(1, 1.0), name="writer-1")
-        sim.process(writer(2, 2.0), name="writer-2")
-        _drive(sim)
-
-        assert not detector.ok
-        assert len(detector.conflicts) == 1
-
-    def test_report_mentions_conflict_count(self):
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        assert "0 conflict(s)" in detector.report()
+        assert outcomes(build) == {2}
 
 
 class TestCacheProbe:
     def test_unsynchronized_cache_writes_conflict(self):
-        from types import SimpleNamespace
+        def build(sim):
+            cache = ObjectCache()
 
-        from repro.clientgo import ObjectCache
+            def writer(tag):
+                yield sim.timeout(1.0)
+                cache.upsert(SimpleNamespace(
+                    key="ns/a", value=tag,
+                    metadata=SimpleNamespace(namespace="ns", labels={})))
 
-        sim = Simulation(seed=1)
-        detector = RaceDetector(sim)
-        cache = ObjectCache()
-        cache.set_race_probe(detector.cache_probe("cache:test"))
+            sim.process(writer(1), name="writer-1")
+            sim.process(writer(2), name="writer-2")
+            return lambda: cache.get("ns/a").value
 
-        def writer(tag, delay):
-            yield sim.timeout(delay)
-            cache.upsert(SimpleNamespace(
-                key="ns/a", value=tag,
-                metadata=SimpleNamespace(namespace="ns", labels={})))
-
-        sim.process(writer(1, 1.0), name="writer-1")
-        sim.process(writer(2, 2.0), name="writer-2")
-        _drive(sim)
-
-        assert not detector.ok
-        assert detector.conflicts[0].obj.startswith("cache:test")
+        assert outcomes(build) == {1, 2}

@@ -1,24 +1,25 @@
 """Unit tests for the replay-divergence bisector.
 
-The e2e localization test uses the deliberate perturbation hook
-(``Simulation(perturb_swap=K)`` dispatches the (K+1)-th ready item
-before the K-th, once): the bisector must localize the divergence to
-the exact first store event that moved and attribute it to the
-component (sim process) that emitted it.
+The e2e localization test reorders a same-timestamp tie with a schedule
+seed (``Simulation(schedule=S)``): the bisector must localize the
+divergence to the exact first store event that moved and attribute it
+to the component (sim process) that emitted it.
 """
+
+import functools
 
 from repro.analysis import Divergence, ReplayRecorder, first_divergence
 from repro.simkernel import Simulation
 from repro.storage import EtcdStore
 
 
-def _recorded_run(seed, perturb=None):
+def _recorded_run(seed, schedule=None):
     """Two writers racing to create keys at the same timestamp.
 
-    With ``perturb_swap=1`` the dispatch order of their wakeups flips,
-    so the store-event stream diverges at index 0.
+    Under :func:`_flipping_schedule` the dispatch order of their wakeups
+    flips, so the store-event stream diverges at index 0.
     """
-    sim = Simulation(seed=seed, perturb_swap=perturb)
+    sim = Simulation(seed=seed, schedule=schedule)
     recorder = ReplayRecorder(sim)
     store = EtcdStore(sim, name="etcd")
 
@@ -30,6 +31,14 @@ def _recorded_run(seed, perturb=None):
     sim.process(writer("p2"), name="writer-p2")
     sim.run(until=5.0)
     return recorder
+
+
+@functools.cache
+def _flipping_schedule():
+    """The first schedule seed under which writer-p2 writes first."""
+    return next(schedule for schedule in range(64)
+                if _recorded_run(1, schedule).entries[0].component
+                == "writer-p2")
 
 
 class TestRecorder:
@@ -60,13 +69,13 @@ class TestFirstDivergence:
     def test_perturbed_run_localized_to_first_event(self):
         """E2e: a flipped event order is bisected to its exact index."""
         run_a = _recorded_run(seed=1)
-        run_b = _recorded_run(seed=1, perturb=1)
+        run_b = _recorded_run(seed=1, schedule=_flipping_schedule())
         assert run_a.final_digest != run_b.final_digest
 
         divergence = first_divergence(run_a, run_b)
         assert divergence is not None
         assert divergence.index == 0
-        # The perturbation swapped the two writers' wakeups, so the
+        # The schedule swapped the two writers' wakeups, so the
         # first store event belongs to a different component per run.
         assert {divergence.a.component, divergence.b.component} == {
             "writer-p1", "writer-p2"}
@@ -74,7 +83,7 @@ class TestFirstDivergence:
 
     def test_divergence_format_names_component(self):
         run_a = _recorded_run(seed=1)
-        run_b = _recorded_run(seed=1, perturb=1)
+        run_b = _recorded_run(seed=1, schedule=_flipping_schedule())
         divergence = first_divergence(run_a, run_b)
         text = divergence.format()
         assert "event 0" in text or "index 0" in text or "#0" in text
@@ -106,24 +115,27 @@ class TestFirstDivergence:
 
 
 class TestPerturbationHook:
-    def test_perturb_is_one_shot(self):
-        """Only the K-th dispatch is swapped; later order is untouched."""
-        sim = Simulation(seed=1, perturb_swap=1)
-        order = []
+    def test_schedule_never_dispatches_early(self):
+        """Under every schedule seed each process wakes exactly at its
+        own timestamp: a schedule reorders ties, it never pulls a later
+        item forward.  A one-shot swap of the next two heap entries did,
+        whatever their times: the 0.2 s wake-up ran at 0.1 s."""
+        delays = (1.0, 1.0, 1.5, 2.0, 2.0, 0.3, 0.1, 0.2, 0.2)
+        for schedule in range(16):
+            sim = Simulation(seed=1, schedule=schedule)
+            woke = []
 
-        def proc(name, delay):
-            yield sim.timeout(delay)
-            order.append(name)
-            yield sim.timeout(1.0)
-            order.append(name + "-late")
+            def proc(name, delay):
+                yield sim.timeout(delay)
+                woke.append((name, delay, sim.now))
 
-        sim.process(proc("a", 1.0), name="a")
-        sim.process(proc("b", 1.0), name="b")
-        sim.run(until=10.0)
-        # Wakeups at t=1 swapped; the t=2 wakeups follow their (now
-        # swapped) scheduling order deterministically.
-        assert order[0] == "b"
-        assert len(order) == 4
+            for index, delay in enumerate(delays):
+                sim.process(proc(f"p{index}", delay), name=f"p{index}")
+            sim.run(until=10.0)
+            assert len(woke) == len(delays)
+            assert all(now == delay for _name, delay, now in woke)
+            assert [now for _name, _delay, now in woke] == sorted(
+                now for _name, _delay, now in woke)
 
     def test_no_perturb_is_fifo(self):
         sim = Simulation(seed=1)

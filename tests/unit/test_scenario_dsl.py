@@ -408,7 +408,7 @@ class TestMalformedInputIsRejectedNotCrashed:
 
     @pytest.mark.parametrize("extra,where", [
         ('tier1: "no"\n', "tier1"),
-        ("race_check: 1\n", "race_check"),
+        ("schedule_check: 1\n", "schedule_check"),
         ('control: {apf: "false"}\n', "control.apf"),
         ('control: {store_wal: "yes"}\n', "control.store_wal"),
         ("expect: {converged: 0}\n", "expect.converged"),

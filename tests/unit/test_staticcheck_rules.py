@@ -3,11 +3,10 @@
 
 Each rule gets positive cases (must flag) and negative cases (must stay
 silent) stated as inline programs written to a temp ``src/pkg/``
-layout.  The committed fixtures under ``tests/fixtures/staticcheck/``
-pin the deadlock-cycle / clean-diamond behavior and a byte-exact golden
-findings corpus covering every rule; CLI coverage (exit codes,
---strict, JSON and SARIF output) is marked ``lint`` for the tier-1 lint
-gate.
+layout.  The committed fixture under ``tests/fixtures/staticcheck/``
+is a byte-exact golden findings corpus covering every rule; CLI
+coverage (exit codes, --strict, JSON and SARIF output) is marked
+``lint`` for the tier-1 lint gate.
 """
 
 import json
@@ -41,48 +40,6 @@ def check_source(tmp_path, source, **kwargs):
 
 def codes(tmp_path, source, **kwargs):
     return [f.code for f in check_source(tmp_path, source, **kwargs).active]
-
-
-class TestC001WaitWhileHolding:
-    def test_timeout_under_kernel_lock_flagged(self, tmp_path):
-        assert codes(tmp_path, """
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.sim = sim
-                    self.lock = Lock(sim)
-
-                def work(self):
-                    yield self.lock.acquire()
-                    yield self.sim.timeout(1.0)
-                    self.lock.release()
-        """) == ["C001"]
-
-    def test_release_before_wait_clean(self, tmp_path):
-        assert codes(tmp_path, """
-            from repro.simkernel import Lock
-
-            class W:
-                def __init__(self, sim):
-                    self.sim = sim
-                    self.lock = Lock(sim)
-
-                def work(self):
-                    yield self.lock.acquire()
-                    self.lock.release()
-                    yield self.sim.timeout(1.0)
-        """) == []
-
-
-class TestC002LockOrder:
-    def test_deadlock_cycle_fixture_flagged(self):
-        result = check_paths([FIXTURES / "deadlock_cycle.py"])
-        assert {f.code for f in result.active} == {"C002"}
-
-    def test_clean_diamond_fixture_silent(self):
-        result = check_paths([FIXTURES / "clean_diamond.py"])
-        assert result.active == []
 
 
 class TestC003ModuleMutableState:
@@ -350,7 +307,7 @@ class TestSuppressionsAndStrict:
     def test_allowlist_entry_matches_and_strict_prunes_stale(
             self, tmp_path):
         allowlist = [("pkg/mod.py", "C004", "awaited-elsewhere"),
-                     ("pkg/gone.py", "C001", "obsolete")]
+                     ("pkg/gone.py", "C003", "obsolete")]
         result = check_source(tmp_path, """
             def proc(sim):
                 sim.timeout(5.0)
@@ -441,13 +398,12 @@ class TestCli:
             ["check",
              "tests/fixtures/staticcheck/findings_corpus.py"], capsys)
         assert code == 2
-        assert "C001" in out and "files checked" in out
+        assert "C003" in out and "files checked" in out
 
-    def test_exit_0_on_clean_fixture(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        code, _out = self._run(
-            ["check",
-             "tests/fixtures/staticcheck/clean_diamond.py"], capsys)
+    def test_exit_0_on_clean_fixture(self, capsys, tmp_path):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def proc(sim):\n    yield sim.timeout(1.0)\n")
+        code, _out = self._run(["check", str(clean)], capsys)
         assert code == 0
 
     def test_json_format_parses_and_carries_findings(self, capsys,
@@ -478,7 +434,7 @@ class TestCli:
         code, out = self._run(["rules"], capsys)
         assert code == 0
         assert "D-pack" in out and "C-pack" in out
-        for rule in ("D001", "D006", "C001", "C006"):
+        for rule in ("D001", "D006", "C003", "C006"):
             assert rule in out
 
     def test_pre_merge_command_names_alias_check(self, capsys,
@@ -520,10 +476,10 @@ class TestFormatters:
 
 
 def test_runtime_path_does_not_import_the_static_analyzer():
-    """The scenario runner loads ``repro.analysis`` for the race detector
-    and bisector; the static analyzer must not ride along."""
+    """The scenario runner loads ``repro.analysis`` for the bisector;
+    the static analyzer must not ride along."""
     code = ("import sys, repro.scenarios; print(sorted(m for m in ("
-            "'linter', 'staticcheck', 'callgraph', 'lockgraph', 'rules') "
+            "'linter', 'staticcheck', 'callgraph', 'rules') "
             "if f'repro.analysis.{m}' in sys.modules))")
     out = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True,
