@@ -393,15 +393,22 @@ class APIServer:
         try:
             prefix = self._prefix(obj_type, namespace)
             stored_items, revision = self.store.list_stored(prefix)
-            cost = (self.config.apiserver.list_base
-                    + self.config.apiserver.list_per_item
-                    * len(stored_items))
-            yield self.sim.timeout(cost)
-            matches = self._raw_matcher(label_selector, field_selector)
-            items = [self._decode(obj_type, stored)
-                     for _key, stored in stored_items
-                     if matches is None or matches(stored.value)]
-            return items, str(revision)
+            # The store keeps the events after ``revision`` until this
+            # list returns: a reflector's watch resumes from it in the
+            # same kernel step.
+            release_hold = self.store.hold(revision)
+            try:
+                cost = (self.config.apiserver.list_base
+                        + self.config.apiserver.list_per_item
+                        * len(stored_items))
+                yield self.sim.timeout(cost)
+                matches = self._raw_matcher(label_selector, field_selector)
+                items = [self._decode(obj_type, stored)
+                         for _key, stored in stored_items
+                         if matches is None or matches(stored.value)]
+                return items, str(revision)
+            finally:
+                release_hold()
         finally:
             self._release(credential, span, ticket)
 

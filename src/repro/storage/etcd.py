@@ -10,6 +10,15 @@ Provides exactly the semantics the Kubernetes apiserver depends on:
   live events, failing with :class:`RevisionCompacted` when the requested
   start revision has been compacted away.
 
+History is kept only while a watcher can still ask for it.  Each write
+drops the events of earlier sim instants, except those newer than a
+*held* revision: the apiserver holds the revision a LIST hands out until
+the LIST returns, and the reflector's watch resumes from it in that same
+kernel step (:meth:`EtcdStore.hold`).  The compaction floor follows what
+was dropped, so an older resume still raises :class:`RevisionCompacted`
+and the reflector relists.  Host memory therefore tracks live objects
+and in-flight lists, not the number of writes ever made.
+
 Values are JSON-shaped dicts (the wire form of API objects).  A value
 handed to the store is owned by the store from then on and is immutable:
 it is never copied and never mutated again.  The stored value, the
@@ -28,6 +37,7 @@ every reader of one (key, revision) shares one object.
 """
 
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 
@@ -136,12 +146,14 @@ class Watch:
 class EtcdStore:
     """The MVCC store.
 
-    ``history_limit`` bounds how many events are kept for watch replay;
-    older events are compacted (watches starting before the compaction
-    revision fail, as in real etcd).
+    Watch replay history holds the events of the current sim instant
+    plus every event newer than a held revision (see :meth:`hold`);
+    everything older is compacted as it goes, and a watch starting
+    before the compaction revision fails, as in real etcd.  An operator
+    :meth:`compact` ignores holds.
     """
 
-    def __init__(self, sim, name="etcd", history_limit=100000, wal=None):
+    def __init__(self, sim, name="etcd", wal=None):
         self.sim = sim
         self.name = name
         # Optional write-ahead log (repro.storage.wal): the disk that
@@ -160,9 +172,15 @@ class EtcdStore:
         # the whole keyspace.
         self._buckets = {}
         self._revision = 0
+        # Every event after _compacted_revision is in _history, in
+        # revision order.  _instant/_instant_revision: the sim time of the
+        # latest write and the store revision just before that instant's
+        # first write.  _holds: held revision -> outstanding hold count.
         self._history = []
         self._compacted_revision = 0
-        self._history_limit = history_limit
+        self._instant = None
+        self._instant_revision = 0
+        self._holds = {}
         # Registration-ordered (dict-as-ordered-set): watch fan-out in
         # _emit must not depend on set hash order, which varies with
         # PYTHONHASHSEED across processes (linter rule D003).
@@ -422,6 +440,29 @@ class EtcdStore:
         return ([(key, data[key]) for key in self._keys_under(prefix)],
                 self._revision)
 
+    def hold(self, revision):
+        """Keep every event after ``revision`` until the returned
+        callable is called.
+
+        A LIST holds the revision it hands out while it is in flight, so
+        the watch that resumes from it finds the events written
+        meanwhile.  The release is bound to this store object.
+        """
+        holds = self._holds
+        holds[revision] = holds.get(revision, 0) + 1
+        return partial(self._release_hold, revision)
+
+    def _release_hold(self, revision):
+        holds = self._holds
+        holds[revision] -= 1
+        if not holds[revision]:
+            del holds[revision]
+
+    @property
+    def holds(self):
+        """Outstanding holds, however many revisions they pin."""
+        return sum(self._holds.values())
+
     def list_prefix(self, prefix):
         """:meth:`list_stored` as (key, value, mod_revision) triples."""
         items, revision = self.list_stored(prefix)
@@ -540,9 +581,8 @@ class EtcdStore:
             recorder.record(self.name, event)
         if self.wal is not None:
             self.wal.append_event(event)
+        self._trim_history(event.revision)
         self._history.append(event)
-        if len(self._history) > self._history_limit:
-            self.compact(keep=self._history_limit // 2)
         candidates = self._watch_candidates(event)
         self.watch_evals += len(candidates)
         for watch in candidates:
@@ -550,8 +590,32 @@ class EtcdStore:
                 self.watch_deliveries += 1
                 watch.channel.try_put(event)
 
+    def _trim_history(self, revision):
+        """The retention rule, run before the event at ``revision`` is
+        appended: drop the events of earlier sim instants that no held
+        revision still needs, and move the compaction floor past them."""
+        now = self.sim.now
+        if now != self._instant:
+            self._instant = now
+            self._instant_revision = revision - 1
+        floor = self._instant_revision
+        if self._holds:
+            floor = min(floor, min(self._holds))
+        if floor > self._compacted_revision:
+            history = self._history
+            del history[:bisect_right(history, floor, key=_REVISION)]
+            self._compacted_revision = floor
+
+    def _reset_history(self):
+        """History restarts empty at the current revision (restore, wipe,
+        power-off); holds outlive it, as their lists are still in flight."""
+        self._history = []
+        self._compacted_revision = self._revision
+        self._instant = None
+
     def compact(self, keep=1000):
-        """Drop history older than the last ``keep`` events."""
+        """Drop history older than the last ``keep`` events, held or not
+        (an operator compaction)."""
         if len(self._history) > keep:
             dropped = self._history[:-keep] if keep else self._history
             if dropped:
@@ -655,11 +719,10 @@ class EtcdStore:
             self._index_add(key)
         self._revision = snapshot["revision"]
         self._fences = dict(snapshot.get("fences", {}))
-        self._history = []
         for event in replay:
             if event.revision > self._revision:
                 self._apply_replayed(event)
-        self._compacted_revision = self._revision
+        self._reset_history()
         self._powered_off = False
         if self.wal is not None:
             # The log must describe the store it sits under: anchor it to
@@ -669,7 +732,9 @@ class EtcdStore:
 
     def _apply_replayed(self, event):
         """Apply one WAL event at its recorded revision (no re-emit:
-        restore cancelled every watch, and history restarts afterwards)."""
+        restore cancelled every watch, and history restarts afterwards).
+        Nothing enters history, so the compaction floor follows: a
+        follower promoted to leader never replays a gap."""
         if event.type == EVENT_PUT:
             value = freeze(event.value)
             stored = self._data.get(event.key)
@@ -685,6 +750,7 @@ class EtcdStore:
             if self._data.pop(event.key, None) is not None:
                 self._index_remove(event.key)
         self._revision = max(self._revision, event.revision)
+        self._compacted_revision = self._revision
 
     def events_since(self, revision):
         """The WAL tail: all held events after ``revision`` (the events
@@ -708,9 +774,8 @@ class EtcdStore:
             watch.cancel()
         self._data = {}
         self._buckets = {}
-        self._history = []
         self._revision = 0
-        self._compacted_revision = 0
+        self._reset_history()
         self._fences = {}
         self._powered_off = False
         if self.wal is not None:
@@ -729,9 +794,8 @@ class EtcdStore:
             watch.cancel()
         self._data = {}
         self._buckets = {}
-        self._history = []
         self._revision = 0
-        self._compacted_revision = 0
+        self._reset_history()
         self._fences = {}
         self._powered_off = True
 
@@ -788,6 +852,7 @@ class EtcdStore:
             "revision": self._revision,
             "history": len(self._history),
             "watches": len(self._watches),
+            "holds": self.holds,
             "watch_evals": self.watch_evals,
             "watch_deliveries": self.watch_deliveries,
             "compacted_revision": self._compacted_revision,

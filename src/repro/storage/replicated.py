@@ -179,8 +179,8 @@ class ReplicatedStore:
     retryable ``ServerUnavailable``.
     """
 
-    def __init__(self, sim, name, replicas=2, history_limit=100000,
-                 segment_records=512, fsync_interval=0.0,
+    def __init__(self, sim, name, replicas=2, segment_records=512,
+                 fsync_interval=0.0,
                  replication_delay=DEFAULT_REPLICATION_DELAY,
                  lease_duration=DEFAULT_LEASE_DURATION,
                  renew_interval=DEFAULT_RENEW_INTERVAL,
@@ -220,8 +220,7 @@ class ReplicatedStore:
             member = f"{name}-r{index}"
             wal = WriteAheadLog(sim, member, segment_records=segment_records,
                                 fsync_interval=fsync_interval)
-            store = EtcdStore(sim, name=member, history_limit=history_limit,
-                              wal=wal)
+            store = EtcdStore(sim, name=member, wal=wal)
             replica = StoreReplica(self, index, store)
             self.replicas.append(replica)
             lag_gauge.labels(store=name, replica=f"r{index}").set_function(
@@ -601,6 +600,12 @@ class ReplicatedStore:
     def list_stored(self, prefix):
         return self._leader_store().list_stored(prefix)
 
+    def hold(self, revision):
+        # Called in the step that served the list, so this is the store
+        # that handed out ``revision``; its release stays bound to it
+        # across a failover.
+        return self._leader_store().hold(revision)
+
     def count_prefix(self, prefix):
         return self._leader_store().count_prefix(prefix)
 
@@ -684,8 +689,9 @@ class ReplicatedStore:
         # would hide a restarted victim's recovery.
         out["recoveries"] = sum(
             replica.store.recoveries for replica in self.replicas)
-        # Likewise fan-out work: each leader of the group's life did some.
-        for counter in ("watch_evals", "watch_deliveries"):
+        # Likewise fan-out work: each leader of the group's life did some,
+        # and a deposed leader may still hold revisions for its lists.
+        for counter in ("watch_evals", "watch_deliveries", "holds"):
             out[counter] = sum(getattr(replica.store, counter)
                                for replica in self.replicas)
         out["recoveries_log"] = list(self.recoveries)

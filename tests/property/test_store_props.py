@@ -1,6 +1,7 @@
 """Property-based tests: the etcd store versus a model dictionary, and
 watch-replay equivalence."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from repro.storage import (
     EtcdStore,
     KeyAlreadyExists,
     KeyNotFound,
+    RevisionCompacted,
 )
 
 keys = st.sampled_from([f"/registry/pods/ns/{c}" for c in "abcde"])
@@ -226,3 +228,91 @@ def test_indexed_fanout_equals_linear_scan(steps):
         entry[0].cancel()
     assert not (store._wide_watches or store._watch_buckets
                 or store._hinted_watches)
+
+
+# ----------------------------------------------------------------------
+# Held-revision history versus an unbounded reference
+# ----------------------------------------------------------------------
+#
+# The reference is every event the store ever emitted, logged by a watch
+# registered before the first write.  ``floor`` models the retention
+# rule: at each write, events of earlier instants that no outstanding
+# hold needs are gone.
+
+retention_steps = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.lists(st.tuples(
+        st.sampled_from(["create", "update", "delete"]), keys, values),
+        min_size=1, max_size=3)),
+    st.just(("tick",)),
+    st.just(("hold",)),
+    st.tuples(st.just("release"), st.integers(0, 10)),
+    st.tuples(st.just("watch"), st.integers(0, 60)),
+), min_size=10, max_size=60)
+
+
+class _EventLog(list):
+    """Stands in for a watch channel: keeps the events themselves."""
+
+    closed = False
+
+    def try_put(self, event):
+        self.append(event)
+
+    def close(self):
+        self.closed = True
+
+
+def _replay(store, revision):
+    log = _EventLog()
+    store.watch("/registry/", from_revision=revision,
+                channel_factory=lambda: log).cancel()
+    return list(log)
+
+
+@given(retention_steps)
+@settings(max_examples=300, deadline=None)
+def test_held_history_never_replays_a_gap(steps):
+    sim = Simulation()
+    store = EtcdStore(sim)
+    reference = _EventLog()
+    store.watch("/registry/", channel_factory=lambda: reference)
+    holds = []                  # [(revision, release)]
+    floor = 0
+    instant = None              # sim time of the latest write
+    tick_revision = 0           # store revision when time last advanced
+    for step in steps:
+        if step[0] == "write":
+            for write in step[1]:
+                before = store.revision
+                _apply_write(store, *write)
+                if store.revision != before:
+                    if sim.now != instant:
+                        instant, instant_revision = sim.now, before
+                    floor = max(floor, min([instant_revision]
+                                           + [held for held, _ in holds]))
+        elif step[0] == "tick":
+            sim.run(until=sim.now + 1.0)
+            tick_revision = store.revision
+        elif step[0] == "hold":
+            holds.append((store.revision, store.hold(store.revision)))
+        elif step[0] == "release":
+            if holds:
+                _held, release = holds.pop(step[1] % len(holds))
+                release()
+        else:
+            start = step[1] % (store.revision + 1)
+            expected = reference[start:]    # revision r is reference[r-1]
+            if (start >= tick_revision
+                    or any(held <= start for held, _ in holds)):
+                assert start >= floor   # held or current: always replayed
+            if start >= floor:
+                assert _replay(store, start) == expected
+                assert store.events_since(start) == expected
+            else:
+                with pytest.raises(RevisionCompacted):
+                    _replay(store, start)
+                with pytest.raises(RevisionCompacted):
+                    store.events_since(start)
+        assert store.stats()["compacted_revision"] == floor
+        assert store._history == reference[floor:]
+        assert store.stats()["holds"] == len(holds)

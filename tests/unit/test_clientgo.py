@@ -421,3 +421,127 @@ class TestReflectorStop:
         jittered._consecutive_failures = 1
         delay = jittered.next_backoff()
         assert 2.0 <= delay <= 3.0
+
+
+class _Recorder:
+    """Reflector delegate that logs what the list and watch deliver."""
+
+    def __init__(self):
+        self.replaced = []
+        self.events = []
+
+    def on_replace(self, objs):
+        self.replaced.append([obj.name for obj in objs])
+
+    def on_event(self, kind, obj):
+        self.events.append((kind, obj.name))
+
+
+class TestListHolds:
+    """A LIST holds its revision while in flight: the watch it hands
+    over to replays every write it overlapped, and no way out of the
+    list leaks the hold."""
+
+    PODS = 20
+    PER_ITEM = 0.1      # a 2 s list over PODS Pods
+
+    @pytest.fixture
+    def slow_api(self, sim):
+        from repro.config import DEFAULT_CONFIG
+
+        return APIServer(sim, "api", config=DEFAULT_CONFIG.with_overrides(
+            apiserver={"list_per_item": self.PER_ITEM}))
+
+    @pytest.fixture
+    def slow_client(self, sim, slow_api):
+        client = Client(sim, slow_api, ADMIN, user_agent="test", qps=10000,
+                        burst=10000)
+        bootstrap(sim, client)
+        for index in range(self.PODS):
+            run(sim, client.create(make_pod(f"p{index:02d}")))
+        return client
+
+    def _reflector(self, sim, client):
+        from repro.clientgo import Reflector
+
+        delegate = _Recorder()
+        reflector = Reflector(sim, client, "pods", delegate,
+                              relist_backoff=0.5, backoff_jitter=0.0)
+        reflector.start()
+        sim.run(until=sim.now + 0.1)        # inside the LIST
+        assert reflector.list_count == 0
+        assert client.api.store.stats()["holds"] == 1
+        return reflector, delegate
+
+    @staticmethod
+    def _assert_released_and_trimmed(sim, store):
+        assert store.stats()["holds"] == 0
+        sim.run(until=sim.now + 1.0)
+        store.create("/registry/pods/default/later", {})
+        assert [event.key for event in store._history] == [
+            "/registry/pods/default/later"]
+        assert store.stats()["compacted_revision"] == store.revision - 1
+
+    def test_watch_replays_exactly_the_writes_the_list_overlapped(
+            self, sim, slow_client):
+        writes = 5
+        reflector, delegate = self._reflector(sim, slow_client)
+
+        def writer():
+            for index in range(writes):
+                yield sim.timeout(0.2)      # one write per instant
+                yield from slow_client.create(make_pod(f"q{index}"))
+
+        run(sim, writer())
+        assert reflector.list_count == 0    # every write inside the LIST
+        sim.run(until=sim.now + self.PODS * self.PER_ITEM)
+        assert reflector.list_count == 1
+        assert reflector.watch_failures == 0
+        assert delegate.replaced == [
+            [f"p{index:02d}" for index in range(self.PODS)]]
+        assert delegate.events == [("ADDED", f"q{index}")
+                                   for index in range(writes)]
+        assert slow_client.api.store.stats()["holds"] == 0
+        reflector.stop()
+
+    def test_forced_compaction_mid_list_still_forces_a_relist(
+            self, sim, slow_client):
+        from repro.chaos import ForcedCompaction
+
+        reflector, delegate = self._reflector(sim, slow_client)
+        run(sim, slow_client.create(make_pod("late")))
+        ForcedCompaction(slow_client.api, keep=0).inject()
+        sim.run(until=sim.now + self.PODS * self.PER_ITEM)
+        assert reflector.watch_failures == 1   # the resume was compacted
+        sim.run(until=sim.now + 5.0)
+        assert reflector.list_count == 2
+        assert "late" in delegate.replaced[-1]
+        reflector.stop()
+
+    def test_reflector_stopped_mid_list_releases_its_hold(
+            self, sim, slow_client):
+        reflector, _delegate = self._reflector(sim, slow_client)
+        reflector.stop()
+        sim.run(until=sim.now + 0.01)
+        self._assert_released_and_trimmed(sim, slow_client.api.store)
+
+    def test_apiserver_crash_mid_list_releases_its_hold(
+            self, sim, slow_api, slow_client):
+        reflector, _delegate = self._reflector(sim, slow_client)
+        slow_api.crash()
+        sim.run(until=sim.now + self.PODS * self.PER_ITEM)
+        self._assert_released_and_trimmed(sim, slow_api.store)
+        reflector.stop()
+
+    def test_list_that_raises_releases_its_hold(self, sim, slow_api,
+                                                slow_client):
+        from repro.apiserver import BadRequest
+
+        class BrokenSelector:
+            def matches(self, labels):
+                raise BadRequest("unparseable selector")
+
+        with pytest.raises(BadRequest):
+            run(sim, slow_client.list("pods", namespace="default",
+                                      label_selector=BrokenSelector()))
+        self._assert_released_and_trimmed(sim, slow_api.store)

@@ -307,6 +307,92 @@ class TestHistoryTail:
         assert _replayed(store, 3) == [4]
 
 
+def _tick(store, seconds=1.0):
+    store.sim.run(until=store.sim.now + seconds)
+
+
+class TestHeldHistory:
+    """History keeps the current instant's events plus whatever a held
+    revision still needs; the rest goes at the next write."""
+
+    def _fill(self, store, count, tag="p"):
+        for index in range(count):
+            store.create(f"/registry/pods/ns/{tag}{index}", {"i": index})
+
+    def test_same_instant_events_stay_until_a_later_write(self, store):
+        self._fill(store, 3)                    # revisions 1..3 at t=0
+        _tick(store)
+        assert _replayed(store, 0) == [1, 2, 3]  # no write since: kept
+        self._fill(store, 2, tag="q")           # revisions 4, 5 at t=1
+        assert [e.revision for e in store._history] == [4, 5]
+        assert store.stats()["compacted_revision"] == 3
+        assert _replayed(store, 3) == [4, 5]
+        with pytest.raises(RevisionCompacted):
+            _replayed(store, 2)
+        with pytest.raises(RevisionCompacted):
+            store.events_since(0)
+
+    def test_a_hold_keeps_every_later_event(self, store):
+        self._fill(store, 2)
+        release = store.hold(store.revision)    # a list at revision 2
+        for _ in range(3):
+            _tick(store)
+            store.update("/registry/pods/ns/p0", {"i": store.sim.now})
+        assert store.stats()["holds"] == 1
+        assert store.stats()["compacted_revision"] == 2
+        assert _replayed(store, 2) == [3, 4, 5]
+        release()
+        assert store.stats()["holds"] == 0
+        assert len(store._history) == 3         # trimmed at the next write
+        _tick(store)
+        store.delete("/registry/pods/ns/p1")
+        assert [e.revision for e in store._history] == [6]
+        assert store.stats()["compacted_revision"] == 5
+
+    def test_the_oldest_hold_wins_and_holds_count(self, store):
+        self._fill(store, 1)
+        first = store.hold(1)
+        self._fill(store, 1, tag="q")
+        second = store.hold(2)
+        again = store.hold(2)
+        assert store.stats()["holds"] == 3
+        _tick(store)
+        self._fill(store, 1, tag="r")
+        assert _replayed(store, 1) == [2, 3]
+        first()
+        _tick(store)
+        self._fill(store, 1, tag="s")
+        assert _replayed(store, 2) == [3, 4]
+        with pytest.raises(RevisionCompacted):
+            _replayed(store, 1)
+        second()
+        again()
+        assert store.stats()["holds"] == 0
+
+    def test_operator_compaction_ignores_holds(self, store):
+        self._fill(store, 4)
+        release = store.hold(1)
+        store.compact(keep=0)
+        with pytest.raises(RevisionCompacted):
+            _replayed(store, 1)
+        release()
+
+    def test_holds_outlive_power_off_and_restore(self, store):
+        """A list in flight when the store dies still releases into the
+        same object later; no hold is lost or doubled."""
+        self._fill(store, 2)
+        snapshot = store.snapshot()
+        release = store.hold(2)
+        store.power_off()
+        store.restore(snapshot)
+        assert store.stats()["holds"] == 1
+        release()
+        assert store.stats()["holds"] == 0
+        _tick(store)
+        self._fill(store, 1, tag="q")
+        assert [e.revision for e in store._history] == [3]
+
+
 class TestWatchIndex:
     """The fan-out index: who is asked, in what order, and that it holds
     nothing once its watches are gone."""

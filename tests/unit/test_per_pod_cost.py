@@ -211,15 +211,16 @@ def test_deep_copies_per_synced_pod_stay_small(copy_calls):
 # and what a synced Pod leaves on the heap.
 # ----------------------------------------------------------------------
 
-# GC-tracked objects a synced Pod leaves live (store history, decoded
-# snapshots, caches, watch events) in the tenant run below, with the
-# freeze guard on: 322.8 per Pod with a materialized ``__dict__`` per
-# API object and a fresh list per absent list field of every decode;
-# 167.5 with slotted types and shared empties (168.4 when the types'
-# ``copy()`` is first compiled inside the run).  Either one coming back
-# alone crosses the bound: 204.5 with materialized instance dicts,
-# 280.8 with an empty list per absent field.
-RETAINED_PER_POD_BOUND = 185
+# GC-tracked objects a synced Pod leaves live (decoded snapshots,
+# caches, live store records) in the tenant run below, with the freeze
+# guard on: 322.8 per Pod with a materialized ``__dict__`` per API
+# object and a fresh list per absent list field of every decode; 167.5
+# with slotted types and shared empties; 165.7 → 106.5 once the store
+# stopped keeping every superseded revision in its watch history (bound:
+# that plus ~15 %).  Any one regression alone crosses it: instance
+# dicts cost +37, an empty list per absent field +113 and the kept
+# history +59 objects per Pod.
+RETAINED_PER_POD_BOUND = 122
 
 
 def _tenant_env():
@@ -273,3 +274,31 @@ def test_retained_objects_per_synced_pod_stay_bounded():
     _sync_tenant_pods(env, tenant)
     retained = (_tracked_objects() - before) / PODS
     assert 0 < retained <= RETAINED_PER_POD_BOUND, retained
+
+
+def test_store_history_keeps_no_earlier_instant():
+    """Once the Pods are synced and no list is in flight, the super
+    store's watch history holds only events of the latest write's
+    instant: superseded revisions do not accumulate with writes."""
+    env, tenant = _tenant_env()
+    store = env.super_cluster.api.store
+    written_at = {}
+
+    class Clock:
+        closed = False
+
+        def try_put(self, event):
+            written_at[event.revision] = env.sim.now
+
+        def close(self):
+            self.closed = True
+
+    store.watch("/", channel_factory=Clock)
+    _sync_tenant_pods(env, tenant)
+    assert store.stats()["holds"] == 0
+    latest = written_at[store.revision]
+    assert store._history
+    assert {written_at[event.revision] for event in store._history} == {
+        latest}
+    assert store.stats()["compacted_revision"] == min(
+        revision for revision, at in written_at.items() if at == latest) - 1

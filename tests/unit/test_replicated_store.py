@@ -114,6 +114,37 @@ class TestFailover:
         # leader's old token can never write again.
         assert store._fences[store.fence_domain] >= record["token"]
 
+    def test_hold_releases_into_the_store_that_served_it(self):
+        """A list's hold goes to the leader that answered it and comes
+        back there after a failover; the group's stats count it."""
+        sim, store = make_group()
+        fill(store, 3)
+        settle(sim, store)
+        served = store.leader.store
+        release = store.hold(store.revision)
+        assert served.holds == 1 and store.stats()["holds"] == 1
+        store.kill_leader()
+        sim.run(until=sim.now + 15.0)
+        assert store.leader.store is not served
+        assert store.stats()["holds"] == 1
+        release()
+        assert served.holds == 0 and store.stats()["holds"] == 0
+
+    def test_promoted_follower_never_replays_a_gap(self):
+        """A follower keeps no history, so its compaction floor follows
+        what it applied: a resume from before it led is refused."""
+        sim, store = make_group()
+        fill(store, 4)
+        settle(sim, store)
+        store.kill_leader()
+        sim.run(until=sim.now + 15.0)
+        from repro.storage import RevisionCompacted
+
+        with pytest.raises(RevisionCompacted):
+            store.watch("/registry/pods/", from_revision=1)
+        assert store.watch("/registry/pods/",
+                           from_revision=store.revision) is not None
+
     def test_writes_resume_after_failover(self):
         sim, store = make_group()
         fill(store, 3)
