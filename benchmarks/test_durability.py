@@ -59,12 +59,12 @@ class DurabilityResult:
         self.midtxn = midtxn
 
     @property
-    def store(self):
-        return self.env.super_cluster.api.store
+    def group(self):
+        return self.env.super_cluster.store_group
 
     @property
     def recoveries(self):
-        return list(self.store.recoveries)
+        return list(self.group.recoveries)
 
 
 def _run_scenario(mode):
@@ -96,22 +96,22 @@ def _run_scenario(mode):
             yield env.sim.timeout(SUBMIT_PERIOD)
 
     def storm():
-        store = env.super_cluster.api.store
+        group = env.super_cluster.store_group
         # Plain kill -9 of the storage leader mid-submission.
         yield env.sim.timeout(KILL_AT)
-        victim = store.kill_leader(reason="storm")
+        victim = group.kill_leader(reason="storm")
         yield env.sim.timeout(RESTART_AFTER)
-        store.restart_replica(victim)
+        group.restart_replica(victim)
 
         # Armed mid-txn kill: the (new) leader dies between WAL
         # appends of a single multi-op transaction.
         yield env.sim.timeout(MIDTXN_AT - KILL_AT - RESTART_AFTER)
         keys = [f"/registry/configmaps/kube-system/storm-{index}"
                 for index in range(MIDTXN_OPS)]
-        store.arm_kill(MIDTXN_SURVIVORS)
+        group.arm_kill(MIDTXN_SURVIVORS)
         try:
-            store.txn([
-                lambda key=key: store.leader.store.create(key, {"storm": 1})
+            group.store.txn([
+                lambda key=key: group.leader.store.create(key, {"storm": 1})
                 for key in keys
             ])
         except (StoreUnavailable, ServerUnavailable):
@@ -120,14 +120,14 @@ def _run_scenario(mode):
             midtxn["raised"] = True
         yield env.sim.timeout(RESTART_AFTER)  # failover + settle
         for key in keys:
-            value, _revision = store.try_get(key)
+            value, _revision = group.store.try_get(key)
             (midtxn["committed"] if value is not None
              else midtxn["lost"]).append(key)
         # Remove the storm's own writes so the converged state stays
         # comparable with the no-fault run.
         for key in midtxn["committed"]:
-            store.delete(key)
-        store.restart_replica()
+            group.store.delete(key)
+        group.restart_replica()
 
     for tenant in tenants:
         env.sim.spawn(submitter(tenant), name=f"submit-{tenant.name}")

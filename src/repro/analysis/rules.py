@@ -103,7 +103,7 @@ RULES = {
     "C005": Rule(
         "C005", "unfenced store write from a leader-elected component",
         "A write path inside a leader-elected component (SyncerHA, "
-        "ControllerManager, the ReplicatedStore coordinator) reaches the "
+        "ControllerManager, the StoreGroup coordinator) reaches the "
         "store without the fencing-token check: a transaction(...) with "
         "no fencing= argument, or a raw store put/delete/txn.  A deposed "
         "leader's in-flight writes would land after the new leader's "

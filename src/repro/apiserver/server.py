@@ -32,6 +32,7 @@ from .errors import (
     Conflict,
     Invalid,
     NotFound,
+    ServerUnavailable,
 )
 from .ratelimit import MaxInflightLimiter
 from .registry import ResourceRegistry
@@ -117,16 +118,8 @@ class APIServer:
         self.config = config or DEFAULT_CONFIG
         # ``is not None``, not truthiness: an *empty* injected store has
         # __len__() == 0 and would be silently replaced.
-        self.store = (store if store is not None
-                      else EtcdStore(sim, name=f"{name}-etcd"))
-        if hasattr(self.store, "set_unavailable_factory"):
-            # A down store (killed leader, leaderless replica group)
-            # surfaces as a retryable ServerUnavailable, not a raw
-            # storage error clients don't know how to classify.
-            from .errors import ServerUnavailable
-
-            self.store.set_unavailable_factory(
-                lambda message: ServerUnavailable(message))
+        self.serve_from(store if store is not None
+                        else EtcdStore(sim, name=f"{name}-etcd"))
         self.registry = registry or ResourceRegistry()
         self.reader = StoreReader(self)
         self.authenticator = Authenticator()
@@ -177,6 +170,15 @@ class APIServer:
         # Optional idle-swap support (see repro.core.swapper): when set
         # and swapped out, the first request pays the page-in latency.
         self.swap_state = None
+
+    def serve_from(self, store):
+        """Serve from ``store``: at construction, and on each failover of
+        a replica group, whose hook re-points this reference at the new
+        leader's store.  A down store (killed, or a deposed group leader)
+        raises a retryable ServerUnavailable, not a raw storage error
+        clients don't know how to classify."""
+        store.set_unavailable_factory(ServerUnavailable)
+        self.store = store
 
     # ------------------------------------------------------------------
     # Keys and codecs
@@ -242,12 +244,8 @@ class APIServer:
         are settled by :meth:`_release`.
         """
         if not self.healthy:
-            from .errors import ServerUnavailable
-
             raise ServerUnavailable(f"{self.name} is down")
-        if not getattr(self.store, "available", True):
-            from .errors import ServerUnavailable
-
+        if not self.store.available:
             raise ServerUnavailable(f"{self.name}: storage unavailable")
         if self.fault_injector is not None:
             yield from self.fault_injector.on_request(verb, plural)

@@ -24,13 +24,12 @@ CrashControlPlane       ``TenantOperator.crash_control_plane()`` (wiped
                         etcd; the operator restores from its snapshot)
 RestoreFromSnapshot     ``EtcdStore.restore()`` on a live tenant CP
                         (rollback; watchers must relist cleanly)
-KillStore               ``ReplicatedStore.kill_leader()`` /
+KillStore               ``StoreGroup.kill_leader()`` /
                         ``arm_kill()`` (kill -9 of the storage leader,
                         optionally mid-``txn``; a fenced follower must
                         take over with zero committed-write loss)
-ReplicaLag              ``ReplicatedStore.set_extra_lag()`` (one
-                        follower falls behind; stale reads must be
-                        detectable via the applied revision)
+ReplicaLag              ``StoreGroup.set_extra_lag()`` (one follower
+                        falls behind; a failover must catch it up)
 WalCorruption           ``WriteAheadLog.tear_tail()`` (torn tail
                         record; recovery keeps the committed prefix
                         and resyncs the rest from the leader)
@@ -215,12 +214,14 @@ class ForcedCompaction(Fault):
     def __init__(self, target, keep=0, name=None):
         api = _api_of(target)
         super().__init__(name=name or f"compact:{api.name}")
-        self.store = api.store
+        self.api = api
         self.keep = keep
 
     def inject(self):
+        # The store the apiserver serves from now: a replica group's
+        # failover re-points it.
         self.injections += 1
-        self.store.compact(keep=self.keep)
+        self.api.store.compact(keep=self.keep)
 
     def counters(self):
         return {}
@@ -365,10 +366,10 @@ class KillStore(Fault):
     victim from its own WAL so a later kill has somewhere to fail over.
     """
 
-    def __init__(self, store, mid_txn=False, max_ops=4, name=None):
+    def __init__(self, group, mid_txn=False, max_ops=4, name=None):
         super().__init__(name=name or (
             f"killstore:{'midtxn' if mid_txn else 'leader'}"))
-        self.store = store
+        self.group = group
         self.mid_txn = mid_txn
         self.max_ops = max_ops
         self.stores_killed = 0
@@ -376,15 +377,15 @@ class KillStore(Fault):
         self._victim = None
 
     def inject(self):
-        if self.store.leader is None:
+        if self.group.leader is None:
             return  # leaderless already: nothing to kill
         self.injections += 1
         if self.mid_txn:
             after = self.rng.randrange(self.max_ops)
-            self.store.arm_kill(after, callback=self._on_killed)
+            self.group.arm_kill(after, callback=self._on_killed)
         else:
             self.stores_killed += 1
-            self._victim = self.store.kill_leader(reason=self.name)
+            self._victim = self.group.kill_leader(reason=self.name)
 
     def _on_killed(self, _store):
         self.stores_killed += 1
@@ -393,12 +394,12 @@ class KillStore(Fault):
     def restore(self):
         victim, self._victim = self._victim, None
         if victim is not None:
-            self.store.restart_replica(victim)
+            self.group.restart_replica(victim)
         else:
             # Armed/mid-txn path: an arm that never fired (no txn hit
             # the window) is defused, and whoever is dead comes back.
-            self.store.disarm_kill()
-            self.store.restart_replica()
+            self.group.disarm_kill()
+            self.group.restart_replica()
 
     def counters(self):
         return {"stores_killed": self.stores_killed,
@@ -409,20 +410,21 @@ class ReplicaLag(Fault):
     """Slow one follower's apply pump by ``extra_lag`` seconds/record.
 
     While the window is open the follower's applied revision trails the
-    leader's durable revision; ``read_follower(min_revision=...)`` must
-    raise :class:`StaleRead` instead of serving the stale value.  The
-    window close removes the lag and the follower catches up.
+    leader's durable revision (the ``replica_lag_events`` gauge), so a
+    failover in the window must catch the promoted follower up from the
+    old leader's log.  The window close removes the lag and the
+    follower catches up.
     """
 
-    def __init__(self, store, extra_lag=0.5, name=None):
-        super().__init__(name=name or f"replicalag:{store.name}")
-        self.store = store
+    def __init__(self, group, extra_lag=0.5, name=None):
+        super().__init__(name=name or f"replicalag:{group.name}")
+        self.group = group
         self.extra_lag = extra_lag
         self.lagged = 0
         self._victim = None
 
     def inject(self):
-        victim = self.store.set_extra_lag(self.extra_lag)
+        victim = self.group.set_extra_lag(self.extra_lag)
         if victim is None:
             return  # no live follower to slow down
         self.injections += 1
@@ -432,7 +434,7 @@ class ReplicaLag(Fault):
     def restore(self):
         victim, self._victim = self._victim, None
         if victim is not None:
-            self.store.set_extra_lag(0.0, index=victim)
+            self.group.set_extra_lag(0.0, index=victim)
 
     def counters(self):
         return {"lagged": self.lagged}
@@ -453,28 +455,29 @@ class WalCorruption(Fault):
     truncate-to-prefix path.
     """
 
-    def __init__(self, store, name=None):
-        super().__init__(name=name or f"walcorrupt:{store.name}")
-        self.store = store
+    def __init__(self, control_plane, name=None):
+        self.group = control_plane.store_group
+        self.api = control_plane.api
+        super().__init__(name=name or "walcorrupt:"
+                         + (self.group or self.api.store).name)
         self.tails_torn = 0
         self._victim = None
 
     def inject(self):
-        replicas = getattr(self.store, "replicas", None)
-        if isinstance(replicas, list):
-            followers = [r for r in replicas
+        if self.group is not None:
+            followers = [r for r in self.group.replicas
                          if r.alive and r.role == "follower"]
             if not followers:
                 return
             victim = self.rng.choice(sorted(followers,
                                             key=lambda r: r.index))
-            self.store.kill_replica(victim.index, reason=self.name)
+            self.group.kill_replica(victim.index, reason=self.name)
             if victim.store.wal.tear_tail() is not None:
                 self.tails_torn += 1
             self.injections += 1
             self._victim = victim.index
         else:
-            wal = getattr(self.store, "wal", None)
+            wal = self.api.store.wal
             if wal is None:
                 return
             self.injections += 1
@@ -484,7 +487,7 @@ class WalCorruption(Fault):
     def restore(self):
         victim, self._victim = self._victim, None
         if victim is not None:
-            self.store.restart_replica(victim)
+            self.group.restart_replica(victim)
 
     def counters(self):
         return {"tails_torn": self.tails_torn}
@@ -728,18 +731,18 @@ FAULTS = {
         KillStore, ("super",),
         (Field("mid_txn", BOOL, False), Field("max_ops", INT, 4, ge=1)),
         lambda env, handles, target, params: KillStore(
-            env.super_cluster.api.store, mid_txn=params["mid_txn"],
+            env.super_cluster.store_group, mid_txn=params["mid_txn"],
             max_ops=params["max_ops"]),
         requires=_REPLICATED_STORE),
     "replica-lag": FaultKind(
         ReplicaLag, ("super",), (Field("extra_lag", NUMBER, 0.5, ge=0),),
         lambda env, handles, target, params: ReplicaLag(
-            env.super_cluster.api.store, extra_lag=params["extra_lag"]),
+            env.super_cluster.store_group, extra_lag=params["extra_lag"]),
         requires=_REPLICATED_STORE),
     "wal-corruption": FaultKind(
         WalCorruption, ("super",), (),
         lambda env, handles, target, params: WalCorruption(
-            env.super_cluster.api.store),
+            env.super_cluster),
         requires=("control.store_replicas >= 2 or control.store_wal",
                   lambda control: (control.store_replicas >= 2
                                    or control.store_wal))),

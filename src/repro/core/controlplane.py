@@ -18,8 +18,13 @@ class ControlPlane:
         self.sim = sim
         self.name = name
         self.config = config
+        # A replicated store's group (None for a single store): the
+        # apiserver holds its leader's store and the group re-points it.
+        store, self.store_group = _build_store(sim, name, config)
         self.api = APIServer(sim, name, config=config, rbac=rbac,
-                             store=_build_store(sim, name, config))
+                             store=store)
+        if self.store_group is not None:
+            self.store_group.on_failover = self.api.serve_from
         self.admin = ADMIN
         self.api.authenticator.register(self.admin)
         self._clients = {}
@@ -47,6 +52,8 @@ class ControlPlane:
                           cluster_name=self.name)
 
     def etcd_stats(self):
+        if self.store_group is not None:
+            return self.store_group.stats()
         return self.api.store.stats()
 
 
@@ -130,33 +137,27 @@ class SuperCluster(ControlPlane):
 
 
 def _build_store(sim, name, config):
-    """Construct this control plane's store per ``config.storage``.
+    """This control plane's ``(store, group)`` per ``config.storage``.
 
-    Returns None in the default configuration, so the apiserver builds
-    the seed's plain in-memory :class:`EtcdStore` and default-mode runs
-    stay byte-identical.  With durability opted in, the store gets a
-    write-ahead log; with ``replicas > 1`` it becomes a replicated group
-    with leader election and WAL streaming (DESIGN.md §13).
+    The store is None in the default configuration, so the apiserver
+    builds the seed's plain in-memory :class:`EtcdStore` and
+    default-mode runs stay byte-identical.  With durability opted in,
+    the store gets a write-ahead log; with ``replicas > 1`` it is the
+    leader's store of a replicated group with leader election and WAL
+    streaming (DESIGN.md §13), and the group comes back too.
     """
     storage = config.storage
     if not storage.durable:
-        return None
-    from repro.storage import EtcdStore, ReplicatedStore, WriteAheadLog
+        return None, None
+    from repro.storage import EtcdStore, StoreGroup, WriteAheadLog
 
     if storage.replicated:
-        return ReplicatedStore(
-            sim, f"{name}-etcd", replicas=storage.replicas,
-            segment_records=storage.wal_segment_records,
-            fsync_interval=storage.wal_fsync_interval,
-            replication_delay=storage.replication_delay,
-            lease_duration=storage.lease_duration,
-            renew_interval=storage.lease_renew_interval,
-            retry_interval=storage.lease_retry_interval,
-            jitter=storage.lease_jitter)
+        group = StoreGroup(sim, f"{name}-etcd", config)
+        return group.store, group
     wal = WriteAheadLog(sim, f"{name}-etcd",
                         segment_records=storage.wal_segment_records,
                         fsync_interval=storage.wal_fsync_interval)
-    return EtcdStore(sim, name=f"{name}-etcd", wal=wal)
+    return EtcdStore(sim, name=f"{name}-etcd", wal=wal), None
 
 
 def _import_vc_type():

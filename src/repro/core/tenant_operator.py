@@ -45,7 +45,6 @@ class TenantOperator(Controller):
         self._snapshot_process = None
         self.snapshots_taken = 0
         self.restores_total = 0
-        self.wal_restores = 0
         self._vc_informer = super_cluster.informer_factory.informer(
             "virtualclusters")
         self._vc_informer.add_handlers(
@@ -199,65 +198,34 @@ class TenantOperator(Controller):
         self.snapshots_taken += 1
         # WAL-equipped stores anchor their log to the snapshot: segments
         # the snapshot covers are compacted away (DESIGN.md §13).
-        anchor = getattr(store, "anchor_wal", None)
-        if anchor is not None:
-            anchor(snapshot)
+        store.anchor_wal(snapshot)
         return snapshot
 
-    def crash_control_plane(self, key, total_loss=True):
-        """Chaos hook: the tenant control plane's process dies.
-
-        ``total_loss=True`` (the seed semantics) wipes etcd data *and*
-        its WAL — the catastrophic case snapshots exist for.  With
-        ``total_loss=False`` the process is killed but the disk (WAL)
-        survives, so the restore path can replay to the last durable
-        revision instead of falling back to a stale snapshot.
-        """
+    def crash_control_plane(self, key):
+        """Chaos hook: the tenant control plane's process dies and its
+        etcd data is lost, WAL included — the catastrophic case
+        snapshots exist for."""
         control_plane = self.control_planes.get(key)
         if control_plane is None:
             return False
         control_plane.stop()
         control_plane.api.crash()
-        store = control_plane.api.store
-        if not total_loss and getattr(store, "wal", None) is not None:
-            store.power_off()
-        else:
-            store.wipe()
+        control_plane.api.store.wipe()
         self._needs_restore.add(key)
         self.enqueue(key)
         return True
 
     def _restore(self, key):
-        """Coroutine: reprovision a crashed control plane.
-
-        Prefers WAL replay when the store's durable log reaches past the
-        last snapshot (zero committed-write loss); a gapped or empty log
-        (:class:`CompactedError` — e.g. replay across a compaction
-        boundary, or a total-loss wipe) falls back to snapshot-only
-        recovery, exactly the seed behavior.
-        """
-        from repro.storage import CompactedError, RevisionCompacted
-
+        """Coroutine: reprovision a crashed control plane from its last
+        snapshot (a replicated store's followers roll back with it)."""
         control_plane = self.control_planes.get(key)
         if control_plane is None:
             self._needs_restore.discard(key)
             return
         yield self.sim.timeout(RESTORE_DELAY)
-        store = control_plane.api.store
         snapshot = self.snapshots.get(key)
-        snapshot_revision = snapshot["revision"] if snapshot else 0
-        recovered = False
-        wal_revision = getattr(store, "wal_durable_revision",
-                               lambda: 0)()
-        if wal_revision > snapshot_revision:
-            try:
-                store.recover_from_wal()
-                recovered = True
-                self.wal_restores += 1
-            except (CompactedError, RevisionCompacted):
-                recovered = False
-        if not recovered and snapshot is not None:
-            store.restore(snapshot)
+        if snapshot is not None:
+            control_plane.api.store.restore(snapshot)
         control_plane.api.recover()
         # Fresh kcm: controllers relist against the restored state.
         control_plane.start()

@@ -7,13 +7,12 @@ from .errors import (
     KeyNotFound,
     RevisionCompacted,
     RevisionConflict,
-    StaleRead,
     StorageError,
     StoreUnavailable,
     WalTornRecord,
 )
 from .etcd import EVENT_DELETE, EVENT_PUT, EtcdStore, Watch, WatchEvent
-from .replicated import ReplicatedStore, StoreReplica, coordinator_of
+from .replicated import StoreGroup, StoreReplica, coordinator_of
 from .wal import WalRecord, WalSegment, WriteAheadLog
 
 __all__ = [
@@ -24,11 +23,10 @@ __all__ = [
     "FencingRevoked",
     "KeyAlreadyExists",
     "KeyNotFound",
-    "ReplicatedStore",
     "RevisionCompacted",
     "RevisionConflict",
-    "StaleRead",
     "StorageError",
+    "StoreGroup",
     "StoreReplica",
     "StoreUnavailable",
     "WalRecord",

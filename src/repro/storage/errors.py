@@ -77,29 +77,13 @@ class WalTornRecord(StorageError):
         self.lsn = lsn
 
 
-class StaleRead(StorageError):
-    """A follower served a read behind the client's required revision.
-
-    Carries the follower's applied revision so the caller can decide to
-    retry against the leader or wait for replication to catch up.
-    """
-
-    def __init__(self, required, applied, replica=""):
-        super().__init__(
-            f"stale read from {replica or 'follower'}: "
-            f"required revision {required}, applied {applied}"
-        )
-        self.required = required
-        self.applied = applied
-        self.replica = replica
-
-
 class StoreUnavailable(StorageError):
-    """The store (or the replica group's leader) is down.
+    """The store is down: powered off, or suspended by its replica group.
 
     The apiserver swaps this for its retryable ``ServerUnavailable`` via
-    :meth:`ReplicatedStore.set_unavailable_factory`, so clients treat a
-    leaderless storage window exactly like an apiserver outage.
+    :meth:`EtcdStore.set_unavailable_factory` on the store it serves
+    from, so clients treat a leaderless storage window exactly like an
+    apiserver outage.
     """
 
 

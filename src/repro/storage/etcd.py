@@ -160,7 +160,9 @@ class EtcdStore:
         # survives a kill -9 while this object's memory does not.  None
         # (the default) keeps the seed's pure in-memory behavior.
         self.wal = wal
-        self._powered_off = False
+        # Set while the store refuses every call: powered off, or
+        # suspended by its replica group (see :meth:`suspend`).
+        self._down = False
         self.recoveries = 0
         # Armed by the chaos KillStore fault: crash after N more txn ops.
         self._kill_after_ops = None
@@ -230,7 +232,18 @@ class EtcdStore:
 
     @property
     def available(self):
-        return not self._powered_off
+        return not self._down
+
+    def suspend(self):
+        """Refuse every call, as a powered-off store does, but keep
+        memory and log: a replica group's leader that lost its lease
+        while alive stops serving this way.  :meth:`resume`, a recovery,
+        a restore or a wipe ends it."""
+        self._down = True
+
+    def resume(self):
+        """Serve again after :meth:`suspend` (a promoted replica)."""
+        self._down = False
 
     def set_unavailable_factory(self, factory):
         """Let the apiserver substitute its retryable error type for
@@ -244,7 +257,7 @@ class EtcdStore:
         return StoreUnavailable(message)
 
     def _check_alive(self):
-        if self._powered_off:
+        if self._down:
             raise self._unavailable(f"{self.name}: store is down")
 
     @staticmethod
@@ -314,6 +327,7 @@ class EtcdStore:
 
     def get_stored(self, key):
         """The :class:`StoredValue` of a key; raises KeyNotFound."""
+        self._check_alive()
         stored = self._data.get(key)
         if stored is None:
             raise KeyNotFound(key)
@@ -327,6 +341,7 @@ class EtcdStore:
 
     def try_get_stored(self, key):
         """Like :meth:`get_stored` but returns None for a missing key."""
+        self._check_alive()
         return self._data.get(key)
 
     def try_get(self, key):
@@ -475,6 +490,7 @@ class EtcdStore:
         A pure bisect over the sorted bucket: no per-call sort and no
         list allocation.
         """
+        self._check_alive()
         _keys, lo, hi = self._prefix_range(prefix)
         return hi - lo
 
@@ -637,6 +653,7 @@ class EtcdStore:
         raised.  A new leader establishes its floor by issuing an empty
         fenced transaction (a fence barrier) before serving.
         """
+        self._check_alive()
         current = self._fences.get(domain)
         if current is not None and token < current:
             self.fencing_rejections += 1
@@ -723,7 +740,7 @@ class EtcdStore:
             if event.revision > self._revision:
                 self._apply_replayed(event)
         self._reset_history()
-        self._powered_off = False
+        self._down = False
         if self.wal is not None:
             # The log must describe the store it sits under: anchor it to
             # the post-restore state and drop the divergent tail.
@@ -760,6 +777,7 @@ class EtcdStore:
         compacted away — the caller must fall back to snapshot-only
         recovery (or take a fresh snapshot) instead of replaying a gap.
         """
+        self._check_alive()
         if revision < self._compacted_revision:
             raise RevisionCompacted(revision, self._compacted_revision)
         return self._history_after(revision)
@@ -777,7 +795,7 @@ class EtcdStore:
         self._revision = 0
         self._reset_history()
         self._fences = {}
-        self._powered_off = False
+        self._down = False
         if self.wal is not None:
             self.wal.reset()
 
@@ -797,7 +815,7 @@ class EtcdStore:
         self._revision = 0
         self._reset_history()
         self._fences = {}
-        self._powered_off = True
+        self._down = True
 
     def recover_from_wal(self):
         """Rebuild state from the WAL to the last durable revision.
@@ -817,7 +835,7 @@ class EtcdStore:
             revision = wal.recover_into(self, truncate=True)
         finally:
             self.wal = wal
-        self._powered_off = False
+        self._down = False
         self.recoveries += 1
         self._recoveries_metric.inc()
         return revision

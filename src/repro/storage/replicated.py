@@ -1,10 +1,8 @@
 """N-way replicated store group with WAL streaming and leader failover.
 
-A :class:`ReplicatedStore` presents the :class:`EtcdStore` API while
-fanning every durable WAL record from the current leader to N-1 follower
-stores (DESIGN.md §13).  It models an etcd cluster behind one apiserver:
-the apiserver object stays up, but storage goes leaderless for the
-election window when the leader is killed.
+A :class:`StoreGroup` runs N :class:`EtcdStore` replicas of one control
+plane's store (DESIGN.md §13): an etcd cluster behind one apiserver,
+which stays up while storage goes leaderless for the election window.
 
 Topology and failure model:
 
@@ -12,13 +10,21 @@ Topology and failure model:
   :class:`WriteAheadLog`* — kill -9 destroys a replica's memory, never
   its log.  Replica 0 is the designated initial leader so bootstrap
   writes need no election round.
-- The leader's WAL ``on_append`` hook streams each durable record into a
-  per-follower :class:`Channel`; a pump process applies it after the
-  replication delay (plus any chaos-injected lag).
+- The leader's WAL is the only channel to the followers.  Its
+  ``on_append`` hook streams each durable record into a per-follower
+  :class:`Channel`, and a pump process applies it after the replication
+  delay (plus any chaos-injected lag).  Its ``on_reset`` hook fires when
+  a restore or wipe of the serving store restarts the log, and rolls
+  every live follower to it by full state transfer.
 - Leader election reuses ``clientgo.leaderelection`` against a shared
   *coordination* apiserver (``coordinator_of(sim)``), modeling the
   ZooKeeper/PVC-style external coordination plane from ROADMAP item 4 —
   a store group cannot elect through leases stored in itself.
+- Leaderless window: the killed leader's store is powered off, and a
+  leader that loses its lease while alive is suspended
+  (:meth:`EtcdStore.suspend`), so every call on the store the apiserver
+  holds raises its retryable unavailable error until a promotion
+  re-points it.
 - Failover is fencing-gated: the promoted follower first catches up from
   the dead leader's durable WAL (the disk outlives the process), then
   advances the fencing floor for ``store/<name>`` with its new token (so
@@ -27,27 +33,14 @@ Topology and failure model:
   group captures :meth:`WriteAheadLog.durable_state` — exactly what the
   crash is obliged to preserve — and the promotion compares the new
   leader against it, recording ``lost_writes`` per recovery.
-
-Stale reads: :meth:`read_follower` serves from a follower and returns
-its applied revision alongside the value; a caller that passes
-``min_revision`` gets :class:`StaleRead` when the follower lags behind
-it, which is the client-side rejection contract the paper's
-read-your-writes tenants need.
 """
 
 from repro.simkernel.resources import Channel, ChannelClosed
 from repro.telemetry import telemetry_of
 
-from .errors import CompactedError, StaleRead, StoreUnavailable
+from .errors import CompactedError
 from .etcd import EtcdStore, WatchEvent
 from .wal import WAL_FENCE, WriteAheadLog
-
-# Store-group election timings: snappier than the syncer's (6 s) lease
-# so storage MTTR stays in the low seconds.
-DEFAULT_LEASE_DURATION = 3.0
-DEFAULT_RENEW_INTERVAL = 1.0
-DEFAULT_RETRY_INTERVAL = 0.25
-DEFAULT_REPLICATION_DELAY = 0.002
 
 
 def coordinator_of(sim):
@@ -170,42 +163,33 @@ class StoreReplica:
         self.catchups += 1
 
 
-class ReplicatedStore:
-    """Leader/follower store group behind the :class:`EtcdStore` API.
+class StoreGroup:
+    """Leader/follower replicas of one control plane's store.
 
-    Reads and writes route to the leader; while the group is leaderless
-    (between a kill and the next election) every operation raises the
-    injected unavailable error, which the apiserver maps to its
-    retryable ``ServerUnavailable``.
+    Not a store: the apiserver holds :attr:`store`, the leader's plain
+    :class:`EtcdStore`, and ``on_failover`` (set by the control plane)
+    re-points it at each promoted leader's.  The group keeps
+    replication, elections, fencing, lost-write accounting and the
+    chaos surface, configured by ``config.storage``.
     """
 
-    def __init__(self, sim, name, replicas=2, segment_records=512,
-                 fsync_interval=0.0,
-                 replication_delay=DEFAULT_REPLICATION_DELAY,
-                 lease_duration=DEFAULT_LEASE_DURATION,
-                 renew_interval=DEFAULT_RENEW_INTERVAL,
-                 retry_interval=DEFAULT_RETRY_INTERVAL, jitter=0.2,
-                 coordinator=None, elect=True):
-        if replicas < 1:
-            raise ValueError("a replicated store needs at least 1 replica")
+    def __init__(self, sim, name, config):
+        storage = config.storage
+        if storage.replicas < 1:
+            raise ValueError("a store group needs at least 1 replica")
         self.sim = sim
         self.name = name
-        self.replication_delay = replication_delay
+        self.replication_delay = storage.replication_delay
         self.fence_domain = f"store/{name}"
-        self._unavailable_factory = None
+        self.on_failover = None
         self._term = 0
         self._pending_recovery = None
         self.recoveries = []
         self.failovers = 0
-        self.stale_reads = 0
         telemetry = telemetry_of(sim)
         self._replicated_records = telemetry.counter(
             "store_replication_records_total",
             "WAL records applied by followers",
-            labels=("store",)).labels(store=name)
-        self._stale_reads_metric = telemetry.counter(
-            "store_stale_reads_total",
-            "follower reads rejected behind the required revision",
             labels=("store",)).labels(store=name)
         self._failover_metric = telemetry.counter(
             "store_recoveries_total",
@@ -216,51 +200,51 @@ class ReplicatedStore:
             "events a follower trails the leader's durable log by",
             labels=("store", "replica"))
         self.replicas = []
-        for index in range(replicas):
+        for index in range(storage.replicas):
             member = f"{name}-r{index}"
-            wal = WriteAheadLog(sim, member, segment_records=segment_records,
-                                fsync_interval=fsync_interval)
+            wal = WriteAheadLog(sim, member,
+                                segment_records=storage.wal_segment_records,
+                                fsync_interval=storage.wal_fsync_interval)
             store = EtcdStore(sim, name=member, wal=wal)
             replica = StoreReplica(self, index, store)
             self.replicas.append(replica)
             lag_gauge.labels(store=name, replica=f"r{index}").set_function(
                 lambda r=replica: float(r.lag))
         # Replica 0 leads from t=0 (bootstrap writes predate any election
-        # round); elections only gate failover.
+        # round); elections only gate failover.  _last_leader is the
+        # replica whose store the apiserver holds, leaderless or not.
         leader = self.replicas[0]
         leader.role = "leader"
         self._leader = leader
         self._last_leader = leader
-        leader.store.wal.on_append = self._stream_record
+        self._stream_from(leader)
         for follower in self.replicas[1:]:
             self._attach_follower(follower)
-        if elect and replicas > 1:
-            coordinator = coordinator or coordinator_of(sim)
+        if len(self.replicas) > 1:
+            coordinator = coordinator_of(sim)
             for replica in self.replicas:
-                client = coordinator.client(
-                    user_agent=f"store-elector-{replica.name}")
-                replica.elector = self._make_elector(client, replica,
-                                                     lease_duration,
-                                                     renew_interval,
-                                                     retry_interval, jitter)
+                replica.elector = self._make_elector(coordinator, replica,
+                                                     storage)
             # The initial leader contends first; followers join only
             # after a full lease so replica 0 wins the opening term.
             self.replicas[0].elector.start()
             for offset, replica in enumerate(self.replicas[1:], start=1):
                 sim.spawn(
-                    self._delayed_start(replica,
-                                        lease_duration * (1.0 + 0.25 * offset)),
+                    self._delayed_start(
+                        replica,
+                        storage.lease_duration * (1.0 + 0.25 * offset)),
                     name=f"elector-stagger-{replica.name}")
 
-    def _make_elector(self, client, replica, lease_duration, renew_interval,
-                      retry_interval, jitter):
+    def _make_elector(self, coordinator, replica, storage):
         from repro.clientgo import LeaderElector
 
+        client = coordinator.client(user_agent=f"store-elector-{replica.name}")
         return LeaderElector(
             self.sim, client, name=f"store-{self.name}",
-            identity=replica.name, lease_duration=lease_duration,
-            renew_interval=renew_interval, retry_interval=retry_interval,
-            jitter=jitter,
+            identity=replica.name, lease_duration=storage.lease_duration,
+            renew_interval=storage.lease_renew_interval,
+            retry_interval=storage.lease_retry_interval,
+            jitter=storage.lease_jitter,
             on_started_leading=lambda token, r=replica:
                 self._on_elected(r, token),
             on_stopped_leading=lambda reason, r=replica:
@@ -271,9 +255,25 @@ class ReplicatedStore:
         if replica.alive and replica.elector is not None:
             replica.elector.start()
 
+    @property
+    def leader(self):
+        """The leading replica, or None while the group is leaderless."""
+        return self._leader
+
+    @property
+    def store(self):
+        """The store the apiserver holds: the leader's, or while the
+        group is leaderless the last leader's, which refuses every call."""
+        return self._last_leader.store
+
     # ------------------------------------------------------------------
-    # Streaming replication
+    # Streaming replication (the leader's WAL is the only channel)
     # ------------------------------------------------------------------
+
+    def _stream_from(self, replica, on=True):
+        wal = replica.store.wal
+        wal.on_append = self._stream_record if on else None
+        wal.on_reset = self._stream_reset if on else None
 
     def _stream_record(self, record):
         for replica in self.replicas:
@@ -281,6 +281,15 @@ class ReplicatedStore:
                     and replica.channel is not None
                     and not replica.channel.closed):
                 replica.channel.try_put(record)
+
+    def _stream_reset(self):
+        """The leader's log restarted (a restore or wipe, which catch-up
+        cannot express): full state transfer to every live follower."""
+        leader = self._leader
+        for replica in self.replicas:
+            if replica is not leader and replica.alive:
+                replica.resync_from(leader.store.wal)
+                self._attach_follower(replica)
 
     def _attach_follower(self, replica):
         """(Re)join a replica to the leader's stream, catching it up from
@@ -322,20 +331,9 @@ class ReplicatedStore:
     def kill_leader(self, reason="kill"):
         """Kill -9 the leader replica; returns its index (None if no
         leader to kill).  Recovery is a follower election + promotion."""
-        leader = self._leader
-        if leader is None:
+        if self._leader is None:
             return None
-        self._kill_replica(leader, reason=reason)
-        return leader.index
-
-    def kill_replica(self, index, reason="kill"):
-        """Kill -9 one replica by index (leader or follower); returns
-        the index, or None when it was already dead."""
-        replica = self.replicas[index]
-        if not replica.alive:
-            return None
-        self._kill_replica(replica, reason=reason)
-        return replica.index
+        return self.kill_replica(self._leader.index, reason=reason)
 
     def arm_kill(self, after_ops, callback=None):
         """Arm a mid-``txn`` kill -9 on the current leader (see
@@ -356,14 +354,17 @@ class ReplicatedStore:
     def _on_mid_txn_kill(self, store, callback):
         for replica in self.replicas:
             if replica.store is store:
-                self._kill_replica(replica, reason="mid-txn")
+                self.kill_replica(replica.index, reason="mid-txn")
                 break
         if callback is not None:
             callback(self)
 
-    def _kill_replica(self, replica, reason):
+    def kill_replica(self, index, reason="kill"):
+        """Kill -9 one replica by index (leader or follower); returns
+        the index, or None when it was already dead."""
+        replica = self.replicas[index]
         if not replica.alive:
-            return
+            return None
         if replica is self._leader:
             # What durability owes us: the durable log image at the
             # instant of death.  Promotion verifies against it.
@@ -376,11 +377,9 @@ class ReplicatedStore:
             }
         replica.alive = False
         replica.role = "dead"
-        replica.store.wal.on_append = None
-        if replica.store.available:
-            replica.store.power_off()
-        elif replica.store.wal is not None:
-            replica.store.wal.power_off()
+        self._stream_from(replica, on=False)
+        # Idempotent: a mid-txn kill has powered the store off already.
+        replica.store.power_off()
         if replica.elector is not None:
             replica.elector.crash()
         if replica is self._leader:
@@ -392,20 +391,16 @@ class ReplicatedStore:
             self._leader = None
         elif replica.channel is not None:
             replica.channel.close()
+        return index
 
     def restart_replica(self, index=None):
         """Bring a dead replica back: recover its store from its own WAL,
         rejoin the leader's stream as a follower, resume contending."""
-        replica = None
-        if index is not None:
-            replica = self.replicas[index]
-        else:
-            for candidate in self.replicas:
-                if not candidate.alive:
-                    replica = candidate
-                    break
-        if replica is None or replica.alive:
+        dead = [replica for replica in self.replicas
+                if not replica.alive and index in (None, replica.index)]
+        if not dead:
             return None
+        replica = dead[0]
         replica.alive = True
         try:
             replica.store.recover_from_wal()
@@ -415,6 +410,10 @@ class ReplicatedStore:
         replica.role = "follower"
         if self._leader is not None:
             self._attach_follower(replica)
+        elif replica is self._last_leader:
+            # The apiserver still holds this store: it serves again
+            # only once an election promotes a leader.
+            replica.store.suspend()
         if replica.elector is not None:
             replica.elector.start()
         return replica.index
@@ -449,20 +448,22 @@ class ReplicatedStore:
         # partition): stop serving to preserve single-writer.
         if replica is self._leader:
             replica.role = "follower"
-            replica.store.wal.on_append = None
+            self._stream_from(replica, on=False)
+            replica.store.suspend()
             self._leader = None
 
     def _promote(self, replica, token):
         """Fencing-gated takeover: catch up from the most durable log,
-        fence out the deposed term, then serve."""
+        fence out the deposed term, serve, and re-point the apiserver."""
         source = self._last_leader
-        if source is not None and source is not replica:
+        if source is not replica:
             try:
                 replica.catch_up_from(source.store.wal)
             except CompactedError:
                 replica.resync_from(source.store.wal)
         # Fence barrier: any in-flight write stamped with an older term
         # dies at the storage layer before the new leader serves.
+        replica.store.resume()
         replica.store.check_fence(self.fence_domain, token)
         replica.role = "leader"
         if replica.channel is not None:
@@ -470,7 +471,7 @@ class ReplicatedStore:
             replica.channel = None
         self._leader = replica
         self._last_leader = replica
-        replica.store.wal.on_append = self._stream_record
+        self._stream_from(replica)
         for other in self.replicas:
             if other is not replica and other.alive:
                 self._attach_follower(other)
@@ -485,6 +486,8 @@ class ReplicatedStore:
             pending["lost_writes"] = self._count_lost_writes(
                 pending["durable_state"], replica.store)
             self.recoveries.append(pending)
+        if self.on_failover is not None:
+            self.on_failover(replica.store)
 
     @staticmethod
     def _count_lost_writes(durable_state, store):
@@ -496,175 +499,10 @@ class ReplicatedStore:
                 lost += 1
         return lost
 
-    # ------------------------------------------------------------------
-    # Stale-read contract
-    # ------------------------------------------------------------------
-
-    def read_follower(self, key, min_revision=None, index=None):
-        """Serve a read from a follower, tagged with its applied revision.
-
-        Returns ``(value, mod_revision, applied_revision)`` (value None
-        when the key is absent at the follower's applied point).  With
-        ``min_revision`` set, a follower applied below it raises
-        :class:`StaleRead` instead of returning stale data.
-        """
-        replica = None
-        if index is not None:
-            candidate = self.replicas[index]
-            if candidate.alive:
-                replica = candidate
-        else:
-            # Deterministic choice: the most-lagged live follower (ties
-            # break on index) — the adversarial read for staleness tests.
-            followers = [r for r in self.replicas
-                         if r.alive and r.role == "follower"]
-            if followers:
-                replica = max(followers, key=lambda r: (r.lag, -r.index))
-        if replica is None:
-            replica = self._leader
-        if replica is None:
-            raise self._unavailable(f"{self.name}: no replica to read from")
-        if min_revision is not None and replica.applied_revision < \
-                min_revision and replica.role != "leader":
-            self.stale_reads += 1
-            self._stale_reads_metric.inc()
-            raise StaleRead(min_revision, replica.applied_revision,
-                            replica=replica.name)
-        value, mod_revision = replica.store.try_get(key)
-        applied = (replica.store.revision if replica.role == "leader"
-                   else replica.applied_revision)
-        return value, mod_revision, applied
-
-    # ------------------------------------------------------------------
-    # EtcdStore facade (routes to the leader)
-    # ------------------------------------------------------------------
-
-    @property
-    def available(self):
-        leader = self._leader
-        return leader is not None and leader.alive
-
-    def set_unavailable_factory(self, factory):
-        self._unavailable_factory = factory
-        for replica in self.replicas:
-            replica.store.set_unavailable_factory(factory)
-
-    def _unavailable(self, message):
-        if self._unavailable_factory is not None:
-            return self._unavailable_factory(message)
-        return StoreUnavailable(message)
-
-    def _leader_store(self):
-        leader = self._leader
-        if leader is None or not leader.alive:
-            raise self._unavailable(f"{self.name}: storage has no leader")
-        return leader.store
-
-    @property
-    def leader(self):
-        return self._leader
-
-    @property
-    def revision(self):
-        return self._leader_store().revision
-
-    def create(self, key, value):
-        return self._leader_store().create(key, value)
-
-    def get(self, key):
-        return self._leader_store().get(key)
-
-    def get_stored(self, key):
-        return self._leader_store().get_stored(key)
-
-    def try_get(self, key):
-        return self._leader_store().try_get(key)
-
-    def try_get_stored(self, key):
-        return self._leader_store().try_get_stored(key)
-
-    def update(self, key, value, expected_revision=None):
-        return self._leader_store().update(key, value,
-                                           expected_revision=expected_revision)
-
-    def delete(self, key, expected_revision=None):
-        return self._leader_store().delete(key,
-                                           expected_revision=expected_revision)
-
-    def txn(self, ops):
-        return self._leader_store().txn(ops)
-
-    def list_prefix(self, prefix):
-        return self._leader_store().list_prefix(prefix)
-
-    def list_stored(self, prefix):
-        return self._leader_store().list_stored(prefix)
-
-    def hold(self, revision):
-        # Called in the step that served the list, so this is the store
-        # that handed out ``revision``; its release stays bound to it
-        # across a failover.
-        return self._leader_store().hold(revision)
-
-    def count_prefix(self, prefix):
-        return self._leader_store().count_prefix(prefix)
-
-    def watch(self, prefix, from_revision=None, channel_factory=None,
-              predicate=None, hint=None):
-        return self._leader_store().watch(prefix, from_revision=from_revision,
-                                          channel_factory=channel_factory,
-                                          predicate=predicate, hint=hint)
-
-    def events_since(self, revision):
-        return self._leader_store().events_since(revision)
-
-    def compact(self, keep=1000):
-        return self._leader_store().compact(keep=keep)
-
-    def check_fence(self, domain, token):
-        return self._leader_store().check_fence(domain, token)
-
-    def snapshot(self):
-        return self._leader_store().snapshot()
-
-    def anchor_wal(self, snapshot):
-        return self._leader_store().anchor_wal(snapshot)
-
-    def wal_durable_revision(self):
-        return self._leader_store().wal_durable_revision()
-
-    def restore(self, snapshot, replay=()):
-        """Roll the whole group to a snapshot (operator recovery):
-        restore the leader, then full-resync every live follower."""
-        store = self._leader_store()
-        revision = store.restore(snapshot, replay=replay)
-        for replica in self.replicas:
-            if replica is not self._leader and replica.alive:
-                # A restore can roll state *back*, which catch-up cannot
-                # express — force a full state transfer.
-                replica.resync_from(store.wal)
-                self._attach_follower(replica)
-        return revision
-
-    def recover_from_wal(self):
-        return self._leader_store().recover_from_wal()
-
-    def wipe(self):
-        """Catastrophic loss of the whole group, WALs included."""
-        for replica in self.replicas:
-            if replica.alive:
-                replica.store.wipe()
-                replica.applied_revision = 0
-
-    def dump(self):
-        return self._leader_store().dump()
-
-    def __len__(self):
-        return len(self._leader_store())
-
     def stats(self):
-        leader = self._leader or self._last_leader
-        out = leader.store.stats() if leader is not None else {}
+        """The serving store's stats, plus replica detail, the recovery
+        log and group-wide sums."""
+        out = self.store.stats()
         out["replicas"] = [
             {
                 "name": replica.name,
@@ -684,7 +522,6 @@ class ReplicatedStore:
             for replica in self.replicas
         ]
         out["failovers"] = self.failovers
-        out["stale_reads"] = self.stale_reads
         # Group-wide WAL-recovery count: the leader's own counter alone
         # would hide a restarted victim's recovery.
         out["recoveries"] = sum(
@@ -696,15 +533,3 @@ class ReplicatedStore:
                                for replica in self.replicas)
         out["recoveries_log"] = list(self.recoveries)
         return out
-
-    def __getattr__(self, name):
-        # Delegate anything else (test/benchmark introspection such as
-        # ``_data`` or ``_fences``) to the current leader's store.
-        replicas = self.__dict__.get("replicas")
-        if not replicas:
-            raise AttributeError(name)
-        leader = self.__dict__.get("_leader") or self.__dict__.get(
-            "_last_leader")
-        if leader is None:
-            raise AttributeError(name)
-        return getattr(leader.store, name)

@@ -116,10 +116,12 @@ class WalSegment:
 class WriteAheadLog:
     """Segmented, checksummed, compactable append-only log.
 
-    ``on_append`` (set by :class:`ReplicatedStore` on the leader) is
-    called once per record *when it becomes durable* — replication
-    streams committed entries, never a volatile tail a crash could
-    retract.
+    A replica group's leader log is its only channel to the followers
+    (:class:`~repro.storage.replicated.StoreGroup` sets both hooks):
+    ``on_append`` is called once per record *when it becomes durable* —
+    replication streams committed entries, never a volatile tail a
+    crash could retract — and ``on_reset`` after :meth:`reset`, when a
+    restore or wipe of the store restarted the log.
     """
 
     def __init__(self, sim, name, segment_records=512, fsync_interval=0.0):
@@ -138,6 +140,7 @@ class WriteAheadLog:
         self.fsyncs = 0
         self.torn_records = 0
         self.on_append = None
+        self.on_reset = None
         telemetry = telemetry_of(sim)
         self._appends = telemetry.counter(
             "wal_appends_total", "WAL records appended",
@@ -250,6 +253,8 @@ class WriteAheadLog:
         self.durable_revision = self.anchor_revision
         self.next_lsn = 0
         self.durable_lsn = 0
+        if self.on_reset is not None:
+            self.on_reset()
 
     # ------------------------------------------------------------------
     # Compaction

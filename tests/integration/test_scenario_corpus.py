@@ -152,6 +152,6 @@ def test_durability_smoke_kill_lands_inside_a_multi_op_txn(monkeypatch):
     # Applied ops before the kill: at least one, fewer than the txn.
     assert killed_in and all(0 < applied < ops
                              for applied, ops in killed_in), killed_in
-    store = result.env.super_cluster.api.store
-    assert [r["lost_writes"] for r in store.stats()["recoveries_log"]] \
+    group = result.env.super_cluster.store_group
+    assert [r["lost_writes"] for r in group.stats()["recoveries_log"]] \
         == [0, 0]

@@ -27,6 +27,7 @@ from repro.core.syncer.syncer import Syncer
 from repro.scenarios.model import ControlSpec
 from repro.scenarios.runner import scenario_config
 from repro.simkernel import Simulation
+from repro.storage import StoreGroup
 from repro.workloads import (
     run_baseline_stress,
     run_fairness_stress,
@@ -41,6 +42,7 @@ CONSTRUCTORS = {
     Syncer: ("sim", "super_cluster", "config", "name"),
     SyncerHA: ("sim", "super_cluster", "config"),
     IdleSwapper: ("sim", "config"),
+    StoreGroup: ("sim", "name", "config"),
 }
 CALLABLES = {target.__name__: target
              for target in (*CONSTRUCTORS, run_vc_stress,

@@ -1,66 +1,74 @@
-"""ReplicatedStore unit tests: WAL streaming, fenced failover, stale
-reads, and crash recovery of the store group (DESIGN.md §13)."""
+"""StoreGroup unit tests: WAL streaming, fenced failover, and crash
+recovery of the store group (DESIGN.md §13)."""
 
 import pytest
 
+from repro.apiserver import ADMIN, ServerUnavailable
+from repro.config import DEFAULT_CONFIG
+from repro.core.controlplane import TenantControlPlane
+from repro.objects import make_namespace, make_pod
 from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 from repro.storage import (
     CompactedError,
-    ReplicatedStore,
-    StaleRead,
+    EtcdStore,
+    StoreGroup,
     StoreUnavailable,
 )
 
 
-def make_group(seed=1, replicas=3, **kwargs):
+def run(sim, coroutine):
+    return sim.run(until=sim.process(coroutine))
+
+
+def make_group(seed=1, replicas=3):
     sim = Simulation(seed=seed)
-    store = ReplicatedStore(sim, "grp", replicas=replicas, **kwargs)
-    return sim, store
+    config = DEFAULT_CONFIG.with_overrides(storage={"replicas": replicas})
+    return sim, StoreGroup(sim, "grp", config)
 
 
-def fill(store, count, prefix="/registry/pods/ns/p"):
+def fill(group, count, prefix="/registry/pods/ns/p"):
     for index in range(count):
-        store.create(f"{prefix}{index:03d}", {"n": index})
+        group.store.create(f"{prefix}{index:03d}", {"n": index})
 
 
-def settle(sim, store, timeout=5.0):
+def settle(sim, group, timeout=5.0):
     """Run until every live follower has applied the leader's log."""
     deadline = sim.now + timeout
     while sim.now < deadline:
-        followers = [r for r in store.replicas
+        followers = [r for r in group.replicas
                      if r.alive and r.role == "follower"]
         if followers and all(r.lag == 0 for r in followers):
             return
         sim.run(until=sim.now + 0.05)
     raise AssertionError(
         f"followers never caught up: "
-        f"{[(r.name, r.role, r.lag) for r in store.replicas]}")
+        f"{[(r.name, r.role, r.lag) for r in group.replicas]}")
 
 
 class TestReplication:
     def test_writes_stream_to_all_followers(self):
-        sim, store = make_group()
-        fill(store, 10)
-        settle(sim, store)
-        leader_dump = dict(store.leader.store.dump())
-        for replica in store.replicas:
+        sim, group = make_group()
+        fill(group, 10)
+        settle(sim, group)
+        leader_dump = dict(group.leader.store.dump())
+        for replica in group.replicas:
             if replica.role == "follower":
                 assert dict(replica.store.dump()) == leader_dump
-                assert replica.applied_revision == store.revision
+                assert replica.applied_revision == group.store.revision
 
     def test_follower_apply_converges_with_shared_values(self):
         """A follower stores the applied value as is (one dict for its
         store and its own WAL record); the group still converges to
         equal dumps, and a follower's values are as read-only as the
         leader's."""
-        sim, store = make_group()
-        fill(store, 5)
-        store.update("/registry/pods/ns/p001", {"n": [1, {"deep": 2}]})
-        store.delete("/registry/pods/ns/p004")
-        settle(sim, store)
-        follower = next(r for r in store.replicas if r.role == "follower")
-        assert follower.store.dump() == store.leader.store.dump()
+        sim, group = make_group()
+        fill(group, 5)
+        group.store.update("/registry/pods/ns/p001", {"n": [1, {"deep": 2}]})
+        group.store.delete("/registry/pods/ns/p004")
+        settle(sim, group)
+        follower = next(r for r in group.replicas if r.role == "follower")
+        assert follower.store.dump() == group.leader.store.dump()
         value, _rev = follower.store.get("/registry/pods/ns/p001")
         with pytest.raises(FrozenError):
             value["n"][1]["deep"] = 3
@@ -71,235 +79,369 @@ class TestReplication:
         assert follower.store.dump() == expected
 
     def test_replica_lag_is_tracked(self):
-        sim, store = make_group()
-        store.set_extra_lag(5.0)
-        fill(store, 4)
+        sim, group = make_group()
+        group.set_extra_lag(5.0)
+        fill(group, 4)
         sim.run(until=sim.now + 0.5)
-        lags = sorted(r.lag for r in store.replicas
+        lags = sorted(r.lag for r in group.replicas
                       if r.role == "follower")
         assert lags[-1] > 0  # the slowed follower trails
-        for replica in store.replicas:
+        for replica in group.replicas:
             replica.extra_lag = 0.0
-        settle(sim, store, timeout=30.0)
+        settle(sim, group, timeout=30.0)
 
-    def test_facade_matches_plain_store_semantics(self):
-        sim, store = make_group()
-        store.create("/registry/pods/ns/a", {"x": 1})
-        value, revision = store.get("/registry/pods/ns/a")
+    def test_serving_store_has_plain_store_semantics(self):
+        sim, group = make_group()
+        group.store.create("/registry/pods/ns/a", {"x": 1})
+        value, revision = group.store.get("/registry/pods/ns/a")
         assert value == {"x": 1}
-        store.update("/registry/pods/ns/a", {"x": 2})
-        items, _revision = store.list_prefix("/registry/pods/")
+        group.store.update("/registry/pods/ns/a", {"x": 2})
+        items, _revision = group.store.list_prefix("/registry/pods/")
         assert [key for key, _value, _rev in items] == ["/registry/pods/ns/a"]
-        store.delete("/registry/pods/ns/a")
-        assert store.try_get("/registry/pods/ns/a") == (None, 0)
+        group.store.delete("/registry/pods/ns/a")
+        assert group.store.try_get("/registry/pods/ns/a") == (None, 0)
 
 
 class TestFailover:
     def test_kill_leader_promotes_fenced_follower(self):
-        sim, store = make_group()
-        fill(store, 6)
-        settle(sim, store)
-        old_leader = store.leader.name
-        victim = store.kill_leader()
+        sim, group = make_group()
+        fill(group, 6)
+        settle(sim, group)
+        old_leader = group.leader.name
+        victim = group.kill_leader()
         assert victim is not None
         with pytest.raises(StoreUnavailable):
-            store.create("/registry/pods/ns/x", {})
+            group.store.create("/registry/pods/ns/x", {})
         sim.run(until=sim.now + 15.0)
-        assert store.leader is not None
-        assert store.leader.name != old_leader
-        record = store.recoveries[-1]
+        assert group.leader is not None
+        assert group.leader.name != old_leader
+        record = group.recoveries[-1]
         assert record["lost_writes"] == 0
         assert record["mttr"] is not None
         # The new leader's fencing token is on the floor: the dead
         # leader's old token can never write again.
-        assert store._fences[store.fence_domain] >= record["token"]
+        assert group.store._fences[group.fence_domain] >= record["token"]
 
     def test_hold_releases_into_the_store_that_served_it(self):
         """A list's hold goes to the leader that answered it and comes
         back there after a failover; the group's stats count it."""
-        sim, store = make_group()
-        fill(store, 3)
-        settle(sim, store)
-        served = store.leader.store
-        release = store.hold(store.revision)
-        assert served.holds == 1 and store.stats()["holds"] == 1
-        store.kill_leader()
+        sim, group = make_group()
+        fill(group, 3)
+        settle(sim, group)
+        served = group.leader.store
+        release = group.store.hold(group.store.revision)
+        assert served.holds == 1 and group.stats()["holds"] == 1
+        group.kill_leader()
         sim.run(until=sim.now + 15.0)
-        assert store.leader.store is not served
-        assert store.stats()["holds"] == 1
+        assert group.leader.store is not served
+        assert group.stats()["holds"] == 1
         release()
-        assert served.holds == 0 and store.stats()["holds"] == 0
+        assert served.holds == 0 and group.stats()["holds"] == 0
 
     def test_promoted_follower_never_replays_a_gap(self):
         """A follower keeps no history, so its compaction floor follows
         what it applied: a resume from before it led is refused."""
-        sim, store = make_group()
-        fill(store, 4)
-        settle(sim, store)
-        store.kill_leader()
+        sim, group = make_group()
+        fill(group, 4)
+        settle(sim, group)
+        group.kill_leader()
         sim.run(until=sim.now + 15.0)
         from repro.storage import RevisionCompacted
 
         with pytest.raises(RevisionCompacted):
-            store.watch("/registry/pods/", from_revision=1)
-        assert store.watch("/registry/pods/",
-                           from_revision=store.revision) is not None
+            group.store.watch("/registry/pods/", from_revision=1)
+        assert group.store.watch("/registry/pods/",
+                                 from_revision=group.store.revision) \
+            is not None
 
     def test_writes_resume_after_failover(self):
-        sim, store = make_group()
-        fill(store, 3)
-        settle(sim, store)
-        store.kill_leader()
+        sim, group = make_group()
+        fill(group, 3)
+        settle(sim, group)
+        group.kill_leader()
         sim.run(until=sim.now + 15.0)
-        fill(store, 3, prefix="/registry/pods/ns/q")
-        settle(sim, store)
-        assert store.failovers >= 1
+        fill(group, 3, prefix="/registry/pods/ns/q")
+        settle(sim, group)
+        assert group.failovers >= 1
 
     def test_hinted_watch_survives_failover_rewatch(self):
         """The group forwards the watch hint to whichever replica leads;
         the dead leader's index empties and its fan-out work stays in
         the group's counters."""
-        sim, store = make_group()
+        sim, group = make_group()
         hint = ("spec.nodeName", "n1")
 
         def kubelet_watch():
-            return store.watch(
+            return group.store.watch(
                 "/registry/pods/", hint=hint,
                 predicate=lambda e: e.value["spec"]["nodeName"] == "n1")
 
         first = kubelet_watch()
-        old = store.leader.store
-        store.create("/registry/pods/ns/a", {"spec": {"nodeName": "n1"}})
-        store.create("/registry/pods/ns/b", {"spec": {"nodeName": "n2"}})
+        old = group.leader.store
+        group.store.create("/registry/pods/ns/a", {"spec": {"nodeName": "n1"}})
+        group.store.create("/registry/pods/ns/b", {"spec": {"nodeName": "n2"}})
         assert len(first.channel) == 1
-        settle(sim, store)
-        store.kill_leader()
+        settle(sim, group)
+        group.kill_leader()
         assert first.cancelled
         assert not old._watches and not old._hinted_watches
         sim.run(until=sim.now + 15.0)
         second = kubelet_watch()                # the reflector's re-watch
-        assert store.leader.store is not old
-        assert list(store.leader.store._hinted_watches) == ["/registry/pods"]
-        store.create("/registry/pods/ns/c", {"spec": {"nodeName": "n1"}})
-        store.create("/registry/pods/ns/d", {"spec": {"nodeName": "n2"}})
+        assert group.leader.store is not old
+        assert list(group.leader.store._hinted_watches) == ["/registry/pods"]
+        group.store.create("/registry/pods/ns/c", {"spec": {"nodeName": "n1"}})
+        group.store.create("/registry/pods/ns/d", {"spec": {"nodeName": "n2"}})
         assert len(second.channel) == 1
-        stats = store.stats()
+        stats = group.stats()
         assert (stats["watch_evals"], stats["watch_deliveries"]) == (2, 2)
         second.cancel()
-        assert not store.leader.store._hinted_watches
+        assert not group.leader.store._hinted_watches
 
     def test_restart_replica_recovers_from_own_wal(self):
-        sim, store = make_group()
-        fill(store, 5)
-        settle(sim, store)
-        victim = store.kill_leader()
+        sim, group = make_group()
+        fill(group, 5)
+        settle(sim, group)
+        victim = group.kill_leader()
         sim.run(until=sim.now + 15.0)
-        fill(store, 2, prefix="/registry/pods/ns/q")
-        assert store.restart_replica(victim) == victim
-        settle(sim, store, timeout=15.0)
-        revived = store.replicas[victim]
+        fill(group, 2, prefix="/registry/pods/ns/q")
+        assert group.restart_replica(victim) == victim
+        settle(sim, group, timeout=15.0)
+        revived = group.replicas[victim]
         assert revived.role == "follower"
-        assert dict(revived.store.dump()) == dict(store.leader.store.dump())
+        assert dict(revived.store.dump()) == dict(group.leader.store.dump())
 
     def test_mid_txn_kill_commits_prefix_only(self):
-        sim, store = make_group()
-        fill(store, 2)
-        settle(sim, store)
+        sim, group = make_group()
+        fill(group, 2)
+        settle(sim, group)
 
         def ops():
             return [
-                lambda i=i: store.leader.store.create(
+                lambda i=i: group.leader.store.create(
                     f"/registry/pods/ns/t{i}", {"i": i})
                 for i in range(4)
             ]
 
-        store.arm_kill(2)  # die after 2 of the 4 ops
+        group.arm_kill(2)  # die after 2 of the 4 ops
         with pytest.raises(StoreUnavailable):
-            store.txn(ops())
+            group.store.txn(ops())
         # The two applied ops were WAL-durable before the crash; the
         # rest never happened anywhere.
         sim.run(until=sim.now + 15.0)  # failover
-        record = store.recoveries[-1]
+        record = group.recoveries[-1]
         assert record["reason"] == "mid-txn"
         assert record["lost_writes"] == 0
-        data = dict(store.dump())
+        data = dict(group.store.dump())
         assert "/registry/pods/ns/t0" in data
         assert "/registry/pods/ns/t1" in data
         assert "/registry/pods/ns/t2" not in data
         assert "/registry/pods/ns/t3" not in data
 
     def test_disarm_kill_defuses_latch(self):
-        sim, store = make_group()
-        fill(store, 1)
-        store.arm_kill(0)
-        store.disarm_kill()
-        store.txn([lambda: store.leader.store.create(
+        sim, group = make_group()
+        fill(group, 1)
+        group.arm_kill(0)
+        group.disarm_kill()
+        group.store.txn([lambda: group.leader.store.create(
             "/registry/pods/ns/ok", {})])
-        assert store.leader is not None
-
-
-class TestStaleReads:
-    def test_lagging_follower_read_raises_stale(self):
-        sim, store = make_group()
-        store.set_extra_lag(30.0)
-        fill(store, 5)
-        sim.run(until=sim.now + 0.2)
-        with pytest.raises(StaleRead) as err:
-            store.read_follower("/registry/pods/ns/p000",
-                                min_revision=store.revision)
-        assert err.value.applied < store.revision
-        assert store.stale_reads == 1
-
-    def test_caught_up_follower_serves_with_applied_revision(self):
-        sim, store = make_group()
-        fill(store, 3)
-        settle(sim, store)
-        value, mod_revision, applied = store.read_follower(
-            "/registry/pods/ns/p001", min_revision=store.revision)
-        assert value == {"n": 1}
-        assert applied == store.revision
-        assert mod_revision <= applied
+        assert group.leader is not None
 
 
 class TestRestoreAndCompaction:
     def test_events_since_below_compaction_raises(self):
-        sim, store = make_group()
-        fill(store, 8)
-        store.compact(keep=2)
+        sim, group = make_group()
+        fill(group, 8)
+        group.store.compact(keep=2)
         from repro.storage import RevisionCompacted
 
         with pytest.raises(RevisionCompacted):
-            store.events_since(1)
+            group.store.events_since(1)
 
     def test_group_restore_rolls_followers_back(self):
-        sim, store = make_group()
-        fill(store, 3)
-        settle(sim, store)
-        snapshot = store.snapshot()
-        fill(store, 3, prefix="/registry/pods/ns/q")
-        settle(sim, store)
-        store.restore(snapshot)
-        settle(sim, store)
-        expected = dict(store.leader.store.dump())
+        sim, group = make_group()
+        fill(group, 3)
+        settle(sim, group)
+        snapshot = group.store.snapshot()
+        fill(group, 3, prefix="/registry/pods/ns/q")
+        settle(sim, group)
+        group.store.restore(snapshot)
+        settle(sim, group)
+        expected = dict(group.leader.store.dump())
         assert len(expected) == 3
-        for replica in store.replicas:
+        for replica in group.replicas:
             if replica.alive and replica.role == "follower":
                 assert dict(replica.store.dump()) == expected
 
+    def test_group_wipe_rolls_followers_back(self):
+        """A wipe of the serving store reaches the followers through the
+        leader's log, and the group keeps replicating afterwards."""
+        sim, group = make_group()
+        fill(group, 3)
+        settle(sim, group)
+        group.store.wipe()
+        for replica in group.replicas:
+            assert dict(replica.store.dump()) == {}
+            assert replica.applied_revision == 0
+        fill(group, 2, prefix="/registry/pods/ns/q")
+        settle(sim, group)
+        expected = dict(group.leader.store.dump())
+        assert len(expected) == 2
+        for replica in group.replicas:
+            assert dict(replica.store.dump()) == expected
+
     def test_dead_replica_with_compacted_wal_resyncs_from_leader(self):
-        sim, store = make_group()
-        fill(store, 4)
-        settle(sim, store)
+        sim, group = make_group()
+        fill(group, 4)
+        settle(sim, group)
         # Kill a follower and destroy its log beyond repair.
-        victim = next(r for r in store.replicas if r.role == "follower")
-        store.kill_replica(victim.index)
+        victim = next(r for r in group.replicas if r.role == "follower")
+        group.kill_replica(victim.index)
         victim.store.wal.reset()
-        fill(store, 3, prefix="/registry/pods/ns/q")
-        store.restart_replica(victim.index)
-        settle(sim, store)
-        assert dict(victim.store.dump()) == dict(store.leader.store.dump())
+        fill(group, 3, prefix="/registry/pods/ns/q")
+        group.restart_replica(victim.index)
+        settle(sim, group)
+        assert dict(victim.store.dump()) == dict(group.leader.store.dump())
 
     def test_recover_from_wal_raises_on_empty_group_log(self):
-        sim, store = make_group(replicas=2)
+        sim, group = make_group(replicas=2)
         with pytest.raises(CompactedError):
-            store.recover_from_wal()
+            group.store.recover_from_wal()
+
+
+class TestOneServingStore:
+    """The group is not a store: the apiserver holds the leader's plain
+    EtcdStore, and every failover re-points that one reference."""
+
+    # EtcdStore's data path: none of it may reappear on the group.
+    DATA_PATH = ("create", "get", "get_stored", "try_get",
+                 "try_get_stored", "update", "delete", "txn", "watch",
+                 "list_prefix", "list_stored", "count_prefix", "hold",
+                 "snapshot", "restore", "wipe", "compact", "check_fence",
+                 "events_since", "recover_from_wal", "dump", "revision")
+    # What both classes define on purpose: chaos latches and stats.
+    SHARED = {"__init__", "__module__", "__doc__", "__dict__",
+              "__weakref__", "arm_kill", "disarm_kill", "stats"}
+
+    def test_group_mirrors_no_store_method(self):
+        group_names = set(vars(StoreGroup))
+        for name in self.DATA_PATH:
+            assert hasattr(EtcdStore, name), name
+            assert not hasattr(StoreGroup, name), name
+        assert "__getattr__" not in group_names
+        assert "__len__" not in group_names
+        assert group_names & set(vars(EtcdStore)) <= self.SHARED
+
+    @staticmethod
+    def _plane():
+        sim = Simulation(seed=1)
+        config = DEFAULT_CONFIG.with_overrides(
+            storage={"replicas": 3}, apiserver={"list_per_item": 0.1})
+        plane = TenantControlPlane(sim, "t", config)
+        run(sim, plane.api.create(ADMIN, make_namespace("default")))
+        for index in range(20):
+            run(sim, plane.api.create(ADMIN, make_pod(f"p{index:02d}"),
+                                      namespace="default"))
+        settle(sim, plane.store_group)
+        return sim, plane, plane.store_group
+
+    @staticmethod
+    def _get(sim, plane, name="p00"):
+        return run(sim, plane.api.get(ADMIN, "pods", name,
+                                      namespace="default"))
+
+    def test_leader_kill_mid_get_is_unavailable_not_not_found(self):
+        """A GET that passed the apiserver's availability check before
+        the kill reads the dead store: it must see the retryable
+        ServerUnavailable, never NotFound.  After the failover the
+        apiserver serves from the promoted store, which carries the same
+        unavailable factory."""
+        sim, plane, group = self._plane()
+        killed = []
+
+        class KillLeaderOnGet:
+            def on_request(self, verb, plural):
+                if verb == "get" and not killed:
+                    killed.append(group.kill_leader())
+                return
+                yield
+
+        plane.api.fault_injector = KillLeaderOnGet()
+        with pytest.raises(ServerUnavailable):
+            self._get(sim, plane)
+        assert killed == [0]
+        sim.run(until=sim.now + 15.0)
+        assert plane.api.store is group.store is group.leader.store
+        assert group.leader.index != 0
+        assert self._get(sim, plane).metadata.name == "p00"
+        group.kill_leader()
+        with pytest.raises(ServerUnavailable):
+            plane.api.store.get_stored("/registry/pods/default/p00")
+
+    def test_lease_lost_while_alive_refuses_until_promotion(self):
+        sim, plane, group = self._plane()
+        deposed = group.leader
+        group._on_lost(deposed, "coordination partition")
+        deposed.elector.crash()
+        assert plane.api.store is deposed.store
+        with pytest.raises(ServerUnavailable):
+            self._get(sim, plane)
+        with pytest.raises(ServerUnavailable):
+            plane.api.store.get_stored("/registry/pods/default/p00")
+        sim.run(until=sim.now + 15.0)
+        assert group.leader is not None and group.leader is not deposed
+        assert plane.api.store is group.leader.store
+        assert self._get(sim, plane).metadata.name == "p00"
+        assert deposed.role == "follower"
+
+    def test_restart_of_killed_leader_does_not_serve_while_leaderless(self):
+        sim, plane, group = self._plane()
+        victim = group.kill_leader()
+        group.restart_replica(victim)
+        with pytest.raises(ServerUnavailable):
+            plane.api.store.get_stored("/registry/pods/default/p00")
+        sim.run(until=sim.now + 15.0)
+        assert group.leader is not None
+        assert self._get(sim, plane).metadata.name == "p00"
+
+    def test_forced_compaction_after_failover_hits_the_serving_store(self):
+        """ForcedCompaction built before a failover compacts the store
+        the apiserver serves from when it fires, so a reflector whose
+        LIST overlapped it must relist."""
+        from repro.chaos import ForcedCompaction
+        from repro.clientgo import Reflector
+
+        sim, plane, group = self._plane()
+        fault = ForcedCompaction(plane.api, keep=0)
+        group.kill_leader()
+        sim.run(until=sim.now + 15.0)
+        serving = group.store
+        assert plane.api.store is serving and serving is not \
+            group.replicas[0].store
+
+        class Recorder:
+            def __init__(self):
+                self.replaced = []
+
+            def on_replace(self, objs):
+                self.replaced.append([obj.name for obj in objs])
+
+            def on_event(self, kind, obj):
+                pass
+
+        client = plane.client(user_agent="test", qps=10000, burst=10000)
+        delegate = Recorder()
+        reflector = Reflector(sim, client, "pods", delegate,
+                              relist_backoff=0.5, backoff_jitter=0.0)
+        reflector.start()
+        sim.run(until=sim.now + 0.1)            # inside the 2 s LIST
+        assert serving.holds == 1
+        run(sim, plane.api.create(ADMIN, make_pod("late"),
+                                  namespace="default"))
+        fault.inject()
+        assert serving.stats()["history"] == 0
+        sim.run(until=sim.now + 2.0)
+        assert reflector.watch_failures == 1    # the resume was compacted
+        sim.run(until=sim.now + 5.0)
+        assert reflector.list_count == 2
+        assert "late" in delegate.replaced[-1]
+        reflector.stop()

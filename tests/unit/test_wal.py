@@ -13,6 +13,7 @@ from repro.storage import (
     EVENT_PUT,
     CompactedError,
     EtcdStore,
+    StoreUnavailable,
     WalTornRecord,
     WatchEvent,
     WriteAheadLog,
@@ -79,6 +80,33 @@ class TestRecovery:
         assert store.available
         assert dict(store.dump()) == expected
         assert store.recoveries == 1
+
+    def test_powered_off_store_refuses_reads_instead_of_reading_empty(self):
+        """A dead store is unavailable, not empty: every read raises
+        StoreUnavailable (a caller must not conclude NotFound), while a
+        hold still releases into it."""
+        sim = Simulation(seed=2)
+        store = make_store(sim)
+        fill(store, 3)
+        key = "/registry/pods/ns/p001"
+        store.power_off()
+        reads = [
+            lambda: store.get(key),
+            lambda: store.get_stored(key),
+            lambda: store.try_get(key),
+            lambda: store.try_get_stored(key),
+            lambda: store.count_prefix("/registry/pods/"),
+            lambda: store.events_since(0),
+            lambda: store.list_prefix("/registry/pods/"),
+            lambda: store.check_fence("syncer", 1),
+        ]
+        for read in reads:
+            with pytest.raises(StoreUnavailable):
+                read()
+        store.hold(0)()
+        store.recover_from_wal()
+        assert store.get(key) == ({"n": 1}, 2)
+        assert store.count_prefix("/registry/pods/") == 3
 
     def test_recovered_values_are_shared_and_read_only(self):
         """Recovery applies each decoded record's value as is: reads,
