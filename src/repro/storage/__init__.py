@@ -12,7 +12,7 @@ from .errors import (
     WalTornRecord,
 )
 from .etcd import EVENT_DELETE, EVENT_PUT, EtcdStore, Watch, WatchEvent
-from .replicated import StoreGroup, StoreReplica, coordinator_of
+from .replicated import StoreGroup, StoreReplica
 from .wal import WalRecord, WalSegment, WriteAheadLog
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "Watch",
     "WatchEvent",
     "WriteAheadLog",
-    "coordinator_of",
 ]

@@ -57,6 +57,9 @@ from .errors import (
 
 EVENT_PUT = "PUT"
 EVENT_DELETE = "DELETE"
+# The WAL record type of a fencing-floor advance (see check_fence): it
+# rides in the log beside the events, without a revision of its own.
+FENCE = "FENCE"
 
 _REVISION = attrgetter("revision")
 _SEQ = attrgetter("seq")
@@ -622,12 +625,24 @@ class EtcdStore:
             del history[:bisect_right(history, floor, key=_REVISION)]
             self._compacted_revision = floor
 
-    def _reset_history(self):
-        """History restarts empty at the current revision (restore, wipe,
-        power-off); holds outlive it, as their lists are still in flight."""
+    def _replace_state(self, down, revision=0, data=(), fences=()):
+        """Install a whole new state (restore, wipe, power-off): every
+        watch is cut and history restarts empty at ``revision``; holds
+        outlive it, as their lists are still in flight."""
+        for watch in list(self._watches):
+            watch.cancel()
+        self._data = {}
+        self._buckets = {}
+        for key, (value, create_rev, mod_rev, version) in data:
+            self._data[key] = StoredValue(freeze(value), create_rev,
+                                          mod_rev, version)
+            self._index_add(key)
+        self._revision = revision
+        self._fences = dict(fences)
         self._history = []
-        self._compacted_revision = self._revision
+        self._compacted_revision = revision
         self._instant = None
+        self._down = down
 
     def compact(self, keep=1000):
         """Drop history older than the last ``keep`` events, held or not
@@ -658,12 +673,17 @@ class EtcdStore:
         if current is not None and token < current:
             self.fencing_rejections += 1
             raise FencingRevoked(domain, token, current)
-        advanced = current is None or token > current
-        self._fences[domain] = token
-        if advanced and self.wal is not None:
-            # Floor advances are durable: a recovered store must bounce a
-            # deposed leader's stale token just like the one that crashed.
-            self.wal.append_fence(domain, token, self._revision)
+        self._raise_fence(domain, token, self._revision)
+
+    def _raise_fence(self, domain, token, revision):
+        current = self._fences.get(domain)
+        if current is None or token > current:
+            self._fences[domain] = token
+            if self.wal is not None:
+                # Floor advances are durable: a recovered store must
+                # bounce a deposed leader's stale token just like the one
+                # that crashed.
+                self.wal.append_fence(domain, token, revision)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (durability for crashed control planes)
@@ -692,82 +712,89 @@ class EtcdStore:
             },
         }
 
-    def restore(self, snapshot, replay=()):
-        """Replace all state from a snapshot, then replay a WAL tail.
-
-        ``replay`` is a sequence of :class:`WatchEvent` (typically from
-        :meth:`events_since` captured on another store, or buffered by
-        the operator) applied at their recorded revisions — events at or
-        below the snapshot revision are skipped, so handing the full
-        tail back is idempotent.
+    def restore(self, snapshot):
+        """Replace all state from a snapshot.
 
         Every open watch is cancelled: watchers cannot observe a
         consistent stream across the discontinuity, so their channels
-        close and reflectors relist.  The compaction floor then moves to
-        the post-replay revision, which makes any stale watch *resume*
+        close and reflectors relist.  The compaction floor moves to the
+        restored revision, which makes any stale watch *resume*
         (``from_revision`` below the restore point) fail with
         :class:`RevisionCompacted` instead of silently missing events.
-
-        Replay must be gap-free: events apply at consecutive revisions
-        starting from the snapshot, so a tail that begins *above*
-        ``snapshot revision + 1`` (part of it was compacted away) raises
-        :class:`CompactedError` before any state is touched — silently
-        skipping the gap would resurrect a store missing committed
-        writes.  Events at or below the snapshot revision are still
-        skipped (idempotent full-history replay).
+        A log tail written after the snapshot is replayed with
+        :meth:`catch_up`.
 
         Returns the store revision after the restore.
         """
-        expected = snapshot["revision"]
-        for event in replay:
-            if event.revision <= expected:
-                continue
-            if event.revision != expected + 1:
-                raise CompactedError(expected, event.revision)
-            expected = event.revision
-        for watch in list(self._watches):
-            watch.cancel()
-        self._data = {}
-        self._buckets = {}
-        for key, (value, create_rev, mod_rev, version) in \
-                snapshot["data"].items():
-            self._data[key] = StoredValue(freeze(value), create_rev,
-                                          mod_rev, version)
-            self._index_add(key)
-        self._revision = snapshot["revision"]
-        self._fences = dict(snapshot.get("fences", {}))
-        for event in replay:
-            if event.revision > self._revision:
-                self._apply_replayed(event)
-        self._reset_history()
-        self._down = False
+        self._replace_state(False, snapshot["revision"],
+                            snapshot["data"].items(),
+                            snapshot.get("fences", {}))
         if self.wal is not None:
             # The log must describe the store it sits under: anchor it to
             # the post-restore state and drop the divergent tail.
             self.wal.reset(anchor=self.snapshot())
         return self._revision
 
-    def _apply_replayed(self, event):
-        """Apply one WAL event at its recorded revision (no re-emit:
-        restore cancelled every watch, and history restarts afterwards).
-        Nothing enters history, so the compaction floor follows: a
-        follower promoted to leader never replays a gap."""
-        if event.type == EVENT_PUT:
-            value = freeze(event.value)
-            stored = self._data.get(event.key)
+    def apply(self, record):
+        """Apply one WAL record: the only code that turns a record into
+        store state (stream, catch-up and crash recovery all do).
+
+        A fence record raises its domain's floor and is logged only when
+        it did (the :meth:`check_fence` rule).  An event at or below
+        :attr:`revision` is skipped; one past ``revision + 1`` raises
+        :class:`CompactedError` before any state changes, as applying it
+        would build a store missing committed writes.  Otherwise the
+        event applies with no watch emit, moves the compaction floor with
+        it (nothing enters history, so a promoted follower never replays
+        a gap) and is appended to the store's own log.  Returns True when
+        an event applied.
+        """
+        if record.type == FENCE:
+            self._raise_fence(record.key, record.decode()["token"],
+                              record.revision)
+            return False
+        revision = record.revision
+        if revision <= self._revision:
+            return False
+        if revision != self._revision + 1:
+            raise CompactedError(self._revision, revision)
+        key = record.key
+        value = freeze(record.decode()["value"])
+        stored = self._data.get(key)
+        if record.type == EVENT_PUT:
             if stored is None:
-                self._data[event.key] = StoredValue(
-                    value, event.revision, event.revision, 1)
-                self._index_add(event.key)
+                self._data[key] = StoredValue(value, revision, revision, 1)
+                self._index_add(key)
             else:
-                self._data[event.key] = StoredValue(
-                    value, stored.create_revision, event.revision,
-                    stored.version + 1)
-        elif event.type == EVENT_DELETE:
-            if self._data.pop(event.key, None) is not None:
-                self._index_remove(event.key)
-        self._revision = max(self._revision, event.revision)
-        self._compacted_revision = self._revision
+                self._data[key] = StoredValue(value, stored.create_revision,
+                                              revision, stored.version + 1)
+        elif stored is not None:
+            del self._data[key]
+            self._index_remove(key)
+        self._revision = self._compacted_revision = revision
+        if self.wal is not None:
+            self.wal.append_event(WatchEvent(record.type, key, value,
+                                             revision))
+        return True
+
+    def catch_up(self, wal, reset=False):
+        """Bring this store up to ``wal``'s committed prefix.
+
+        The store first rolls to the log's anchor (or wipes, when there
+        is none) if it is at or behind the anchor — the records it needs
+        are compacted, and only the anchor carries their fence floors —
+        or if ``reset`` says a restore or wipe restarted the log.  Then
+        every committed record goes through :meth:`apply`, so catching up
+        again is a no-op.  Returns the number of events applied.
+        """
+        anchor = wal.anchor
+        if reset or (anchor is not None
+                     and self._revision <= wal.anchor_revision):
+            if anchor is not None:
+                self.restore(anchor)
+            else:
+                self.wipe()
+        return sum(self.apply(record) for record in wal.committed())
 
     def events_since(self, revision):
         """The WAL tail: all held events after ``revision`` (the events
@@ -788,14 +815,7 @@ class EtcdStore:
         Used by chaos' crash-control-plane fault; recovery is a
         :meth:`restore` from the last snapshot.
         """
-        for watch in list(self._watches):
-            watch.cancel()
-        self._data = {}
-        self._buckets = {}
-        self._revision = 0
-        self._reset_history()
-        self._fences = {}
-        self._down = False
+        self._replace_state(False)
         if self.wal is not None:
             self.wal.reset()
 
@@ -808,14 +828,7 @@ class EtcdStore:
         """
         if self.wal is not None:
             self.wal.power_off()
-        for watch in list(self._watches):
-            watch.cancel()
-        self._data = {}
-        self._buckets = {}
-        self._revision = 0
-        self._reset_history()
-        self._fences = {}
-        self._down = True
+        self._replace_state(True)
 
     def recover_from_wal(self):
         """Rebuild state from the WAL to the last durable revision.
@@ -826,22 +839,20 @@ class EtcdStore:
         """
         if self.wal is None or self.wal.is_empty():
             raise CompactedError(0, 0)
-        # Detach the WAL during replay: restore()/wipe() inside
-        # recover_into must not reset the very log being replayed.
+        # Detach the WAL during replay: the restore or wipe inside
+        # catch_up must not reset the very log being replayed.
         wal, self.wal = self.wal, None
         try:
-            # truncate=True: crash recovery drops the torn/volatile
-            # suffix so post-recovery appends extend a clean log.
-            revision = wal.recover_into(self, truncate=True)
+            # Crash recovery drops the torn/volatile suffix first, so
+            # post-recovery appends extend a clean log.
+            wal.truncate()
+            self.catch_up(wal, reset=True)
         finally:
             self.wal = wal
         self._down = False
         self.recoveries += 1
         self._recoveries_metric.inc()
-        return revision
-
-    def wal_durable_revision(self):
-        return self.wal.durable_revision if self.wal is not None else 0
+        return self._revision
 
     def anchor_wal(self, snapshot):
         """Compact the WAL against a freshly-taken snapshot (no-op when

@@ -16,6 +16,11 @@ Topology and failure model:
   delay (plus any chaos-injected lag).  Its ``on_reset`` hook fires when
   a restore or wipe of the serving store restarts the log, and rolls
   every live follower to it by full state transfer.
+- Every way a replica takes in records — the stream, the catch-up when
+  it (re)joins or is promoted, that full state transfer and its own
+  crash recovery — applies them one at a time through
+  :meth:`EtcdStore.apply`, resuming from the store's own revision: a
+  duplicate is skipped, a gap refused.
 - Leader election reuses ``clientgo.leaderelection`` against a shared
   *coordination* apiserver (``coordinator_of(sim)``), modeling the
   ZooKeeper/PVC-style external coordination plane from ROADMAP item 4 —
@@ -26,7 +31,8 @@ Topology and failure model:
   holds raises its retryable unavailable error until a promotion
   re-points it.
 - Failover is fencing-gated: the promoted follower first catches up from
-  the dead leader's durable WAL (the disk outlives the process), then
+  the dead leader's durable WAL (the disk outlives the process,
+  :meth:`EtcdStore.catch_up`), then
   advances the fencing floor for ``store/<name>`` with its new token (so
   a deposed leader's in-flight writes die), and only then serves.
 - Zero committed-write loss is *verified*, not assumed: at kill time the
@@ -39,8 +45,8 @@ from repro.simkernel.resources import Channel, ChannelClosed
 from repro.telemetry import telemetry_of
 
 from .errors import CompactedError
-from .etcd import EtcdStore, WatchEvent
-from .wal import WAL_FENCE, WriteAheadLog
+from .etcd import EtcdStore
+from .wal import WriteAheadLog
 
 
 def coordinator_of(sim):
@@ -82,9 +88,8 @@ class StoreCoordinator:
 class StoreReplica:
     """One member of a replicated group: a store, its WAL, its elector."""
 
-    __slots__ = ("group", "index", "store", "role", "alive",
-                 "applied_revision", "channel", "pump", "elector",
-                 "extra_lag", "catchups", "records_applied")
+    __slots__ = ("group", "index", "store", "role", "alive", "channel",
+                 "pump", "elector", "extra_lag", "records_applied")
 
     def __init__(self, group, index, store):
         self.group = group
@@ -92,12 +97,10 @@ class StoreReplica:
         self.store = store
         self.role = "follower"
         self.alive = True
-        self.applied_revision = 0
         self.channel = None
         self.pump = None
         self.elector = None
         self.extra_lag = 0.0  # chaos ReplicaLag fault
-        self.catchups = 0
         self.records_applied = 0
 
     @property
@@ -110,57 +113,22 @@ class StoreReplica:
         leader = self.group._leader
         if leader is None or leader is self or not self.alive:
             return 0
-        return max(0, leader.store.wal_durable_revision()
-                   - self.applied_revision)
+        return max(0, leader.store.wal.durable_revision
+                   - self.store.revision)
 
     def apply(self, record):
-        """Apply one streamed/caught-up WAL record to this replica."""
-        store = self.store
-        fields = record.decode()
-        if record.type == WAL_FENCE:
-            floor = store._fences.get(record.key)
-            if floor is None or fields["token"] > floor:
-                store._fences[record.key] = fields["token"]
-            if store.wal is not None:
-                store.wal.append_fence(record.key, fields["token"],
-                                       record.revision)
-            return
-        if record.revision <= self.applied_revision:
-            return  # duplicate delivery (catch-up raced a stream record)
-        event = WatchEvent(record.type, record.key, fields["value"],
-                           record.revision)
-        store._apply_replayed(event)
-        if store.wal is not None:
-            store.wal.append_event(event)
-        self.applied_revision = record.revision
-        self.records_applied += 1
-        self.group._replicated_records.inc()
+        """Apply one streamed WAL record to this replica."""
+        self._count(self.store.apply(record))
 
-    def catch_up_from(self, source_wal):
-        """Synchronously replay the durable tail of another replica's log.
+    def catch_up(self, wal, reset=False):
+        """Bring this replica up to another replica's log (see
+        :meth:`EtcdStore.catch_up`)."""
+        self._count(self.store.catch_up(wal, reset))
 
-        Raises :class:`CompactedError` when the tail was compacted away;
-        the caller falls back to :meth:`resync_from`.
-        """
-        records = source_wal.records_since(self.applied_revision)
-        for record in records:
-            self.apply(record)
-        if records:
-            self.catchups += 1
-        return len(records)
-
-    def resync_from(self, source_wal):
-        """Full state transfer: rebuild this replica from another log's
-        anchor + tail (the catch-up path crossed a compaction boundary)."""
-        saved, self.store.wal = self.store.wal, None
-        try:
-            source_wal.recover_into(self.store)
-        finally:
-            self.store.wal = saved
-        if self.store.wal is not None:
-            self.store.wal.reset(anchor=self.store.snapshot())
-        self.applied_revision = self.store.revision
-        self.catchups += 1
+    def _count(self, applied):
+        if applied:
+            self.records_applied += applied
+            self.group._replicated_records.inc(applied)
 
 
 class StoreGroup:
@@ -288,19 +256,15 @@ class StoreGroup:
         leader = self._leader
         for replica in self.replicas:
             if replica is not leader and replica.alive:
-                replica.resync_from(leader.store.wal)
-                self._attach_follower(replica)
+                self._attach_follower(replica, reset=True)
 
-    def _attach_follower(self, replica):
+    def _attach_follower(self, replica, reset=False):
         """(Re)join a replica to the leader's stream, catching it up from
         the leader's durable log first so the stream only has to carry
-        the delta."""
+        the delta (``reset``: the log restarted, roll to its anchor)."""
         leader = self._leader
         if leader is not None and leader is not replica:
-            try:
-                replica.catch_up_from(leader.store.wal)
-            except CompactedError:
-                replica.resync_from(leader.store.wal)
+            replica.catch_up(leader.store.wal, reset)
         if replica.channel is not None:
             replica.channel.close()
         replica.role = "follower"
@@ -406,7 +370,6 @@ class StoreGroup:
             replica.store.recover_from_wal()
         except CompactedError:
             replica.store.wipe()  # empty disk: full resync from the leader
-        replica.applied_revision = replica.store.revision
         replica.role = "follower"
         if self._leader is not None:
             self._attach_follower(replica)
@@ -457,10 +420,7 @@ class StoreGroup:
         fence out the deposed term, serve, and re-point the apiserver."""
         source = self._last_leader
         if source is not replica:
-            try:
-                replica.catch_up_from(source.store.wal)
-            except CompactedError:
-                replica.resync_from(source.store.wal)
+            replica.catch_up(source.store.wal)
         # Fence barrier: any in-flight write stamped with an older term
         # dies at the storage layer before the new leader serves.
         replica.store.resume()
@@ -493,7 +453,7 @@ class StoreGroup:
     def _count_lost_writes(durable_state, store):
         lost = 0
         for key, (value, mod_revision) in durable_state.items():
-            stored = store._data.get(key)
+            stored = store.try_get_stored(key)
             if (stored is None or stored.mod_revision != mod_revision
                     or stored.value != value):
                 lost += 1
@@ -508,14 +468,9 @@ class StoreGroup:
                 "name": replica.name,
                 "role": replica.role,
                 "alive": replica.alive,
-                # A leader applies writes directly; its follower-era
-                # applied_revision would be stale.
-                "applied_revision": (replica.store.revision
-                                     if replica.role == "leader"
-                                     else replica.applied_revision),
+                "revision": replica.store.revision,
                 "lag": replica.lag,
                 "records_applied": replica.records_applied,
-                "catchups": replica.catchups,
                 "wal": (replica.store.wal.stats()
                         if replica.store.wal is not None else None),
             }

@@ -19,10 +19,13 @@ Durability semantics:
 
 Compaction is anchored to snapshots: :meth:`compact` installs the
 snapshot as the log's *anchor* and drops every segment fully covered by
-it.  Recovery (:meth:`recover_into`) restores the anchor and replays the
-remaining durable records; a gap between the anchor and the first record
-raises :class:`CompactedError` instead of silently resurrecting a store
-with missing committed writes.
+it.  :meth:`committed` is the one read path — the durable,
+checksum-verified record prefix — and :meth:`EtcdStore.catch_up` the one
+replay: it restores the anchor when the store is at or behind it, then
+applies each committed record through :meth:`EtcdStore.apply`, which
+raises :class:`CompactedError` on a gap instead of silently
+resurrecting a store with missing committed writes.  Crash recovery,
+follower catch-up and promotion all go that way.
 
 A torn tail — kill -9 landing mid-write, or the chaos ``WalCorruption``
 fault — is modeled by :meth:`tear_tail`: the last record's payload is
@@ -36,15 +39,8 @@ import zlib
 
 from repro.telemetry import telemetry_of
 
-from .errors import CompactedError, WalTornRecord
-from .etcd import WatchEvent
-
-WAL_PUT = "PUT"
-WAL_DELETE = "DELETE"
-# Fencing-floor advances ride in the log without a revision bump so a
-# recovered store rejects a deposed leader's stale token exactly like
-# the store that crashed would have.
-WAL_FENCE = "FENCE"
+from .errors import WalTornRecord
+from .etcd import EVENT_DELETE, EVENT_PUT, FENCE
 
 
 def _encode_payload(fields):
@@ -167,9 +163,9 @@ class WriteAheadLog:
 
     def append_fence(self, domain, token, revision):
         """Log a fencing-floor advance (no revision bump of its own)."""
-        fields = {"type": WAL_FENCE, "key": domain, "revision": revision,
+        fields = {"type": FENCE, "key": domain, "revision": revision,
                   "token": token}
-        return self._append(WAL_FENCE, revision, domain, fields)
+        return self._append(FENCE, revision, domain, fields)
 
     def _append(self, type, revision, key, fields):
         record = WalRecord.make(self.next_lsn, type, revision, key, fields)
@@ -203,7 +199,7 @@ class WriteAheadLog:
         for record in reversed(newly_durable):
             record.durable = True
             self.durable_lsn = record.lsn + 1
-            if record.type != WAL_FENCE:
+            if record.type != FENCE:
                 self.durable_revision = record.revision
             if self.on_append is not None:
                 self.on_append(record)
@@ -297,79 +293,53 @@ class WriteAheadLog:
     def is_empty(self):
         return self.anchor is None and self.durable_lsn == 0
 
-    def records_since(self, revision, durable_only=True):
-        """Durable, checksum-verified records strictly after ``revision``.
+    def committed(self):
+        """The durable, checksum-verified record prefix (anchor not
+        included).
 
-        Raises :class:`CompactedError` when the requested tail starts
-        below the anchor — those records are gone; the caller needs the
-        anchor snapshot (full state transfer), not a replay.
-
-        The scan stops at the first torn or volatile record: nothing
-        after a tear is trustworthy (the committed-prefix property).
+        The scan stops at the first volatile or torn record: nothing
+        after a tear is trustworthy (the committed-prefix property), and
+        a volatile record was never acknowledged.
         """
-        if revision < self.anchor_revision:
-            raise CompactedError(revision, self.anchor_revision)
         out = []
         for segment in self.segments:
             for record in segment.records:
-                if durable_only and not record.durable:
+                if not record.durable or record.torn:
                     return out
-                if record.torn:
-                    return out
-                if record.revision <= revision:
-                    # Covered by the receiver's snapshot/state (fence
-                    # floors below the resume point travel with it too).
-                    continue
                 out.append(record)
         return out
-
-    def recovered_tail(self):
-        """(records, torn) — the durable committed prefix after the anchor.
-
-        Decodes and verifies every record; truncates at the first torn
-        one.  ``torn`` counts records dropped by checksum failure.
-        """
-        records, torn = [], 0
-        for segment in self.segments:
-            for record in segment.records:
-                if not record.durable or record.torn:
-                    if record.durable and record.torn:
-                        torn += 1
-                    return records, torn
-                records.append(record)
-        return records, torn
 
     def durable_state(self):
         """key -> (value, mod_revision) at the last durable point.
 
-        Pure-dict replay of anchor + tail, used by the zero-loss verifier
-        to know exactly what a crash is *obliged* to preserve without
-        instantiating a scratch store.
+        Pure-dict replay of anchor + committed records, used by the
+        zero-loss verifier to know exactly what a crash is *obliged* to
+        preserve.  Deliberately not :meth:`EtcdStore.catch_up`: it is
+        the independent reference that path is checked against.
         """
         state = {}
         if self.anchor is not None:
             for key, (value, _create, mod_rev, _version) in \
                     self.anchor["data"].items():
                 state[key] = (value, mod_rev)
-        records, _torn = self.recovered_tail()
-        for record in records:
-            if record.type == WAL_FENCE:
-                continue
-            fields = record.decode()
-            if record.type == WAL_PUT:
-                state[record.key] = (fields["value"], record.revision)
-            elif record.type == WAL_DELETE:
+        for record in self.committed():
+            if record.type == FENCE or record.revision <= self.anchor_revision:
+                continue  # no data, or covered by the anchor
+            if record.type == EVENT_PUT:
+                state[record.key] = (record.decode()["value"], record.revision)
+            elif record.type == EVENT_DELETE:
                 state.pop(record.key, None)
         return state
 
-    def _truncate_after(self, records):
-        """Drop everything past the verified prefix.
+    def truncate(self):
+        """Drop everything past the committed prefix.
 
         Torn and volatile records are unrecoverable; real WAL recovery
         truncates the file at the first invalid record so post-recovery
         appends extend a clean log instead of stranding behind a torn
         one.  Rewinds the lsn/revision bookkeeping to the prefix.
         """
+        records = self.committed()
         keep = len(records)
         for segment in self.segments:
             take = min(keep, len(segment.records))
@@ -384,52 +354,9 @@ class WriteAheadLog:
         self.durable_lsn = self.next_lsn
         self.durable_revision = self.anchor_revision
         for record in reversed(records):
-            if record.type != WAL_FENCE:
+            if record.type != FENCE:
                 self.durable_revision = record.revision
                 break
-
-    def recover_into(self, store, truncate=False):
-        """Rebuild ``store`` to the last durable revision.
-
-        Restores the anchor snapshot (or wipes, for a never-compacted
-        log), replays the committed record prefix, and re-establishes
-        fencing floors.  Verifies event-record contiguity: a gap means
-        records were compacted out from under the anchor and raises
-        :class:`CompactedError`.
-
-        ``truncate=True`` (crash self-recovery) also drops the torn /
-        volatile suffix from this log.  It must stay False when
-        replaying a *live* source log into another store (follower
-        resync): the source leader's un-fsynced tail is not torn, it
-        just hasn't hit the disk yet.
-
-        Returns the recovered revision.
-        """
-        records, _torn = self.recovered_tail()
-        if truncate:
-            self._truncate_after(records)
-        if self.anchor is not None:
-            store.restore(self.anchor)
-        else:
-            store.wipe()
-        expected = store.revision
-        for record in records:
-            fields = record.decode()
-            if record.type == WAL_FENCE:
-                floor = store._fences.get(record.key)
-                if floor is None or fields["token"] > floor:
-                    store._fences[record.key] = fields["token"]
-                continue
-            if record.revision <= expected:
-                continue  # covered by the anchor snapshot
-            if record.revision != expected + 1:
-                raise CompactedError(expected, record.revision)
-            store._apply_replayed(WatchEvent(record.type, record.key,
-                                             fields["value"],
-                                             record.revision))
-            expected = record.revision
-        store._compacted_revision = store.revision
-        return store.revision
 
     def stats(self):
         return {

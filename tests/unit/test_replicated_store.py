@@ -1,6 +1,9 @@
 """StoreGroup unit tests: WAL streaming, fenced failover, and crash
 recovery of the store group (DESIGN.md §13)."""
 
+import ast
+import inspect
+
 import pytest
 
 from repro.apiserver import ADMIN, ServerUnavailable
@@ -15,6 +18,8 @@ from repro.storage import (
     StoreGroup,
     StoreUnavailable,
 )
+from repro.storage import replicated, wal
+from repro.storage.etcd import FENCE
 
 
 def run(sim, coroutine):
@@ -55,7 +60,7 @@ class TestReplication:
         for replica in group.replicas:
             if replica.role == "follower":
                 assert dict(replica.store.dump()) == leader_dump
-                assert replica.applied_revision == group.store.revision
+                assert replica.store.revision == group.store.revision
 
     def test_follower_apply_converges_with_shared_values(self):
         """A follower stores the applied value as is (one dict for its
@@ -281,7 +286,7 @@ class TestRestoreAndCompaction:
         group.store.wipe()
         for replica in group.replicas:
             assert dict(replica.store.dump()) == {}
-            assert replica.applied_revision == 0
+            assert replica.store.revision == 0
         fill(group, 2, prefix="/registry/pods/ns/q")
         settle(sim, group)
         expected = dict(group.leader.store.dump())
@@ -330,6 +335,22 @@ class TestOneServingStore:
         assert "__getattr__" not in group_names
         assert "__len__" not in group_names
         assert group_names & set(vars(EtcdStore)) <= self.SHARED
+
+    def test_group_and_log_touch_no_private_store_attribute(self):
+        """Replication and the WAL change a store only through its public
+        methods (apply/catch_up/restore/...): neither module reads or
+        writes an EtcdStore internal."""
+        store = EtcdStore(Simulation(seed=1), name="probe")
+        private = {name for name in [*vars(EtcdStore), *vars(store)]
+                   if name.startswith("_") and not name.startswith("__")}
+        private |= {"_data", "_fences", "_compacted_revision",
+                    "_apply_replayed"}
+        for module in (replicated, wal):
+            tree = ast.parse(inspect.getsource(module))
+            touched = {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)}
+            assert not touched & private, (module.__name__,
+                                           touched & private)
 
     @staticmethod
     def _plane():
@@ -392,6 +413,36 @@ class TestOneServingStore:
         assert plane.api.store is group.leader.store
         assert self._get(sim, plane).metadata.name == "p00"
         assert deposed.role == "follower"
+
+    def test_deposed_leader_rejoins_without_reapplying_its_log(self):
+        """A leader deposed while alive rejoins the new leader's stream
+        from its own store revision: it applies only what it lacks, so
+        its versions match the leader's, its log gains no duplicate
+        revision, and its own writes never count as applied records."""
+        sim, group = make_group()
+        fill(group, 5)
+        group.store.update("/registry/pods/ns/p001", {"n": 11})
+        settle(sim, group)
+        deposed = group.leader
+        own_records = deposed.store.wal.record_count
+        group._on_lost(deposed, "coordination partition")
+        deposed.elector.crash()
+        sim.run(until=sim.now + 15.0)
+        assert group.leader is not None and group.leader is not deposed
+        assert deposed.role == "follower"
+        assert deposed.store.dump() == group.leader.store.dump()
+        assert deposed.store.dump()["/registry/pods/ns/p001"][3] == 2
+        event_revisions = [record.revision
+                           for segment in deposed.store.wal.segments
+                           for record in segment.records
+                           if record.type != FENCE]
+        assert len(event_revisions) == len(set(event_revisions)) == 6
+        assert deposed.store.wal.record_count <= own_records + 1
+        assert deposed.records_applied == 0
+        group.store.create("/registry/pods/ns/late", {"n": 99})
+        settle(sim, group)
+        assert deposed.records_applied == 1
+        assert deposed.store.dump() == group.leader.store.dump()
 
     def test_restart_of_killed_leader_does_not_serve_while_leaderless(self):
         sim, plane, group = self._plane()

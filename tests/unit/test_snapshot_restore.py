@@ -15,6 +15,7 @@ from repro.storage import (
     EtcdStore,
     FencingRevoked,
     RevisionCompacted,
+    WriteAheadLog,
 )
 
 
@@ -59,17 +60,14 @@ class TestSnapshotRestore:
         assert value == {"v": 0} and value is held
 
     def test_stores_restored_from_one_image_share_values_safely(self, store):
-        """restore(snapshot, replay) hands the same dicts to every store
-        built from them; they converge to equal dumps and then diverge
+        """restore(snapshot) hands the same dicts to every store built
+        from it; they start as equal dumps and then diverge
         independently, with nothing required of the caller."""
         populate(store)
         snapshot = store.snapshot()
-        store.update("/registry/pods/ns/p0", {"v": "post"})
-        store.delete("/registry/pods/ns/p1")
-        replay = store.events_since(snapshot["revision"])
         twins = [EtcdStore(Simulation(), name=f"twin-{i}") for i in range(2)]
         for twin in twins:
-            twin.restore(snapshot, replay=replay)
+            twin.restore(snapshot)
             assert twin.dump() == store.dump()
         key = "/registry/pods/ns/p0"
         assert twins[0].get(key)[0] is twins[1].get(key)[0] is \
@@ -80,31 +78,46 @@ class TestSnapshotRestore:
         with pytest.raises(FrozenError):
             twins[1].get(key)[0]["v"] = "leak"
 
-    def test_restore_with_wal_replay_reaches_latest_state(self, store):
-        populate(store)
-        snapshot = store.snapshot()
-        snap_revision = store.revision
-        store.update("/registry/pods/ns/p0", {"v": "post"})
-        store.delete("/registry/pods/ns/p1")
-        store.create("/registry/pods/ns/p9", {"v": 9})
-        final = store.dump()
-        final_revision = store.revision
+    def test_restore_with_wal_replay_reaches_latest_state(self):
+        """A store restored from a snapshot catches up from the log the
+        writes after it went to."""
+        sim = Simulation()
+        logged = EtcdStore(sim, name="logged",
+                           wal=WriteAheadLog(sim, "logged"))
+        populate(logged)
+        snapshot = logged.snapshot()
+        logged.update("/registry/pods/ns/p0", {"v": "post"})
+        logged.delete("/registry/pods/ns/p1")
+        logged.create("/registry/pods/ns/p9", {"v": 9})
 
-        replay = store.events_since(snap_revision)
-        store.restore(snapshot, replay=replay)
-        assert store.dump() == final
-        assert store.revision == final_revision
+        twin = EtcdStore(sim, name="twin")
+        twin.restore(snapshot)
+        assert twin.catch_up(logged.wal) == 3
+        assert twin.dump() == logged.dump()
+        assert twin.revision == logged.revision
 
-    def test_replay_skips_events_at_or_before_snapshot(self, store):
-        populate(store)
-        snapshot = store.snapshot()
-        store.update("/registry/pods/ns/p0", {"v": "post"})
-        final = store.dump()
-        # Hand the *full* history: pre-snapshot events must be skipped
-        # (idempotent replay), not applied twice.
-        replay = store.events_since(0)
-        store.restore(snapshot, replay=replay)
-        assert store.dump() == final
+    def test_replay_skips_events_at_or_before_snapshot(self):
+        sim = Simulation()
+        logged = EtcdStore(sim, name="logged",
+                           wal=WriteAheadLog(sim, "logged"))
+        populate(logged)
+        snapshot = logged.snapshot()
+        logged.update("/registry/pods/ns/p0", {"v": "post"})
+        final = logged.dump()
+        # The log holds the *full* history from revision 1: records at
+        # or before the snapshot are skipped, not applied twice, and
+        # catching up again applies nothing.
+        assert logged.wal.committed()[0].revision == 1
+        twin = EtcdStore(sim, name="twin")
+        twin.restore(snapshot)
+        assert twin.catch_up(logged.wal) == 1
+        assert twin.dump() == final
+        assert twin.catch_up(logged.wal) == 0
+        assert twin.dump() == final
+        fresh = EtcdStore(sim, name="fresh")    # from revision 0
+        assert fresh.catch_up(logged.wal) == 4
+        assert fresh.catch_up(logged.wal) == 0
+        assert fresh.dump() == final
 
     def test_restore_compacts_history(self, store):
         populate(store)

@@ -10,12 +10,10 @@ import pytest
 from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 from repro.storage import (
-    EVENT_PUT,
     CompactedError,
     EtcdStore,
     StoreUnavailable,
     WalTornRecord,
-    WatchEvent,
     WriteAheadLog,
 )
 
@@ -200,14 +198,26 @@ class TestCompaction:
         assert store.wal.record_count < before
         assert store.wal.anchor_revision == store.revision
 
-    def test_records_since_below_anchor_raises(self):
+    def test_store_behind_anchor_catches_up_through_it(self):
+        """The records a store behind the anchor needs are compacted
+        away: it rolls to the anchor (fence floors included) and then
+        applies the tail after it."""
         sim = Simulation(seed=4)
         store = make_store(sim, segment_records=2)
-        fill(store, 8)
+        fill(store, 3)
+        behind = EtcdStore(sim, name="behind")
+        behind.catch_up(store.wal)
+        assert behind.revision == 3
+        fill(store, 5, prefix="/registry/pods/ns/q")
+        store.check_fence("syncer", 4)
         store.anchor_wal(store.snapshot())
-        with pytest.raises(CompactedError) as err:
-            store.wal.records_since(0)
-        assert err.value.first_replay_revision == store.wal.anchor_revision
+        fill(store, 2, prefix="/registry/pods/ns/r")
+        # 1..8 and the fence record are compacted away.
+        assert [r.revision for r in store.wal.committed()] == [9, 10]
+        assert behind.catch_up(store.wal) == 2
+        assert behind.dump() == store.dump()
+        assert behind.revision == store.revision
+        assert behind.snapshot()["fences"] == {"syncer": 4}
 
     def test_recover_through_anchor_plus_tail(self):
         sim = Simulation(seed=4)
@@ -224,22 +234,24 @@ class TestCompaction:
 
 class TestRestoreReplayGap:
     def test_gapped_replay_raises_compacted_error(self):
-        # Snapshot at revision 2, replay starting at revision 5: the
-        # events for 3..4 were compacted away, so restore must refuse
-        # up front (CompactedError) instead of building a gapped store.
+        # A store at revision 2 handed the record for revision 5: the
+        # records for 3..4 were compacted away, so apply must refuse
+        # (CompactedError) instead of building a gapped store.
         sim = Simulation(seed=6)
+        source = make_store(sim, name="source")
+        fill(source, 5)
         store = make_store(sim)
         fill(store, 2)
-        snapshot = store.snapshot()
-        gapped = [WatchEvent(EVENT_PUT, "/registry/pods/ns/z",
-                             {"n": 9}, 5)]
+        before = store.dump()
+        gapped = source.wal.committed()[-1]
         with pytest.raises(CompactedError) as err:
-            store.restore(snapshot, replay=gapped)
+            store.apply(gapped)
         assert err.value.snapshot_revision == 2
         assert err.value.first_replay_revision == 5
-        # The failed restore mutated nothing.
+        # The refused record mutated nothing, not even the store's log.
         assert store.revision == 2
-        assert len(dict(store.dump())) == 2
+        assert store.dump() == before
+        assert store.wal.record_count == 2
 
     def test_contiguous_replay_restores_cleanly(self):
         sim = Simulation(seed=6)
@@ -247,10 +259,14 @@ class TestRestoreReplayGap:
         fill(store, 2)
         snapshot = store.snapshot()
         fill(store, 2, prefix="/registry/pods/ns/q")
-        replay = list(store.events_since(2))
-        expected = dict(store.dump())
-        store.restore(snapshot, replay=replay)
-        assert dict(store.dump()) == expected
+        twin = make_store(sim, name="twin")
+        twin.restore(snapshot)
+        assert twin.catch_up(store.wal) == 2
+        assert twin.dump() == store.dump()
+        # The twin logged what it applied: its own log rebuilds it.
+        twin.power_off()
+        twin.recover_from_wal()
+        assert twin.dump() == store.dump()
 
 
 class TestDurableState:
