@@ -30,6 +30,8 @@ FLEET_TENANTS = 10_000 if SCALE == "paper" else 400
 # gate admits 32 concurrent page-ins, so the gate runs at ~50%
 # utilization and queueing stays well inside the SLO headroom.
 WAKE_INTERVAL = 0.05
+# Flash-crowd wake p99 budget, including the wait at the page-in gate.
+WAKE_SLO = 2.5
 
 APF_CONFIG = DEFAULT_CONFIG.with_overrides(apf={"enabled": True})
 
@@ -88,7 +90,7 @@ def test_fleet_scale_to_zero_and_flash_crowd(benchmark):
                         if kind == "warm"),
             "p99": swapper.wake_p99(),
             "p99_platinum": swapper.wake_p99("platinum"),
-            "slo": swapper.config.wake_slo,
+            "slo": WAKE_SLO,
         }
 
     stats = once(benchmark, run)

@@ -85,9 +85,9 @@ class ClusterIPAllocator(AdmissionPlugin):
 
     name = "ClusterIPAllocator"
 
-    def __init__(self, cidr_base="10.96", start=1):
+    def __init__(self, cidr_base="10.96"):
         self._cidr_base = cidr_base
-        self._next = start
+        self._next = 1
         self._allocated = set()
 
     def admit(self, request, reader):

@@ -178,11 +178,11 @@ class APFLimiter:
     Callers must pair every admitted ticket with :meth:`release`.
     """
 
-    def __init__(self, sim, config, classifier=None, name="apf"):
+    def __init__(self, sim, config, name="apf"):
         self.sim = sim
         self.config = config
         self.name = name
-        self.classifier = classifier or FlowClassifier(config.default_tier)
+        self.classifier = FlowClassifier(config.default_tier)
         share_sum = sum(t.shares for t in config.tiers if not t.exempt)
         self.levels = {}
         for spec in config.tiers:

@@ -19,16 +19,11 @@ class Credential:
 
     __slots__ = ("user", "groups", "cert_hash")
 
-    def __init__(self, user, groups=(), cert_pem=None, cert_hash=None):
+    def __init__(self, user, groups=()):
         self.user = user
         self.groups = tuple(groups)
-        if cert_hash is not None:
-            self.cert_hash = cert_hash
-        elif cert_pem is not None:
-            self.cert_hash = hash_certificate(cert_pem)
-        else:
-            # Deterministic synthetic certificate per user.
-            self.cert_hash = hash_certificate(f"CERT::{user}")
+        # Deterministic synthetic certificate per user.
+        self.cert_hash = hash_certificate(f"CERT::{user}")
 
     @property
     def is_admin(self):

@@ -30,30 +30,23 @@ class TokenBucket:
             self._tokens = min(self.burst, self._tokens + elapsed * self.qps)
             self._last_refill = now
 
-    def try_acquire(self, tokens=1.0):
-        """Non-blocking: take tokens if available, else False."""
+    def delay_needed(self):
+        """Seconds until a token would be available (0 when ready)."""
         self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-    def delay_needed(self, tokens=1.0):
-        """Seconds until ``tokens`` would be available (0 when ready)."""
-        self._refill()
-        if self._tokens >= tokens:
+        if self._tokens >= 1.0:
             return 0.0
-        return (tokens - self._tokens) / self.qps
+        return (1.0 - self._tokens) / self.qps
 
-    def acquire(self, tokens=1.0):
-        """Process helper: wait (in simulated time) until tokens available.
+    def acquire(self):
+        """Process helper: wait (in simulated time) until a token is
+        available, then take it.
 
         Usage: ``yield from bucket.acquire()``.
         """
         while True:
-            delay = self.delay_needed(tokens)
+            delay = self.delay_needed()
             if delay <= 0:
-                self._tokens -= tokens
+                self._tokens -= 1.0
                 return
             self.throttled_count += 1
             self.throttled_time += delay
@@ -90,10 +83,6 @@ class PerUserInflightLimiter:
     def release(self, user):
         self._semaphores[user].release()
 
-    def in_use(self, user):
-        semaphore = self._semaphores.get(user)
-        return semaphore.in_use if semaphore is not None else 0
-
 
 class MaxInflightLimiter:
     """Caps concurrently-processing requests, like apiserver max-inflight."""
@@ -112,7 +101,3 @@ class MaxInflightLimiter:
 
     def release(self):
         self._semaphore.release()
-
-    @property
-    def in_use(self):
-        return self._semaphore.in_use

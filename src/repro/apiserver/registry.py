@@ -14,24 +14,15 @@ from .errors import BadRequest, NotFound
 class ResourceRegistry:
     """Maps plural resource names (e.g. ``pods``) to API types."""
 
-    def __init__(self, extra_types=()):
+    def __init__(self):
         self._by_plural = {}
-        self._by_kind = {}
         for obj_type in BUILTIN_TYPES:
-            self.register(obj_type)
-        for obj_type in extra_types:
             self.register(obj_type)
 
     def register(self, obj_type):
         if obj_type.PLURAL in self._by_plural:
             raise BadRequest(f"resource {obj_type.PLURAL!r} already registered")
         self._by_plural[obj_type.PLURAL] = obj_type
-        self._by_kind[obj_type.KIND] = obj_type
-
-    def unregister(self, plural):
-        obj_type = self._by_plural.pop(plural, None)
-        if obj_type is not None:
-            self._by_kind.pop(obj_type.KIND, None)
 
     def register_crd(self, crd):
         """Register the dynamic type described by an established CRD."""
@@ -53,14 +44,5 @@ class ResourceRegistry:
             raise NotFound(f"the server could not find resource {plural!r}")
         return obj_type
 
-    def get_by_kind(self, kind):
-        obj_type = self._by_kind.get(kind)
-        if obj_type is None:
-            raise NotFound(f"no kind {kind!r} registered")
-        return obj_type
-
     def has(self, plural):
         return plural in self._by_plural
-
-    def plurals(self):
-        return sorted(self._by_plural)

@@ -25,7 +25,7 @@ from repro.storage import (
 )
 
 from .admission import AdmissionRequest, default_admission_chain
-from .auth import ADMIN, AllowAllAuthorizer, Authenticator, RBACAuthorizer
+from .auth import ADMIN, AllowAllAuthorizer, Authenticator
 from .errors import (
     AlreadyExists,
     BadRequest,
@@ -110,9 +110,8 @@ class WatchStream:
 class APIServer:
     """One control plane's apiserver."""
 
-    def __init__(self, sim, name, config=None, store=None, registry=None,
-                 authorizer=None, admission_plugins=None, rbac=False,
-                 per_user_inflight=None, apf=None):
+    def __init__(self, sim, name, config=None, store=None,
+                 per_user_inflight=None):
         self.sim = sim
         self.name = name
         self.config = config or DEFAULT_CONFIG
@@ -120,19 +119,12 @@ class APIServer:
         # __len__() == 0 and would be silently replaced.
         self.serve_from(store if store is not None
                         else EtcdStore(sim, name=f"{name}-etcd"))
-        self.registry = registry or ResourceRegistry()
+        self.registry = ResourceRegistry()
         self.reader = StoreReader(self)
         self.authenticator = Authenticator()
         self.authenticator.register(ADMIN)
-        if authorizer is not None:
-            self.authorizer = authorizer
-        elif rbac:
-            self.authorizer = RBACAuthorizer(self.reader)
-        else:
-            self.authorizer = AllowAllAuthorizer()
-        self.admission = (admission_plugins
-                          if admission_plugins is not None
-                          else default_admission_chain())
+        self.authorizer = AllowAllAuthorizer()
+        self.admission = default_admission_chain()
         self._inflight = MaxInflightLimiter(
             sim, self.config.apiserver.max_inflight,
             name=f"{name}-inflight")
@@ -145,9 +137,10 @@ class APIServer:
                 sim, per_user_inflight, name=f"{name}-apf")
         # Tiered priority-and-fairness admission (DESIGN.md §15): an
         # APFLimiter classifying requests into per-tier levels with
-        # shuffle-shard queues and Retry-After shedding.  None (the
-        # default) keeps the seed's request path byte-identical.
-        self.apf = apf
+        # shuffle-shard queues and Retry-After shedding, which the super
+        # cluster installs when ``config.apf.enabled``.  None (the default)
+        # keeps the seed's request path byte-identical.
+        self.apf = None
         self._watch_streams = []
         # Exact read-outs of the decode memo (see _decode): wire values
         # decoded, and reads served by an already-decoded snapshot.

@@ -55,10 +55,6 @@ class ChaosEngine:
                 name=f"{self.name}-{fault.name}"))
         return fault
 
-    @property
-    def faults(self):
-        return [fault for _schedule, fault in self._entries]
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -77,9 +77,6 @@ class Fault:
         cannot be silently missing from the report."""
         raise NotImplementedError
 
-    def describe(self):
-        return self.name
-
 
 def _api_of(target):
     """Accept an APIServer, a ControlPlane, or anything with ``.api``."""
@@ -107,22 +104,20 @@ class ApiServerCrash(Fault):
 class ApiRequestFault(Fault):
     """Per-verb error/latency injection on one apiserver's request path.
 
-    While active, a matching request fails with ``error_factory()`` with
-    probability ``error_rate`` and pays ``extra_latency`` seconds first.
+    While active, a matching request fails with a retryable
+    ``ServerUnavailable`` with probability ``error_rate`` and pays
+    ``extra_latency`` seconds first.
     Instances chain, so several request faults can overlap on one server.
     """
 
-    def __init__(self, target, verbs=None, plurals=None, error_rate=1.0,
-                 extra_latency=0.0, error_factory=None, name=None):
+    def __init__(self, target, verbs=None, error_rate=1.0,
+                 extra_latency=0.0, name=None):
         api = _api_of(target)
         super().__init__(name=name or f"reqfault:{api.name}")
         self.api = api
         self.verbs = frozenset(verbs) if verbs else None
-        self.plurals = frozenset(plurals) if plurals else None
         self.error_rate = error_rate
         self.extra_latency = extra_latency
-        self.error_factory = error_factory or (
-            lambda: ServerUnavailable(f"{self.name} injected"))
         self._active = False
         self._previous = None
         self.errors_injected = 0
@@ -141,39 +136,23 @@ class ApiRequestFault(Fault):
             self.api.fault_injector = self._previous
             self._previous = None
 
-    def _matches(self, verb, plural):
-        if self.verbs is not None and verb not in self.verbs:
-            return False
-        if self.plurals is not None and plural not in self.plurals:
-            return False
-        return True
-
     def on_request(self, verb, plural):
         """Coroutine hook called by ``APIServer._begin``."""
         if self._previous is not None:
             yield from self._previous.on_request(verb, plural)
-        if not self._active or not self._matches(verb, plural):
+        if not self._active or (self.verbs is not None
+                                and verb not in self.verbs):
             return
         if self.extra_latency:
             self.latency_injected += 1
             yield self.sim.timeout(self.extra_latency)
         if self.error_rate >= 1.0 or self.rng.random() < self.error_rate:
             self.errors_injected += 1
-            raise self.error_factory()
+            raise ServerUnavailable(f"{self.name} injected")
 
     def counters(self):
         return {"errors_injected": self.errors_injected,
                 "latency_injected": self.latency_injected}
-
-    def describe(self):
-        parts = [self.name]
-        if self.verbs:
-            parts.append("verbs=" + ",".join(sorted(self.verbs)))
-        if self.error_rate < 1.0:
-            parts.append(f"p={self.error_rate:g}")
-        if self.extra_latency:
-            parts.append(f"+{self.extra_latency:g}s")
-        return " ".join(parts)
 
 
 class WatchDrop(Fault):
@@ -274,8 +253,8 @@ class KillLeader(Fault):
     notices — the split-brain window storage fencing must cover.
     """
 
-    def __init__(self, ha, mode="crash", notice_delay=2.0, name=None):
-        super().__init__(name=name or f"killleader:{mode}")
+    def __init__(self, ha, mode="crash", notice_delay=2.0):
+        super().__init__(name=f"killleader:{mode}")
         self.ha = ha
         self.mode = mode
         self.notice_delay = notice_delay
@@ -366,9 +345,9 @@ class KillStore(Fault):
     victim from its own WAL so a later kill has somewhere to fail over.
     """
 
-    def __init__(self, group, mid_txn=False, max_ops=4, name=None):
-        super().__init__(name=name or (
-            f"killstore:{'midtxn' if mid_txn else 'leader'}"))
+    def __init__(self, group, mid_txn=False, max_ops=4):
+        super().__init__(
+            name=f"killstore:{'midtxn' if mid_txn else 'leader'}")
         self.group = group
         self.mid_txn = mid_txn
         self.max_ops = max_ops
@@ -416,8 +395,8 @@ class ReplicaLag(Fault):
     follower catches up.
     """
 
-    def __init__(self, group, extra_lag=0.5, name=None):
-        super().__init__(name=name or f"replicalag:{group.name}")
+    def __init__(self, group, extra_lag=0.5):
+        super().__init__(name=f"replicalag:{group.name}")
         self.group = group
         self.extra_lag = extra_lag
         self.lagged = 0
@@ -455,11 +434,11 @@ class WalCorruption(Fault):
     truncate-to-prefix path.
     """
 
-    def __init__(self, control_plane, name=None):
+    def __init__(self, control_plane):
         self.group = control_plane.store_group
         self.api = control_plane.api
-        super().__init__(name=name or "walcorrupt:"
-                         + (self.group or self.api.store).name)
+        super().__init__(
+            name=f"walcorrupt:{(self.group or self.api.store).name}")
         self.tails_torn = 0
         self._victim = None
 
@@ -496,18 +475,15 @@ class WalCorruption(Fault):
 class WorkerCrash(Fault):
     """Kill random syncer workers; the watchdog must respawn them."""
 
-    def __init__(self, syncer, count=1, labels=None, name=None):
-        super().__init__(name=name or f"workercrash:{syncer.name}")
+    def __init__(self, syncer, count=1):
+        super().__init__(name=f"workercrash:{syncer.name}")
         self.syncer = syncer
         self.count = count
-        self.labels = labels
         self.workers_killed = 0
 
     def inject(self):
         self.injections += 1
         pool = sorted(self.syncer.worker_processes)
-        if self.labels is not None:
-            pool = [label for label in pool if label in self.labels]
         if not pool:
             return
         victims = self.rng.sample(pool, min(self.count, len(pool)))
@@ -539,15 +515,12 @@ class TenantStorm(Fault):
     """
 
     def __init__(self, super_cluster, user="tenant-storm", qps=300.0,
-                 concurrency=8, plural="pods", namespace="default",
-                 tier=None, name=None):
+                 concurrency=8, tier=None, name=None):
         super().__init__(name=name or f"storm:{user}")
         self.super_cluster = super_cluster
         self.user = user
         self.qps = qps
         self.concurrency = max(1, concurrency)
-        self.plural = plural
-        self.namespace = namespace
         self.tier = tier
         self._credential = None
         self._procs = []
@@ -586,8 +559,7 @@ class TenantStorm(Fault):
         try:
             while True:
                 try:
-                    yield from client.list(self.plural,
-                                           namespace=self.namespace)
+                    yield from client.list("pods", namespace="default")
                     self.requests_ok += 1
                 except TooManyRequests:
                     self.requests_shed += 1
@@ -601,10 +573,6 @@ class TenantStorm(Fault):
         return {"requests_ok": self.requests_ok,
                 "requests_shed": self.requests_shed,
                 "requests_failed": self.requests_failed}
-
-    def describe(self):
-        return (f"{self.name} qps={self.qps:g} x{self.concurrency} "
-                f"ok={self.requests_ok} shed={self.requests_shed}")
 
 
 # ----------------------------------------------------------------------

@@ -75,12 +75,12 @@ class RandomWindows(Schedule):
     ``duration_range``.  All draws come from the engine RNG.
     """
 
-    def __init__(self, mean_gap, duration_range=(0.5, 3.0), count=None,
-                 min_gap=0.1):
+    min_gap = 0.1
+
+    def __init__(self, mean_gap, duration_range=(0.5, 3.0), count=None):
         self.mean_gap = mean_gap
         self.duration_range = duration_range
         self.count = count
-        self.min_gap = min_gap
 
     def windows(self, rng):
         fired = 0

@@ -6,7 +6,7 @@ that smooths bursts into the apiserver, plus retry-with-backoff on
 retryable API errors and on write conflicts where safe.
 """
 
-from repro.apiserver.errors import Conflict, is_retryable
+from repro.apiserver.errors import is_retryable
 from repro.apiserver.ratelimit import TokenBucket
 
 
@@ -54,7 +54,7 @@ class Client:
     # Plumbing
     # ------------------------------------------------------------------
 
-    def _call(self, op, *args, retry_conflicts=False, **kwargs):
+    def _call(self, op, *args, **kwargs):
         """Coroutine: throttle, invoke, retry retryable failures."""
         attempt = 0
         while True:
@@ -69,10 +69,8 @@ class Client:
                 result = yield from op(self.credential, *args, **kwargs)
                 return result
             except Exception as exc:  # noqa: BLE001 - classified below
-                retryable = is_retryable(exc) or (
-                    retry_conflicts and isinstance(exc, Conflict))
                 attempt += 1
-                if not retryable or attempt > self.max_retries:
+                if not is_retryable(exc) or attempt > self.max_retries:
                     raise
                 hint = getattr(exc, "retry_after", None)
                 if hint:
@@ -105,10 +103,6 @@ class Client:
 
     def update_status(self, obj):
         return self._call(self.api.update, obj, subresource="status")
-
-    def patch(self, plural, name, patch, namespace=None):
-        return self._call(self.api.patch, plural, name, patch,
-                          namespace=namespace, retry_conflicts=True)
 
     def delete(self, plural, name, namespace=None):
         return self._call(self.api.delete, plural, name, namespace=namespace)

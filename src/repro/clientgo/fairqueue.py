@@ -25,11 +25,13 @@ from .workqueue import ShutDown
 class FairWorkQueue:
     """WRR multi-queue with client-go dedup semantics."""
 
-    def __init__(self, sim, name="fair-queue", default_weight=1, fair=True):
+    # The WRR weight of a tenant registered without one.
+    default_weight = 1
+
+    def __init__(self, sim, name="fair-queue", fair=True):
         self.sim = sim
         self.name = name
         self.fair = fair
-        self.default_weight = default_weight
         self._weights = {}
         self._subqueues = {}
         self._rr_order = []
@@ -114,12 +116,6 @@ class FairWorkQueue:
         if self.fair:
             return sum(len(q) for q in self._subqueues.values())
         return len(self._shared)
-
-    def depth(self, tenant):
-        if self.fair:
-            queue = self._subqueues.get(tenant)
-            return len(queue) if queue is not None else 0
-        return sum(1 for t, _ in self._shared if t == tenant)
 
     def add(self, tenant, key):
         """Enqueue ``key`` for ``tenant`` with dedup."""
@@ -311,16 +307,15 @@ class ShardedFairWorkQueue:
     configuration every paper-reproduction benchmark uses.
     """
 
-    def __init__(self, sim, name="fair-queue", shards=1, default_weight=1,
-                 fair=True):
+    default_weight = FairWorkQueue.default_weight
+
+    def __init__(self, sim, name="fair-queue", shards=1, fair=True):
         self.sim = sim
         self.name = name
         self.fair = fair
-        self.default_weight = default_weight
         self.num_shards = max(1, int(shards))
         self.shards = [
-            FairWorkQueue(sim, name=f"{name}-shard{i}",
-                          default_weight=default_weight, fair=fair)
+            FairWorkQueue(sim, name=f"{name}-shard{i}", fair=fair)
             for i in range(self.num_shards)
         ]
         self._active = list(range(self.num_shards))
@@ -409,12 +404,6 @@ class ShardedFairWorkQueue:
                 self.add(tenant, key)
         self.rebalances += 1
 
-    def activate_shard(self, shard):
-        """Bring a shard back into the routing pool (new tenants only)."""
-        if shard not in self._active and 0 <= shard < self.num_shards:
-            self._active.append(shard)
-            self._active.sort()
-
     @property
     def active_shards(self):
         return list(self._active)
@@ -425,10 +414,6 @@ class ShardedFairWorkQueue:
 
     def __len__(self):
         return sum(len(queue) for queue in self.shards)
-
-    def depth(self, tenant):
-        shard = self._tenant_shard.get(tenant)
-        return self.shards[shard].depth(tenant) if shard is not None else 0
 
     @property
     def added_total(self):
@@ -444,14 +429,6 @@ class ShardedFairWorkQueue:
         for queue in self.shards:
             for tenant, wait in queue.wait_time_by_tenant.items():
                 merged[tenant] += wait
-        return merged
-
-    @property
-    def dispatched_by_tenant(self):
-        merged = defaultdict(int)
-        for queue in self.shards:
-            for tenant, count in queue.dispatched_by_tenant.items():
-                merged[tenant] += count
         return merged
 
     def stats(self):

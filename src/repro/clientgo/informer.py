@@ -25,10 +25,9 @@ class EventHandlers:
 class SharedInformer:
     """Cache + handler fan-out for a single resource type."""
 
-    def __init__(self, sim, client, plural, namespace=None,
-                 label_selector=None, field_selector=None, size_factor=0.0,
-                 size_overhead=0, handler_cost=0.0, cpu_account=None,
-                 byte_total=None):
+    def __init__(self, sim, client, plural, field_selector=None,
+                 size_factor=0.0, size_overhead=0, handler_cost=0.0,
+                 cpu_account=None, byte_total=None):
         self.sim = sim
         self.plural = plural
         self.cache = ObjectCache(size_factor=size_factor,
@@ -38,8 +37,6 @@ class SharedInformer:
         self._handler_cost = handler_cost
         self._cpu_account = cpu_account
         self.reflector = Reflector(sim, client, plural, self,
-                                   namespace=namespace,
-                                   label_selector=label_selector,
                                    field_selector=field_selector)
         self.events_seen = 0
         self._events_counter = telemetry_of(sim).counter(
@@ -138,12 +135,11 @@ class InformerFactory:
         self._byte_total = ByteTotal()
         self.informers = {}
 
-    def informer(self, plural, namespace=None, field_selector=None):
-        key = (plural, namespace,
-               tuple(sorted((field_selector or {}).items())))
+    def informer(self, plural, field_selector=None):
+        key = (plural, tuple(sorted((field_selector or {}).items())))
         if key not in self.informers:
             self.informers[key] = SharedInformer(
-                self.sim, self.client, plural, namespace=namespace,
+                self.sim, self.client, plural,
                 field_selector=field_selector,
                 size_factor=self._size_factor,
                 size_overhead=self._size_overhead,

@@ -57,8 +57,7 @@ class LeaderElector:
       run cleanup.
     """
 
-    def __init__(self, sim, client, name, identity,
-                 namespace=LEASE_NAMESPACE, lease_duration=10.0,
+    def __init__(self, sim, client, name, identity, lease_duration=10.0,
                  renew_interval=3.0, retry_interval=1.0, jitter=0.2,
                  on_started_leading=None, on_stopped_leading=None):
         if renew_interval >= lease_duration:
@@ -67,7 +66,7 @@ class LeaderElector:
         self.client = client
         self.name = name
         self.identity = identity
-        self.namespace = namespace
+        self.namespace = LEASE_NAMESPACE
         self.lease_duration = lease_duration
         self.renew_interval = renew_interval
         self.retry_interval = retry_interval
@@ -113,10 +112,6 @@ class LeaderElector:
     def fencing_token(self):
         """Token for the current (or most recent) leadership term."""
         return self._token
-
-    @property
-    def deadline(self):
-        return self._deadline
 
     def stats(self):
         return {

@@ -33,23 +33,21 @@ class Reflector:
     ``on_event(kind, obj)``.
     """
 
-    def __init__(self, sim, client, plural, delegate, namespace=None,
-                 label_selector=None, field_selector=None,
-                 relist_backoff=1.0, max_relist_backoff=30.0,
-                 backoff_jitter=0.5):
+    # Relist backoff: doubling from ``relist_backoff`` up to
+    # ``max_relist_backoff`` seconds, stretched by up to ``backoff_jitter``.
+    relist_backoff = 1.0
+    max_relist_backoff = 30.0
+    backoff_jitter = 0.5
+
+    def __init__(self, sim, client, plural, delegate, field_selector=None):
         self.sim = sim
         self.client = client
         self.plural = plural
         self.delegate = delegate
-        self.namespace = namespace
-        self.label_selector = label_selector
         self.field_selector = field_selector
-        self.relist_backoff = relist_backoff
-        self.max_relist_backoff = max_relist_backoff
-        self.backoff_jitter = backoff_jitter
-        self._backoff = JitteredBackoff(sim.rng, relist_backoff,
-                                        max_relist_backoff,
-                                        jitter=backoff_jitter,
+        self._backoff = JitteredBackoff(sim.rng, self.relist_backoff,
+                                        self.max_relist_backoff,
+                                        jitter=self.backoff_jitter,
                                         max_exponent=16)
         self.has_synced = False
         self.list_count = 0
@@ -100,18 +98,14 @@ class Reflector:
             while not self._stopped:
                 try:
                     items, revision = yield from self.client.list(
-                        self.plural, namespace=self.namespace,
-                        label_selector=self.label_selector,
-                        field_selector=self.field_selector)
+                        self.plural, field_selector=self.field_selector)
                     self.list_count += 1
                     self._lists_counter.inc()
                     self._consecutive_failures = 0
                     self.delegate.on_replace(items)
                     self.has_synced = True
                     self._stream = self.client.watch(
-                        self.plural, namespace=self.namespace,
-                        from_revision=int(revision),
-                        label_selector=self.label_selector,
+                        self.plural, from_revision=int(revision),
                         field_selector=self.field_selector)
                     yield from self._consume(self._stream)
                 except (ChannelClosed, RevisionCompacted):

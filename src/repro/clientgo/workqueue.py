@@ -57,10 +57,6 @@ class WorkQueue:
     def __len__(self):
         return len(self._queue)
 
-    @property
-    def is_shutdown(self):
-        return self._shutdown
-
     def add(self, item):
         """Enqueue ``item`` unless it is already pending."""
         if self._shutdown:
@@ -141,17 +137,9 @@ class WorkQueue:
                 waiter.fail(ShutDown(self.name))
 
     def restart(self):
-        """Re-open a shut-down queue (an HA standby promoted to active
-        restarts its controllers on the same queue instances)."""
+        """Re-open a shut-down queue (a controller restarted after a
+        stop reuses its queue instance)."""
         self._shutdown = False
-
-    def stats(self):
-        return {
-            "depth": len(self._queue),
-            "added": self.added_total,
-            "deduped": self.deduped_total,
-            "processing": len(self._processing),
-        }
 
 
 class _ImmediateWaiter:
@@ -191,20 +179,21 @@ class DelayingQueue(WorkQueue):
 class RateLimitingQueue(DelayingQueue):
     """DelayingQueue plus per-item jittered exponential retry backoff.
 
+    Delays double from ``base_delay`` up to ``max_delay`` seconds.
     ``jitter`` stretches each delay by up to that fraction (drawn from the
     simulation RNG, so runs stay deterministic per seed); it decorrelates
     retry storms after a shared failure, like client-go's workqueue
     ``ItemExponentialFailureRateLimiter`` combined with flowcontrol jitter.
     """
 
-    def __init__(self, sim, name="ratelimit-queue", base_delay=0.005,
-                 max_delay=10.0, jitter=0.1):
+    base_delay = 0.005
+    max_delay = 10.0
+    jitter = 0.1
+
+    def __init__(self, sim, name="ratelimit-queue"):
         super().__init__(sim, name=name)
-        self._base_delay = base_delay
-        self._max_delay = max_delay
-        self._jitter = jitter
-        self._backoff = JitteredBackoff(sim.rng, base_delay, max_delay,
-                                        jitter=jitter)
+        self._backoff = JitteredBackoff(sim.rng, self.base_delay,
+                                        self.max_delay, jitter=self.jitter)
         self._failures = {}
 
     def backoff_for(self, item):
@@ -221,7 +210,7 @@ class RateLimitingQueue(DelayingQueue):
         streak advances either way.
         """
         if retry_after:
-            delay = retry_after * (1.0 + self._jitter * self.sim.rng.random())
+            delay = retry_after * (1.0 + self.jitter * self.sim.rng.random())
         else:
             delay = self.backoff_for(item)
         self._failures[item] = self._failures.get(item, 0) + 1

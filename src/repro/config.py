@@ -42,7 +42,6 @@ class SchedulerLatency:
     service_time: float = 0.0018
     service_jitter: float = 0.0003     # uniform +/- jitter
     binding_write: float = 0.0008
-    queue_poll_idle: float = 0.002
 
 
 @dataclass
@@ -79,11 +78,8 @@ class SyncerLatency:
     watchdog_max_backoff: float = 15.0
     watchdog_stable_after: float = 30.0    # uptime that resets the backoff
     # --- Hot-path optimizations (DESIGN.md §9) ---------------------------
-    # Semantics-preserving, so on by default: scans/lookups use the cache's
-    # secondary indexes instead of O(n) select()/items() filters.
-    use_cache_indexes: bool = True
-    # Charged per candidate object a scan/lookup filters, so index on/off
-    # is observable in simulated time, not just in lookup counters.
+    # Scans and lookups always go through the cache's secondary indexes;
+    # each candidate an index returns costs this much simulated time.
     scan_filter_per_object: float = 0.00002
     # Sharded dispatch: tenants hash to one of N worker shards, each with
     # its own dequeue critical section.  1 == the paper's serialized
@@ -215,7 +211,6 @@ class SwapperConfig:
     warm_wake_latency: float = 0.15  # page-in from the warm pool
     warm_pool: int = 8             # recently-swapped planes kept warm
     wake_concurrency: int = 32     # concurrent page-ins (I/O); 0: no cap
-    wake_slo: float = 2.5          # p99 budget incl. wake-queue wait
     residual_fraction: float = 0.15
 
 

@@ -5,7 +5,6 @@ from .endpoints import EndpointsController
 from .garbage_collector import GarbageCollector
 from .manager import ControllerManager
 from .namespace_gc import NamespaceController
-from .node_lifecycle import NodeLifecycleController
 from .pv_binder import PersistentVolumeBinder
 from .replicaset import DeploymentController, ReplicaSetController
 
@@ -16,7 +15,6 @@ __all__ = [
     "EndpointsController",
     "GarbageCollector",
     "NamespaceController",
-    "NodeLifecycleController",
     "PersistentVolumeBinder",
     "ReplicaSetController",
 ]

@@ -14,11 +14,11 @@ class Controller:
     """Base reconciler with a keyed work queue and N workers."""
 
     name = "controller"
+    workers = 1
 
-    def __init__(self, sim, client, workers=1):
+    def __init__(self, sim, client):
         self.sim = sim
         self.client = client
-        self.workers = workers
         self.queue = RateLimitingQueue(sim, name=f"{self.name}-queue")
         self.reconcile_count = 0
         self.error_count = 0
@@ -32,8 +32,8 @@ class Controller:
         self.queue.add(obj.key)
 
     def start(self):
-        # Restart-safe: a stopped controller (HA standby re-promoted to
-        # active) re-opens its queue and spawns fresh workers.
+        # Restart-safe: a stopped controller re-opens its queue and
+        # spawns fresh workers.
         self._stopped = False
         self.queue.restart()
         self._processes = []

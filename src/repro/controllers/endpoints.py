@@ -15,9 +15,10 @@ from .base import Controller
 
 class EndpointsController(Controller):
     name = "endpoints-controller"
+    workers = 2
 
-    def __init__(self, sim, client, informer_factory, workers=2):
-        super().__init__(sim, client, workers=workers)
+    def __init__(self, sim, client, informer_factory):
+        super().__init__(sim, client)
         self._services = informer_factory.informer("services")
         self._pods = informer_factory.informer("pods")
         self._endpoints = informer_factory.informer("endpoints")

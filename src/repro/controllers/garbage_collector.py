@@ -25,8 +25,8 @@ OWNER_PLURALS = {"ReplicaSet": "replicasets", "Deployment": "deployments"}
 class GarbageCollector(Controller):
     name = "garbage-collector"
 
-    def __init__(self, sim, client, informer_factory, workers=1):
-        super().__init__(sim, client, workers=workers)
+    def __init__(self, sim, client, informer_factory):
+        super().__init__(sim, client)
         self._informers = {
             plural: informer_factory.informer(plural)
             for plural in DEPENDENT_PLURALS

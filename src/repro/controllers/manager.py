@@ -9,91 +9,38 @@ scheduler (paper §III-B(1)).
 from .endpoints import EndpointsController
 from .garbage_collector import GarbageCollector
 from .namespace_gc import NamespaceController
-from .node_lifecycle import NodeLifecycleController
 from .pv_binder import PersistentVolumeBinder
 from .replicaset import DeploymentController, ReplicaSetController
 
 
 class ControllerManager:
-    """Owns the shared informer factory and the controller set.
+    """Owns the shared informer factory and the controller set."""
 
-    With ``elector`` set (a :class:`repro.clientgo.LeaderElector`), the
-    manager runs active/standby: informers start immediately (warm
-    caches) but controllers run only while this replica holds the lease
-    — the manager owns the elector's leading callbacks (DESIGN.md §10).
-    """
-
-    def __init__(self, sim, client, informer_factory,
-                 enable_workloads=True, enable_node_lifecycle=False,
-                 elector=None):
+    def __init__(self, sim, client, informer_factory):
         self.sim = sim
         self.client = client
         self.informer_factory = informer_factory
-        self.elector = elector
-        if elector is not None:
-            elector.on_started_leading = self._on_started_leading
-            elector.on_stopped_leading = self._on_stopped_leading
         self.controllers = [
-            EndpointsController(sim, client, informer_factory),
-            NamespaceController(sim, client, informer_factory),
-        ]
-        if enable_workloads:
-            self.controllers.append(
-                PersistentVolumeBinder(sim, client, informer_factory))
-            self.controllers.append(
-                ReplicaSetController(sim, client, informer_factory))
-            self.controllers.append(
-                DeploymentController(sim, client, informer_factory))
-            self.controllers.append(
-                GarbageCollector(sim, client, informer_factory))
-        if enable_node_lifecycle:
-            self.controllers.append(
-                NodeLifecycleController(sim, client, informer_factory))
+            cls(sim, client, informer_factory)
+            for cls in (EndpointsController, NamespaceController,
+                        PersistentVolumeBinder, ReplicaSetController,
+                        DeploymentController, GarbageCollector)]
         self._started = False
-        self._controllers_running = False
 
     def start(self):
         if self._started:
             return
         self._started = True
         self.informer_factory.start_all()
-        if self.elector is not None:
-            # Standby: warm caches now, controllers when the lease lands.
-            self.elector.start()
-            return
-        self._start_controllers()
-
-    def stop(self):
-        if self.elector is not None:
-            self.elector.stop(release=True)
-        self._stop_controllers()
-        self.informer_factory.stop_all()
-        self._started = False
-
-    def _start_controllers(self):
-        if self._controllers_running:
-            return
-        self._controllers_running = True
         for controller in self.controllers:
             controller.start()
 
-    def _stop_controllers(self):
-        if not self._controllers_running:
-            return
-        self._controllers_running = False
-        for controller in self.controllers:
-            controller.stop()
-
-    def _on_started_leading(self, _token):
-        self._start_controllers()
-
-    def _on_stopped_leading(self, _reason):
-        self._stop_controllers()
-
-    @property
-    def is_active(self):
-        """Whether this replica's controllers are currently running."""
-        return self._controllers_running
+    def stop(self):
+        if self._started:
+            for controller in self.controllers:
+                controller.stop()
+        self.informer_factory.stop_all()
+        self._started = False
 
     def get(self, name):
         for controller in self.controllers:

@@ -29,9 +29,10 @@ SWEPT_RESOURCES = (
 
 class NamespaceController(Controller):
     name = "namespace-controller"
+    workers = 2
 
-    def __init__(self, sim, client, informer_factory, workers=2):
-        super().__init__(sim, client, workers=workers)
+    def __init__(self, sim, client, informer_factory):
+        super().__init__(sim, client)
         self._namespaces = informer_factory.informer("namespaces")
         self._namespaces.add_handlers(
             on_add=self._maybe_enqueue,

@@ -27,11 +27,10 @@ def _capacity_bytes(pv):
 
 class PersistentVolumeBinder(Controller):
     name = "pv-binder"
+    provision_delay = 0.4
 
-    def __init__(self, sim, client, informer_factory, workers=1,
-                 provision_delay=0.4):
-        super().__init__(sim, client, workers=workers)
-        self.provision_delay = provision_delay
+    def __init__(self, sim, client, informer_factory):
+        super().__init__(sim, client)
         self._pvcs = informer_factory.informer("persistentvolumeclaims")
         self._pvs = informer_factory.informer("persistentvolumes")
         self._classes = informer_factory.informer("storageclasses")

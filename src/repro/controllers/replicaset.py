@@ -25,9 +25,10 @@ def _controller_ref(owner):
 
 class ReplicaSetController(Controller):
     name = "replicaset-controller"
+    workers = 2
 
-    def __init__(self, sim, client, informer_factory, workers=2):
-        super().__init__(sim, client, workers=workers)
+    def __init__(self, sim, client, informer_factory):
+        super().__init__(sim, client)
         self._replicasets = informer_factory.informer("replicasets")
         self._pods = informer_factory.informer("pods")
         self._replicasets.add_handlers(
@@ -97,9 +98,10 @@ class ReplicaSetController(Controller):
 
 class DeploymentController(Controller):
     name = "deployment-controller"
+    workers = 2
 
-    def __init__(self, sim, client, informer_factory, workers=2):
-        super().__init__(sim, client, workers=workers)
+    def __init__(self, sim, client, informer_factory):
+        super().__init__(sim, client)
         self._deployments = informer_factory.informer("deployments")
         self._replicasets = informer_factory.informer("replicasets")
         self._deployments.add_handlers(

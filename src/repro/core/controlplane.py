@@ -14,15 +14,14 @@ from repro.scheduler import Scheduler
 class ControlPlane:
     """A running control plane within the simulation."""
 
-    def __init__(self, sim, name, config, rbac=False):
+    def __init__(self, sim, name, config):
         self.sim = sim
         self.name = name
         self.config = config
         # A replicated store's group (None for a single store): the
         # apiserver holds its leader's store and the group re-points it.
         store, self.store_group = _build_store(sim, name, config)
-        self.api = APIServer(sim, name, config=config, rbac=rbac,
-                             store=store)
+        self.api = APIServer(sim, name, config=config, store=store)
         if self.store_group is not None:
             self.store_group.on_failover = self.api.serve_from
         self.admin = ADMIN
@@ -66,7 +65,7 @@ class TenantControlPlane(ControlPlane):
     """
 
     def __init__(self, sim, name, config, owner_vc=None):
-        super().__init__(sim, name, config, rbac=False)
+        super().__init__(sim, name, config)
         self.owner_vc = owner_vc
         self.tenant_credential = self.register_user(
             f"tenant-{name}", groups=("tenant-admins",))
@@ -77,8 +76,8 @@ class TenantControlPlane(ControlPlane):
             return
         client = self.client(user_agent=f"{self.name}-kcm")
         informers = InformerFactory(self.sim, client)
-        self.controller_manager = ControllerManager(
-            self.sim, client, informers, enable_workloads=True)
+        self.controller_manager = ControllerManager(self.sim, client,
+                                                    informers)
         self.controller_manager.start()
         self.started = True
 
@@ -94,8 +93,8 @@ class TenantControlPlane(ControlPlane):
 class SuperCluster(ControlPlane):
     """The super cluster: owns nodes, runs the scheduler."""
 
-    def __init__(self, sim, config, name="super", rbac=False):
-        super().__init__(sim, name, config, rbac=rbac)
+    def __init__(self, sim, config, name="super"):
+        super().__init__(sim, name, config)
         self.api.registry.register(_import_vc_type())
         self.informer_factory = None
         self.node_agents = []
@@ -115,8 +114,7 @@ class SuperCluster(ControlPlane):
                                  burst=4000)
         self.informer_factory = InformerFactory(self.sim, kcm_client)
         self.controller_manager = ControllerManager(
-            self.sim, kcm_client, self.informer_factory,
-            enable_workloads=True)
+            self.sim, kcm_client, self.informer_factory)
         sched_client = self.client(user_agent="super-scheduler", qps=5000,
                                    burst=10000)
         self.scheduler = Scheduler(self.sim, sched_client,

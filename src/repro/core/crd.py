@@ -72,7 +72,7 @@ def short_uid_hash(uid):
 NAME_LIMIT = 253
 
 
-def fit_name(name, limit=NAME_LIMIT):
+def fit_name(name):
     """Truncate an over-long composed name to the DNS limit, injectively.
 
     Prefixing a tenant name with the per-VC prefix can push it past 253
@@ -81,10 +81,10 @@ def fit_name(name, limit=NAME_LIMIT):
     Reverse mapping never parses the name — it reads the tenant-origin
     annotations — so the truncation is lossless for round-trips.
     """
-    if len(name) <= limit:
+    if len(name) <= NAME_LIMIT:
         return name
     digest = hashlib.sha256(name.encode()).hexdigest()[:10]
-    return f"{name[:limit - 11]}-{digest}"
+    return f"{name[:NAME_LIMIT - 11]}-{digest}"
 
 
 def cluster_prefix(vc):

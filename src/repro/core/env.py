@@ -74,8 +74,9 @@ class TenantHandle:
     def get_pod(self, name, namespace="default"):
         return self.client.get("pods", name, namespace=namespace)
 
-    def list_pods(self, namespace="default"):
-        return self.client.list("pods", namespace=namespace)
+    def list_pods(self):
+        """Coroutine: the Pods in the tenant's ``default`` namespace."""
+        return self.client.list("pods", namespace="default")
 
     def logs(self, pod_name, namespace="default", container=None, tail=None):
         """Coroutine: fetch pod logs via the vNode's vn-agent."""
@@ -257,9 +258,9 @@ class VirtualClusterEnv:
     # Tenant lifecycle
     # ------------------------------------------------------------------
 
-    def create_tenant(self, name, weight=1, mode="local",
-                      default_namespace="default", tier=None):
-        """Coroutine: create a VC, wait for provisioning, wire the syncer.
+    def create_tenant(self, name, weight=1, tier=None):
+        """Coroutine: create a VC, wait for provisioning, wire the syncer,
+        and create the tenant's ``default`` namespace.
 
         ``tier`` (platinum/standard/free) feeds the super apiserver's
         APF classifier and the swapper's wake priority; None means the
@@ -268,7 +269,7 @@ class VirtualClusterEnv:
         admin = self.super_cluster.client(user_agent="admin", qps=100000,
                                           burst=200000)
         vc = make_virtual_cluster(name, namespace=VC_NAMESPACE,
-                                  weight=weight, mode=mode)
+                                  weight=weight)
         vc = yield from admin.create(vc)
         while True:
             control_plane = self.tenant_operator.control_plane_for(vc.key)
@@ -286,11 +287,10 @@ class VirtualClusterEnv:
         handle = TenantHandle(self, vc, control_plane)
         self.tenants[vc.key] = handle
         self.set_tenant_tier(handle, tier)
-        if default_namespace:
-            try:
-                yield from handle.create_namespace(default_namespace)
-            except ApiError:
-                pass
+        try:
+            yield from handle.create_namespace("default")
+        except ApiError:
+            pass
         return handle
 
     def delete_tenant(self, handle):

@@ -73,15 +73,6 @@ class DownwardBatchWriter:
                                                    fence))
         return (yield from self._submit(("update", obj, None)))
 
-    def update_status(self, obj):
-        if not self.enabled:
-            fence = self._fence()
-            if fence is None:
-                return (yield from self.client.update_status(obj))
-            return (yield from self._fenced_single(("update", obj, "status"),
-                                                   fence))
-        return (yield from self._submit(("update", obj, "status")))
-
     def delete(self, plural, name, namespace=None):
         if not self.enabled:
             fence = self._fence()

@@ -78,11 +78,6 @@ class CrdSyncManager:
         self._reconcilers[(tenant, plural)] = reconciler
         return obj_type
 
-    def disable(self, tenant, plural):
-        """Stop synchronizing (existing super objects are left in place
-        for the scanner/administrator to clean up)."""
-        self._reconcilers.pop((tenant, plural), None)
-
     def reconciler_for(self, tenant, plural):
         return self._reconcilers.get((tenant, plural))
 

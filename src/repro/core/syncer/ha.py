@@ -113,10 +113,6 @@ class SyncerHA:
     def elector_for(self, syncer):
         return self.electors[self.replicas.index(syncer)]
 
-    def leader(self):
-        """The replica currently *serving* (post-takeover), or None."""
-        return self.active
-
     @property
     def syncer(self):
         """Best current replica for read paths: the serving leader, a

@@ -217,6 +217,10 @@ class PodDownward(DownwardReconciler):
             # a divergent spec means the tenant recreated the pod.
             yield from self.delete_super(super_pod)
             yield from self.create_super(tenant_pod, vc)
+        elif self._payload_changed(tenant_pod, super_pod):
+            # Labels are mutable in place: the base update keeps the
+            # super Pod's node binding and status.
+            yield from self.update_super(tenant_pod, super_pod, vc)
 
 
 class ServiceDownward(DownwardReconciler):
@@ -408,6 +412,15 @@ class EndpointsUpward(UpwardReconciler):
         yield  # pragma: no cover - marks this method as a generator
 
 
+def _payload(obj):
+    """What a broadcast copy must match: every field but metadata and
+    status (a StorageClass keeps its settings outside any ``spec``)."""
+    data = obj.to_dict()
+    data.pop("metadata", None)
+    data.pop("status", None)
+    return data
+
+
 class ClusterResourceUpward(UpwardReconciler):
     """Broadcasts cluster-scoped resources (PVs, StorageClasses) to all
     tenants so tenants can discover them."""
@@ -439,8 +452,7 @@ class ClusterResourceUpward(UpwardReconciler):
                 yield from registration.client.create(translated)
             except AlreadyExists:
                 pass
-        elif existing.to_dict().get("spec") != translated.to_dict().get(
-                "spec"):
+        elif _payload(existing) != _payload(translated):
             translated.metadata.resource_version = (
                 existing.metadata.resource_version)
             try:

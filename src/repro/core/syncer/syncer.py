@@ -441,12 +441,12 @@ class Syncer:
     def enqueue_upward(self, tenant, plural, key):
         self.upward.add(tenant, (plural, key))
 
-    def requeue_upward_later(self, tenant, plural, key, delay=0.5):
-        """Retry an upward item after a short backoff (used when a write
+    def requeue_upward_later(self, tenant, plural, key):
+        """Retry an upward item after a 0.5 s backoff (used when a write
         raced; the super object may produce no further events)."""
 
         def later():
-            yield self.sim.timeout(delay)
+            yield self.sim.timeout(0.5)
             if tenant in self.tenants:
                 self.upward.add(tenant, (plural, key))
 

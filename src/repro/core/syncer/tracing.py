@@ -140,13 +140,13 @@ class TraceStore:
         return {phase: sums[phase] / len(self._completed)
                 for phase in PHASES}
 
-    def phase_bucket_counts(self, bucket_width=2.0, bucket_count=5):
-        """Table I: per-phase counts in fixed-width time buckets."""
-        buckets = {phase: [0] * bucket_count for phase in PHASES}
+    def phase_bucket_counts(self):
+        """Table I: per-phase counts in five 2 s buckets, the last one
+        open-ended."""
+        buckets = {phase: [0] * 5 for phase in PHASES}
         for trace in self._completed:
             for phase, value in trace.phases().items():
-                buckets[phase][min(int(value // bucket_width),
-                                   bucket_count - 1)] += 1
+                buckets[phase][min(int(value // 2.0), 4)] += 1
         return buckets
 
     def mean_creation_time_by_tenant(self):

@@ -23,10 +23,11 @@ VNODE_LABEL = "tenancy.x-k8s.io/vnode"
 class VNodeManager:
     """Tracks bindings and reconciles vNode objects in tenant CPs."""
 
-    def __init__(self, syncer, heartbeat_interval=10.0):
+    heartbeat_interval = 10.0
+
+    def __init__(self, syncer):
         self.syncer = syncer
         self.sim = syncer.sim
-        self.heartbeat_interval = heartbeat_interval
         # tenant -> node_name -> set(pod_key)
         self._bindings = {}
         # (tenant, node_name) -> True once created in the tenant CP
@@ -83,11 +84,8 @@ class VNodeManager:
         if registration is None:
             return
         super_cache = self.syncer.super_informer("pods").cache
-        if self.syncer.config.syncer.use_cache_indexes:
-            super_cache.add_index(INDEX_TENANT, tenant_index)
-            candidates = super_cache.by_index(INDEX_TENANT, tenant)
-        else:
-            candidates = super_cache.items()
+        super_cache.add_index(INDEX_TENANT, tenant_index)
+        candidates = super_cache.by_index(INDEX_TENANT, tenant)
         bindings = {}
         for pod in candidates:
             if not is_managed(pod) or not self.syncer.owns(tenant, pod):
@@ -148,12 +146,7 @@ class VNodeManager:
             return 0
         expected = set(self.vnodes_for(tenant))
         cache = self.syncer.tenant_informer(tenant, "nodes").cache
-        if self.syncer.config.syncer.use_cache_indexes:
-            vnodes = cache.by_label(VNODE_LABEL, "true")
-        else:
-            vnodes = [node for node in cache.items()
-                      if (node.metadata.labels or {}).get(VNODE_LABEL)
-                      == "true"]
+        vnodes = cache.by_label(VNODE_LABEL, "true")
         present = {node.metadata.name for node in vnodes}
         fixed = 0
         for name in sorted(present - expected):

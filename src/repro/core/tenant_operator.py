@@ -25,14 +25,13 @@ class TenantOperator(Controller):
     """The VC reconciler."""
 
     name = "tenant-operator"
+    workers = 4
 
-    def __init__(self, sim, super_cluster, config, workers=4,
-                 on_provisioned=None, on_deprovisioned=None):
+    def __init__(self, sim, super_cluster, config, on_deprovisioned=None):
         client = super_cluster.client(user_agent="tenant-operator")
-        super().__init__(sim, client, workers=workers)
+        super().__init__(sim, client)
         self.super_cluster = super_cluster
         self.config = config
-        self.on_provisioned = on_provisioned
         self.on_deprovisioned = on_deprovisioned
         self.control_planes = {}
         # Durability (DESIGN.md §10.3): periodic etcd snapshots per tenant
@@ -117,8 +116,6 @@ class TenantOperator(Controller):
         yield from self._mark_running(
             vc, kubeconfig_secret=secret.metadata.name,
             cert_hash=control_plane.tenant_credential.cert_hash)
-        if self.on_provisioned is not None:
-            self.on_provisioned(vc, control_plane)
 
     def _mark_running(self, vc, kubeconfig_secret=None, cert_hash=None):
         try:

@@ -11,7 +11,7 @@ tenant control plane therefore advertises the vn-agent's port; the agent
 3. forwards the request to the local kubelet.
 """
 
-from repro.apiserver.errors import Forbidden, NotFound, Unauthorized
+from repro.apiserver.errors import NotFound, Unauthorized
 
 from .crd import super_namespace
 
@@ -22,14 +22,13 @@ VN_AGENT_PORT = 10550
 class VnAgent:
     """One node's kubelet-API proxy."""
 
-    def __init__(self, sim, node_name, kubelet, tenant_operator,
-                 port=VN_AGENT_PORT, proxy_latency=0.002):
+    proxy_latency = 0.002
+
+    def __init__(self, sim, node_name, kubelet, tenant_operator):
         self.sim = sim
         self.node_name = node_name
         self.kubelet = kubelet
         self.tenant_operator = tenant_operator
-        self.port = port
-        self.proxy_latency = proxy_latency
         self.requests_proxied = 0
         self.requests_rejected = 0
 
@@ -78,14 +77,3 @@ class VnAgent:
             sns, pod_name, command, container_name=container)
         self.requests_proxied += 1
         return result
-
-    def logs_denied_across_tenants(self, credential, other_vc, namespace,
-                                   pod_name):
-        """Coroutine: demonstrate isolation — a tenant cannot read another
-        tenant's pod logs even if it guesses the raw super namespace."""
-        vc = self._identify_tenant(credential.cert_hash)
-        if vc.key != other_vc.key:
-            self.requests_rejected += 1
-            raise Forbidden(
-                "vn-agent: certificate does not match the target tenant")
-        return (yield from self.logs(credential, namespace, pod_name))

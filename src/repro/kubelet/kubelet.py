@@ -20,9 +20,10 @@ from repro.telemetry import telemetry_of
 class Kubelet:
     """One node's agent."""
 
+    heartbeat_interval = 2.0
+
     def __init__(self, sim, node, client, config, runtimes,
-                 informer_factory, heartbeat_interval=2.0,
-                 enhanced_proxy=None):
+                 informer_factory, enhanced_proxy=None):
         """``runtimes`` maps runtimeClassName (None = default) to a CRI
         runtime instance."""
         from repro.clientgo.events import EventRecorder
@@ -34,7 +35,6 @@ class Kubelet:
         self.config = config
         self.recorder = EventRecorder(sim, client, f"kubelet-{self.node_name}")
         self.runtimes = runtimes
-        self.heartbeat_interval = heartbeat_interval
         self.enhanced_proxy = enhanced_proxy
         self.pod_informer = informer_factory.informer(
             "pods", field_selector={"spec.nodeName": self.node_name})

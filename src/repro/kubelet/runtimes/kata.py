@@ -70,11 +70,10 @@ class KataRuntime(ContainerRuntime):
 
     name = "kata"
 
-    def __init__(self, sim, config, vpc, on_sandbox_started=None):
+    def __init__(self, sim, config, vpc):
         self.sim = sim
         self.config = config
         self.vpc = vpc
-        self.on_sandbox_started = on_sandbox_started
         self.sandboxes = {}
         self.agents = {}
 
@@ -96,8 +95,6 @@ class KataRuntime(ContainerRuntime):
         )
         self.sandboxes[sandbox_id] = sandbox
         self.agents[sandbox_id] = agent
-        if self.on_sandbox_started is not None:
-            self.on_sandbox_started(sandbox, agent)
         return sandbox
 
     def stop_pod_sandbox(self, sandbox):

@@ -19,11 +19,11 @@ from .proxier import KubeProxy
 class EnhancedKubeProxy(KubeProxy):
     """Host-rule proxy + per-guest rule injection."""
 
-    def __init__(self, sim, node_name, informer_factory, host_stack, config,
-                 sync_interval=5.0, reconcile_interval=2.0):
+    reconcile_interval = 2.0
+
+    def __init__(self, sim, node_name, informer_factory, host_stack, config):
         super().__init__(sim, node_name, informer_factory, host_stack,
-                         config, sync_interval=sync_interval)
-        self.reconcile_interval = reconcile_interval
+                         config)
         self._channels = {}
         self._reconciler = None
         self.injections = {}
@@ -45,9 +45,6 @@ class EnhancedKubeProxy(KubeProxy):
         self._channels[sandbox.sandbox_id] = (channel, agent, sandbox)
         self.sim.spawn(self._initial_injection(sandbox.sandbox_id),
                        name=f"inject-{sandbox.sandbox_id}")
-
-    def on_sandbox_stopped(self, sandbox):
-        self._channels.pop(sandbox.sandbox_id, None)
 
     def _initial_injection(self, sandbox_id):
         entry = self._channels.get(sandbox_id)

@@ -11,13 +11,13 @@ host stack.  That failure is the data-plane gap VirtualCluster closes.
 class KubeProxy:
     """One node's service proxy."""
 
-    def __init__(self, sim, node_name, informer_factory, host_stack, config,
-                 sync_interval=5.0):
+    sync_interval = 5.0
+
+    def __init__(self, sim, node_name, informer_factory, host_stack, config):
         self.sim = sim
         self.node_name = node_name
         self.host_stack = host_stack
         self.config = config
-        self.sync_interval = sync_interval
         self._services = informer_factory.informer("services")
         self._endpoints = informer_factory.informer("endpoints")
         self._services.add_handlers(
@@ -85,12 +85,12 @@ class KubeProxy:
         desired = self.desired_rules()
         desired_keys = set()
         for cluster_ip, port, backends in desired:
-            desired_keys.add((cluster_ip, port, "TCP"))
+            desired_keys.add((cluster_ip, port))
             yield self.sim.timeout(self.config.network.host_iptable_update)
             self.host_stack.iptables.replace_service(cluster_ip, port,
                                                      backends)
         for rule in self.host_stack.iptables.rules():
-            key = (rule.cluster_ip, rule.port, rule.protocol)
+            key = (rule.cluster_ip, rule.port)
             if key not in desired_keys:
                 yield self.sim.timeout(
                     self.config.network.host_iptable_update)

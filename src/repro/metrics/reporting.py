@@ -32,8 +32,14 @@ def _fmt(cell):
     return str(cell)
 
 
-def format_histogram(samples, bucket_width=1.0, max_width=50, title=None):
-    """Render a horizontal ASCII histogram of creation times (Fig. 7)."""
+#: Series per family that :func:`format_telemetry` prints in full.
+MAX_SERIES = 8
+
+
+def format_histogram(samples, title=None):
+    """Render a horizontal ASCII histogram of creation times (Fig. 7):
+    1 s buckets, the fullest one 50 characters wide."""
+    bucket_width = 1.0
     if not samples:
         return "(no samples)"
     counts = {}
@@ -45,7 +51,7 @@ def format_histogram(samples, bucket_width=1.0, max_width=50, title=None):
     for bucket in range(max(counts) + 1):
         count = counts.get(bucket, 0)
         bar = "#" * max(1 if count else 0,
-                        round(count / peak * max_width))
+                        round(count / peak * 50))
         low = bucket * bucket_width
         high = low + bucket_width
         lines.append(f"  [{low:5.1f},{high:5.1f}) {count:6d} {bar}")
@@ -61,16 +67,13 @@ def format_phase_breakdown(phase_means, title="Phase breakdown"):
                         title=title)
 
 
-def format_bucket_table(phase_buckets, bucket_width=2.0,
-                        title="Time bucket counts (Table I)"):
-    """Render the Table I layout: phases x time buckets."""
+def format_bucket_table(phase_buckets):
+    """Render the Table I layout: phases x 2 s time buckets."""
     bucket_count = len(next(iter(phase_buckets.values())))
-    headers = ["phase"] + [
-        f"[{int(i * bucket_width)},{int((i + 1) * bucket_width)}]"
-        for i in range(bucket_count)
-    ]
+    headers = ["phase"] + [f"[{2 * i},{2 * (i + 1)}]"
+                           for i in range(bucket_count)]
     rows = [[phase] + counts for phase, counts in phase_buckets.items()]
-    return format_table(headers, rows, title=title)
+    return format_table(headers, rows, title="Time bucket counts (Table I)")
 
 
 def summarize(result):
@@ -81,15 +84,14 @@ def summarize(result):
             f"p99={result.percentile(99):.2f}s")
 
 
-def format_telemetry(snapshot, title="Telemetry", families=None,
-                     max_series=8):
+def format_telemetry(snapshot, title="Telemetry", families=None):
     """Render a registry snapshot (``Telemetry.snapshot()``) compactly.
 
     One row per series: counters/gauges show their value, histograms
     their count / mean.  ``families`` restricts the listing (e.g. to
-    the core families); per family at most
-    ``max_series`` series print, the rest collapse into a ``(+N more)``
-    row with the family total so big label spaces stay readable.
+    the core families); per family at most ``MAX_SERIES`` series print,
+    the rest collapse into a ``(+N more)`` row with the family total so
+    big label spaces stay readable.
     """
     wanted = set(families) if families is not None else None
     rows = []
@@ -97,7 +99,7 @@ def format_telemetry(snapshot, title="Telemetry", families=None,
         if wanted is not None and family["name"] not in wanted:
             continue
         series = family["series"]
-        for entry in series[:max_series]:
+        for entry in series[:MAX_SERIES]:
             labelset = ",".join(f"{k}={v}"
                                 for k, v in sorted(entry["labels"].items()))
             name = family["name"] + (f"{{{labelset}}}" if labelset else "")
@@ -107,12 +109,12 @@ def format_telemetry(snapshot, title="Telemetry", families=None,
                 rows.append([name, f"n={count} mean={mean:.4f}s"])
             else:
                 rows.append([name, entry["value"]])
-        if len(series) > max_series:
+        if len(series) > MAX_SERIES:
             if family["kind"] == "histogram":
                 total = sum(entry["count"] for entry in series)
             else:
                 total = sum(entry["value"] for entry in series)
-            rows.append([f"{family['name']} (+{len(series) - max_series} "
+            rows.append([f"{family['name']} (+{len(series) - MAX_SERIES} "
                          f"more)", f"total={total}"])
     if not rows:
         rows = [["(no metrics)", "-"]]

@@ -5,8 +5,6 @@ agent inside each guest OS (paper §III-B(4)-(5)): the proxy pushes
 service routing rules over this channel into the guest's iptables.
 """
 
-from repro.simkernel.resources import Channel
-
 
 class RpcError(Exception):
     """The remote handler raised or the channel is down."""
@@ -54,7 +52,3 @@ class RpcChannel:
         result = yield from self.server.dispatch(method, payload)
         yield self.sim.timeout(self.round_trip_latency / 2)
         return result
-
-    def stream(self, name="rpc-stream"):
-        """A server-push stream (e.g. watch-style notifications)."""
-        return Channel(self.sim, name=name)

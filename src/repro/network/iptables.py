@@ -2,6 +2,7 @@
 
 Models exactly what kubeproxy programs: DNAT rules translating a service
 virtual IP (clusterIP:port) into one of the service's endpoint addresses.
+Every rule is TCP, so a rule is keyed by address and port alone.
 Rules live in chains per service, like the KUBE-SERVICES / KUBE-SVC-*
 layout; lookup picks endpoints round-robin (the iptables statistic-module
 behaviour, deterministic here).
@@ -9,14 +10,13 @@ behaviour, deterministic here).
 
 
 class NatRule:
-    """One DNAT rule: (cluster_ip, port, protocol) -> endpoints."""
+    """One DNAT rule: (cluster_ip, port) -> endpoints."""
 
-    __slots__ = ("cluster_ip", "port", "protocol", "endpoints", "_rr")
+    __slots__ = ("cluster_ip", "port", "endpoints", "_rr")
 
-    def __init__(self, cluster_ip, port, protocol="TCP", endpoints=()):
+    def __init__(self, cluster_ip, port, endpoints):
         self.cluster_ip = cluster_ip
         self.port = port
-        self.protocol = protocol
         self.endpoints = list(endpoints)  # (ip, port) pairs
         self._rr = 0
 
@@ -26,10 +26,6 @@ class NatRule:
         endpoint = self.endpoints[self._rr % len(self.endpoints)]
         self._rr += 1
         return endpoint
-
-    def matches(self, ip, port, protocol="TCP"):
-        return (self.cluster_ip == ip and self.port == port
-                and self.protocol == protocol)
 
 
 class IpTables:
@@ -41,15 +37,14 @@ class IpTables:
         self.update_count = 0
         self.generation = 0
 
-    def replace_service(self, cluster_ip, port, endpoints, protocol="TCP"):
+    def replace_service(self, cluster_ip, port, endpoints):
         """Install or update the DNAT rule for one service port."""
-        key = (cluster_ip, port, protocol)
-        self._rules[key] = NatRule(cluster_ip, port, protocol, endpoints)
+        self._rules[(cluster_ip, port)] = NatRule(cluster_ip, port, endpoints)
         self.update_count += 1
         self.generation += 1
 
-    def remove_service(self, cluster_ip, port, protocol="TCP"):
-        if self._rules.pop((cluster_ip, port, protocol), None) is not None:
+    def remove_service(self, cluster_ip, port):
+        if self._rules.pop((cluster_ip, port), None) is not None:
             self.update_count += 1
             self.generation += 1
 
@@ -57,9 +52,9 @@ class IpTables:
         self._rules.clear()
         self.generation += 1
 
-    def translate(self, ip, port, protocol="TCP"):
+    def translate(self, ip, port):
         """DNAT lookup; returns an (ip, port) endpoint or None."""
-        rule = self._rules.get((ip, port, protocol))
+        rule = self._rules.get((ip, port))
         if rule is None:
             return None
         return rule.pick()
@@ -68,10 +63,4 @@ class IpTables:
         return list(self._rules.values())
 
     def rule_count(self):
-        return len(self._rules)
-
-    def has_service(self, cluster_ip, port, protocol="TCP"):
-        return (cluster_ip, port, protocol) in self._rules
-
-    def __len__(self):
         return len(self._rules)

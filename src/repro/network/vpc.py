@@ -69,15 +69,8 @@ class Vpc:
         if eni is not None:
             eni.stack.detach_address(ip)
 
-    def stack_for(self, ip):
-        eni = self._enis.get(ip)
-        return eni.stack if eni is not None else None
-
     def reachable(self, ip):
         return ip in self._enis
-
-    def __len__(self):
-        return len(self._enis)
 
 
 class ConnectivityChecker:
@@ -95,14 +88,14 @@ class ConnectivityChecker:
     def __init__(self, vpc):
         self.vpc = vpc
 
-    def resolve(self, src_stack, ip, port, protocol="TCP"):
+    def resolve(self, src_stack, ip, port):
         """Return the final (ip, port) the connection lands on, or None."""
-        translated = src_stack.iptables.translate(ip, port, protocol)
+        translated = src_stack.iptables.translate(ip, port)
         if translated is not None:
             ip, port = translated
         if self.vpc.reachable(ip):
             return (ip, port)
         return None
 
-    def can_reach(self, src_stack, ip, port, protocol="TCP"):
-        return self.resolve(src_stack, ip, port, protocol) is not None
+    def can_reach(self, src_stack, ip, port):
+        return self.resolve(src_stack, ip, port) is not None

@@ -17,7 +17,6 @@ from .meta import (
     ObjectReference,
     OwnerReference,
     generate_uid,
-    object_key,
     split_key,
 )
 from .misc import (

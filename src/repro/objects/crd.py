@@ -45,11 +45,6 @@ class CustomResourceDefinition(KubeObject):
         Field("status", type=CRDStatus, default_factory=CRDStatus),
     )
 
-    @property
-    def established(self):
-        return any(c.get("type") == "Established" and c.get("status") == "True"
-                   for c in self.status.conditions)
-
 
 def make_custom_type(api_version, kind, plural, namespaced=True):
     """Create a KubeObject subclass for a CRD-defined resource."""

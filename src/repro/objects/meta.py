@@ -115,13 +115,8 @@ class ObjectReference(Serializable):
     )
 
 
-def object_key(namespace, name):
-    """Build the canonical ``namespace/name`` key used across controllers."""
-    return f"{namespace}/{name}" if namespace else name
-
-
 def split_key(key):
-    """Inverse of :func:`object_key`; returns (namespace, name)."""
+    """Split a ``namespace/name`` cache key; returns (namespace, name)."""
     if "/" in key:
         namespace, name = key.split("/", 1)
         return namespace, name

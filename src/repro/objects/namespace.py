@@ -33,8 +33,8 @@ class Namespace(KubeObject):
                 or self.status.phase == "Terminating")
 
 
-def make_namespace(name, labels=None):
+def make_namespace(name):
     namespace = Namespace()
     namespace.metadata.name = name
-    namespace.metadata.labels = dict(labels or {})
+    namespace.metadata.labels = {}
     return namespace

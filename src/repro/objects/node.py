@@ -93,8 +93,12 @@ class Node(KubeObject):
     )
 
 
+# The port a real kubelet serves its API on.
+KUBELET_PORT = 10250
+
+
 def make_node(name, cpu="96", memory="328Gi", pods="1000", labels=None,
-              internal_ip=None, kubelet_port=10250):
+              internal_ip=None):
     """Build a ready Node with the paper's bare-metal-like capacity."""
     resources = {
         "cpu": Quantity.parse(cpu),
@@ -112,5 +116,5 @@ def make_node(name, cpu="96", memory="328Gi", pods="1000", labels=None,
         node.status.addresses.append(
             NodeAddress(type="InternalIP", address=internal_ip)
         )
-    node.status.daemon_endpoints = {"kubeletEndpoint": {"Port": kubelet_port}}
+    node.status.daemon_endpoints = {"kubeletEndpoint": {"Port": KUBELET_PORT}}
     return node

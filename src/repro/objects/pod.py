@@ -274,10 +274,6 @@ class Pod(KubeObject):
     def is_terminal(self):
         return self.status.phase in ("Succeeded", "Failed")
 
-    @property
-    def node_name(self):
-        return self.spec.node_name
-
 
 class Taint(Serializable):
     FIELDS = (

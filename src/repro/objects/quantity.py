@@ -77,11 +77,6 @@ class Quantity:
     def zero(cls):
         return cls(0)
 
-    @property
-    def value(self):
-        """The amount in base units as a float (cores, bytes, ...)."""
-        return self.milli / 1000.0
-
     def to_serialized(self):
         return str(self)
 

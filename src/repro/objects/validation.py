@@ -16,7 +16,8 @@ class ValidationError(ValueError):
         self.field = field
 
 
-def validate_name(name, field="metadata.name"):
+def validate_name(name):
+    field = "metadata.name"
     if not name:
         raise ValidationError("name is required", field)
     if len(name) > 253:
@@ -27,9 +28,10 @@ def validate_name(name, field="metadata.name"):
         )
 
 
-def validate_label_value(value, field="metadata.labels"):
+def validate_label_value(value):
     if value and len(value) > 63:
-        raise ValidationError(f"label value too long: {value!r}", field)
+        raise ValidationError(f"label value too long: {value!r}",
+                              "metadata.labels")
 
 
 def validate_metadata(obj, namespaced):

@@ -24,10 +24,8 @@ from .errors import GoldenMismatch, ScenarioError
 from .loader import (
     corpus_paths,
     dumps,
-    load_corpus,
     load_scenario,
     loads,
-    save_scenario,
 )
 from .model import (
     ChaosSpec,
@@ -98,11 +96,9 @@ __all__ = [
     "corpus_paths",
     "derive_seed",
     "dumps",
-    "load_corpus",
     "load_scenario",
     "loads",
     "record_scenario",
     "run_scenario",
-    "save_scenario",
     "verify_scenario",
 ]

@@ -40,11 +40,6 @@ def load_scenario(path):
     return loads(text, where=os.path.basename(path))
 
 
-def save_scenario(scenario, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(scenario))
-
-
 def corpus_paths(directory):
     """Sorted scenario file paths under ``directory``."""
     if not os.path.isdir(directory):
@@ -55,14 +50,3 @@ def corpus_paths(directory):
         os.path.join(directory, name)
         for name in os.listdir(directory)
         if name.endswith((".yaml", ".yml")))
-
-
-def load_corpus(directory):
-    """Load every scenario in a corpus directory; returns (path, Scenario)
-    pairs sorted by file name."""
-    pairs = []
-    for path in corpus_paths(directory):
-        pairs.append((path, load_scenario(path)))
-    if not pairs:
-        raise ScenarioError(f"no *.yaml scenarios found in {directory!r}")
-    return pairs

@@ -47,7 +47,7 @@ from repro.chaos.spec import (
 )
 
 from .errors import ScenarioError
-from .shapes import SequentialShape, Shape
+from .shapes import Shape
 
 SCHEDULE_TYPES = ("oneshot", "periodic", "random")
 
@@ -420,7 +420,3 @@ class Scenario(Spec):
 
     def workload_count(self):
         return sum(len(t.workloads) for t in self.tenants)
-
-    def has_open_loop_load(self):
-        return any(not isinstance(w.shape, SequentialShape)
-                   for t in self.tenants for w in t.workloads)

@@ -130,11 +130,9 @@ def scenario_config(control):
               "fair_queuing": control.fair_queuing,
               "replicas": control.syncer_replicas}
     if control.optimized:
-        # The §9 hot-path optimizations (indexes, sharded dispatch,
-        # batched downward writes) — the configuration every corpus
-        # scenario runs.
-        syncer.update(use_cache_indexes=True, dispatch_shards=2,
-                      downward_batch_max=8)
+        # The §9 hot-path optimizations (sharded dispatch, batched
+        # downward writes) — the configuration every corpus scenario runs.
+        syncer.update(dispatch_shards=2, downward_batch_max=8)
     swapper = {"enabled": control.scale_to_zero}
     if control.idle_threshold is not None:
         # Keep the poll cadence proportional so short thresholds are

@@ -15,6 +15,6 @@ from .plugins import (
     default_filters,
     default_scorers,
 )
-from .scheduler import Scheduler, SchedulingFailure
+from .scheduler import Scheduler
 
 __all__ = [name for name in dir() if not name.startswith("_")]

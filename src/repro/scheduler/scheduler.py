@@ -17,30 +17,21 @@ from repro.telemetry import telemetry_of
 from .plugins import ClusterSnapshot, default_filters, default_scorers
 
 
-class SchedulingFailure(Exception):
-    """No node survived the filter plugins."""
-
-    def __init__(self, pod_key, reasons):
-        super().__init__(f"pod {pod_key}: 0/{len(reasons)} nodes available")
-        self.reasons = reasons
-
-
 class Scheduler:
     """Watches unscheduled pods and binds them to nodes, one at a time."""
 
-    def __init__(self, sim, client, informer_factory, config,
-                 filters=None, scorers=None, name="default-scheduler",
-                 recorder=None):
+    name = "default-scheduler"
+
+    def __init__(self, sim, client, informer_factory, config, scorers=None):
         from repro.clientgo.events import EventRecorder
 
         self.sim = sim
         self.client = client
         self.config = config
-        self.name = name
-        self.recorder = recorder or EventRecorder(sim, client, name)
-        self.filters = filters if filters is not None else default_filters()
+        self.recorder = EventRecorder(sim, client, self.name)
+        self.filters = default_filters()
         self.scorers = scorers if scorers is not None else default_scorers()
-        self.queue = WorkQueue(sim, name=f"{name}-queue")
+        self.queue = WorkQueue(sim, name=f"{self.name}-queue")
         self._pod_informer = informer_factory.informer("pods")
         self._node_informer = informer_factory.informer("nodes")
         # Maintained by the informer handlers below, never rebuilt.
@@ -60,19 +51,19 @@ class Scheduler:
         self._telemetry = telemetry
         self._binds_counter = telemetry.counter(
             "scheduler_binds_total", "successful pod bindings",
-            labels=("scheduler",)).labels(scheduler=name)
+            labels=("scheduler",)).labels(scheduler=self.name)
         self._bind_failures_counter = telemetry.counter(
             "scheduler_bind_failures_total",
             "bind writes rejected by the apiserver",
-            labels=("scheduler",)).labels(scheduler=name)
+            labels=("scheduler",)).labels(scheduler=self.name)
         self._unschedulable_counter = telemetry.counter(
             "scheduler_unschedulable_total",
             "scheduling attempts with no feasible node",
-            labels=("scheduler",)).labels(scheduler=name)
+            labels=("scheduler",)).labels(scheduler=self.name)
         self._latency_hist = telemetry.histogram(
             "scheduler_e2e_seconds",
             "queue add -> successful bind latency",
-            labels=("scheduler",)).labels(scheduler=name)
+            labels=("scheduler",)).labels(scheduler=self.name)
 
         self._pod_informer.add_handlers(
             on_add=self._on_pod_add,
@@ -242,7 +233,9 @@ class Scheduler:
         except ApiError:
             pass
 
-        def retry(key=pod.key):
+        key = pod.key
+
+        def retry():
             yield self.sim.timeout(1.0)
             self.queue.add(key)
 

@@ -42,9 +42,6 @@ class MemoryAccount:
     def register_meter(self, name, fn):
         self._meters[name] = fn
 
-    def unregister_meter(self, name):
-        self._meters.pop(name, None)
-
     def snapshot(self, now):
         total = 0
         for fn in self._meters.values():
@@ -73,14 +70,3 @@ class Accounting:
         if name not in self.memory:
             self.memory[name] = MemoryAccount(name)
         return self.memory[name]
-
-    def sampler(self, account_name, interval=0.5):
-        """A process that snapshots a memory account periodically."""
-        account = self.memory_account(account_name)
-
-        def run():
-            while True:
-                account.snapshot(self.sim.now)
-                yield self.sim.timeout(interval)
-
-        return run()

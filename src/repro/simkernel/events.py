@@ -34,11 +34,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self):
-        """True once callbacks have been invoked."""
-        return self.callbacks is None
-
-    @property
     def ok(self):
         """True if the event succeeded. Only meaningful once triggered."""
         return self._ok
@@ -50,16 +45,16 @@ class Event:
             raise AttributeError("event not yet triggered")
         return self._value
 
-    def succeed(self, value=None, delay=0):
+    def succeed(self, value=None):
         """Trigger the event successfully with ``value``."""
         if self.triggered:
             raise EventAlreadyTriggered(repr(self))
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self, 0)
         return self
 
-    def fail(self, exception, delay=0):
+    def fail(self, exception):
         """Trigger the event with an exception to be raised in waiters."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
@@ -67,7 +62,7 @@ class Event:
             raise EventAlreadyTriggered(repr(self))
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self, 0)
         return self
 
     def add_callback(self, callback):

@@ -79,7 +79,7 @@ class Simulation:
         """The process currently being stepped, if any."""
         return self._active_process
 
-    def _schedule(self, event, delay=0):
+    def _schedule(self, event, delay):
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         seq = self._tiebreak()

@@ -72,8 +72,8 @@ class WalTornRecord(StorageError):
     can observe the tear.
     """
 
-    def __init__(self, lsn, reason="checksum mismatch"):
-        super().__init__(f"torn WAL record at lsn {lsn}: {reason}")
+    def __init__(self, lsn):
+        super().__init__(f"torn WAL record at lsn {lsn}: checksum mismatch")
         self.lsn = lsn
 
 

@@ -66,17 +66,19 @@ def coordinator_of(sim):
 class StoreCoordinator:
     """Coordination apiserver + the admin client factory electors use."""
 
-    def __init__(self, sim, name="store-coord"):
+    name = "store-coord"
+
+    def __init__(self, sim):
         from repro.apiserver import ADMIN, APIServer
         from repro.objects import make_namespace
 
         self.sim = sim
-        self.api = APIServer(sim, name)
+        self.api = APIServer(sim, self.name)
         self._admin = ADMIN
         # Electors create Leases in kube-system; the elector retries
         # through the window before this bootstrap process has run.
         sim.spawn(self.api.create(ADMIN, make_namespace("kube-system")),
-                  name=f"{name}-bootstrap")
+                  name=f"{self.name}-bootstrap")
 
     def client(self, user_agent):
         from repro.clientgo import Client

@@ -11,8 +11,8 @@ import json
 from . import CORE_FAMILIES
 
 
-def render_json(snapshot, indent=2):
-    return json.dumps(snapshot, indent=indent, sort_keys=True)
+def render_json(snapshot):
+    return json.dumps(snapshot, indent=2, sort_keys=True)
 
 
 def _labels_suffix(labels):

@@ -186,10 +186,6 @@ class SpanTracer:
         """Spans started but not finished (debugging aid)."""
         return [span for stack in self._stacks.values() for span in stack]
 
-    def children_of(self, span):
-        """Finished spans whose parent is ``span`` (retained ring only)."""
-        return [s for s in self.finished if s.parent_id == span.span_id]
-
     def aggregates(self):
         """Exact per-name aggregates (survive ring eviction), sorted.
 

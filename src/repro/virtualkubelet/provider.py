@@ -89,14 +89,14 @@ class MockProvider(PodProvider):
 class VirtualKubelet:
     """A node agent backed by a provider instead of a real runtime."""
 
-    def __init__(self, sim, node_name, client, config, informer_factory,
-                 provider=None, heartbeat_interval=5.0):
+    heartbeat_interval = 5.0
+
+    def __init__(self, sim, node_name, client, config, informer_factory):
         self.sim = sim
         self.node_name = node_name
         self.client = client
         self.config = config
-        self.provider = provider or MockProvider(sim, node_name)
-        self.heartbeat_interval = heartbeat_interval
+        self.provider = MockProvider(sim, node_name)
         self.pod_informer = informer_factory.informer(
             "pods", field_selector={"spec.nodeName": node_name})
         self.pod_informer.add_handlers(

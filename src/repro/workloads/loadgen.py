@@ -68,9 +68,6 @@ class TimedActions:
         self.concurrent = concurrent
         self.labels = labels
 
-    def __len__(self):
-        return len(self.actions)
-
 
 class LoadGenerator:
     """Drives pod creation against tenant control planes or the super."""

@@ -6,6 +6,7 @@ mid-sync; whatever slips through is remediated by the periodic scanner.
 
 from repro.apiserver import NotFound
 from repro.core.crd import super_namespace
+from repro.objects import ConfigMap, PersistentVolume, StorageClass
 
 
 class TestRaceTolerance:
@@ -195,3 +196,128 @@ class TestQueueHygiene:
         stats = env.syncer.downward.stats()
         assert stats["deduped"] >= 1
         assert stats["depth"] == 0  # fully drained
+
+
+def _super_get(env, plural, name, namespace=None):
+    admin = env.super_admin_client()
+    try:
+        return env.run_coroutine(admin.get(plural, name,
+                                           namespace=namespace))
+    except NotFound:
+        return None
+
+
+class TestInPlaceUpdates:
+    """A tenant object edited in place reaches its super copy, and a
+    super cluster-scoped object reaches every tenant."""
+
+    def test_pod_label_update_reaches_super_pod(self, env, tenant):
+        env.run_coroutine(tenant.create_pod("web", labels={"app": "a"}))
+        env.run_until_pods_ready(tenant, ["default/web"], timeout=60)
+        super_ns = super_namespace(tenant.vc, "default")
+        bound = _super_get(env, "pods", "web", super_ns)
+
+        def relabel():
+            pod = (yield from tenant.get_pod("web")).copy()
+            pod.metadata.labels = {"app": "b"}
+            yield from tenant.client.update(pod)
+
+        env.run_coroutine(relabel())
+        env.run_for(10)
+        relabeled = _super_get(env, "pods", "web", super_ns)
+        assert relabeled.metadata.labels["app"] == "b"
+        assert relabeled.metadata.uid == bound.metadata.uid
+        assert relabeled.spec.node_name == bound.spec.node_name
+        assert relabeled.status.is_ready
+
+    def test_configmap_data_update_reaches_super_copy(self, env, tenant):
+        config = ConfigMap()
+        config.metadata.name = "settings"
+        config.metadata.namespace = "default"
+        config.data = {"mode": "v1"}
+        env.run_coroutine(tenant.client.create(config))
+        env.run_for(5)
+        super_ns = super_namespace(tenant.vc, "default")
+        assert _super_get(env, "configmaps", "settings",
+                          super_ns).data == {"mode": "v1"}
+
+        def edit():
+            current = yield from tenant.client.get(
+                "configmaps", "settings", namespace="default")
+            yield from tenant.client.update(
+                current.replace(data={"mode": "v2"}))
+
+        env.run_coroutine(edit())
+        env.run_for(10)
+        assert _super_get(env, "configmaps", "settings",
+                          super_ns).data == {"mode": "v2"}
+
+    def test_service_spec_change_keeps_super_cluster_ip(self, env, tenant):
+        env.run_coroutine(tenant.create_service(
+            "svc", selector={"app": "web"}, port=80))
+        env.run_for(5)
+        super_ns = super_namespace(tenant.vc, "default")
+        before = _super_get(env, "services", "svc", super_ns)
+        assert before.spec.cluster_ip
+
+        def edit():
+            current = (yield from tenant.client.get(
+                "services", "svc", namespace="default")).copy()
+            current.spec.ports[0].port = 8080
+            yield from tenant.client.update(current)
+
+        env.run_coroutine(edit())
+        env.run_for(10)
+        after = _super_get(env, "services", "svc", super_ns)
+        assert after.spec.ports[0].port == 8080
+        assert after.spec.cluster_ip == before.spec.cluster_ip
+
+    def test_super_cluster_resources_reach_every_tenant(self, env,
+                                                        two_tenants):
+        admin = env.super_admin_client()
+        volume = PersistentVolume()
+        volume.metadata.name = "pv-shared"
+        volume.spec = {"capacity": {"storage": "1Gi"}}
+        storage_class = StorageClass()
+        storage_class.metadata.name = "fast"
+        storage_class.provisioner = "example.com/ssd"
+
+        def tenant_copies(plural, name):
+            copies = []
+            for tenant in two_tenants:
+                try:
+                    copies.append(env.run_coroutine(
+                        tenant.client.get(plural, name)))
+                except NotFound:
+                    copies.append(None)
+            return copies
+
+        env.run_coroutine(admin.create(volume))
+        env.run_coroutine(admin.create(storage_class))
+        env.run_for(5)
+        for copy in tenant_copies("persistentvolumes", "pv-shared"):
+            assert copy.spec["capacity"] == {"storage": "1Gi"}
+        for copy in tenant_copies("storageclasses", "fast"):
+            assert copy.provisioner == "example.com/ssd"
+
+        def edit():
+            current = yield from admin.get("persistentvolumes", "pv-shared")
+            yield from admin.update(current.replace(
+                spec={"capacity": {"storage": "2Gi"}}))
+            current = yield from admin.get("storageclasses", "fast")
+            yield from admin.update(current.replace(
+                parameters={"tier": "gold"}))
+
+        env.run_coroutine(edit())
+        env.run_for(5)
+        for copy in tenant_copies("persistentvolumes", "pv-shared"):
+            assert copy.spec["capacity"] == {"storage": "2Gi"}
+        for copy in tenant_copies("storageclasses", "fast"):
+            assert copy.parameters == {"tier": "gold"}
+
+        env.run_coroutine(admin.delete("persistentvolumes", "pv-shared"))
+        env.run_coroutine(admin.delete("storageclasses", "fast"))
+        env.run_for(5)
+        assert tenant_copies("persistentvolumes", "pv-shared") == [None,
+                                                                   None]
+        assert tenant_copies("storageclasses", "fast") == [None, None]

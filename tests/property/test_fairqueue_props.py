@@ -276,9 +276,11 @@ def test_rebalance_after_chaos_worker_kill():
     for shard in (0, 1):
         worker_processes[f"dws-{shard}"] = sim.process(worker(shard))
 
-    fake_syncer = SimpleNamespace(name="sharded-syncer",
-                                  worker_processes=worker_processes)
-    crash = WorkerCrash(fake_syncer, count=1, labels=["dws-1"])
+    # The crash sees only shard 1's worker, so that is the one it kills.
+    fake_syncer = SimpleNamespace(
+        name="sharded-syncer",
+        worker_processes={"dws-1": worker_processes["dws-1"]})
+    crash = WorkerCrash(fake_syncer, count=1)
     crash.bind(sim, random.Random(7))
 
     sim.run(until=0.25)  # both workers mid-drain

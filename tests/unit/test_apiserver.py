@@ -12,6 +12,7 @@ from repro.apiserver import (
     Forbidden,
     Invalid,
     NotFound,
+    RBACAuthorizer,
     Unauthorized,
 )
 from repro.objects import (
@@ -252,14 +253,16 @@ class TestAuth:
             run(sim, api.get(stranger, "pods", "p", namespace="default"))
 
     def test_rbac_denies_without_binding(self, sim):
-        api = APIServer(sim, "rbac-api", rbac=True)
+        api = APIServer(sim, "rbac-api")
+        api.authorizer = RBACAuthorizer(api.reader)
         user = api.authenticator.register(Credential("alice"))
         setup_namespace(sim, api)
         with pytest.raises(Forbidden):
             run(sim, api.list(user, "pods", namespace="default"))
 
     def test_rbac_allows_with_cluster_binding(self, sim):
-        api = APIServer(sim, "rbac-api", rbac=True)
+        api = APIServer(sim, "rbac-api")
+        api.authorizer = RBACAuthorizer(api.reader)
         user = api.authenticator.register(Credential("alice"))
         setup_namespace(sim, api)
         role = ClusterRole()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apiserver import ADMIN, APIServer, TooManyRequests
-from repro.clientgo import Client, InformerFactory, SharedInformer
+from repro.clientgo import Client, InformerFactory, Reflector, SharedInformer
 from repro.objects import make_namespace, make_pod
 from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
@@ -396,8 +396,6 @@ class TestReflectorStop:
         assert len(api.store._watches) == 1
 
     def test_relist_backoff_grows_and_resets(self, sim, api, client):
-        from repro.clientgo import Reflector
-
         class NullDelegate:
             def on_replace(self, objs):
                 pass
@@ -405,22 +403,32 @@ class TestReflectorStop:
             def on_event(self, kind, obj):
                 pass
 
+        class CappedReflector(Reflector):
+            max_relist_backoff = 8.0
+            backoff_jitter = 0.0
+
+        class JitteredReflector(CappedReflector):
+            backoff_jitter = 0.5
+
         bootstrap(sim, client)
-        reflector = Reflector(sim, client, "pods", NullDelegate(),
-                              relist_backoff=1.0, max_relist_backoff=8.0,
-                              backoff_jitter=0.0)
+        reflector = CappedReflector(sim, client, "pods", NullDelegate())
         reflector._consecutive_failures = 0
         assert reflector.next_backoff() == 1.0
         reflector._consecutive_failures = 2
         assert reflector.next_backoff() == 4.0
         reflector._consecutive_failures = 10
         assert reflector.next_backoff() == 8.0  # capped
-        jittered = Reflector(sim, client, "pods", NullDelegate(),
-                             relist_backoff=1.0, max_relist_backoff=8.0,
-                             backoff_jitter=0.5)
+        jittered = JitteredReflector(sim, client, "pods", NullDelegate())
         jittered._consecutive_failures = 1
         delay = jittered.next_backoff()
         assert 2.0 <= delay <= 3.0
+
+
+class _QuickReflector(Reflector):
+    """Relists 0.5 s after a failure, without jitter."""
+
+    relist_backoff = 0.5
+    backoff_jitter = 0.0
 
 
 class _Recorder:
@@ -462,11 +470,8 @@ class TestListHolds:
         return client
 
     def _reflector(self, sim, client):
-        from repro.clientgo import Reflector
-
         delegate = _Recorder()
-        reflector = Reflector(sim, client, "pods", delegate,
-                              relist_backoff=0.5, backoff_jitter=0.0)
+        reflector = _QuickReflector(sim, client, "pods", delegate)
         reflector.start()
         sim.run(until=sim.now + 0.1)        # inside the LIST
         assert reflector.list_count == 0

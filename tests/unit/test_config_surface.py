@@ -19,13 +19,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.apiserver import APIServer
 from repro.config import DEFAULT_CONFIG, LatencyConfig
+from repro.controllers import ControllerManager
 from repro.core import IdleSwapper, VirtualClusterEnv
-from repro.core.controlplane import SuperCluster
+from repro.core.controlplane import (
+    ControlPlane,
+    SuperCluster,
+    TenantControlPlane,
+)
 from repro.core.syncer.ha import SyncerHA
 from repro.core.syncer.syncer import Syncer
 from repro.scenarios.model import ControlSpec
 from repro.scenarios.runner import scenario_config
+from repro.scheduler import Scheduler
 from repro.simkernel import Simulation
 from repro.storage import StoreGroup
 from repro.workloads import (
@@ -43,6 +50,16 @@ CONSTRUCTORS = {
     SyncerHA: ("sim", "super_cluster", "config"),
     IdleSwapper: ("sim", "config"),
     StoreGroup: ("sim", "name", "config"),
+    # The control-plane assembly: no switch that no deployment flips.
+    # ``store`` and ``scorers`` are test seams (a prepared store, a
+    # scoring plugin); ``per_user_inflight`` is Fig. 1's shared-apiserver
+    # ablation.
+    APIServer: ("sim", "name", "config", "store", "per_user_inflight"),
+    ControlPlane: ("sim", "name", "config"),
+    TenantControlPlane: ("sim", "name", "config", "owner_vc"),
+    SuperCluster: ("sim", "config", "name"),
+    ControllerManager: ("sim", "client", "informer_factory"),
+    Scheduler: ("sim", "client", "informer_factory", "config", "scorers"),
 }
 CALLABLES = {target.__name__: target
              for target in (*CONSTRUCTORS, run_vc_stress,

@@ -18,14 +18,13 @@ from repro.simkernel import Simulation
 
 
 class _Cluster:
-    def __init__(self, enable_workloads=True):
+    def __init__(self):
         self.sim = Simulation()
         self.api = APIServer(self.sim, "cp")
         self.client = Client(self.sim, self.api, ADMIN, qps=100000,
                              burst=100000)
         factory = InformerFactory(self.sim, self.client)
-        self.manager = ControllerManager(self.sim, self.client, factory,
-                                         enable_workloads=enable_workloads)
+        self.manager = ControllerManager(self.sim, self.client, factory)
         self.manager.start()
         self.run(self.client.create(make_namespace("default")))
         self.settle()

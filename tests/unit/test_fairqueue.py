@@ -222,14 +222,14 @@ class TestWeightValidation:
             queue.register_tenant("T", weight=-3)
 
     def test_explicit_weight_not_coerced(self, sim):
-        queue = FairWorkQueue(sim, default_weight=4)
+        queue = FairWorkQueue(sim)
         queue.register_tenant("T", weight=2)
         assert queue._weights["T"] == 2
 
     def test_none_weight_uses_default(self, sim):
-        queue = FairWorkQueue(sim, default_weight=4)
+        queue = FairWorkQueue(sim)
         queue.register_tenant("T")
-        assert queue._weights["T"] == 4
+        assert queue._weights["T"] == FairWorkQueue.default_weight == 1
 
     def test_sharded_zero_weight_rejected(self, sim):
         queue = ShardedFairWorkQueue(sim, shards=2)
@@ -238,7 +238,7 @@ class TestWeightValidation:
         assert "T" not in queue.tenants
 
     def test_sharded_explicit_weight_propagates(self, sim):
-        queue = ShardedFairWorkQueue(sim, shards=2, default_weight=4)
+        queue = ShardedFairWorkQueue(sim, shards=2)
         queue.register_tenant("T", weight=2)
         shard = queue.shards[queue.shard_of("T")]
         assert shard._weights["T"] == 2

@@ -40,7 +40,8 @@ def test_idle_tenant_control_plane_dispatches_no_event():
 # ----------------------------------------------------------------------
 
 SIZE_FACTOR, SIZE_OVERHEAD = 3.0, 100
-INFORMERS = [("pods", None), ("pods", "ns-a"), ("configmaps", None)]
+INFORMERS = [("pods", None), ("pods", {"spec.nodeName": "n1"}),
+             ("configmaps", None)]
 NAMES = [f"obj-{index}" for index in range(5)]
 
 obj_st = st.builds(
@@ -86,8 +87,8 @@ def test_factory_byte_total_is_the_sum_of_its_caches(operations):
     sim = Simulation()
     factory = InformerFactory(sim, None, size_factor=SIZE_FACTOR,
                               size_overhead=SIZE_OVERHEAD)
-    informers = [factory.informer(plural, namespace=namespace)
-                 for plural, namespace in INFORMERS]
+    informers = [factory.informer(plural, field_selector=selector)
+                 for plural, selector in INFORMERS]
     for op, index, arg in operations:
         _apply(informers[index], op, arg)
         assert factory.total_cache_bytes == sum(

@@ -59,8 +59,7 @@ class TestReporting:
         assert "long-name" in table
 
     def test_format_histogram(self):
-        text = format_histogram([0.1, 0.2, 1.5, 1.7, 1.8],
-                                bucket_width=1.0, title="h")
+        text = format_histogram([0.1, 0.2, 1.5, 1.7, 1.8], title="h")
         assert "h" in text
         assert "[  0.0,  1.0)" in text
         assert "2" in text and "3" in text

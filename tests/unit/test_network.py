@@ -43,11 +43,11 @@ class TestIpTables:
         table.remove_service("10.96.0.1", 80)
         assert table.translate("10.96.0.1", 80) is None
 
-    def test_port_and_protocol_matter(self):
+    def test_port_matters(self):
         table = IpTables()
         table.replace_service("10.96.0.1", 80, [("a", 80)])
         assert table.translate("10.96.0.1", 443) is None
-        assert table.translate("10.96.0.1", 80, protocol="UDP") is None
+        assert table.translate("10.96.0.2", 80) is None
 
     def test_generation_counter(self):
         table = IpTables()

@@ -481,8 +481,11 @@ class TestOneServingStore:
 
         client = plane.client(user_agent="test", qps=10000, burst=10000)
         delegate = Recorder()
-        reflector = Reflector(sim, client, "pods", delegate,
-                              relist_backoff=0.5, backoff_jitter=0.0)
+        class QuickReflector(Reflector):
+            relist_backoff = 0.5
+            backoff_jitter = 0.0
+
+        reflector = QuickReflector(sim, client, "pods", delegate)
         reflector.start()
         sim.run(until=sim.now + 0.1)            # inside the 2 s LIST
         assert serving.holds == 1

@@ -140,6 +140,10 @@ class TestReflectorHonorsRetryAfter:
         assert delay <= reflector.max_relist_backoff
 
 
+class _UnjitteredQueue(RateLimitingQueue):
+    jitter = 0.0
+
+
 class TestWorkqueueHonorsRetryAfter:
     def dispatch_time(self, queue, sim, item):
         out = []
@@ -155,7 +159,7 @@ class TestWorkqueueHonorsRetryAfter:
 
     def test_retry_after_overrides_backoff(self):
         sim = Simulation(seed=7)
-        queue = RateLimitingQueue(sim, base_delay=0.005, max_delay=10.0)
+        queue = RateLimitingQueue(sim)
         queue.add_rate_limited("key", retry_after=5.0)
         when = self.dispatch_time(queue, sim, "key")
         # 5s hint with one-sided 10% jitter — not the 5ms first backoff.
@@ -171,8 +175,7 @@ class TestWorkqueueHonorsRetryAfter:
 
     def test_without_hint_exponential_backoff(self):
         sim = Simulation(seed=7)
-        queue = RateLimitingQueue(sim, base_delay=0.005, max_delay=10.0,
-                                  jitter=0.0)
+        queue = _UnjitteredQueue(sim)
         queue.add_rate_limited("key")
         when = self.dispatch_time(queue, sim, "key")
         assert when == pytest.approx(0.005)

@@ -178,7 +178,7 @@ class TestTracing:
         store = TraceStore()
         # DWS-Queue lands in bucket [2,4), every other phase in [0,2).
         self._stamp(store, "t", "ns/p", 3.0, 3.1, 3.2, 3.3, 3.4)
-        buckets = store.phase_bucket_counts(bucket_width=2.0, bucket_count=5)
+        buckets = store.phase_bucket_counts()
         assert buckets["DWS-Queue"] == [0, 1, 0, 0, 0]
         assert buckets["DWS-Process"] == [1, 0, 0, 0, 0]
 

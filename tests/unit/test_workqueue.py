@@ -159,10 +159,21 @@ class TestDelayingQueue:
         assert len(queue) == 1
 
 
+class _SlowQueue(RateLimitingQueue):
+    """Retry delays 1, 2, 4, ... s up to 100 s, without jitter."""
+
+    base_delay = 1.0
+    max_delay = 100.0
+    jitter = 0.0
+
+
+class _CappedQueue(_SlowQueue):
+    max_delay = 4.0
+
+
 class TestRateLimitingQueue:
     def test_backoff_grows_exponentially(self, sim):
-        queue = RateLimitingQueue(sim, base_delay=1.0, max_delay=100.0,
-                                  jitter=0.0)
+        queue = _SlowQueue(sim)
         times = []
 
         def worker():
@@ -179,15 +190,14 @@ class TestRateLimitingQueue:
         assert times == [1, 3, 7]
 
     def test_forget_resets_backoff(self, sim):
-        queue = RateLimitingQueue(sim, base_delay=1.0)
+        queue = _SlowQueue(sim)
         queue.add_rate_limited("x")
         assert queue.num_requeues("x") == 1
         queue.forget("x")
         assert queue.num_requeues("x") == 0
 
     def test_max_delay_cap(self, sim):
-        queue = RateLimitingQueue(sim, base_delay=1.0, max_delay=4.0,
-                                  jitter=0.0)
+        queue = _CappedQueue(sim)
         for _ in range(10):
             queue.num_requeues("x")
             queue._failures["x"] = queue._failures.get("x", 0) + 1
