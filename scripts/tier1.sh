@@ -34,10 +34,12 @@
 # src/ still resolve.
 #
 # --lint runs the static analyzer (repro.analysis check: determinism
-# rules D001-D006 and concurrency/protocol rules C003-C006 in one pass)
-# over src/ in strict mode against the committed allowlist, then the
-# lint-marked CLI smoke tests.  Exit 0 means zero non-allowlisted
-# findings and no stale suppressions or allowlist entries.
+# rules D001-D006 and concurrency/protocol rules C003-C006 in one pass,
+# each rule decided inside one module, so C003 checks every function
+# under src/) over src/ in strict mode against the committed
+# allowlist, then the lint-marked CLI smoke tests.  Exit 0 means zero
+# non-allowlisted findings and no stale suppressions or allowlist
+# entries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -5,10 +5,11 @@ in this repo rests on — byte-identical converged etcd state, base-seed
 chaos determinism, exact telemetry aggregates:
 
 - :mod:`repro.analysis.staticcheck` — the static analyzer: one pass over
-  one parsed project (:mod:`repro.analysis.callgraph`) running the
-  determinism rules D001–D006 (:mod:`repro.analysis.linter`: wall-clock
-  use, unseeded randomness, unordered-set iteration, identity-based
-  ordering, float priority accumulation, non-canonical hash inputs) and
+  the parsed files (:mod:`repro.analysis.project`), each rule decided
+  inside one module, running the determinism rules D001–D006
+  (:mod:`repro.analysis.linter`: wall-clock use, unseeded randomness,
+  unordered-set iteration, identity-based ordering, float priority
+  accumulation, non-canonical hash inputs) and
   the concurrency & protocol rules C003–C006 (unowned module-level
   mutable state, orphaned timers/events, unfenced leader writes, shared
   snapshots edited in place);

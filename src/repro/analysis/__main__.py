@@ -2,12 +2,11 @@
 
 Usage::
 
-    PYTHONPATH=src python -m repro.analysis check src/ [--strict] [--format json]
+    PYTHONPATH=src python -m repro.analysis check src/ [--strict] [--verbose]
     PYTHONPATH=src python -m repro.analysis bisect SCENARIO.yaml [--schedule S]
     PYTHONPATH=src python -m repro.analysis rules
 
-``lint`` and ``staticcheck`` are aliases of ``check`` (the two packs'
-former commands); each runs both packs.  ``bisect`` runs a scenario
+``check`` runs both rule packs in one pass.  ``bisect`` runs a scenario
 file twice through ``repro.scenarios.run_scenario`` — the one run
 harness — and diffs the store-event streams; with ``--schedule S`` the
 second run uses schedule seed ``S``.
@@ -22,13 +21,7 @@ from pathlib import Path
 
 from .bisect import first_divergence
 from .rules import format_rule_catalog
-from .staticcheck import (
-    check_paths,
-    format_json,
-    format_report,
-    format_sarif,
-    load_allowlist,
-)
+from .staticcheck import check_paths, format_report, load_allowlist
 
 DEFAULT_ALLOWLIST = "analysis-allowlist.txt"
 
@@ -51,12 +44,7 @@ def _cmd_check(args):
         return 1
     result = check_paths(args.paths, allowlist=allowlist,
                          strict=args.strict)
-    if args.format == "json":
-        print(format_json(result))
-    elif args.format == "sarif":
-        print(format_sarif(result))
-    else:
-        print(format_report(result, verbose=args.verbose))
+    print(format_report(result, verbose=args.verbose))
     return 0 if result.ok else 2
 
 
@@ -89,20 +77,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser(
-        "check", aliases=("lint", "staticcheck"),
-        help="run the static analyzer (D- and C-rules; `lint` and "
-             "`staticcheck` are the pre-merge names)")
+        "check", help="run the static analyzer (D- and C-rules)")
     check.add_argument("paths", nargs="+", help="files or trees to check")
     check.add_argument("--allowlist", default=None,
                        help=f"allowlist file (default: {DEFAULT_ALLOWLIST} "
                             f"in the current directory, when present)")
     check.add_argument("--strict", action="store_true",
                        help="also fail stale suppressions/allowlist entries")
-    check.add_argument("--format", choices=("text", "json", "sarif"),
-                       default="text", help="report format (default: text)")
     check.add_argument("--verbose", action="store_true",
-                       help="print suppressed and allowlisted findings too "
-                            "(text)")
+                       help="print suppressed and allowlisted findings too")
     check.set_defaults(func=_cmd_check)
 
     bisect = sub.add_parser(

@@ -1,7 +1,7 @@
 """Determinism rules D001–D006: the per-module half of the analyzer.
 
 Two passes per module, both over the tree and imports already parsed
-into a :class:`~repro.analysis.callgraph.ModuleInfo`:
+into a :class:`~repro.analysis.project.ModuleInfo`:
 
 1. a *collect* pass infers which local names and ``self.X``
    attributes are set-typed (for D003), and records which identifiers
@@ -20,7 +20,7 @@ runs them next to the C-rules.
 
 import ast
 
-from .callgraph import dotted_name
+from .project import dotted_name
 from .rules import Finding
 
 # Calls whose dotted name ends with one of these are wall-clock reads.

@@ -7,9 +7,8 @@ simulation seed — exactly the failures that silently break the repo's
 byte-identical-convergence and chaos-replay claims.  Each C-rule names
 one concurrency or protocol hazard that is visible in the source but
 only *manifests* under a particular schedule.  Both packs are checked
-in one pass by :func:`repro.analysis.staticcheck.check_paths`: D-rules
-per module (:mod:`repro.analysis.linter`), C-rules over the project-wide
-symbol table and call graph.
+in one pass by :func:`repro.analysis.staticcheck.check_paths`, and every
+rule of both decides its findings inside one module.
 
 Suppression syntax
 ------------------
@@ -84,15 +83,15 @@ RULES = {
         "hash seeds, so 'stable' routing or digests silently stop being "
         "stable (e.g. tenant->shard routing must hash canonical bytes)."),
     "C003": Rule(
-        "C003", "module-level mutable state written from sim-process code",
-        "A module-level dict/list/set/counter is mutated from code "
-        "reachable by sim processes without a registered happens-before "
-        "carrier.  It leaks state across Simulation instances in one "
-        "interpreter, and unordered access is a hazard the schedule "
-        "check can only catch dynamically, per-schedule.  Own the "
-        "state per-sim, or mark the definition "
-        "'# repro: hb-carrier[why]' if access is provably "
-        "kernel-ordered."),
+        "C003", "module-level mutable state written from a function",
+        "A module-level dict/list/set/counter is mutated inside a "
+        "function of a checked file.  The state outlives the "
+        "Simulation, so it leaks across Simulation instances in one "
+        "interpreter (a process-global UID counter made a second "
+        "same-seed run mint different UIDs), and unordered access is a "
+        "hazard the schedule check can only catch dynamically, "
+        "per-schedule.  Own the state per-sim.  Every checked file "
+        "counts: the gate checks src/, which is all simulated system."),
     "C004": Rule(
         "C004", "orphaned Timeout/Event (created and dropped)",
         "A Timeout/Event is created but never awaited, cancelled, "
@@ -102,9 +101,9 @@ RULES = {
         "run as an undefused failure with no waiter to attribute it to."),
     "C005": Rule(
         "C005", "unfenced store write from a leader-elected component",
-        "A write path inside a leader-elected component (SyncerHA, "
-        "ControllerManager, the StoreGroup coordinator) reaches the "
-        "store without the fencing-token check: a transaction(...) with "
+        "A write path inside a leader-elected component (SyncerHA, the "
+        "StoreGroup coordinator) reaches the store without the "
+        "fencing-token check: a transaction(...) with "
         "no fencing= argument, or a raw store put/delete/txn.  A deposed "
         "leader's in-flight writes would land after the new leader's "
         "fence barrier — the split-brain window fencing exists for."),
@@ -145,16 +144,6 @@ class Finding:
     def format(self):
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
-    def to_dict(self):
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "status": self.status,
-        }
-
     def __repr__(self):
         return f"<Finding {self.code} {self.path}:{self.line}>"
 
@@ -173,6 +162,4 @@ def format_rule_catalog():
             lines.append(f"      {rule.rationale}")
             lines.append("")
     lines.append("suppress in place:  # repro: allow[DXXX] justification")
-    lines.append("exempt a checked happens-before carrier at its "
-                 "definition:  # repro: hb-carrier[why]")
     return "\n".join(lines)

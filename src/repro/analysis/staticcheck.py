@@ -1,16 +1,16 @@
 """The static analyzer: one driver over both rule packs, plus the C-rules.
 
-:func:`check_paths` loads one :class:`~repro.analysis.callgraph.Project`
+:func:`check_paths` loads one :class:`~repro.analysis.project.Project`
 (each file parsed once), then for every module runs the determinism
 rules D001–D006 (:mod:`repro.analysis.linter`) and the concurrency &
-protocol rules below, reads its ``allow[...]``/``hb-carrier[...]``
-comments in one tokenize pass, and buckets every finding as active,
-suppressed, allowlisted or stale in one place.
+protocol rules below, reads its ``allow[...]`` comments in one tokenize
+pass, and buckets every finding as active, suppressed, allowlisted or
+stale in one place.
 
-C-rules (whole-program, over the symbol table and call graph)
-------------------------------------------------------------
+C-rules (each decided inside one module)
+----------------------------------------
 
-C003  module-level mutable state written from sim-process code
+C003  module-level mutable state written from a function
 C004  Timeout/Event created and dropped (orphaned timer)
 C005  unfenced store write from a leader-elected component
 C006  shared snapshot (cache entry, handler argument, client get/list
@@ -20,27 +20,22 @@ Every finding can be suppressed per line with ``# repro: allow[XXXX]
 why`` or per file in ``analysis-allowlist.txt``.  The meta-rule A000
 (unsuppressible) reports unknown codes, unparseable files and, under
 ``--strict``, suppressions or allowlist entries that match nothing.
-C003 additionally honors a *definition-site* exemption — ``# repro:
-hb-carrier[why]`` on the module-level assignment marks the object as a
-registered happens-before carrier, exempting every write to it.
 
 CLI: ``python -m repro.analysis check PATHS [--strict] [--allowlist F]
-[--format text|json|sarif] [--verbose]``.
+[--verbose]``.
 """
 
 import ast
 import io
-import json
 import re
 import tokenize
 from pathlib import Path
 
-from .callgraph import Project, dotted_name
 from .linter import lint_module
+from .project import Project, dotted_name
 from .rules import META_RULE, RULES, SUPPRESSIBLE, Finding
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
-_HB_CARRIER_RE = re.compile(r"#\s*repro:\s*hb-carrier\[([^\]]*)\]")
 
 # Mutable module-level containers (C003).  itertools.count is included:
 # next() on a shared counter is a write that diverges across schedules.
@@ -69,8 +64,7 @@ _SIM_EVENT_QUALS = {
 }
 
 # Leader-elected components whose write paths must be fenced (C005).
-LEADER_ELECTED_CLASSES = ("ControllerManager", "StoreCoordinator",
-                          "SyncerHA")
+LEADER_ELECTED_CLASSES = ("StoreCoordinator", "SyncerHA")
 
 # Raw-store write methods (C005) when called on a ``...store`` object.
 _STORE_WRITE_METHODS = {"put", "delete", "txn"}
@@ -87,15 +81,14 @@ _HANDLER_KEYWORDS = ("on_add", "on_update", "on_delete")
 
 
 def parse_comments(source, path):
-    """``(suppressions, carriers, errors)`` from one tokenize pass.
+    """``(suppressions, errors)`` from one tokenize pass.
 
     Only real comment tokens count — the syntax can be *mentioned* in a
     docstring or string literal without taking effect.
-    ``suppressions`` maps line -> set of known rule codes, ``carriers``
-    maps line -> the ``hb-carrier[why]`` justification, and ``errors``
-    holds one A000 finding per unknown code.
+    ``suppressions`` maps line -> set of known rule codes, and
+    ``errors`` holds one A000 finding per unknown code.
     """
-    suppressions, carriers, errors = {}, {}, []
+    suppressions, errors = {}, []
     try:
         comments = [
             (token.start, token.string)
@@ -106,9 +99,6 @@ def parse_comments(source, path):
     except (tokenize.TokenError, IndentationError):
         comments = []
     for (lineno, col), text in comments:
-        carrier = _HB_CARRIER_RE.search(text)
-        if carrier:
-            carriers[lineno] = carrier.group(1).strip()
         match = _ALLOW_RE.search(text)
         if not match:
             continue
@@ -121,22 +111,26 @@ def parse_comments(source, path):
                 f"(known: {', '.join(sorted(SUPPRESSIBLE))})"))
         if codes & SUPPRESSIBLE:
             suppressions[lineno] = codes & SUPPRESSIBLE
-    return suppressions, carriers, errors
+    return suppressions, errors
+
+
+def _params(func):
+    """The names of a function's positional and keyword parameters."""
+    args = func.args
+    return [arg.arg for arg in args.posonlyargs + args.args
+            + args.kwonlyargs]
 
 
 class _ModuleChecker(ast.NodeVisitor):
-    """Per-module pass for C003–C006 (project-informed)."""
+    """Per-module pass for C003–C006."""
 
-    def __init__(self, project, module, sim_reachable, carriers):
-        self.project = project
+    def __init__(self, module):
         self.module = module
-        self.sim_reachable = sim_reachable
         self.findings = []
-        self.carriers = carriers
         self.mutables = self._module_mutables()
         self.handlers = self._informer_handlers()
         self._class_stack = []
-        self._func_stack = []   # FunctionInfo stack
+        self._func_stack = []   # enclosing function nodes, outermost first
 
     def _emit(self, node, code, message):
         self.findings.append(Finding(
@@ -178,30 +172,26 @@ class _ModuleChecker(ast.NodeVisitor):
         return False
 
     def _mutable_target(self, name):
-        """The module-level mutable ``name`` refers to, or None.
-
-        Skips names shadowed by a local binding in the enclosing
-        function and names whose definition is a registered carrier.
-        """
+        """The module-level mutable ``name`` refers to, or None (also
+        for a name shadowed by a local binding in an enclosing
+        function)."""
         if name not in self.mutables:
             return None
-        for info in self._func_stack:
-            if name in self._local_bindings(info):
+        for func in self._func_stack:
+            if name in self._local_bindings(func):
                 return None
-        if self.mutables[name] in self.carriers:
-            return None
         return name
 
     _BINDINGS_ATTR = "_staticcheck_local_bindings"
 
-    def _local_bindings(self, info):
-        """Names bound locally (params and assignments) in ``info``."""
-        cached = getattr(info.node, self._BINDINGS_ATTR, None)
+    def _local_bindings(self, func):
+        """Names bound locally (params and assignments) in ``func``."""
+        cached = getattr(func, self._BINDINGS_ATTR, None)
         if cached is not None:
             return cached
-        bindings = set(info.params)
+        bindings = set(_params(func))
         hoisted = set()
-        for node in ast.walk(info.node):
+        for node in ast.walk(func):
             if isinstance(node, ast.Name) \
                     and isinstance(node.ctx, (ast.Store, ast.Del)):
                 bindings.add(node.id)
@@ -209,27 +199,23 @@ class _ModuleChecker(ast.NodeVisitor):
                 # `global NAME` writes the module binding, not a local.
                 hoisted.update(node.names)
         bindings -= hoisted
-        setattr(info.node, self._BINDINGS_ATTR, bindings)
+        setattr(func, self._BINDINGS_ATTR, bindings)
         return bindings
 
-    def _in_sim_code(self):
-        return bool(self._func_stack) and any(
-            info.qualname in self.sim_reachable
-            for info in self._func_stack)
-
     def _check_mutation(self, name_node, how, node):
-        if not isinstance(name_node, ast.Name):
+        # Import-time code (module scope, class bodies) runs once per
+        # interpreter, not per run, and is not checked.
+        if not isinstance(name_node, ast.Name) or not self._func_stack:
             return
         target = self._mutable_target(name_node.id)
-        if target is None or not self._in_sim_code():
+        if target is None:
             return
         self._emit(node, "C003",
                    f"module-level mutable {target!r} (defined at line "
-                   f"{self.mutables[target]}) {how} from sim-process "
-                   f"code with no registered happens-before carrier; "
-                   f"own it per-Simulation, or mark the definition "
-                   f"'# repro: hb-carrier[why]' if access is provably "
-                   f"kernel-ordered")
+                   f"{self.mutables[target]}) {how} from a function; it "
+                   f"outlives the Simulation, so a second run in the "
+                   f"same interpreter starts from the first run's state "
+                   f"— own it per-Simulation")
 
     # -- scope bookkeeping ---------------------------------------------
 
@@ -238,23 +224,11 @@ class _ModuleChecker(ast.NodeVisitor):
         self.generic_visit(node)
         self._class_stack.pop()
 
-    def _qualname_for(self, node):
-        parts = [self.module.name]
-        if self._func_stack:
-            parts = [self._func_stack[-1].qualname]
-        elif self._class_stack:
-            parts = [f"{self.module.name}.{self._class_stack[-1]}"]
-        return ".".join(parts + [node.name])
-
     def _visit_func(self, node):
-        info = self.project.functions.get(self._qualname_for(node))
-        if info is None:
-            self.generic_visit(node)
-            return
-        self._func_stack.append(info)
-        body_nodes = self._body_nodes(info)
+        self._func_stack.append(node)
+        body_nodes = self._body_nodes(node)
         self._check_orphan_events(body_nodes)
-        self._check_snapshot_mutation(info, body_nodes)
+        self._check_snapshot_mutation(node, body_nodes)
         self.generic_visit(node)
         self._func_stack.pop()
 
@@ -284,11 +258,11 @@ class _ModuleChecker(ast.NodeVisitor):
         return None
 
     @staticmethod
-    def _body_nodes(info):
-        """Every node of ``info``'s own body (nested defs, lambdas and
+    def _body_nodes(func):
+        """Every node of ``func``'s own body (nested defs, lambdas and
         classes are separate scopes and left out)."""
         body_nodes = []
-        stack = list(info.node.body)
+        stack = list(func.body)
         while stack:
             node = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -395,14 +369,14 @@ class _ModuleChecker(ast.NodeVisitor):
             return node.id, attribute, subscript
         return None, attribute, subscript
 
-    def _check_snapshot_mutation(self, info, body_nodes):
+    def _check_snapshot_mutation(self, func, body_nodes):
         """Source-order, intra-procedural taint: names bound from a
         snapshot source stay tainted until rebound from anything else
         (``x = x.copy()``, ``x = x.replace(...)``)."""
         objects = set()     # names holding one shared snapshot
         lists = set()       # names holding a list of them
-        if info.name in self.handlers:
-            objects.update(p for p in info.params if p != "self")
+        if func.name in self.handlers:
+            objects.update(p for p in _params(func) if p != "self")
 
         def taint_of(value):
             source = self._snapshot_source(value)
@@ -616,8 +590,6 @@ def check_paths(paths, allowlist=(), strict=False):
     that no longer match any file.
     """
     project = Project.load(paths)
-    sim_reachable = project.sim_reachable()
-
     result = CheckResult()
     for path, exc in project.unparsed:
         result.stale.append(Finding(
@@ -628,10 +600,9 @@ def check_paths(paths, allowlist=(), strict=False):
     for name in sorted(project.modules):
         module = project.modules[name]
         result.files_checked += 1
-        suppressions, carriers, errors = parse_comments(module.source,
-                                                        module.path)
+        suppressions, errors = parse_comments(module.source, module.path)
         result.stale.extend(errors)
-        checker = _ModuleChecker(project, module, sim_reachable, carriers)
+        checker = _ModuleChecker(module)
         checker.visit(module.tree)
         findings = lint_module(module) + checker.findings
         findings.sort(key=lambda f: (f.line, f.col, f.code, f.message))
@@ -686,53 +657,3 @@ def format_report(result, verbose=False):
             lines.append(f"  {finding.code}: {rule.title}")
             break
     return "\n".join(lines)
-
-
-def format_json(result):
-    """Machine-readable report: findings + summary counters."""
-    return json.dumps({
-        "findings": [f.to_dict() for f in result.failures()],
-        "suppressed": [f.to_dict() for f in result.suppressed],
-        "allowlisted": [f.to_dict() for f in result.allowlisted],
-        "files_checked": result.files_checked,
-        "ok": result.ok,
-    }, indent=2, sort_keys=True)
-
-
-def format_sarif(result):
-    """SARIF 2.1.0 report (one run, every rule's metadata included)."""
-    rules = [{
-        "id": code,
-        "name": RULES[code].title,
-        "shortDescription": {"text": RULES[code].title},
-        "fullDescription": {"text": RULES[code].rationale},
-    } for code in sorted(RULES)]
-    results = []
-    for finding in result.failures():
-        results.append({
-            "ruleId": finding.code,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": max(finding.line, 1),
-                        "startColumn": finding.col + 1,
-                    },
-                },
-            }],
-        })
-    return json.dumps({
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro.analysis",
-                "informationUri": "https://example.invalid/repro",
-                "rules": rules,
-            }},
-            "results": results,
-        }],
-    }, indent=2, sort_keys=True)

@@ -4,25 +4,20 @@ import itertools
 
 from .base import Field, Serializable
 
-_uid_counter = itertools.count(1)
 
+def generate_uid(sim):
+    """Generate a unique object UID from ``sim``'s own counter.
 
-def generate_uid(sim=None):
-    """Generate a unique object UID.
-
-    With ``sim``, draws from a per-simulation counter so two same-seed
-    runs assign identical UIDs — the process-global fallback depends on
-    how many objects were ever created in the interpreter, which the
-    replay bisector flags as a divergence.  The fallback remains for
-    objects minted outside any simulation (test fixtures).
+    The counter hangs off the Simulation, so two same-seed runs assign
+    identical UIDs; a process-global one would depend on how many
+    objects were ever created in the interpreter, which the replay
+    bisector flags as a divergence.
     """
-    if sim is not None:
-        counter = getattr(sim, "_uid_counter", None)
-        if counter is None:
-            counter = itertools.count(1)
-            sim._uid_counter = counter
-        return f"uid-{next(counter):08x}"
-    return f"uid-{next(_uid_counter):08x}"
+    counter = getattr(sim, "_uid_serials", None)
+    if counter is None:
+        counter = itertools.count(1)
+        sim._uid_serials = counter
+    return f"uid-{next(counter):08x}"
 
 
 class OwnerReference(Serializable):

@@ -16,6 +16,11 @@ Topology and failure model:
   delay (plus any chaos-injected lag).  Its ``on_reset`` hook fires when
   a restore or wipe of the serving store restarts the log, and rolls
   every live follower to it by full state transfer.
+- Each log carries a generation that a restart of it bumps
+  (:attr:`WriteAheadLog.generation`).  A replica that was down through
+  such a restart recovers a log of an older generation: catching up
+  compares the two and rolls it to the leader's log whole instead of
+  resuming over a divergent history.
 - Every way a replica takes in records — the stream, the catch-up when
   it (re)joins or is promoted, that full state transfer and its own
   crash recovery — applies them one at a time through
@@ -122,10 +127,15 @@ class StoreReplica:
         """Apply one streamed WAL record to this replica."""
         self._count(self.store.apply(record))
 
-    def catch_up(self, wal, reset=False):
+    def catch_up(self, wal):
         """Bring this replica up to another replica's log (see
-        :meth:`EtcdStore.catch_up`)."""
-        self._count(self.store.catch_up(wal, reset))
+        :meth:`EtcdStore.catch_up`).  A log of another generation
+        restarted while this replica was not following it (a restore or
+        wipe): the histories diverge, so roll to it whole."""
+        own = self.store.wal
+        self._count(self.store.catch_up(wal,
+                                        own.generation != wal.generation))
+        own.generation = wal.generation
 
     def _count(self, applied):
         if applied:
@@ -253,20 +263,21 @@ class StoreGroup:
                 replica.channel.try_put(record)
 
     def _stream_reset(self):
-        """The leader's log restarted (a restore or wipe, which catch-up
-        cannot express): full state transfer to every live follower."""
+        """The leader's log restarted (a restore or wipe): its new
+        generation makes every live follower's catch-up a full state
+        transfer."""
         leader = self._leader
         for replica in self.replicas:
             if replica is not leader and replica.alive:
-                self._attach_follower(replica, reset=True)
+                self._attach_follower(replica)
 
-    def _attach_follower(self, replica, reset=False):
+    def _attach_follower(self, replica):
         """(Re)join a replica to the leader's stream, catching it up from
         the leader's durable log first so the stream only has to carry
-        the delta (``reset``: the log restarted, roll to its anchor)."""
+        the delta."""
         leader = self._leader
         if leader is not None and leader is not replica:
-            replica.catch_up(leader.store.wal, reset)
+            replica.catch_up(leader.store.wal)
         if replica.channel is not None:
             replica.channel.close()
         replica.role = "follower"

@@ -118,6 +118,12 @@ class WriteAheadLog:
     replication streams committed entries, never a volatile tail a
     crash could retract — and ``on_reset`` after :meth:`reset`, when a
     restore or wipe of the store restarted the log.
+
+    ``generation`` names the history the log records: :meth:`reset`
+    bumps it, and a replica that catches up from another replica's log
+    takes that log's.  Two logs of one generation describe one history;
+    a replica whose log differs from its leader's was down while the
+    leader's restarted, and must resync instead of resuming.
     """
 
     def __init__(self, sim, name, segment_records=512, fsync_interval=0.0):
@@ -130,6 +136,7 @@ class WriteAheadLog:
         # compaction): recovery restores it before replaying records.
         self.anchor = None
         self.anchor_revision = 0
+        self.generation = 0
         self.next_lsn = 0
         self.durable_lsn = 0       # records with lsn < durable_lsn are synced
         self.durable_revision = 0  # last event revision known durable
@@ -243,6 +250,7 @@ class WriteAheadLog:
 
     def reset(self, anchor=None):
         """Start a fresh log (restore rolled the store to ``anchor``)."""
+        self.generation += 1
         self.segments = [WalSegment(0)]
         self.anchor = anchor
         self.anchor_revision = anchor["revision"] if anchor else 0

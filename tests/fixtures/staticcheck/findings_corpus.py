@@ -24,7 +24,7 @@ class CorpusWorker:
         yield self.sim.timeout(0.1)
 
 
-class ControllerManager:
+class SyncerHA:
     def __init__(self, sim, client, store):
         self.sim = sim
         self.client = client

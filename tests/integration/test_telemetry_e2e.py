@@ -1,11 +1,9 @@
 """End-to-end telemetry: cross-component spans, per-seed determinism,
 and the ``python -m repro.telemetry`` export CLI."""
 
-import itertools
 import json
 from pathlib import Path
 
-from repro.objects import meta
 from repro.scenarios import load_scenario, run_scenario
 from repro.telemetry import CORE_FAMILIES
 from repro.telemetry.__main__ import main
@@ -24,19 +22,10 @@ def run_snapshot(seed):
 def test_same_seed_snapshots_byte_identical():
     """Telemetry must be a pure observer: two same-seed runs export
     byte-identical snapshots (instrumentation never touches sim.rng or
-    the event schedule)."""
-    # Object uids come from a process-global counter; per-VC label values
-    # embed a hash of the VC uid.  Pin the counter to the same start for
-    # both runs so the comparison is over telemetry, not uid allocation.
-    saved = meta._uid_counter
-    try:
-        meta._uid_counter = itertools.count(10_000_000)
-        first = run_snapshot(seed=3)
-        meta._uid_counter = itertools.count(10_000_000)
-        second = run_snapshot(seed=3)
-    finally:
-        meta._uid_counter = saved
-    assert render_json(first) == render_json(second)
+    the event schedule).  Per-VC label values embed a hash of the VC
+    uid, which each Simulation mints from its own counter."""
+    assert render_json(run_snapshot(seed=3)) == \
+        render_json(run_snapshot(seed=3))
 
 
 def test_stress_run_covers_core_families_and_spans():

@@ -118,17 +118,6 @@ class TestPerSimulationUids:
         uids = [[generate_uid(sim) for _ in range(4)] for sim in sims]
         assert uids[0] == uids[1]
 
-    def test_sim_counter_is_isolated_from_global(self):
-        sim = Simulation(seed=5)
-        first = generate_uid(sim)
-        generate_uid()  # global fallback draw must not advance the sim's
-        second = generate_uid(sim)
-        assert first == "uid-00000001"
-        assert second == "uid-00000002"
-
-    def test_global_fallback_still_unique(self):
-        assert generate_uid() != generate_uid()
-
 
 class TestPerSimulationContainerSerials:
     """staticcheck C003: runc/kata drew sandbox & container IDs from

@@ -30,7 +30,7 @@ def codes(source):
 
 
 def parse_suppressions(source, path):
-    suppressions, _carriers, errors = parse_comments(source, path)
+    suppressions, errors = parse_comments(source, path)
     return suppressions, errors
 
 

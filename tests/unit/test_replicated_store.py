@@ -307,6 +307,35 @@ class TestRestoreAndCompaction:
         settle(sim, group)
         assert dict(victim.store.dump()) == dict(group.leader.store.dump())
 
+    def test_replica_dead_through_a_restore_rejoins_the_new_history(self):
+        """A follower down while the serving store is restored recovers
+        its own pre-restore log, which runs ahead of the restored
+        anchor: it must resync, not resume over a divergent history."""
+        sim, group = make_group()
+        fill(group, 3)
+        snapshot = group.store.snapshot()
+        fill(group, 3, prefix="/registry/pods/ns/q")
+        settle(sim, group)
+        victim = next(r for r in group.replicas if r.role == "follower")
+        group.kill_replica(victim.index)
+        group.store.restore(snapshot)
+        fill(group, 2, prefix="/registry/pods/ns/r")
+        group.restart_replica(victim.index)
+        settle(sim, group)
+        leader = group.leader.store
+        assert sorted(leader.dump()) == [
+            f"/registry/pods/ns/{name}"
+            for name in ("p000", "p001", "p002", "r000", "r001")]
+        for replica in group.replicas:
+            assert replica.store.dump() == leader.dump(), replica.name
+        assert {replica.store.wal.generation
+                for replica in group.replicas} == {leader.wal.generation}
+        # Its own log now records the leader's history: a second
+        # restart recovers the same image.
+        group.kill_replica(victim.index)
+        group.restart_replica(victim.index)
+        assert victim.store.dump() == leader.dump()
+
     def test_recover_from_wal_raises_on_empty_group_log(self):
         sim, group = make_group(replicas=2)
         with pytest.raises(CompactedError):
