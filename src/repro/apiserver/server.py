@@ -14,7 +14,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.objects import Namespace, generate_uid
 from repro.objects.base import freeze
 from repro.objects.selectors import equality_hint, match_fields
-from repro.telemetry import telemetry_of
+from repro.telemetry import ChildCache, telemetry_of
 from repro.objects.validation import ValidationError, validate_metadata
 from repro.storage import (
     EVENT_PUT,
@@ -154,9 +154,11 @@ class APIServer:
         self.healthy = True
         telemetry = telemetry_of(sim)
         self._tracer = telemetry.tracer
-        self._requests_total = telemetry.counter(
+        requests_total = telemetry.counter(
             "apiserver_requests_total", "apiserver requests by verb",
             labels=("server", "verb"))
+        self._requests_by_verb = ChildCache(
+            lambda verb: requests_total.labels(server=name, verb=verb))
         # Chaos hook (see repro.chaos.faults): may inject per-verb errors
         # or latency into the request path.
         self.fault_injector = None
@@ -243,7 +245,7 @@ class APIServer:
         if self.fault_injector is not None:
             yield from self.fault_injector.on_request(verb, plural)
         self.request_count += 1
-        self._requests_total.labels(server=self.name, verb=verb).inc()
+        self._requests_by_verb[verb].inc()
         span = self._span_start(verb)
         ticket = None
         try:

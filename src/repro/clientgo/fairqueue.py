@@ -16,8 +16,8 @@ configuration used for the Fig. 11(b) comparison.
 import zlib
 from collections import defaultdict, deque
 
-from repro.simkernel.events import Event
-from repro.telemetry import telemetry_of
+from repro.simkernel.events import Event, resolved
+from repro.telemetry import ChildCache, telemetry_of
 
 from .workqueue import ShutDown
 
@@ -54,9 +54,11 @@ class FairWorkQueue:
         self._deduped_counter = telemetry.counter(
             "fairqueue_deduped_total", "adds absorbed by dedup",
             labels=("queue",)).labels(queue=name)
-        self._dispatch_counter = telemetry.counter(
+        dispatch_total = telemetry.counter(
             "fairqueue_dispatch_total", "items dispatched per tenant",
             labels=("queue", "tenant"))
+        self._dispatch_counters = ChildCache(
+            lambda tenant: dispatch_total.labels(queue=name, tenant=tenant))
         self._wait_hist = telemetry.histogram(
             "fairqueue_wait_seconds", "time queued before dispatch",
             labels=("queue",)).labels(queue=name)
@@ -135,7 +137,7 @@ class FairWorkQueue:
         self._enqueue_times.setdefault(item, self.sim.now)
         waiter = self._pop_live_waiter()
         if waiter is not None:
-            self._dispatch(item, waiter)
+            waiter.succeed(self._dispatch(item))
             return
         if self.fair:
             self._subqueues[tenant].append(key)
@@ -144,15 +146,13 @@ class FairWorkQueue:
 
     def get(self):
         """Event resolving to ``(tenant, key, enqueued_at)``."""
-        event = Event(self.sim)
         if self._shutdown:
-            event.fail(ShutDown(self.name))
-            return event
+            return Event(self.sim).fail(ShutDown(self.name))
         item = self._pick()
         if item is not None:
-            self._dispatch(item, event)
-        else:
-            self._waiters.append(event)
+            return resolved(self.sim, self._dispatch(item))
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def done(self, tenant, key):
@@ -192,16 +192,17 @@ class FairWorkQueue:
     # Internals
     # ------------------------------------------------------------------
 
-    def _dispatch(self, item, event):
+    def _dispatch(self, item):
+        """Mark ``item`` processing; returns what ``get()`` resolves to."""
         tenant, key = item
         self._dirty.discard(item)
         self._processing.add(item)
         queued_at = self._enqueue_times.pop(item, self.sim.now)
         self.wait_time_by_tenant[tenant] += self.sim.now - queued_at
         self.dispatched_by_tenant[tenant] += 1
-        self._dispatch_counter.labels(queue=self.name, tenant=tenant).inc()
+        self._dispatch_counters[tenant].inc()
         self._wait_hist.observe(self.sim.now - queued_at)
-        event.succeed((tenant, key, queued_at))
+        return tenant, key, queued_at
 
     def _pick(self):
         """Weighted round-robin selection (O(n) in tenants, as the paper

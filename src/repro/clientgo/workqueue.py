@@ -15,7 +15,7 @@ and :class:`DelayingQueue` supports ``add_after``.
 
 from collections import deque
 
-from repro.simkernel.events import Event
+from repro.simkernel.events import Event, resolved
 from repro.telemetry import telemetry_of
 
 from .backoff import JitteredBackoff
@@ -77,42 +77,41 @@ class WorkQueue:
         self._enqueue_times.setdefault(item, self.sim.now)
         waiter = self._pop_live_waiter()
         if waiter is not None:
-            self._dispatch(item, waiter)
+            waiter.succeed(self._dispatch(item))
         else:
             self._queue.append(item)
 
     def _pop_live_waiter(self):
-        """Next waiter that still has a process listening.
+        """Next waiter event that still has a process listening.
 
         A worker interrupted while blocked in ``get()`` detaches from its
         event but the event stays queued; dispatching an item to such a
         dead waiter would strand the item in the processing set forever.
         """
         while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.event.callbacks:
-                return waiter
+            event = self._waiters.popleft()
+            if event.callbacks:
+                return event
         return None
 
-    def _dispatch(self, item, waiter):
+    def _dispatch(self, item):
+        """Mark ``item`` processing; returns what ``get()`` resolves to."""
         self._dirty.discard(item)
         self._processing.add(item)
         queued_at = self._enqueue_times.pop(item, self.sim.now)
         self.wait_time_total += self.sim.now - queued_at
         self._wait_hist.observe(self.sim.now - queued_at)
-        waiter.succeed((item, queued_at))
+        return item, queued_at
 
     def get(self):
         """Event resolving to ``(item, enqueued_at)``; marks it processing."""
-        event = Event(self.sim)
-        if self._shutdown and not self._queue:
-            event.fail(ShutDown(self.name))
-            return event
         if self._queue:
-            item = self._queue.popleft()
-            self._dispatch(item, _ImmediateWaiter(event))
-            return event
-        self._waiters.append(_DeferredWaiter(event))
+            return resolved(self.sim, self._dispatch(self._queue.popleft()))
+        event = Event(self.sim)
+        if self._shutdown:
+            event.fail(ShutDown(self.name))
+        else:
+            self._waiters.append(event)
         return event
 
     def done(self, item):
@@ -132,33 +131,14 @@ class WorkQueue:
         """
         self._shutdown = True
         while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.event.callbacks:
-                waiter.fail(ShutDown(self.name))
+            event = self._waiters.popleft()
+            if event.callbacks:
+                event.fail(ShutDown(self.name))
 
     def restart(self):
         """Re-open a shut-down queue (a controller restarted after a
         stop reuses its queue instance)."""
         self._shutdown = False
-
-
-class _ImmediateWaiter:
-    """Adapter so _dispatch can succeed an already-created event."""
-
-    __slots__ = ("event",)
-
-    def __init__(self, event):
-        self.event = event
-
-    def succeed(self, value):
-        self.event.succeed(value)
-
-    def fail(self, exc):
-        self.event.fail(exc)
-
-
-class _DeferredWaiter(_ImmediateWaiter):
-    pass
 
 
 class DelayingQueue(WorkQueue):

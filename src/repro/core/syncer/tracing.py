@@ -13,6 +13,8 @@ Every trace is kept for the syncer's lifetime; the aggregates read the
 completed :class:`PodTrace` objects directly, in completion order.
 """
 
+from repro.telemetry import ChildCache
+
 PHASES = ("DWS-Queue", "DWS-Process", "Super-Sched", "UWS-Queue",
           "UWS-Process")
 
@@ -71,15 +73,19 @@ class TraceStore:
         # Traces in the order :meth:`mark` completed them, every phase
         # stamped: what :attr:`completed_count` and the aggregates read.
         self._completed = []
-        self._creation_hist = None
-        self._phase_hist = None
+        self._creation_hists = None
+        self._phase_hists = None
         if telemetry is not None:
-            self._creation_hist = telemetry.histogram(
+            creation = telemetry.histogram(
                 "pod_creation_seconds", "end-to-end Pod creation time",
                 labels=("tenant",))
-            self._phase_hist = telemetry.histogram(
+            phase = telemetry.histogram(
                 "pod_phase_seconds", "Pod creation time per phase",
                 labels=("phase",))
+            self._creation_hists = ChildCache(
+                lambda tenant: creation.labels(tenant=tenant))
+            self._phase_hists = ChildCache(
+                lambda name: phase.labels(phase=name))
 
     def begin(self, tenant, pod_key, created):
         """The Pod's trace, started at ``created`` if it has none yet (a
@@ -104,11 +110,10 @@ class TraceStore:
             # mark that stamps its last phase.
             phases = trace.phases()
             self._completed.append(trace)
-            if self._creation_hist is not None:
-                self._creation_hist.labels(tenant=tenant).observe(
-                    trace.total)
+            if self._creation_hists is not None:
+                self._creation_hists[tenant].observe(trace.total)
                 for phase, value in phases.items():
-                    self._phase_hist.labels(phase=phase).observe(value)
+                    self._phase_hists[phase].observe(value)
 
     def completed(self):
         """Traces with ``uws_done`` stamped, in the order their Pods were

@@ -14,7 +14,7 @@ from .errors import (
     SimulationDeadlock,
     StopSimulation,
 )
-from .events import Condition, Event, Timeout, all_of, any_of
+from .events import Condition, Event, Timeout, all_of, any_of, resolved
 from .loop import Simulation
 from .process import Process
 from .resources import Channel, ChannelClosed, Lock, Semaphore
@@ -39,4 +39,5 @@ __all__ = [
     "Timeout",
     "all_of",
     "any_of",
+    "resolved",
 ]

@@ -3,7 +3,9 @@
 The design follows the classic SimPy model: an :class:`Event` is a one-shot
 condition that processes can wait on by ``yield``-ing it.  An event is
 *triggered* when it has been scheduled with an outcome (success or failure)
-and *processed* once its callbacks have run.
+and *processed* once its callbacks have run.  A :func:`resolved` event is
+born processed: it carries a result that was ready when it was asked for,
+and a process that yields one resumes inline, without a kernel round trip.
 """
 
 from .errors import EventAlreadyTriggered
@@ -17,6 +19,8 @@ class Event:
     Events carry a value (delivered to waiters on success) or an exception
     (raised inside waiters on failure).
     """
+
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "defused")
 
     def __init__(self, sim):
         self.sim = sim
@@ -47,7 +51,7 @@ class Event:
 
     def succeed(self, value=None):
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise EventAlreadyTriggered(repr(self))
         self._ok = True
         self._value = value
@@ -58,7 +62,7 @@ class Event:
         """Trigger the event with an exception to be raised in waiters."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise EventAlreadyTriggered(repr(self))
         self._ok = False
         self._value = exception
@@ -96,11 +100,6 @@ class Event:
                 # it must not crash the loop as undefused.
                 self.defused = True
 
-    def _process(self):
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self):
         state = "pending"
         if self.triggered:
@@ -111,6 +110,8 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a fixed simulated delay."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, sim, delay, value=None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -119,6 +120,23 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         sim._schedule(self, delay)
+
+
+def resolved(sim, value=None):
+    """An event that has already succeeded with ``value`` and been
+    processed; it never goes on the heap.
+
+    Returned by a primitive whose result is ready when asked for (an
+    uncontended acquire, a get from a non-empty queue): a process that
+    yields it resumes inline in the same dispatch, and any other
+    subscriber (a :class:`Condition`, ``run(until=)``) takes the
+    late-callback path of :meth:`Event.add_callback`.
+    """
+    event = Event(sim)
+    event._ok = True
+    event._value = value
+    event.callbacks = None
+    return event
 
 
 class Condition(Event):

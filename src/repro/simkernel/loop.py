@@ -53,6 +53,7 @@ class Simulation:
         self._wheel = TimerWheel()
         self._wheel_next = None
         self._orphans_skipped = 0
+        self._ready_at_yield = 0
         self._peak_heap = 0
         # Analysis hook (repro.analysis): a ReplayRecorder hashes store
         # emissions.
@@ -80,8 +81,7 @@ class Simulation:
         return self._active_process
 
     def _schedule(self, event, delay):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        # ``delay`` is 0 or a Timeout's delay, which Timeout validated.
         seq = self._tiebreak()
         if delay >= MIN_WHEEL_DELAY:
             start = self._wheel.add(self._now + delay, seq, event, self._now)
@@ -204,8 +204,8 @@ class Simulation:
             self._peak_heap = len(heap)
 
     def _dispatch_ready(self, item):
-        """Dispatch one popped item (event or bare callback), skipping
-        orphaned events.
+        """Dispatch one popped item (event or bare callback): run the
+        event's callbacks, skipping orphaned events.
 
         An event that is triggered-ok with zero callbacks left (e.g. an
         ``any_of``-loser ``Timeout`` the winning condition detached from)
@@ -216,17 +216,19 @@ class Simulation:
             item[0]()
             return
         callbacks = item.callbacks
-        if item._ok and callbacks is not None and not callbacks:
-            item.callbacks = None
+        item.callbacks = None
+        if callbacks:
+            for callback in callbacks:
+                callback(item)
+        elif item._ok:
             self._orphans_skipped += 1
             return
-        item._process()
         # "Undefused failures crash loudly": any failed event nobody
         # handled — not just a Process — stops the run.  A waiter (or a
         # Condition watching the event) defuses on delivery; a failure
         # with no observer is a bug in the workload, not background noise.
-        if not item.ok and not item.defused:
-            raise item.value
+        if not item._ok and not item.defused:
+            raise item._value
 
     @staticmethod
     def _stop_callback(event):
@@ -250,6 +252,7 @@ class Simulation:
             "wheel_scheduled": wheel.staged,
             "timers_cancelled": wheel.cancelled,
             "orphans_skipped": self._orphans_skipped,
+            "ready_at_yield": self._ready_at_yield,
         }
 
     def __repr__(self):

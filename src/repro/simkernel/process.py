@@ -7,7 +7,7 @@ process object itself is an event that triggers when the generator returns
 """
 
 from .errors import Interrupt
-from .events import Event
+from .events import _PENDING, Event
 
 
 class Process(Event):
@@ -53,23 +53,35 @@ class Process(Event):
 
     def _resume(self, event):
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, throw=False)
+        if event._ok:
+            self._step(event._value, False)
         else:
             event.defused = True
-            self._step(event.value, throw=True)
+            self._step(event._value, True)
 
     def _step(self, value, throw):
         sim = self.sim
+        generator = self._generator
         prev = sim._active_process
         sim._active_process = self
         try:
-            if throw:
-                target = self._generator.throw(value)
-            else:
-                target = self._generator.send(value)
+            while True:
+                if throw:
+                    target = generator.throw(value)
+                else:
+                    target = generator.send(value)
+                if not isinstance(target, Event):
+                    generator.close()
+                    raise TypeError(f"process {self.name!r} yielded "
+                                    f"{target!r}; expected an Event")
+                # A processed success (a resolved result) is already
+                # there: resume inline instead of a zero-delay dispatch.
+                if target.callbacks is not None or not target._ok:
+                    break
+                value = target._value
+                throw = False
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._finish(stop.value)
             return
         except BaseException as exc:
             if not isinstance(exc, Exception):
@@ -79,15 +91,25 @@ class Process(Event):
         finally:
             sim._active_process = prev
 
-        if not isinstance(target, Event):
-            error = TypeError(
-                f"process {self.name!r} yielded {target!r}; expected an Event"
-            )
-            self._generator.close()
-            self.fail(error)
-            return
+        if target._value is not _PENDING and type(target) is Event:
+            # Triggered, not processed: a result that was ready but still
+            # costs a dispatch (kernel_stats()["ready_at_yield"]).
+            sim._ready_at_yield += 1
         self._waiting_on = target
         target.add_callback(self._resume)
+
+    def _finish(self, value):
+        """Succeed with the return value.  With nobody waiting the
+        dispatch would be a no-op, so the process is marked processed
+        on the spot and counted as a skipped orphan; a later ``yield``
+        of it resumes inline and a late callback still runs."""
+        if self.callbacks:
+            self.succeed(value)
+            return
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+        self.sim._orphans_skipped += 1
 
     def __repr__(self):
         return f"<Process {self.name!r} alive={self.is_alive}>"

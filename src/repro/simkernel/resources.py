@@ -8,15 +8,16 @@ concurrency, and channels for message passing (watch streams, gRPC calls).
 
 from collections import deque
 
-from .events import Event
+from .events import Event, resolved
 
 
 class Lock:
     """A FIFO mutex.
 
-    ``acquire()`` returns an event to ``yield``; ``release()`` hands the lock
-    to the next waiter at the current simulated time.  Contended acquisitions
-    are counted so benchmarks can report lock contention.
+    ``acquire()`` returns an event to ``yield`` (a resolved one when the
+    lock is free); ``release()`` hands the lock to the next waiter at the
+    current simulated time.  Contended acquisitions are counted so
+    benchmarks can report lock contention.
     """
 
     def __init__(self, sim, name="lock"):
@@ -33,14 +34,13 @@ class Lock:
         return self._locked
 
     def acquire(self):
-        event = Event(self.sim)
         self.acquisitions += 1
         if not self._locked:
             self._locked = True
-            event.succeed()
-        else:
-            self.contentions += 1
-            self._waiters.append((event, self.sim.now))
+            return resolved(self.sim)
+        self.contentions += 1
+        event = Event(self.sim)
+        self._waiters.append((event, self.sim.now))
         return event
 
     def release(self):
@@ -84,12 +84,11 @@ class Semaphore:
         return self._in_use
 
     def acquire(self):
-        event = Event(self.sim)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            return resolved(self.sim)
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def release(self):
@@ -154,14 +153,15 @@ class Channel:
         return False
 
     def get(self):
-        event = Event(self.sim)
         if self._items:
-            event.succeed(self._items.popleft())
+            value = self._items.popleft()
             if self._putters:
                 putter, item = self._putters.popleft()
                 self._items.append(item)
                 putter.succeed()
-        elif self._closed:
+            return resolved(self.sim, value)
+        event = Event(self.sim)
+        if self._closed:
             event.fail(ChannelClosed(self.name))
         else:
             self._getters.append(event)

@@ -14,6 +14,7 @@ without a layering cycle.
 """
 
 from .registry import (
+    ChildCache,
     Counter,
     Gauge,
     Histogram,
@@ -93,6 +94,7 @@ def telemetry_of(sim):
 
 __all__ = [
     "CORE_FAMILIES",
+    "ChildCache",
     "Counter",
     "Gauge",
     "Histogram",

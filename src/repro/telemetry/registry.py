@@ -209,6 +209,23 @@ class Family:
         return sum(child.value for child in self._children.values())
 
 
+class ChildCache(dict):
+    """Children bound once per label value: ``cache[value]`` calls
+    ``resolve(value)`` (typically a ``family.labels(...)``) on first use
+    and is a plain dict hit afterwards, so a hot path whose only varying
+    label is ``value`` pays no keyword packing or key building."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve):
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, value):
+        child = self[value] = self._resolve(value)
+        return child
+
+
 class _NoopChild:
     """Shared do-nothing instrument for disabled registries."""
 

@@ -22,6 +22,8 @@ through tracing either.
 
 from collections import deque
 
+from .registry import ChildCache
+
 
 class Span:
     """One timed operation, attributed to a tenant, linked to a parent."""
@@ -109,18 +111,21 @@ class SpanTracer:
         # Exact aggregates, never evicted: name -> [count, errors, sum].
         self._agg = {}
         if registry is not None and enabled:
-            self._spans_total = registry.counter(
+            spans_total = registry.counter(
                 "spans_total", "finished spans", labels=("name",))
+            span_duration = registry.histogram(
+                "span_duration_seconds", "span durations",
+                labels=("name",))
+            # name -> (spans_total child, span_duration_seconds child)
+            self._children = ChildCache(lambda name: (
+                spans_total.labels(name=name),
+                span_duration.labels(name=name)))
             self._span_errors = registry.counter(
                 "span_errors_total", "spans finished with an exception",
                 labels=("name",))
-            self._span_duration = registry.histogram(
-                "span_duration_seconds", "span durations",
-                labels=("name",))
         else:
-            self._spans_total = None
+            self._children = None
             self._span_errors = None
-            self._span_duration = None
 
     # ------------------------------------------------------------------
 
@@ -174,9 +179,10 @@ class SpanTracer:
         agg[2] += span.duration
         if error:
             agg[1] += 1
-        if self._spans_total is not None:
-            self._spans_total.labels(name=span.name).inc()
-            self._span_duration.labels(name=span.name).observe(span.duration)
+        if self._children is not None:
+            total, duration = self._children[span.name]
+            total.inc()
+            duration.observe(span.duration)
             if error:
                 self._span_errors.labels(name=span.name).inc()
 

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.clientgo import FairWorkQueue, ShutDown, WorkQueue
 from repro.simkernel import (
     Channel,
     ChannelClosed,
     Event,
     Lock,
     Simulation,
+    resolved,
 )
 
 
@@ -174,6 +176,85 @@ class TestResourceEdge:
             raise KeyError("nobody catches this")
 
         sim.process(crasher())
+        with pytest.raises(KeyError):
+            sim.run()
+
+
+class TestResolvedResults:
+    """A result that is already there never rides the heap; every kind of
+    subscriber still observes it."""
+
+    def test_conditions_over_a_resolved_event_fire(self):
+        sim = Simulation()
+        fired = []
+
+        def waiter():
+            first = yield sim.any_of([resolved(sim, "now"), sim.timeout(5)])
+            both = yield sim.all_of([resolved(sim, "a"), sim.timeout(1)])
+            fired.append((sorted(first.values()), sorted(both.values(),
+                                                         key=str), sim.now))
+
+        sim.process(waiter())
+        sim.run()
+        assert fired == [(["now"], [None, "a"], 1)]
+
+    def test_run_until_resolved_returns_its_value(self):
+        sim = Simulation()
+        assert sim.run(until=resolved(sim, 7)) == 7
+        assert sim.now == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda sim: (WorkQueue(sim), lambda queue: queue.add("k")),
+        lambda sim: (FairWorkQueue(sim), lambda queue: queue.add("t", "k")),
+    ])
+    def test_get_from_a_shut_down_queue_still_raises(self, make):
+        sim = Simulation()
+        queue, add_one = make(sim)
+        outcomes = []
+
+        def worker():
+            yield sim.timeout(1)
+            try:
+                got = yield queue.get()
+                outcomes.append(got[-1])
+            except ShutDown:
+                outcomes.append("shutdown")
+
+        add_one(queue)
+        queue.get()          # take the only item: the next get is empty
+        queue.shutdown()
+        sim.process(worker())
+        sim.run()
+        assert outcomes == ["shutdown"]
+
+    def test_unobserved_completion_never_enters_the_heap(self):
+        sim = Simulation()
+
+        def child():
+            return "done"
+            yield  # pragma: no cover
+
+        proc = sim.process(child())
+        sim.run()
+        stats = sim.kernel_stats()
+        # Only the start-up event was dispatched; the completion was
+        # settled in place and counted as a skipped orphan.
+        assert (stats["dispatched"], stats["orphans_skipped"]) == (1, 1)
+        assert not proc.is_alive
+
+        def joiner():
+            return (yield proc)
+
+        assert sim.run(until=sim.process(joiner())) == "done"
+
+    def test_unobserved_failure_still_crashes_the_loop(self):
+        sim = Simulation()
+
+        def child():
+            raise KeyError("nobody waits for this")
+            yield  # pragma: no cover
+
+        sim.process(child())
         with pytest.raises(KeyError):
             sim.run()
 

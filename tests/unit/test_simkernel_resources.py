@@ -202,3 +202,58 @@ def test_channel_fifo_order_many_items():
     sim.process(consumer())
     sim.run()
     assert got == list(range(100))
+
+
+# ----------------------------------------------------------------------
+# Ready results: an uncontended acquire or a buffered get is resolved,
+# so the process resumes inline; a contended one still waits its turn.
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["lock", "semaphore", "channel"])
+def test_ready_result_resumes_in_the_same_dispatch(source):
+    sim = Simulation()
+    channel = Channel(sim)
+    channel.try_put("item")
+    ready = {"lock": Lock(sim).acquire,
+             "semaphore": Semaphore(sim, capacity=1).acquire,
+             "channel": channel.get}[source]
+    seen = []
+
+    def worker():
+        yield sim.timeout(1)
+        before = (sim.kernel_stats()["dispatched"], sim.now)
+        value = yield ready()
+        seen.append((value, before,
+                     (sim.kernel_stats()["dispatched"], sim.now)))
+
+    sim.process(worker())
+    sim.run()
+    [(value, before, after)] = seen
+    assert value == ("item" if source == "channel" else None)
+    assert after == before
+    assert sim.kernel_stats()["ready_at_yield"] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda sim: Lock(sim),
+    lambda sim: Semaphore(sim, capacity=1),
+])
+def test_contended_acquires_are_handed_off_fifo(make):
+    """Waiters get the resource in arrival order at the releaser's
+    instant; one arriving at that instant queues behind them."""
+    sim = Simulation()
+    resource = make(sim)
+    order = []
+
+    def worker(name, start):
+        yield sim.timeout(start)
+        yield resource.acquire()
+        order.append((name, sim.now))
+        yield sim.timeout(1)
+        resource.release()
+
+    for name, start in (("a", 0), ("b", 0), ("c", 0), ("late", 1)):
+        sim.process(worker(name, start))
+    sim.run()
+    assert order == [("a", 0), ("b", 1), ("c", 2), ("late", 3)]
