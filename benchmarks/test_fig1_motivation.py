@@ -10,16 +10,25 @@ This benchmark quantifies three worlds:
 
 1. **shared** — both tenants use one apiserver (the Fig. 1 problem);
 2. **shared + APF** — the upstream priority-and-fairness mitigation the
-   paper cites (per-user concurrency shares);
+   paper cites (per-user fair queuing in front of the same seats);
 3. **VirtualCluster** — dedicated tenant control planes: the victim's
    latency is unaffected no matter what the aggressor does.
+
+Both shared arms are a super cluster's apiserver shaped only through
+:class:`~repro.config.ApfConfig`: one ``standard`` level of 24 seats
+(a modest concurrency ceiling makes interference visible, like a
+production apiserver under memory pressure), with queues that never
+shed.  "shared" deals every request to one FIFO queue; "shared + APF"
+deals each user its own queue, so seats freed while both tenants wait
+alternate between them.
 """
 
 from dataclasses import replace
 
 from repro.apiserver import ADMIN, APIServer, Credential
 from repro.clientgo import Client
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, ApfTier
+from repro.core.controlplane import SuperCluster
 from repro.metrics import format_table
 from repro.objects import make_namespace, make_pod
 from repro.simkernel import Simulation
@@ -36,6 +45,15 @@ STORM_SECONDS = 10.0
 # "queries against a large number of resources" scenario intends.
 _HEAVY_LIST_CONFIG = DEFAULT_CONFIG.with_overrides(
     apiserver=replace(DEFAULT_CONFIG.apiserver, list_per_item=0.0005))
+
+
+def _shared_config(queues):
+    """24 seats in one level; ``queues`` 1 is a single FIFO, 64 gives
+    each user its own queue (hand size 1)."""
+    level = ApfTier("standard", shares=1, queues=queues, hand_size=1,
+                    queue_limit=1000, queue_wait=600.0)
+    return _HEAVY_LIST_CONFIG.with_overrides(
+        apf={"enabled": True, "total_seats": 24, "tiers": (level,)})
 
 
 def _populate(sim, client, namespace, count):
@@ -76,13 +94,9 @@ def _aggress(sim, client, namespace, duration=STORM_SECONDS):
         sim.process(storm())
 
 
-def _run_shared(per_user_inflight=None):
+def _run_shared(queues):
     sim = Simulation()
-    api = APIServer(sim, "shared", config=_HEAVY_LIST_CONFIG,
-                    per_user_inflight=per_user_inflight)
-    # A modest concurrency ceiling makes interference visible, like a
-    # production apiserver under memory pressure.
-    api._inflight._semaphore.capacity = 24
+    api = SuperCluster(sim, _shared_config(queues)).api
     aggressor = api.authenticator.register(Credential("aggressor"))
     victim = api.authenticator.register(Credential("victim"))
     admin_client = Client(sim, api, ADMIN, qps=1e6, burst=1e6)
@@ -109,9 +123,7 @@ def _run_virtualcluster():
     sim = Simulation()
     aggressor_api = APIServer(sim, "aggressor-cp",
                               config=_HEAVY_LIST_CONFIG)
-    aggressor_api._inflight._semaphore.capacity = 24
     victim_api = APIServer(sim, "victim-cp", config=_HEAVY_LIST_CONFIG)
-    victim_api._inflight._semaphore.capacity = 24
 
     aggressor_client = Client(sim, aggressor_api, ADMIN, qps=1e6,
                               burst=1e6)
@@ -137,8 +149,8 @@ def _p99(latencies):
 
 def test_fig1_shared_control_plane_interference(benchmark):
     def run():
-        shared = _run_shared()
-        with_apf = _run_shared(per_user_inflight=8)
+        shared = _run_shared(queues=1)
+        with_apf = _run_shared(queues=64)
         virtual_cluster = _run_virtualcluster()
         return shared, with_apf, virtual_cluster
 

@@ -33,7 +33,6 @@ from .errors import (
     is_retryable,
 )
 from .apf import APFLimiter, FlowClassifier, TIER_RANK
-from .ratelimit import MaxInflightLimiter, TokenBucket
 from .registry import ResourceRegistry
 from .server import APIServer, WatchStream
 

@@ -1,9 +1,10 @@
 """API Priority & Fairness admission for the super apiserver (DESIGN.md §15).
 
 At real fleet density the super apiserver is the shared choke point:
-most tenants are idle, a few are abusive, and the seed's coarse
-``MaxInflightLimiter`` degrades everyone equally when it saturates.
-This module reproduces the shape of Kubernetes API Priority & Fairness:
+most tenants are idle, a few are abusive, and a single concurrency cap
+would degrade everyone equally when it saturates.  This module, the
+apiserver's only admission mechanism, reproduces the shape of Kubernetes
+API Priority & Fairness:
 
 - **Classification** — a :class:`FlowClassifier` maps each request's
   credential to a *tier* (``system``/``platinum``/``standard``/``free``)
@@ -51,31 +52,23 @@ _RELEASED = "released"
 class FlowClassifier:
     """Maps request credentials to (tier, flow) — the FlowSchema role.
 
-    Resolution order: explicit per-user assignment, then group rules,
-    then the built-in system rule (``system:masters`` and ``system:*``
-    users are control-plane infrastructure), then the default tier.
+    Resolution order: explicit per-user assignment, then the built-in
+    system rule (``system:masters`` and ``system:*`` users are
+    control-plane infrastructure), then the default tier.
     """
 
     def __init__(self, default_tier="standard"):
         self.default_tier = default_tier
         self._users = {}
-        self._groups = {}
 
     def assign(self, user, tier):
         """Pin one user (e.g. ``tenant-acme``) to a tier."""
         self._users[user] = tier
 
-    def assign_group(self, group, tier):
-        self._groups[group] = tier
-
     def tier_of(self, credential):
         tier = self._users.get(credential.user)
         if tier is not None:
             return tier
-        for group in credential.groups:
-            tier = self._groups.get(group)
-            if tier is not None:
-                return tier
         if "system:masters" in credential.groups or \
                 credential.user.startswith("system:"):
             return "system"
@@ -89,16 +82,13 @@ class FlowClassifier:
 class Ticket:
     """One admission grant (or pending grant) issued by the limiter."""
 
-    __slots__ = ("level", "flow", "state", "event", "queue_index",
-                 "queued_at", "seq")
+    __slots__ = ("level", "state", "event", "queued_at", "seq")
 
-    def __init__(self, level, flow, seq):
+    def __init__(self, level, seq):
         self.level = level
-        self.flow = flow
         self.seq = seq
         self.state = _QUEUED
         self.event = None
-        self.queue_index = None
         self.queued_at = None
 
 
@@ -115,13 +105,6 @@ class PriorityLevel:
         self.queues = [deque() for _ in range(spec.queues)]
         self._cursor = 0              # round-robin dispatch cursor
         self._hands = {}              # flow -> dealt queue indices
-        # Report counters (exported via snapshot()).
-        self.dispatched = 0
-        self.rejected_queue_full = 0
-        self.rejected_timeout = 0
-        self.peak_in_use = 0
-        self.borrowed_peak = 0
-        self.wait_total = 0.0
 
     def hand_for(self, flow, shuffle_seed):
         """Deterministic shuffle-shard dealing: crc32 draws without
@@ -226,18 +209,15 @@ class APFLimiter:
             level = self.levels[self.config.default_tier]
         return level
 
-    def acquire(self, credential, verb=None, plural=None):
+    def acquire(self, credential):
         """Coroutine: admit, queue, or shed one request."""
         level = self.level_of(credential)
-        flow = self.classifier.flow_of(credential)
         self._seq += 1
-        ticket = Ticket(level, flow, self._seq)
+        ticket = Ticket(level, self._seq)
 
         if level.spec.exempt:
             ticket.state = _ADMITTED
             self.exempt_in_use += 1
-            level.dispatched += 1
-            level.peak_in_use = max(level.peak_in_use, self.exempt_in_use)
             self._admitted_total.labels(level=level.name).inc()
             return ticket
 
@@ -245,10 +225,10 @@ class APFLimiter:
             self._seat(level, ticket)
             return ticket
 
-        index = level.shortest_queue(flow, self.config.shuffle_seed)
+        index = level.shortest_queue(self.classifier.flow_of(credential),
+                                     self.config.shuffle_seed)
         queue = level.queues[index]
         if len(queue) >= level.spec.queue_limit:
-            level.rejected_queue_full += 1
             self._rejected_total.labels(
                 level=level.name, reason="queue-full").inc()
             raise TooManyRequests(
@@ -257,7 +237,6 @@ class APFLimiter:
         from repro.simkernel.events import Event
 
         ticket.event = Event(self.sim)
-        ticket.queue_index = index
         ticket.queued_at = self.sim.now
         queue.append(ticket)
         level.waiting += 1
@@ -266,9 +245,8 @@ class APFLimiter:
         yield ticket.event
         # Dispatch (not expiry) seated the ticket before succeeding the
         # event; record how long fairness queuing held it.
-        wait = self.sim.now - ticket.queued_at
-        level.wait_total += wait
-        self._queue_wait.labels(level=level.name).observe(wait)
+        self._queue_wait.labels(level=level.name).observe(
+            self.sim.now - ticket.queued_at)
         return ticket
 
     def release(self, ticket):
@@ -296,11 +274,6 @@ class APFLimiter:
         ticket.state = _ADMITTED
         level.in_use += 1
         self.total_in_use += 1
-        level.dispatched += 1
-        level.peak_in_use = max(level.peak_in_use, level.in_use)
-        if level.in_use > level.seats:
-            level.borrowed_peak = max(level.borrowed_peak,
-                                      level.in_use - level.seats)
         self._admitted_total.labels(level=level.name).inc()
 
     def _dispatch(self):
@@ -352,7 +325,6 @@ class APFLimiter:
             # The waiter was interrupted while queued; nothing listens,
             # and failing the event would crash the sim as undefused.
             return
-        level.rejected_timeout += 1
         self._rejected_total.labels(
             level=level.name, reason="timeout").inc()
         ticket.event.fail(TooManyRequests(
@@ -367,26 +339,3 @@ class APFLimiter:
         hint = (self.config.retry_after_base
                 * (1.0 + 4.0 * level.waiting / capacity))
         return min(round(hint, 4), self.config.retry_after_max)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def snapshot(self):
-        """Deterministic per-level stats (seats, peak, shed by reason)."""
-        out = []
-        for level in self.levels.values():
-            out.append({
-                "level": level.name,
-                "seats": level.seats,
-                "exempt": level.spec.exempt,
-                "in_use": level.in_use,
-                "peak_in_use": level.peak_in_use,
-                "borrowed_peak": level.borrowed_peak,
-                "dispatched": level.dispatched,
-                "rejected_queue_full": level.rejected_queue_full,
-                "rejected_timeout": level.rejected_timeout,
-                "mean_wait": (level.wait_total / level.dispatched
-                              if level.dispatched else 0.0),
-            })
-        return out

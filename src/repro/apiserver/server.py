@@ -3,9 +3,9 @@
 All request-handling methods are simulation coroutines: callers invoke
 them as ``result = yield from api.create(cred, obj)`` inside a simulated
 process.  Each request pays the configured authn/authz/admission overhead
-plus etcd latency, and holds a max-inflight slot while being processed —
-which is exactly the shared-control-plane pressure point the paper's
-Figure 1 describes.
+plus etcd latency.  Where priority-and-fairness is installed (DESIGN.md
+§15), a request holds an APF seat while being processed — the
+shared-control-plane pressure point the paper's Figure 1 describes.
 """
 
 import string
@@ -34,7 +34,6 @@ from .errors import (
     NotFound,
     ServerUnavailable,
 )
-from .ratelimit import MaxInflightLimiter
 from .registry import ResourceRegistry
 
 _NAME_ALPHABET = string.ascii_lowercase + string.digits
@@ -110,8 +109,7 @@ class WatchStream:
 class APIServer:
     """One control plane's apiserver."""
 
-    def __init__(self, sim, name, config=None, store=None,
-                 per_user_inflight=None):
+    def __init__(self, sim, name, config=None, store=None):
         self.sim = sim
         self.name = name
         self.config = config or DEFAULT_CONFIG
@@ -125,21 +123,11 @@ class APIServer:
         self.authenticator.register(ADMIN)
         self.authorizer = AllowAllAuthorizer()
         self.admission = default_admission_chain()
-        self._inflight = MaxInflightLimiter(
-            sim, self.config.apiserver.max_inflight,
-            name=f"{name}-inflight")
-        # Legacy per-user concurrency shares (Fig. 1 ablation).
-        self._apf = None
-        if per_user_inflight is not None:
-            from .ratelimit import PerUserInflightLimiter
-
-            self._apf = PerUserInflightLimiter(
-                sim, per_user_inflight, name=f"{name}-apf")
-        # Tiered priority-and-fairness admission (DESIGN.md §15): an
-        # APFLimiter classifying requests into per-tier levels with
-        # shuffle-shard queues and Retry-After shedding, which the super
-        # cluster installs when ``config.apf.enabled``.  None (the default)
-        # keeps the seed's request path byte-identical.
+        # The one admission mechanism (DESIGN.md §15): an APFLimiter
+        # classifying requests into per-tier levels with shuffle-shard
+        # queues and Retry-After shedding, which the super cluster
+        # installs when ``config.apf.enabled``.  None (the default) admits
+        # every request at once: no concurrency cap.
         self.apf = None
         self._watch_streams = []
         # Exact read-outs of the decode memo (see _decode): wire values
@@ -256,25 +244,15 @@ class APIServer:
             if not is_system:
                 self.user_request_count += 1
             if self.apf is not None:
-                # Tiered admission: may queue (bounded) or shed with a
-                # structured 429 before any seat or wake cost is paid.
-                ticket = yield from self.apf.acquire(credential, verb,
-                                                     plural)
+                # May queue (bounded) or shed with a structured 429
+                # before any wake cost is paid.
+                ticket = yield from self.apf.acquire(credential)
             if self.swap_state is not None and not is_system:
                 # System traffic (syncer heartbeats, controller scans) is
                 # served from the residual resident set; only tenant
                 # traffic pages a swapped control plane back in.
                 yield from self.swap_state.ensure_awake()
-            if self._apf is not None:
-                yield self._apf.acquire(credential.user)
-            yield self._inflight.acquire()
-            try:
-                yield self.sim.timeout(
-                    self.config.apiserver.request_overhead)
-            except BaseException:
-                self._release(credential, ticket=ticket)  # span below
-                ticket = None
-                raise
+            yield self.sim.timeout(self.config.apiserver.request_overhead)
         except BaseException:
             if ticket is not None:
                 self.apf.release(ticket)
@@ -282,10 +260,7 @@ class APIServer:
             raise
         return credential, span, ticket
 
-    def _release(self, credential, span=None, ticket=None):
-        self._inflight.release()
-        if self._apf is not None:
-            self._apf.release(credential.user)
+    def _release(self, span, ticket):
         if ticket is not None:
             self.apf.release(ticket)
         self._span_finish(span)
@@ -357,7 +332,7 @@ class APIServer:
             yield self.sim.timeout(self.config.apiserver.etcd_write)
             return obj
         finally:
-            self._release(credential, span, ticket)
+            self._release(span, ticket)
 
     def get(self, credential, plural, name, namespace=None):
         """Coroutine: fetch one object (a shared snapshot — ``copy()`` or
@@ -374,7 +349,7 @@ class APIServer:
             yield self.sim.timeout(self.config.apiserver.etcd_read)
             return self._decode(obj_type, stored)
         finally:
-            self._release(credential, span, ticket)
+            self._release(span, ticket)
 
     def list(self, credential, plural, namespace=None, label_selector=None,
              field_selector=None):
@@ -403,7 +378,7 @@ class APIServer:
             finally:
                 release_hold()
         finally:
-            self._release(credential, span, ticket)
+            self._release(span, ticket)
 
     def update(self, credential, obj, subresource=None):
         """Coroutine: replace an object (CAS on its resourceVersion).
@@ -420,7 +395,7 @@ class APIServer:
             yield self.sim.timeout(self.config.apiserver.etcd_write)
             return new_obj
         finally:
-            self._release(credential, span, ticket)
+            self._release(span, ticket)
 
     def _update_core(self, credential, obj, subresource=None):
         """CAS-check, admit and store an update (synchronous)."""
@@ -499,7 +474,7 @@ class APIServer:
             yield self.sim.timeout(self.config.apiserver.etcd_write)
             return obj
         finally:
-            self._release(credential, span, ticket)
+            self._release(span, ticket)
 
     def _delete_core(self, credential, plural, name, namespace=None):
         """Delete or mark-for-finalization (synchronous)."""
@@ -581,7 +556,7 @@ class APIServer:
                 yield self.sim.timeout(self.config.apiserver.etcd_write)
                 return []
             finally:
-                self._release(credential, span, ticket)
+                self._release(span, ticket)
         credential, span, ticket = yield from self._begin(
             credential, ops[0][0], self._op_plural(ops[0]))
         try:
@@ -607,7 +582,7 @@ class APIServer:
                                    + cfg.etcd_txn_per_op * len(ops))
             return results
         finally:
-            self._release(credential, span, ticket)
+            self._release(span, ticket)
 
     def _check_fence(self, fencing):
         """Validate a (domain, token) pair against the store's fence

@@ -7,7 +7,7 @@ from .cache import (
     ObjectCache,
     estimate_object_bytes,
 )
-from .client import Client, Kubeconfig
+from .client import Client, Kubeconfig, TokenBucket
 from .fairqueue import FairWorkQueue, ShardedFairWorkQueue, shard_hash
 from .informer import InformerFactory, SharedInformer
 from .leaderelection import LEASE_NAMESPACE, LeaderElector
@@ -34,6 +34,7 @@ __all__ = [
     "ShardedFairWorkQueue",
     "SharedInformer",
     "ShutDown",
+    "TokenBucket",
     "WorkQueue",
     "estimate_object_bytes",
     "shard_hash",

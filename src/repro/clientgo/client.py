@@ -7,7 +7,46 @@ retryable API errors and on write conflicts where safe.
 """
 
 from repro.apiserver.errors import is_retryable
-from repro.apiserver.ratelimit import TokenBucket
+
+
+class TokenBucket:
+    """Client-side QPS/burst throttling over the simulation clock.
+
+    ``qps`` tokens accrue per simulated second, up to ``burst``.
+    """
+
+    def __init__(self, sim, qps, burst):
+        if qps <= 0:
+            raise ValueError("qps must be positive")
+        self.sim = sim
+        self.qps = float(qps)
+        self.burst = float(burst)
+        self._tokens = self.burst
+        self._last_refill = sim.now
+
+    def delay_needed(self):
+        """Seconds until a token would be available (0 when ready)."""
+        now = self.sim.now
+        elapsed = now - self._last_refill
+        if elapsed > 0:
+            self._tokens = min(self.burst, self._tokens + elapsed * self.qps)
+            self._last_refill = now
+        if self._tokens >= 1.0:
+            return 0.0
+        return (1.0 - self._tokens) / self.qps
+
+    def acquire(self):
+        """Process helper: wait (in simulated time) until a token is
+        available, then take it.
+
+        Usage: ``yield from bucket.acquire()``.
+        """
+        while True:
+            delay = self.delay_needed()
+            if delay <= 0:
+                self._tokens -= 1.0
+                return
+            yield self.sim.timeout(delay)
 
 
 class Kubeconfig:
@@ -35,8 +74,7 @@ class Client:
         self.user_agent = user_agent
         self.max_retries = max_retries
         self.cpu_account = cpu_account
-        self._bucket = TokenBucket(sim, qps, burst,
-                                   name=f"{user_agent}-qps")
+        self._bucket = TokenBucket(sim, qps, burst)
         # Chaos hook (see repro.chaos.faults.NetworkPartition): when set,
         # requests from *this client only* can be failed, modelling a
         # network partition between this client and its apiserver while

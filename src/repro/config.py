@@ -31,7 +31,6 @@ class ApiServerLatency:
     # Multi-op transaction: one etcd_write round trip amortized over the
     # batch, plus a small per-op apply cost inside the store.
     etcd_txn_per_op: float = 0.00012
-    max_inflight: int = 400
 
 
 @dataclass
@@ -170,14 +169,12 @@ class ApfConfig:
     """API Priority & Fairness admission for the super apiserver
     (DESIGN.md §15).
 
-    Disabled by default: the seed's request path (coarse max-inflight
-    only) stays byte-identical unless a run opts in.
+    The apiserver's only admission mechanism.  Disabled by default:
+    without it no request waits for a seat.
     """
 
     enabled: bool = False
-    # Concurrency seats split across non-exempt levels by shares.  Kept
-    # below ApiServerLatency.max_inflight so APF, not the blunt inflight
-    # cap, is the binding constraint when enabled.
+    # Concurrency seats split across non-exempt levels by shares.
     total_seats: int = 64
     default_tier: str = "standard"
     # Base of the server-computed Retry-After hint; scaled by queue

@@ -98,8 +98,9 @@ class SuperCluster(ControlPlane):
         self.api.registry.register(_import_vc_type())
         self.informer_factory = None
         self.node_agents = []
-        # Tiered admission (DESIGN.md §15): only when opted in, so the
-        # default request path stays byte-identical to the seed.
+        # The apiserver's one admission mechanism (DESIGN.md §15), when
+        # opted in.  Only the shared super apiserver gets it: a tenant
+        # apiserver serves one tenant, so it has nobody to be fair to.
         self.apf = None
         if config.apf.enabled:
             from repro.apiserver.apf import APFLimiter

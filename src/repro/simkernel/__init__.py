@@ -17,7 +17,7 @@ from .errors import (
 from .events import Condition, Event, Timeout, all_of, any_of, resolved
 from .loop import Simulation
 from .process import Process
-from .resources import Channel, ChannelClosed, Lock, Semaphore
+from .resources import Channel, ChannelClosed, Lock
 
 __all__ = [
     "Accounting",
@@ -31,7 +31,6 @@ __all__ = [
     "Lock",
     "MemoryAccount",
     "Process",
-    "Semaphore",
     "SimError",
     "Simulation",
     "SimulationDeadlock",

@@ -2,8 +2,8 @@
 
 These mirror the primitives the real system relies on: mutexes guarding the
 work-queue critical sections (whose contention the paper identifies as the
-source of the syncer's throughput degradation), semaphores for bounded
-concurrency, and channels for message passing (watch streams, gRPC calls).
+source of the syncer's throughput degradation) and channels for message
+passing (watch streams, gRPC calls).
 """
 
 from collections import deque
@@ -65,39 +65,6 @@ class Lock:
             return result
 
         return section()
-
-
-class Semaphore:
-    """A counting semaphore with FIFO wakeup order."""
-
-    def __init__(self, sim, capacity, name="semaphore"):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters = deque()
-
-    @property
-    def in_use(self):
-        return self._in_use
-
-    def acquire(self):
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return resolved(self.sim)
-        event = Event(self.sim)
-        self._waiters.append(event)
-        return event
-
-    def release(self):
-        if self._in_use == 0:
-            raise RuntimeError(f"release of idle {self.name}")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
 
 
 class Channel:

@@ -4,7 +4,8 @@ Covers the tentpole's contract surface directly against
 :class:`~repro.apiserver.APFLimiter`: classification, exempt bypass,
 seat accounting with borrowing, queue-full and bounded-wait shedding
 (both as structured 429 + Retry-After), and the pressure scaling of the
-Retry-After hint.
+Retry-After hint.  Admissions, sheds and queue waits are read where the
+limiter counts them: the ``apf_*`` families of the telemetry registry.
 """
 
 import pytest
@@ -41,6 +42,11 @@ def make_limiter(sim, **overrides):
     return limiter
 
 
+def series(sim, family, **labels):
+    """One child of an ``apf_*`` registry family."""
+    return sim.telemetry.registry.get(family).labels(**labels)
+
+
 def acquire_sync(sim, limiter, credential):
     """Drive one acquire to completion; returns the ticket."""
     box = {}
@@ -58,12 +64,6 @@ class TestClassification:
         classifier = FlowClassifier()
         classifier.assign("tenant-gold", "platinum")
         assert classifier.tier_of(Credential("tenant-gold")) == "platinum"
-
-    def test_group_rule(self):
-        classifier = FlowClassifier()
-        classifier.assign_group("batch-users", "free")
-        cred = Credential("someone", groups=("batch-users",))
-        assert classifier.tier_of(cred) == "free"
 
     def test_system_masters_and_system_prefix_are_system(self):
         classifier = FlowClassifier()
@@ -111,8 +111,11 @@ class TestSeats:
         assert level.borrow_cap == 4
         tickets = [acquire_sync(sim, limiter, Credential("tenant-gold"))
                    for _ in range(4)]
-        assert level.in_use == 4
-        assert level.borrowed_peak == 2
+        assert level.in_use - level.seats == 2    # both borrowed
+        # At the cap, a fifth request queues instead of borrowing more.
+        sim.spawn(limiter.acquire(Credential("tenant-gold")), name="fifth")
+        sim.run(until=sim.now + 0.01)
+        assert (level.in_use, level.waiting) == (4, 1)
         for ticket in tickets:
             limiter.release(ticket)
 
@@ -157,10 +160,15 @@ class TestQueueingAndShedding:
         sim.run(until=sim.now + 0.1)
         assert not admitted          # pool saturated, still queued
         limiter.release(held.pop())
+        # The release seats the waiter at once: the seat never idles.
+        assert limiter.levels["platinum"].in_use == 4
         sim.run(until=sim.now + 0.01)
         assert len(admitted) == 1    # freed seat handed to the waiter
-        wait_hist = limiter.levels["platinum"].wait_total
-        assert wait_hist >= 0.1
+        wait = series(sim, "apf_queue_wait_seconds", level="platinum")
+        assert wait.count == 1
+        assert wait.sum == pytest.approx(0.1)
+        assert series(sim, "apf_admitted_total",
+                      level="platinum").value == 5
 
     def test_queue_full_sheds_with_retry_after(self):
         sim = Simulation(seed=1)
@@ -186,7 +194,8 @@ class TestQueueingAndShedding:
         sim.run(until=sim.now + 0.01)
         assert "exc" in shed
         assert shed["exc"].retry_after > 0
-        assert free.rejected_queue_full == 1
+        assert series(sim, "apf_rejected_total", level="free",
+                      reason="queue-full").value == 1
         for ticket in held:
             limiter.release(ticket)
 
@@ -210,7 +219,8 @@ class TestQueueingAndShedding:
         sim.run(until=sim.now + 1.0)
         assert "exc" in shed
         assert 0.5 <= shed["at"] <= 0.5 * 1.25 + 1e-9
-        assert free.rejected_timeout == 1
+        assert series(sim, "apf_rejected_total", level="free",
+                      reason="timeout").value == 1
         assert free.waiting == 0
         for ticket in held:
             limiter.release(ticket)
@@ -257,14 +267,19 @@ class TestQueueingAndShedding:
 
 class TestSnapshot:
     def test_snapshot_counts_dispatch_and_shed(self):
+        """The telemetry snapshot counts each admission once per level,
+        exempt ones included, and no shed that did not happen."""
         sim = Simulation(seed=1)
         limiter = make_limiter(sim)
-        ticket = acquire_sync(sim, limiter, Credential("tenant-gold"))
-        limiter.release(ticket)
-        rows = {row["level"]: row for row in limiter.snapshot()}
-        assert rows["platinum"]["dispatched"] == 1
-        assert rows["platinum"]["in_use"] == 0
-        assert rows["system"]["exempt"] is True
+        for credential in (Credential("tenant-gold"), ADMIN):
+            limiter.release(acquire_sync(sim, limiter, credential))
+        families = {family["name"]: family["series"]
+                    for family in sim.telemetry.snapshot()["families"]}
+        admitted = {row["labels"]["level"]: row["value"]
+                    for row in families["apf_admitted_total"]}
+        assert admitted == {"platinum": 1, "system": 1}
+        assert families["apf_rejected_total"] == []
+        assert limiter.levels["platinum"].in_use == 0
 
     def test_default_config_is_disabled(self):
         from repro.config import DEFAULT_CONFIG

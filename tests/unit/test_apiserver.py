@@ -15,6 +15,8 @@ from repro.apiserver import (
     RBACAuthorizer,
     Unauthorized,
 )
+from repro.config import DEFAULT_CONFIG, ApfTier
+from repro.core.controlplane import SuperCluster
 from repro.objects import (
     ClusterRole,
     ClusterRoleBinding,
@@ -398,3 +400,53 @@ class TestCrd:
         items, _rv = run(sim, api.list(ADMIN, "widgets",
                                        namespace="default"))
         assert len(items) == 1
+
+
+class TestAdmission:
+    """APF is the apiserver's one admission path: without it nothing
+    caps concurrency, with it the level's seats do."""
+
+    @staticmethod
+    def finish_times(sim, coroutines):
+        done = []
+
+        def request(coroutine):
+            yield from coroutine
+            done.append(sim.now)
+
+        for index, coroutine in enumerate(coroutines):
+            sim.spawn(request(coroutine), name=f"request-{index}")
+        return done
+
+    def test_default_apiserver_has_no_concurrency_cap(self, sim, api):
+        setup_namespace(sim, api)
+        run(sim, api.create(ADMIN, make_pod("p")))
+        start = sim.now
+        done = self.finish_times(sim, [
+            api.get(ADMIN, "pods", "p", namespace="default")
+            for _ in range(500)])
+        sim.run()
+        cost = (api.config.apiserver.request_overhead
+                + api.config.apiserver.etcd_read)
+        assert done == pytest.approx([start + cost] * 500)
+
+    def test_apf_seats_bind_on_a_super_apiserver(self, sim):
+        # Fig. 1's "shared" arm: one 24-seat level, a single FIFO queue.
+        level = ApfTier("standard", shares=1, queues=1, hand_size=1,
+                        queue_limit=1000, queue_wait=600.0)
+        config = DEFAULT_CONFIG.with_overrides(
+            apf={"enabled": True, "total_seats": 24, "tiers": (level,)})
+        api = SuperCluster(sim, config).api
+        tenant = api.authenticator.register(Credential("tenant-a"))
+        start = sim.now
+        done = self.finish_times(sim, [api.list(tenant, "pods")
+                                       for _ in range(25)])
+        sim.run(until=start + 0.001)
+        assert api.apf.total_in_use == 24
+        assert api.apf.levels["standard"].waiting == 1
+        sim.run()
+        cost = (config.apiserver.request_overhead
+                + config.apiserver.list_base)
+        # The 25th took the first freed seat and then paid its own way.
+        assert done == pytest.approx([start + cost] * 24
+                                     + [start + 2 * cost])

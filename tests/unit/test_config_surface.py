@@ -8,7 +8,9 @@ field, and binds the keywords of every call to them — and to the stress
 harness — in ``src/``, ``tests/``, ``benchmarks/``, ``bench/``,
 ``examples/`` and the python blocks of README.md and DESIGN.md against
 the live signatures.  Nothing else runs ``benchmarks/`` on every change,
-so a stale keyword there would otherwise go unnoticed.
+so a stale keyword there would otherwise go unnoticed.  Nor may a run
+in ``benchmarks/`` or ``examples/`` reach past the config into an
+object's private attributes: that is a switch no signature shows.
 """
 
 import ast
@@ -52,9 +54,8 @@ CONSTRUCTORS = {
     StoreGroup: ("sim", "name", "config"),
     # The control-plane assembly: no switch that no deployment flips.
     # ``store`` and ``scorers`` are test seams (a prepared store, a
-    # scoring plugin); ``per_user_inflight`` is Fig. 1's shared-apiserver
-    # ablation.
-    APIServer: ("sim", "name", "config", "store", "per_user_inflight"),
+    # scoring plugin).
+    APIServer: ("sim", "name", "config", "store"),
     ControlPlane: ("sim", "name", "config"),
     TenantControlPlane: ("sim", "name", "config", "owner_vc"),
     SuperCluster: ("sim", "config", "name"),
@@ -137,6 +138,58 @@ def test_every_call_binds_to_the_live_signature():
                          f"{target.__name__}(): {exc}")
     assert checked >= 40, f"found only {checked} call sites"
     assert not stale, "\n".join(stale)
+
+
+def _assignment_targets(tree):
+    """Every single target assigned to in ``tree`` (tuples unpacked)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            stack = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            stack = [node.target]
+        else:
+            continue
+        while stack:
+            target = stack.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                stack.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                stack.append(target.value)
+            else:
+                yield target
+
+
+def _attribute_path(target):
+    """``a.b[0].c`` -> ``("a", ["b", "c"])``; the root is None when the
+    path does not start at a plain name."""
+    names = []
+    while isinstance(target, (ast.Attribute, ast.Subscript)):
+        if isinstance(target, ast.Attribute):
+            names.append(target.attr)
+        target = target.value
+    root = target.id if isinstance(target, ast.Name) else None
+    return root, names[::-1]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_runs_set_no_private_state():
+    """A benchmark or example shapes its deployment through
+    ``LatencyConfig``; assigning through another object's ``_private``
+    attribute is a hidden switch.  An object's own ``self``/``cls``
+    state is its business."""
+    pokes = []
+    for label, source in _sources():
+        if not label.startswith(("benchmarks/", "examples/")):
+            continue
+        for target in _assignment_targets(ast.parse(source, filename=label)):
+            root, names = _attribute_path(target)
+            if root not in ("self", "cls") and any(map(_is_private, names)):
+                pokes.append(f"{label}:{target.lineno}: "
+                             f"{ast.unparse(target)}")
+    assert not pokes, "\n".join(pokes)
 
 
 def test_with_overrides_takes_a_mapping_per_section():

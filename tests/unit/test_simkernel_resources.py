@@ -1,8 +1,8 @@
-"""Unit tests for simulated locks, semaphores, and channels."""
+"""Unit tests for simulated locks and channels."""
 
 import pytest
 
-from repro.simkernel import Channel, ChannelClosed, Lock, Semaphore, Simulation
+from repro.simkernel import Channel, ChannelClosed, Lock, Simulation
 
 
 def test_lock_mutual_exclusion():
@@ -46,32 +46,6 @@ def test_lock_release_unlocked_raises():
     lock = Lock(sim)
     with pytest.raises(RuntimeError):
         lock.release()
-
-
-def test_semaphore_caps_concurrency():
-    sim = Simulation()
-    sem = Semaphore(sim, capacity=2)
-    active = []
-    peak = []
-
-    def worker():
-        yield sem.acquire()
-        active.append(1)
-        peak.append(len(active))
-        yield sim.timeout(1)
-        active.pop()
-        sem.release()
-
-    for _ in range(5):
-        sim.process(worker())
-    sim.run()
-    assert max(peak) == 2
-
-
-def test_semaphore_bad_capacity():
-    sim = Simulation()
-    with pytest.raises(ValueError):
-        Semaphore(sim, capacity=0)
 
 
 def test_channel_put_then_get():
@@ -210,13 +184,12 @@ def test_channel_fifo_order_many_items():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("source", ["lock", "semaphore", "channel"])
+@pytest.mark.parametrize("source", ["lock", "channel"])
 def test_ready_result_resumes_in_the_same_dispatch(source):
     sim = Simulation()
     channel = Channel(sim)
     channel.try_put("item")
     ready = {"lock": Lock(sim).acquire,
-             "semaphore": Semaphore(sim, capacity=1).acquire,
              "channel": channel.get}[source]
     seen = []
 
@@ -235,23 +208,19 @@ def test_ready_result_resumes_in_the_same_dispatch(source):
     assert sim.kernel_stats()["ready_at_yield"] == 0
 
 
-@pytest.mark.parametrize("make", [
-    lambda sim: Lock(sim),
-    lambda sim: Semaphore(sim, capacity=1),
-])
-def test_contended_acquires_are_handed_off_fifo(make):
-    """Waiters get the resource in arrival order at the releaser's
-    instant; one arriving at that instant queues behind them."""
+def test_contended_acquires_are_handed_off_fifo():
+    """Waiters get the lock in arrival order at the releaser's instant;
+    one arriving at that instant queues behind them."""
     sim = Simulation()
-    resource = make(sim)
+    lock = Lock(sim)
     order = []
 
     def worker(name, start):
         yield sim.timeout(start)
-        yield resource.acquire()
+        yield lock.acquire()
         order.append((name, sim.now))
         yield sim.timeout(1)
-        resource.release()
+        lock.release()
 
     for name, start in (("a", 0), ("b", 0), ("c", 0), ("late", 1)):
         sim.process(worker(name, start))
