@@ -121,10 +121,6 @@ class StorageDurability:
     wal_enabled: bool = False
     # Store group size; 1 == the seed's single in-memory store.
     replicas: int = 1
-    wal_segment_records: int = 512
-    # 0 == fsync on every append (etcd default); > 0 batches fsyncs on a
-    # timer and a kill -9 loses the un-synced tail.
-    wal_fsync_interval: float = 0.0
     # Leader -> follower apply latency per record.
     replication_delay: float = 0.002
     # Store-group leader lease: snappier than the syncer's 6 s lease so

@@ -153,10 +153,8 @@ def _build_store(sim, name, config):
     if storage.replicated:
         group = StoreGroup(sim, f"{name}-etcd", config)
         return group.store, group
-    wal = WriteAheadLog(sim, f"{name}-etcd",
-                        segment_records=storage.wal_segment_records,
-                        fsync_interval=storage.wal_fsync_interval)
-    return EtcdStore(sim, name=f"{name}-etcd", wal=wal), None
+    return EtcdStore(sim, name=f"{name}-etcd",
+                     wal=WriteAheadLog(sim, f"{name}-etcd")), None
 
 
 def _import_vc_type():

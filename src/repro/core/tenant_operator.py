@@ -189,13 +189,9 @@ class TenantOperator(Controller):
         control_plane = self.control_planes.get(key)
         if control_plane is None or key in self._needs_restore:
             return None
-        store = control_plane.api.store
-        snapshot = store.snapshot()
+        snapshot = control_plane.api.store.snapshot()
         self.snapshots[key] = snapshot
         self.snapshots_taken += 1
-        # WAL-equipped stores anchor their log to the snapshot: segments
-        # the snapshot covers are compacted away (DESIGN.md §13).
-        store.anchor_wal(snapshot)
         return snapshot
 
     def crash_control_plane(self, key):

@@ -13,7 +13,7 @@ from .errors import (
 )
 from .etcd import EVENT_DELETE, EVENT_PUT, EtcdStore, Watch, WatchEvent
 from .replicated import StoreGroup, StoreReplica
-from .wal import WalRecord, WalSegment, WriteAheadLog
+from .wal import WalRecord, WriteAheadLog
 
 __all__ = [
     "EVENT_DELETE",
@@ -30,7 +30,6 @@ __all__ = [
     "StoreReplica",
     "StoreUnavailable",
     "WalRecord",
-    "WalSegment",
     "WalTornRecord",
     "Watch",
     "WatchEvent",

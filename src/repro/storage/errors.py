@@ -72,9 +72,10 @@ class WalTornRecord(StorageError):
     can observe the tear.
     """
 
-    def __init__(self, lsn):
-        super().__init__(f"torn WAL record at lsn {lsn}: checksum mismatch")
-        self.lsn = lsn
+    def __init__(self, revision):
+        super().__init__(
+            f"torn WAL record at revision {revision}: checksum mismatch")
+        self.revision = revision
 
 
 class StoreUnavailable(StorageError):

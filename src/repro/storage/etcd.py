@@ -60,6 +60,9 @@ EVENT_DELETE = "DELETE"
 # The WAL record type of a fencing-floor advance (see check_fence): it
 # rides in the log beside the events, without a revision of its own.
 FENCE = "FENCE"
+# A store with a write-ahead log anchors it to a snapshot once it is this
+# many revisions past the log's anchor, as etcd's snapshot-count does.
+ANCHOR_INTERVAL = 1024
 
 _REVISION = attrgetter("revision")
 _SEQ = attrgetter("seq")
@@ -600,6 +603,7 @@ class EtcdStore:
             recorder.record(self.name, event)
         if self.wal is not None:
             self.wal.append_event(event)
+            self._anchor_if_due()
         self._trim_history(event.revision)
         self._history.append(event)
         candidates = self._watch_candidates(event)
@@ -673,17 +677,18 @@ class EtcdStore:
         if current is not None and token < current:
             self.fencing_rejections += 1
             raise FencingRevoked(domain, token, current)
-        self._raise_fence(domain, token, self._revision)
+        if self._raise_fence(domain, token) and self.wal is not None:
+            # Floor advances are durable: a recovered store must bounce a
+            # deposed leader's stale token just like the one that crashed.
+            self.wal.append_fence(domain, token, self._revision)
 
-    def _raise_fence(self, domain, token, revision):
+    def _raise_fence(self, domain, token):
+        """Raise ``domain``'s floor to ``token``; True when it rose."""
         current = self._fences.get(domain)
         if current is None or token > current:
             self._fences[domain] = token
-            if self.wal is not None:
-                # Floor advances are durable: a recovered store must
-                # bounce a deposed leader's stale token just like the one
-                # that crashed.
-                self.wal.append_fence(domain, token, revision)
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Snapshot / restore (durability for crashed control planes)
@@ -744,14 +749,16 @@ class EtcdStore:
         :attr:`revision` is skipped; one past ``revision + 1`` raises
         :class:`CompactedError` before any state changes, as applying it
         would build a store missing committed writes.  Otherwise the
-        event applies with no watch emit, moves the compaction floor with
-        it (nothing enters history, so a promoted follower never replays
-        a gap) and is appended to the store's own log.  Returns True when
-        an event applied.
+        event applies with no watch emit and moves the compaction floor
+        with it (nothing enters history, so a promoted follower never
+        replays a gap).  A logged record goes to the store's own log as
+        is: records never change, so the logs share it.  Returns True
+        when an event applied.
         """
         if record.type == FENCE:
-            self._raise_fence(record.key, record.decode()["token"],
-                              record.revision)
+            if (self._raise_fence(record.key, record.decode()["token"])
+                    and self.wal is not None):
+                self.wal.append(record)
             return False
         revision = record.revision
         if revision <= self._revision:
@@ -773,9 +780,16 @@ class EtcdStore:
             self._index_remove(key)
         self._revision = self._compacted_revision = revision
         if self.wal is not None:
-            self.wal.append_event(WatchEvent(record.type, key, value,
-                                             revision))
+            self.wal.append(record)
+            self._anchor_if_due()
         return True
+
+    def _anchor_if_due(self):
+        """The log's retention rule: once the store is
+        ``ANCHOR_INTERVAL`` revisions past its log's anchor, anchor the
+        log to a snapshot, which drops the durable records it covers."""
+        if self._revision - self.wal.anchor_revision >= ANCHOR_INTERVAL:
+            self.wal.compact(self.snapshot())
 
     def catch_up(self, wal, reset=False):
         """Bring this store up to ``wal``'s committed prefix.
@@ -795,19 +809,6 @@ class EtcdStore:
             else:
                 self.wipe()
         return sum(self.apply(record) for record in wal.committed())
-
-    def events_since(self, revision):
-        """The WAL tail: all held events after ``revision`` (the events
-        themselves — like their values, they are never modified).
-
-        Raises :class:`RevisionCompacted` when part of the tail has been
-        compacted away — the caller must fall back to snapshot-only
-        recovery (or take a fresh snapshot) instead of replaying a gap.
-        """
-        self._check_alive()
-        if revision < self._compacted_revision:
-            raise RevisionCompacted(revision, self._compacted_revision)
-        return self._history_after(revision)
 
     def wipe(self):
         """Simulate catastrophic data loss: everything gone, watches cut.
@@ -853,20 +854,6 @@ class EtcdStore:
         self.recoveries += 1
         self._recoveries_metric.inc()
         return self._revision
-
-    def anchor_wal(self, snapshot):
-        """Compact the WAL against a freshly-taken snapshot (no-op when
-        the store has no log)."""
-        if self.wal is not None:
-            self.wal.compact(snapshot)
-
-    def dump(self):
-        """Canonical image of current data (tests/benchmarks)."""
-        return {
-            key: (stored.value, stored.create_revision,
-                  stored.mod_revision, stored.version)
-            for key, stored in self._data.items()
-        }
 
     # ------------------------------------------------------------------
     # Introspection / memory accounting

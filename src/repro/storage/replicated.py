@@ -13,7 +13,8 @@ Topology and failure model:
 - The leader's WAL is the only channel to the followers.  Its
   ``on_append`` hook streams each durable record into a per-follower
   :class:`Channel`, and a pump process applies it after the replication
-  delay (plus any chaos-injected lag).  Its ``on_reset`` hook fires when
+  delay (plus any chaos-injected lag) and logs that very record: logs
+  share their immutable records.  Its ``on_reset`` hook fires when
   a restore or wipe of the serving store restarts the log, and rolls
   every live follower to it by full state transfer.
 - Each log carries a generation that a restart of it bumps
@@ -182,10 +183,8 @@ class StoreGroup:
         self.replicas = []
         for index in range(storage.replicas):
             member = f"{name}-r{index}"
-            wal = WriteAheadLog(sim, member,
-                                segment_records=storage.wal_segment_records,
-                                fsync_interval=storage.wal_fsync_interval)
-            store = EtcdStore(sim, name=member, wal=wal)
+            store = EtcdStore(sim, name=member,
+                              wal=WriteAheadLog(sim, member))
             replica = StoreReplica(self, index, store)
             self.replicas.append(replica)
             lag_gauge.labels(store=name, replica=f"r{index}").set_function(

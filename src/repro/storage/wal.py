@@ -4,11 +4,11 @@ The WAL models the disk that survives a kill -9 while the store's memory
 does not.  Every mutation the store emits becomes one :class:`WalRecord`:
 the event fields are serialized to canonical JSON bytes (``sort_keys``,
 so the checksum never depends on dict insertion order — linter rule D006)
-and guarded by a CRC32.  Records accumulate in bounded
-:class:`WalSegment` files; a segment rolls when it reaches
-``segment_records`` entries, mirroring etcd's 64 MB segment files.
+and guarded by a CRC32.  The log is one flat list of records, and a
+record never changes once made: a follower's log holds the very records
+its leader streamed to it.
 
-Durability semantics:
+Durability is a watermark: ``records[:durable]`` are synced.
 
 - ``fsync_interval == 0`` (the default) models etcd's fsync-per-commit:
   a record is durable the moment :meth:`WriteAheadLog.append` returns.
@@ -18,29 +18,36 @@ Durability semantics:
   last fsync boundary, never past it.
 
 Compaction is anchored to snapshots: :meth:`compact` installs the
-snapshot as the log's *anchor* and drops every segment fully covered by
-it.  :meth:`committed` is the one read path — the durable,
-checksum-verified record prefix — and :meth:`EtcdStore.catch_up` the one
-replay: it restores the anchor when the store is at or behind it, then
-applies each committed record through :meth:`EtcdStore.apply`, which
-raises :class:`CompactedError` on a gap instead of silently
-resurrecting a store with missing committed writes.  Crash recovery,
-follower catch-up and promotion all go that way.
+snapshot as the log's *anchor* and drops the durable records it covers.
+The store takes its own anchors (:meth:`EtcdStore._anchor_if_due`), so
+a log keeps at most about ``ANCHOR_INTERVAL`` revisions of records.
+:meth:`committed` is the one read path — the durable, checksum-verified
+record prefix — and :meth:`EtcdStore.catch_up` the one replay: it
+restores the anchor when the store is at or behind it, then applies each
+committed record through :meth:`EtcdStore.apply`, which raises
+:class:`CompactedError` on a gap instead of silently resurrecting a
+store with missing committed writes.  Crash recovery, follower catch-up
+and promotion all go that way.
 
 A torn tail — kill -9 landing mid-write, or the chaos ``WalCorruption``
-fault — is modeled by :meth:`tear_tail`: the last record's payload is
-truncated so its checksum fails.  The recovery decoder stops at the
-first torn record and returns the committed prefix; the torn suffix was
-never acknowledged to a client, so dropping it loses nothing committed.
+fault — is modeled by :meth:`tear_tail`: the last record is replaced by
+a copy whose payload is truncated so its checksum fails.  The recovery
+decoder stops at the first torn record and returns the committed
+prefix; the torn suffix was never acknowledged to a client, so dropping
+it loses nothing committed.
 """
 
 import json
 import zlib
+from bisect import bisect_right
+from operator import attrgetter
 
 from repro.telemetry import telemetry_of
 
 from .errors import WalTornRecord
 from .etcd import EVENT_DELETE, EVENT_PUT, FENCE
+
+_REVISION = attrgetter("revision")
 
 
 def _encode_payload(fields):
@@ -50,28 +57,28 @@ def _encode_payload(fields):
 
 
 class WalRecord:
-    """One log entry: an encoded mutation plus its integrity checksum."""
+    """One log entry: an encoded mutation plus its integrity checksum.
 
-    __slots__ = ("lsn", "type", "revision", "key", "payload", "crc",
-                 "durable")
+    Immutable, so logs may share it.
+    """
 
-    def __init__(self, lsn, type, revision, key, payload, crc):
-        self.lsn = lsn
+    __slots__ = ("type", "revision", "key", "payload", "crc")
+
+    def __init__(self, type, revision, key, payload, crc):
         self.type = type
         self.revision = revision
         self.key = key
         self.payload = payload
         self.crc = crc
-        self.durable = False
 
     @classmethod
-    def make(cls, lsn, type, revision, key, fields):
+    def make(cls, type, revision, key, fields):
         payload = _encode_payload(fields)
-        return cls(lsn, type, revision, key, payload, zlib.crc32(payload))
+        return cls(type, revision, key, payload, zlib.crc32(payload))
 
     @property
     def nbytes(self):
-        # Payload plus a fixed header (lsn + crc + length), like the
+        # Payload plus a fixed header (revision + crc + length), like the
         # 8-byte length/crc framing of a real WAL entry.
         return len(self.payload) + 24
 
@@ -82,35 +89,15 @@ class WalRecord:
     def decode(self):
         """The record's fields; raises :class:`WalTornRecord` on a tear."""
         if self.torn:
-            raise WalTornRecord(self.lsn)
+            raise WalTornRecord(self.revision)
         return json.loads(self.payload.decode())
 
     def __repr__(self):
-        return (f"<WalRecord lsn={self.lsn} {self.type} "
-                f"{self.key} @{self.revision}>")
-
-
-class WalSegment:
-    """A bounded run of records (one 'file' of the log)."""
-
-    __slots__ = ("index", "records", "nbytes")
-
-    def __init__(self, index):
-        self.index = index
-        self.records = []
-        self.nbytes = 0
-
-    def append(self, record):
-        self.records.append(record)
-        self.nbytes += record.nbytes
-
-    @property
-    def last_revision(self):
-        return self.records[-1].revision if self.records else 0
+        return f"<WalRecord {self.type} {self.key} @{self.revision}>"
 
 
 class WriteAheadLog:
-    """Segmented, checksummed, compactable append-only log.
+    """Flat, checksummed, compactable append-only log.
 
     A replica group's leader log is its only channel to the followers
     (:class:`~repro.storage.replicated.StoreGroup` sets both hooks):
@@ -126,20 +113,17 @@ class WriteAheadLog:
     leader's restarted, and must resync instead of resuming.
     """
 
-    def __init__(self, sim, name, segment_records=512, fsync_interval=0.0):
+    def __init__(self, sim, name, fsync_interval=0.0):
         self.sim = sim
         self.name = name
-        self.segment_records = segment_records
         self.fsync_interval = fsync_interval
-        self.segments = [WalSegment(0)]
+        self.records = []
+        self.durable = 0  # records[:durable] are synced
         # Snapshot anchoring the compacted prefix (None until the first
         # compaction): recovery restores it before replaying records.
         self.anchor = None
         self.anchor_revision = 0
         self.generation = 0
-        self.next_lsn = 0
-        self.durable_lsn = 0       # records with lsn < durable_lsn are synced
-        self.durable_revision = 0  # last event revision known durable
         self.fsyncs = 0
         self.torn_records = 0
         self.on_append = None
@@ -166,56 +150,47 @@ class WriteAheadLog:
         """Log one store mutation (a :class:`WatchEvent`)."""
         fields = {"type": event.type, "key": event.key,
                   "revision": event.revision, "value": event.value}
-        return self._append(event.type, event.revision, event.key, fields)
+        self.append(WalRecord.make(event.type, event.revision, event.key,
+                                   fields))
 
     def append_fence(self, domain, token, revision):
         """Log a fencing-floor advance (no revision bump of its own)."""
         fields = {"type": FENCE, "key": domain, "revision": revision,
                   "token": token}
-        return self._append(FENCE, revision, domain, fields)
+        self.append(WalRecord.make(FENCE, revision, domain, fields))
 
-    def _append(self, type, revision, key, fields):
-        record = WalRecord.make(self.next_lsn, type, revision, key, fields)
-        self.next_lsn += 1
-        segment = self.segments[-1]
-        if len(segment.records) >= self.segment_records:
-            segment = WalSegment(segment.index + 1)
-            self.segments.append(segment)
-        segment.append(record)
+    def append(self, record):
+        """Log ``record`` as is (a follower logs its leader's record)."""
+        self.records.append(record)
         self._appends.inc()
         if self.fsync_interval <= 0:
             self.sync()
-        return record
 
     def sync(self):
         """Fsync: everything appended so far becomes durable."""
-        newly_durable = []
-        for segment in reversed(self.segments):
-            done = False
-            for record in reversed(segment.records):
-                if record.durable:
-                    done = True
-                    break
-                newly_durable.append(record)
-            if done:
-                break
-        if not newly_durable:
+        new = self.records[self.durable:]
+        if not new:
             return 0
+        self.durable = len(self.records)
         self.fsyncs += 1
         self._fsync_counter.inc()
-        for record in reversed(newly_durable):
-            record.durable = True
-            self.durable_lsn = record.lsn + 1
-            if record.type != FENCE:
-                self.durable_revision = record.revision
-            if self.on_append is not None:
+        if self.on_append is not None:
+            for record in new:
                 self.on_append(record)
-        return len(newly_durable)
+        return len(new)
 
     def _fsync_loop(self):
         while True:
             yield self.sim.timeout(self.fsync_interval)
             self.sync()
+
+    @property
+    def durable_revision(self):
+        """The revision the durable log (anchor included) reaches."""
+        for record in reversed(self.records[:self.durable]):
+            if record.type != FENCE:
+                return max(record.revision, self.anchor_revision)
+        return self.anchor_revision
 
     # ------------------------------------------------------------------
     # Crash surface
@@ -223,40 +198,34 @@ class WriteAheadLog:
 
     def power_off(self):
         """Kill -9: drop the un-fsynced tail (it never reached the disk)."""
-        dropped = 0
-        for segment in self.segments:
-            kept = [r for r in segment.records if r.durable]
-            dropped += len(segment.records) - len(kept)
-            if len(kept) != len(segment.records):
-                segment.records = kept
-                segment.nbytes = sum(r.nbytes for r in kept)
-        if dropped:
-            self.next_lsn = self.durable_lsn
+        dropped = len(self.records) - self.durable
+        del self.records[self.durable:]
         return dropped
 
     def tear_tail(self):
-        """Corrupt the last record (a write torn mid-flight by the crash).
+        """Replace the last record with a torn copy (a write torn
+        mid-flight by the crash); other logs sharing the record keep it
+        whole.
 
         Returns the torn record, or None when the log is empty.
         """
-        for segment in reversed(self.segments):
-            if segment.records:
-                record = segment.records[-1]
-                record.payload = record.payload[:max(len(record.payload) // 2,
-                                                     1)]
-                self.torn_records += 1
-                return record
-        return None
+        if not self.records:
+            return None
+        record = self.records[-1]
+        torn = WalRecord(record.type, record.revision, record.key,
+                         record.payload[:max(len(record.payload) // 2, 1)],
+                         record.crc)
+        self.records[-1] = torn
+        self.torn_records += 1
+        return torn
 
     def reset(self, anchor=None):
         """Start a fresh log (restore rolled the store to ``anchor``)."""
         self.generation += 1
-        self.segments = [WalSegment(0)]
+        self.records = []
+        self.durable = 0
         self.anchor = anchor
         self.anchor_revision = anchor["revision"] if anchor else 0
-        self.durable_revision = self.anchor_revision
-        self.next_lsn = 0
-        self.durable_lsn = 0
         if self.on_reset is not None:
             self.on_reset()
 
@@ -265,25 +234,17 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     def compact(self, snapshot):
-        """Anchor the log to ``snapshot`` and drop covered segments.
-
-        A segment is dropped only when *every* record in it is durable
-        and at or below the snapshot revision; a straddling segment is
-        kept whole (recovery skips its covered prefix).
-        """
+        """Anchor the log to ``snapshot`` and drop the durable records at
+        or below its revision (a volatile one stays, and recovery skips
+        it when covered).  Returns the number of records dropped."""
         if snapshot["revision"] < self.anchor_revision:
             return 0
         self.anchor = snapshot
         self.anchor_revision = snapshot["revision"]
-        kept, dropped = [], 0
-        for segment in self.segments:
-            if (segment.records
-                    and segment.last_revision <= self.anchor_revision
-                    and all(r.durable for r in segment.records)):
-                dropped += len(segment.records)
-            else:
-                kept.append(segment)
-        self.segments = kept or [WalSegment(0)]
+        dropped = bisect_right(self.records, self.anchor_revision,
+                               hi=self.durable, key=_REVISION)
+        del self.records[:dropped]
+        self.durable -= dropped
         return dropped
 
     # ------------------------------------------------------------------
@@ -292,14 +253,10 @@ class WriteAheadLog:
 
     @property
     def nbytes(self):
-        return sum(segment.nbytes for segment in self.segments)
-
-    @property
-    def record_count(self):
-        return sum(len(segment.records) for segment in self.segments)
+        return sum(record.nbytes for record in self.records)
 
     def is_empty(self):
-        return self.anchor is None and self.durable_lsn == 0
+        return self.anchor is None and self.durable == 0
 
     def committed(self):
         """The durable, checksum-verified record prefix (anchor not
@@ -309,13 +266,11 @@ class WriteAheadLog:
         after a tear is trustworthy (the committed-prefix property), and
         a volatile record was never acknowledged.
         """
-        out = []
-        for segment in self.segments:
-            for record in segment.records:
-                if not record.durable or record.torn:
-                    return out
-                out.append(record)
-        return out
+        records = self.records[:self.durable]
+        for index, record in enumerate(records):
+            if record.torn:
+                return records[:index]
+        return records
 
     def durable_state(self):
         """key -> (value, mod_revision) at the last durable point.
@@ -345,33 +300,15 @@ class WriteAheadLog:
         Torn and volatile records are unrecoverable; real WAL recovery
         truncates the file at the first invalid record so post-recovery
         appends extend a clean log instead of stranding behind a torn
-        one.  Rewinds the lsn/revision bookkeeping to the prefix.
+        one.
         """
-        records = self.committed()
-        keep = len(records)
-        for segment in self.segments:
-            take = min(keep, len(segment.records))
-            if take != len(segment.records):
-                segment.records = segment.records[:take]
-                segment.nbytes = sum(r.nbytes for r in segment.records)
-            keep -= take
-        while len(self.segments) > 1 and not self.segments[-1].records:
-            self.segments.pop()
-        last = records[-1] if records else None
-        self.next_lsn = (last.lsn + 1) if last is not None else 0
-        self.durable_lsn = self.next_lsn
-        self.durable_revision = self.anchor_revision
-        for record in reversed(records):
-            if record.type != FENCE:
-                self.durable_revision = record.revision
-                break
+        self.records = self.committed()
+        self.durable = len(self.records)
 
     def stats(self):
         return {
-            "segments": len(self.segments),
-            "records": self.record_count,
+            "records": len(self.records),
             "bytes": self.nbytes,
-            "durable_lsn": self.durable_lsn,
             "durable_revision": self.durable_revision,
             "anchor_revision": self.anchor_revision,
             "fsyncs": self.fsyncs,

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.apiserver import APIServer
-from repro.config import DEFAULT_CONFIG, LatencyConfig
+from repro.config import DEFAULT_CONFIG, LatencyConfig, StorageDurability
 from repro.controllers import ControllerManager
 from repro.core import IdleSwapper, VirtualClusterEnv
 from repro.core.controlplane import (
@@ -239,6 +239,15 @@ def test_scenario_control_maps_onto_config():
     assert (config.swapper.idle_threshold,
             config.swapper.check_interval) == (10.0, 2.0)
     assert (config.storage.replicas, config.storage.wal_enabled) == (3, True)
+
+
+def test_storage_section_has_no_log_shaping_field():
+    """The WAL's segment size and fsync cadence are not deployment
+    knobs: the log is flat and anchors itself, and every deployment
+    fsyncs each append."""
+    assert tuple(f.name for f in dataclasses.fields(StorageDurability)) == (
+        "wal_enabled", "replicas", "replication_delay", "lease_duration",
+        "lease_renew_interval", "lease_retry_interval", "lease_jitter")
 
 
 def test_default_control_keeps_default_storage_and_overload():

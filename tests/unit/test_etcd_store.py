@@ -87,7 +87,7 @@ class TestCrud:
 
     def test_one_dict_per_revision_everywhere(self, store):
         """get, list_prefix, the PUT event, the next event's prev_value,
-        events_since, snapshot() and dump() all hand out the same dict."""
+        a watch replay and snapshot() all hand out the same dict."""
         key = "/registry/pods/ns/a"
         watch = store.watch("/registry/pods/")
         store.create(key, {"v": 1})
@@ -99,14 +99,14 @@ class TestCrud:
         put = watch.channel.get().value
         assert put.value is value and put.stored is store.get_stored(key)
         assert store.snapshot()["data"][key][0] is value
-        assert store.dump()[key][0] is value
         store.update(key, {"v": 2})
         update = watch.channel.get().value
         assert update.prev_value is value
         assert update.value is store.get(key)[0] is not value
-        assert [e.value for e in store.events_since(0)] == [{"v": 1},
+        replay = store.watch("/registry/pods/", from_revision=0)
+        assert [e.value for e in replay.channel._items] == [{"v": 1},
                                                             {"v": 2}]
-        assert store.events_since(0)[0].value is value
+        assert replay.channel._items[0].value is value
         store.delete(key)
         deleted = watch.channel.get().value
         assert deleted.value is update.value
@@ -256,8 +256,8 @@ def _replayed(store, revision, prefix="/registry/pods/"):
 
 
 class TestHistoryTail:
-    """Replay and the WAL tail start at a bisect into history; the
-    boundaries are where an off-by-one would hide."""
+    """Replay starts at a bisect into history; the boundaries are where
+    an off-by-one would hide."""
 
     def _fill(self, store, count=6):
         for index in range(count):
@@ -287,17 +287,6 @@ class TestHistoryTail:
         watch = store.watch("/registry/pods/", from_revision=1,
                             predicate=lambda e: e.value["i"] == 1)
         assert [e.revision for e in watch.channel._items] == [2, 5]
-
-    def test_events_since_boundaries(self, store):
-        self._fill(store)
-        assert [e.revision for e in store.events_since(0)] == \
-            [1, 2, 3, 4, 5, 6]
-        assert [e.revision for e in store.events_since(5)] == [6]
-        assert store.events_since(6) == []
-        store.compact(keep=2)
-        assert [e.revision for e in store.events_since(4)] == [5, 6]
-        with pytest.raises(RevisionCompacted):
-            store.events_since(3)
 
     def test_tail_after_restore_starts_past_the_snapshot(self, store):
         self._fill(store, count=3)
@@ -330,7 +319,7 @@ class TestHeldHistory:
         with pytest.raises(RevisionCompacted):
             _replayed(store, 2)
         with pytest.raises(RevisionCompacted):
-            store.events_since(0)
+            _replayed(store, 0)
 
     def test_a_hold_keeps_every_later_event(self, store):
         self._fill(store, 2)

@@ -208,9 +208,8 @@ def test_store_never_deep_copies():
         store.try_get("/registry/pods/ns/p1")
         store.list_prefix("/registry/pods/")
         store.delete("/registry/pods/ns/p2")
-        store.events_since(2)
+        store.watch("/registry/pods/", from_revision=2)
         snapshot = store.snapshot()
-        store.dump()
         store.restore(snapshot)
         assert len(watch.channel) == 5
     finally:

@@ -19,7 +19,7 @@ from repro.storage import (
     StoreUnavailable,
 )
 from repro.storage import replicated, wal
-from repro.storage.etcd import FENCE
+from repro.storage.etcd import ANCHOR_INTERVAL, FENCE
 
 
 def run(sim, coroutine):
@@ -35,6 +35,11 @@ def make_group(seed=1, replicas=3):
 def fill(group, count, prefix="/registry/pods/ns/p"):
     for index in range(count):
         group.store.create(f"{prefix}{index:03d}", {"n": index})
+
+
+def data(store):
+    """A store's key -> (value, create, mod, version) image."""
+    return store.snapshot()["data"]
 
 
 def settle(sim, group, timeout=5.0):
@@ -56,32 +61,52 @@ class TestReplication:
         sim, group = make_group()
         fill(group, 10)
         settle(sim, group)
-        leader_dump = dict(group.leader.store.dump())
+        leader_dump = data(group.leader.store)
         for replica in group.replicas:
             if replica.role == "follower":
-                assert dict(replica.store.dump()) == leader_dump
+                assert data(replica.store) == leader_dump
                 assert replica.store.revision == group.store.revision
 
     def test_follower_apply_converges_with_shared_values(self):
-        """A follower stores the applied value as is (one dict for its
-        store and its own WAL record); the group still converges to
-        equal dumps, and a follower's values are as read-only as the
-        leader's."""
+        """A follower stores the applied value as is; the group still
+        converges to equal images, and a follower's values are as
+        read-only as the leader's."""
         sim, group = make_group()
         fill(group, 5)
         group.store.update("/registry/pods/ns/p001", {"n": [1, {"deep": 2}]})
         group.store.delete("/registry/pods/ns/p004")
         settle(sim, group)
         follower = next(r for r in group.replicas if r.role == "follower")
-        assert follower.store.dump() == group.leader.store.dump()
+        assert data(follower.store) == data(group.leader.store)
         value, _rev = follower.store.get("/registry/pods/ns/p001")
         with pytest.raises(FrozenError):
             value["n"][1]["deep"] = 3
         # The follower's own log rebuilds the same image.
-        expected = follower.store.dump()
+        expected = data(follower.store)
         follower.store.power_off()
         follower.store.recover_from_wal()
-        assert follower.store.dump() == expected
+        assert data(follower.store) == expected
+
+    def test_follower_log_shares_the_leaders_records(self):
+        """A follower logs the very records its leader streamed, and a
+        tear of its tail replaces its own entry: the leader's committed
+        log stays whole."""
+        sim, group = make_group()
+        fill(group, 5)
+        settle(sim, group)
+        leader_log = group.leader.store.wal
+        committed = leader_log.committed()
+        follower = next(r for r in group.replicas if r.role == "follower")
+        own = follower.store.wal.records
+        assert len(own) == len(leader_log.records) > 5
+        assert all(mine is theirs
+                   for mine, theirs in zip(own, leader_log.records))
+        torn = follower.store.wal.tear_tail()
+        assert torn.torn and torn is not leader_log.records[-1]
+        assert follower.store.wal.committed() == committed[:-1]
+        assert leader_log.committed() == committed
+        assert not any(record.torn for record in leader_log.records)
+        assert leader_log.records[-1].decode()["revision"] == 5
 
     def test_replica_lag_is_tracked(self):
         sim, group = make_group()
@@ -213,7 +238,7 @@ class TestFailover:
         settle(sim, group, timeout=15.0)
         revived = group.replicas[victim]
         assert revived.role == "follower"
-        assert dict(revived.store.dump()) == dict(group.leader.store.dump())
+        assert data(revived.store) == data(group.leader.store)
 
     def test_mid_txn_kill_commits_prefix_only(self):
         sim, group = make_group()
@@ -236,11 +261,11 @@ class TestFailover:
         record = group.recoveries[-1]
         assert record["reason"] == "mid-txn"
         assert record["lost_writes"] == 0
-        data = dict(group.store.dump())
-        assert "/registry/pods/ns/t0" in data
-        assert "/registry/pods/ns/t1" in data
-        assert "/registry/pods/ns/t2" not in data
-        assert "/registry/pods/ns/t3" not in data
+        image = data(group.store)
+        assert "/registry/pods/ns/t0" in image
+        assert "/registry/pods/ns/t1" in image
+        assert "/registry/pods/ns/t2" not in image
+        assert "/registry/pods/ns/t3" not in image
 
     def test_disarm_kill_defuses_latch(self):
         sim, group = make_group()
@@ -253,14 +278,14 @@ class TestFailover:
 
 
 class TestRestoreAndCompaction:
-    def test_events_since_below_compaction_raises(self):
+    def test_watch_below_compaction_raises(self):
         sim, group = make_group()
         fill(group, 8)
         group.store.compact(keep=2)
         from repro.storage import RevisionCompacted
 
         with pytest.raises(RevisionCompacted):
-            group.store.events_since(1)
+            group.store.watch("/registry/pods/", from_revision=1)
 
     def test_group_restore_rolls_followers_back(self):
         sim, group = make_group()
@@ -271,11 +296,11 @@ class TestRestoreAndCompaction:
         settle(sim, group)
         group.store.restore(snapshot)
         settle(sim, group)
-        expected = dict(group.leader.store.dump())
+        expected = data(group.leader.store)
         assert len(expected) == 3
         for replica in group.replicas:
             if replica.alive and replica.role == "follower":
-                assert dict(replica.store.dump()) == expected
+                assert data(replica.store) == expected
 
     def test_group_wipe_rolls_followers_back(self):
         """A wipe of the serving store reaches the followers through the
@@ -285,14 +310,14 @@ class TestRestoreAndCompaction:
         settle(sim, group)
         group.store.wipe()
         for replica in group.replicas:
-            assert dict(replica.store.dump()) == {}
+            assert data(replica.store) == {}
             assert replica.store.revision == 0
         fill(group, 2, prefix="/registry/pods/ns/q")
         settle(sim, group)
-        expected = dict(group.leader.store.dump())
+        expected = data(group.leader.store)
         assert len(expected) == 2
         for replica in group.replicas:
-            assert dict(replica.store.dump()) == expected
+            assert data(replica.store) == expected
 
     def test_dead_replica_with_compacted_wal_resyncs_from_leader(self):
         sim, group = make_group()
@@ -305,7 +330,28 @@ class TestRestoreAndCompaction:
         fill(group, 3, prefix="/registry/pods/ns/q")
         group.restart_replica(victim.index)
         settle(sim, group)
-        assert dict(victim.store.dump()) == dict(group.leader.store.dump())
+        assert data(victim.store) == data(group.leader.store)
+
+    def test_replica_dead_past_a_self_anchor_rejoins_through_it(self):
+        """The leader's log anchors itself while a follower is down: the
+        records the follower lacks are gone, so it rejoins through the
+        anchor and lands on the leader's durable state."""
+        sim, group = make_group()
+        fill(group, 4)
+        settle(sim, group)
+        victim = next(r for r in group.replicas if r.role == "follower")
+        group.kill_replica(victim.index)
+        fill(group, ANCHOR_INTERVAL + 10, prefix="/registry/pods/ns/q")
+        leader_log = group.leader.store.wal
+        assert leader_log.anchor_revision > victim.store.wal.durable_revision
+        assert leader_log.records[0].revision > 5
+        group.restart_replica(victim.index)
+        settle(sim, group)
+        assert victim.store.wal.anchor_revision == leader_log.anchor_revision
+        assert {key: (value, mod_revision) for key, (value, _create,
+                mod_revision, _version) in data(victim.store).items()} \
+            == leader_log.durable_state()
+        assert victim.store.revision == group.leader.store.revision
 
     def test_replica_dead_through_a_restore_rejoins_the_new_history(self):
         """A follower down while the serving store is restored recovers
@@ -323,18 +369,18 @@ class TestRestoreAndCompaction:
         group.restart_replica(victim.index)
         settle(sim, group)
         leader = group.leader.store
-        assert sorted(leader.dump()) == [
+        assert sorted(data(leader)) == [
             f"/registry/pods/ns/{name}"
             for name in ("p000", "p001", "p002", "r000", "r001")]
         for replica in group.replicas:
-            assert replica.store.dump() == leader.dump(), replica.name
+            assert data(replica.store) == data(leader), replica.name
         assert {replica.store.wal.generation
                 for replica in group.replicas} == {leader.wal.generation}
         # Its own log now records the leader's history: a second
         # restart recovers the same image.
         group.kill_replica(victim.index)
         group.restart_replica(victim.index)
-        assert victim.store.dump() == leader.dump()
+        assert data(victim.store) == data(leader)
 
     def test_recover_from_wal_raises_on_empty_group_log(self):
         sim, group = make_group(replicas=2)
@@ -351,7 +397,7 @@ class TestOneServingStore:
                  "try_get_stored", "update", "delete", "txn", "watch",
                  "list_prefix", "list_stored", "count_prefix", "hold",
                  "snapshot", "restore", "wipe", "compact", "check_fence",
-                 "events_since", "recover_from_wal", "dump", "revision")
+                 "recover_from_wal", "revision")
     # What both classes define on purpose: chaos latches and stats.
     SHARED = {"__init__", "__module__", "__doc__", "__dict__",
               "__weakref__", "arm_kill", "disarm_kill", "stats"}
@@ -453,25 +499,24 @@ class TestOneServingStore:
         group.store.update("/registry/pods/ns/p001", {"n": 11})
         settle(sim, group)
         deposed = group.leader
-        own_records = deposed.store.wal.record_count
+        own_records = len(deposed.store.wal.records)
         group._on_lost(deposed, "coordination partition")
         deposed.elector.crash()
         sim.run(until=sim.now + 15.0)
         assert group.leader is not None and group.leader is not deposed
         assert deposed.role == "follower"
-        assert deposed.store.dump() == group.leader.store.dump()
-        assert deposed.store.dump()["/registry/pods/ns/p001"][3] == 2
+        assert data(deposed.store) == data(group.leader.store)
+        assert data(deposed.store)["/registry/pods/ns/p001"][3] == 2
         event_revisions = [record.revision
-                           for segment in deposed.store.wal.segments
-                           for record in segment.records
+                           for record in deposed.store.wal.records
                            if record.type != FENCE]
         assert len(event_revisions) == len(set(event_revisions)) == 6
-        assert deposed.store.wal.record_count <= own_records + 1
+        assert len(deposed.store.wal.records) <= own_records + 1
         assert deposed.records_applied == 0
         group.store.create("/registry/pods/ns/late", {"n": 99})
         settle(sim, group)
         assert deposed.records_applied == 1
-        assert deposed.store.dump() == group.leader.store.dump()
+        assert data(deposed.store) == data(group.leader.store)
 
     def test_restart_of_killed_leader_does_not_serve_while_leaderless(self):
         sim, plane, group = self._plane()

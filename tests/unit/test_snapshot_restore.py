@@ -33,19 +33,19 @@ class TestSnapshotRestore:
     def test_round_trip_is_byte_identical(self, store):
         populate(store)
         store.update("/registry/pods/ns/p0", {"v": 100})
-        before = store.dump()
+        before = store.snapshot()["data"]
         revision = store.revision
         snapshot = store.snapshot()
 
         store.update("/registry/pods/ns/p1", {"v": 999})
         store.delete("/registry/pods/ns/p2")
         store.create("/registry/pods/ns/extra", {})
-        assert store.dump() != before
+        assert store.snapshot()["data"] != before
 
         restored_revision = store.restore(snapshot)
         assert restored_revision == revision
         assert store.revision == revision
-        assert store.dump() == before
+        assert store.snapshot()["data"] == before
 
     def test_snapshot_is_isolated_from_later_mutation(self, store):
         populate(store, count=1)
@@ -68,12 +68,12 @@ class TestSnapshotRestore:
         twins = [EtcdStore(Simulation(), name=f"twin-{i}") for i in range(2)]
         for twin in twins:
             twin.restore(snapshot)
-            assert twin.dump() == store.dump()
+            assert twin.snapshot()["data"] == store.snapshot()["data"]
         key = "/registry/pods/ns/p0"
         assert twins[0].get(key)[0] is twins[1].get(key)[0] is \
             store.get(key)[0]
         twins[0].update(key, {"v": "only-here"})
-        assert twins[1].dump() == store.dump()
+        assert twins[1].snapshot()["data"] == store.snapshot()["data"]
         assert twins[0].get(key)[0] == {"v": "only-here"}
         with pytest.raises(FrozenError):
             twins[1].get(key)[0]["v"] = "leak"
@@ -93,7 +93,7 @@ class TestSnapshotRestore:
         twin = EtcdStore(sim, name="twin")
         twin.restore(snapshot)
         assert twin.catch_up(logged.wal) == 3
-        assert twin.dump() == logged.dump()
+        assert twin.snapshot()["data"] == logged.snapshot()["data"]
         assert twin.revision == logged.revision
 
     def test_replay_skips_events_at_or_before_snapshot(self):
@@ -103,7 +103,7 @@ class TestSnapshotRestore:
         populate(logged)
         snapshot = logged.snapshot()
         logged.update("/registry/pods/ns/p0", {"v": "post"})
-        final = logged.dump()
+        final = logged.snapshot()["data"]
         # The log holds the *full* history from revision 1: records at
         # or before the snapshot are skipped, not applied twice, and
         # catching up again applies nothing.
@@ -111,13 +111,13 @@ class TestSnapshotRestore:
         twin = EtcdStore(sim, name="twin")
         twin.restore(snapshot)
         assert twin.catch_up(logged.wal) == 1
-        assert twin.dump() == final
+        assert twin.snapshot()["data"] == final
         assert twin.catch_up(logged.wal) == 0
-        assert twin.dump() == final
+        assert twin.snapshot()["data"] == final
         fresh = EtcdStore(sim, name="fresh")    # from revision 0
         assert fresh.catch_up(logged.wal) == 4
         assert fresh.catch_up(logged.wal) == 0
-        assert fresh.dump() == final
+        assert fresh.snapshot()["data"] == final
 
     def test_restore_compacts_history(self, store):
         populate(store)
@@ -127,8 +127,6 @@ class TestSnapshotRestore:
         # resuming from an old revision must relist.
         with pytest.raises(RevisionCompacted):
             store.watch("/registry/pods/", from_revision=1)
-        with pytest.raises(RevisionCompacted):
-            store.events_since(1)
 
     def test_watch_straddling_restore_is_cancelled(self, store):
         populate(store, count=1)
@@ -141,17 +139,16 @@ class TestSnapshotRestore:
         store.create("/registry/pods/ns/late", {})
         assert len(store._watches) == 0
 
-    def test_events_since_returns_frozen_events(self, store):
-        """The tail is the held events themselves; their values are the
-        stored dicts, which the guard makes read-only."""
+    def test_replayed_events_are_frozen(self, store):
+        """A watch replays the held events themselves; their values are
+        the stored dicts, which the guard makes read-only."""
         populate(store, count=1)
-        events = store.events_since(0)
+        events = store.watch("/registry/pods/", from_revision=0).channel
         with pytest.raises(FrozenError):
-            events[0].value["v"] = "mutated"
-        events.clear()      # the list itself is the caller's
-        fresh = store.events_since(0)
-        assert fresh[0].value == {"v": 0}
-        assert fresh[0].value is store.get(fresh[0].key)[0]
+            events._items[0].value["v"] = "mutated"
+        fresh = store.watch("/registry/pods/", from_revision=0).channel
+        assert fresh._items[0].value == {"v": 0}
+        assert fresh._items[0].value is store.get(fresh._items[0].key)[0]
 
     def test_wipe_loses_everything(self, store):
         populate(store)
@@ -159,7 +156,7 @@ class TestSnapshotRestore:
         store.wipe()
         assert len(store) == 0
         assert store.revision == 0
-        assert store.dump() == {}
+        assert store.snapshot()["data"] == {}
         assert store.stats()["fences"] == {}
 
     def test_fences_survive_snapshot_restore(self, store):

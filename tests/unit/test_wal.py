@@ -1,12 +1,17 @@
 """WAL unit tests: durability contract of the write-ahead log.
 
 Covers the crash surface one piece at a time — fsync batching,
-power-off tail loss, torn tail records, recovery truncation, segment
-rolling, and snapshot-anchored compaction (DESIGN.md §13).
+power-off tail loss, torn tail records, recovery truncation, and
+snapshot-anchored compaction, by hand and by the store itself
+(DESIGN.md §13).
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
+from repro.core import VirtualClusterEnv
 from repro.objects.base import FrozenError
 from repro.simkernel import Simulation
 from repro.storage import (
@@ -16,6 +21,7 @@ from repro.storage import (
     WalTornRecord,
     WriteAheadLog,
 )
+from repro.storage.etcd import ANCHOR_INTERVAL
 
 
 def make_store(sim, name="wal-test", **wal_kwargs):
@@ -34,7 +40,7 @@ class TestAppendAndSync:
         store = make_store(sim)
         fill(store, 5)
         assert store.wal.durable_revision == store.revision
-        assert store.wal.durable_lsn == 5
+        assert store.wal.durable == len(store.wal.records) == 5
 
     def test_batched_fsync_leaves_volatile_tail(self):
         sim = Simulation(seed=1)
@@ -54,12 +60,6 @@ class TestAppendAndSync:
         assert dropped == 2
         assert store.wal.durable_revision == 3
 
-    def test_segments_roll_at_configured_size(self):
-        sim = Simulation(seed=1)
-        store = make_store(sim, segment_records=4)
-        fill(store, 10)
-        assert len(store.wal.segments) == 3
-
 
 class TestRecovery:
     def test_recover_rebuilds_identical_state(self):
@@ -68,7 +68,7 @@ class TestRecovery:
         fill(store, 8)
         store.update("/registry/pods/ns/p003", {"n": 333})
         store.delete("/registry/pods/ns/p000")
-        expected = dict(store.dump())
+        expected = store.snapshot()["data"]
         revision = store.revision
 
         store.power_off()
@@ -76,7 +76,7 @@ class TestRecovery:
         recovered = store.recover_from_wal()
         assert recovered == revision
         assert store.available
-        assert dict(store.dump()) == expected
+        assert store.snapshot()["data"] == expected
         assert store.recoveries == 1
 
     def test_powered_off_store_refuses_reads_instead_of_reading_empty(self):
@@ -94,7 +94,7 @@ class TestRecovery:
             lambda: store.try_get(key),
             lambda: store.try_get_stored(key),
             lambda: store.count_prefix("/registry/pods/"),
-            lambda: store.events_since(0),
+            lambda: store.watch("/registry/pods/", from_revision=0),
             lambda: store.list_prefix("/registry/pods/"),
             lambda: store.check_fence("syncer", 1),
         ]
@@ -107,19 +107,18 @@ class TestRecovery:
         assert store.count_prefix("/registry/pods/") == 3
 
     def test_recovered_values_are_shared_and_read_only(self):
-        """Recovery applies each decoded record's value as is: reads,
-        dump() and the re-anchored snapshot hold that one dict."""
+        """Recovery applies each decoded record's value as is: reads and
+        the re-anchored snapshot hold that one dict."""
         sim = Simulation(seed=2)
         store = make_store(sim)
         fill(store, 3)
         store.update("/registry/pods/ns/p001", {"n": {"deep": [1]}})
-        expected = dict(store.dump())
+        expected = store.snapshot()["data"]
         store.power_off()
         store.recover_from_wal()
-        assert dict(store.dump()) == expected
+        assert store.snapshot()["data"] == expected
         key = "/registry/pods/ns/p001"
         value, _rev = store.get(key)
-        assert store.dump()[key][0] is value
         assert store.snapshot()["data"][key][0] is value
         with pytest.raises(FrozenError):
             value["n"]["deep"].append(2)
@@ -128,12 +127,12 @@ class TestRecovery:
         sim = Simulation(seed=2)
         store = make_store(sim)
         fill(store, 6)
-        expected = dict(store.dump())
+        expected = store.snapshot()["data"]
         store.power_off()
         store.recover_from_wal()
-        first = dict(store.dump())
+        first = store.snapshot()["data"]
         store.recover_from_wal()
-        assert dict(store.dump()) == first == expected
+        assert store.snapshot()["data"] == first == expected
 
     def test_empty_wal_raises_compacted(self):
         sim = Simulation(seed=2)
@@ -156,9 +155,11 @@ class TestTornTail:
         sim = Simulation(seed=3)
         store = make_store(sim)
         fill(store, 3)
+        whole = store.wal.records[-1]
         record = store.wal.tear_tail()
-        assert record.torn
-        with pytest.raises(WalTornRecord):
+        assert record.torn and not whole.torn
+        assert store.wal.records[-1] is record
+        with pytest.raises(WalTornRecord, match="revision 3"):
             record.decode()
 
     def test_recovery_keeps_committed_prefix_only(self):
@@ -169,7 +170,7 @@ class TestTornTail:
         store.power_off()
         recovered = store.recover_from_wal()
         assert recovered == 4  # the torn fifth record is dropped
-        assert "/registry/pods/ns/p004" not in dict(store.dump())
+        assert "/registry/pods/ns/p004" not in store.snapshot()["data"]
 
     def test_recovery_truncates_torn_suffix_for_future_appends(self):
         # After recovering past a tear, new appends must extend a clean
@@ -182,54 +183,84 @@ class TestTornTail:
         store.power_off()
         store.recover_from_wal()
         fill(store, 2, prefix="/registry/pods/ns/q")
-        post_tear = dict(store.dump())
+        post_tear = store.snapshot()["data"]
         store.power_off()
         assert store.recover_from_wal() == store.revision
-        assert dict(store.dump()) == post_tear
+        assert store.snapshot()["data"] == post_tear
 
 
 class TestCompaction:
-    def test_anchor_drops_covered_segments(self):
+    def test_anchor_drops_covered_records(self):
         sim = Simulation(seed=4)
-        store = make_store(sim, segment_records=4)
+        store = make_store(sim)
         fill(store, 12)
-        before = store.wal.record_count
-        store.anchor_wal(store.snapshot())
-        assert store.wal.record_count < before
+        assert store.wal.compact(store.snapshot()) == 12
+        assert store.wal.records == []
         assert store.wal.anchor_revision == store.revision
+
+    def test_anchor_keeps_the_volatile_tail(self):
+        """Only synced records go: a covered volatile record stays, and
+        the durable watermark moves down with the dropped prefix."""
+        sim = Simulation(seed=4)
+        store = make_store(sim, fsync_interval=10.0)
+        fill(store, 3)
+        store.wal.sync()
+        fill(store, 2, prefix="/registry/pods/ns/v")
+        assert store.wal.compact(store.snapshot()) == 3
+        assert [r.revision for r in store.wal.records] == [4, 5]
+        assert store.wal.durable == 0
+        assert store.wal.durable_revision == store.revision
+
+    def test_store_anchors_its_own_log(self):
+        """Retention is the store's own rule: at ``ANCHOR_INTERVAL``
+        revisions past the anchor it anchors the log to a snapshot, so
+        the log never holds more records than that, and recovery goes
+        through the anchor."""
+        sim = Simulation(seed=4)
+        store = make_store(sim)
+        fill(store, ANCHOR_INTERVAL - 1)
+        assert store.wal.anchor is None
+        fill(store, ANCHOR_INTERVAL + 10, prefix="/registry/pods/ns/q")
+        assert store.wal.anchor_revision == 2 * ANCHOR_INTERVAL
+        assert [r.revision for r in store.wal.records] == list(range(
+            2 * ANCHOR_INTERVAL + 1, store.revision + 1))
+        expected = store.snapshot()["data"]
+        store.power_off()
+        assert store.recover_from_wal() == 2 * ANCHOR_INTERVAL + 9
+        assert store.snapshot()["data"] == expected
 
     def test_store_behind_anchor_catches_up_through_it(self):
         """The records a store behind the anchor needs are compacted
         away: it rolls to the anchor (fence floors included) and then
         applies the tail after it."""
         sim = Simulation(seed=4)
-        store = make_store(sim, segment_records=2)
+        store = make_store(sim)
         fill(store, 3)
         behind = EtcdStore(sim, name="behind")
         behind.catch_up(store.wal)
         assert behind.revision == 3
         fill(store, 5, prefix="/registry/pods/ns/q")
         store.check_fence("syncer", 4)
-        store.anchor_wal(store.snapshot())
+        store.wal.compact(store.snapshot())
         fill(store, 2, prefix="/registry/pods/ns/r")
         # 1..8 and the fence record are compacted away.
         assert [r.revision for r in store.wal.committed()] == [9, 10]
         assert behind.catch_up(store.wal) == 2
-        assert behind.dump() == store.dump()
+        assert behind.snapshot()["data"] == store.snapshot()["data"]
         assert behind.revision == store.revision
         assert behind.snapshot()["fences"] == {"syncer": 4}
 
     def test_recover_through_anchor_plus_tail(self):
         sim = Simulation(seed=4)
-        store = make_store(sim, segment_records=2)
+        store = make_store(sim)
         fill(store, 6)
-        store.anchor_wal(store.snapshot())
+        store.wal.compact(store.snapshot())
         fill(store, 3, prefix="/registry/pods/ns/q")  # post-anchor tail
-        expected = dict(store.dump())
+        expected = store.snapshot()["data"]
         revision = store.revision
         store.power_off()
         assert store.recover_from_wal() == revision
-        assert dict(store.dump()) == expected
+        assert store.snapshot()["data"] == expected
 
 
 class TestRestoreReplayGap:
@@ -242,7 +273,7 @@ class TestRestoreReplayGap:
         fill(source, 5)
         store = make_store(sim)
         fill(store, 2)
-        before = store.dump()
+        before = store.snapshot()["data"]
         gapped = source.wal.committed()[-1]
         with pytest.raises(CompactedError) as err:
             store.apply(gapped)
@@ -250,8 +281,8 @@ class TestRestoreReplayGap:
         assert err.value.first_replay_revision == 5
         # The refused record mutated nothing, not even the store's log.
         assert store.revision == 2
-        assert store.dump() == before
-        assert store.wal.record_count == 2
+        assert store.snapshot()["data"] == before
+        assert len(store.wal.records) == 2
 
     def test_contiguous_replay_restores_cleanly(self):
         sim = Simulation(seed=6)
@@ -262,11 +293,11 @@ class TestRestoreReplayGap:
         twin = make_store(sim, name="twin")
         twin.restore(snapshot)
         assert twin.catch_up(store.wal) == 2
-        assert twin.dump() == store.dump()
+        assert twin.snapshot()["data"] == store.snapshot()["data"]
         # The twin logged what it applied: its own log rebuilds it.
         twin.power_off()
         twin.recover_from_wal()
-        assert twin.dump() == store.dump()
+        assert twin.snapshot()["data"] == store.snapshot()["data"]
 
 
 class TestDurableState:
@@ -276,7 +307,7 @@ class TestDurableState:
         fill(store, 4)
         store.delete("/registry/pods/ns/p001")
         state = store.wal.durable_state()
-        assert set(state) == set(dict(store.dump()))
+        assert set(state) == set(store.snapshot()["data"])
         for key, (value, mod_revision) in state.items():
             stored, revision = store.get(key)
             assert stored == value
@@ -292,3 +323,35 @@ class TestDurableState:
         assert len(state) == 2
         assert all(not key.startswith("/registry/pods/ns/v")
                    for key in state)
+
+
+class TestRetention:
+    # The hot-path benchmark's deployment: sharded fair queue, batched
+    # multi-op txn writes, a fast scheduler and a WAL under every store.
+    HOTPATH_WAL = DEFAULT_CONFIG.with_overrides(
+        syncer=replace(DEFAULT_CONFIG.syncer, dispatch_shards=4,
+                       downward_batch_max=8),
+        scheduler=replace(DEFAULT_CONFIG.scheduler, service_time=0.0002),
+        storage=replace(DEFAULT_CONFIG.storage, wal_enabled=True))
+    PODS = 700
+
+    def test_super_log_stays_below_the_anchor_interval(self):
+        """The super store's log is anchored by the store itself: after
+        more than two anchor intervals of synced writes it holds fewer
+        records than one interval, and so does the tenant's."""
+        env = VirtualClusterEnv(seed=11, config=self.HOTPATH_WAL,
+                                num_virtual_nodes=4)
+        env.bootstrap()
+        tenant = env.run_coroutine(env.create_tenant("solo"))
+        env.run_for(1.0)
+        names = [f"p{index:03d}" for index in range(self.PODS)]
+        for name in names:
+            env.run_coroutine(tenant.create_pod(name))
+        env.run_until_pods_ready(tenant, [f"default/{name}"
+                                          for name in names], timeout=600.0)
+        store = env.super_cluster.api.store
+        assert store.revision > 2 * ANCHOR_INTERVAL
+        assert store.wal.anchor_revision > 0
+        assert len(store.wal.records) < ANCHOR_INTERVAL
+        tenant_log = tenant.control_plane.api.store.wal
+        assert len(tenant_log.records) < ANCHOR_INTERVAL
