@@ -1,133 +1,175 @@
-"""Shared benchmark infrastructure.
+"""Shared benchmark infrastructure: the paper's §IV runs as scenarios.
 
-Two scales, selected with ``REPRO_SCALE``:
+Every run is a :class:`~repro.scenarios.Scenario` at the paper's
+parameters (§IV: up to 10,000 Pods from up to 100 tenants at 1,000
+Pods/s in aggregate, onto 100 virtual-kubelet nodes, through a syncer
+with 20 downward and 100 upward workers and a 60 s scan), run through
+``run_scenario``.  Each workload starts 1 s after its tenant is up, the
+time the informers take to settle.
 
-- ``small`` (default): 1/5th of the paper's workload so the full harness
-  finishes in a few minutes.  All *shape* assertions still hold.
-- ``paper``: the paper's exact parameters (10,000 Pods, 100 tenants, 100
-  nodes) — the numbers recorded in EXPERIMENTS.md were produced this way.
-
-Expensive runs are memoized per session, so Fig. 7/8/9/Table I share the
-same underlying simulations.
+Runs are memoized per session by scenario, so Fig. 7/8/9/10 and
+Table I share the same simulations.  The memo keeps a
+:class:`~repro.workloads.StressResult` read from the finished run's env
+(the syncer's trace store and resource meters for a VirtualCluster run,
+the super Pods' Ready conditions for a ``direct`` one), not the env
+itself; a benchmark that probes a live deployment calls
+:func:`live_run`.
 """
 
-import os
-from dataclasses import replace
-
-import pytest
-
-from repro.config import DEFAULT_CONFIG
-from repro.workloads import (
-    run_baseline_stress,
-    run_fairness_stress,
-    run_vc_stress,
+from repro.objects import Pod
+from repro.scenarios import (
+    BurstShape,
+    ConstantShape,
+    ControlSpec,
+    PoolSpec,
+    Scenario,
+    SequentialShape,
+    TenantSpec,
+    TopologySpec,
+    WorkloadSpec,
+    dumps,
+    run_scenario,
 )
+from repro.workloads import StressResult, even_split
 
-SCALE = os.environ.get("REPRO_SCALE", "small")
-
-
-def _scaled_config(factor):
-    """Slow every rate-limited stage by ``factor``.
-
-    Shrinking the workload by N and slowing the bottleneck service rates
-    by N preserves the *dimensionless* queueing dynamics (arrival/service
-    ratios and the 0-25 s time axis), so the paper's latency shapes —
-    phase shares, bucket spreads, tail ratios — reproduce at 1/N scale.
-    """
-    cfg = DEFAULT_CONFIG
-    return cfg.with_overrides(
-        scheduler=replace(cfg.scheduler,
-                          service_time=cfg.scheduler.service_time * factor,
-                          service_jitter=cfg.scheduler.service_jitter
-                          * factor),
-        syncer=replace(cfg.syncer,
-                       dws_dequeue_cs=cfg.syncer.dws_dequeue_cs * factor,
-                       uws_dequeue_cs=cfg.syncer.uws_dequeue_cs * factor,
-                       dws_process=cfg.syncer.dws_process * factor,
-                       uws_process=cfg.syncer.uws_process * factor,
-                       per_item_cpu_overhead=(
-                           cfg.syncer.per_item_cpu_overhead * factor)),
-    )
-
-
-if SCALE == "paper":
-    PARAMS = {
-        "pods_sweep": [1250, 2500, 5000, 10000],
-        "tenants_default": 100,
-        "tenants_small": 20,
-        "tenants_sweep": [1, 20, 50, 100],
-        "nodes": 100,
-        "dws_sweep": [20, 40],
-        "greedy": (10, 900),
-        "regular": (40, 10),
-        "submission_rate": 1000.0,
-        "config": None,
-        # Fig. 11 bound on regular users' mean creation time (paper:
-        # "less than two seconds"; our pipeline floor puts the worst
-        # regular user at ~2.0, so allow a 10% measurement margin).
-        "regular_bound_s": 2.2,
-    }
-else:
-    _FACTOR = 5
-    PARAMS = {
-        "pods_sweep": [250, 500, 1000, 2000],
-        "tenants_default": 20,
-        "tenants_small": 4,
-        "tenants_sweep": [1, 4, 10, 20],
-        "nodes": 20,
-        "dws_sweep": [20, 40],
-        "greedy": (4, 180),
-        "regular": (16, 10),
-        "submission_rate": 1000.0 / _FACTOR,
-        "config": _scaled_config(_FACTOR),
-        # The slowed service rates raise the unloaded latency floor to
-        # ~2.6 s, so the paper's 2 s bound scales accordingly.
-        "regular_bound_s": 4.0,
-    }
+PODS_SWEEP = [1250, 2500, 5000, 10000]
+TENANTS = 100
+TENANTS_SMALL = 20
+TENANTS_SWEEP = [1, 20, 50, 100]
+NODES = 100
+#: Aggregate submission rate, Pods per simulated second.
+RATE = 1000.0
+#: Fig. 11: 10 greedy tenants bursting 900 Pods each, 40 regular tenants
+#: creating 10 Pods one after another.
+GREEDY = (10, 900)
+REGULAR = (40, 10)
+#: Seconds between a tenant coming up and its load starting.
+SETTLE = 1.0
+#: The syncer of the paper's evaluation: serialized dispatch, one write
+#: per object.
+PAPER_CONTROL = {"optimized": False, "dws_workers": 20, "uws_workers": 100,
+                 "scan_interval": 60.0}
 
 _run_cache = {}
 
 
-def config_with(**sections):
-    """The scale's config with section overrides, e.g.
-    ``config_with(syncer={"uws_workers": 1})``."""
-    return (PARAMS["config"] or DEFAULT_CONFIG).with_overrides(**sections)
+def _scenario(name, tenants, horizon, nodes=NODES, seed=0, **control):
+    return Scenario(
+        name=name, seed=seed, horizon=horizon, convergence_timeout=1800.0,
+        control=ControlSpec(**{**PAPER_CONTROL, **control}),
+        topology=TopologySpec(pools=[PoolSpec(name="vk-node",
+                                              nodes=nodes)]),
+        tenants=tenants)
 
 
-def vc_run(num_pods, num_tenants, dws_workers=20, fair=True, seed=0):
-    key = ("vc", num_pods, num_tenants, dws_workers, fair, seed)
+def paper_scenario(num_pods, num_tenants, seed=0, **control):
+    """``num_pods`` Pods split evenly over ``num_tenants`` tenants, each
+    submitting at its share of :data:`RATE`.  ``control`` overrides
+    :data:`PAPER_CONTROL`; ``direct=True`` is the paper's baseline."""
+    rate = RATE / num_tenants
+    tenants = [
+        TenantSpec(name=f"tenant-{index:03d}", workloads=[WorkloadSpec(
+            name=f"p{index:03d}", start=SETTLE,
+            # Half a Pod of slack: the shape integrates its rate in
+            # floating point and must emit exactly ``count`` Pods.
+            shape=ConstantShape(rate=rate, duration=(count + 0.5) / rate))])
+        for index, count in enumerate(even_split(num_pods, num_tenants))]
+    horizon = SETTLE + max(tenant.workloads[0].shape.duration
+                           for tenant in tenants)
+    return _scenario(f"paper-{num_pods}-{num_tenants}", tenants, horizon,
+                     seed=seed, **control)
+
+
+def fairness_scenario(fair, seed=0):
+    """Fig. 11: :data:`GREEDY` bursts against :data:`REGULAR` users."""
+    (greedy, burst), (regular, count) = GREEDY, REGULAR
+    tenants = [
+        TenantSpec(name=f"greedy-{index:03d}", workloads=[WorkloadSpec(
+            name=f"g{index:03d}", start=SETTLE,
+            shape=BurstShape(count=burst))])
+        for index in range(greedy)]
+    tenants += [
+        TenantSpec(name=f"regular-{index:03d}", workloads=[WorkloadSpec(
+            name=f"r{index:03d}", start=SETTLE,
+            shape=SequentialShape(count=count))])
+        for index in range(regular)]
+    return _scenario("fairness", tenants, SETTLE + 1.0, seed=seed,
+                     fair_queuing=fair)
+
+
+def live_run(scenario):
+    """Run ``scenario`` now (not memoized); the result keeps its env."""
+    result = run_scenario(scenario)
+    assert result.ok, f"{scenario.name}: {'; '.join(result.failures)}"
+    return result
+
+
+def summary(scenario):
+    """The memoized :class:`StressResult` of one run of ``scenario``."""
+    key = dumps(scenario)
     if key not in _run_cache:
-        _run_cache[key] = run_vc_stress(
-            num_pods=num_pods, num_tenants=num_tenants,
-            submission_rate=PARAMS["submission_rate"],
-            num_nodes=PARAMS["nodes"], seed=seed, timeout=1800.0,
-            keep_env=True, config=config_with(syncer={
-                "dws_workers": dws_workers, "fair_queuing": fair}))
+        _run_cache[key] = _summarize(live_run(scenario))
     return _run_cache[key]
 
 
-def baseline_run(num_pods, num_threads, seed=0):
-    key = ("baseline", num_pods, num_threads, seed)
-    if key not in _run_cache:
-        _run_cache[key] = run_baseline_stress(
-            num_pods=num_pods, num_threads=num_threads,
-            submission_rate=PARAMS["submission_rate"],
-            num_nodes=PARAMS["nodes"], seed=seed, timeout=1800.0,
-            config=PARAMS["config"])
-    return _run_cache[key]
+def _summarize(result):
+    env, scenario = result.env, result.scenario
+    if scenario.control.direct:
+        traces = None
+        lifetimes = _ready_lifetimes(
+            env, {tenant.name for tenant in scenario.tenants})
+        mode = "baseline"
+    else:
+        traces = env.syncer.trace_store
+        lifetimes = [(trace.created, trace.uws_done)
+                     for trace in traces.completed()]
+        mode = "virtualcluster"
+    start = min(created for created, _ready in lifetimes)
+    duration = max(ready for _created, ready in lifetimes) - start
+    return StressResult(
+        mode=mode, num_pods=result.pods_created,
+        num_tenants=len(scenario.tenants),
+        creation_times=[ready - created for created, ready in lifetimes],
+        duration=duration, throughput=result.pods_created / duration,
+        phase_means=traces and traces.mean_phase_breakdown(),
+        phase_buckets=traces and traces.phase_bucket_counts(),
+        per_tenant_mean=traces and traces.mean_creation_time_by_tenant(),
+        cpu_seconds=env.syncer.cpu.seconds,
+        peak_memory_bytes=env.syncer.mem.peak,
+        syncer_stats=env.syncer.stats(),
+        telemetry=env.sim.telemetry.snapshot(),
+        kernel_stats=env.sim.kernel_stats())
 
 
-def fairness_run(fair, seed=0):
-    key = ("fairness", fair, seed)
-    if key not in _run_cache:
-        greedy_users, greedy_pods = PARAMS["greedy"]
-        regular_users, regular_pods = PARAMS["regular"]
-        _run_cache[key] = run_fairness_stress(
-            num_greedy=greedy_users, num_regular=regular_users,
-            greedy_pods=greedy_pods, regular_pods=regular_pods,
-            num_nodes=PARAMS["nodes"], seed=seed, timeout=3600.0,
-            config=config_with(syncer={"fair_queuing": fair}))
-    return _run_cache[key]
+def _ready_lifetimes(env, namespaces):
+    """(created, Ready) per super Pod in ``namespaces``, from the
+    Pods' Ready conditions in the super store."""
+    raw_items, _revision = env.super_cluster.api.store.list_prefix(
+        "/registry/pods/")
+    lifetimes = []
+    for _key, value, _rev in raw_items:
+        pod = Pod.from_dict(value)
+        if pod.metadata.namespace in namespaces:
+            ready = pod.status.get_condition("Ready")
+            lifetimes.append((pod.metadata.creation_timestamp,
+                              ready.last_transition_time))
+    return lifetimes
+
+
+def vc_run(num_pods, num_tenants, **control):
+    return summary(paper_scenario(num_pods, num_tenants, **control))
+
+
+def baseline_run(num_pods, num_tenants):
+    return summary(paper_scenario(num_pods, num_tenants, direct=True))
+
+
+def fairness_run(fair):
+    return summary(fairness_scenario(fair))
+
+
+def is_greedy(tenant_key):
+    return tenant_key.split("/")[-1].startswith("greedy-")
 
 
 def registry_family(result, name):
@@ -137,11 +179,6 @@ def registry_family(result, name):
             return family
     raise AssertionError(
         f"metric family {name!r} missing from telemetry snapshot")
-
-
-@pytest.fixture
-def params():
-    return PARAMS
 
 
 def once(benchmark, fn):

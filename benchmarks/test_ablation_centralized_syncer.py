@@ -16,16 +16,23 @@ checks (2) via the fairness harness.
 from repro.clientgo import InformerFactory
 from repro.core.syncer.syncer import SUPER_WATCHED
 
-from benchmarks.conftest import PARAMS, config_with, once, vc_run
+from benchmarks.conftest import (
+    PODS_SWEEP,
+    TENANTS,
+    TENANTS_SMALL,
+    live_run,
+    once,
+    paper_scenario,
+    vc_run,
+)
 
 
 def test_restart_list_load_centralized_vs_per_tenant(benchmark):
-    num_pods = PARAMS["pods_sweep"][-2]
-    tenants = PARAMS["tenants_default"]
+    num_pods = PODS_SWEEP[-2]
+    tenants = TENANTS
 
     def run():
-        result = vc_run(num_pods, tenants)
-        env = result.env
+        env = live_run(paper_scenario(num_pods, tenants)).env
 
         def super_list_count():
             return sum(
@@ -84,22 +91,12 @@ def test_upward_worker_count_does_affect_latency(benchmark):
     notes the number of *upward* workers does affect latency (tenant
     control planes have no status-update bottleneck), motivating the
     default of 100 upward / 20 downward workers."""
-    from repro.workloads import run_vc_stress
-
-    num_pods = PARAMS["pods_sweep"][-2]
-    tenants = PARAMS["tenants_small"]
+    num_pods = PODS_SWEEP[-2]
+    tenants = TENANTS_SMALL
 
     def run():
-        starved = run_vc_stress(
-            num_pods=num_pods, num_tenants=tenants,
-            submission_rate=PARAMS["submission_rate"],
-            num_nodes=PARAMS["nodes"], timeout=1800.0,
-            config=config_with(syncer={"uws_workers": 1}))
-        default = run_vc_stress(
-            num_pods=num_pods, num_tenants=tenants,
-            submission_rate=PARAMS["submission_rate"],
-            num_nodes=PARAMS["nodes"], timeout=1800.0,
-            config=config_with(syncer={"uws_workers": 100}))
+        starved = vc_run(num_pods, tenants, uws_workers=1)
+        default = vc_run(num_pods, tenants, uws_workers=100)
         return starved, default
 
     starved, default = once(benchmark, run)

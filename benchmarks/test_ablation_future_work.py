@@ -9,21 +9,20 @@ from repro.core import IdleSwapper, VirtualClusterEnv
 from repro.core.swapper import control_plane_memory
 from repro.workloads import LoadGenerator, TenantLoadPattern
 
-from benchmarks.conftest import PARAMS, once
+from benchmarks.conftest import NODES, PODS_SWEEP, once
 
 
 def test_tenant_weight_latency_shares(benchmark):
     """Two equally greedy tenants, weights 4:1."""
 
     def run():
-        env = VirtualClusterEnv(num_virtual_nodes=PARAMS["nodes"],
-                                config=PARAMS["config"])
+        env = VirtualClusterEnv(num_virtual_nodes=NODES)
         env.bootstrap()
         heavy = env.run_coroutine(env.create_tenant("premium", weight=4))
         light = env.run_coroutine(env.create_tenant("basic", weight=1))
         env.run_for(1)
         generator = LoadGenerator(env.sim)
-        burst = PARAMS["pods_sweep"][0]
+        burst = PODS_SWEEP[0]
         jobs = [(tenant.client, TenantLoadPattern(burst, mode="burst",
                                                   name_prefix=prefix))
                 for tenant, prefix in ((heavy, "h"), (light, "l"))]

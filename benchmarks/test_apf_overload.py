@@ -11,8 +11,7 @@ Two headline claims of the admission + scale-to-zero design:
   429 + Retry-After while a platinum tenant's p99 stays within 2x its
   unloaded baseline.
 
-``REPRO_SCALE=paper`` runs the paper-scale fleet (10,000 tenants); the
-default small scale (400) keeps the same shape assertions.
+The fleet is paper-scale: 10,000 tenants.
 """
 
 import random
@@ -23,9 +22,9 @@ from repro.core.controlplane import SuperCluster, TenantControlPlane
 from repro.core.swapper import IdleSwapper
 from repro.simkernel import Simulation
 
-from benchmarks.conftest import SCALE, once
+from benchmarks.conftest import once
 
-FLEET_TENANTS = 10_000 if SCALE == "paper" else 400
+FLEET_TENANTS = 10_000
 # Stagger the flash crowd at ~20 wakes/s: cold wake is 0.8 s and the
 # gate admits 32 concurrent page-ins, so the gate runs at ~50%
 # utilization and queueing stays well inside the SLO headroom.

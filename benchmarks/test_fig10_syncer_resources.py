@@ -11,15 +11,15 @@ Paper findings (top: CPU, bottom: memory):
 
 from repro.metrics import format_table
 
-from benchmarks.conftest import PARAMS, once, vc_run
+from benchmarks.conftest import PODS_SWEEP, TENANTS, once, vc_run
 
 
 def test_fig10_syncer_cpu_and_memory(benchmark):
-    tenants = PARAMS["tenants_default"]
+    tenants = TENANTS
 
     def run():
         rows = []
-        for num_pods in PARAMS["pods_sweep"]:
+        for num_pods in PODS_SWEEP:
             result = vc_run(num_pods, tenants)
             rows.append((
                 num_pods,
@@ -63,7 +63,7 @@ def test_fig10_syncer_cpu_and_memory(benchmark):
     # far timers wait in the wheel and abandoned any_of losers are
     # cancelled or lazily skipped, so the ready heap holds only the
     # current burst — orders of magnitude below total dispatches.
-    stats = vc_run(pods[-1], tenants).env.sim.kernel_stats()
+    stats = vc_run(pods[-1], tenants).kernel_stats
     benchmark.extra_info["peak_heap"] = stats["peak_heap"]
     assert stats["wheel_scheduled"] > 0
     assert stats["timers_cancelled"] + stats["orphans_skipped"] > 0

@@ -16,7 +16,9 @@ import pytest
 from repro.metrics import format_histogram, format_telemetry, summarize
 
 from benchmarks.conftest import (
-    PARAMS,
+    PODS_SWEEP,
+    TENANTS,
+    TENANTS_SMALL,
     baseline_run,
     once,
     registry_family,
@@ -24,9 +26,9 @@ from benchmarks.conftest import (
 )
 
 
-@pytest.mark.parametrize("num_pods", PARAMS["pods_sweep"])
+@pytest.mark.parametrize("num_pods", PODS_SWEEP)
 def test_fig7_vc_vs_baseline_histograms(benchmark, num_pods):
-    tenants = PARAMS["tenants_default"]
+    tenants = TENANTS
 
     def run():
         return vc_run(num_pods, tenants), baseline_run(num_pods, tenants)
@@ -69,11 +71,11 @@ def test_fig7_vc_vs_baseline_histograms(benchmark, num_pods):
 
 
 def test_fig7_tenant_count_does_not_change_latency(benchmark):
-    num_pods = PARAMS["pods_sweep"][-2]
+    num_pods = PODS_SWEEP[-2]
 
     def run():
-        few = vc_run(num_pods, PARAMS["tenants_small"])
-        many = vc_run(num_pods, PARAMS["tenants_default"])
+        few = vc_run(num_pods, TENANTS_SMALL)
+        many = vc_run(num_pods, TENANTS)
         return few, many
 
     few, many = once(benchmark, run)
@@ -85,8 +87,8 @@ def test_fig7_tenant_count_does_not_change_latency(benchmark):
 
 
 def test_fig7_more_downward_workers_do_not_help(benchmark):
-    num_pods = PARAMS["pods_sweep"][-1]
-    tenants = PARAMS["tenants_default"]
+    num_pods = PODS_SWEEP[-1]
+    tenants = TENANTS
 
     def run():
         with_20 = vc_run(num_pods, tenants, dws_workers=20)

@@ -7,12 +7,12 @@ of the latency (48.5% downward + 25.3% upward), the super-cluster phase
 
 from repro.metrics import format_phase_breakdown
 
-from benchmarks.conftest import PARAMS, once, vc_run
+from benchmarks.conftest import PODS_SWEEP, TENANTS, once, vc_run
 
 
 def test_fig8_phase_breakdown(benchmark):
-    num_pods = PARAMS["pods_sweep"][-1]
-    tenants = PARAMS["tenants_default"]
+    num_pods = PODS_SWEEP[-1]
+    tenants = TENANTS
 
     result = once(benchmark, lambda: vc_run(num_pods, tenants))
     phases = result.phase_means

@@ -12,12 +12,19 @@ import pytest
 
 from repro.metrics import format_table
 
-from benchmarks.conftest import PARAMS, baseline_run, once, vc_run
+from benchmarks.conftest import (
+    PODS_SWEEP,
+    TENANTS,
+    TENANTS_SWEEP,
+    baseline_run,
+    once,
+    vc_run,
+)
 
 
 def test_fig9a_throughput_vs_tenants(benchmark):
-    num_pods = PARAMS["pods_sweep"][-1]
-    tenant_counts = [t for t in PARAMS["tenants_sweep"] if t <= num_pods]
+    num_pods = PODS_SWEEP[-1]
+    tenant_counts = TENANTS_SWEEP
 
     def run():
         rows = []
@@ -46,11 +53,11 @@ def test_fig9a_throughput_vs_tenants(benchmark):
 
 
 def test_fig9b_throughput_vs_pods(benchmark):
-    tenants = PARAMS["tenants_default"]
+    tenants = TENANTS
 
     def run():
         rows = []
-        for num_pods in PARAMS["pods_sweep"]:
+        for num_pods in PODS_SWEEP:
             vc = vc_run(num_pods, tenants)
             base = baseline_run(num_pods, tenants)
             rows.append((num_pods, vc.throughput, base.throughput,

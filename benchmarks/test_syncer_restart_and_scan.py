@@ -6,26 +6,25 @@ full periodic scan of 10,000 Pods (one scanning thread per tenant,
 running in parallel) finished in under two seconds on average.
 """
 
-from benchmarks.conftest import PARAMS, once, vc_run
+from benchmarks.conftest import (
+    PODS_SWEEP,
+    TENANTS,
+    live_run,
+    once,
+    paper_scenario,
+)
+
+
+def _populated_env():
+    """A fresh deployment with the Fig. 8 run's Pods synced."""
+    return live_run(paper_scenario(PODS_SWEEP[-1], TENANTS)).env
 
 
 def test_syncer_restart_time(benchmark):
-    num_pods = PARAMS["pods_sweep"][-1]
-    tenants = PARAMS["tenants_default"]
+    num_pods = PODS_SWEEP[-1]
 
     def run():
-        result = vc_run(num_pods, tenants)
-        env = getattr(result, "env", None)
-        if env is None:
-            # Re-create the populated environment for the restart probe.
-            from repro.workloads import run_vc_stress
-
-            result = run_vc_stress(
-                num_pods=num_pods, num_tenants=tenants,
-                submission_rate=PARAMS["submission_rate"],
-                num_nodes=PARAMS["nodes"], timeout=1800.0, keep_env=True,
-                config=PARAMS["config"])
-            env = result.env
+        env = _populated_env()
         elapsed = env.run_coroutine(env.syncer.simulate_restart())
         return elapsed, env
 
@@ -34,7 +33,7 @@ def test_syncer_restart_time(benchmark):
           f"{elapsed:.2f} simulated seconds "
           f"({len(env.syncer.tenants)} tenants)")
     benchmark.extra_info["restart_seconds"] = round(elapsed, 2)
-    # Paper bound: < 21 s at full scale; proportionally comfortable here.
+    # Paper bound: < 21 s at full scale.
     assert elapsed < 21.0
     # And the caches really are primed.
     pods_cached = len(env.syncer.super_informer("pods").cache)
@@ -42,18 +41,10 @@ def test_syncer_restart_time(benchmark):
 
 
 def test_periodic_scan_cost(benchmark):
-    num_pods = PARAMS["pods_sweep"][-1]
-    tenants = PARAMS["tenants_default"]
+    num_pods = PODS_SWEEP[-1]
 
     def run():
-        from repro.workloads import run_vc_stress
-
-        result = run_vc_stress(
-            num_pods=num_pods, num_tenants=tenants,
-            submission_rate=PARAMS["submission_rate"],
-            num_nodes=PARAMS["nodes"], timeout=1800.0, keep_env=True,
-            config=PARAMS["config"])
-        env = result.env
+        env = _populated_env()
 
         def scan_all():
             processes = [

@@ -7,12 +7,12 @@ all buckets while DWS-Process/UWS-Process land entirely in [0,2].
 
 from repro.metrics import format_bucket_table
 
-from benchmarks.conftest import PARAMS, once, vc_run
+from benchmarks.conftest import PODS_SWEEP, TENANTS, once, vc_run
 
 
 def test_table1_phase_buckets(benchmark):
-    num_pods = PARAMS["pods_sweep"][-1]
-    tenants = PARAMS["tenants_default"]
+    num_pods = PODS_SWEEP[-1]
+    tenants = TENANTS
 
     result = once(benchmark, lambda: vc_run(num_pods, tenants))
     buckets = result.phase_buckets

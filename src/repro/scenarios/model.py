@@ -340,6 +340,9 @@ class ControlSpec(Spec):
     control-plane store and ``store_wal`` puts a write-ahead log under
     a single one (DESIGN.md §13).  All default off, so scenarios that
     do not name them run the exact seed stack and keep their digests.
+    ``direct`` runs the paper's baseline instead: no tenant control
+    plane is created, and each tenant's load goes through the super
+    admin client into a super namespace named after the tenant.
     """
 
     fields = (
@@ -354,6 +357,7 @@ class ControlSpec(Spec):
         Field("syncer_replicas", INT, 1, ge=1),
         Field("store_replicas", INT, 1, ge=1),
         Field("store_wal", BOOL, False),
+        Field("direct", BOOL, False),
     )
 
     def check(self, where):
@@ -400,11 +404,33 @@ class Scenario(Spec):
                         f"runs until t={end:g}s but the scenario horizon "
                         f"is {self.horizon:g}s — extend 'horizon' or "
                         f"shrink the shape")
+        if self.control.direct:
+            self._check_direct()
         tenant_names = {tenant.name for tenant in self.tenants}
         for index, entry in enumerate(self.chaos):
             entry.check_deployment(f"chaos[{index}]", tenant_names,
                                    self.control)
         _check_chaos_overlaps(self.chaos, "chaos")
+
+    def _check_direct(self):
+        """A direct run has no tenant control plane or syncer path to
+        replicate, swap or fault, and loads each tenant's ``default``
+        namespace into the super namespace named after the tenant."""
+        control = self.control
+        wrong = [f"control.{key}" for key, on in (
+            ("syncer_replicas", control.syncer_replicas > 1),
+            ("store_replicas", control.store_replicas > 1),
+            ("scale_to_zero", control.scale_to_zero)) if on]
+        wrong += ["chaos[0]"] if self.chaos else []
+        wrong += [f"tenants[{index}].workloads[{number}].namespace"
+                  for index, tenant in enumerate(self.tenants)
+                  for number, workload in enumerate(tenant.workloads)
+                  if workload.namespace != "default"]
+        if wrong:
+            raise ScenarioError(
+                f"{wrong[0]}: not supported with control.direct: true (a "
+                f"direct run has no tenant control plane; its load goes "
+                f"to the super namespace named after each tenant)")
 
     @classmethod
     def from_dict(cls, data, where="scenario"):

@@ -25,15 +25,17 @@ golden digests at all.
 
 import random
 import zlib
+from functools import partial
 
 from repro.analysis.bisect import ReplayRecorder, first_divergence
 from repro.apiserver.errors import ApiError
-from repro.chaos.engine import ChaosEngine, check_convergence
+from repro.chaos.engine import ChaosEngine, check_convergence, stored_pods
 from repro.chaos.faults import FAULTS
 from repro.chaos.schedule import OneShot, Periodic, RandomWindows
 from repro.config import DEFAULT_CONFIG
 from repro.core.env import VirtualClusterEnv
 from repro.network import NetworkLink
+from repro.objects import make_namespace
 from repro.simkernel import Simulation
 from repro.workloads import LoadGenerator, TenantLoadPattern, TimedActions
 
@@ -75,10 +77,16 @@ class CompiledWorkload:
 
 
 def compile_load(scenario):
-    """Compile every workload to a plan.  Pure; deterministic per seed."""
+    """Compile every workload to a plan.  Pure; deterministic per seed.
+
+    A ``control.direct`` run loads each tenant's ``default`` namespace
+    into the super namespace named after the tenant.
+    """
     compiled = []
     for tenant in scenario.tenants:
         for workload in tenant.workloads:
+            namespace = (tenant.name if scenario.control.direct
+                         else workload.namespace)
             rng = random.Random(
                 derive_seed(scenario.seed, "load", tenant.name,
                             workload.name))
@@ -89,7 +97,7 @@ def compile_load(scenario):
                 shape = workload.shape
                 plan = TenantLoadPattern(
                     count=shape.count, mode="sequential", think=shape.think,
-                    namespace=workload.namespace,
+                    namespace=namespace,
                     name_prefix=workload.name)
                 compiled.append(CompiledWorkload(
                     tenant.name, workload.name, plan, start=workload.start))
@@ -99,7 +107,7 @@ def compile_load(scenario):
                      for when, op, index in actions),
                     key=lambda action: action[0])
                 plan = TimedActions(
-                    shifted, namespace=workload.namespace,
+                    shifted, namespace=namespace,
                     name_prefix=workload.name, concurrent=concurrent,
                     labels={"app": workload.name,
                             "scenario": scenario.name})
@@ -230,12 +238,21 @@ def run_scenario(scenario, schedule=None):
                       name=f"pool-join-{pool.name}")
 
     # -- tenants and their extra namespaces -----------------------------
-    handles = {}
+    # A direct run creates no tenant control plane: each tenant is a
+    # super namespace loaded through its own super admin client.
+    handles, clients = {}, {}
     for tenant in scenario.tenants:
+        if scenario.control.direct:
+            clients[tenant.name] = env.super_admin_client()
+            env.run_coroutine(
+                clients[tenant.name].create(make_namespace(tenant.name)),
+                name=f"ns-{tenant.name}")
+            continue
         handles[tenant.name] = env.run_coroutine(
             env.create_tenant(tenant.name, weight=tenant.weight,
                               tier=tenant.tier),
             name=f"create-{tenant.name}")
+        clients[tenant.name] = handles[tenant.name].client
     for tenant in scenario.tenants:
         for namespace in sorted({w.namespace for w in tenant.workloads
                                  if w.namespace != "default"}):
@@ -256,7 +273,7 @@ def run_scenario(scenario, schedule=None):
     generator = LoadGenerator(sim)
     finished = []
     for index, job in enumerate(compiled):
-        sim.spawn(_drive_job(sim, generator, handles[job.tenant], job,
+        sim.spawn(_drive_job(sim, generator, clients[job.tenant], job,
                              finished),
                   name=f"load-{job.tenant}-{job.workload}")
 
@@ -266,12 +283,18 @@ def run_scenario(scenario, schedule=None):
                   timeout=scenario.convergence_timeout, poll=0.25)
 
     # -- convergence + digest capture ------------------------------------
+    if scenario.control.direct:
+        check = partial(_direct_convergence, env,
+                        {tenant.name for tenant in scenario.tenants},
+                        generator.submitted)
+    else:
+        check = partial(check_convergence, env)
     try:
-        detail = engine.verify_convergence(
-            timeout=scenario.convergence_timeout, poll=0.5)
-        converged = True
+        env.run_until(lambda: check()[0],
+                      timeout=scenario.convergence_timeout, poll=0.5)
     except TimeoutError:
-        converged, detail = check_convergence(env)
+        pass
+    converged, detail = check()
 
     telemetry = {}
     for expect in scenario.expect.telemetry:
@@ -302,16 +325,32 @@ def _ensure_namespace(handle, namespace):
         pass  # already there
 
 
-def _drive_job(sim, generator, handle, job, finished):
+def _drive_job(sim, generator, client, job, finished):
     try:
         if job.start > 0:
             yield sim.timeout(job.start)
         if isinstance(job.plan, TimedActions):
-            yield from generator.run_timed(handle.client, job.plan)
+            yield from generator.run_timed(client, job.plan)
         else:
-            yield from generator.run_tenant_load(handle.client, job.plan)
+            yield from generator.run_tenant_load(client, job.plan)
     finally:
         finished.append(job.workload)
+
+
+def _direct_convergence(env, namespaces, created):
+    """:func:`check_convergence` for a direct run: every Pod the load
+    created is Ready in the super store."""
+    ready, pending = 0, []
+    for key, (meta, is_ready) in stored_pods(env.super_cluster.api):
+        if meta.get("namespace") not in namespaces:
+            continue
+        if is_ready:
+            ready += 1
+        else:
+            pending.append((meta["namespace"], key, "not ready"))
+    return not pending and ready >= created, {
+        "missing": pending, "orphaned": [], "open_circuits": [],
+        "queues": {}}
 
 
 def _judge(scenario, converged, detail, generator, telemetry):

@@ -1,4 +1,4 @@
-"""Workload generation and stress harnesses for the evaluation."""
+"""Workload generation for the evaluation, and the stress-run summary."""
 
 from .loadgen import (
     LoadGenerator,
@@ -6,12 +6,7 @@ from .loadgen import (
     TimedActions,
     even_split,
 )
-from .stress import (
-    StressResult,
-    run_baseline_stress,
-    run_fairness_stress,
-    run_vc_stress,
-)
+from .stress import StressResult
 
 __all__ = [
     "LoadGenerator",
@@ -19,7 +14,4 @@ __all__ = [
     "TenantLoadPattern",
     "TimedActions",
     "even_split",
-    "run_baseline_stress",
-    "run_fairness_stress",
-    "run_vc_stress",
 ]

@@ -77,8 +77,9 @@ def run_chaos(seed, horizon, tenants=2, pods_per_tenant=2, churn=True):
     engine.stop()
     if churner is not None:
         churner.interrupt("chaos over")
-    detail = engine.verify_convergence(timeout=300.0)
-    return env, engine, detail
+    env.run_until(lambda: check_convergence(env)[0], timeout=300.0,
+                  poll=1.0)
+    return env, engine, check_convergence(env)[1]
 
 
 class TestChaosSmoke:

@@ -1,47 +1,75 @@
 """Small-scale fair-queuing integration (the Fig. 11 mechanism).
 
 The full-size experiment (10 greedy x 900 + 40 regular x 10) lives in
-benchmarks/; here a scaled-down version verifies the mechanism quickly.
+benchmarks/; here a scaled-down scenario verifies the mechanism quickly.
 """
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
-from repro.workloads import run_fairness_stress
+from repro.scenarios import (
+    BurstShape,
+    ControlSpec,
+    PoolSpec,
+    Scenario,
+    SequentialShape,
+    TenantSpec,
+    TopologySpec,
+    WorkloadSpec,
+    run_scenario,
+)
+
+GREEDY, BURST = 2, 900
+REGULAR, SEQUENTIAL = 6, 5
+
+
+def _tenant(kind, index, shape):
+    return TenantSpec(name=f"{kind}-{index:03d}", workloads=[WorkloadSpec(
+        name=f"{kind[0]}{index:03d}", shape=shape, start=1.0)])
+
+
+def _means(fair):
+    """Per-tenant mean creation time, split into (greedy, regular)."""
+    tenants = [_tenant("greedy", index, BurstShape(count=BURST))
+               for index in range(GREEDY)]
+    tenants += [_tenant("regular", index, SequentialShape(count=SEQUENTIAL))
+                for index in range(REGULAR)]
+    result = run_scenario(Scenario(
+        name="fairness", seed=7, horizon=2.0, convergence_timeout=600.0,
+        control=ControlSpec(optimized=False, dws_workers=20,
+                            uws_workers=100, scan_interval=60.0,
+                            fair_queuing=fair),
+        topology=TopologySpec(pools=[PoolSpec(name="vk-node", nodes=10)]),
+        tenants=tenants))
+    assert result.ok, result.failures
+    traces = result.env.syncer.trace_store
+    means = traces.mean_creation_time_by_tenant()
+    greedy = [mean for key, mean in means.items() if "/greedy-" in key]
+    regular = [mean for key, mean in means.items() if "/regular-" in key]
+    return greedy, regular, len(traces.creation_times())
 
 
 @pytest.fixture(scope="module")
 def fairness_results():
-    fair = run_fairness_stress(num_greedy=2, num_regular=6, greedy_pods=900,
-                               regular_pods=5, num_nodes=10, seed=7)
-    unfair = run_fairness_stress(
-        num_greedy=2, num_regular=6, greedy_pods=900, regular_pods=5,
-        num_nodes=10, seed=7,
-        config=DEFAULT_CONFIG.with_overrides(syncer={"fair_queuing": False}))
-    return fair, unfair
+    return _means(fair=True), _means(fair=False)
 
 
 class TestFairQueuing:
     def test_regular_users_fast_under_fair_queuing(self, fairness_results):
-        fair, _unfair = fairness_results
-        worst_regular = max(fair.regular_means.values())
-        assert worst_regular < 2.0  # paper: "less than two seconds"
+        (_greedy, regular, _count), _unfair = fairness_results
+        assert max(regular) < 2.0  # paper: "less than two seconds"
 
     def test_greedy_users_bear_their_own_burst(self, fairness_results):
-        fair, _unfair = fairness_results
-        best_greedy = min(fair.greedy_means.values())
-        worst_regular = max(fair.regular_means.values())
-        assert best_greedy > worst_regular
+        (greedy, regular, _count), _unfair = fairness_results
+        assert min(greedy) > max(regular)
 
     def test_disabled_fairness_starves_regular_users(self, fairness_results):
-        fair, unfair = fairness_results
-        fair_worst = max(fair.regular_means.values())
-        unfair_worst = max(unfair.regular_means.values())
+        (_greedy, fair_regular, _count), (_, unfair_regular, _) = \
+            fairness_results
         # Without fair queuing regular users queue behind the burst.
-        assert unfair_worst > 1.4 * fair_worst
+        assert max(unfair_regular) > 1.4 * max(fair_regular)
 
     def test_all_pods_complete_either_way(self, fairness_results):
-        fair, unfair = fairness_results
-        expected = 2 * 900 + 6 * 5
-        assert len(fair.creation_times) == expected
-        assert len(unfair.creation_times) == expected
+        (_, _, fair_count), (_, _, unfair_count) = fairness_results
+        expected = GREEDY * BURST + REGULAR * SEQUENTIAL
+        assert fair_count == expected
+        assert unfair_count == expected

@@ -133,6 +133,10 @@ def control_st(draw):
     values = {row.name: draw(field_st(row)) for row in ControlSpec.fields}
     if values["idle_threshold"] is not None:
         values["scale_to_zero"] = True
+    if values["direct"]:
+        # A direct run has no tenant control plane to replicate or swap.
+        values.update(syncer_replicas=1, store_replicas=1,
+                      scale_to_zero=False, idle_threshold=None)
     return ControlSpec(**values)
 
 
@@ -140,7 +144,9 @@ def control_st(draw):
 def chaos_st(draw, control, tenant_names):
     """Chaos entries over every fault the drawn ``control`` can host,
     with table-drawn parameters, on staggered windows so same-fault
-    entries never overlap."""
+    entries never overlap.  A direct run hosts none."""
+    if control.direct:
+        return []
     legal = sorted(
         name for name, kind in FAULTS.items()
         if kind.requires is None or kind.requires[1](control))

@@ -27,6 +27,7 @@ from repro.core.syncer.health import (
     HealthTracker,
 )
 from repro.objects import make_namespace, make_pod
+from repro.objects.base import fast_deep_copy
 from repro.simkernel import Simulation
 
 
@@ -346,3 +347,92 @@ class TestWatchdog:
         stats = syncer.stats()
         assert stats["worker_restarts"].get(label) == 1
         assert "health" in stats
+
+
+class TestConvergenceCheck:
+    """``check_convergence`` reads stored dicts in place; it must judge
+    every state exactly as decoding each Pod would."""
+
+    @staticmethod
+    def _decoded_reference(env):
+        from repro.core.crd import super_namespace
+        from repro.core.syncer.conversion import tenant_origin
+        from repro.objects import Pod
+
+        def pods(api):
+            raw, _revision = api.store.list_prefix("/registry/pods/")
+            return [Pod.from_dict(value) for _key, value, _rev in raw]
+
+        missing, orphaned, live = [], [], {}
+        super_pods = {pod.key: pod for pod in pods(env.super_cluster.api)}
+        for key, handle in sorted(env.tenants.items()):
+            live[key] = set()
+            for pod in pods(handle.control_plane.api):
+                if pod.metadata.deletion_timestamp is not None:
+                    continue
+                live[key].add((pod.metadata.namespace, pod.metadata.name))
+                sname = super_namespace(handle.vc, pod.metadata.namespace)
+                twin = super_pods.get(f"{sname}/{pod.metadata.name}")
+                if twin is None:
+                    missing.append((key, pod.key, "no super pod"))
+                elif twin.status.is_ready != pod.status.is_ready:
+                    missing.append((key, pod.key, "readiness mismatch"))
+        for pod in super_pods.values():
+            origin = tenant_origin(pod)
+            if (origin is None or origin[0] not in live
+                    or pod.metadata.deletion_timestamp is not None):
+                continue
+            if origin[1:] not in live[origin[0]]:
+                orphaned.append((origin[0], pod.key))
+        return missing, orphaned
+
+    def test_matches_decoding_on_a_diverged_state(self):
+        from repro.chaos.engine import check_convergence
+        from repro.core import VirtualClusterEnv
+
+        env = VirtualClusterEnv(seed=5, num_virtual_nodes=2)
+        env.bootstrap()
+        tenant = env.run_coroutine(env.create_tenant("acme"))
+        names = [f"web-{index}" for index in range(5)]
+        for name in names:
+            env.run_coroutine(tenant.create_pod(name))
+        env.run_until_pods_ready(tenant, [f"default/{name}"
+                                          for name in names], timeout=60.0)
+        env.run_until(lambda: check_convergence(env)[0], timeout=60.0)
+
+        tenant_store = tenant.control_plane.api.store
+        super_store = env.super_cluster.api.store
+        super_keys = {}
+        for key, value, _rev in super_store.list_prefix("/registry/pods/")[0]:
+            annotations = value["metadata"].get("annotations") or {}
+            name = annotations.get("tenancy.x-k8s.io/tenant-name")
+            if name:
+                super_keys[name] = key
+        # A missing Pod: only the tenant has it.
+        ghost = make_pod("ghost").to_dict()
+        tenant_store.create("/registry/pods/default/ghost", ghost)
+        # A readiness mismatch: the super Pod stops being Ready.
+        value = fast_deep_copy(super_store.get(super_keys["web-0"])[0])
+        value["status"]["conditions"] = [{"type": "Ready",
+                                          "status": "False"}]
+        super_store.update(super_keys["web-0"], value)
+        # An orphan: the tenant Pod is gone, its super Pod is not.
+        tenant_store.delete("/registry/pods/default/web-1")
+        # Pods being deleted: a tenant one and, on its own, a super one.
+        for store, key in ((tenant_store, "/registry/pods/default/web-2"),
+                           (tenant_store, "/registry/pods/default/web-3"),
+                           (super_store, super_keys["web-3"])):
+            value = fast_deep_copy(store.get(key)[0])
+            value["metadata"]["deletionTimestamp"] = env.sim.now
+            store.update(key, value)
+
+        ok, detail = check_convergence(env)
+        missing, orphaned = self._decoded_reference(env)
+        assert not ok
+        assert (detail["missing"], detail["orphaned"]) == (missing, orphaned)
+        assert sorted(why for _t, _key, why in missing) == [
+            "no super pod", "readiness mismatch"]
+        # web-1 is gone and web-2 is being deleted; web-3's super twin is
+        # being deleted too, so it claims nothing.
+        assert sorted(key.rpartition("-")[2] for _t, key in orphaned) == [
+            "1", "2"]

@@ -4,10 +4,9 @@
 The constructors that assemble a deployment take structure (a sim, a
 size, a name, a config) and nothing a config field already says.  This
 pins their parameter lists, checks that none of them shadows a config
-field, and binds the keywords of every call to them — and to the stress
-harness — in ``src/``, ``tests/``, ``benchmarks/``, ``bench/``,
-``examples/`` and the python blocks of README.md and DESIGN.md against
-the live signatures.  Nothing else runs ``benchmarks/`` on every change,
+field, and binds the keywords of every call to them in ``src/``,
+``tests/``, ``benchmarks/``, ``bench/``, ``examples/`` and the python
+blocks of README.md and DESIGN.md against the live signatures.  Nothing else runs ``benchmarks/`` on every change,
 so a stale keyword there would otherwise go unnoticed.  Nor may a run
 in ``benchmarks/`` or ``examples/`` reach past the config into an
 object's private attributes: that is a switch no signature shows.
@@ -37,11 +36,6 @@ from repro.scenarios.runner import scenario_config
 from repro.scheduler import Scheduler
 from repro.simkernel import Simulation
 from repro.storage import StoreGroup
-from repro.workloads import (
-    run_baseline_stress,
-    run_fairness_stress,
-    run_vc_stress,
-)
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -62,9 +56,7 @@ CONSTRUCTORS = {
     ControllerManager: ("sim", "client", "informer_factory"),
     Scheduler: ("sim", "client", "informer_factory", "config", "scorers"),
 }
-CALLABLES = {target.__name__: target
-             for target in (*CONSTRUCTORS, run_vc_stress,
-                            run_baseline_stress, run_fairness_stress)}
+CALLABLES = {target.__name__: target for target in CONSTRUCTORS}
 
 
 def _parameters(target):
@@ -239,6 +231,14 @@ def test_scenario_control_maps_onto_config():
     assert (config.swapper.idle_threshold,
             config.swapper.check_interval) == (10.0, 2.0)
     assert (config.storage.replicas, config.storage.wal_enabled) == (3, True)
+    # ``direct`` decides what the run loads (the super cluster, with no
+    # tenant control plane), not how the deployment is configured.
+    direct = ControlSpec.from_dict(
+        {"dws_workers": 3, "optimized": False, "apf": True, "direct": True},
+        where="control")
+    assert direct.direct
+    assert scenario_config(direct) == scenario_config(
+        ControlSpec(dws_workers=3, optimized=False, apf=True))
 
 
 def test_storage_section_has_no_log_shaping_field():

@@ -159,13 +159,23 @@ class TestPerSimulationContainerSerials:
 class TestNoEnvironmentSwitches:
     """Behaviour is a function of seed and arguments only: nothing under
     ``src/repro/`` may read the process environment, so an import-time
-    switch cannot come back unnoticed."""
+    switch cannot come back unnoticed.  Nor may the paper's benchmarks
+    or the examples: a figure is produced at one scale, by one
+    command."""
 
-    def test_src_reads_no_environment_variable(self):
-        root = Path(__file__).resolve().parents[2] / "src" / "repro"
-        offenders = [
+    @staticmethod
+    def _readers(root):
+        return [
             str(path.relative_to(root))
             for path in sorted(root.rglob("*.py"))
             if any(token in path.read_text(encoding="utf-8")
                    for token in ("os.environ", "getenv"))]
-        assert offenders == []
+
+    def test_src_reads_no_environment_variable(self):
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        assert self._readers(root) == []
+
+    @pytest.mark.parametrize("directory", ["benchmarks", "examples"])
+    def test_runs_read_no_environment_variable(self, directory):
+        root = Path(__file__).resolve().parents[2] / directory
+        assert self._readers(root) == []

@@ -288,6 +288,47 @@ class TestChaosNeedsItsDeployment:
             loads(minimal_yaml() + "control: {store_replicas: 0}\n")
 
 
+class TestDirectHasNoTenantControlPlane:
+    """``control.direct`` loads the super cluster straight from each
+    tenant's default namespace, with no tenant control plane or syncer
+    path; asking for one is an authoring error named by its YAML path."""
+
+    CHAOS = ("chaos:\n"
+             "  - fault: partition\n"
+             "    target: acme\n"
+             "    schedule: {type: oneshot, at: 2.0, duration: 1.0}\n")
+
+    @pytest.mark.parametrize("control,where", [
+        ("{direct: true, syncer_replicas: 2}", "control.syncer_replicas"),
+        ("{direct: true, store_replicas: 3}", "control.store_replicas"),
+        ("{direct: true, scale_to_zero: true}", "control.scale_to_zero"),
+    ])
+    def test_control_fields_rejected(self, control, where):
+        with pytest.raises(ScenarioError, match=f"^{where}: .*direct"):
+            loads(minimal_yaml() + f"control: {control}\n")
+
+    def test_chaos_entry_rejected(self):
+        text = minimal_yaml(chaos=self.CHAOS)
+        loads(text)
+        with pytest.raises(ScenarioError, match=r"^chaos\[0\]: .*direct"):
+            loads(text + "control: {direct: true}\n")
+
+    def test_namespace_other_than_default_rejected(self):
+        tenants = minimal_yaml().replace(
+            "      - name: web\n", "      - name: web\n"
+            "        namespace: shop\n")
+        loads(tenants)
+        with pytest.raises(
+                ScenarioError,
+                match=r"^tenants\[0\]\.workloads\[0\]\.namespace: .*direct"):
+            loads(tenants + "control: {direct: true}\n")
+
+    def test_default_namespace_loads_into_the_tenant_namespace(self):
+        scenario = loads(minimal_yaml() + "control: {direct: true}\n")
+        [job] = compile_load(scenario)
+        assert job.plan.namespace == "acme"
+
+
 class TestMalformedInputIsRejectedNotCrashed:
     """Each of these used to raise a bare TypeError/ValueError (at load
     or, worse, mid-run) or be silently coerced."""
