@@ -8,17 +8,16 @@ from .cache import (
     estimate_object_bytes,
 )
 from .client import Client, Kubeconfig, TokenBucket
-from .fairqueue import FairWorkQueue, ShardedFairWorkQueue, shard_hash
+from .fairqueue import FairWorkQueue, shard_hash
 from .informer import InformerFactory, SharedInformer
 from .leaderelection import LEASE_NAMESPACE, LeaderElector
 from .reflector import ADDED, DELETED, MODIFIED, Reflector
-from .workqueue import DelayingQueue, RateLimitingQueue, ShutDown, WorkQueue
+from .workqueue import RateLimitingQueue, ShutDown, WorkQueue
 
 __all__ = [
     "ADDED",
     "Client",
     "DELETED",
-    "DelayingQueue",
     "FairWorkQueue",
     "INDEX_LABELS",
     "INDEX_NAMESPACE",
@@ -31,7 +30,6 @@ __all__ = [
     "ObjectCache",
     "RateLimitingQueue",
     "Reflector",
-    "ShardedFairWorkQueue",
     "SharedInformer",
     "ShutDown",
     "TokenBucket",

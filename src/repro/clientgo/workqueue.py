@@ -9,8 +9,8 @@
   set and is re-queued when the worker calls :meth:`done`;
 - :meth:`get` blocks (in simulated time) until an item is available.
 
-:class:`RateLimitingQueue` adds per-item exponential backoff for retries,
-and :class:`DelayingQueue` supports ``add_after``.
+:class:`RateLimitingQueue` adds ``add_after`` and per-item exponential
+backoff for retries.
 """
 
 from collections import deque
@@ -141,23 +141,9 @@ class WorkQueue:
         self._shutdown = False
 
 
-class DelayingQueue(WorkQueue):
-    """WorkQueue plus ``add_after(item, delay)``."""
-
-    def add_after(self, item, delay):
-        if delay <= 0:
-            self.add(item)
-            return
-
-        def later():
-            yield self.sim.timeout(delay)
-            self.add(item)
-
-        self.sim.spawn(later(), name=f"{self.name}-delayed-add")
-
-
-class RateLimitingQueue(DelayingQueue):
-    """DelayingQueue plus per-item jittered exponential retry backoff.
+class RateLimitingQueue(WorkQueue):
+    """WorkQueue plus ``add_after`` and per-item jittered exponential
+    retry backoff.
 
     Delays double from ``base_delay`` up to ``max_delay`` seconds.
     ``jitter`` stretches each delay by up to that fraction (drawn from the
@@ -195,6 +181,18 @@ class RateLimitingQueue(DelayingQueue):
             delay = self.backoff_for(item)
         self._failures[item] = self._failures.get(item, 0) + 1
         self.add_after(item, delay)
+
+    def add_after(self, item, delay):
+        """Enqueue ``item`` once ``delay`` simulated seconds have passed."""
+        if delay <= 0:
+            self.add(item)
+            return
+
+        def later():
+            yield self.sim.timeout(delay)
+            self.add(item)
+
+        self.sim.spawn(later(), name=f"{self.name}-delayed-add")
 
     def forget(self, item):
         self._failures.pop(item, None)

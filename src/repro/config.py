@@ -63,8 +63,9 @@ class SyncerLatency:
     dws_workers: int = 20
     uws_workers: int = 100
     scan_interval: float = 60.0
-    # Per-tenant sub-queues with weighted round-robin dispatch (paper
-    # §III-C); False degrades both queues to one shared FIFO (Fig. 11b).
+    # Per-tenant lanes with weighted round-robin dispatch (paper
+    # §III-C); False puts every tenant of a shard into one lane, which
+    # WRR serves as a FIFO (Fig. 11b).
     fair_queuing: bool = True
     # Per-tenant circuit breaker (fail fast when a tenant control plane
     # is unreachable instead of blocking shared workers).
@@ -80,9 +81,10 @@ class SyncerLatency:
     # Scans and lookups always go through the cache's secondary indexes;
     # each candidate an index returns costs this much simulated time.
     scan_filter_per_object: float = 0.00002
-    # Sharded dispatch: tenants hash to one of N worker shards, each with
-    # its own dequeue critical section.  1 == the paper's serialized
-    # syncer (the configuration every paper-fidelity benchmark uses).
+    # Sharded dispatch: each fair queue routes a tenant, by
+    # ``shard_hash(tenant) % N``, to one of N shards, each with its own
+    # workers and dequeue lock.  1 == the paper's serialized syncer (the
+    # configuration every paper-fidelity benchmark uses).
     dispatch_shards: int = 1
     # Downward write batching: reconciler writes to the super apiserver
     # are coalesced into multi-op transactions.  max=1 disables batching.

@@ -21,9 +21,9 @@ restart benchmark.
 
 from repro.apiserver.errors import ApiError
 from repro.clientgo import (
+    FairWorkQueue,
     InformerFactory,
     JitteredBackoff,
-    ShardedFairWorkQueue,
     ShutDown,
 )
 from repro.config import DEFAULT_CONFIG
@@ -112,12 +112,12 @@ class Syncer:
             handler_cost=cfg.informer_handler, cpu_account=self.cpu)
 
         # Dispatch (DESIGN.md §9): tenants hash to one of
-        # ``dispatch_shards`` fair queues, each with its own serialized
-        # critical section; one shard is the paper's single queue + lock.
-        self.downward = ShardedFairWorkQueue(
+        # ``dispatch_shards`` shards of each fair queue, each shard with
+        # its own lock; one shard is the paper's single queue + lock.
+        self.downward = FairWorkQueue(
             sim, name=f"{name}-downward", shards=cfg.dispatch_shards,
             fair=cfg.fair_queuing)
-        self.upward = ShardedFairWorkQueue(
+        self.upward = FairWorkQueue(
             sim, name=f"{name}-upward", shards=cfg.dispatch_shards,
             fair=cfg.fair_queuing)
         self.dispatch_shards = self.downward.num_shards

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.clientgo import ShardedFairWorkQueue, shard_hash
+from repro.clientgo import FairWorkQueue, shard_hash
 from repro.simkernel import Simulation
 
 # (tenant, crc32, shard at shards=2, shard at shards=4) — committed
@@ -40,7 +40,7 @@ class TestGoldenRouting:
     @pytest.mark.parametrize("tenant,crc,shard2,shard4", GOLDEN)
     def test_queue_routes_by_pinned_hash(self, tenant, crc, shard2,
                                          shard4):
-        queue = ShardedFairWorkQueue(Simulation(), shards=4)
+        queue = FairWorkQueue(Simulation(), shards=4)
         assert queue.shard_of(tenant) == shard4
 
 
@@ -72,8 +72,8 @@ class TestAssignmentStability:
     def test_two_fresh_queues_agree(self, tenants):
         """Same tenant stream → same shard map in a rebuilt queue,
         regardless of first-use order (restart simulation)."""
-        forward = ShardedFairWorkQueue(Simulation(), shards=4)
-        backward = ShardedFairWorkQueue(Simulation(), shards=4)
+        forward = FairWorkQueue(Simulation(), shards=4)
+        backward = FairWorkQueue(Simulation(), shards=4)
         for tenant in tenants:
             forward.shard_of(tenant)
         for tenant in reversed(tenants):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clientgo import FairWorkQueue, ShardedFairWorkQueue, ShutDown
+from repro.clientgo import FairWorkQueue, ShutDown
 from repro.simkernel import Simulation
 
 
@@ -195,7 +195,9 @@ class TestLifecycle:
         process = sim.process(worker())
         sim.run(until=process)
         assert queue.wait_time_by_tenant["A"] == pytest.approx(5)
-        assert queue.dispatched_by_tenant["A"] == 1
+        dispatched = sim.telemetry.registry.get("fairqueue_dispatch_total")
+        assert dispatched.labels(queue="fair-queue-shard0",
+                                 tenant="A").value == 1
 
     def test_stats(self, sim):
         queue = FairWorkQueue(sim)
@@ -224,21 +226,98 @@ class TestWeightValidation:
     def test_explicit_weight_not_coerced(self, sim):
         queue = FairWorkQueue(sim)
         queue.register_tenant("T", weight=2)
-        assert queue._weights["T"] == 2
+        assert queue._lanes["T"].weight == 2
 
     def test_none_weight_uses_default(self, sim):
         queue = FairWorkQueue(sim)
         queue.register_tenant("T")
-        assert queue._weights["T"] == FairWorkQueue.default_weight == 1
+        assert queue._lanes["T"].weight == FairWorkQueue.default_weight == 1
 
     def test_sharded_zero_weight_rejected(self, sim):
-        queue = ShardedFairWorkQueue(sim, shards=2)
+        queue = FairWorkQueue(sim, shards=2)
         with pytest.raises(ValueError, match="must be positive"):
             queue.register_tenant("T", weight=0)
         assert "T" not in queue.tenants
 
     def test_sharded_explicit_weight_propagates(self, sim):
-        queue = ShardedFairWorkQueue(sim, shards=2)
+        queue = FairWorkQueue(sim, shards=2)
         queue.register_tenant("T", weight=2)
-        shard = queue.shards[queue.shard_of("T")]
-        assert shard._weights["T"] == 2
+        lane = queue._lanes["T"]
+        assert lane.weight == 2
+        assert lane.shard is queue._shards[queue.shard_of("T")]
+
+
+class TestUnfairRemoveTenant:
+    def test_removed_tenant_work_does_not_outlive_it(self, sim):
+        """``fair=False``: remove_tenant drops the tenant's pending items
+        from the shared lane, and a late done() of a dirty in-flight item
+        neither re-queues it nor re-registers the tenant."""
+        queue = FairWorkQueue(sim, fair=False)
+        queue.add("a", "k1")
+        queue.add("a", "k2")
+        assert queue.get().value[:2] == ("a", "k1")
+        queue.add("a", "k1")  # dirty while processing
+        queue.remove_tenant("a")
+        queue.done("a", "k1")
+        assert len(queue) == 0
+        assert queue.tenants == []
+        assert not queue.get().triggered
+
+
+# (shards, fair) -> dispatch sequence of ``dispatch_script``, recorded
+# once before sharding and unfair mode were folded into one class, and
+# committed; never recompute in-test.
+PINNED_WEIGHTS = (("alpha", 1), ("beta", 2), ("tenant-0", 1))
+PINNED_ORDER = {
+    (1, True): [
+        (0, "alpha", "k0"), (0, "beta", "k0"), (0, "beta", "k1"),
+        (0, "tenant-0", "k0"), (0, "alpha", "k1"), (0, "beta", "k2"),
+        (0, "beta", "k0"), (0, "tenant-0", "k1"), (0, "alpha", "k2"),
+        (0, "tenant-0", "k2"), (0, "alpha", "late")],
+    (2, True): [
+        (0, "alpha", "k0"), (1, "beta", "k0"), (0, "alpha", "k1"),
+        (1, "beta", "k1"), (0, "alpha", "k2"), (1, "tenant-0", "k0"),
+        (0, "alpha", "late"), (1, "beta", "k2"), (1, "beta", "k0"),
+        (1, "tenant-0", "k1"), (1, "tenant-0", "k2")],
+    (1, False): [
+        (0, "alpha", "k0"), (0, "beta", "k0"), (0, "tenant-0", "k0"),
+        (0, "alpha", "k1"), (0, "beta", "k1"), (0, "tenant-0", "k1"),
+        (0, "alpha", "k2"), (0, "beta", "k2"), (0, "tenant-0", "k2"),
+        (0, "alpha", "late"), (0, "beta", "k0")],
+}
+
+
+def dispatch_script(queue):
+    """Fixed add/get/done script: three tenants (weights 1/2/1), each
+    shard served in turn, and beta's first item re-added while it is
+    processing (re-queued when its done() comes six dispatches later)."""
+    for tenant, weight in PINNED_WEIGHTS:
+        queue.register_tenant(tenant, weight=weight)
+    for index in range(3):
+        for tenant, _weight in PINNED_WEIGHTS:
+            queue.add(tenant, f"k{index}")
+    taken = []
+    held = None
+    released = False
+    while len(queue) or not released:
+        for shard, depth in enumerate(queue.stats()["depth_by_shard"]):
+            if not depth:
+                continue
+            tenant, key, _enqueued = queue.get(shard).value
+            taken.append((shard, tenant, key))
+            if held is None and tenant == "beta":
+                held = (tenant, key)
+                queue.add(tenant, key)
+                queue.add("alpha", "late")
+                continue
+            queue.done(tenant, key)
+        if not released and (len(taken) >= 6 or not len(queue)):
+            queue.done(*held)
+            released = True
+    return taken
+
+
+@pytest.mark.parametrize("shards,fair", sorted(PINNED_ORDER))
+def test_dispatch_order_pinned(sim, shards, fair):
+    queue = FairWorkQueue(sim, shards=shards, fair=fair)
+    assert dispatch_script(queue) == PINNED_ORDER[shards, fair]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clientgo import DelayingQueue, RateLimitingQueue, ShutDown, WorkQueue
+from repro.clientgo import RateLimitingQueue, ShutDown, WorkQueue
 from repro.simkernel import Simulation
 
 
@@ -146,19 +146,6 @@ class TestWorkQueue:
         assert {name for name, _item in seen} == {"w1", "w2"}
 
 
-class TestDelayingQueue:
-    def test_add_after(self, sim):
-        queue = DelayingQueue(sim)
-        queue.add_after("a", 5)
-        got = drain(sim, queue, 1)
-        assert got[0][1] == 5
-
-    def test_add_after_zero_is_immediate(self, sim):
-        queue = DelayingQueue(sim)
-        queue.add_after("a", 0)
-        assert len(queue) == 1
-
-
 class _SlowQueue(RateLimitingQueue):
     """Retry delays 1, 2, 4, ... s up to 100 s, without jitter."""
 
@@ -172,6 +159,17 @@ class _CappedQueue(_SlowQueue):
 
 
 class TestRateLimitingQueue:
+    def test_add_after(self, sim):
+        queue = RateLimitingQueue(sim)
+        queue.add_after("a", 5)
+        got = drain(sim, queue, 1)
+        assert got[0][1] == 5
+
+    def test_add_after_zero_is_immediate(self, sim):
+        queue = RateLimitingQueue(sim)
+        queue.add_after("a", 0)
+        assert len(queue) == 1
+
     def test_backoff_grows_exponentially(self, sim):
         queue = _SlowQueue(sim)
         times = []
