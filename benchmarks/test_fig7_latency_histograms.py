@@ -13,7 +13,7 @@ to reproduce:
 
 import pytest
 
-from repro.metrics import format_histogram, format_telemetry, summarize
+from repro.metrics import format_histogram, summarize
 
 from benchmarks.conftest import (
     PODS_SWEEP,
@@ -65,9 +65,6 @@ def test_fig7_vc_vs_baseline_histograms(benchmark, num_pods):
     assert sum(s["count"] for s in family["series"]) == num_pods
     assert sum(s["sum"] for s in family["series"]) == pytest.approx(
         sum(vc.creation_times))
-    print(format_telemetry(
-        vc.telemetry, title="Registry view (Fig. 7 sources)",
-        families=("pod_creation_seconds", "pod_phase_seconds")))
 
 
 def test_fig7_tenant_count_does_not_change_latency(benchmark):

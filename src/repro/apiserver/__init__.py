@@ -11,10 +11,8 @@ from .admission import (
 )
 from .auth import (
     ADMIN,
-    AllowAllAuthorizer,
     Authenticator,
     Credential,
-    RBACAuthorizer,
     hash_certificate,
 )
 from .errors import (

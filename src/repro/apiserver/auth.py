@@ -1,17 +1,19 @@
-"""Authentication and RBAC authorization.
+"""Authentication.
 
 Authentication is certificate-shaped: a :class:`Credential` carries the
 user name, groups, and a certificate hash.  The cert hash is what the
 vn-agent compares against the hash stored in each VirtualCluster object to
 identify which tenant a kubelet-API request belongs to (paper §III-B(3)).
 
-Authorization implements the RBAC model over Role/ClusterRole(+Binding)
-objects stored in the same control plane.
+There is no authorizer: every authenticated request is allowed, as for
+a tenant who is cluster-admin of their own control plane.  The RBAC
+kinds (Role, ClusterRole and their bindings) are stored and synced as
+ordinary API objects.
 """
 
 import hashlib
 
-from .errors import Forbidden, Unauthorized
+from .errors import Unauthorized
 
 
 class Credential:
@@ -24,10 +26,6 @@ class Credential:
         self.groups = tuple(groups)
         # Deterministic synthetic certificate per user.
         self.cert_hash = hash_certificate(f"CERT::{user}")
-
-    @property
-    def is_admin(self):
-        return "system:masters" in self.groups
 
     def __repr__(self):
         return f"<Credential {self.user!r} groups={list(self.groups)}>"
@@ -67,81 +65,3 @@ class Authenticator:
         if known is None:
             raise Unauthorized(f"unknown certificate for {credential.user!r}")
         return known
-
-
-class RBACAuthorizer:
-    """RBAC over stored Role/ClusterRole/Binding objects.
-
-    Reads the authoritative objects from the apiserver's storage through a
-    narrow reader interface (``read_all(plural)`` returning typed objects)
-    so it observes the same state clients do.
-    """
-
-    def __init__(self, reader):
-        self._reader = reader
-
-    def authorize(self, credential, verb, resource, namespace=None,
-                  name=None):
-        """Raise :class:`Forbidden` unless the request is allowed."""
-        if credential.is_admin:
-            return
-        if self._allowed_by_cluster_bindings(credential, verb, resource, name):
-            return
-        if namespace and self._allowed_by_namespace_bindings(
-                credential, verb, resource, namespace, name):
-            return
-        scope = f" in namespace {namespace!r}" if namespace else ""
-        raise Forbidden(
-            f"user {credential.user!r} cannot {verb} {resource}{scope}"
-        )
-
-    def _subject_matches(self, subject, credential):
-        if subject.kind == "User":
-            return subject.name == credential.user
-        if subject.kind == "Group":
-            return subject.name in credential.groups
-        return False
-
-    def _allowed_by_cluster_bindings(self, credential, verb, resource, name):
-        roles = {role.name: role
-                 for role in self._reader.read_all("clusterroles")}
-        for binding in self._reader.read_all("clusterrolebindings"):
-            if not any(self._subject_matches(s, credential)
-                       for s in binding.subjects):
-                continue
-            role = roles.get(binding.role_ref.name)
-            if role and any(rule.allows(verb, resource, name)
-                            for rule in role.rules):
-                return True
-        return False
-
-    def _allowed_by_namespace_bindings(self, credential, verb, resource,
-                                       namespace, name):
-        roles = {}
-        for role in self._reader.read_all("roles"):
-            if role.namespace == namespace:
-                roles[role.name] = role
-        cluster_roles = {role.name: role
-                         for role in self._reader.read_all("clusterroles")}
-        for binding in self._reader.read_all("rolebindings"):
-            if binding.namespace != namespace:
-                continue
-            if not any(self._subject_matches(s, credential)
-                       for s in binding.subjects):
-                continue
-            if binding.role_ref.kind == "ClusterRole":
-                role = cluster_roles.get(binding.role_ref.name)
-            else:
-                role = roles.get(binding.role_ref.name)
-            if role and any(rule.allows(verb, resource, name)
-                            for rule in role.rules):
-                return True
-        return False
-
-
-class AllowAllAuthorizer:
-    """Used by tenant control planes where the tenant is cluster-admin."""
-
-    def authorize(self, credential, verb, resource, namespace=None,
-                  name=None):
-        return

@@ -25,7 +25,7 @@ from repro.storage import (
 )
 
 from .admission import AdmissionRequest, default_admission_chain
-from .auth import ADMIN, AllowAllAuthorizer, Authenticator
+from .auth import ADMIN, Authenticator
 from .errors import (
     AlreadyExists,
     BadRequest,
@@ -121,7 +121,6 @@ class APIServer:
         self.reader = StoreReader(self)
         self.authenticator = Authenticator()
         self.authenticator.register(ADMIN)
-        self.authorizer = AllowAllAuthorizer()
         self.admission = default_admission_chain()
         # The one admission mechanism (DESIGN.md §15): an APFLimiter
         # classifying requests into per-tier levels with shuffle-shard
@@ -219,8 +218,8 @@ class APIServer:
     # Request plumbing
     # ------------------------------------------------------------------
 
-    def _begin(self, credential, verb, plural, namespace=None, name=None):
-        """Common request front half: authn, authz, admission, overhead.
+    def _begin(self, credential, verb, plural):
+        """Common request front half: authn, admission, overhead.
 
         Returns ``(credential, span, ticket)``; the span covers the
         whole request (queueing included) and both span and APF ticket
@@ -238,8 +237,6 @@ class APIServer:
         ticket = None
         try:
             credential = self.authenticator.authenticate(credential)
-            self.authorizer.authorize(credential, verb, plural, namespace,
-                                      name)
             is_system = "system:masters" in credential.groups
             if not is_system:
                 self.user_request_count += 1
@@ -325,8 +322,7 @@ class APIServer:
         private object the caller may edit and send back)."""
         obj = self._prepare_create(obj, namespace)
         credential, span, ticket = yield from self._begin(
-            credential, "create", type(obj).PLURAL, obj.metadata.namespace,
-            obj.metadata.name)
+            credential, "create", type(obj).PLURAL)
         try:
             obj = self._create_core(credential, obj)
             yield self.sim.timeout(self.config.apiserver.etcd_write)
@@ -339,7 +335,7 @@ class APIServer:
         ``replace()`` before editing); raises NotFound."""
         obj_type = self.registry.get(plural)
         credential, span, ticket = yield from self._begin(
-            credential, "get", plural, namespace, name)
+            credential, "get", plural)
         try:
             key = self._key(obj_type, namespace, name)
             try:
@@ -357,7 +353,7 @@ class APIServer:
         (items, resource_version)."""
         obj_type = self.registry.get(plural)
         credential, span, ticket = yield from self._begin(
-            credential, "list", plural, namespace)
+            credential, "list", plural)
         try:
             prefix = self._prefix(obj_type, namespace)
             stored_items, revision = self.store.list_stored(prefix)
@@ -387,8 +383,7 @@ class APIServer:
         real ``/status`` subresource used by kubelets and controllers.
         """
         credential, span, ticket = yield from self._begin(
-            credential, "update", type(obj).PLURAL, obj.metadata.namespace,
-            obj.metadata.name)
+            credential, "update", type(obj).PLURAL)
         try:
             new_obj = self._update_core(credential, obj,
                                         subresource=subresource)
@@ -456,19 +451,10 @@ class APIServer:
         new_obj.metadata.resource_version = str(revision)
         return new_obj
 
-    def patch(self, credential, plural, name, patch, namespace=None):
-        """Coroutine: deep-merge ``patch`` (a dict) into the stored object."""
-        obj_type = self.registry.get(plural)
-        current = yield from self.get(credential, plural, name,
-                                      namespace=namespace)
-        merged = obj_type.from_dict(_deep_merge(current.to_dict(), patch))
-        merged.metadata.resource_version = current.metadata.resource_version
-        return (yield from self.update(credential, merged))
-
     def delete(self, credential, plural, name, namespace=None):
         """Coroutine: delete an object (honouring finalizers)."""
         credential, span, ticket = yield from self._begin(
-            credential, "delete", plural, namespace, name)
+            credential, "delete", plural)
         try:
             obj = self._delete_core(credential, plural, name, namespace)
             yield self.sim.timeout(self.config.apiserver.etcd_write)
@@ -600,25 +586,16 @@ class APIServer:
     def _op_thunk(self, credential, op):
         """One transaction sub-op as a zero-arg callable for store.txn."""
         verb = op[0]
-        plural = self._op_plural(op)
         if verb == "create":
             _, obj, namespace = op
             prepared = self._prepare_create(obj, namespace)
-            self.authorizer.authorize(credential, "create", plural,
-                                      prepared.metadata.namespace,
-                                      prepared.metadata.name)
             return lambda: self._create_core(credential, prepared)
         if verb == "update":
             _, obj, subresource = op
-            self.authorizer.authorize(credential, "update", plural,
-                                      obj.metadata.namespace,
-                                      obj.metadata.name)
             return lambda: self._update_core(credential, obj,
                                              subresource=subresource)
         if verb == "delete":
             _, plural, name, namespace = op
-            self.authorizer.authorize(credential, "delete", plural,
-                                      namespace, name)
             return lambda: self._delete_core(credential, plural, name,
                                              namespace)
         raise BadRequest(f"unknown transaction op {verb!r}")
@@ -630,8 +607,7 @@ class APIServer:
     def watch(self, credential, plural, namespace=None, from_revision=None,
               label_selector=None, field_selector=None):
         """Open a watch stream (synchronous registration)."""
-        credential = self.authenticator.authenticate(credential)
-        self.authorizer.authorize(credential, "watch", plural, namespace)
+        self.authenticator.authenticate(credential)
         obj_type = self.registry.get(plural)
         prefix = self._prefix(obj_type, namespace)
 
@@ -686,19 +662,3 @@ class APIServer:
         dump_new = (new_spec.to_dict() if hasattr(new_spec, "to_dict")
                     else new_spec)
         return dump != dump_new
-
-
-def _deep_merge(base, patch):
-    """Strategic-merge-lite: dicts merge recursively, everything else replaces.
-
-    A ``None`` value in the patch deletes the key.
-    """
-    out = dict(base)
-    for key, value in patch.items():
-        if value is None:
-            out.pop(key, None)
-        elif isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out

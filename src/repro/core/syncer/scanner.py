@@ -75,7 +75,7 @@ class PeriodicScanner:
         filter_cost = cfg.scan_filter_per_object * len(candidates)
         if filter_cost:
             yield self.sim.timeout(filter_cost)
-            self.syncer.cpu.charge(filter_cost, activity="scan-filter")
+            self.syncer.cpu.charge(filter_cost)
         return candidates
 
     def scan_tenant(self, tenant):
@@ -109,7 +109,7 @@ class PeriodicScanner:
             for obj in tenant_cache.items():
                 scanned += 1
                 yield self.sim.timeout(cfg.scan_per_object)
-                self.syncer.cpu.charge(cfg.scan_per_object, activity="scan")
+                self.syncer.cpu.charge(cfg.scan_per_object)
                 if plural == "namespaces":
                     continue  # handled by its dedicated reconciler shape
                 skey = super_key_for(reconciler.obj_type, vc, obj.key)
@@ -133,7 +133,7 @@ class PeriodicScanner:
                     continue
                 scanned += 1
                 yield self.sim.timeout(cfg.scan_per_object)
-                self.syncer.cpu.charge(cfg.scan_per_object, activity="scan")
+                self.syncer.cpu.charge(cfg.scan_per_object)
                 if origin_key not in tenant_cache:
                     mismatches += 1
                     self.syncer.enqueue_downward(tenant, plural, origin_key)
@@ -158,7 +158,7 @@ class PeriodicScanner:
                 continue  # orphan: the downward scan handles it
             scanned += 1
             yield self.sim.timeout(cfg.scan_per_object)
-            self.syncer.cpu.charge(cfg.scan_per_object, activity="scan")
+            self.syncer.cpu.charge(cfg.scan_per_object)
             if (super_obj.status.phase != tenant_obj.status.phase
                     or super_obj.status.is_ready
                     != tenant_obj.status.is_ready):

@@ -28,6 +28,7 @@ from repro.clientgo import (
 )
 from repro.config import DEFAULT_CONFIG
 from repro.objects import Namespace
+from repro.simkernel.accounting import CpuAccount, MemoryAccount
 from repro.simkernel.errors import Interrupt
 from repro.simkernel.resources import Lock
 from repro.telemetry import telemetry_of
@@ -98,8 +99,8 @@ class Syncer:
         self.name = name
         cfg = self.config.syncer
 
-        self.cpu = sim.accounting.cpu_account(name)
-        self.mem = sim.accounting.memory_account(name)
+        self.cpu = CpuAccount()
+        self.mem = MemoryAccount()
 
         self.super_client = super_cluster.client(
             user_agent=f"{name}-super", qps=1_000_000, burst=2_000_000,
@@ -685,15 +686,13 @@ class Syncer:
                         yield self.sim.timeout(cfg.dws_dequeue_cs)
                     finally:
                         dws_lock.release()
-                    self.cpu.charge(cfg.dws_dequeue_cs,
-                                    activity="dws-dequeue")
-                    self.cpu.charge(cfg.per_item_cpu_overhead,
-                                    activity="serde")
+                    self.cpu.charge(cfg.dws_dequeue_cs)
+                    self.cpu.charge(cfg.per_item_cpu_overhead)
                     if plural == "pods":
                         self.trace_store.mark(tenant, key, "dws_dequeue",
                                               self.sim.now)
                     yield self.sim.timeout(cfg.dws_process)
-                    self.cpu.charge(cfg.dws_process, activity="dws-process")
+                    self.cpu.charge(cfg.dws_process)
                     reconciler = (self.crd_sync.reconciler_for(tenant,
                                                                plural)
                                   or self.downward_reconcilers.get(plural))
@@ -733,10 +732,8 @@ class Syncer:
                         yield self.sim.timeout(cfg.uws_dequeue_cs)
                     finally:
                         uws_lock.release()
-                    self.cpu.charge(cfg.uws_dequeue_cs,
-                                    activity="uws-dequeue")
-                    self.cpu.charge(cfg.per_item_cpu_overhead,
-                                    activity="serde")
+                    self.cpu.charge(cfg.uws_dequeue_cs)
+                    self.cpu.charge(cfg.per_item_cpu_overhead)
                     if plural == "pods":
                         super_pod = self.super_informer("pods").cache.get(
                             key)
@@ -750,7 +747,7 @@ class Syncer:
                                                       "uws_dequeue",
                                                       self.sim.now)
                     yield self.sim.timeout(cfg.uws_process)
-                    self.cpu.charge(cfg.uws_process, activity="uws-process")
+                    self.cpu.charge(cfg.uws_process)
                     reconciler = self.upward_reconcilers.get(plural)
                     if reconciler is not None:
                         yield from reconciler.sync_up(tenant, key)
@@ -773,7 +770,7 @@ class Syncer:
                 yield self.sim.timeout(0.25)
             except Interrupt:
                 return
-            self.mem.snapshot(self.sim.now)
+            self.mem.snapshot()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -212,8 +212,7 @@ class VNodeManager:
                     if super_node is None:
                         continue
                     yield self.sim.timeout(cfg.vnode_heartbeat_write)
-                    self.syncer.cpu.charge(cfg.vnode_heartbeat_write,
-                                           activity="vnode-heartbeat")
+                    self.syncer.cpu.charge(cfg.vnode_heartbeat_write)
                     try:
                         vnode = yield from registration.client.get(
                             "nodes", node_name)

@@ -57,8 +57,7 @@ class ContainerHandle:
     """An opaque reference to a created container."""
 
     __slots__ = ("container_id", "sandbox", "name", "image", "state",
-                 "exit_code", "logs", "started_at", "healthy",
-                 "restart_count")
+                 "exit_code", "logs", "started_at")
 
     def __init__(self, container_id, sandbox, name, image):
         self.container_id = container_id
@@ -69,10 +68,6 @@ class ContainerHandle:
         self.exit_code = None
         self.logs = []
         self.started_at = None
-        # Probe target: tests and fault injection flip this to simulate
-        # an unhealthy workload.
-        self.healthy = True
-        self.restart_count = 0
 
 
 class ContainerRuntime:

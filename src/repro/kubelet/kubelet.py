@@ -210,93 +210,6 @@ class Kubelet:
             conditions=[("Initialized", "True"), ("ContainersReady", "True"),
                         ("Ready", "True")])
 
-        # Health monitoring: probes and restart policy.
-        for spec in pod.spec.containers:
-            if spec.liveness_probe or spec.readiness_probe:
-                self.sim.spawn(
-                    self._probe_loop(pod_key, spec, runtime),
-                    name=f"probes-{pod_key}-{spec.name}")
-
-    # ------------------------------------------------------------------
-    # Probes & restart policy
-    # ------------------------------------------------------------------
-
-    def _probe_loop(self, pod_key, spec, runtime):
-        """Periodically probe one container; restart on liveness failure,
-        flip the Ready condition on readiness failure."""
-        liveness = spec.liveness_probe or {}
-        readiness = spec.readiness_probe or {}
-        period = float(liveness.get("periodSeconds")
-                       or readiness.get("periodSeconds") or 5.0)
-        threshold = int(liveness.get("failureThreshold")
-                        or readiness.get("failureThreshold") or 3)
-        initial = float(liveness.get("initialDelaySeconds")
-                        or readiness.get("initialDelaySeconds") or 0.0)
-        liveness_failures = 0
-        readiness_failures = 0
-        reported_unready = False
-        try:
-            yield self.sim.timeout(initial)
-            while not self._stopped:
-                yield self.sim.timeout(period)
-                containers = self._containers.get(pod_key)
-                if containers is None:
-                    return
-                container = containers.get(spec.name)
-                if container is None:
-                    return
-                if container.healthy and container.state == "running":
-                    liveness_failures = 0
-                    readiness_failures = 0
-                    if reported_unready:
-                        reported_unready = False
-                        yield from self._post_status(
-                            pod_key, phase="Running",
-                            conditions=[("ContainersReady", "True"),
-                                        ("Ready", "True")])
-                    continue
-                if liveness:
-                    liveness_failures += 1
-                    if liveness_failures >= threshold:
-                        liveness_failures = 0
-                        yield from self._restart_container(
-                            pod_key, spec, container, runtime)
-                        continue
-                if readiness and not reported_unready:
-                    readiness_failures += 1
-                    if readiness_failures >= threshold:
-                        reported_unready = True
-                        yield from self._post_status(
-                            pod_key, phase="Running",
-                            conditions=[("ContainersReady", "False"),
-                                        ("Ready", "False")])
-        except Interrupt:
-            return
-
-    def _restart_container(self, pod_key, spec, container, runtime):
-        """Liveness failure: restart per the pod's restart policy."""
-        pod = self.pod_informer.cache.get(pod_key)
-        if pod is None:
-            return
-        yield from runtime.stop_container(container)
-        if pod.spec.restart_policy == "Never":
-            yield from self._post_status(pod_key, phase="Failed")
-            return
-        backoff = min(0.1 * (2 ** container.restart_count), 5.0)
-        yield self.sim.timeout(backoff)
-        fresh = yield from runtime.create_container(container.sandbox, spec)
-        fresh.restart_count = container.restart_count + 1
-        self._containers[pod_key][spec.name] = fresh
-        yield from runtime.start_container(fresh)
-        self.recorder.event(
-            pod, "BackOff" if fresh.restart_count > 2 else "Restarted",
-            f"Restarted container {spec.name} "
-            f"(restart #{fresh.restart_count})", event_type="Warning")
-        yield from self._post_status(
-            pod_key, phase="Running",
-            container_names=[c.name for c in pod.spec.containers],
-            conditions=[("ContainersReady", "True"), ("Ready", "True")])
-
     def _wait_for_routing_rules(self, sandbox):
         """The ``network-rules-check`` init container's poll loop."""
         agent = sandbox.extra.get("agent")
@@ -350,12 +263,9 @@ class Kubelet:
         if container_names:
             from repro.objects.pod import ContainerStatus
 
-            handles = self._containers.get(pod_key, {})
             pod.status.container_statuses = [
                 ContainerStatus(
                     name=name, ready=True,
-                    restart_count=getattr(handles.get(name), "restart_count",
-                                          0),
                     state={"running": {"startedAt": self.sim.now}})
                 for name in container_names
             ]

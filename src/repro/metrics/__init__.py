@@ -5,7 +5,6 @@ from .reporting import (
     format_histogram,
     format_phase_breakdown,
     format_table,
-    format_telemetry,
     summarize,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "format_histogram",
     "format_phase_breakdown",
     "format_table",
-    "format_telemetry",
     "summarize",
 ]

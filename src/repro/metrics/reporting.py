@@ -32,10 +32,6 @@ def _fmt(cell):
     return str(cell)
 
 
-#: Series per family that :func:`format_telemetry` prints in full.
-MAX_SERIES = 8
-
-
 def format_histogram(samples, title=None):
     """Render a horizontal ASCII histogram of creation times (Fig. 7):
     1 s buckets, the fullest one 50 characters wide."""
@@ -82,50 +78,3 @@ def summarize(result):
             f"tenants={result.num_tenants} duration={result.duration:.1f}s "
             f"throughput={result.throughput:.0f}/s mean={result.mean:.2f}s "
             f"p99={result.percentile(99):.2f}s")
-
-
-def format_telemetry(snapshot, title="Telemetry", families=None):
-    """Render a registry snapshot (``Telemetry.snapshot()``) compactly.
-
-    One row per series: counters/gauges show their value, histograms
-    their count / mean.  ``families`` restricts the listing (e.g. to
-    the core families); per family at most ``MAX_SERIES`` series print,
-    the rest collapse into a ``(+N more)`` row with the family total so
-    big label spaces stay readable.
-    """
-    wanted = set(families) if families is not None else None
-    rows = []
-    for family in snapshot.get("families", ()):
-        if wanted is not None and family["name"] not in wanted:
-            continue
-        series = family["series"]
-        for entry in series[:MAX_SERIES]:
-            labelset = ",".join(f"{k}={v}"
-                                for k, v in sorted(entry["labels"].items()))
-            name = family["name"] + (f"{{{labelset}}}" if labelset else "")
-            if family["kind"] == "histogram":
-                count = entry["count"]
-                mean = entry["sum"] / count if count else 0.0
-                rows.append([name, f"n={count} mean={mean:.4f}s"])
-            else:
-                rows.append([name, entry["value"]])
-        if len(series) > MAX_SERIES:
-            if family["kind"] == "histogram":
-                total = sum(entry["count"] for entry in series)
-            else:
-                total = sum(entry["value"] for entry in series)
-            rows.append([f"{family['name']} (+{len(series) - MAX_SERIES} "
-                         f"more)", f"total={total}"])
-    if not rows:
-        rows = [["(no metrics)", "-"]]
-    lines = [format_table(["series", "value"], rows, title=title)]
-    spans = snapshot.get("spans") or {}
-    if spans:
-        span_rows = [
-            [name, agg["count"], agg["errors"], agg["mean_seconds"]]
-            for name, agg in spans.items()
-        ]
-        lines.append(format_table(
-            ["span", "count", "errors", "mean (s)"], span_rows,
-            title="Span aggregates"))
-    return "\n".join(lines)

@@ -104,13 +104,6 @@ class PolicyRule(Serializable):
         Field("resource_names", container="list", default_factory=list),
     )
 
-    def allows(self, verb, resource, name=None):
-        verb_ok = "*" in self.verbs or verb in self.verbs
-        resource_ok = "*" in self.resources or resource in self.resources
-        name_ok = (not self.resource_names or name is None
-                   or name in self.resource_names)
-        return verb_ok and resource_ok and name_ok
-
 
 class Role(KubeObject):
     KIND = "Role"

@@ -28,8 +28,8 @@ import re
 import sys
 
 from repro.chaos.engine import format_report
-from repro.metrics import format_telemetry
 from repro.objects.base import set_freeze_guard
+from repro.telemetry.export import render_text
 
 from .errors import GoldenMismatch, ScenarioError
 from .loader import corpus_paths, load_scenario
@@ -144,7 +144,7 @@ def cmd_run(args):
         if args.report:
             if result.chaos_report is not None:
                 print(format_report(result.chaos_report))
-            print(format_telemetry(result.env.sim.telemetry.snapshot()))
+            print(render_text(result.env.sim.telemetry.snapshot()))
         if not result.ok:
             status = 1
     return status
@@ -206,7 +206,7 @@ def build_parser():
     p_run.add_argument("--json", action="store_true")
     p_run.add_argument("--report", action="store_true",
                        help="also print the chaos report (per-fault "
-                            "counters, timeline) and the telemetry table")
+                            "counters, timeline) and the telemetry registry")
     p_run.set_defaults(func=cmd_run)
 
     p_record = sub.add_parser(

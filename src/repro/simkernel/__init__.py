@@ -6,7 +6,7 @@ generator-based processes on one virtual clock.  This keeps 10,000-Pod
 stress runs fast and exactly reproducible.
 """
 
-from .accounting import Accounting, CpuAccount, MemoryAccount
+from .accounting import CpuAccount, MemoryAccount
 from .errors import (
     EventAlreadyTriggered,
     Interrupt,
@@ -20,7 +20,6 @@ from .process import Process
 from .resources import Channel, ChannelClosed, Lock
 
 __all__ = [
-    "Accounting",
     "Channel",
     "ChannelClosed",
     "Condition",

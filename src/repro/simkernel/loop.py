@@ -11,7 +11,6 @@ import heapq
 import itertools
 import random
 
-from .accounting import Accounting
 from .errors import SimulationDeadlock, StopSimulation
 from .events import Event, Timeout, all_of, any_of
 from .process import Process
@@ -59,7 +58,6 @@ class Simulation:
         # emissions.
         self.replay_recorder = None
         self._dispatched = 0
-        self.accounting = Accounting(self)
         # Unified telemetry hub (repro.telemetry imports nothing from
         # repro.*, so this is cycle-free).
         from repro.telemetry import Telemetry

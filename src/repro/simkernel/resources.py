@@ -29,10 +29,6 @@ class Lock:
         self.contentions = 0
         self.wait_time = 0.0
 
-    @property
-    def locked(self):
-        return self._locked
-
     def acquire(self):
         self.acquisitions += 1
         if not self._locked:
@@ -53,36 +49,21 @@ class Lock:
         else:
             self._locked = False
 
-    def locked_section(self, body):
-        """Run generator ``body`` while holding the lock (helper process)."""
-
-        def section():
-            yield self.acquire()
-            try:
-                result = yield from body
-            finally:
-                self.release()
-            return result
-
-        return section()
-
 
 class Channel:
-    """An optionally-bounded FIFO channel between processes.
+    """An unbounded FIFO channel between processes.
 
-    ``put`` blocks when a bounded channel is full; ``get`` blocks when the
-    channel is empty.  Used for watch streams, RPC transports, and worker
-    hand-off.  ``close()`` causes all current and future ``get``s to fail
-    with :class:`ChannelClosed` once drained, and ``put`` to fail immediately.
+    ``try_put`` never blocks; ``get`` blocks when the channel is empty.
+    Used for watch streams, RPC transports, and worker hand-off.
+    ``close()`` causes all current and future ``get``s to fail with
+    :class:`ChannelClosed` once drained, and ``try_put`` to raise it.
     """
 
-    def __init__(self, sim, capacity=None, name="channel"):
+    def __init__(self, sim, name="channel"):
         self.sim = sim
         self.name = name
-        self.capacity = capacity
         self._items = deque()
         self._getters = deque()
-        self._putters = deque()  # (event, item)
         self._closed = False
 
     def __len__(self):
@@ -92,41 +73,18 @@ class Channel:
     def closed(self):
         return self._closed
 
-    def put(self, item):
-        event = Event(self.sim)
-        if self._closed:
-            event.fail(ChannelClosed(self.name))
-            return event
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
     def try_put(self, item):
-        """Non-blocking put; returns False when a bounded channel is full."""
+        """Hand ``item`` to the oldest waiting getter, or buffer it."""
         if self._closed:
             raise ChannelClosed(self.name)
         if self._getters:
             self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
+        else:
             self._items.append(item)
-            return True
-        return False
 
     def get(self):
         if self._items:
-            value = self._items.popleft()
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self._items.append(item)
-                putter.succeed()
-            return resolved(self.sim, value)
+            return resolved(self.sim, self._items.popleft())
         event = Event(self.sim)
         if self._closed:
             event.fail(ChannelClosed(self.name))
@@ -141,9 +99,6 @@ class Channel:
         self._closed = True
         while self._getters:
             self._getters.popleft().fail(ChannelClosed(self.name))
-        while self._putters:
-            putter, _item = self._putters.popleft()
-            putter.fail(ChannelClosed(self.name))
 
 
 class ChannelClosed(Exception):

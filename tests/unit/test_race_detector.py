@@ -115,12 +115,12 @@ class TestCarrierStamps:
     def test_channel_carries_producer_stamp(self):
         def build(sim):
             store = _store(sim)
-            channel = Channel(sim, capacity=4)
+            channel = Channel(sim)
 
             def producer():
                 yield sim.timeout(1.0)
                 store.update(KEY, {"v": 1})
-                yield channel.put("go")
+                channel.try_put("go")
 
             def consumer():
                 yield channel.get()

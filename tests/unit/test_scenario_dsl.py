@@ -8,6 +8,10 @@ duplicate names, negative rates, overlapping chaos windows, …) plus the
 pure-compilation semantics the runner depends on.
 """
 
+import json
+import os
+import shutil
+
 import pytest
 
 from repro.scenarios import (
@@ -26,6 +30,8 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
     compile_load,
+    corpus_paths,
+    load_scenario,
     loads,
 )
 from repro.scenarios.__main__ import main
@@ -547,3 +553,51 @@ class TestCliReportsUnloadableFiles:
             f"{bad.parent / 'worse.yaml'}: FAIL — name: expected a valid "
             f"name (lowercase alphanumerics and '-', starting and ending "
             f"alphanumeric), got [1]"]
+
+
+class TestCliGoldenTooling:
+    """The commands that re-record and inspect goldens: ``record`` on an
+    already-recorded file rewrites it byte for byte, and ``run --json``,
+    ``run --report`` and ``list`` print what they promise."""
+
+    SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                         "scenarios", "smoke")
+
+    def test_record_rewrites_a_recorded_file_byte_identically(
+            self, tmp_path, capsys):
+        original = os.path.join(self.SMOKE, "telemetry_core.yaml")
+        copy = tmp_path / "telemetry_core.yaml"
+        shutil.copyfile(original, copy)
+        assert main(["record", str(copy)]) == 0
+        assert "telemetry-core: recorded" in capsys.readouterr().out
+        with open(original, "rb") as fh:
+            assert copy.read_bytes() == fh.read()
+
+    def test_run_json_names_the_scenario_and_its_verdict(self, capsys):
+        path = os.path.join(self.SMOKE, "telemetry_core.yaml")
+        assert main(["run", path, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["scenario"] == "telemetry-core"
+        assert document["ok"] is True
+
+    def test_run_report_prints_chaos_report_and_telemetry(self, capsys):
+        path = os.path.join(self.SMOKE, "chaos_base.yaml")
+        assert main(["run", path, "--report"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos report (seed=" in out
+        assert "timeline:" in out
+        assert "# TYPE scheduler_binds_total counter" in out
+        assert "# spans (exact aggregates)" in out
+
+    def test_list_prints_each_scenario_with_its_sizes(self, capsys):
+        assert main(["list", self.SMOKE]) == 0
+        rows = {line.split()[0]: line.split()[1:4]
+                for line in capsys.readouterr().out.splitlines()[1:]}
+        scenarios = [load_scenario(path)
+                     for path in corpus_paths(self.SMOKE)]
+        assert sorted(rows) == sorted(s.name for s in scenarios)
+        for scenario in scenarios:
+            workloads = sum(len(t.workloads) for t in scenario.tenants)
+            nodes = sum(pool.nodes for pool in scenario.topology.pools)
+            assert rows[scenario.name] == [
+                f"{len(scenario.tenants)}t", f"{workloads}w", f"{nodes}n"]

@@ -3,14 +3,7 @@
 import pytest
 
 from repro.clientgo import FairWorkQueue, ShutDown, WorkQueue
-from repro.simkernel import (
-    Channel,
-    ChannelClosed,
-    Event,
-    Lock,
-    Simulation,
-    resolved,
-)
+from repro.simkernel import Event, Simulation, resolved
 
 
 class TestEventFailure:
@@ -107,67 +100,6 @@ class TestProcessEdge:
 
 
 class TestResourceEdge:
-    def test_lock_locked_section_helper(self):
-        sim = Simulation()
-        lock = Lock(sim)
-        order = []
-
-        def body(name):
-            order.append(f"{name}-in")
-            yield sim.timeout(1)
-            order.append(f"{name}-out")
-            return name
-
-        def runner(name):
-            result = yield from lock.locked_section(body(name))
-            return result
-
-        a = sim.process(runner("a"))
-        b = sim.process(runner("b"))
-        sim.run()
-        assert order == ["a-in", "a-out", "b-in", "b-out"]
-        assert not lock.locked
-        assert a.value == "a"
-        assert b.value == "b"
-
-    def test_locked_section_releases_on_exception(self):
-        sim = Simulation()
-        lock = Lock(sim)
-
-        def exploding():
-            yield sim.timeout(1)
-            raise ValueError("boom")
-
-        def runner():
-            try:
-                yield from lock.locked_section(exploding())
-            except ValueError:
-                pass
-
-        sim.run(until=sim.process(runner()))
-        assert not lock.locked
-
-    def test_channel_close_fails_blocked_putter(self):
-        sim = Simulation()
-        channel = Channel(sim, capacity=1)
-        outcomes = []
-
-        def producer():
-            yield channel.put(1)  # fills capacity
-            try:
-                yield channel.put(2)  # blocks
-            except ChannelClosed:
-                outcomes.append("putter-failed")
-
-        def closer():
-            yield sim.timeout(1)
-            channel.close()
-
-        sim.process(producer())
-        sim.process(closer())
-        sim.run()
-        assert outcomes == ["putter-failed"]
-
     def test_event_unhandled_failure_without_waiter_raises_at_loop(self):
         sim = Simulation()
 

