@@ -33,7 +33,13 @@ class AdmissionRequest:
 
 
 class AdmissionPlugin:
-    """Base plugin; ``admit`` may mutate ``request.obj`` or raise."""
+    """Base plugin; ``admit`` may change ``request.obj`` or raise.
+
+    On ``create`` the object is private and may be edited in place.  On
+    ``update`` it is a ``replace()`` shell whose children are shared with
+    the caller (usually a stored snapshot's): replace a child rather
+    than mutating it (DESIGN.md §16 "Object plane").
+    """
 
     name = "plugin"
 

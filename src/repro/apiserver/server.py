@@ -12,7 +12,13 @@ import string
 
 from repro.config import DEFAULT_CONFIG
 from repro.objects import Namespace, generate_uid
-from repro.objects.base import freeze
+from repro.objects.base import (
+    EMPTY_DICT,
+    check_serde,
+    freeze,
+    freeze_guard_on,
+)
+from repro.objects.meta import same_spec
 from repro.objects.selectors import equality_hint, match_fields
 from repro.telemetry import ChildCache, telemetry_of
 from repro.objects.validation import ValidationError, validate_metadata
@@ -182,21 +188,74 @@ class APIServer:
     def _decode(self, obj_type, stored):
         """The typed snapshot of one stored value at its revision.
 
-        Decoded at most once: the first reader fills the
-        :class:`~repro.storage.etcd.StoredValue`'s memo slot, and every
-        later ``get``/``list``/watch delivery of that (key, revision)
-        returns the same object.  It is shared, hence frozen: whoever
-        wants to change it takes ``replace()`` or ``copy()`` first.
+        Decoded at most once: the :class:`~repro.storage.etcd.StoredValue`'s
+        memo slot holds it, and every ``get``/``list``/watch delivery of
+        that (key, revision) returns the same object.  It is shared,
+        hence frozen: whoever wants to change it takes ``replace()`` or
+        ``copy()`` first.  A revision this apiserver wrote over a decoded
+        base was decoded against that base at the write
+        (:meth:`_write_against`); a DELETE event's snapshot is the removed
+        revision's, re-stamped with the delete revision; any other value
+        is decoded whole by its first reader.
         """
         obj = stored.decoded
-        if obj is None:
-            self.decodes += 1
-            obj = obj_type.from_dict(stored.value)
-            obj.metadata.resource_version = str(stored.mod_revision)
-            stored.decoded = freeze(obj)
-        else:
+        if obj is not None:
             self.decode_hits += 1
+            return obj
+        self.decodes += 1
+        removed = stored.deleted
+        stored.deleted = None
+        if removed is not None and removed.decoded is not None:
+            base = removed.decoded
+            return self._memoize(stored, base.replace(), base)
+        return self._memoize(stored, obj_type.from_dict(stored.value))
+
+    def _memoize(self, stored, obj, base=None):
+        """Stamp ``obj`` — decoded from ``stored.value``, against
+        ``base``'s children if given — with its revision and wire dict,
+        and make it the record's shared snapshot.  The metadata is always
+        a shell of its own, never ``base``'s."""
+        meta = obj.metadata
+        if base is not None and meta is base.metadata:
+            obj.metadata = meta = meta.replace()
+        meta.resource_version = str(stored.mod_revision)
+        obj._wire = stored.value
+        if base is not None and freeze_guard_on():
+            full = type(obj).from_dict(stored.value)
+            full.metadata.resource_version = meta.resource_version
+            check_serde("shared decode",
+                        f"{obj.key!r} at revision {stored.mod_revision}",
+                        repr(obj.to_dict()), repr(full.to_dict()))
+        stored.decoded = freeze(obj)
         return obj
+
+    def _write_against(self, key, record, base, obj):
+        """Store ``obj`` as the next revision of ``key`` over ``record``
+        (CAS on its revision), whose snapshot ``base`` it was derived
+        from: encoded against ``base`` and the record's wire dict, so
+        unchanged subtrees are shared, not re-encoded; and decoded
+        against them at once, so unchanged children of the new snapshot
+        are ``base``'s.  Returns the new revision.
+
+        Only a value this apiserver encoded lends its subtrees: one
+        replayed from a log has its keys in sorted order, and sharing
+        them would carry that order into the new revision.
+        """
+        value = obj.to_dict_against(
+            base, record.value if record.canonical else EMPTY_DICT)
+        if freeze_guard_on():
+            check_serde("shared encode",
+                        f"{key!r} over revision {record.mod_revision}",
+                        repr(value), repr(obj.to_dict()))
+        revision = self.store.update(key, value,
+                                     expected_revision=record.mod_revision)
+        written = self.store.try_get_stored(key)
+        written.canonical = True
+        if written.decoded is None:
+            self.decodes += 1
+            self._memoize(written, type(base).from_dict_against(
+                written.value, base, record.value), base)
+        return revision
 
     @staticmethod
     def _raw_matcher(label_selector, field_selector):
@@ -314,6 +373,7 @@ class APIServer:
         except KeyAlreadyExists as exc:
             raise AlreadyExists(
                 f"{plural} {obj.key!r} already exists") from exc
+        self.store.try_get_stored(key).canonical = True
         obj.metadata.resource_version = str(revision)
         return obj
 
@@ -381,6 +441,9 @@ class APIServer:
 
         ``subresource="status"`` replaces only the status block, like the
         real ``/status`` subresource used by kubelets and controllers.
+        Returns a shell around the caller's children (for ``status``,
+        the stored spec and the caller's status) with a metadata shell
+        of its own carrying the new resourceVersion.
         """
         credential, span, ticket = yield from self._begin(
             credential, "update", type(obj).PLURAL)
@@ -413,25 +476,27 @@ class APIServer:
                     f"{plural} {obj.key!r}: stale resourceVersion "
                     f"{expected} (current {stored_rev})")
 
+        # Copy-on-write: a new shell around the stored snapshot's spec
+        # and the caller's status, or around the caller's children; the
+        # metadata is a shell of its own for the server-owned fields and
+        # the resourceVersion written below.
         if subresource == "status":
-            # Copy-on-write: a new shell around the stored snapshot's
-            # spec and the caller's status, with a metadata shell of its
-            # own for the resourceVersion written below.
             changes = {"metadata": stored.metadata.replace(
                 resource_version=None)}
             if hasattr(obj, "status"):
                 changes["status"] = obj.status
             new_obj = stored.replace(**changes)
         else:
-            new_obj = obj.copy()
-            new_obj.metadata.uid = stored.metadata.uid
-            new_obj.metadata.creation_timestamp = (
-                stored.metadata.creation_timestamp)
-            new_obj.metadata.generation = stored.metadata.generation
-            if self._spec_changed(stored, new_obj):
-                new_obj.metadata.generation += 1
+            metadata = obj.metadata.replace(
+                uid=stored.metadata.uid,
+                creation_timestamp=stored.metadata.creation_timestamp,
+                generation=stored.metadata.generation,
+                resource_version=None)
+            new_obj = obj.replace(metadata=metadata)
+            if not same_spec(stored, new_obj):
+                metadata.generation += 1
             self._admit(credential, "update", plural, new_obj, stored,
-                        new_obj.metadata.namespace)
+                        metadata.namespace)
 
         # Finalizer bookkeeping: removing the last finalizer of a
         # deleted object actually removes the object.
@@ -439,13 +504,10 @@ class APIServer:
                 and not new_obj.metadata.finalizers
                 and not self._namespace_pinned(new_obj)):
             self.store.delete(key, expected_revision=stored_rev)
-            new_obj.metadata.resource_version = None
             return new_obj
 
-        new_obj.metadata.resource_version = None
         try:
-            revision = self.store.update(key, new_obj.to_dict(),
-                                         expected_revision=stored_rev)
+            revision = self._write_against(key, record, stored, new_obj)
         except RevisionConflict as exc:
             raise Conflict(str(exc)) from exc
         new_obj.metadata.resource_version = str(revision)
@@ -477,13 +539,13 @@ class APIServer:
                               or self._namespace_pinned(obj))
         if needs_finalization:
             if obj.metadata.deletion_timestamp is None:
+                base = obj
                 obj = obj.replace(metadata=obj.metadata.replace(
                     deletion_timestamp=self.sim.now, resource_version=None))
                 if isinstance(obj, Namespace):
                     obj = obj.replace(
                         status=obj.status.replace(phase="Terminating"))
-                revision = self.store.update(
-                    key, obj.to_dict(), expected_revision=stored_rev)
+                revision = self._write_against(key, record, base, obj)
                 obj.metadata.resource_version = str(revision)
             return obj
         self.store.delete(key, expected_revision=stored_rev)
@@ -651,14 +713,3 @@ class APIServer:
         suffix = "".join(self.sim.rng.choice(_NAME_ALPHABET)
                          for _ in range(5))
         return f"{base}{suffix}"
-
-    def _spec_changed(self, old, new):
-        old_spec = getattr(old, "spec", None)
-        new_spec = getattr(new, "spec", None)
-        if old_spec is None or new_spec is None:
-            return False
-        dump = (old_spec.to_dict() if hasattr(old_spec, "to_dict")
-                else old_spec)
-        dump_new = (new_spec.to_dict() if hasattr(new_spec, "to_dict")
-                    else new_spec)
-        return dump != dump_new

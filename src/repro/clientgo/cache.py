@@ -24,6 +24,8 @@ the linear ``select()``/``items()`` scans on the syncer hot path; the
 access pattern of a code path (no accidental O(n) regressions).
 """
 
+from repro.objects.meta import wire_chars
+
 INDEX_NAMESPACE = "namespace"
 INDEX_LABELS = "labels"
 
@@ -32,9 +34,11 @@ def estimate_object_bytes(obj, factor, overhead):
     """Rough in-memory size of a decoded API object.
 
     Proportional to the serialized size — like real informer caches, where
-    a Pod with managed fields occupies tens of kilobytes.
+    a Pod with managed fields occupies tens of kilobytes.  An apiserver
+    snapshot is sized from the wire dict it was decoded from, not
+    re-encoded (:func:`~repro.objects.meta.wire_chars`).
     """
-    return int(len(str(obj.to_dict())) * factor) + overhead
+    return int(wire_chars(obj) * factor) + overhead
 
 
 def _namespace_index(obj):
@@ -106,9 +110,33 @@ class ObjectCache:
                 postings.setdefault(value, set()).add(key)
             self._indexed_values.setdefault(key, {})[name] = values
 
-    def _index_insert(self, key, obj):
+    def _index_move(self, key, obj):
+        """(Re-)index ``key``, touching only the indexes whose value tuple
+        changed (a status write or heartbeat changes none; an absent key
+        has no old values, so every non-empty index is inserted)."""
+        by_name = self._indexed_values.get(key)
         for name, func in self._index_funcs.items():
-            self._index_one(name, func, key, obj)
+            old_values = by_name.get(name, ()) if by_name else ()
+            values = tuple(func(obj))
+            if values == old_values:
+                continue
+            postings = self._postings[name]
+            for value in old_values:
+                bucket = postings[value]
+                bucket.discard(key)
+                if not bucket:
+                    del postings[value]
+            for value in values:
+                postings.setdefault(value, set()).add(key)
+            if values:
+                if by_name is None:
+                    by_name = self._indexed_values[key] = {}
+                by_name[name] = values
+            else:
+                del by_name[name]
+                if not by_name:
+                    del self._indexed_values[key]
+                    by_name = None
 
     def _index_drop(self, key):
         by_name = self._indexed_values.pop(key, None)
@@ -134,10 +162,8 @@ class ObjectCache:
                                              self._size_overhead)
             self._add_bytes(new_size - self._sizes.get(key, 0))
             self._sizes[key] = new_size
-        if key in self._items:
-            self._index_drop(key)
         self._items[key] = obj
-        self._index_insert(key, obj)
+        self._index_move(key, obj)
 
     def delete(self, key):
         if key in self._items:

@@ -6,6 +6,8 @@ carry annotations recording their tenant origin so upward reconcilers
 and the vn-agent can map them back.
 """
 
+from repro.objects.meta import same_spec
+
 from ..crd import super_name, super_namespace
 
 ANNOTATION_VC = "tenancy.x-k8s.io/vc"
@@ -110,15 +112,4 @@ def super_key_for(obj_type, vc, tenant_obj_key):
 
 def specs_equivalent(tenant_obj, super_obj, ignore_fields=("nodeName",)):
     """Compare tenant vs super specs, ignoring syncer-managed fields."""
-    tenant_spec = getattr(tenant_obj, "spec", None)
-    super_spec = getattr(super_obj, "spec", None)
-    if tenant_spec is None or super_spec is None:
-        return True
-    a = tenant_spec.to_dict() if hasattr(tenant_spec, "to_dict") else dict(
-        tenant_spec)
-    b = super_spec.to_dict() if hasattr(super_spec, "to_dict") else dict(
-        super_spec)
-    for field in ignore_fields:
-        a.pop(field, None)
-        b.pop(field, None)
-    return a == b
+    return same_spec(tenant_obj, super_obj, ignore=ignore_fields)

@@ -28,6 +28,7 @@ from repro.clientgo import (
 )
 from repro.config import DEFAULT_CONFIG
 from repro.objects import Namespace
+from repro.objects.meta import same_spec
 from repro.simkernel.accounting import CpuAccount, MemoryAccount
 from repro.simkernel.errors import Interrupt
 from repro.simkernel.resources import Lock
@@ -376,17 +377,7 @@ class Syncer:
         for attr in ("data", "string_data", "binary_data"):
             if getattr(old, attr, None) != getattr(new, attr, None):
                 return True
-        old_spec = getattr(old, "spec", None)
-        new_spec = getattr(new, "spec", None)
-        if old_spec is None or new_spec is None:
-            return False
-        old_dump = (old_spec.to_dict() if hasattr(old_spec, "to_dict")
-                    else dict(old_spec))
-        new_dump = (new_spec.to_dict() if hasattr(new_spec, "to_dict")
-                    else dict(new_spec))
-        old_dump.pop("nodeName", None)
-        new_dump.pop("nodeName", None)
-        return old_dump != new_dump
+        return not same_spec(old, new, ignore=("nodeName",))
 
     # ------------------------------------------------------------------
     # Super-cluster event handlers (upward feeding)

@@ -88,9 +88,8 @@ class Kubelet:
                 node = yield from self.client.get("nodes", self.node_name)
             except ApiError:
                 continue
-            status = node.status.copy()
-            status.set_condition("Ready", "True", reason="KubeletReady",
-                                 now=self.sim.now)
+            status = node.status.with_condition(
+                "Ready", "True", reason="KubeletReady", now=self.sim.now)
             try:
                 yield from self.client.update_status(
                     node.replace(status=status))

@@ -18,6 +18,17 @@ not mutate it, and writers derive their own object from it with
 private).  :func:`freeze` is the guard for that rule — see
 :func:`set_freeze_guard`.
 
+Because written values and snapshots never change, successive revisions
+of one object share what did not change between them.
+``to_dict_against(base, wire)`` encodes an object against the base it
+was derived from and the base's wire dict: a field whose value *is* the
+base's reuses the wire's subtree, so a status write encodes the status
+and nothing else.  ``from_dict_against(data, base, wire)`` decodes the
+next revision against the previous one: a field whose wire subtree *is*
+the previous revision's takes the previous snapshot's child.  Identity
+implies equality on both sides; with the guard on, the apiserver checks
+each shortcut against the full serde (:func:`check_serde`).
+
 Objects are lean because the informer caches hold one per object per
 revision: every type is slotted (``__slots__`` derived from its own
 ``FIELDS``, so no instance carries a ``__dict__``), and ``from_dict``
@@ -32,7 +43,8 @@ interpreter time), so ``__init_subclass__`` compiles a specialized
 ``__init__``/``to_dict``/``from_dict``/``replace`` per type — the field
 loop, container dispatch, and default handling are resolved at
 class-creation time, the way :mod:`dataclasses` builds ``__init__`` —
-and ``copy`` the first time a type's ``copy`` is looked up.  The
+and ``copy``, ``to_dict_against`` and ``from_dict_against`` the first
+time a type's method is looked up.  The
 generated methods are the only serde: a subclass declares ``FIELDS``
 and never writes them by hand.
 """
@@ -97,12 +109,15 @@ class _Slotted(type):
 class Serializable(metaclass=_Slotted):
     """Base class implementing serde over a ``FIELDS`` declaration.
 
-    Every subclass gets five generated methods (see
+    Every subclass gets seven generated methods (see
     :class:`_SerdeCodegen`): ``__init__(**kwargs)`` filling undeclared
     fields with their defaults, ``to_dict()`` producing the camelCase
     wire representation, the classmethod ``from_dict(data)`` reading
     it back (unknown keys ignored, ``None`` passed through, absent
-    empty-default collections shared immutable empties), ``copy()`` —
+    empty-default collections shared immutable empties), their
+    structural-sharing forms ``to_dict_against(base, wire)`` and
+    ``from_dict_against(data, base, wire)`` (module docstring; compiled
+    at their first lookup), ``copy()`` —
     a fully private, mutable deep copy, compiled at its first lookup —
     and ``replace(**fields)`` — a new object of the same type holding
     the given field values and, for every other field, *the same* value
@@ -125,8 +140,10 @@ class Serializable(metaclass=_Slotted):
         cls.to_dict = gen.gen_to_dict(fields)
         cls.from_dict = classmethod(gen.gen_from_dict(fields))
         cls.replace = gen.gen_replace(fields)
-        # Set on every class, so that none inherits its base's clone.
+        # Set on every class, so that none inherits its base's methods.
         cls.copy = _COPY_ON_FIRST_USE
+        cls.to_dict_against = _TO_DICT_AGAINST_ON_FIRST_USE
+        cls.from_dict_against = _FROM_DICT_AGAINST_ON_FIRST_USE
 
     @classmethod
     def _wire_header(cls):
@@ -149,6 +166,8 @@ class Serializable(metaclass=_Slotted):
         return cached
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self.to_dict() == other.to_dict()
@@ -166,19 +185,31 @@ class Serializable(metaclass=_Slotted):
         return f"<{type(self).__name__} {self.to_dict()!r}>"
 
 
-class _CopyOnFirstUse:
-    """A class's ``copy`` until it is first looked up: the lookup
-    compiles the class's own direct clone and installs it in place of
-    this stand-in, so importing the API types pays nothing for the many
-    that a process never copies."""
+class _CompileOnFirstUse:
+    """A class's generated ``name`` method until it is first looked up:
+    the lookup compiles the class's own method with ``build`` and
+    installs it in place of this stand-in, so importing the API types
+    pays nothing for the many that a process never copies or rewrites."""
+
+    def __init__(self, name, build):
+        self.name = name
+        self.build = build
 
     def __get__(self, obj, owner):
         fields = tuple(owner._field_index().values())
-        owner.copy = _SerdeCodegen(owner).gen_copy(fields)
-        return owner.copy.__get__(obj, owner)
+        method = self.build(_SerdeCodegen(owner), fields)
+        setattr(owner, self.name, method)
+        return method.__get__(obj, owner)
 
 
-_COPY_ON_FIRST_USE = _CopyOnFirstUse()
+_COPY_ON_FIRST_USE = _CompileOnFirstUse(
+    "copy", lambda gen, fields: gen.gen_copy(fields))
+_TO_DICT_AGAINST_ON_FIRST_USE = _CompileOnFirstUse(
+    "to_dict_against",
+    lambda gen, fields: gen.gen_to_dict_against(fields))
+_FROM_DICT_AGAINST_ON_FIRST_USE = _CompileOnFirstUse(
+    "from_dict_against",
+    lambda gen, fields: classmethod(gen.gen_from_dict_against(fields)))
 
 
 def fast_deep_copy(value):
@@ -241,6 +272,24 @@ def set_freeze_guard(enabled):
         del Serializable.__setattr__
         del Serializable.__delattr__
     return previous
+
+
+def freeze_guard_on():
+    """Whether the guard is on.  The serde cross-checks run only then,
+    and only ever raise :class:`SerdeMismatch`."""
+    return _guard_on
+
+
+class SerdeMismatch(AssertionError):
+    """A structural-sharing shortcut disagreed with the full serde."""
+
+
+def check_serde(what, where, shortcut, full):
+    """Raise :class:`SerdeMismatch` unless a shortcut's result equals the
+    full serde's; ``where`` names the key and the revision."""
+    if shortcut != full:
+        raise SerdeMismatch(f"{what} of {where} differs from the full "
+                            f"serde: {shortcut!r} != {full!r}")
 
 
 def freeze(value):
@@ -458,6 +507,15 @@ class _SerdeCodegen:
             return f"{tname}.from_serialized({raw})"
         return raw
 
+    def decode_expr(self, field):
+        """``field``'s value decoded from a present wire value ``raw``."""
+        if field.container == "list":
+            return f"[{self.load_expr(field, 'item')} for item in raw]"
+        if field.container == "map":
+            return (f"{{key: {self.load_expr(field, 'value')}"
+                    f" for key, value in raw.items()}}")
+        return self.load_expr(field, "raw")
+
     def gen_from_dict(self, fields):
         lines = ["def from_dict(cls, data):",
                  "    if data is None:",
@@ -465,17 +523,10 @@ class _SerdeCodegen:
                  "    obj = cls.__new__(cls)",
                  "    get = data.get"]
         for field in fields:
-            if field.container == "list":
-                expr = f"[{self.load_expr(field, 'item')} for item in raw]"
-            elif field.container == "map":
-                expr = (f"{{key: {self.load_expr(field, 'value')}"
-                        f" for key, value in raw.items()}}")
-            else:
-                expr = self.load_expr(field, "raw")
             lines.append(f"    raw = get({field.json_name!r})")
             lines.append(f"    obj.{field.py_name} = "
                          f"{self.absent_expr(field)} if raw is None"
-                         f" else {expr}")
+                         f" else {self.decode_expr(field)}")
         lines.append("    return obj")
         return self.compile("from_dict", lines)
 
@@ -547,33 +598,125 @@ class _SerdeCodegen:
                     f" else _dump({value}))")
         return f"_dump({value})"
 
-    def gen_to_dict(self, fields):
+    def header_line(self):
         header_items = []
         for key, value in self.cls._wire_header():
             if value is None or isinstance(value, _SCALAR_TYPES):
                 header_items.append(f"{key!r}: {value!r}")
             else:
                 header_items.append(f"{key!r}: {self.const('wh', value)}")
-        lines = ["def to_dict(self):",
-                 "    out = {" + ", ".join(header_items) + "}"]
+        return "    out = {" + ", ".join(header_items) + "}"
+
+    def encode_lines(self, field, pad):
+        """``to_dict``'s lines writing ``v`` (the value of ``field``)
+        into ``out``, each line prefixed with ``pad``."""
+        key = field.json_name
+        if field.container is None:
+            return [f"{pad}if v is not None:",
+                    f"{pad}    out[{key!r}] = {self.dump_expr(field, 'v')}"]
+        if field.container == "list":
+            expr = f"[{self.dump_expr(field, 'item')} for item in v]"
+            empty = "[]"
+        else:
+            expr = (f"{{k: {self.dump_expr(field, 'item')}"
+                    f" for k, item in v.items()}}")
+            empty = "{}"
+        lines = [f"{pad}if v:", f"{pad}    out[{key!r}] = {expr}"]
+        if self.keeps_empty(field):
+            lines += [f"{pad}elif v is not None:",
+                      f"{pad}    out[{key!r}] = {empty}"]
+        return lines
+
+    def gen_to_dict(self, fields):
+        lines = ["def to_dict(self):", self.header_line()]
         for field in fields:
             lines.append(f"    v = self.{field.py_name}")
-            if field.container in ("list", "map"):
-                if field.container == "list":
-                    expr = f"[{self.dump_expr(field, 'item')} for item in v]"
-                    empty = "[]"
-                else:
-                    expr = (f"{{k: {self.dump_expr(field, 'item')}"
-                            f" for k, item in v.items()}}")
-                    empty = "{}"
-                lines.append("    if v:")
-                lines.append(f"        out[{field.json_name!r}] = {expr}")
-                if self.keeps_empty(field):
-                    lines.append("    elif v is not None:")
-                    lines.append(f"        out[{field.json_name!r}] = {empty}")
-            else:
-                lines.append("    if v is not None:")
-                lines.append(f"        out[{field.json_name!r}] = "
-                             f"{self.dump_expr(field, 'v')}")
+            lines += self.encode_lines(field, "    ")
         lines.append("    return out")
         return self.compile("to_dict", lines)
+
+    def shares_children(self, field):
+        """Whether a single child of ``field`` is encoded and decoded
+        against its base's child (a nested API type) rather than whole."""
+        return (field.container is None and field.type is not None
+                and issubclass(field.type, Serializable))
+
+    def gen_to_dict_against(self, fields):
+        """``to_dict`` against a base object and the wire dict ``wire``
+        that is the base's encoding: a field whose value *is* the base's
+        reuses the wire's subtree, a nested object is encoded against
+        the base's child, and everything else is encoded as ``to_dict``
+        would.  Returns ``wire`` itself when nothing differs."""
+        lines = ["def to_dict_against(self, base, wire):",
+                 '    """``to_dict()``, sharing every subtree of ``wire``'
+                 ' (the encoding of ``base``) whose field is unchanged."""',
+                 self.header_line(),
+                 "    same = True"]
+        for field in fields:
+            key = field.json_name
+            lines += [f"    v = self.{field.py_name}",
+                      f"    b = base.{field.py_name}",
+                      f"    if v is b and {key!r} in wire:",
+                      f"        out[{key!r}] = wire[{key!r}]"]
+            if self.shares_children(field):
+                tname = self.const("ty", field.type)
+                lines += [
+                    "    elif v is not None:",
+                    f"        w = wire.get({key!r})",
+                    f"        if (type(v) is {tname} and type(b) is {tname}"
+                    " and isinstance(w, dict)):",
+                    "            d = v.to_dict_against(b, w)",
+                    "        else:",
+                    "            d = _dump(v)",
+                    f"        out[{key!r}] = d",
+                    "        if d is not w:",
+                    "            same = False",
+                    f"    elif {key!r} in wire:",
+                    "        same = False"]
+            else:
+                lines.append("    else:")
+                lines += self.encode_lines(field, "        ")
+                lines += [f"        if {key!r} in out or {key!r} in wire:",
+                          "            same = False"]
+        lines += ["    if same and len(out) == len(wire):",
+                  "        return wire",
+                  "    return out"]
+        return self.compile("to_dict_against", lines)
+
+    def gen_from_dict_against(self, fields):
+        """``from_dict`` of ``data`` against a base object decoded from
+        ``wire``: a field whose wire value *is* the same object in both
+        dicts takes the base's value, a nested object whose wire values
+        differ is decoded against the base's child, and everything else
+        is decoded as ``from_dict`` would."""
+        lines = ["def from_dict_against(cls, data, base, wire):",
+                 '    """``from_dict(data)``, sharing every child of'
+                 ' ``base`` whose wire subtree ``data`` shares with'
+                 ' ``wire``."""',
+                 "    obj = cls.__new__(cls)",
+                 "    get = data.get",
+                 "    wget = wire.get"]
+        for field in fields:
+            key, name = field.json_name, field.py_name
+            lines += [f"    raw = get({key!r})",
+                      "    if raw is None:",
+                      f"        obj.{name} = {self.absent_expr(field)}",
+                      f"    elif raw is wget({key!r}):",
+                      f"        obj.{name} = base.{name}"]
+            decode = self.decode_expr(field)
+            if self.shares_children(field):
+                tname = self.const("ty", field.type)
+                lines += [
+                    "    else:",
+                    f"        w = wget({key!r})",
+                    f"        b = base.{name}",
+                    f"        if (type(b) is {tname} and isinstance(raw, dict)"
+                    " and isinstance(w, dict)):",
+                    f"            obj.{name} = {tname}.from_dict_against("
+                    "raw, b, w)",
+                    "        else:",
+                    f"            obj.{name} = {decode}"]
+            else:
+                lines += ["    else:", f"        obj.{name} = {decode}"]
+        lines.append("    return obj")
+        return self.compile("from_dict_against", lines)

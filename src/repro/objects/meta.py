@@ -2,7 +2,7 @@
 
 import itertools
 
-from .base import Field, Serializable
+from .base import Field, Serializable, check_serde, freeze_guard_on
 
 
 def generate_uid(sim):
@@ -69,6 +69,11 @@ class KubeObject(Serializable):
     FIELDS = (
         Field("metadata", type=ObjectMeta, default_factory=ObjectMeta),
     )
+    # ``_wire``: the stored wire dict an apiserver snapshot was decoded
+    # from (set by the apiserver only; see :func:`wire_chars`).  No
+    # other object has it: ``replace``/``copy``/``from_dict`` leave it
+    # unset.
+    __slots__ = ("metadata", "_wire")
 
     @classmethod
     def _wire_header(cls):
@@ -95,6 +100,76 @@ class KubeObject(Serializable):
 
     def __repr__(self):
         return f"<{self.KIND} {self.key!r} rv={self.metadata.resource_version}>"
+
+
+# ``'resourceVersion': '<rv>', `` less the ``<rv>``: what the stamped
+# resourceVersion adds to ``str(to_dict())`` of a snapshot whose wire
+# dict was stored without one (its metadata always holds a name too).
+_STAMPED_RV_CHARS = len(str({"resourceVersion": "", "x": 0})) - len(
+    str({"x": 0}))
+
+
+def wire_chars(obj):
+    """``len(str(obj.to_dict()))``, without the encode for an apiserver
+    snapshot: its stored wire dict plus the resourceVersion stamped on
+    it at decode.  Under the freeze guard the shortcut is checked
+    against the encode."""
+    wire = getattr(obj, "_wire", None)
+    if wire is None:
+        return len(str(obj.to_dict()))
+    rv = obj.metadata.resource_version
+    chars = len(str(wire)) + _STAMPED_RV_CHARS + len(rv)
+    if freeze_guard_on():
+        check_serde("wire size", f"{obj.key!r} at revision {rv}",
+                    chars, len(str(obj.to_dict())))
+    return chars
+
+
+def same_spec(old, new, ignore=()):
+    """Whether two objects' specs have equal wire forms, the top-level
+    wire keys in ``ignore`` aside.  An object without a spec matches
+    anything, and a spec matches itself without being encoded.  A
+    snapshot's spec is read off its stored wire dict, and the other
+    spec is encoded against it (so children the two share are not
+    re-encoded, and compare by identity)."""
+    old_spec = getattr(old, "spec", None)
+    new_spec = getattr(new, "spec", None)
+    if old_spec is new_spec or old_spec is None or new_spec is None:
+        return True
+    old_wire = _stored_spec(old)
+    new_wire = _stored_spec(new)
+    if old_wire is None:
+        old_wire = _spec_wire(old_spec, new_spec, new_wire)
+    if new_wire is None:
+        new_wire = _spec_wire(new_spec, old_spec, old_wire)
+    if ignore:
+        old_wire = {key: value for key, value in old_wire.items()
+                    if key not in ignore}
+        new_wire = {key: value for key, value in new_wire.items()
+                    if key not in ignore}
+    return old_wire == new_wire
+
+
+def _stored_spec(obj):
+    """The spec subtree of an apiserver snapshot's wire dict, else None."""
+    wire = getattr(obj, "_wire", None)
+    return None if wire is None else wire.get("spec")
+
+
+def _spec_wire(spec, other, other_wire):
+    """``spec``'s wire form, encoded against ``other`` where that is a
+    spec of the same type whose wire form ``other_wire`` is known."""
+    if not isinstance(spec, Serializable):
+        return dict(spec)
+    if other_wire is None or type(other) is not type(spec):
+        return spec.to_dict()
+    wire = spec.to_dict_against(other, other_wire)
+    if freeze_guard_on():
+        # Compared, never stored: equality is what must hold (a
+        # snapshot's wire replayed from a log has sorted keys).
+        check_serde("shared spec encode", type(spec).__name__,
+                    wire, spec.to_dict())
+    return wire
 
 
 class ObjectReference(Serializable):

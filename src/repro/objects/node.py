@@ -76,6 +76,15 @@ class NodeStatus(Serializable):
         existing.reason = reason
         existing.last_heartbeat_time = now
 
+    def with_condition(self, condition_type, status, reason=None, now=None):
+        """A new status with one condition set, sharing every other
+        field with this one (a heartbeat re-encodes only the
+        conditions, see ``Serializable.to_dict_against``)."""
+        new = self.replace(conditions=[condition.copy()
+                                       for condition in self.conditions])
+        new.set_condition(condition_type, status, reason=reason, now=now)
+        return new
+
     @property
     def is_ready(self):
         condition = self.get_condition("Ready")

@@ -2,6 +2,8 @@
 
 import re
 
+from .meta import same_spec
+
 _DNS1123_LABEL = re.compile(r"^[a-z0-9]([-a-z0-9]*[a-z0-9])?$")
 _DNS1123_SUBDOMAIN = re.compile(
     r"^[a-z0-9]([-a-z0-9]*[a-z0-9])?(\.[a-z0-9]([-a-z0-9]*[a-z0-9])?)*$"
@@ -77,18 +79,13 @@ def validate_pod(pod):
 
 def validate_pod_update(old_pod, new_pod):
     """Pod specs are mostly immutable; only permitted mutations allowed."""
-    old_spec = old_pod.spec.to_dict()
-    new_spec = new_pod.spec.to_dict()
     # Binding a pod (setting nodeName from empty) is allowed.
-    old_spec.pop("nodeName", None)
-    allowed_new_node = new_spec.pop("nodeName", None)
-    if old_pod.spec.node_name and allowed_new_node != old_pod.spec.node_name:
+    if (old_pod.spec.node_name
+            and new_pod.spec.node_name != old_pod.spec.node_name):
         raise ValidationError("pod nodeName may not be changed once set",
                               "spec.nodeName")
     # Tolerations may be appended.
-    old_spec.pop("tolerations", None)
-    new_spec.pop("tolerations", None)
-    if old_spec != new_spec:
+    if not same_spec(old_pod, new_pod, ignore=("nodeName", "tolerations")):
         raise ValidationError("pod spec is immutable after creation", "spec")
 
 

@@ -72,20 +72,28 @@ class StoredValue:
     """One key's value at one revision, plus its MVCC bookkeeping.
 
     Immutable once written (an update stores a new ``StoredValue``),
-    except for ``decoded``: a memo slot the store never reads, filled by
-    the first apiserver reader with the typed snapshot of ``value`` at
-    ``mod_revision`` and shared by every later reader.
+    except for two slots the store never reads: ``decoded``, a memo
+    filled by the apiserver with the typed snapshot of ``value`` at
+    ``mod_revision`` and shared by every later reader, and ``canonical``,
+    set by the apiserver on a value it encoded itself (so its key order
+    is the encoder's, not, say, the sorted order of a value replayed
+    from a log).  A DELETE event's record also carries ``deleted``, the
+    record it removed, until the apiserver has re-stamped that record's
+    snapshot for it.
     """
 
     __slots__ = ("value", "create_revision", "mod_revision", "version",
-                 "decoded")
+                 "decoded", "canonical", "deleted")
 
-    def __init__(self, value, create_revision, mod_revision, version):
+    def __init__(self, value, create_revision, mod_revision, version,
+                 deleted=None):
         self.value = value
         self.create_revision = create_revision
         self.mod_revision = mod_revision
         self.version = version
         self.decoded = None
+        self.canonical = False
+        self.deleted = deleted
 
 
 class WatchEvent:
@@ -94,8 +102,9 @@ class WatchEvent:
     ``stored`` is the :class:`StoredValue` the event describes: for a
     PUT the very record the store holds for the key at ``revision`` (so
     watchers and readers share its ``decoded`` memo); a DELETE — whose
-    object carries the delete revision — and an event built outside the
-    store get a record of their own.
+    object carries the delete revision — gets a record of its own whose
+    ``deleted`` is the removed record, and an event built outside the
+    store gets a plain record of its own.
     """
 
     __slots__ = ("type", "key", "value", "revision", "prev_value", "stored")
@@ -391,8 +400,10 @@ class EtcdStore:
         self._revision += 1
         del self._data[key]
         self._index_remove(key)
-        self._emit(WatchEvent(EVENT_DELETE, key, stored.value,
-                              self._revision))
+        self._emit(WatchEvent(
+            EVENT_DELETE, key, stored.value, self._revision,
+            stored=StoredValue(stored.value, self._revision,
+                               self._revision, 1, deleted=stored)))
         return self._revision
 
     def txn(self, ops):

@@ -141,9 +141,8 @@ class VirtualKubelet:
                 return
             try:
                 node = yield from self.client.get("nodes", self.node_name)
-                status = node.status.copy()
-                status.set_condition("Ready", "True", reason="VKReady",
-                                     now=self.sim.now)
+                status = node.status.with_condition(
+                    "Ready", "True", reason="VKReady", now=self.sim.now)
                 yield from self.client.update_status(
                     node.replace(status=status))
             except ApiError:

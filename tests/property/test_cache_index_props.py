@@ -162,3 +162,46 @@ def test_access_counters_attribute_reads(operations):
     cache.select(lambda obj: True)
     assert cache.full_scans == 2
     assert cache.index_lookups == 3
+
+
+def _restatus(pod, phase):
+    """The same object with only its status changed (a status write)."""
+    return pod.replace(status=pod.status.replace(phase=phase))
+
+
+restatus_st = st.tuples(st.just("restatus"), st.sampled_from(NAMES),
+                        st.sampled_from(NAMESPACES),
+                        st.sampled_from(["Running", "Succeeded"]))
+
+
+@given(st.lists(st.one_of(operation_st, restatus_st), max_size=40))
+@settings(max_examples=200)
+def test_upserts_leave_the_indexes_a_fresh_cache_builds(operations):
+    """An upsert re-indexes only what changed: after any upsert, delete,
+    replace and status-only sequence, every ``index_keys`` and
+    ``select_labels`` answer equals that of a cache built from scratch
+    out of the same objects."""
+    cache = ObjectCache()
+    cache.add_index("phase", lambda obj: (obj.status.phase,))
+    for operation in operations:
+        if operation[0] == "restatus":
+            _op, name, namespace, phase = operation
+            current = cache.get(f"{namespace}/{name}")
+            if current is not None:
+                cache.upsert(_restatus(current, phase))
+        else:
+            _apply(cache, [operation])
+    fresh = ObjectCache()
+    fresh.add_index("phase", lambda obj: (obj.status.phase,))
+    fresh.replace(cache.items())
+    assert cache._indexed_values == fresh._indexed_values
+    assert cache._postings == fresh._postings
+    for name, postings in fresh._postings.items():
+        for value in postings:
+            assert cache.index_keys(name, value) == fresh.index_keys(
+                name, value)
+    for key in LABEL_KEYS:
+        for value in LABEL_VALUES:
+            selector = {key: value}
+            assert _keys(cache.select_labels(selector)) == _keys(
+                fresh.select_labels(selector))

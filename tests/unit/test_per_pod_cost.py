@@ -325,3 +325,106 @@ def test_store_history_keeps_no_earlier_instant():
         latest}
     assert store.stats()["compacted_revision"] == min(
         revision for revision, at in written_at.items() if at == latest) - 1
+
+
+# ----------------------------------------------------------------------
+# Structural sharing: a status write re-encodes no spec, a Pod's spec is
+# decoded once per store however many revisions it has, and the memory
+# meter sizes a snapshot from its stored wire dict.  Counted with the
+# freeze guard off, as a production run is: under the guard every
+# shortcut is also checked against the full serde, which calls it.
+# ----------------------------------------------------------------------
+
+
+def _drive_serde():
+    """The direct-to-super load; returns serde counts for the time the
+    Pods were in flight."""
+    from repro.apiserver.server import APIServer
+    from repro.clientgo import cache as cache_module
+    from repro.objects import PodSpec
+    from repro.objects.base import set_freeze_guard
+
+    env = VirtualClusterEnv(seed=11, num_virtual_nodes=10)
+    env.bootstrap()
+    admin = env.super_admin_client()
+    env.run_coroutine(admin.create(make_namespace("load")))
+    env.run_for(1.0)
+    counts = dict.fromkeys(("status_writes", "status_spec_encodes",
+                            "spec_decodes", "meter_calls",
+                            "meter_snapshots", "meter_encodes"), 0)
+    inside = set()
+
+    def tracking(name, original):
+        def wrapper(*args, **kwargs):
+            inside.add(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.discard(name)
+        return wrapper
+
+    update_core = APIServer._update_core
+    wire_chars = cache_module.wire_chars
+    to_dict = {cls: cls.to_dict for cls in (Pod, PodSpec)}
+    spec_from_dict = PodSpec.from_dict.__func__
+
+    def counting_update_core(self, credential, obj, subresource=None):
+        if subresource == "status" and isinstance(obj, Pod):
+            counts["status_writes"] += 1
+            return tracking("status", update_core)(
+                self, credential, obj, subresource=subresource)
+        return update_core(self, credential, obj, subresource=subresource)
+
+    def counting_wire_chars(obj):
+        if isinstance(obj, Pod):
+            counts["meter_calls"] += 1
+            counts["meter_snapshots"] += hasattr(obj, "_wire")
+        return tracking("meter", wire_chars)(obj)
+
+    def counting_to_dict(cls):
+        def wrapper(self):
+            if cls is PodSpec and "status" in inside:
+                counts["status_spec_encodes"] += 1
+            if cls is Pod and "meter" in inside:
+                counts["meter_encodes"] += 1
+            return to_dict[cls](self)
+        return wrapper
+
+    def counting_spec_from_dict(cls, data):
+        counts["spec_decodes"] += 1
+        return spec_from_dict(cls, data)
+
+    was_on = set_freeze_guard(False)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(APIServer, "_update_core", counting_update_core)
+            patch.setattr(cache_module, "wire_chars", counting_wire_chars)
+            for cls in to_dict:
+                patch.setattr(cls, "to_dict", counting_to_dict(cls))
+            patch.setattr(PodSpec, "from_dict",
+                          classmethod(counting_spec_from_dict))
+            _submit_and_wait(env, admin)
+    finally:
+        set_freeze_guard(was_on)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def serde_counts():
+    return _drive_serde()
+
+
+def test_status_writes_encode_no_spec(serde_counts):
+    assert serde_counts["status_writes"] >= PODS
+    assert serde_counts["status_spec_encodes"] == 0
+
+
+def test_pod_spec_decoded_once_per_pod_per_store(serde_counts):
+    """Create, bind and status revisions of a Pod share one decoded
+    spec's children: the spec itself is decoded whole only once."""
+    assert serde_counts["spec_decodes"] == PODS
+
+
+def test_meter_sizes_snapshots_without_encoding(serde_counts):
+    assert serde_counts["meter_snapshots"] == serde_counts["meter_calls"] > 0
+    assert serde_counts["meter_encodes"] == 0
