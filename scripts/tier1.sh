@@ -16,9 +16,12 @@
 #     pip install -e ".[coverage]"
 #
 # --smoke runs the scenario gate (DESIGN.md §14): every file under
-# scenarios/smoke (the chaos, HA, durability, overload and telemetry
-# mixes, each with load running through its fault windows and
-# telemetry floors that fail if a feature did not engage) and under
+# scenarios/smoke (chaos_base, chaos_ha, ha_partition, durability,
+# apf_storm, telemetry_core and unschedulable_start: the chaos, HA,
+# HA-partition, durability, overload, telemetry and
+# scheduler-failure-path mixes, each with load running through its
+# fault windows and telemetry floors that fail if a feature did not
+# engage) and under
 # scenarios/corpus replays to its recorded converged-state digest
 # twice in a row — a replay that differs from the previous one is
 # bisected to its first divergent store event — and then runs each

@@ -12,25 +12,16 @@ Everything is driven by the simulation clock and the simulation RNG, so
 a chaos run is exactly reproducible from its seed.
 
 Every schedulable fault is one row of :data:`repro.chaos.faults.FAULTS`
-(DSL name → class, legal targets, parameters, builder); a scenario
-file's ``chaos:`` block is the front door (``python -m repro.scenarios
-run FILE --report``).  Programmatic use, on a two-replica syncer::
-
-    config = DEFAULT_CONFIG.with_overrides(syncer={"replicas": 2})
-    env = VirtualClusterEnv(config=config, num_virtual_nodes=3)
-    env.bootstrap()
-    tenant = env.run_coroutine(env.create_tenant("acme"))
-    engine = ChaosEngine(env, seed=7)
-    engine.add(OneShot(5.0, duration=3.0),
-               ApiServerCrash(tenant.control_plane))
-    engine.add(OneShot(10.0, duration=5.0), KillLeader(env.syncer_ha))
-    engine.start()
-    env.run_for(20.0)
-    engine.stop()
-    report = engine.report()
+(DSL name → class, legal targets, parameters, builder).  A scenario
+file's ``chaos:`` block is the one way to schedule them: each entry
+names a fault, a target and a schedule (oneshot, periodic or random
+windows), and ``run_scenario`` drives them with a :class:`ChaosEngine`.
+``scenarios/smoke/chaos_base.yaml`` is the base mix; run it with
+``python -m repro.scenarios run scenarios/smoke/chaos_base.yaml
+--report``.
 """
 
-from .engine import ChaosEngine, random_plan
+from .engine import ChaosEngine
 from .faults import (
     FAULTS,
     ApiRequestFault,
@@ -44,7 +35,6 @@ from .faults import (
     WatchDrop,
     WorkerCrash,
 )
-from .schedule import OneShot, Periodic, RandomWindows, Schedule
 
 __all__ = [
     "ApiRequestFault",
@@ -56,12 +46,7 @@ __all__ = [
     "ForcedCompaction",
     "KillLeader",
     "NetworkPartition",
-    "OneShot",
-    "Periodic",
-    "RandomWindows",
     "RestoreFromSnapshot",
-    "Schedule",
     "WatchDrop",
     "WorkerCrash",
-    "random_plan",
 ]

@@ -1,68 +1,40 @@
 """The chaos engine: schedules × faults on the simulation clock.
 
 The engine owns a dedicated ``random.Random`` seeded from the chaos
-seed (or derived deterministically from the simulation RNG), walks each
-schedule's windows in a simulation process, and records a timeline of
-inject/restore actions.  After the run, :meth:`ChaosEngine.report`
-summarizes what was injected and :func:`check_convergence` tells
-whether the system healed.
+seed, walks each schedule's windows in a simulation process, and
+records a timeline of inject/restore actions.  A schedule is a
+scenario file's ``ScheduleSpec`` (``repro.scenarios.model``), and
+``run_scenario`` is the engine's one caller.  After the run,
+:meth:`ChaosEngine.report` summarizes what was injected and
+:func:`check_convergence` tells whether the system healed.
 """
 
 import random
 
 from repro.simkernel.errors import Interrupt
 
-from .faults import (
-    ApiRequestFault,
-    ApiServerCrash,
-    ForcedCompaction,
-    NetworkPartition,
-    WatchDrop,
-    WorkerCrash,
-)
-from .schedule import OneShot, Periodic, RandomWindows
-
 
 class ChaosEngine:
     """Composes fault schedules over a :class:`VirtualClusterEnv`."""
 
-    def __init__(self, env, seed=None, name="chaos"):
+    def __init__(self, env, seed, name="chaos"):
         self.env = env
         self.sim = env.sim
         self.name = name
-        if seed is None:
-            # Derived from the sim RNG: still fully deterministic per
-            # simulation seed, without forcing callers to pick one.
-            seed = self.sim.rng.randrange(2**32)
         self.seed = seed
         self.rng = random.Random(seed)
         self._entries = []  # (schedule, fault)
         self._processes = []
-        self._started = False
         self.timeline = []  # (sim_time, fault_name, action)
 
-    # ------------------------------------------------------------------
-    # Plan assembly
-    # ------------------------------------------------------------------
-
     def add(self, schedule, fault):
-        """Register ``fault`` to fire on ``schedule``; returns the fault."""
+        """Register ``fault`` to fire on ``schedule`` (a ``ScheduleSpec``)
+        once :meth:`start` runs; returns the fault."""
         fault.bind(self.sim, self.rng)
         self._entries.append((schedule, fault))
-        if self._started:
-            self._processes.append(self.sim.spawn(
-                self._drive(schedule, fault),
-                name=f"{self.name}-{fault.name}"))
         return fault
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
     def start(self):
-        if self._started:
-            return
-        self._started = True
         for schedule, fault in self._entries:
             self._processes.append(self.sim.spawn(
                 self._drive(schedule, fault),
@@ -73,7 +45,6 @@ class ChaosEngine:
         for process in self._processes:
             process.interrupt("chaos engine stopped")
         self._processes = []
-        self._started = False
 
     def _drive(self, schedule, fault):
         active = False
@@ -98,15 +69,11 @@ class ChaosEngine:
     def _mark(self, fault, action):
         self.timeline.append((self.sim.now, fault.name, action))
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
     def report(self):
         return {
             "seed": self.seed,
             "faults": [{"fault": fault.name,
-                        "schedule": schedule.describe(),
+                        "schedule": schedule.to_dict(),
                         "injections": fault.injections,
                         **fault.counters()}
                        for schedule, fault in self._entries],
@@ -117,17 +84,19 @@ class ChaosEngine:
 
 def format_report(report):
     """ASCII rendering of a :meth:`ChaosEngine.report` dict: one row
-    per fault (did it bite?), then the inject/restore timeline."""
+    per fault (did it bite?, and its schedule as the scenario file
+    writes it), then the inject/restore timeline."""
     lines = [f"chaos report (seed={report['seed']})",
-             f"{'fault':<34} {'schedule':<34} {'fired':>5}  extra",
+             f"{'fault':<24} {'fired':>5}  {'extra':<40} schedule",
              "-" * 86]
     for entry in report["faults"]:
         extra = " ".join(
             f"{key}={entry[key]}" for key in sorted(entry)
             if key not in ("fault", "schedule", "injections"))
-        lines.append(f"{entry['fault']:<34.34} "
-                     f"{entry['schedule']:<34.34} "
-                     f"{entry['injections']:>5}  {extra}")
+        schedule = ", ".join(f"{key}: {value}"
+                             for key, value in entry["schedule"].items())
+        lines.append(f"{entry['fault']:<24.24} {entry['injections']:>5}  "
+                     f"{extra:<40} {{{schedule}}}")
     lines.append("timeline:")
     lines.extend(f"  t={when:9.3f}s  {action:<7} {fault}"
                  for when, fault, action in report["timeline"])
@@ -226,56 +195,3 @@ def check_convergence(env):
         "open_circuits": open_circuits,
         "queues": queues,
     }
-
-
-def random_plan(engine, horizon=60.0):
-    """A seeded random fault mix over every injection point of the env.
-
-    Deterministic per engine seed: which tenants are partitioned, which
-    verbs degrade, and every window boundary all come from the engine
-    RNG.  ``horizon`` scales the schedule density so roughly the same
-    number of windows land in a short smoke run as in a long soak.
-    """
-    env = engine.env
-    rng = engine.rng
-    syncer = env.syncer
-    tenant_keys = sorted(env.tenants)
-
-    # Partition the syncer from 1..half of the tenants (at least one).
-    count = max(1, len(tenant_keys) // 2)
-    for key in sorted(rng.sample(tenant_keys, count)):
-        client = syncer.tenants[key].client
-        engine.add(
-            RandomWindows(mean_gap=horizon / 4.0,
-                          duration_range=(horizon / 30.0, horizon / 10.0)),
-            NetworkPartition(client, name=f"partition:{key}"))
-
-    # Per-verb error + latency injection on the super apiserver.
-    engine.add(
-        RandomWindows(mean_gap=horizon / 5.0,
-                      duration_range=(horizon / 40.0, horizon / 15.0)),
-        ApiRequestFault(env.super_cluster, verbs=("create", "update"),
-                        error_rate=rng.uniform(0.2, 0.6),
-                        extra_latency=rng.uniform(0.0, 0.05),
-                        name="reqfault:super"))
-
-    # Watch drops and a forced compaction on one tenant control plane.
-    victim = rng.choice(tenant_keys)
-    victim_cp = env.tenants[victim].control_plane
-    engine.add(Periodic(period=horizon / 3.0, count=2),
-               WatchDrop(victim_cp, name=f"watchdrop:{victim}"))
-    engine.add(OneShot(at=rng.uniform(horizon / 4.0, horizon / 2.0)),
-               ForcedCompaction(victim_cp, name=f"compact:{victim}"))
-
-    # A short full crash of another tenant apiserver.
-    crash_victim = rng.choice(tenant_keys)
-    engine.add(
-        OneShot(at=rng.uniform(horizon / 5.0, horizon / 2.0),
-                duration=rng.uniform(horizon / 20.0, horizon / 8.0)),
-        ApiServerCrash(env.tenants[crash_victim].control_plane,
-                       name=f"crash:{crash_victim}"))
-
-    # Syncer worker crashes: the watchdog has to respawn them.
-    engine.add(Periodic(period=horizon / 6.0, count=4),
-               WorkerCrash(syncer, count=1))
-    return engine

@@ -131,9 +131,6 @@ class TraceStore:
     # Aggregations used by the benchmark harness
     # ------------------------------------------------------------------
 
-    def creation_times(self):
-        return [trace.total for trace in self._completed]
-
     def mean_phase_breakdown(self):
         """Average seconds per phase across completed traces (Fig. 8)."""
         if not self._completed:

@@ -46,7 +46,6 @@ from .runner import (
     CompiledWorkload,
     ScenarioResult,
     compile_load,
-    compile_schedule,
     derive_seed,
     record_scenario,
     run_scenario,
@@ -92,7 +91,6 @@ __all__ = [
     "TopologySpec",
     "WorkloadSpec",
     "compile_load",
-    "compile_schedule",
     "corpus_paths",
     "derive_seed",
     "dumps",

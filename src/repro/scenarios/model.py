@@ -50,6 +50,10 @@ from .errors import ScenarioError
 from .shapes import Shape
 
 SCHEDULE_TYPES = ("oneshot", "periodic", "random")
+#: The shortest gap a random schedule draws, in seconds.
+MIN_GAP = 0.1
+#: A random schedule's ``duration_range`` when none is written.
+DURATION_RANGE = (0.5, 3.0)
 
 
 def _check_unique(items, where, what, why=""):
@@ -184,24 +188,43 @@ class ScheduleSpec(Spec):
                 f"{where}.duration_range: expected two numbers [lo, hi] "
                 f"with 0 <= lo <= hi, got {span!r}")
 
-    def windows(self):
-        """Statically known ``[start, end)`` windows (for overlap checks).
+    def windows(self, rng):
+        """Yield ``(delay, duration)`` windows, each delay counted from
+        the close of the previous window (the first from the engine's
+        start).
 
-        Random schedules return ``None`` — their windows depend on the
-        engine RNG, so overlap cannot be checked statically.
+        A periodic schedule's first window waits ``period + offset``.  A
+        random one draws lazily from ``rng``, the engine's seeded
+        ``random.Random``: per window an exponential gap of mean
+        ``mean_gap`` (at least :data:`MIN_GAP`), then a duration uniform
+        over ``duration_range`` (default :data:`DURATION_RANGE`).
         """
         if self.type == "oneshot":
-            return [(self.at, self.at + self.duration)]
-        if self.type == "periodic":
-            # Mirrors repro.chaos.schedule.Periodic: first window opens
-            # after offset + period, the k-th after k periods.
-            out = []
-            for k in range(self.count):
-                start = self.offset + (k + 1) * self.period + \
-                    k * self.duration
-                out.append((start, start + self.duration))
-            return out
-        return None
+            yield (self.at, self.duration)
+            return
+        low, high = self.duration_range or DURATION_RANGE
+        for index in range(self.count):
+            if self.type == "periodic":
+                yield (self.period + (self.offset if index == 0 else 0.0),
+                       self.duration)
+            else:
+                gap = max(MIN_GAP, rng.expovariate(1.0 / self.mean_gap))
+                yield (gap, rng.uniform(low, high))
+
+    def spans(self):
+        """The absolute ``[start, end)`` windows, from :meth:`windows`.
+
+        A random schedule returns ``None``: its windows depend on the
+        engine RNG, so they cannot be known before the run.
+        """
+        if self.type == "random":
+            return None
+        out, clock = [], 0.0
+        for delay, duration in self.windows(rng=None):
+            start = clock + delay
+            clock = start + duration
+            out.append((start, clock))
+        return out
 
 
 class ChaosSpec(Spec):
@@ -262,7 +285,7 @@ def _check_chaos_overlaps(entries, where):
     """
     by_key = {}
     for index, entry in enumerate(entries):
-        windows = entry.schedule.windows()
+        windows = entry.schedule.spans()
         if windows is None:
             continue
         key = (entry.fault, entry.target)

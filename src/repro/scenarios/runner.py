@@ -31,7 +31,6 @@ from repro.analysis.bisect import ReplayRecorder, first_divergence
 from repro.apiserver.errors import ApiError
 from repro.chaos.engine import ChaosEngine, check_convergence, stored_pods
 from repro.chaos.faults import FAULTS
-from repro.chaos.schedule import OneShot, Periodic, RandomWindows
 from repro.config import DEFAULT_CONFIG
 from repro.core.env import VirtualClusterEnv
 from repro.network import NetworkLink
@@ -114,19 +113,6 @@ def compile_load(scenario):
                 compiled.append(CompiledWorkload(
                     tenant.name, workload.name, plan))
     return compiled
-
-
-def compile_schedule(spec):
-    """ScheduleSpec → a `repro.chaos.schedule` instance."""
-    if spec.type == "oneshot":
-        return OneShot(at=spec.at, duration=spec.duration)
-    if spec.type == "periodic":
-        return Periodic(period=spec.period, duration=spec.duration,
-                        count=spec.count, offset=spec.offset)
-    return RandomWindows(
-        mean_gap=spec.mean_gap,
-        duration_range=tuple(spec.duration_range or (0.5, 3.0)),
-        count=spec.count)
 
 
 def scenario_config(control):
@@ -264,7 +250,7 @@ def run_scenario(scenario, schedule=None):
     engine = ChaosEngine(env, seed=derive_seed(scenario.seed, "chaos"),
                          name=f"chaos-{scenario.name}")
     for entry in scenario.chaos:
-        engine.add(compile_schedule(entry.schedule),
+        engine.add(entry.schedule,
                    FAULTS[entry.fault].build(env, handles, entry.target,
                                              entry.params))
     engine.start()

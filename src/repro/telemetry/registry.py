@@ -91,10 +91,6 @@ class Histogram:
         self.sum += value
         self.counts[bisect_left(self.bounds, value)] += 1
 
-    @property
-    def mean(self):
-        return self.sum / self.count if self.count else 0.0
-
     def cumulative(self):
         """Cumulative counts per bucket (Prometheus ``le`` semantics)."""
         out = []
@@ -103,28 +99,6 @@ class Histogram:
             running += count
             out.append(running)
         return out
-
-    def quantile(self, q):
-        """Estimate the q-quantile (q in [0, 1]) by linear interpolation
-        within the bucket containing the target rank."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        running = 0
-        low = 0.0
-        for index, count in enumerate(self.counts):
-            if count == 0:
-                if index < len(self.bounds):
-                    low = self.bounds[index]
-                continue
-            if running + count >= target:
-                high = (self.bounds[index] if index < len(self.bounds)
-                        else low)
-                frac = (target - running) / count
-                return low + (high - low) * min(max(frac, 0.0), 1.0)
-            running += count
-            low = self.bounds[index] if index < len(self.bounds) else low
-        return self.bounds[-1] if self.bounds else 0.0
 
 
 _CHILD_TYPES = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}

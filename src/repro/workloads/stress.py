@@ -41,12 +41,3 @@ class StressResult:
         index = min(len(ordered) - 1,
                     max(0, round(pct / 100.0 * (len(ordered) - 1))))
         return ordered[index]
-
-    def histogram(self, bucket_width=1.0, max_buckets=30):
-        """(bucket_start, count) pairs of creation times (Fig. 7)."""
-        counts = {}
-        for value in self.creation_times:
-            bucket = min(int(value // bucket_width), max_buckets - 1)
-            counts[bucket] = counts.get(bucket, 0) + 1
-        return sorted((bucket * bucket_width, count)
-                      for bucket, count in counts.items())

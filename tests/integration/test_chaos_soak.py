@@ -1,128 +1,97 @@
-"""Chaos soak: seeded random fault schedules + full convergence.
+"""Chaos soak: the base fault mix of ``scenarios/smoke/chaos_base.yaml``
+through ``run_scenario``, then full convergence.
 
-The fast smoke test rides in tier-1; the multi-seed soak runs are marked
-``soak`` (``pytest -m soak``) and are what the robustness claim rests
-on: for every seed, after the fault plan ends the system converges —
-every tenant pod matched by an equally-ready super pod, no orphans, the
-queues drained, every circuit closed — and the whole run is replayable
-bit-for-bit from its seed.
+The fast smoke test rides in tier-1 and runs the file as written.  The
+multi-seed soak runs are marked ``soak`` (``pytest -m soak``) and are
+what the robustness claim rests on: the same mix at other seeds (each
+seed draws its own random windows and its own run), with a third tenant
+rolling its fleet (delete + recreate) through the fault windows.  For
+every seed, after the fault plan ends the system converges — every
+tenant pod matched by an equally-ready super pod, no orphans, the queues
+drained, every circuit closed — new work still flows end to end, and
+the whole run is replayable bit-for-bit from its seed.
 """
+
+import os
 
 import pytest
 
-from repro.chaos import ChaosEngine, random_plan
-from repro.chaos.engine import check_convergence
-from repro.config import DEFAULT_CONFIG
-from repro.core.env import VirtualClusterEnv
-from repro.simkernel.errors import Interrupt
+from repro.scenarios import (
+    RollingUpgradeShape,
+    TenantSpec,
+    WorkloadSpec,
+    load_scenario,
+    run_scenario,
+)
+
+CHAOS_BASE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                          "scenarios", "smoke", "chaos_base.yaml")
 
 SOAK_SEEDS = (1, 7, 23, 101)
 
 
-def build_env(seed, tenants=2, pods_per_tenant=2, nodes=3):
-    config = DEFAULT_CONFIG.with_overrides(syncer={
-        "scan_interval": 5.0, "dws_workers": 4, "uws_workers": 4})
-    env = VirtualClusterEnv(seed=seed, config=config, num_virtual_nodes=nodes)
-    env.bootstrap()
-    handles = []
-    for index in range(tenants):
-        handle = env.run_coroutine(env.create_tenant(f"tenant-{index}"))
-        handles.append(handle)
-        for pod_index in range(pods_per_tenant):
-            env.run_coroutine(handle.create_pod(f"pod-{pod_index}"))
-    for handle in handles:
-        env.run_until_pods_ready(
-            handle,
-            [f"default/pod-{i}" for i in range(pods_per_tenant)],
-            timeout=120.0)
-    return env, handles
+def soak_scenario(seed):
+    """``chaos_base`` at ``seed``, plus a tenant whose fleet rolls
+    through six delete + recreate waves while the faults are open."""
+    scenario = load_scenario(CHAOS_BASE)
+    scenario.seed = seed
+    scenario.golden = None
+    scenario.tenants.append(TenantSpec(name="gamma", workloads=[
+        WorkloadSpec(name="fleet", start=1.0, shape=RollingUpgradeShape(
+            count=6, startup_rate=2.0, batch=2, interval=4.0, waves=6,
+            first_wave=4.0))]))
+    return scenario.validate()
 
 
-def churn_process(env, handles, period=3.0):
-    """Create/delete pods *during* the chaos window so faults land on
-    in-flight work, not just a quiesced system."""
-
-    def churn():
-        index = 0
-        while True:
-            try:
-                yield env.sim.timeout(period)
-                handle = handles[index % len(handles)]
-                name = f"churn-{index}"
-                index += 1
-                try:
-                    yield from handle.create_pod(name)
-                except Exception:  # injected failure: fine, that's chaos
-                    continue
-                yield env.sim.timeout(period)
-                try:
-                    yield from handle.client.delete("pods", name,
-                                                    namespace="default")
-                except Exception:
-                    continue
-            except Interrupt:
-                return
-
-    return env.sim.spawn(churn(), name="churn")
-
-
-def run_chaos(seed, horizon, tenants=2, pods_per_tenant=2, churn=True):
-    env, handles = build_env(seed, tenants=tenants,
-                             pods_per_tenant=pods_per_tenant)
-    engine = ChaosEngine(env, seed=seed)
-    random_plan(engine, horizon=horizon)
-    churner = churn_process(env, handles) if churn else None
-    engine.start()
-    env.run_for(horizon)
-    engine.stop()
-    if churner is not None:
-        churner.interrupt("chaos over")
-    env.run_until(lambda: check_convergence(env)[0], timeout=300.0,
-                  poll=1.0)
-    return env, engine, check_convergence(env)[1]
+def assert_healed(result):
+    """Converged with nothing missing, orphaned or open, and the
+    watchdog brought every killed worker back."""
+    detail = result.convergence_detail
+    assert result.converged, detail
+    assert detail["missing"] == []
+    assert detail["orphaned"] == []
+    assert detail["open_circuits"] == []
+    assert sum(f["injections"] for f in result.chaos_report["faults"]) > 0
+    syncer = result.env.syncer
+    assert sum(syncer.worker_restarts.values()) > 0
+    assert len(syncer.worker_processes) == 8
 
 
 class TestChaosSmoke:
-    """Fast seeded smoke in tier-1: one short horizon, full verification."""
+    """Fast seeded smoke in tier-1: the file as written, full checks."""
 
     def test_smoke_converges_after_faults(self):
-        env, engine, detail = run_chaos(seed=3, horizon=20.0, churn=False)
-        assert detail["missing"] == []
-        assert detail["orphaned"] == []
-        assert detail["open_circuits"] == []
-        report = engine.report()
-        assert report["seed"] == 3
-        assert sum(f["injections"] for f in report["faults"]) > 0
-        # Worker crashes happened and the watchdog brought workers back.
-        assert sum(env.syncer.worker_restarts.values()) > 0
-        assert len(env.syncer.worker_processes) == 8
+        result = run_scenario(load_scenario(CHAOS_BASE))
+        assert result.ok, result.failures
+        assert_healed(result)
 
 
 @pytest.mark.soak
 class TestChaosSoak:
     @pytest.mark.parametrize("seed", SOAK_SEEDS)
     def test_soak_converges(self, seed):
-        env, engine, detail = run_chaos(seed=seed, horizon=60.0, tenants=3,
-                                        pods_per_tenant=3)
-        ok, final = check_convergence(env)
-        assert ok, final
-        assert sum(env.syncer.worker_restarts.values()) > 0
+        result = run_scenario(soak_scenario(seed))
+        assert result.ok, result.failures
+        assert_healed(result)
         # Post-chaos liveness: brand-new work still flows end to end.
-        handle = next(iter(env.tenants.values()))
+        env = result.env
+        handle = env.tenants[sorted(env.tenants)[0]]
         env.run_coroutine(handle.create_pod("post-chaos"))
         env.run_until_pods_ready(handle, ["default/post-chaos"],
                                  timeout=120.0)
 
     def test_same_seed_same_run(self):
         """Determinism: one seed, two fresh builds, identical histories."""
-        _env_a, engine_a, _ = run_chaos(seed=11, horizon=30.0)
-        _env_b, engine_b, _ = run_chaos(seed=11, horizon=30.0)
-        report_a, report_b = engine_a.report(), engine_b.report()
-        assert report_a["timeline"] == report_b["timeline"]
-        assert report_a["faults"] == report_b["faults"]
+        first = run_scenario(soak_scenario(11))
+        second = run_scenario(soak_scenario(11))
+        assert first.digest == second.digest
+        assert (first.chaos_report["timeline"]
+                == second.chaos_report["timeline"])
+        assert first.chaos_report["faults"] == second.chaos_report["faults"]
 
     def test_different_seeds_differ(self):
-        _env_a, engine_a, _ = run_chaos(seed=1, horizon=30.0)
-        _env_b, engine_b, _ = run_chaos(seed=2, horizon=30.0)
-        assert (engine_a.report()["timeline"]
-                != engine_b.report()["timeline"])
+        first = run_scenario(soak_scenario(1))
+        second = run_scenario(soak_scenario(2))
+        assert first.digest != second.digest
+        assert (first.chaos_report["timeline"]
+                != second.chaos_report["timeline"])

@@ -45,7 +45,7 @@ def _means(fair):
     means = traces.mean_creation_time_by_tenant()
     greedy = [mean for key, mean in means.items() if "/greedy-" in key]
     regular = [mean for key, mean in means.items() if "/regular-" in key]
-    return greedy, regular, len(traces.creation_times())
+    return greedy, regular, traces.completed_count
 
 
 @pytest.fixture(scope="module")

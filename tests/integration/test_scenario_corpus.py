@@ -110,7 +110,7 @@ def test_smoke_faults_open_while_load_is_running():
         load_end = max(w.start + w.shape.window()
                        for t in scenario.tenants for w in t.workloads)
         for index, entry in enumerate(scenario.chaos):
-            for start, _end in entry.schedule.windows() or ():
+            for start, _end in entry.schedule.spans() or ():
                 assert start < load_end, (
                     f"{scenario.name}: chaos[{index}] ({entry.fault}) "
                     f"opens at t={start:g}s, after the load ends at "

@@ -1,5 +1,6 @@
-"""Unit tests for the chaos engine, fault schedules, the circuit
-breaker state machine, and the worker watchdog."""
+"""Unit tests for the chaos engine, the windows of a scenario file's
+fault schedules, the circuit breaker state machine, and the worker
+watchdog."""
 
 import itertools
 import random
@@ -14,9 +15,6 @@ from repro.chaos import (
     ChaosEngine,
     Fault,
     NetworkPartition,
-    OneShot,
-    Periodic,
-    RandomWindows,
 )
 from repro.clientgo import Client
 from repro.config import DEFAULT_CONFIG
@@ -28,6 +26,7 @@ from repro.core.syncer.health import (
 )
 from repro.objects import make_namespace, make_pod
 from repro.objects.base import fast_deep_copy
+from repro.scenarios import ScheduleSpec
 from repro.simkernel import Simulation
 
 
@@ -41,23 +40,28 @@ def run(sim, coroutine):
 
 
 class TestSchedules:
+    """``ScheduleSpec.windows`` is the stream the engine walks: the same
+    draws in the same order on every run of one chaos seed."""
+
     def test_one_shot_single_window(self):
-        windows = list(OneShot(5.0, duration=2.0).windows(random.Random(0)))
-        assert windows == [(5.0, 2.0)]
+        schedule = ScheduleSpec(type="oneshot", at=5.0, duration=2.0)
+        assert list(schedule.windows(random.Random(0))) == [(5.0, 2.0)]
 
     def test_periodic_counts_windows(self):
-        schedule = Periodic(period=3.0, duration=1.0, count=4)
+        schedule = ScheduleSpec(type="periodic", period=3.0, duration=1.0,
+                                count=4)
         windows = list(schedule.windows(random.Random(0)))
         assert windows == [(3.0, 1.0)] * 4
 
     def test_periodic_offset_applies_once(self):
-        schedule = Periodic(period=2.0, count=3, offset=5.0)
+        schedule = ScheduleSpec(type="periodic", period=2.0, count=3,
+                                offset=5.0)
         delays = [d for d, _dur in schedule.windows(random.Random(0))]
         assert delays == [7.0, 2.0, 2.0]
 
     def test_random_windows_deterministic_per_seed(self):
-        schedule = RandomWindows(mean_gap=10.0, duration_range=(1.0, 3.0),
-                                 count=20)
+        schedule = ScheduleSpec(type="random", mean_gap=10.0,
+                                duration_range=[1.0, 3.0], count=20)
         first = list(schedule.windows(random.Random(7)))
         second = list(schedule.windows(random.Random(7)))
         other = list(schedule.windows(random.Random(8)))
@@ -68,14 +72,51 @@ class TestSchedules:
             assert 1.0 <= duration <= 3.0
 
     def test_infinite_schedules_are_lazy(self):
-        schedule = Periodic(period=1.0)  # count=None: endless
-        head = list(itertools.islice(schedule.windows(random.Random(0)), 5))
-        assert len(head) == 5
+        """A random schedule draws a window's two values only when the
+        engine asks for that window."""
+        schedule = ScheduleSpec(type="random", mean_gap=1.0, count=1000)
+        rng, reference = random.Random(3), random.Random(3)
+        head = list(itertools.islice(schedule.windows(rng), 2))
+        assert len(head) == 2
+        for _ in range(2):
+            reference.expovariate(1.0)
+            reference.uniform(0.5, 3.0)
+        assert rng.getstate() == reference.getstate()
 
-    def test_describe_strings(self):
-        assert "one-shot" in OneShot(1.0).describe()
-        assert "periodic" in Periodic(5.0, count=2).describe()
-        assert "random" in RandomWindows(10.0).describe()
+    def test_draw_order_is_pinned(self):
+        """The exact windows every recorded chaos golden ran under: one
+        ``expovariate`` then one ``uniform`` per random window, the gap
+        floored at 0.1 s, ``duration_range`` defaulting to [0.5, 3.0],
+        and the first periodic window waiting ``period + offset``.  A
+        change here moves every chaos golden digest."""
+        def windows(rng_seed, **fields):
+            return list(ScheduleSpec(**fields).windows(
+                random.Random(rng_seed)))
+
+        assert windows(0, type="oneshot", at=5.0, duration=2.0) == [
+            (5.0, 2.0)]
+        assert windows(0, type="periodic", period=3.0, duration=1.0,
+                       count=3, offset=2.0) == [
+            (5.0, 1.0), (3.0, 1.0), (3.0, 1.0)]
+        assert windows(7, type="random", mean_gap=7.5,
+                       duration_range=[1.0, 3.0], count=3) == [
+            (2.934861331761032, 1.3016983478490038),
+            (7.8937171355319515, 1.1448725733350855),
+            (5.757123435163099, 1.731377833825171)]
+        assert windows(7, type="random", mean_gap=0.05, count=3) == [
+            (0.1, 0.8771229348112548),
+            (0.1, 0.6810907166688569),
+            (0.1, 1.4142222922814638)]
+
+    def test_spans_accumulate_the_stream(self):
+        periodic = ScheduleSpec(type="periodic", period=10.0, duration=2.0,
+                                count=3, offset=1.0)
+        assert periodic.spans() == [(11.0, 13.0), (23.0, 25.0),
+                                    (35.0, 37.0)]
+        oneshot = ScheduleSpec(type="oneshot", at=17.0, duration=2.5)
+        assert oneshot.spans() == [(17.0, 19.5)]
+        assert ScheduleSpec(type="random", mean_gap=1.0,
+                            count=2).spans() is None
 
 
 class FakeSyncer:
@@ -273,17 +314,19 @@ class TestFaultUnits:
                         burst=10000, max_retries=0)
         run(sim, client.create(make_namespace("default")))
         engine = ChaosEngine(SimpleNamespace(sim=sim), seed=1)
-        engine.add(OneShot(1.0, duration=2.0),
+        window = ScheduleSpec(type="oneshot", at=1.0, duration=2.0)
+        engine.add(window,
                    ApiRequestFault(api, verbs=("create",), name="flaky"))
-        engine.add(OneShot(1.0, duration=2.0),
-                   NetworkPartition(client, name="cut"))
+        engine.add(window, NetworkPartition(client, name="cut"))
         engine.start()
         sim.run(until=sim.now + 1.5)
         with pytest.raises(Exception):
             run(sim, client.list("pods"))
         sim.run(until=sim.now + 5.0)
         flaky, cut = engine.report()["faults"]
-        assert flaky == {"fault": "flaky", "schedule": "one-shot@1s/2s",
+        assert flaky == {"fault": "flaky",
+                         "schedule": {"type": "oneshot", "at": 1.0,
+                                      "duration": 2.0},
                          "injections": 1, "errors_injected": 0,
                          "latency_injected": 0}
         assert cut["injections"] == 1 and cut["requests_blocked"] == 1

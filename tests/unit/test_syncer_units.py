@@ -203,10 +203,10 @@ class TestTracing:
         with pytest.raises(TypeError):
             store.mark("t", "ns/p", "uws_done", 5.0)
         assert store.completed_count == 0
-        assert store.creation_times() == []
+        assert store.mean_creation_time_by_tenant() == {}
         store.mark("t", "ns/p", "super_ready", 3.0)
         assert store.completed_count == 1
-        assert store.creation_times() == [5.0]
+        assert store.mean_creation_time_by_tenant() == {"t": 5.0}
 
 
 class TestTraceRetention:

@@ -63,17 +63,6 @@ class TestHistogram:
         assert hist.sum == pytest.approx(15.0)
         assert hist.cumulative() == [1, 2, 3, 4]
 
-    def test_quantile_interpolates(self, registry):
-        hist = registry.histogram("h", buckets=(1.0, 2.0, 4.0))._solo()
-        for _ in range(100):
-            hist.observe(1.5)
-        q = hist.quantile(0.5)
-        assert 1.0 <= q <= 2.0
-
-    def test_mean_empty_is_zero(self, registry):
-        hist = registry.histogram("h")._solo()
-        assert hist.mean == 0.0
-
 
 class TestFamily:
     def test_labels_memoized_any_keyword_order(self, registry):

@@ -92,10 +92,3 @@ class TestStressResult:
         result = self._result([])
         assert result.mean == 0.0
         assert result.percentile(99) == 0.0
-
-    def test_histogram_buckets(self):
-        result = self._result([0.1, 0.9, 1.5, 2.4, 2.6])
-        histogram = dict(result.histogram(bucket_width=1.0))
-        assert histogram[0.0] == 2
-        assert histogram[1.0] == 1
-        assert histogram[2.0] == 2
