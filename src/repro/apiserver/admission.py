@@ -13,6 +13,7 @@ from repro.objects import (
     ValidationError,
     add_resource_lists,
 )
+from repro.objects.meta import spec_wires
 
 from .errors import Forbidden, Invalid
 
@@ -20,7 +21,8 @@ from .errors import Forbidden, Invalid
 class AdmissionRequest:
     """What a plugin sees for each mutating call."""
 
-    __slots__ = ("verb", "plural", "obj", "old_obj", "namespace", "credential")
+    __slots__ = ("verb", "plural", "obj", "old_obj", "namespace", "credential",
+                 "_spec_wires")
 
     def __init__(self, verb, plural, obj, old_obj=None, namespace=None,
                  credential=None):
@@ -30,6 +32,19 @@ class AdmissionRequest:
         self.old_obj = old_obj
         self.namespace = namespace
         self.credential = credential
+        self._spec_wires = None
+
+    def spec_wires(self):
+        """``spec_wires(old_obj, obj)``, encoded once per request: Pod
+        update validation and the apiserver's generation bump compare
+        the same pair.  Encoded again only if a plugin replaced a spec."""
+        old_spec = getattr(self.old_obj, "spec", None)
+        new_spec = getattr(self.obj, "spec", None)
+        memo = self._spec_wires
+        if memo is None or memo[0] is not old_spec or memo[1] is not new_spec:
+            memo = self._spec_wires = (
+                old_spec, new_spec, spec_wires(self.old_obj, self.obj))
+        return memo[2]
 
 
 class AdmissionPlugin:
@@ -179,7 +194,8 @@ class ValidatingObjectSchema(AdmissionPlugin):
                 if request.verb == "create":
                     validate_pod(request.obj)
                 elif request.verb == "update" and request.old_obj is not None:
-                    validate_pod_update(request.old_obj, request.obj)
+                    validate_pod_update(request.old_obj, request.obj,
+                                        request.spec_wires())
             elif request.plural == "services" and request.verb == "create":
                 validate_service(request.obj)
         except ValidationError as exc:

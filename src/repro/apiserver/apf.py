@@ -30,7 +30,6 @@ from crc32 streams, dispatch order is fixed.
 
 import random
 import zlib
-from collections import deque
 
 from repro.telemetry import telemetry_of
 
@@ -102,7 +101,7 @@ class PriorityLevel:
         self.borrow_cap = borrow_cap  # hard per-level occupancy cap
         self.in_use = 0
         self.waiting = 0
-        self.queues = [deque() for _ in range(spec.queues)]
+        self.queues = [[] for _ in range(spec.queues)]
         self._cursor = 0              # round-robin dispatch cursor
         self._hands = {}              # flow -> dealt queue indices
 
@@ -141,7 +140,7 @@ class PriorityLevel:
             queue = self.queues[self._cursor]
             self._cursor = (self._cursor + 1) % len(self.queues)
             while queue:
-                ticket = queue.popleft()
+                ticket = queue.pop(0)
                 if ticket.state != _QUEUED:
                     continue
                 if not ticket.event.callbacks:

@@ -18,7 +18,7 @@ from repro.objects.base import (
     freeze,
     freeze_guard_on,
 )
-from repro.objects.meta import same_spec
+from repro.objects.meta import same_wires
 from repro.objects.selectors import equality_hint, match_fields
 from repro.telemetry import ChildCache, telemetry_of
 from repro.objects.validation import ValidationError, validate_metadata
@@ -335,6 +335,7 @@ class APIServer:
                                    namespace=namespace, credential=credential)
         for plugin in self.admission:
             plugin.admit(request, self.reader)
+        return request
 
     # ------------------------------------------------------------------
     # CRUD
@@ -493,10 +494,10 @@ class APIServer:
                 generation=stored.metadata.generation,
                 resource_version=None)
             new_obj = obj.replace(metadata=metadata)
-            if not same_spec(stored, new_obj):
+            request = self._admit(credential, "update", plural, new_obj,
+                                  stored, metadata.namespace)
+            if not same_wires(request.spec_wires()):
                 metadata.generation += 1
-            self._admit(credential, "update", plural, new_obj, stored,
-                        metadata.namespace)
 
         # Finalizer bookkeeping: removing the last finalizer of a
         # deleted object actually removes the object.

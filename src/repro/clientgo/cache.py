@@ -14,11 +14,13 @@ own object first: ``obj.replace(field=...)`` for a changed field,
 
 Beyond the plain keyed store, the cache maintains **secondary indexes**
 (client-go's ``Indexer``): an index is a named function mapping an object
-to a list of hashable values, and the cache keeps value -> key postings
-up to date on every ``upsert``/``delete``/``replace``.  Two indexes are
-built in — ``namespace`` and ``labels`` (one ``"key=value"`` posting per
-label pair) — and callers can register more (the syncer adds a tenant
-index over its annotation, see ``core/syncer``).  Index lookups replace
+to a list of hashable values.  Its value -> key postings are built on the
+index's first query and kept up to date on every ``upsert``/``delete``/
+``replace`` from then on, so an index nobody queries costs nothing.  Two
+indexes are registered in every cache — ``namespace`` and ``labels``
+(one ``"key=value"`` posting per label pair) — and callers can register
+more (the syncer adds a tenant index over its annotation, see
+``core/syncer``).  Index lookups replace
 the linear ``select()``/``items()`` scans on the syncer hot path; the
 ``gets``/``index_lookups``/``full_scans`` counters let tests pin the
 access pattern of a code path (no accidental O(n) regressions).
@@ -73,7 +75,7 @@ class ObjectCache:
         self._byte_total = byte_total
         # name -> index function (obj -> iterable of hashable values)
         self._index_funcs = {}
-        # name -> {value -> set(key)}
+        # name -> {value -> set(key)}, for the indexes queried so far
         self._postings = {}
         # key -> {name -> tuple(values)}  (so deletes need no recompute)
         self._indexed_values = {}
@@ -94,13 +96,20 @@ class ObjectCache:
     # ------------------------------------------------------------------
 
     def add_index(self, name, func):
-        """Register a secondary index (idempotent; backfills existing items)."""
-        if name in self._index_funcs:
-            return
-        self._index_funcs[name] = func
-        self._postings[name] = {}
-        for key, obj in self._items.items():
-            self._index_one(name, func, key, obj)
+        """Register a secondary index (idempotent).  Its postings are
+        built when it is first queried."""
+        self._index_funcs.setdefault(name, func)
+
+    def _built(self, name):
+        """The postings of index ``name``, backfilled from every cached
+        object on its first query and maintained from then on."""
+        postings = self._postings.get(name)
+        if postings is None:
+            func = self._index_funcs[name]
+            postings = self._postings[name] = {}
+            for key, obj in self._items.items():
+                self._index_one(name, func, key, obj)
+        return postings
 
     def _index_one(self, name, func, key, obj):
         values = tuple(func(obj))
@@ -111,16 +120,16 @@ class ObjectCache:
             self._indexed_values.setdefault(key, {})[name] = values
 
     def _index_move(self, key, obj):
-        """(Re-)index ``key``, touching only the indexes whose value tuple
-        changed (a status write or heartbeat changes none; an absent key
-        has no old values, so every non-empty index is inserted)."""
+        """(Re-)index ``key`` in the built indexes, touching only those
+        whose value tuple changed (a status write or heartbeat changes
+        none; an absent key has no old values, so every non-empty index
+        is inserted)."""
         by_name = self._indexed_values.get(key)
-        for name, func in self._index_funcs.items():
+        for name, postings in self._postings.items():
             old_values = by_name.get(name, ()) if by_name else ()
-            values = tuple(func(obj))
+            values = tuple(self._index_funcs[name](obj))
             if values == old_values:
                 continue
-            postings = self._postings[name]
             for value in old_values:
                 bucket = postings[value]
                 bucket.discard(key)
@@ -205,7 +214,7 @@ class ObjectCache:
     def index_keys(self, name, value):
         """Keys indexed under ``value`` (sorted, for determinism)."""
         self.index_lookups += 1
-        return sorted(self._postings[name].get(value, ()))
+        return sorted(self._built(name).get(value, ()))
 
     def by_index(self, name, value):
         """Objects indexed under ``value`` (key-sorted, no copies)."""
@@ -228,7 +237,7 @@ class ObjectCache:
         if not selector_labels:
             return []
         self.index_lookups += 1
-        postings = self._postings[INDEX_LABELS]
+        postings = self._built(INDEX_LABELS)
         candidate_keys = None
         for pair_key, pair_value in selector_labels.items():
             bucket = postings.get(f"{pair_key}={pair_value}")

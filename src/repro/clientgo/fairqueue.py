@@ -20,7 +20,7 @@ Fig. 11(b) comparison.
 """
 
 import zlib
-from collections import defaultdict, deque
+from collections import defaultdict
 
 from repro.simkernel.events import Event, resolved
 from repro.telemetry import ChildCache, telemetry_of
@@ -50,7 +50,7 @@ class _Lane:
 
     def __init__(self, shard, weight):
         self.shard = shard
-        self.items = deque()
+        self.items = []
         self.weight = weight
         self.credits = weight
 
@@ -64,7 +64,7 @@ class _Shard:
         self.lanes = []
         self.cursor = 0
         self.depth = 0
-        self.waiters = deque()
+        self.waiters = []
         self.adds = adds.labels(queue=label)
         self.deduped = deduped.labels(queue=label)
         self.dispatched = ChildCache(
@@ -76,7 +76,7 @@ class _Shard:
         interrupted while blocked in ``get()`` leaves a dead event behind,
         and dispatching to it would strand the item as processing."""
         while self.waiters:
-            event = self.waiters.popleft()
+            event = self.waiters.pop(0)
             if event.callbacks:
                 return event
         return None
@@ -160,7 +160,7 @@ class FairWorkQueue:
         if lane is None:
             return
         shard = lane.shard
-        kept = deque()
+        kept = []
         for item in lane.items:
             if item[0] == tenant:
                 self._dirty.discard(item)
@@ -247,7 +247,7 @@ class FairWorkQueue:
         self._shutdown = True
         for shard in self._shards:
             while shard.waiters:
-                event = shard.waiters.popleft()
+                event = shard.waiters.pop(0)
                 if event.callbacks:
                     event.fail(ShutDown(self.name))
 
@@ -286,7 +286,7 @@ class FairWorkQueue:
                     # lane (plain round-robin when all weights are 1).
                     shard.cursor += 1
                 shard.depth -= 1
-                return lane.items.popleft()
+                return lane.items.pop(0)
             shard.cursor += 1
             attempts += 1
             if attempts >= len(lanes):

@@ -13,8 +13,6 @@
 backoff for retries.
 """
 
-from collections import deque
-
 from repro.simkernel.events import Event, resolved
 from repro.telemetry import telemetry_of
 
@@ -31,10 +29,10 @@ class WorkQueue:
     def __init__(self, sim, name="workqueue"):
         self.sim = sim
         self.name = name
-        self._queue = deque()
+        self._queue = []
         self._dirty = set()
         self._processing = set()
-        self._waiters = deque()
+        self._waiters = []
         self._shutdown = False
         self.added_total = 0
         self.deduped_total = 0
@@ -89,7 +87,7 @@ class WorkQueue:
         dead waiter would strand the item in the processing set forever.
         """
         while self._waiters:
-            event = self._waiters.popleft()
+            event = self._waiters.pop(0)
             if event.callbacks:
                 return event
         return None
@@ -106,7 +104,7 @@ class WorkQueue:
     def get(self):
         """Event resolving to ``(item, enqueued_at)``; marks it processing."""
         if self._queue:
-            return resolved(self.sim, self._dispatch(self._queue.popleft()))
+            return resolved(self.sim, self._dispatch(self._queue.pop(0)))
         event = Event(self.sim)
         if self._shutdown:
             event.fail(ShutDown(self.name))
@@ -131,7 +129,7 @@ class WorkQueue:
         """
         self._shutdown = True
         while self._waiters:
-            event = self._waiters.popleft()
+            event = self._waiters.pop(0)
             if event.callbacks:
                 event.fail(ShutDown(self.name))
 

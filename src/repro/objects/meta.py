@@ -2,7 +2,13 @@
 
 import itertools
 
-from .base import Field, Serializable, check_serde, freeze_guard_on
+from .base import (
+    EMPTY_DICT,
+    Field,
+    Serializable,
+    check_serde,
+    freeze_guard_on,
+)
 
 
 def generate_uid(sim):
@@ -127,21 +133,36 @@ def wire_chars(obj):
 
 def same_spec(old, new, ignore=()):
     """Whether two objects' specs have equal wire forms, the top-level
-    wire keys in ``ignore`` aside.  An object without a spec matches
-    anything, and a spec matches itself without being encoded.  A
-    snapshot's spec is read off its stored wire dict, and the other
-    spec is encoded against it (so children the two share are not
-    re-encoded, and compare by identity)."""
+    wire keys in ``ignore`` aside (see :func:`spec_wires`)."""
+    return same_wires(spec_wires(old, new), ignore)
+
+
+def spec_wires(old, new):
+    """The wire forms of two objects' specs, as a pair to compare with
+    :func:`same_wires`.  A snapshot's spec is read off its stored wire
+    dict, and the other spec is encoded against it (so children the two
+    share are not re-encoded, and compare by identity).  A spec paired
+    with itself, or with no spec (which matches anything), is not
+    encoded: both sides are then the one shared empty dict."""
     old_spec = getattr(old, "spec", None)
     new_spec = getattr(new, "spec", None)
     if old_spec is new_spec or old_spec is None or new_spec is None:
-        return True
+        return EMPTY_DICT, EMPTY_DICT
     old_wire = _stored_spec(old)
     new_wire = _stored_spec(new)
     if old_wire is None:
         old_wire = _spec_wire(old_spec, new_spec, new_wire)
     if new_wire is None:
         new_wire = _spec_wire(new_spec, old_spec, old_wire)
+    return old_wire, new_wire
+
+
+def same_wires(wires, ignore=()):
+    """Whether a :func:`spec_wires` pair is equal, the top-level keys in
+    ``ignore`` aside."""
+    old_wire, new_wire = wires
+    if old_wire is new_wire:
+        return True
     if ignore:
         old_wire = {key: value for key, value in old_wire.items()
                     if key not in ignore}

@@ -4,9 +4,12 @@ These mirror the primitives the real system relies on: mutexes guarding the
 work-queue critical sections (whose contention the paper identifies as the
 source of the syncer's throughput degradation) and channels for message
 passing (watch streams, gRPC calls).
-"""
 
-from collections import deque
+Their FIFOs are plain lists (``append``/``pop(0)``), as are the work
+queues' and APF's: a deployment holds thousands of them, nearly all idle
+or a few items long, and an empty list costs 56 bytes where an empty
+``collections.deque`` costs 760 (DESIGN.md §16).
+"""
 
 from .events import Event, resolved
 
@@ -24,7 +27,7 @@ class Lock:
         self.sim = sim
         self.name = name
         self._locked = False
-        self._waiters = deque()
+        self._waiters = []
         self.acquisitions = 0
         self.contentions = 0
         self.wait_time = 0.0
@@ -43,7 +46,7 @@ class Lock:
         if not self._locked:
             raise RuntimeError(f"release of unlocked {self.name}")
         if self._waiters:
-            event, queued_at = self._waiters.popleft()
+            event, queued_at = self._waiters.pop(0)
             self.wait_time += self.sim.now - queued_at
             event.succeed()
         else:
@@ -62,8 +65,8 @@ class Channel:
     def __init__(self, sim, name="channel"):
         self.sim = sim
         self.name = name
-        self._items = deque()
-        self._getters = deque()
+        self._items = []
+        self._getters = []
         self._closed = False
 
     def __len__(self):
@@ -78,13 +81,13 @@ class Channel:
         if self._closed:
             raise ChannelClosed(self.name)
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.pop(0).succeed(item)
         else:
             self._items.append(item)
 
     def get(self):
         if self._items:
-            return resolved(self.sim, self._items.popleft())
+            return resolved(self.sim, self._items.pop(0))
         event = Event(self.sim)
         if self._closed:
             event.fail(ChannelClosed(self.name))
@@ -98,7 +101,7 @@ class Channel:
             return
         self._closed = True
         while self._getters:
-            self._getters.popleft().fail(ChannelClosed(self.name))
+            self._getters.pop(0).fail(ChannelClosed(self.name))
 
 
 class ChannelClosed(Exception):

@@ -67,6 +67,12 @@ def _keys(objs):
     return sorted(obj.key for obj in objs)
 
 
+def _query_every_index(cache):
+    """Build every registered index: postings exist only once queried."""
+    for name in cache._index_funcs:
+        cache.index_keys(name, None)
+
+
 @given(st.lists(operation_st, max_size=40))
 @settings(max_examples=200)
 def test_namespace_index_matches_brute_force(operations):
@@ -109,12 +115,14 @@ def test_select_labels_matches_brute_force(operations, selector, namespace):
 @settings(max_examples=200)
 def test_custom_index_matches_brute_force(operations):
     """A caller-registered index (the syncer's tenant index shape) stays
-    consistent whether registered before or after the mutations."""
+    consistent whether registered and built before the mutations or
+    registered after them."""
     def by_name_prefix(obj):
         return (obj.metadata.name.rsplit("-", 1)[0],)
 
     before = ObjectCache()
     before.add_index("prefix", by_name_prefix)
+    before.index_keys("prefix", "pod")      # built now, then maintained
     after = ObjectCache()
     _apply(before, operations)
     _apply(after, operations)
@@ -127,13 +135,18 @@ def test_custom_index_matches_brute_force(operations):
                 == after.index_keys("prefix", value))
 
 
-@given(st.lists(operation_st, max_size=40))
+@given(st.lists(operation_st, max_size=40), st.integers(0, 40))
 @settings(max_examples=100)
-def test_postings_never_go_stale(operations):
+def test_postings_never_go_stale(operations, split):
     """Every posted key exists and still yields the posted value; every
-    live object is findable through each of its index values."""
+    live object is findable through each of its index values — for
+    indexes built (on their first query) part-way through the run, and
+    maintained by the operations after it."""
     cache = ObjectCache()
-    _apply(cache, operations)
+    _apply(cache, operations[:split])
+    _query_every_index(cache)
+    _apply(cache, operations[split:])
+    assert set(cache._postings) == set(cache._index_funcs)
     for name, postings in cache._postings.items():
         func = cache._index_funcs[name]
         for value, keys in postings.items():
@@ -180,9 +193,12 @@ def test_upserts_leave_the_indexes_a_fresh_cache_builds(operations):
     """An upsert re-indexes only what changed: after any upsert, delete,
     replace and status-only sequence, every ``index_keys`` and
     ``select_labels`` answer equals that of a cache built from scratch
-    out of the same objects."""
+    out of the same objects.  The first cache's indexes are built before
+    the operations and maintained by them; the fresh cache's are built
+    by the backfill of their first query."""
     cache = ObjectCache()
     cache.add_index("phase", lambda obj: (obj.status.phase,))
+    _query_every_index(cache)
     for operation in operations:
         if operation[0] == "restatus":
             _op, name, namespace, phase = operation
@@ -194,6 +210,8 @@ def test_upserts_leave_the_indexes_a_fresh_cache_builds(operations):
     fresh = ObjectCache()
     fresh.add_index("phase", lambda obj: (obj.status.phase,))
     fresh.replace(cache.items())
+    _query_every_index(fresh)
+    assert set(fresh._postings) == {INDEX_NAMESPACE, INDEX_LABELS, "phase"}
     assert cache._indexed_values == fresh._indexed_values
     assert cache._postings == fresh._postings
     for name, postings in fresh._postings.items():
@@ -205,3 +223,21 @@ def test_upserts_leave_the_indexes_a_fresh_cache_builds(operations):
             selector = {key: value}
             assert _keys(cache.select_labels(selector)) == _keys(
                 fresh.select_labels(selector))
+
+
+@given(st.lists(operation_st, max_size=40))
+@settings(max_examples=50)
+def test_unqueried_index_holds_no_postings(operations):
+    """An index is built on its first query, and only that index: the
+    others a cache registers cost no postings and no per-key values."""
+    cache = ObjectCache()
+    cache.add_index("prefix", lambda obj: (obj.metadata.name[:4],))
+    _apply(cache, operations)
+    assert cache._postings == {}
+    assert cache._indexed_values == {}
+    for namespace in NAMESPACES:
+        assert _keys(cache.by_namespace(namespace)) == _keys(
+            _brute_namespace(cache, namespace))
+    assert set(cache._postings) == {INDEX_NAMESPACE}
+    assert all(set(by_name) == {INDEX_NAMESPACE}
+               for by_name in cache._indexed_values.values())

@@ -65,7 +65,7 @@ def test_revisions_strictly_increase(ops):
     watch = store.watch("/registry/")
     apply_ops(store, ops)
     while len(watch.channel):
-        event = watch.channel._items.popleft()
+        event = watch.channel._items.pop(0)
         seen.append(event.revision)
     assert seen == sorted(set(seen))
 

@@ -16,6 +16,7 @@ from repro.objects import (
     make_pod,
     make_service,
 )
+from repro.objects.meta import same_wires
 from repro.simkernel import Simulation
 
 
@@ -83,6 +84,29 @@ class TestPodDefaults:
         pod.spec.scheduler_name = None
         PodDefaults().admit(AdmissionRequest("update", "pods", pod), None)
         assert pod.spec.scheduler_name is None
+
+
+class TestSpecWires:
+    def test_encoded_once_per_request(self):
+        """Update validation and the generation bump share one encode of
+        the new spec; a plugin that swaps a spec gets a fresh one."""
+        old = make_pod("p")
+        new = old.replace(spec=old.spec.replace(node_name="n1"))
+        request = AdmissionRequest("update", "pods", new, old_obj=old)
+        wires = request.spec_wires()
+        assert request.spec_wires() is wires
+        assert not same_wires(wires)
+        assert same_wires(wires, ignore=("nodeName",))
+        request.obj = new.replace(spec=new.spec.replace(node_name="n2"))
+        assert request.spec_wires() is not wires
+        assert request.spec_wires()[1]["nodeName"] == "n2"
+
+    def test_an_unchanged_spec_is_not_encoded(self):
+        pod = make_pod("p")
+        request = AdmissionRequest("update", "pods", pod.replace(),
+                                   old_obj=pod)
+        old_wire, new_wire = request.spec_wires()
+        assert old_wire is new_wire
 
 
 class TestNamespaceLifecycleViaServer:

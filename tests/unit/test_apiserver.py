@@ -202,6 +202,14 @@ class TestGetListUpdate:
         with pytest.raises(Invalid):
             run(sim, api.update(ADMIN, pod))
 
+    def test_pod_bind_is_admitted_and_bumps_generation(self, sim, api):
+        setup_namespace(sim, api)
+        pod = run(sim, api.create(ADMIN, make_pod("p")))
+        bound = run(sim, api.update(ADMIN, pod.replace(
+            spec=pod.spec.replace(node_name="n1"))))
+        assert bound.spec.node_name == "n1"
+        assert bound.metadata.generation == 2
+
     def test_generation_bumps_on_spec_change(self, sim, api):
         setup_namespace(sim, api)
         service = run(sim, api.create(ADMIN, make_service("svc")))

@@ -342,6 +342,7 @@ def _drive_serde():
     from repro.apiserver.server import APIServer
     from repro.clientgo import cache as cache_module
     from repro.objects import PodSpec
+    from repro.objects import meta as meta_module
     from repro.objects.base import set_freeze_guard
 
     env = VirtualClusterEnv(seed=11, num_virtual_nodes=10)
@@ -350,6 +351,7 @@ def _drive_serde():
     env.run_coroutine(admin.create(make_namespace("load")))
     env.run_for(1.0)
     counts = dict.fromkeys(("status_writes", "status_spec_encodes",
+                            "full_updates", "full_update_spec_encodes",
                             "spec_decodes", "meter_calls",
                             "meter_snapshots", "meter_encodes"), 0)
     inside = set()
@@ -364,6 +366,7 @@ def _drive_serde():
         return wrapper
 
     update_core = APIServer._update_core
+    spec_wire = meta_module._spec_wire
     wire_chars = cache_module.wire_chars
     to_dict = {cls: cls.to_dict for cls in (Pod, PodSpec)}
     spec_from_dict = PodSpec.from_dict.__func__
@@ -373,7 +376,16 @@ def _drive_serde():
             counts["status_writes"] += 1
             return tracking("status", update_core)(
                 self, credential, obj, subresource=subresource)
+        if isinstance(obj, Pod):
+            counts["full_updates"] += 1
+            return tracking("full", update_core)(
+                self, credential, obj, subresource=subresource)
         return update_core(self, credential, obj, subresource=subresource)
+
+    def counting_spec_wire(spec, other, other_wire):
+        if "full" in inside:
+            counts["full_update_spec_encodes"] += 1
+        return spec_wire(spec, other, other_wire)
 
     def counting_wire_chars(obj):
         if isinstance(obj, Pod):
@@ -398,6 +410,7 @@ def _drive_serde():
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(APIServer, "_update_core", counting_update_core)
+            patch.setattr(meta_module, "_spec_wire", counting_spec_wire)
             patch.setattr(cache_module, "wire_chars", counting_wire_chars)
             for cls in to_dict:
                 patch.setattr(cls, "to_dict", counting_to_dict(cls))
@@ -417,6 +430,15 @@ def serde_counts():
 def test_status_writes_encode_no_spec(serde_counts):
     assert serde_counts["status_writes"] >= PODS
     assert serde_counts["status_spec_encodes"] == 0
+
+
+def test_full_updates_encode_the_new_spec_once(serde_counts):
+    """A bind (a full Pod update) encodes its new spec once: the
+    generation bump and update validation compare the same pair.  Two
+    per update before they shared it."""
+    assert serde_counts["full_updates"] >= PODS
+    assert (serde_counts["full_update_spec_encodes"]
+            == serde_counts["full_updates"])
 
 
 def test_pod_spec_decoded_once_per_pod_per_store(serde_counts):
