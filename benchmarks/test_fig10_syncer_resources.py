@@ -60,7 +60,7 @@ def test_fig10_syncer_cpu_and_memory(benchmark):
     assert rows[-1][3] > 1.5
 
     # Kernel heap occupancy stays bounded at the largest sweep point:
-    # far timers wait in the wheel and abandoned any_of losers are
+    # far timers wait in the wheel and abandoned orphan timers are
     # cancelled or lazily skipped, so the ready heap holds only the
     # current burst — orders of magnitude below total dispatches.
     stats = vc_run(pods[-1], tenants).kernel_stats

@@ -31,7 +31,7 @@ def run_scenario(fair):
     ]
     env.run_coroutine(generator.run_all(jobs))
     env.run_until(
-        lambda: len(env.syncer.trace_store.completed()) >= 808,
+        lambda: env.syncer.trace_store.completed_count >= 808,
         timeout=600, poll=0.5)
 
     means = env.syncer.trace_store.mean_creation_time_by_tenant()

@@ -37,7 +37,7 @@ def main():
                                               name_prefix=prefix))
             for tenant, prefix in ((premium, "p"), (basic, "b"))]
     env.run_coroutine(generator.run_all(jobs))
-    env.run_until(lambda: len(env.syncer.trace_store.completed()) >= 600,
+    env.run_until(lambda: env.syncer.trace_store.completed_count >= 600,
                   timeout=600, poll=0.5)
     means = env.syncer.trace_store.mean_creation_time_by_tenant()
     print(f"[{env.sim.now:6.1f}s] both burst 300 pods -> mean creation: "

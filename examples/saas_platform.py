@@ -14,7 +14,14 @@ Run with:  python examples/saas_platform.py
 """
 
 from repro.core import VirtualClusterEnv
-from repro.objects import ConfigMap, Deployment, LabelSelector, make_pod
+from repro.core.crd import super_namespace
+from repro.objects import (
+    ConfigMap,
+    Deployment,
+    LabelSelector,
+    StorageClass,
+    make_pod,
+)
 
 
 def deploy_web_stack(env, tenant, replicas=2):
@@ -60,6 +67,35 @@ def main():
         customers[name] = env.run_coroutine(env.create_tenant(name))
         print(f"[{env.sim.now:7.2f}s] onboarded customer {name!r}")
 
+    # The operator publishes a storage class; the syncer broadcasts it
+    # into every customer's cluster, then keeps the copies current.
+    admin = env.super_admin_client()
+    storage_class = StorageClass()
+    storage_class.metadata.name = "fast-ssd"
+    storage_class.provisioner = "csi.platform.example"
+    storage_class.parameters = {"iops": "3000"}
+    env.run_coroutine(admin.create(storage_class))
+
+    def customers_see(iops):
+        for tenant in customers.values():
+            classes, _rv = env.run_coroutine(
+                tenant.client.list("storageclasses"))
+            if [(c.name, c.parameters.get("iops")) for c in classes] != \
+                    [("fast-ssd", iops)]:
+                return False
+        return True
+
+    env.run_until(lambda: customers_see("3000"), timeout=60)
+
+    def raise_iops():
+        current = yield from admin.get("storageclasses", "fast-ssd")
+        yield from admin.update(current.replace(parameters={"iops": "6000"}))
+
+    env.run_coroutine(raise_iops())
+    env.run_until(lambda: customers_see("6000"), timeout=60)
+    print(f"[{env.sim.now:7.2f}s] storage class fast-ssd (iops 6000) "
+          f"visible in all {len(customers)} customer clusters")
+
     for name, tenant in customers.items():
         deploy_web_stack(env, tenant, replicas=2)
     for name, tenant in customers.items():
@@ -79,6 +115,35 @@ def main():
     wait_for_ready(env, acme, 5)
     print(f"[{env.sim.now:7.2f}s] acme scaled web to 5 replicas")
 
+    # acme moves its Service to port 8080 and retunes its config; the
+    # syncer updates both super copies in place (same object, same
+    # super cluster IP).
+    def retune():
+        service = yield from acme.client.get("services", "web",
+                                             namespace="app")
+        port = service.spec.ports[0].replace(port=8080)
+        yield from acme.client.update(
+            service.replace(spec=service.spec.replace(ports=[port])))
+        config = yield from acme.client.get("configmaps", "app-settings",
+                                            namespace="app")
+        yield from acme.client.update(
+            config.replace(data={**config.data, "replicas": "5"}))
+
+    sns = super_namespace(acme.vc, "app")
+
+    def super_copy(plural, name):
+        return env.run_coroutine(admin.get(plural, name, namespace=sns))
+
+    cluster_ip = super_copy("services", "web").spec.cluster_ip
+    env.run_coroutine(retune())
+    env.run_until(lambda: (
+        super_copy("services", "web").spec.ports[0].port == 8080
+        and super_copy("configmaps", "app-settings").data["replicas"] == "5"),
+        timeout=60)
+    assert super_copy("services", "web").spec.cluster_ip == cluster_ip
+    print(f"[{env.sim.now:7.2f}s] acme's service edit reached the super "
+          f"cluster in place (port 8080, cluster IP {cluster_ip} kept)")
+
     # globex deletes its stack (namespace deletion sweeps everything).
     globex = customers["globex"]
     env.run_coroutine(globex.client.delete("namespaces", "app"))
@@ -91,7 +156,6 @@ def main():
     print(f"[{env.sim.now:7.2f}s] globex tore down its app namespace")
 
     # Platform view: consolidated utilization on the shared nodes.
-    admin = env.super_admin_client()
     pods, _rv = env.run_coroutine(admin.list("pods", namespace=None))
     running = [pod for pod in pods if pod.status.phase == "Running"]
     by_node = {}

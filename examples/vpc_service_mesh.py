@@ -73,7 +73,7 @@ def main():
     broken = checker.resolve(guest, service.spec.cluster_ip, 80)
     print(f"\nwith guest rules removed (stock kubeproxy world): "
           f"{service.spec.cluster_ip}:80 -> {broken}")
-    assert broken is None
+    assert not checker.can_reach(guest, service.spec.cluster_ip, 80)
 
     # The periodic reconcile loop repairs the tampered guest.
     proxy = env.kube_proxies[node_name]
@@ -85,9 +85,36 @@ def main():
     print(f"(scan of {proxy.connected_guests} guests took "
           f"{proxy.last_scan_duration * 1000:.0f} ms)")
 
-    # Logs still flow through the vn-agent, tenant-authenticated.
+    # Logs and exec still flow through the vn-agent, tenant-authenticated
+    # (paper §III-B(3)): the tenant names its own Pod, the vn-agent maps
+    # it to the super namespace and asks the node's kubelet.
     lines = env.run_coroutine(tenant.logs("client"))
     print(f"\nkubectl logs via vn-agent: {lines[-1]!r}")
+    output = env.run_coroutine(tenant.exec("client", ["cat", "/etc/hosts"]))
+    print(f"kubectl exec via vn-agent: {output!r}")
+    assert "exec(cat /etc/hosts)" in output
+
+    # Deleting the service withdraws its rules: the host's at the next
+    # proxy sync, each guest's at the next scan.
+    env.run_coroutine(admin.delete("services", "backend-svc", namespace=sns))
+    env.run_for(8)
+    env.run_coroutine(proxy.scan_all_guests())
+    backend_guest = kubelet.sandbox_for(sns, "backend").network_stack
+    for stack in (host, guest, backend_guest):
+        assert stack.iptables.translate(service.spec.cluster_ip, 80) is None
+    print(f"\n[{env.sim.now:6.2f}s] deleted backend-svc: its rules are gone "
+          f"from the host and from both guests")
+
+    # Deleting the tenant Pod tears down its super copy on the node: the
+    # kubelet stops the container and the guest VM, whose ENI leaves the
+    # VPC.
+    env.run_coroutine(tenant.client.delete("pods", "client",
+                                           namespace="default"))
+    env.run_until(lambda: kubelet.pods_stopped == 1, timeout=60)
+    assert kubelet.sandbox_for(sns, "client") is None
+    assert not env.vpc.reachable(client.status.pod_ip)
+    print(f"[{env.sim.now:6.2f}s] deleted client: its guest VM is stopped "
+          f"and {client.status.pod_ip} has left the VPC")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,8 @@ class AdmissionRequest:
 
 
 class AdmissionPlugin:
-    """Base plugin; ``admit`` may change ``request.obj`` or raise.
+    """Base plugin; a subclass's ``admit(request, reader)`` may change
+    ``request.obj`` or raise.
 
     On ``create`` the object is private and may be edited in place.  On
     ``update`` it is a ``replace()`` shell whose children are shared with
@@ -57,9 +58,6 @@ class AdmissionPlugin:
     """
 
     name = "plugin"
-
-    def admit(self, request, reader):
-        raise NotImplementedError
 
 
 class NamespaceLifecycle(AdmissionPlugin):

@@ -292,7 +292,7 @@ class APIServer:
             yield from self.fault_injector.on_request(verb, plural)
         self.request_count += 1
         self._requests_by_verb[verb].inc()
-        span = self._span_start(verb)
+        span = self._tracer.start(f"apiserver.{verb}")
         ticket = None
         try:
             credential = self.authenticator.authenticate(credential)
@@ -312,23 +312,14 @@ class APIServer:
         except BaseException:
             if ticket is not None:
                 self.apf.release(ticket)
-            self._span_finish(span, error=True)
+            self._tracer.finish(span, error=True)
             raise
         return credential, span, ticket
 
     def _release(self, span, ticket):
         if ticket is not None:
             self.apf.release(ticket)
-        self._span_finish(span)
-
-    def _span_start(self, verb):
-        if not self._tracer.enabled:
-            return None
-        return self._tracer.start(f"apiserver.{verb}")
-
-    def _span_finish(self, span, error=False):
-        if span is not None:
-            self._tracer.finish(span, error=error)
+        self._tracer.finish(span)
 
     def _admit(self, credential, verb, plural, obj, old_obj, namespace):
         request = AdmissionRequest(verb, plural, obj, old_obj=old_obj,

@@ -51,7 +51,14 @@ from .spec import BOOL, CHOICE, INT, NUMBER, STRS, Field, load
 
 
 class Fault:
-    """Base injection point."""
+    """Base injection point.
+
+    A subclass implements ``inject()`` (open a window) and
+    ``counters()``: what the fault did beyond opening windows, as
+    ``{name: count}`` for :meth:`ChaosEngine.report`.  Every fault
+    states its own (``{}`` when ``injections`` says it all), so a new
+    one cannot be silently missing from the report.
+    """
 
     def __init__(self, name=None):
         self.name = name or type(self).__name__
@@ -64,18 +71,8 @@ class Fault:
         self.sim = sim
         self.rng = rng
 
-    def inject(self):
-        raise NotImplementedError
-
     def restore(self):
         """Close the window (no-op for instantaneous faults)."""
-
-    def counters(self):
-        """What the fault did beyond opening windows, as ``{name:
-        count}`` for :meth:`ChaosEngine.report`.  Every fault states
-        its own (``{}`` when ``injections`` says it all), so a new one
-        cannot be silently missing from the report."""
-        raise NotImplementedError
 
 
 def _api_of(target):

@@ -7,7 +7,7 @@ from .cache import (
     ObjectCache,
     estimate_object_bytes,
 )
-from .client import Client, Kubeconfig, TokenBucket
+from .client import Client, TokenBucket
 from .fairqueue import FairWorkQueue, shard_hash
 from .informer import InformerFactory, SharedInformer
 from .leaderelection import LEASE_NAMESPACE, LeaderElector
@@ -23,7 +23,6 @@ __all__ = [
     "INDEX_NAMESPACE",
     "InformerFactory",
     "JitteredBackoff",
-    "Kubeconfig",
     "LEASE_NAMESPACE",
     "LeaderElector",
     "MODIFIED",

@@ -37,10 +37,6 @@ class JitteredBackoff:
         self.max_exponent = max_exponent
         self._failures = 0
 
-    @property
-    def failures(self):
-        return self._failures
-
     def delay(self, failures):
         """The (jittered, capped) delay for the given failure streak."""
         exponent = min(failures, self.max_exponent)

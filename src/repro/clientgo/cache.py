@@ -21,7 +21,7 @@ indexes are registered in every cache — ``namespace`` and ``labels``
 (one ``"key=value"`` posting per label pair) — and callers can register
 more (the syncer adds a tenant index over its annotation, see
 ``core/syncer``).  Index lookups replace
-the linear ``select()``/``items()`` scans on the syncer hot path; the
+the linear ``items()`` scans on the syncer hot path; the
 ``gets``/``index_lookups``/``full_scans`` counters let tests pin the
 access pattern of a code path (no accidental O(n) regressions).
 """
@@ -190,11 +190,6 @@ class ObjectCache:
     def items(self):
         self.full_scans += 1
         return list(self._items.values())
-
-    def select(self, predicate):
-        """Brute-force filter over every cached object (O(n))."""
-        self.full_scans += 1
-        return [obj for obj in self._items.values() if predicate(obj)]
 
     def replace(self, objs):
         """Atomically replace contents (reflector relist)."""

@@ -49,19 +49,6 @@ class TokenBucket:
             yield self.sim.timeout(delay)
 
 
-class Kubeconfig:
-    """Access credential + server handle for one control plane."""
-
-    __slots__ = ("api", "credential", "cluster_name")
-
-    def __init__(self, api, credential, cluster_name=None):
-        self.api = api
-        self.credential = credential
-        self.cluster_name = cluster_name or api.name
-
-    def client(self, sim, **kwargs):
-        return Client(sim, self.api, self.credential, **kwargs)
-
 
 class Client:
     """A throttled, retrying client bound to one credential."""

@@ -62,13 +62,3 @@ class EventRecorder:
             self.emitted += 1
         except ApiError:
             self.dropped += 1
-
-
-class NullRecorder:
-    """Disables event emission (used in large-scale stress runs)."""
-
-    emitted = 0
-    dropped = 0
-
-    def event(self, obj, reason, message, event_type="Normal"):
-        return None

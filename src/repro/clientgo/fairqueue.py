@@ -182,10 +182,6 @@ class FairWorkQueue:
         if shard.cursor >= len(shard.lanes):
             shard.cursor = 0
 
-    @property
-    def tenants(self):
-        return sorted(self._lanes)
-
     # ------------------------------------------------------------------
     # Queue operations
     # ------------------------------------------------------------------

@@ -108,11 +108,6 @@ class LeaderElector:
         return (self._leading and not self._stopped
                 and self.sim.now < self._deadline)
 
-    @property
-    def fencing_token(self):
-        """Token for the current (or most recent) leadership term."""
-        return self._token
-
     def stats(self):
         return {
             "identity": self.identity,

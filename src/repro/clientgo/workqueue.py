@@ -52,9 +52,6 @@ class WorkQueue:
             "workqueue_wait_seconds", "time queued before dispatch",
             labels=("queue",)).labels(queue=name)
 
-    def __len__(self):
-        return len(self._queue)
-
     def add(self, item):
         """Enqueue ``item`` unless it is already pending."""
         if self._shutdown:
@@ -194,6 +191,3 @@ class RateLimitingQueue(WorkQueue):
 
     def forget(self, item):
         self._failures.pop(item, None)
-
-    def num_requeues(self, item):
-        return self._failures.get(item, 0)

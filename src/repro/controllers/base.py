@@ -11,7 +11,9 @@ from repro.simkernel.errors import Interrupt
 
 
 class Controller:
-    """Base reconciler with a keyed work queue and N workers."""
+    """Base reconciler with a keyed work queue and N workers; a subclass
+    implements the coroutine ``reconcile(key)``, which drives the object
+    at ``key`` toward its desired state."""
 
     name = "controller"
     workers = 1
@@ -74,7 +76,3 @@ class Controller:
             finally:
                 self.reconcile_count += 1
                 self.queue.done(key)
-
-    def reconcile(self, key):
-        """Coroutine: drive the object at ``key`` toward its desired state."""
-        raise NotImplementedError

@@ -41,9 +41,3 @@ class ControllerManager:
                 controller.stop()
         self.informer_factory.stop_all()
         self._started = False
-
-    def get(self, name):
-        for controller in self.controllers:
-            if controller.name == name:
-                return controller
-        raise KeyError(name)

@@ -6,7 +6,7 @@ the full stack including the sequential default scheduler.
 """
 
 from repro.apiserver import ADMIN, APIServer, Credential
-from repro.clientgo import InformerFactory, Kubeconfig
+from repro.clientgo import InformerFactory
 from repro.controllers import ControllerManager
 from repro.scheduler import Scheduler
 
@@ -46,10 +46,6 @@ class ControlPlane:
                       user_agent=user_agent or f"{self.name}-client",
                       qps=qps, burst=burst, cpu_account=cpu_account)
 
-    def kubeconfig(self, credential=None):
-        return Kubeconfig(self.api, credential or self.admin,
-                          cluster_name=self.name)
-
     def etcd_stats(self):
         if self.store_group is not None:
             return self.store_group.stats()
@@ -85,9 +81,6 @@ class TenantControlPlane(ControlPlane):
         if self.controller_manager is not None:
             self.controller_manager.stop()
         self.started = False
-
-    def tenant_kubeconfig(self):
-        return self.kubeconfig(self.tenant_credential)
 
 
 class SuperCluster(ControlPlane):

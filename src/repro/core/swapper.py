@@ -106,10 +106,6 @@ class SwapState:
     def swapped(self):
         return self.state == SWAPPED
 
-    @swapped.setter
-    def swapped(self, value):
-        self.state = SWAPPED if value else RESIDENT
-
     def ensure_awake(self):
         """Coroutine: called on the request path; pages the control
         plane back in (or joins/aborts an in-flight transition)."""

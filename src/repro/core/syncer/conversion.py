@@ -17,10 +17,9 @@ ANNOTATION_TENANT_UID = "tenancy.x-k8s.io/tenant-uid"
 LABEL_MANAGED_BY = "tenancy.x-k8s.io/managed-by"
 MANAGED_BY_VALUE = "vc-syncer"
 
-# Secondary-index names registered on the syncer's super-cluster caches
+# The secondary index registered on the syncer's super-cluster caches
 # (see clientgo.cache.ObjectCache.add_index).
 INDEX_TENANT = "tenant"
-INDEX_NODE = "node"
 
 
 def tenant_index(obj):
@@ -28,12 +27,6 @@ def tenant_index(obj):
     annotations = obj.metadata.annotations or {}
     vc_key = annotations.get(ANNOTATION_VC)
     return (vc_key,) if vc_key else ()
-
-
-def node_index(obj):
-    """Index pods by the node they are bound to."""
-    node_name = getattr(getattr(obj, "spec", None), "node_name", None)
-    return (node_name,) if node_name else ()
 
 
 def to_super(obj, vc):

@@ -79,9 +79,6 @@ class HealthTracker:
             entry = self._tenants[tenant] = TenantHealth()
         return entry
 
-    def state(self, tenant):
-        return self.health(tenant).state
-
     def allow(self, tenant):
         """Whether workers should process items for this tenant now."""
         if not self.enabled:

@@ -264,7 +264,8 @@ class GenericDownward(DownwardReconciler):
 
 
 class UpwardReconciler:
-    """Base for upward reconcilers (super -> tenant)."""
+    """Base for upward reconcilers (super -> tenant); a subclass
+    implements ``sync_up(tenant, super_key)``."""
 
     plural = None
 
@@ -274,9 +275,6 @@ class UpwardReconciler:
 
     def super_cache(self):
         return self.syncer.super_informer(self.plural).cache
-
-    def sync_up(self, tenant, super_key):
-        raise NotImplementedError
 
 
 class PodUpward(UpwardReconciler):

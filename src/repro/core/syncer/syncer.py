@@ -39,11 +39,9 @@ from .batch import DownwardBatchWriter
 from .conversion import (
     ANNOTATION_TENANT_NAMESPACE,
     ANNOTATION_VC,
-    INDEX_NODE,
     INDEX_TENANT,
     LABEL_MANAGED_BY,
     MANAGED_BY_VALUE,
-    node_index,
     tenant_index,
     tenant_origin,
 )
@@ -219,7 +217,6 @@ class Syncer:
             # tenant index turns the scanner's per-tenant sweeps from
             # O(all objects) into O(tenant's objects).
             informer.cache.add_index(INDEX_TENANT, tenant_index)
-        self.super_informer("pods").cache.add_index(INDEX_NODE, node_index)
 
         pods = self.super_informer("pods")
         pods.add_handlers(

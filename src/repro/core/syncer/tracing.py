@@ -116,9 +116,9 @@ class TraceStore:
                     self._phase_hists[phase].observe(value)
 
     def completed(self):
-        """Traces with ``uws_done`` stamped, in the order their Pods were
-        first seen."""
-        return [t for t in self._traces.values() if t.complete]
+        """The completed traces, every phase stamped, in the order their
+        last phase landed: the traces :attr:`completed_count` counts."""
+        return list(self._completed)
 
     @property
     def completed_count(self):

@@ -3,9 +3,8 @@
 Kubelet talks to runtimes exclusively through this interface — the paper
 contrasts its ~25 methods with virtual kubelet's ~7-method provider
 interface to explain why vk cannot fully support Pod semantics.  We
-implement the subset that the kubelet in this repo exercises, with the
-full method list stubbed in the abstract base so runtimes are honest
-about what they support.
+implement only the verbs the kubelet in this repo calls: sandbox run and
+stop, container create, start and stop, image pull, logs and exec.
 """
 
 import itertools
@@ -71,42 +70,26 @@ class ContainerHandle:
 
 
 class ContainerRuntime:
-    """Abstract CRI runtime; all mutating methods are sim coroutines."""
+    """What the two runtimes share.  Each runtime implements the sandbox
+    verbs (``run_pod_sandbox``, ``stop_pod_sandbox``), ``create_container``
+    and ``start_container`` as sim coroutines; the verbs below differ
+    between runtimes only in their latency."""
 
     name = "runtime"
-
-    # Sandbox lifecycle -------------------------------------------------
-    def run_pod_sandbox(self, pod):
-        raise NotImplementedError
-
-    def stop_pod_sandbox(self, sandbox):
-        raise NotImplementedError
-
-    def remove_pod_sandbox(self, sandbox):
-        raise NotImplementedError
-
-    def pod_sandbox_status(self, sandbox):
-        raise NotImplementedError
-
-    # Container lifecycle ------------------------------------------------
-    def create_container(self, sandbox, container_spec):
-        raise NotImplementedError
-
-    def start_container(self, container):
-        raise NotImplementedError
+    container_stop_latency = 0.05
+    exec_latency = 0.002
 
     def stop_container(self, container):
-        raise NotImplementedError
+        yield self.sim.timeout(self.container_stop_latency)
+        container.state = ContainerState.EXITED
+        container.exit_code = 0
+        return container
 
-    def remove_container(self, container):
-        raise NotImplementedError
-
-    def container_status(self, container):
-        return {
-            "id": container.container_id,
-            "state": container.state,
-            "exitCode": container.exit_code,
-        }
+    def pull_image(self, image):
+        # Virtual-kubelet experiments exclude pull time; real-node examples
+        # model a warm local image cache.
+        yield self.sim.timeout(0.001)
+        return {"image": image}
 
     # Streaming ----------------------------------------------------------
     def read_logs(self, container, tail=None):
@@ -116,11 +99,10 @@ class ContainerRuntime:
         return list(logs)
 
     def exec_in_container(self, container, command):
-        raise NotImplementedError
-
-    # Images (modelled as instantaneous local cache hits) ----------------
-    def pull_image(self, image):
-        raise NotImplementedError
-
-    def image_status(self, image):
-        return {"image": image, "present": True}
+        yield self.sim.timeout(self.exec_latency)
+        if container.state != ContainerState.RUNNING:
+            raise RuntimeError(
+                f"container {container.name} is not running")
+        output = f"exec({' '.join(command)}) in {container.name}"
+        container.logs.append(output)
+        return output

@@ -69,13 +69,14 @@ class KataRuntime(ContainerRuntime):
     """CRI runtime that boots a guest VM per sandbox."""
 
     name = "kata"
+    container_stop_latency = 0.08
+    exec_latency = 0.004
 
     def __init__(self, sim, config, vpc):
         self.sim = sim
         self.config = config
         self.vpc = vpc
         self.sandboxes = {}
-        self.agents = {}
 
     def run_pod_sandbox(self, pod):
         """Boot the guest VM and attach its ENI to the tenant VPC."""
@@ -94,26 +95,13 @@ class KataRuntime(ContainerRuntime):
             extra={"agent": agent, "pod": pod},
         )
         self.sandboxes[sandbox_id] = sandbox
-        self.agents[sandbox_id] = agent
         return sandbox
 
     def stop_pod_sandbox(self, sandbox):
         yield self.sim.timeout(0.3)
         self.sandboxes.pop(sandbox.sandbox_id, None)
-        self.agents.pop(sandbox.sandbox_id, None)
         if sandbox.ip:
             self.vpc.detach(sandbox.ip)
-        return None
-
-    def remove_pod_sandbox(self, sandbox):
-        yield self.sim.timeout(0.01)
-        return None
-
-    def pod_sandbox_status(self, sandbox):
-        active = sandbox.sandbox_id in self.sandboxes
-        return {"id": sandbox.sandbox_id,
-                "state": "ready" if active else "notready",
-                "ip": sandbox.ip}
 
     def create_container(self, sandbox, container_spec):
         yield self.sim.timeout(0.02)
@@ -131,28 +119,3 @@ class KataRuntime(ContainerRuntime):
         container.logs.append(
             f"[{self.sim.now:.3f}] {container.name} started in guest")
         return container
-
-    def stop_container(self, container):
-        yield self.sim.timeout(0.08)
-        container.state = ContainerState.EXITED
-        container.exit_code = 0
-        return container
-
-    def remove_container(self, container):
-        yield self.sim.timeout(0.005)
-        return None
-
-    def exec_in_container(self, container, command):
-        yield self.sim.timeout(0.004)
-        if container.state != ContainerState.RUNNING:
-            raise RuntimeError(f"container {container.name} is not running")
-        output = f"exec({' '.join(command)}) in guest {container.name}"
-        container.logs.append(output)
-        return output
-
-    def pull_image(self, image):
-        yield self.sim.timeout(0.001)
-        return {"image": image}
-
-    def agent_for(self, sandbox):
-        return self.agents.get(sandbox.sandbox_id)

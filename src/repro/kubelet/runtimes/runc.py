@@ -17,34 +17,19 @@ class RuncRuntime(ContainerRuntime):
         self.config = config
         self.host_stack = host_stack
         self._allocate_ip = pod_ip_allocator
-        self.sandboxes = {}
 
     def run_pod_sandbox(self, pod):
         yield self.sim.timeout(0.05)
-        sandbox = SandboxHandle(
+        return SandboxHandle(
             sandbox_id=f"runc-sb-{next_runtime_serial(self.sim, 'runc'):06d}",
             pod_key=pod.key,
             ip=self._allocate_ip(),
             network_stack=self.host_stack,
             runtime=self.name,
         )
-        self.sandboxes[sandbox.sandbox_id] = sandbox
-        return sandbox
 
     def stop_pod_sandbox(self, sandbox):
         yield self.sim.timeout(0.02)
-        self.sandboxes.pop(sandbox.sandbox_id, None)
-        return None
-
-    def remove_pod_sandbox(self, sandbox):
-        yield self.sim.timeout(0.005)
-        return None
-
-    def pod_sandbox_status(self, sandbox):
-        active = sandbox.sandbox_id in self.sandboxes
-        return {"id": sandbox.sandbox_id,
-                "state": "ready" if active else "notready",
-                "ip": sandbox.ip}
 
     def create_container(self, sandbox, container_spec):
         yield self.sim.timeout(0.01)
@@ -62,28 +47,3 @@ class RuncRuntime(ContainerRuntime):
         container.logs.append(
             f"[{self.sim.now:.3f}] {container.name} started")
         return container
-
-    def stop_container(self, container):
-        yield self.sim.timeout(0.05)
-        container.state = ContainerState.EXITED
-        container.exit_code = 0
-        return container
-
-    def remove_container(self, container):
-        yield self.sim.timeout(0.005)
-        return None
-
-    def exec_in_container(self, container, command):
-        yield self.sim.timeout(0.002)
-        if container.state != ContainerState.RUNNING:
-            raise RuntimeError(
-                f"container {container.name} is not running")
-        output = f"exec({' '.join(command)}) in {container.name}"
-        container.logs.append(output)
-        return output
-
-    def pull_image(self, image):
-        # Virtual-kubelet experiments exclude pull time; real-node examples
-        # model a warm local image cache.
-        yield self.sim.timeout(0.001)
-        return {"image": image}

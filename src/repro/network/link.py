@@ -22,6 +22,7 @@ construction time.
 import random
 
 from repro.apiserver.errors import ServerUnavailable
+from repro.telemetry import telemetry_of
 
 
 class NetworkLink:
@@ -57,19 +58,13 @@ class NetworkLink:
         self.rng = random.Random(seed)
         self.trips = 0
         self.dropped = 0
-        telemetry = getattr(sim, "telemetry", None)
-        if telemetry is not None:
-            self._trips_counter = telemetry.counter(
-                "link_trips_total", "requests traversing a simulated uplink",
-                labels=("link",)).labels(link=name)
-            self._drops_counter = telemetry.counter(
-                "link_drops_total", "requests dropped on a simulated uplink",
-                labels=("link",)).labels(link=name)
-        else:
-            from repro.telemetry import NOOP
-
-            self._trips_counter = NOOP
-            self._drops_counter = NOOP
+        telemetry = telemetry_of(sim)
+        self._trips_counter = telemetry.counter(
+            "link_trips_total", "requests traversing a simulated uplink",
+            labels=("link",)).labels(link=name)
+        self._drops_counter = telemetry.counter(
+            "link_drops_total", "requests dropped on a simulated uplink",
+            labels=("link",)).labels(link=name)
 
     # ------------------------------------------------------------------
     # Traversal hooks (called by repro.clientgo.client.Client)

@@ -172,12 +172,6 @@ class Serializable(metaclass=_Slotted):
             return NotImplemented
         return self.to_dict() == other.to_dict()
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __repr__(self):
         name = getattr(getattr(self, "metadata", None), "name", None)
         if name is not None:

@@ -46,10 +46,6 @@ class LabelSelector(Serializable):
                 return False
         return True
 
-    @property
-    def empty(self):
-        return not self.match_labels and not self.match_expressions
-
 
 def parse_selector(text):
     """Parse a simple ``k=v,k2=v2,k3!=v3,k4`` label selector string."""

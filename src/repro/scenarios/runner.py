@@ -70,10 +70,6 @@ class CompiledWorkload:
         self.plan = plan
         self.start = start
 
-    @property
-    def actions(self):
-        return getattr(self.plan, "actions", None)
-
 
 def compile_load(scenario):
     """Compile every workload to a plan.  Pure; deterministic per seed.

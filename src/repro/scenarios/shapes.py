@@ -64,22 +64,17 @@ def _integrate_arrivals(rate_fn, duration, rng=None, jitter=0.0):
 
 
 class Shape(Spec):
-    """Base shape: ``kind`` is the YAML ``type``, ``fields`` the table."""
+    """Base shape: ``kind`` is the YAML ``type``, ``fields`` the table.
+
+    A shape implements ``window()``, the (start-relative) seconds of
+    load it emits, and ``compile(rng, jitter=0.0)``, which returns
+    ``(actions, concurrent)``: ``actions`` is a list of ``(time, op,
+    index)`` tuples relative to the workload start; ``concurrent``
+    selects fire-and-forget submission (bursts) vs. ack-ordered
+    submission.
+    """
 
     kind = None
-
-    def window(self):
-        """(start-relative) seconds of load this shape emits."""
-        raise NotImplementedError
-
-    def compile(self, rng, jitter=0.0):
-        """Return ``(actions, concurrent)``.
-
-        ``actions`` is a list of ``(time, op, index)`` tuples relative
-        to the workload start; ``concurrent`` selects fire-and-forget
-        submission (bursts) vs. ack-ordered submission.
-        """
-        raise NotImplementedError
 
     def to_dict(self):
         return {"type": self.kind, **super().to_dict()}

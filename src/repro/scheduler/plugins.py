@@ -27,34 +27,32 @@ def pod_requests(pod):
 
 
 class FilterPlugin:
+    """``filter(pod, node, snapshot)`` returns None to accept the node
+    or a string reason to reject it."""
+
     name = "filter"
 
-    def filter(self, pod, node, snapshot):
-        """Return None to accept the node or a string reason to reject."""
-        raise NotImplementedError
-
-    # The scheduler skips :meth:`filter` for a (Pod, node) pair only
+    # The scheduler skips ``filter`` for a (Pod, node) pair only
     # where one of these says it cannot reject; the answer must follow
     # from the argument alone.
 
     def may_reject_node(self, node):
-        """False when :meth:`filter` accepts this Node for every Pod."""
+        """False when ``filter`` accepts this Node for every Pod."""
         return True
 
     def may_reject_pod(self, pod):
-        """False when :meth:`filter` accepts every node for this Pod."""
+        """False when ``filter`` accepts every node for this Pod."""
         return True
 
 
 class ScorePlugin:
+    """``score(pod, node, snapshot)`` returns a number; higher is
+    better."""
+
     name = "score"
     # False promises the score is a function of the node's snapshot entry
     # alone, so the scheduler may keep it until that entry changes.
     depends_on_pod = True
-
-    def score(self, pod, node, snapshot):
-        """Return a number; higher is better."""
-        raise NotImplementedError
 
 
 class NodeInfo:
@@ -83,7 +81,7 @@ class ClusterSnapshot:
 
     Long-lived: the scheduler updates it from its informer handlers
     (:meth:`set_node` / :meth:`remove_node` / :meth:`assign` /
-    :meth:`unassign`) instead of rebuilding it per cycle.  ``nodes``
+    :meth:`unassign`) instead of rebuilding it per cycle.  Nodes
     iterate in the node informer cache's order — add order, an update
     keeps its place, delete-then-add moves to the end — because the
     first of equally-scored nodes wins.
@@ -109,12 +107,8 @@ class ClusterSnapshot:
             info = self._infos[name] = NodeInfo()
         return info
 
-    @property
-    def nodes(self):
-        return [info.node for info in self._listed.values()]
-
     def infos(self):
-        """Live view of the listed nodes' entries, in ``nodes`` order."""
+        """Live view of the listed nodes' entries, in listing order."""
         return self._listed.values()
 
     def info(self, node):

@@ -14,7 +14,7 @@ from .errors import (
     SimulationDeadlock,
     StopSimulation,
 )
-from .events import Condition, Event, Timeout, all_of, any_of, resolved
+from .events import Condition, Event, Timeout, all_of, resolved
 from .loop import Simulation
 from .process import Process
 from .resources import Channel, ChannelClosed, Lock
@@ -36,6 +36,5 @@ __all__ = [
     "StopSimulation",
     "Timeout",
     "all_of",
-    "any_of",
     "resolved",
 ]

@@ -166,7 +166,7 @@ class Condition(Event):
     def _on_event(self, event):
         if self.triggered:
             # The condition already has an outcome.  A late-succeeding
-            # constituent (an any_of loser) is irrelevant; a late *failure*
+            # constituent (a first-of loser) is irrelevant; a late *failure*
             # must NOT be swallowed here — leave it undefused so the loop's
             # undefused-failure check surfaces it, unless another waiter
             # handles it first ("undefused failures crash loudly").
@@ -187,7 +187,7 @@ class Condition(Event):
 
         Once the condition has an outcome, a constituent that already
         *succeeded* can never affect it again — detaching orphans pending
-        any_of-loser Timeouts so the loop/timer wheel can skip them instead
+        loser Timeouts so the loop/timer wheel can skip them instead
         of carrying them in the heap until their deadline.  Constituents
         that have not triggered yet keep the callback: they may still
         *fail*, and that failure must stay observable.
@@ -195,11 +195,6 @@ class Condition(Event):
         for ev in self._events:
             if ev.triggered and ev._ok:
                 ev._detach(self._on_event)
-
-
-def any_of(sim, events):
-    """Condition that succeeds when at least one event succeeds."""
-    return Condition(sim, events, lambda events, count: count >= 1)
 
 
 def all_of(sim, events):

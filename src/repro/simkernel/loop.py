@@ -12,7 +12,7 @@ import itertools
 import random
 
 from .errors import SimulationDeadlock, StopSimulation
-from .events import Event, Timeout, all_of, any_of
+from .events import Event, Timeout, all_of
 from .process import Process
 from .timerwheel import MIN_WHEEL_DELAY, TimerWheel
 
@@ -100,17 +100,9 @@ class Simulation:
     # Event factories
     # ------------------------------------------------------------------
 
-    def event(self):
-        """Create an untriggered one-shot event."""
-        return Event(self)
-
     def timeout(self, delay, value=None):
         """Event succeeding ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
-
-    def any_of(self, events):
-        """Event succeeding when any of ``events`` succeeds."""
-        return any_of(self, events)
 
     def all_of(self, events):
         """Event succeeding when all of ``events`` succeed."""
@@ -206,7 +198,7 @@ class Simulation:
         event's callbacks, skipping orphaned events.
 
         An event that is triggered-ok with zero callbacks left (e.g. an
-        ``any_of``-loser ``Timeout`` the winning condition detached from)
+        loser ``Timeout`` a settled condition detached from)
         would process as a pure no-op; marking it processed without the
         dispatch bookkeeping is observationally identical and cheaper.
         """

@@ -17,9 +17,10 @@ is the global minimum and dispatch order is provably identical to a
 heap-only kernel.
 
 Cancellation rides along for free: an entry whose event was orphaned
-(triggered-ok with every callback detached — e.g. an ``any_of``-loser
-``Timeout``) is dropped at flush time instead of ever entering the heap,
-which is where the heap-occupancy win of orphan cancellation comes from.
+(triggered-ok with every callback detached — e.g. a loser ``Timeout``
+of a settled condition) is dropped at flush time instead of ever
+entering the heap, which is where the heap-occupancy win of orphan
+cancellation comes from.
 """
 
 import heapq

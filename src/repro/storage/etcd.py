@@ -282,9 +282,8 @@ class EtcdStore:
 
     # Buckets hold their keys as persistently *sorted* lists maintained by
     # bisect on write, so prefix reads are a binary search + slice instead
-    # of a filter + full sort on every list_prefix/count_prefix call.
-    # Keys sharing a prefix are contiguous in sorted order, which also
-    # makes count_prefix allocation-free.
+    # of a filter + full sort on every list_prefix call.  Keys sharing a
+    # prefix are contiguous in sorted order.
 
     def _index_add(self, key):
         keys = self._buckets.setdefault(self._bucket_of(key), [])
@@ -500,16 +499,6 @@ class EtcdStore:
         items, revision = self.list_stored(prefix)
         return ([(key, stored.value, stored.mod_revision)
                  for key, stored in items], revision)
-
-    def count_prefix(self, prefix):
-        """Number of keys under a prefix, without materializing them.
-
-        A pure bisect over the sorted bucket: no per-call sort and no
-        list allocation.
-        """
-        self._check_alive()
-        _keys, lo, hi = self._prefix_range(prefix)
-        return hi - lo
 
     # ------------------------------------------------------------------
     # Watch

@@ -19,7 +19,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NOOP,
 )
 from .spans import Span, SpanTracer
 
@@ -41,15 +40,13 @@ CORE_FAMILIES = (
 class Telemetry:
     """Per-simulation metrics registry + span tracer."""
 
-    def __init__(self, sim, enabled=True):
+    def __init__(self, sim):
         self.sim = sim
-        self.enabled = enabled
-        self.registry = MetricsRegistry(
-            clock=lambda: sim.now, enabled=enabled)
+        self.registry = MetricsRegistry(clock=lambda: sim.now)
         self.tracer = SpanTracer(
             clock=lambda: sim.now,
             active_context=lambda: getattr(sim, "active_process", None),
-            registry=self.registry, enabled=enabled)
+            registry=self.registry)
 
     # Shorthand factories so call sites read `telemetry.counter(...)`.
 
@@ -99,7 +96,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NOOP",
     "Span",
     "SpanTracer",
     "Telemetry",

@@ -12,9 +12,9 @@ way a Prometheus client library does:
   values, and the only timestamp is the simulation clock — two same-seed
   runs export byte-identical snapshots.
 
-The registry has a cheap no-op mode (``enabled=False``): every factory
-returns a shared do-nothing family, so instrumented components don't
-branch at each call site.
+Telemetry is always on; there is no disabled mode.  Counters and
+histograms are bumped on the hot path; a gauge is computed: it holds a
+callable (``set_function``) that only a snapshot reads.
 
 This module is dependency-free (the clock is an injected callable), so
 the simulation kernel can own a registry without a layering cycle.
@@ -47,31 +47,19 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up, down, or be computed at snapshot time."""
+    """A value computed at snapshot time; 0 until a function is set."""
 
-    __slots__ = ("value", "_fn")
+    __slots__ = ("_fn",)
 
     def __init__(self):
-        self.value = 0.0
         self._fn = None
-
-    def set(self, value):
-        self.value = float(value)
-
-    def inc(self, amount=1.0):
-        self.value += amount
-
-    def dec(self, amount=1.0):
-        self.value -= amount
 
     def set_function(self, fn):
         """Evaluate ``fn()`` lazily at snapshot time (zero hot-path cost)."""
         self._fn = fn
 
     def read(self):
-        if self._fn is not None:
-            return float(self._fn())
-        return self.value
+        return 0.0 if self._fn is None else float(self._fn())
 
 
 class Histogram:
@@ -155,20 +143,8 @@ class Family:
             self._default = self.labels()
         return self._default
 
-    def inc(self, amount=1.0):
-        self._solo().inc(amount)
-
-    def set(self, value):
-        self._solo().set(value)
-
-    def dec(self, amount=1.0):
-        self._solo().dec(amount)
-
     def set_function(self, fn):
         self._solo().set_function(fn)
-
-    def observe(self, value):
-        self._solo().observe(value)
 
     def children(self):
         """(label_values_tuple, child) pairs sorted by label values."""
@@ -200,44 +176,6 @@ class ChildCache(dict):
         return child
 
 
-class _NoopChild:
-    """Shared do-nothing instrument for disabled registries."""
-
-    __slots__ = ()
-
-    def inc(self, amount=1.0):
-        pass
-
-    def set(self, value):
-        pass
-
-    def dec(self, amount=1.0):
-        pass
-
-    def set_function(self, fn):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def labels(self, **labelset):
-        return self
-
-    def children(self):
-        return []
-
-    def total(self):
-        return 0.0
-
-    # Histogram-reader compatibility so report code needn't branch.
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-
-NOOP = _NoopChild()
-
-
 class MetricsRegistry:
     """Named metric families with deterministic snapshots.
 
@@ -246,9 +184,8 @@ class MetricsRegistry:
     time.
     """
 
-    def __init__(self, clock=None, enabled=True):
+    def __init__(self, clock=None):
         self.clock = clock or (lambda: 0.0)
-        self.enabled = enabled
         self._families = {}
 
     # ------------------------------------------------------------------
@@ -256,8 +193,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def _family(self, name, kind, help, labels, buckets=None):
-        if not self.enabled:
-            return NOOP
         family = self._families.get(name)
         if family is not None:
             if family.kind != kind:

@@ -70,19 +70,6 @@ class _SpanContext:
         return False
 
 
-class _NoopSpanContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NOOP_CONTEXT = _NoopSpanContext()
-
-
 class SpanTracer:
     """Span factory with per-process parent stacks and exact aggregates.
 
@@ -100,17 +87,16 @@ class SpanTracer:
     """
 
     def __init__(self, clock, active_context=None, registry=None,
-                 retain=512, enabled=True):
+                 retain=512):
         self.clock = clock
         self.active_context = active_context or (lambda: None)
-        self.enabled = enabled
         self.retain = retain
         self._next_id = 0
         self._stacks = {}            # context key -> [open spans]
         self.finished = deque(maxlen=retain)
         # Exact aggregates, never evicted: name -> [count, errors, sum].
         self._agg = {}
-        if registry is not None and enabled:
+        if registry is not None:
             spans_total = registry.counter(
                 "spans_total", "finished spans", labels=("name",))
             span_duration = registry.histogram(
@@ -132,8 +118,6 @@ class SpanTracer:
     def span(self, name, tenant="", **attrs):
         """Open a span as a context manager; auto-parents to the
         innermost open span of the active process."""
-        if not self.enabled:
-            return _NOOP_CONTEXT
         return _SpanContext(self, self.start(name, tenant=tenant, **attrs))
 
     def start(self, name, tenant="", **attrs):
@@ -187,10 +171,6 @@ class SpanTracer:
                 self._span_errors.labels(name=span.name).inc()
 
     # ------------------------------------------------------------------
-
-    def open_spans(self):
-        """Spans started but not finished (debugging aid)."""
-        return [span for stack in self._stacks.values() for span in stack]
 
     def aggregates(self):
         """Exact per-name aggregates (survive ring eviction), sorted.

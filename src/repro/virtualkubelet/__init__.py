@@ -1,5 +1,5 @@
 """Virtual kubelet (mock pod provider), as used in the paper's evaluation."""
 
-from .provider import MockProvider, PodProvider, VirtualKubelet
+from .provider import MockProvider, VirtualKubelet
 
-__all__ = ["MockProvider", "PodProvider", "VirtualKubelet"]
+__all__ = ["MockProvider", "VirtualKubelet"]

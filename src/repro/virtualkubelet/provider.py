@@ -7,9 +7,12 @@ to the virtual kubelet ready and running instantaneously" (§IV).  The
 only latency is the provider acknowledgement + status write-back, which
 is part of the measured Super-Sched phase.
 
-The narrow provider interface (~7 methods, vs ~25 CRI methods) is made
-explicit here — it is the paper's Fig. 6 argument for why virtual kubelet
-cannot preserve full node semantics the way VirtualCluster's vNodes do.
+The provider interface is narrow (~7 methods: create, update, delete and
+get a Pod, its status, the Pod list, the node capacity, vs ~25 CRI
+methods) — the paper's Fig. 6 argument for why virtual kubelet cannot
+preserve full node semantics the way VirtualCluster's vNodes do.  The
+mock provider keeps no Pod table, so it implements only the two verbs
+this node agent calls: create (mark Ready) and capacity.
 """
 
 from repro.apiserver.errors import ApiError, Conflict, NotFound
@@ -18,38 +21,13 @@ from repro.simkernel.errors import Interrupt
 from repro.telemetry import telemetry_of
 
 
-class PodProvider:
-    """The virtual-kubelet provider interface (~7 methods)."""
-
-    def create_pod(self, pod):
-        raise NotImplementedError
-
-    def update_pod(self, pod):
-        raise NotImplementedError
-
-    def delete_pod(self, pod):
-        raise NotImplementedError
-
-    def get_pod(self, namespace, name):
-        raise NotImplementedError
-
-    def get_pod_status(self, namespace, name):
-        raise NotImplementedError
-
-    def get_pods(self):
-        raise NotImplementedError
-
-    def capacity(self):
-        raise NotImplementedError
-
-
-class MockProvider(PodProvider):
-    """Marks every pod Running/Ready instantly."""
+class MockProvider:
+    """The provider interface's two verbs a mock node needs: it marks
+    every pod Running/Ready instantly and reports a fixed capacity."""
 
     def __init__(self, sim, node_name):
         self.sim = sim
         self.node_name = node_name
-        self._pods = {}
         self._ip_index = 0
 
     def create_pod(self, pod):
@@ -62,25 +40,7 @@ class MockProvider(PodProvider):
         pod.status.set_condition("Initialized", "True", now=self.sim.now)
         pod.status.set_condition("ContainersReady", "True", now=self.sim.now)
         pod.status.set_condition("Ready", "True", now=self.sim.now)
-        self._pods[pod.key] = pod
         return pod
-
-    def update_pod(self, pod):
-        self._pods[pod.key] = pod
-        return pod
-
-    def delete_pod(self, pod):
-        self._pods.pop(pod.key, None)
-
-    def get_pod(self, namespace, name):
-        return self._pods.get(f"{namespace}/{name}")
-
-    def get_pod_status(self, namespace, name):
-        pod = self.get_pod(namespace, name)
-        return pod.status if pod is not None else None
-
-    def get_pods(self):
-        return list(self._pods.values())
 
     def capacity(self):
         return {"cpu": "96", "memory": "328Gi", "pods": "1000"}
@@ -99,10 +59,7 @@ class VirtualKubelet:
         self.provider = MockProvider(sim, node_name)
         self.pod_informer = informer_factory.informer(
             "pods", field_selector={"spec.nodeName": node_name})
-        self.pod_informer.add_handlers(
-            on_add=self._on_pod_add,
-            on_delete=self._on_pod_delete,
-        )
+        self.pod_informer.add_handlers(on_add=self._on_pod_add)
         self._stopped = False
         self._heartbeat_process = None
         self.pods_acked = 0
@@ -152,9 +109,6 @@ class VirtualKubelet:
         if pod.status.is_ready or pod.is_terminal:
             return
         self.sim.spawn(self._ack_pod(pod.key), name=f"vk-ack-{pod.key}")
-
-    def _on_pod_delete(self, pod):
-        self.provider.delete_pod(pod)
 
     def _ack_pod(self, pod_key):
         """Provider acknowledgement: mark the pod Running/Ready.

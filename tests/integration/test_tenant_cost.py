@@ -9,6 +9,7 @@ any machine.
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -51,4 +52,21 @@ def test_an_idle_tenant_creates_no_deque(tenant_cost):
 def test_an_idle_tenant_keeps_few_bytes(tenant_cost):
     total, packages, _lines = tenant_cost.traced_cost(TENANTS)
     assert packages["repro.clientgo"] > 0
+    assert 0 < total <= TRACED_BYTES_PER_TENANT_BOUND, total / 1024
+
+
+def test_a_call_hook_does_not_inflate_the_bytes(tenant_cost):
+    """Under a call hook (a coverage tool, ``scripts/reach.py``) CPython
+    keeps a frame object per parked generator; the probe measures
+    without it, and puts the hook back."""
+    def hook(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        total, _packages, _lines = tenant_cost.traced_cost(TENANTS)
+        assert sys.gettrace() is hook
+    finally:
+        sys.settrace(previous)
     assert 0 < total <= TRACED_BYTES_PER_TENANT_BOUND, total / 1024

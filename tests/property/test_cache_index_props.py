@@ -2,7 +2,7 @@
 
 DESIGN.md §9 replaces the syncer's linear cache scans with index
 lookups; the safety argument is that *every* index query is equivalent
-to the brute-force ``select()`` it replaced, under any interleaving of
+to the brute-force filter it replaced, under any interleaving of
 ``upsert``/``delete``/``replace``.  Hypothesis drives the cache through
 random operation sequences and checks that equivalence after every
 step, plus the bookkeeping invariants (postings never go stale, the
@@ -162,7 +162,7 @@ def test_postings_never_go_stale(operations, split):
 @given(st.lists(operation_st, min_size=1, max_size=20))
 @settings(max_examples=50)
 def test_access_counters_attribute_reads(operations):
-    """Index queries never bump full_scans; select()/items() never bump
+    """Index queries never bump full_scans; items() never bumps
     index_lookups — the counters tests use to pin hot paths are honest."""
     cache = ObjectCache()
     _apply(cache, operations)
@@ -172,8 +172,7 @@ def test_access_counters_attribute_reads(operations):
     assert cache.full_scans == 0
     assert cache.index_lookups == 3
     cache.items()
-    cache.select(lambda obj: True)
-    assert cache.full_scans == 2
+    assert cache.full_scans == 1
     assert cache.index_lookups == 3
 
 

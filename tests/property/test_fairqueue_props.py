@@ -93,7 +93,7 @@ def test_plain_workqueue_preserves_first_add_order(adds):
     taken = []
 
     def worker():
-        while len(queue):
+        while queue._queue:
             item, _t = yield queue.get()
             taken.append(item)
             queue.done(item)

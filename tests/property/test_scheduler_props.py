@@ -227,8 +227,9 @@ def reference_select(pod, nodes, pods_by_node, usage_by_node):
 def check_snapshot(scheduler, assumed):
     snapshot = scheduler.snapshot
     nodes, pods_by_node, usage_by_node = rebuild(scheduler, assumed)
-    assert len(snapshot.nodes) == len(nodes)
-    assert all(ours is theirs for ours, theirs in zip(snapshot.nodes, nodes))
+    listed = [info.node for info in snapshot.infos()]
+    assert len(listed) == len(nodes)
+    assert all(ours is theirs for ours, theirs in zip(listed, nodes))
     for info in snapshot.infos():
         assert info.allocatable == {
             name: Quantity.parse(quantity).milli

@@ -161,9 +161,9 @@ class TestCircuitBreaker:
         threshold = tracker.failure_threshold
         for _ in range(threshold - 1):
             assert not tracker.record_failure("t1")
-        assert tracker.state("t1") == STATE_CLOSED
+        assert tracker.health("t1").state == STATE_CLOSED
         assert tracker.record_failure("t1")
-        assert tracker.state("t1") == STATE_OPEN
+        assert tracker.health("t1").state == STATE_OPEN
         assert not tracker.allow("t1")
         assert tracker.syncer.counters.get("breaker_open") == 1
 
@@ -173,13 +173,13 @@ class TestCircuitBreaker:
         tracker.record_success("t1")
         for _ in range(tracker.failure_threshold - 1):
             tracker.record_failure("t1")
-        assert tracker.state("t1") == STATE_CLOSED
+        assert tracker.health("t1").state == STATE_CLOSED
 
     def test_non_retryable_errors_never_trip(self, tracker):
         for _ in range(tracker.failure_threshold * 3):
             parked = tracker.record_failure("t1", NotFound("gone"))
             assert not parked
-        assert tracker.state("t1") == STATE_CLOSED
+        assert tracker.health("t1").state == STATE_CLOSED
 
     def test_disabled_tracker_always_allows(self, sim):
         syncer = FakeSyncer(sim)
@@ -189,7 +189,7 @@ class TestCircuitBreaker:
         for _ in range(10):
             tracker.record_failure("t1")
         assert tracker.allow("t1")
-        assert tracker.state("t1") == STATE_CLOSED
+        assert tracker.health("t1").state == STATE_CLOSED
 
     def test_probe_closes_circuit_and_unparks(self, sim, tracker):
         for _ in range(tracker.failure_threshold):
@@ -200,7 +200,7 @@ class TestCircuitBreaker:
         # The probe target (the fake tenant apiserver) is healthy, so the
         # first half-open probe succeeds within ~open_duration * 1.25.
         sim.run(until=sim.now + tracker.base_open_duration * 1.5)
-        assert tracker.state("t1") == STATE_CLOSED
+        assert tracker.health("t1").state == STATE_CLOSED
         assert tracker.parked_count("t1") == 0
         assert set(tracker.syncer.requeued) == {
             ("downward", "t1", "pods", "default/a"),
@@ -221,7 +221,7 @@ class TestCircuitBreaker:
                                           tracker.max_open_duration)
         api.recover()
         sim.run(until=sim.now + tracker.max_open_duration)
-        assert tracker.state("t1") == STATE_CLOSED
+        assert tracker.health("t1").state == STATE_CLOSED
         assert tracker.time_degraded("t1") > 0
 
     def test_half_open_state_visible_during_probe(self, sim, api, tracker):
@@ -230,7 +230,7 @@ class TestCircuitBreaker:
         original = api.list
 
         def spying_list(credential, plural, **kwargs):
-            seen.append(tracker.state("t1"))
+            seen.append(tracker.health("t1").state)
             return (yield from original(credential, plural, **kwargs))
 
         api.list = spying_list
@@ -238,7 +238,7 @@ class TestCircuitBreaker:
             tracker.record_failure("t1")
         sim.run(until=sim.now + tracker.base_open_duration * 1.5)
         assert STATE_HALF_OPEN in seen
-        assert tracker.state("t1") == STATE_CLOSED
+        assert tracker.health("t1").state == STATE_CLOSED
 
     def test_drop_tenant_forgets_state_and_parked(self, sim, tracker):
         for _ in range(tracker.failure_threshold):
@@ -246,7 +246,7 @@ class TestCircuitBreaker:
         tracker.park("t1", "downward", ("pods", "default/a"))
         tracker.drop_tenant("t1")
         assert tracker.parked_count() == 0
-        assert tracker.state("t1") == STATE_CLOSED  # fresh entry
+        assert tracker.health("t1").state == STATE_CLOSED  # fresh entry
 
 
 class TestFaultUnits:
@@ -306,8 +306,6 @@ class TestFaultUnits:
             assert "counters" in vars(cls), (
                 f"{cls.__name__} must define counters() (return {{}} when "
                 f"`injections` says it all)")
-        with pytest.raises(NotImplementedError):
-            Fault().counters()
 
     def test_report_carries_each_faults_counters(self, sim, api):
         client = Client(sim, api, ADMIN, user_agent="t", qps=10000,

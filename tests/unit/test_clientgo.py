@@ -80,15 +80,6 @@ class TestClient:
         bootstrap(sim, charged)
         assert account.seconds > 0
 
-    def test_kubeconfig_builds_client(self, sim, api):
-        from repro.clientgo import Kubeconfig
-
-        kubeconfig = Kubeconfig(api, ADMIN)
-        built = kubeconfig.client(sim)
-        bootstrap(sim, built)
-        pod = run(sim, built.create(make_pod("p")))
-        assert pod.metadata.uid
-
 
 class TestInformer:
     def test_initial_list_populates_cache(self, sim, client):
@@ -244,7 +235,7 @@ class TestWorkQueueShutdown:
             queue.done(item)  # must not raise nor re-queue
 
         sim.run(until=sim.spawn(worker()))
-        assert len(queue) == 0
+        assert not queue._queue
         assert not queue._dirty
 
     def test_interrupted_waiter_does_not_swallow_items(self, sim):
@@ -329,7 +320,7 @@ class TestWorkQueueShutdown:
             queue.done(tenant, key)  # must not re-register t1
 
         sim.run(until=sim.spawn(worker()))
-        assert "t1" not in queue.tenants
+        assert queue.stats()["tenants"] == 0
         assert len(queue) == 0
 
     def test_fair_queue_done_after_shutdown(self, sim):

@@ -36,6 +36,7 @@ from repro.scenarios.runner import scenario_config
 from repro.scheduler import Scheduler
 from repro.simkernel import Simulation
 from repro.storage import StoreGroup
+from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -55,6 +56,10 @@ CONSTRUCTORS = {
     SuperCluster: ("sim", "config", "name"),
     ControllerManager: ("sim", "client", "informer_factory"),
     Scheduler: ("sim", "client", "informer_factory", "config", "scorers"),
+    # Telemetry is always on: no ``enabled`` switch.
+    Telemetry: ("sim",),
+    MetricsRegistry: ("clock",),
+    SpanTracer: ("clock", "active_context", "registry", "retain"),
 }
 CALLABLES = {target.__name__: target for target in CONSTRUCTORS}
 

@@ -40,6 +40,11 @@ class _Cluster:
         return items
 
 
+def _controller(cluster, name):
+    return next(controller for controller in cluster.manager.controllers
+                if controller.name == name)
+
+
 @pytest.fixture
 def cluster():
     return _Cluster()
@@ -207,7 +212,7 @@ class _RecordingClient:
 @pytest.fixture
 def collector(cluster):
     """The cluster's garbage collector, its API calls recorded."""
-    gc = cluster.manager.get("garbage-collector")
+    gc = _controller(cluster, "garbage-collector")
     gc.client = _RecordingClient(gc.client)
     return gc
 
@@ -304,7 +309,7 @@ class TestGarbageCollector:
     def test_promoted_standby_sweeps_once(self, cluster):
         """Owners that vanished while the collector was stopped (an HA
         standby) are collected by the sweep in ``start``."""
-        gc = cluster.manager.get("garbage-collector")
+        gc = _controller(cluster, "garbage-collector")
         cluster.run(cluster.client.create(_make_replicaset(replicas=2)))
         cluster.settle(3)
         gc.stop()

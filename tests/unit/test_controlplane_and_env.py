@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.core import SuperCluster, TenantControlPlane, VirtualClusterEnv
-from repro.core.swapper import SwapState, control_plane_memory
+from repro.core.swapper import SWAPPED, SwapState, control_plane_memory
 from repro.objects import make_namespace, make_pod
 from repro.simkernel import Simulation
 from repro.workloads import even_split
@@ -35,8 +35,7 @@ class TestControlPlaneAssembly:
     def test_kubeconfig_round_trip(self):
         sim = Simulation()
         control_plane = TenantControlPlane(sim, "tenant-x", DEFAULT_CONFIG)
-        kubeconfig = control_plane.tenant_kubeconfig()
-        client = kubeconfig.client(sim)
+        client = control_plane.client(control_plane.tenant_credential)
         sim.run(until=sim.process(client.create(make_namespace("default"))))
         pod = sim.run(until=sim.process(client.create(make_pod("p"))))
         assert pod.metadata.uid
@@ -103,7 +102,7 @@ class TestSwapStateUnit:
     def test_ensure_awake_pays_latency_once(self):
         sim = Simulation()
         state = SwapState(sim, wake_latency=1.0)
-        state.swapped = True
+        state.state = SWAPPED
 
         def probe():
             yield from state.ensure_awake()

@@ -160,34 +160,44 @@ class TestListPrefix:
         items, _revision = store.list_prefix("/registry/pods/")
         assert len(items) == 1
 
+    @staticmethod
+    def _count(store, prefix):
+        items, _revision = store.list_prefix(prefix)
+        return len(items)
+
     def test_count_prefix(self, store):
         for i in range(5):
             store.create(f"/registry/pods/ns/{i}", {})
-        assert store.count_prefix("/registry/pods/") == 5
-        assert store.count_prefix("/registry/services/") == 0
+        assert self._count(store, "/registry/pods/") == 5
+        assert self._count(store, "/registry/services/") == 0
 
     def test_count_prefix_tracks_mutations(self, store):
-        """The sort-free bisect count stays consistent with list_prefix
-        through interleaved creates, updates, and deletes."""
+        """The bisected prefix range of the sorted bucket holds exactly
+        the live keys through interleaved creates, updates, and
+        deletes."""
         keys = [f"/registry/pods/ns{i % 3}/p{i:02d}" for i in range(12)]
+        live = set()
         for index, key in enumerate(keys):
             store.create(key, {"i": index})
+            live.add(key)
             if index % 3 == 2:
                 store.delete(keys[index - 1])
+                live.discard(keys[index - 1])
             if index % 4 == 3:
                 store.update(key, {"i": index, "u": True})
             for prefix in ("/registry/pods/", "/registry/pods/ns0/",
                            "/registry/pods/ns1/", "/registry/pods/ns2/"):
                 items, _revision = store.list_prefix(prefix)
-                assert store.count_prefix(prefix) == len(items)
+                assert [k for k, _v, _rev in items] == sorted(
+                    k for k in live if k.startswith(prefix))
 
     def test_count_prefix_respects_prefix_boundaries(self, store):
         store.create("/registry/pods/ns1/a", {})
         store.create("/registry/pods/ns10/a", {})
         store.create("/registry/pods/ns2/a", {})
-        assert store.count_prefix("/registry/pods/ns1/") == 1
-        assert store.count_prefix("/registry/pods/ns1") == 2
-        assert store.count_prefix("/registry/pods/") == 3
+        assert self._count(store, "/registry/pods/ns1/") == 1
+        assert self._count(store, "/registry/pods/ns1") == 2
+        assert self._count(store, "/registry/pods/") == 3
 
     def test_list_sorted(self, store):
         store.create("/registry/pods/ns/b", {})

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apiserver import ADMIN, APIServer
 from repro.clientgo import Client
-from repro.clientgo.events import EventRecorder, NullRecorder
+from repro.clientgo.events import EventRecorder
 from repro.objects import make_namespace, make_pod
 from repro.simkernel import Simulation
 
@@ -82,9 +82,3 @@ class TestEventRecorder:
         assert recorder.dropped >= 1
         api.recover()
 
-    def test_null_recorder_noop(self, setup):
-        sim, _api, client, _recorder = setup
-        null = NullRecorder()
-        null.event(make_pod("p"), "Whatever", "nothing happens")
-        sim.run(until=sim.now + 1)
-        assert list_events(sim, client) == []

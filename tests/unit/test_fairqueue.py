@@ -216,7 +216,7 @@ class TestWeightValidation:
         queue = FairWorkQueue(sim)
         with pytest.raises(ValueError, match="must be positive"):
             queue.register_tenant("T", weight=0)
-        assert "T" not in queue.tenants
+        assert queue.stats()["tenants"] == 0
 
     def test_negative_weight_rejected(self, sim):
         queue = FairWorkQueue(sim)
@@ -237,7 +237,7 @@ class TestWeightValidation:
         queue = FairWorkQueue(sim, shards=2)
         with pytest.raises(ValueError, match="must be positive"):
             queue.register_tenant("T", weight=0)
-        assert "T" not in queue.tenants
+        assert queue.stats()["tenants"] == 0
 
     def test_sharded_explicit_weight_propagates(self, sim):
         queue = FairWorkQueue(sim, shards=2)
@@ -260,7 +260,7 @@ class TestUnfairRemoveTenant:
         queue.remove_tenant("a")
         queue.done("a", "k1")
         assert len(queue) == 0
-        assert queue.tenants == []
+        assert queue.stats()["tenants"] == 0
         assert not queue.get().triggered
 
 

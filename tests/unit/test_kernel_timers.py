@@ -1,13 +1,20 @@
 """Unit tests for the kernel's timer machinery: the hierarchical timer
 wheel, orphan-timer cancellation, the kernel-correctness bugfix sweep
-(late-failing ``any_of`` losers, waiter-abandonment defusing, and the
+(late-failing first-of losers, waiter-abandonment defusing, and the
 Event-wide undefused-failure check), and what an aborted or stopped
 ``run()`` leaves in the heap."""
 
 import pytest
 
-from repro.simkernel import Simulation
+from repro.simkernel import Condition, Event, Simulation
 from repro.simkernel.timerwheel import GRANULARITY, MIN_WHEEL_DELAY, SPAN
+
+
+def first_of(sim, events):
+    """A condition that settles on the first of ``events`` (the kernel
+    ships only ``all_of``; the orphan and late-failure rules below hold
+    for any :class:`Condition`)."""
+    return Condition(sim, events, lambda _events, count: count >= 1)
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +104,7 @@ class TestTimerWheel:
 
 
 # ----------------------------------------------------------------------
-# Orphan cancellation (the any_of-loser Timeout satellite)
+# Orphan cancellation (the loser Timeouts of a settled condition)
 # ----------------------------------------------------------------------
 
 
@@ -108,8 +115,8 @@ class TestOrphanCancellation:
         sim = Simulation()
 
         def proc():
-            yield sim.any_of([sim.timeout(1.0, value="fast"),
-                              sim.timeout(600.0, value="slow")])
+            yield first_of(sim, [sim.timeout(1.0, value="fast"),
+                                 sim.timeout(600.0, value="slow")])
 
         sim.process(proc())
         sim.run()
@@ -123,8 +130,8 @@ class TestOrphanCancellation:
         def proc():
             # Both delays below MIN_WHEEL_DELAY: both go to the heap, so
             # the loser is skipped at pop time instead of flush time.
-            yield sim.any_of([sim.timeout(0.1, value="fast"),
-                              sim.timeout(0.2, value="slow")])
+            yield first_of(sim, [sim.timeout(0.1, value="fast"),
+                                 sim.timeout(0.2, value="slow")])
 
         sim.process(proc())
         sim.run()
@@ -141,7 +148,7 @@ class TestOrphanCancellation:
             seen.append((sim.now, value))
 
         def racer(event):
-            yield sim.any_of([sim.timeout(1.0, value="fast"), event])
+            yield first_of(sim, [sim.timeout(1.0, value="fast"), event])
 
         slow = sim.timeout(10.0, value="slow")
         sim.process(racer(slow))
@@ -161,7 +168,7 @@ class TestOrphanCancellation:
         def racer(index):
             fast = sim.timeout(0.5 + (index % 100) * 0.01)
             slow = sim.timeout(600.0)
-            yield sim.any_of([fast, slow])
+            yield first_of(sim, [fast, slow])
 
         def launcher():
             for index in range(racers):
@@ -193,7 +200,7 @@ class TestUndefusedFailures:
             raise RuntimeError("late boom")
 
         def racer():
-            yield sim.any_of([sim.timeout(1), sim.process(loser())])
+            yield first_of(sim, [sim.timeout(1), sim.process(loser())])
 
         sim.process(racer())
         with pytest.raises(RuntimeError, match="late boom"):
@@ -208,7 +215,7 @@ class TestUndefusedFailures:
             raise RuntimeError("late boom")
 
         def racer(proc):
-            yield sim.any_of([sim.timeout(1), proc])
+            yield first_of(sim, [sim.timeout(1), proc])
 
         def handler(proc):
             try:
@@ -226,13 +233,13 @@ class TestUndefusedFailures:
         """The undefused-failure check covers every Event, not only
         Process: a failed bare event with no waiter stops the run."""
         sim = Simulation()
-        sim.event().fail(RuntimeError("nobody watching"))
+        Event(sim).fail(RuntimeError("nobody watching"))
         with pytest.raises(RuntimeError, match="nobody watching"):
             sim.run()
 
     def test_defused_event_failure_passes_silently(self):
         sim = Simulation()
-        event = sim.event()
+        event = Event(sim)
         event.fail(RuntimeError("handled elsewhere"))
         event.defused = True
         sim.run()
@@ -242,7 +249,7 @@ class TestUndefusedFailures:
         """Walking away from a failed event (e.g. an interrupted worker
         abandoning a queue wait) counts as handling it."""
         sim = Simulation()
-        event = sim.event()
+        event = Event(sim)
         callback = lambda e: None  # noqa: E731
         event.add_callback(callback)
         event.fail(RuntimeError("queue shut down"))
@@ -252,7 +259,7 @@ class TestUndefusedFailures:
 
     def test_detaching_from_pending_event_does_not_defuse(self):
         sim = Simulation()
-        event = sim.event()
+        event = Event(sim)
         callback = lambda e: None  # noqa: E731
         event.add_callback(callback)
         event._detach(callback)
@@ -271,7 +278,7 @@ class TestRunAbort:
         sim = Simulation()
         order = []
         for index in range(6):
-            event = sim.event()
+            event = Event(sim)
             if index == 2:
                 event.fail(RuntimeError("boom"))
             else:
@@ -290,7 +297,7 @@ class TestRunAbort:
         same-time items stay queued for the next ``run()``."""
         sim = Simulation()
         order = []
-        events = [sim.event() for _ in range(4)]
+        events = [Event(sim) for _ in range(4)]
         for index, event in enumerate(events):
             event.succeed(index)
             event.add_callback(lambda e: order.append(e.value))

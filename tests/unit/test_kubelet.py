@@ -162,7 +162,7 @@ class TestKataRuntime:
         def flow():
             sandbox = yield from runtime.run_pod_sandbox(
                 make_pod("p", node_name="n1"))
-            agent = runtime.agent_for(sandbox)
+            agent = sandbox.extra["agent"]
             yield from agent.apply_routing_rules({
                 "rules": [("10.96.0.1", 80, [("172.16.0.9", 8080)])],
                 "final": True,
@@ -210,9 +210,7 @@ class TestVirtualKubelet:
         provider = MockProvider(sim, "vk-1")
         pod = provider.create_pod(make_pod("p"))
         assert pod.status.is_ready
-        assert provider.get_pod("default", "p") is pod
-        assert provider.get_pod_status("default", "p").phase == "Running"
-        assert len(provider.get_pods()) == 1
-        provider.delete_pod(pod)
-        assert provider.get_pods() == []
+        assert pod.status.phase == "Running"
+        assert provider.create_pod(make_pod("q")).status.pod_ip != \
+            pod.status.pod_ip
         assert provider.capacity()["cpu"] == "96"

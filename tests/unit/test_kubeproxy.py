@@ -107,7 +107,7 @@ class TestEnhancedKubeProxy:
         def boot():
             sandbox = yield from runtime.run_pod_sandbox(
                 make_pod("kp", node_name="n1", runtime_class="kata"))
-            return sandbox, runtime.agent_for(sandbox)
+            return sandbox, sandbox.extra["agent"]
 
         return harness.run(boot())
 

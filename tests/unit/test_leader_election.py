@@ -55,17 +55,17 @@ class TestJitteredBackoff:
         assert backoff.next() == 1.0
         assert backoff.next() == 2.0
         backoff.reset()
-        assert backoff.failures == 0
         assert backoff.next() == 1.0
 
 
 class TestLeaderElector:
     def test_first_elector_acquires(self, sim, api):
-        elector = make_elector(sim, api, "a")
+        tokens = []
+        elector = make_elector(sim, api, "a", on_started_leading=tokens.append)
         elector.start()
         sim.run(until=5.0)
         assert elector.is_leader
-        assert elector.fencing_token == 1
+        assert tokens == [1]
         assert elector.acquisitions == 1
 
     def test_standby_does_not_steal_live_lease(self, sim, api):
@@ -80,8 +80,9 @@ class TestLeaderElector:
         assert b.acquisitions == 0
 
     def test_crash_failover_after_expiry(self, sim, api):
-        a = make_elector(sim, api, "a")
-        b = make_elector(sim, api, "b")
+        tokens = []
+        a = make_elector(sim, api, "a", on_started_leading=tokens.append)
+        b = make_elector(sim, api, "b", on_started_leading=tokens.append)
         a.start()
         b.start()
         sim.run(until=5.0)
@@ -91,7 +92,7 @@ class TestLeaderElector:
         sim.run(until=crash_at + 30.0)
         assert standby.is_leader
         # The standby could only win after the lease provably lapsed.
-        assert standby.fencing_token == 2
+        assert tokens == [1, 2]
         assert standby.sim.now >= crash_at + leader.lease_duration - 0.01
 
     def test_graceful_release_allows_fast_takeover(self, sim, api):
@@ -109,15 +110,16 @@ class TestLeaderElector:
         assert sim.now - release_at < leader.lease_duration
 
     def test_fencing_tokens_increase_per_term(self, sim, api):
-        a = make_elector(sim, api, "a")
+        tokens = []
+        a = make_elector(sim, api, "a", on_started_leading=tokens.append)
         a.start()
         sim.run(until=5.0)
         a.crash()
         sim.run(until=30.0)
-        b = make_elector(sim, api, "b")
+        b = make_elector(sim, api, "b", on_started_leading=tokens.append)
         b.start()
         sim.run(until=60.0)
-        assert b.fencing_token > a.fencing_token
+        assert len(tokens) == 2 and tokens[1] > tokens[0]
 
     def test_callbacks_fire(self, sim, api):
         events = []

@@ -82,3 +82,13 @@ def test_failed_root_fails_the_audit_and_is_named(capsys, tmp_path,
     assert "reach: root failed: boom" in captured.err
     assert "root failed: fine" not in captured.err
     assert "root failed: tier1" not in captured.err
+
+
+def test_each_run_reports_its_wall_seconds(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    roots = [reach.Root("fine", "rc = 0")]
+    assert reach.main(roots=roots, tier1=reach.Root("tier1", "rc = 0")) == 0
+    out = capsys.readouterr().out
+    timings = out.split("wall seconds per run, under the hook:\n")[1]
+    names = [line.split()[1] for line in timings.splitlines()]
+    assert names == ["fine", "tier1"]

@@ -395,7 +395,7 @@ class TestOneServingStore:
     # EtcdStore's data path: none of it may reappear on the group.
     DATA_PATH = ("create", "get", "get_stored", "try_get",
                  "try_get_stored", "update", "delete", "txn", "watch",
-                 "list_prefix", "list_stored", "count_prefix", "hold",
+                 "list_prefix", "list_stored", "hold",
                  "snapshot", "restore", "wipe", "compact", "check_fence",
                  "recover_from_wal", "revision")
     # What both classes define on purpose: chaos latches and stats.

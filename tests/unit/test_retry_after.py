@@ -169,9 +169,9 @@ class TestWorkqueueHonorsRetryAfter:
         sim = Simulation(seed=7)
         queue = RateLimitingQueue(sim)
         queue.add_rate_limited("key", retry_after=0.1)
-        assert queue.num_requeues("key") == 1
+        assert queue._failures["key"] == 1
         queue.add_rate_limited("key", retry_after=0.1)
-        assert queue.num_requeues("key") == 2
+        assert queue._failures["key"] == 2
 
     def test_without_hint_exponential_backoff(self):
         sim = Simulation(seed=7)

@@ -477,7 +477,7 @@ class TestCompilation:
             WorkloadSpec("ops", SequentialShape(count=4, think=0.5),
                          start=2.0)])]).validate()
         (job,) = compile_load(scenario)
-        assert job.actions is None
+        assert not hasattr(job.plan, "actions")
         assert job.plan.mode == "sequential"
         assert job.plan.count == 4
         assert job.start == 2.0
@@ -488,7 +488,7 @@ class TestCompilation:
                          start=4.0)])]).validate()
         (job,) = compile_load(scenario)
         assert job.start == 0.0
-        assert [when for when, _op, _i in job.actions] == [5.0, 5.0, 5.0]
+        assert [when for when, _op, _i in job.plan.actions] == [5.0, 5.0, 5.0]
         assert job.plan.concurrent is True
 
     def test_rolling_upgrade_actions_interleave_creates_and_replaces(self):
@@ -510,10 +510,10 @@ class TestCompilation:
             WorkloadSpec("b", ConstantShape(rate=2.0, duration=5.0),
                          jitter=0.1)])]).validate()
         first, second = compile_load(scenario), compile_load(scenario)
-        assert first[0].actions == second[0].actions
-        assert first[1].actions == second[1].actions
+        assert first[0].plan.actions == second[0].plan.actions
+        assert first[1].plan.actions == second[1].plan.actions
         # Same shape, same jitter — but workload-derived seeds differ.
-        assert first[0].actions != first[1].actions
+        assert first[0].plan.actions != first[1].plan.actions
 
 
 class TestCliReportsUnloadableFiles:

@@ -211,7 +211,7 @@ class TestSnapshotSurface:
         view = ClusterSnapshot(
             [node], {"n1": [make_pod("e", node_name="n1")]},
             {"n1": {"cpu": "1500m", "pods": Quantity.parse(1)}})
-        assert view.nodes == [node]
+        assert [info.node for info in view.infos()] == [node]
         assert NodeResourcesFit().filter(make_pod("p", cpu="500m"), node,
                                          view) is None
         assert NodeResourcesFit().filter(make_pod("p", cpu="1"), node,
@@ -284,9 +284,9 @@ class TestIncrementalSnapshot:
         view = scheduler.snapshot
         view.assign(make_pod("p", cpu="3", node_name="n0"))
         scheduler._on_node_delete(make_node("n0"))
-        assert [n.metadata.name for n in view.nodes] == ["n1"]
+        assert [i.node.metadata.name for i in view.infos()] == ["n1"]
         scheduler._on_node_add(make_node("n0", cpu="4", pods="10"))
-        assert [n.metadata.name for n in view.nodes] == ["n1", "n0"]
+        assert [i.node.metadata.name for i in view.infos()] == ["n1", "n0"]
         chosen, reasons = scheduler._select_node(make_pod("q", cpu="2"))
         assert chosen.metadata.name == "n1"
         assert reasons == {"n0": "insufficient resources"}

@@ -21,7 +21,6 @@ class TestLabelSelector:
     def test_empty_selector_matches_everything(self):
         assert LabelSelector().matches({"anything": "goes"})
         assert LabelSelector().matches({})
-        assert LabelSelector().empty
 
     def test_in_operator(self):
         selector = LabelSelector(match_expressions=[

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.clientgo import FairWorkQueue, ShutDown, WorkQueue
-from repro.simkernel import Event, Simulation, resolved
+from repro.simkernel import Condition, Event, Simulation, resolved
 
 
 class TestEventFailure:
     def test_condition_fails_when_member_fails(self):
         sim = Simulation()
-        bad = sim.event()
+        bad = Event(sim)
         good = sim.timeout(10)
         caught = []
 
@@ -30,13 +30,13 @@ class TestEventFailure:
 
     def test_fail_requires_exception(self):
         sim = Simulation()
-        event = sim.event()
+        event = Event(sim)
         with pytest.raises(TypeError):
             event.fail("not an exception")
 
     def test_late_callback_on_processed_event(self):
         sim = Simulation()
-        event = sim.event()
+        event = Event(sim)
         event.succeed("value")
         sim.run()
         seen = []
@@ -46,7 +46,7 @@ class TestEventFailure:
 
     def test_value_before_trigger_raises(self):
         sim = Simulation()
-        event = sim.event()
+        event = Event(sim)
         with pytest.raises(AttributeError):
             _ = event.value
 
@@ -121,7 +121,9 @@ class TestResolvedResults:
         fired = []
 
         def waiter():
-            first = yield sim.any_of([resolved(sim, "now"), sim.timeout(5)])
+            first = yield Condition(
+                sim, [resolved(sim, "now"), sim.timeout(5)],
+                lambda _events, count: count >= 1)
             both = yield sim.all_of([resolved(sim, "a"), sim.timeout(1)])
             fired.append((sorted(first.values()), sorted(both.values(),
                                                          key=str), sim.now))

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.simkernel import (
+    Condition,
+    Event,
     Interrupt,
     Simulation,
     SimulationDeadlock,
@@ -159,7 +161,8 @@ def test_any_of_waits_for_first():
     def proc():
         fast = sim.timeout(1, value="fast")
         slow = sim.timeout(5, value="slow")
-        result = yield sim.any_of([fast, slow])
+        result = yield Condition(sim, [fast, slow],
+                                 lambda _events, count: count >= 1)
         seen.append(list(result.values()))
         seen.append(sim.now)
 
@@ -236,7 +239,7 @@ def test_interrupt_finished_process_is_noop():
 
 def test_run_until_event_never_triggered_raises_deadlock():
     sim = Simulation()
-    never = sim.event()
+    never = Event(sim)
 
     def proc():
         yield sim.timeout(1)
@@ -248,7 +251,7 @@ def test_run_until_event_never_triggered_raises_deadlock():
 
 def test_manual_event_succeed_wakes_waiter():
     sim = Simulation()
-    gate = sim.event()
+    gate = Event(sim)
     log = []
 
     def waiter():
@@ -269,7 +272,7 @@ def test_event_double_trigger_rejected():
     from repro.simkernel import EventAlreadyTriggered
 
     sim = Simulation()
-    event = sim.event()
+    event = Event(sim)
     event.succeed(1)
     with pytest.raises(EventAlreadyTriggered):
         event.succeed(2)

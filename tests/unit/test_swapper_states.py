@@ -71,7 +71,7 @@ class TestSwapStateMachine:
     def test_double_wake_pays_latency_once(self):
         sim = Simulation(seed=1)
         state = SwapState(sim, wake_latency=1.0)
-        state.swapped = True
+        state.state = SWAPPED
         elapsed = []
         run_awake(sim, state, elapsed, name="first")
         sim.run(until=sim.now + 0.3)
@@ -87,7 +87,7 @@ class TestSwapStateMachine:
     def test_waker_death_rolls_back_and_waiter_restarts(self):
         sim = Simulation(seed=1)
         state = SwapState(sim, wake_latency=1.0)
-        state.swapped = True
+        state.state = SWAPPED
 
         def doomed():
             try:
@@ -113,7 +113,7 @@ class TestSwapStateMachine:
     def test_wake_during_failover_without_swapper_is_cold(self):
         sim = Simulation(seed=1)
         state = SwapState(sim, wake_latency=0.8)
-        state.swapped = True
+        state.state = SWAPPED
         elapsed = []
         run_awake(sim, state, elapsed)
         sim.run(until=sim.now + 2.0)

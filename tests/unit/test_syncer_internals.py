@@ -112,10 +112,10 @@ class TestSyncerBookkeeping:
         env = VirtualClusterEnv(num_virtual_nodes=1, config=SLOW_SCAN)
         env.bootstrap()
         tenant = env.run_coroutine(env.create_tenant("gone"))
-        assert tenant.key in env.syncer.downward.tenants
+        assert env.syncer.downward.stats()["tenants"] == 1
         env.syncer.unregister_tenant(tenant.key)
-        assert tenant.key not in env.syncer.downward.tenants
-        assert tenant.key not in env.syncer.upward.tenants
+        assert env.syncer.downward.stats()["tenants"] == 0
+        assert env.syncer.upward.stats()["tenants"] == 0
 
     def test_double_register_is_idempotent(self, env_and_tenant):
         env, tenant = env_and_tenant

@@ -203,9 +203,12 @@ class TestTracing:
         with pytest.raises(TypeError):
             store.mark("t", "ns/p", "uws_done", 5.0)
         assert store.completed_count == 0
+        assert store.completed() == []
         assert store.mean_creation_time_by_tenant() == {}
         store.mark("t", "ns/p", "super_ready", 3.0)
         assert store.completed_count == 1
+        # Both readers agree: ``uws_done`` alone does not complete it.
+        assert store.completed() == [store.get("t", "ns/p")]
         assert store.mean_creation_time_by_tenant() == {"t": 5.0}
 
 

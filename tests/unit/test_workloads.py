@@ -19,7 +19,8 @@ def setup():
 
 
 def pod_count(api):
-    return api.store.count_prefix("/registry/pods/")
+    items, _revision = api.store.list_prefix("/registry/pods/")
+    return len(items)
 
 
 class TestLoadGenerator:

@@ -40,7 +40,7 @@ class TestWorkQueue:
         queue.add("a")
         queue.add("a")
         queue.add("a")
-        assert len(queue) == 1
+        assert len(queue._queue) == 1
         assert queue.deduped_total == 2
 
     def test_readd_while_processing_requeues_after_done(self, sim):
@@ -52,7 +52,7 @@ class TestWorkQueue:
             item, _t = yield queue.get()
             order.append(("first", item))
             queue.add("a")  # re-added while processing
-            assert len(queue) == 0  # goes to dirty, not the queue
+            assert len(queue._queue) == 0  # goes to dirty, not the queue
             queue.done(item)
             item, _t = yield queue.get()
             order.append(("second", item))
@@ -119,7 +119,7 @@ class TestWorkQueue:
         queue = WorkQueue(sim)
         queue.shutdown()
         queue.add("x")
-        assert len(queue) == 0
+        assert len(queue._queue) == 0
 
     def test_two_workers_share_items(self, sim):
         queue = WorkQueue(sim)
@@ -168,7 +168,7 @@ class TestRateLimitingQueue:
     def test_add_after_zero_is_immediate(self, sim):
         queue = RateLimitingQueue(sim)
         queue.add_after("a", 0)
-        assert len(queue) == 1
+        assert len(queue._queue) == 1
 
     def test_backoff_grows_exponentially(self, sim):
         queue = _SlowQueue(sim)
@@ -190,14 +190,13 @@ class TestRateLimitingQueue:
     def test_forget_resets_backoff(self, sim):
         queue = _SlowQueue(sim)
         queue.add_rate_limited("x")
-        assert queue.num_requeues("x") == 1
+        assert queue._failures == {"x": 1}
         queue.forget("x")
-        assert queue.num_requeues("x") == 0
+        assert queue._failures == {}
 
     def test_max_delay_cap(self, sim):
         queue = _CappedQueue(sim)
         for _ in range(10):
-            queue.num_requeues("x")
             queue._failures["x"] = queue._failures.get("x", 0) + 1
         queue.add_rate_limited("x")
         got = drain(sim, queue, 1)
