@@ -108,8 +108,8 @@ def main():
     def scale_up():
         deployment = yield from acme.client.get("deployments", "web",
                                                 namespace="app")
-        deployment.spec.replicas = 5
-        yield from acme.client.update(deployment)
+        yield from acme.client.update(deployment.replace(
+            spec=deployment.spec.replace(replicas=5)))
 
     env.run_coroutine(scale_up())
     wait_for_ready(env, acme, 5)

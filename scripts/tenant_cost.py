@@ -11,8 +11,11 @@ a 20-node ``VirtualClusterEnv`` at seed 0, and idles them 30 sim-s.
 That runs twice in this interpreter, each time on a fresh env:
 
 1. untraced: the growth of peak RSS (``ru_maxrss``), of GC-tracked
-   objects and of live ``collections.deque`` objects, and the host CPU
-   spent provisioning, each divided by the tenant count;
+   objects and of live ``collections.deque`` objects, the host CPU
+   spent provisioning, and the bytes of the records in the tenants' own
+   stores (``sys.getsizeof`` over each record's object graph, every
+   object counted once: records holding a typed snapshot, and records
+   holding a dict apart), each divided by the tenant count;
 2. under ``tracemalloc``: the bytes still allocated after the idle
    window, per tenant, split by ``repro`` package and by source line.
 
@@ -79,9 +82,39 @@ def idle_env(tenants=TENANTS, idle=IDLE_S, before=None):
     return env, provision_s
 
 
+def _deep_size(value, seen):
+    """Bytes of ``value``'s object graph not yet in ``seen``."""
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    size = sys.getsizeof(value)
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        items = [getattr(value, name, None)
+                 for klass in type(value).__mro__
+                 for name in klass.__dict__.get("__slots__", ())]
+    return size + sum(_deep_size(item, seen) for item in items)
+
+
+def stored_record_bytes(env):
+    """``(typed, dict)`` bytes of the records in every tenant control
+    plane's store, each record counted whole, by its value's kind."""
+    seen = set()
+    sizes = {"typed": 0, "dict": 0}
+    for control_plane in env.tenant_operator.control_planes.values():
+        for stored in control_plane.api.store._data.values():
+            kind = "dict" if isinstance(stored.value, dict) else "typed"
+            sizes[kind] += _deep_size(stored, seen)
+    return sizes["typed"], sizes["dict"]
+
+
 def untraced_cost(tenants=TENANTS):
-    """Per-tenant RSS (KB), GC-tracked objects, live deques and
-    provisioning host ms, from one untraced run."""
+    """Per-tenant RSS (KB), GC-tracked objects, live deques,
+    provisioning host ms and stored-record KB (typed, dict), from one
+    untraced run."""
     start = {}
 
     def before():
@@ -91,11 +124,14 @@ def untraced_cost(tenants=TENANTS):
 
     env, provision_s = idle_env(tenants, before=before)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    typed, dicts = stored_record_bytes(env)
     cost = {
         "rss_kb": (rss - start["rss"]) / tenants,
         "gc_objects": (len(gc.get_objects()) - start["objects"]) / tenants,
         "deques": (_deques() - start["deques"]) / tenants,
         "provision_ms": provision_s * 1e3 / tenants,
+        "stored_typed_kb": typed / 1024 / tenants,
+        "stored_dict_kb": dicts / 1024 / tenants,
     }
     del env
     return cost
@@ -160,6 +196,8 @@ def main():
     print(f"  GC-tracked objects  {cost['gc_objects']:8.1f}")
     print(f"  live deques         {cost['deques']:8.1f}")
     print(f"  provisioning        {cost['provision_ms']:8.2f} host ms")
+    print(f"  stored records      {cost['stored_typed_kb']:8.1f} KB typed, "
+          f"{cost['stored_dict_kb']:.1f} KB dict")
     total, packages, lines = traced_cost()
     print(f"  tracemalloc         {total / 1024:8.1f} KB")
     print("\ntracemalloc KB per tenant by module:")

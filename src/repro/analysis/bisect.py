@@ -19,6 +19,8 @@ reordering.
 import hashlib
 import json
 
+from repro.objects.meta import stored_wire
+
 
 class _Entry:
     """One recorded store event, for attribution."""
@@ -59,7 +61,7 @@ class ReplayRecorder:
         process = self.sim._active_process
         component = process.name if process is not None else "main"
         payload = (f"{store}|{event.type}|{event.key}|{event.revision}|"
-                   f"{json.dumps(event.value, sort_keys=True)}")
+                   f"{json.dumps(stored_wire(event.value), sort_keys=True)}")
         self._hash.update(payload.encode("utf-8"))
         self.digests.append(self._hash.hexdigest())
         self.entries.append(_Entry(len(self.entries), self.sim.now, store,

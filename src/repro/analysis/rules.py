@@ -113,7 +113,8 @@ RULES = {
         "container method whose target is rooted in a value read from "
         "an informer cache (get/by_index/by_namespace/by_label/"
         "select_labels/items/select), handed to an informer handler, "
-        "or returned by a client get/list.  Those objects are the "
+        "or returned by a client get/list/create/update.  Those objects "
+        "are the "
         "apiserver's shared snapshots — one object per revision, held "
         "by every cache and reader — so an in-place edit corrupts all "
         "of them (the freeze guard turns it into FrozenError in tests). "

@@ -13,8 +13,8 @@ C-rules (each decided inside one module)
 C003  module-level mutable state written from a function
 C004  Timeout/Event created and dropped (orphaned timer)
 C005  unfenced store write from a leader-elected component
-C006  shared snapshot (cache entry, handler argument, client get/list
-      result) mutated in place without a copy()/replace() rebinding
+C006  shared snapshot (cache entry, handler argument, client read or
+      write result) mutated in place without a copy()/replace() rebinding
 
 Every finding can be suppressed per line with ``# repro: allow[XXXX]
 why`` or per file in ``analysis-allowlist.txt``.  The meta-rule A000
@@ -71,11 +71,13 @@ _STORE_WRITE_METHODS = {"put", "delete", "txn"}
 
 # Shared-snapshot sources (C006).  Cache reads returning one object /
 # a list of objects, on a receiver whose last name segment says cache;
-# client reads are recognised by ``yield from <recv>.<method>(...)``.
+# client reads — and writes, which return the stored snapshot — are
+# recognised by ``yield from <recv>.<method>(...)``.
 _CACHE_GET_METHODS = {"get"}
 _CACHE_LIST_METHODS = {"by_index", "by_namespace", "by_label",
                        "select_labels", "items", "select"}
-_CLIENT_GET_METHODS = {"get", "get_pod"}
+_CLIENT_GET_METHODS = {"get", "get_pod", "create", "create_pod", "update",
+                       "update_status"}
 _CLIENT_LIST_METHODS = {"list", "list_pods"}
 _HANDLER_KEYWORDS = ("on_add", "on_update", "on_delete")
 
@@ -420,7 +422,7 @@ class _ModuleChecker(ast.NodeVisitor):
                     node, "C006",
                     f"{how} edits {root!r}, a shared snapshot (cache "
                     f"entry, informer handler argument or client "
-                    f"get/list result) in place; every other holder sees "
+                    f"read/write result) in place; every other holder sees "
                     f"the edit — rebind it first with .replace(...) or "
                     f".copy()")
 

@@ -13,7 +13,6 @@ from repro.objects import (
     ValidationError,
     add_resource_lists,
 )
-from repro.objects.meta import spec_wires
 
 from .errors import Forbidden, Invalid
 
@@ -21,8 +20,7 @@ from .errors import Forbidden, Invalid
 class AdmissionRequest:
     """What a plugin sees for each mutating call."""
 
-    __slots__ = ("verb", "plural", "obj", "old_obj", "namespace", "credential",
-                 "_spec_wires")
+    __slots__ = ("verb", "plural", "obj", "old_obj", "namespace", "credential")
 
     def __init__(self, verb, plural, obj, old_obj=None, namespace=None,
                  credential=None):
@@ -32,32 +30,24 @@ class AdmissionRequest:
         self.old_obj = old_obj
         self.namespace = namespace
         self.credential = credential
-        self._spec_wires = None
-
-    def spec_wires(self):
-        """``spec_wires(old_obj, obj)``, encoded once per request: Pod
-        update validation and the apiserver's generation bump compare
-        the same pair.  Encoded again only if a plugin replaced a spec."""
-        old_spec = getattr(self.old_obj, "spec", None)
-        new_spec = getattr(self.obj, "spec", None)
-        memo = self._spec_wires
-        if memo is None or memo[0] is not old_spec or memo[1] is not new_spec:
-            memo = self._spec_wires = (
-                old_spec, new_spec, spec_wires(self.old_obj, self.obj))
-        return memo[2]
 
 
 class AdmissionPlugin:
     """Base plugin; a subclass's ``admit(request, reader)`` may change
     ``request.obj`` or raise.
 
-    On ``create`` the object is private and may be edited in place.  On
-    ``update`` it is a ``replace()`` shell whose children are shared with
-    the caller (usually a stored snapshot's): replace a child rather
-    than mutating it (DESIGN.md §16 "Object plane").
+    ``request.obj`` is a shell whose metadata is the request's own and
+    whose other children are shared with the caller (on ``update``,
+    usually with a stored snapshot): a plugin replaces a child rather
+    than mutating it (``request.obj = obj.replace(spec=...)``, DESIGN.md
+    §16 "Object plane").  ``release(obj)`` is called once the object is
+    removed from the store, for a plugin holding state for it.
     """
 
     name = "plugin"
+
+    def release(self, obj):
+        pass
 
 
 class NamespaceLifecycle(AdmissionPlugin):
@@ -90,13 +80,19 @@ class PodDefaults(AdmissionPlugin):
         pod = request.obj
         if not isinstance(pod, Pod):
             return
-        if not pod.spec.scheduler_name:
-            pod.spec.scheduler_name = "default-scheduler"
-        if not pod.spec.service_account_name:
-            pod.spec.service_account_name = "default"
-        for container in pod.spec.containers:
-            if container.resources.requests is None:
-                container.resources.requests = {}
+        spec = pod.spec
+        defaults = {}
+        if not spec.scheduler_name:
+            defaults["scheduler_name"] = "default-scheduler"
+        if not spec.service_account_name:
+            defaults["service_account_name"] = "default"
+        if any(c.resources.requests is None for c in spec.containers):
+            defaults["containers"] = [
+                c.replace(resources=c.resources.replace(requests={}))
+                if c.resources.requests is None else c
+                for c in spec.containers]
+        if defaults:
+            request.obj = pod.replace(spec=spec.replace(**defaults))
 
 
 class ClusterIPAllocator(AdmissionPlugin):
@@ -132,10 +128,13 @@ class ClusterIPAllocator(AdmissionPlugin):
             if candidate not in self._allocated:
                 break
         self._allocated.add(candidate)
-        service.spec.cluster_ip = candidate
+        request.obj = service.replace(
+            spec=service.spec.replace(cluster_ip=candidate))
 
-    def release(self, cluster_ip):
-        self._allocated.discard(cluster_ip)
+    def release(self, obj):
+        """A removed Service's cluster IP may be allocated again."""
+        if isinstance(obj, Service):
+            self._allocated.discard(obj.spec.cluster_ip)
 
     def _format_ip(self, index):
         high, low = divmod(index, 254)
@@ -192,8 +191,7 @@ class ValidatingObjectSchema(AdmissionPlugin):
                 if request.verb == "create":
                     validate_pod(request.obj)
                 elif request.verb == "update" and request.old_obj is not None:
-                    validate_pod_update(request.old_obj, request.obj,
-                                        request.spec_wires())
+                    validate_pod_update(request.old_obj, request.obj)
             elif request.plural == "services" and request.verb == "create":
                 validate_service(request.obj)
         except ValidationError as exc:

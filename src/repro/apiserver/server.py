@@ -12,13 +12,8 @@ import string
 
 from repro.config import DEFAULT_CONFIG
 from repro.objects import Namespace, generate_uid
-from repro.objects.base import (
-    EMPTY_DICT,
-    check_serde,
-    freeze,
-    freeze_guard_on,
-)
-from repro.objects.meta import same_wires
+from repro.objects.base import check_decoded_shape, freeze
+from repro.objects.meta import same_spec
 from repro.objects.selectors import equality_hint, match_fields
 from repro.telemetry import ChildCache, telemetry_of
 from repro.objects.validation import ValidationError, validate_metadata
@@ -94,12 +89,11 @@ class WatchStream:
         return self._translate(event)
 
     def _translate(self, event):
-        obj = self._server._decode(self._obj_type, event.stored)
         if event.type == EVENT_PUT:
             kind = "ADDED" if event.prev_value is None else "MODIFIED"
-        else:
-            kind = "DELETED"
-        return kind, obj
+            return kind, self._server._decode(self._obj_type, event.stored)
+        return "DELETED", self._server._deleted(self._obj_type,
+                                                event.stored)
 
     def stop(self):
         self.closed = True
@@ -135,10 +129,8 @@ class APIServer:
         # every request at once: no concurrency cap.
         self.apf = None
         self._watch_streams = []
-        # Exact read-outs of the decode memo (see _decode): wire values
-        # decoded, and reads served by an already-decoded snapshot.
+        # Dict values decoded (see _decode): the only decodes left.
         self.decodes = 0
-        self.decode_hits = 0
         self.request_count = 0
         # Requests from tenant users (not system:masters infrastructure):
         # what the idle swapper treats as activity, so syncer heartbeats
@@ -186,90 +178,69 @@ class APIServer:
         return f"/registry/{obj_type.PLURAL}/"
 
     def _decode(self, obj_type, stored):
-        """The typed snapshot of one stored value at its revision.
+        """The typed snapshot of one stored record at its revision.
 
-        Decoded at most once: the :class:`~repro.storage.etcd.StoredValue`'s
-        memo slot holds it, and every ``get``/``list``/watch delivery of
-        that (key, revision) returns the same object.  It is shared,
-        hence frozen: whoever wants to change it takes ``replace()`` or
-        ``copy()`` first.  A revision this apiserver wrote over a decoded
-        base was decoded against that base at the write
-        (:meth:`_write_against`); a DELETE event's snapshot is the removed
-        revision's, re-stamped with the delete revision; any other value
-        is decoded whole by its first reader.
+        A record this apiserver wrote holds its snapshot: the object
+        written, stamped with the record's revision and frozen, which
+        every ``get``/``list``/watch delivery of that (key, revision)
+        returns.  Whoever wants to change it takes ``replace()`` or
+        ``copy()`` first.  A dict value — replayed from a log, or
+        written into the store directly — is decoded by its first
+        reader, stamped, and put in the record's place: the only decode.
         """
-        obj = stored.decoded
-        if obj is not None:
-            self.decode_hits += 1
-            return obj
-        self.decodes += 1
-        removed = stored.deleted
-        stored.deleted = None
-        if removed is not None and removed.decoded is not None:
-            base = removed.decoded
-            return self._memoize(stored, base.replace(), base)
-        return self._memoize(stored, obj_type.from_dict(stored.value))
-
-    def _memoize(self, stored, obj, base=None):
-        """Stamp ``obj`` — decoded from ``stored.value``, against
-        ``base``'s children if given — with its revision and wire dict,
-        and make it the record's shared snapshot.  The metadata is always
-        a shell of its own, never ``base``'s."""
-        meta = obj.metadata
-        if base is not None and meta is base.metadata:
-            obj.metadata = meta = meta.replace()
-        meta.resource_version = str(stored.mod_revision)
-        obj._wire = stored.value
-        if base is not None and freeze_guard_on():
-            full = type(obj).from_dict(stored.value)
-            full.metadata.resource_version = meta.resource_version
-            check_serde("shared decode",
-                        f"{obj.key!r} at revision {stored.mod_revision}",
-                        repr(obj.to_dict()), repr(full.to_dict()))
-        stored.decoded = freeze(obj)
+        obj = stored.value
+        if isinstance(obj, dict):
+            self.decodes += 1
+            obj = obj_type.from_dict(obj)
+            obj.metadata.resource_version = str(stored.mod_revision)
+            stored.value = obj = freeze(obj)
         return obj
 
-    def _write_against(self, key, record, base, obj):
-        """Store ``obj`` as the next revision of ``key`` over ``record``
-        (CAS on its revision), whose snapshot ``base`` it was derived
-        from: encoded against ``base`` and the record's wire dict, so
-        unchanged subtrees are shared, not re-encoded; and decoded
-        against them at once, so unchanged children of the new snapshot
-        are ``base``'s.  Returns the new revision.
+    def _deleted(self, obj_type, stored):
+        """A DELETE event's snapshot: the removed revision's, re-stamped
+        with the delete revision once, in the event record's place."""
+        obj = self._decode(obj_type, stored)
+        revision = str(stored.mod_revision)
+        if obj.metadata.resource_version != revision:
+            obj = obj.replace(metadata=obj.metadata.replace(
+                resource_version=revision))
+            stored.value = obj = freeze(obj)
+        return obj
 
-        Only a value this apiserver encoded lends its subtrees: one
-        replayed from a log has its keys in sorted order, and sharing
-        them would carry that order into the new revision.
-        """
-        value = obj.to_dict_against(
-            base, record.value if record.canonical else EMPTY_DICT)
-        if freeze_guard_on():
-            check_serde("shared encode",
-                        f"{key!r} over revision {record.mod_revision}",
-                        repr(value), repr(obj.to_dict()))
-        revision = self.store.update(key, value,
-                                     expected_revision=record.mod_revision)
-        written = self.store.try_get_stored(key)
-        written.canonical = True
-        if written.decoded is None:
-            self.decodes += 1
-            self._memoize(written, type(base).from_dict_against(
-                written.value, base, record.value), base)
-        return revision
+    def _write(self, write, key, obj, *args):
+        """Store ``obj`` as the next revision of ``key`` with the store's
+        ``write`` (create or update), stamped with the revision the
+        store assigns — its next one, since writes apply one at a time —
+        before the store freezes it.  Returns the stored snapshot."""
+        obj.metadata.resource_version = str(self.store.revision + 1)
+        write(key, obj, *args)
+        return obj
+
+    def _remove(self, key, obj, revision):
+        """Delete ``key``'s record (CAS on ``revision``) for good, and let
+        the admission plugins drop what they hold for ``obj`` (a
+        Service's cluster IP)."""
+        self.store.delete(key, expected_revision=revision)
+        for plugin in self.admission:
+            plugin.release(obj)
 
     @staticmethod
     def _raw_matcher(label_selector, field_selector):
-        """Selector test on a wire dict (None when nothing is selected),
-        so lists and watches filter before they decode."""
+        """Selector test on a stored value, typed or dict (None when
+        nothing is selected): lists and watches filter without decoding
+        or encoding."""
         if label_selector is None and not field_selector:
             return None
 
-        def matches(raw):
+        def matches(value):
             if label_selector is not None:
-                labels = (raw.get("metadata") or {}).get("labels") or {}
-                if not label_selector.matches(labels):
+                if isinstance(value, dict):
+                    labels = (value.get("metadata") or {}).get("labels")
+                else:
+                    labels = value.metadata.labels
+                if not label_selector.matches(labels or {}):
                     return False
-            return not field_selector or match_fields(field_selector, raw)
+            return not field_selector or match_fields(field_selector, value)
 
         return matches
 
@@ -333,17 +304,20 @@ class APIServer:
     # ------------------------------------------------------------------
 
     def _prepare_create(self, obj, namespace):
-        """Pre-auth normalization shared by create() and transaction()."""
+        """Pre-auth normalization shared by create() and transaction():
+        a shell of ``obj`` with a metadata shell of its own, which the
+        create fills in.  Every other child stays the caller's: the
+        stored snapshot takes them over, as an update's does."""
         obj_type = type(obj)
         plural = obj_type.PLURAL
         if not self.registry.has(plural):
             raise NotFound(f"no resource {plural!r} registered")
-        obj = obj.copy()
+        meta = obj.metadata.replace()
         if obj_type.NAMESPACED:
-            obj.metadata.namespace = obj.metadata.namespace or namespace
-        if obj.metadata.name is None and obj.metadata.generate_name:
-            obj.metadata.name = self._generate_name(obj.metadata.generate_name)
-        return obj
+            meta.namespace = meta.namespace or namespace
+        if meta.name is None and meta.generate_name:
+            meta.name = self._generate_name(meta.generate_name)
+        return obj.replace(metadata=meta)
 
     def _create_core(self, credential, obj):
         """Validate, admit and store a prepared object (synchronous)."""
@@ -353,25 +327,25 @@ class APIServer:
             validate_metadata(obj, obj_type.NAMESPACED)
         except ValidationError as exc:
             raise Invalid(str(exc)) from exc
-        self._admit(credential, "create", plural, obj, None,
-                    obj.metadata.namespace)
-        obj.metadata.uid = generate_uid(self.sim)
-        obj.metadata.creation_timestamp = self.sim.now
-        obj.metadata.generation = 1
-        obj.metadata.resource_version = None
-        key = self._key(obj_type, obj.metadata.namespace, obj.metadata.name)
+        check_decoded_shape(obj)
+        obj = self._admit(credential, "create", plural, obj, None,
+                          obj.metadata.namespace).obj
+        meta = obj.metadata
+        meta.uid = generate_uid(self.sim)
+        meta.creation_timestamp = self.sim.now
+        meta.generation = 1
+        key = self._key(obj_type, meta.namespace, meta.name)
         try:
-            revision = self.store.create(key, obj.to_dict())
+            return self._write(self.store.create, key, obj)
         except KeyAlreadyExists as exc:
             raise AlreadyExists(
                 f"{plural} {obj.key!r} already exists") from exc
-        self.store.try_get_stored(key).canonical = True
-        obj.metadata.resource_version = str(revision)
-        return obj
 
     def create(self, credential, obj, namespace=None):
-        """Coroutine: persist a new object; returns the stored copy (a
-        private object the caller may edit and send back)."""
+        """Coroutine: persist a new object; returns the stored snapshot
+        (shared and read-only: ``replace()`` before editing).  The
+        caller's children become the snapshot's: the caller must not
+        edit them afterwards either."""
         obj = self._prepare_create(obj, namespace)
         credential, span, ticket = yield from self._begin(
             credential, "create", type(obj).PLURAL)
@@ -433,9 +407,9 @@ class APIServer:
 
         ``subresource="status"`` replaces only the status block, like the
         real ``/status`` subresource used by kubelets and controllers.
-        Returns a shell around the caller's children (for ``status``,
-        the stored spec and the caller's status) with a metadata shell
-        of its own carrying the new resourceVersion.
+        Returns the stored snapshot: a shell around the caller's children
+        (for ``status``, the stored spec and the caller's status) with a
+        metadata shell of its own carrying the new resourceVersion.
         """
         credential, span, ticket = yield from self._begin(
             credential, "update", type(obj).PLURAL)
@@ -487,7 +461,7 @@ class APIServer:
             new_obj = obj.replace(metadata=metadata)
             request = self._admit(credential, "update", plural, new_obj,
                                   stored, metadata.namespace)
-            if not same_wires(request.spec_wires()):
+            if not same_spec(stored, request.obj):
                 metadata.generation += 1
 
         # Finalizer bookkeeping: removing the last finalizer of a
@@ -495,15 +469,13 @@ class APIServer:
         if (new_obj.metadata.deletion_timestamp is not None
                 and not new_obj.metadata.finalizers
                 and not self._namespace_pinned(new_obj)):
-            self.store.delete(key, expected_revision=stored_rev)
+            self._remove(key, new_obj, stored_rev)
             return new_obj
 
         try:
-            revision = self._write_against(key, record, stored, new_obj)
+            return self._write(self.store.update, key, new_obj, stored_rev)
         except RevisionConflict as exc:
             raise Conflict(str(exc)) from exc
-        new_obj.metadata.resource_version = str(revision)
-        return new_obj
 
     def delete(self, credential, plural, name, namespace=None):
         """Coroutine: delete an object (honouring finalizers)."""
@@ -531,16 +503,14 @@ class APIServer:
                               or self._namespace_pinned(obj))
         if needs_finalization:
             if obj.metadata.deletion_timestamp is None:
-                base = obj
                 obj = obj.replace(metadata=obj.metadata.replace(
-                    deletion_timestamp=self.sim.now, resource_version=None))
+                    deletion_timestamp=self.sim.now))
                 if isinstance(obj, Namespace):
                     obj = obj.replace(
                         status=obj.status.replace(phase="Terminating"))
-                revision = self._write_against(key, record, base, obj)
-                obj.metadata.resource_version = str(revision)
+                obj = self._write(self.store.update, key, obj, stored_rev)
             return obj
-        self.store.delete(key, expected_revision=stored_rev)
+        self._remove(key, obj, stored_rev)
         return obj
 
     def _namespace_pinned(self, obj):

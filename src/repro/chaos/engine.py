@@ -11,6 +11,7 @@ scenario file's ``ScheduleSpec`` (``repro.scenarios.model``), and
 
 import random
 
+from repro.objects import Pod
 from repro.simkernel.errors import Interrupt
 
 
@@ -104,24 +105,21 @@ def format_report(report):
 
 
 def stored_pods(api):
-    """``(key, (metadata, ready))`` for every pod in one apiserver's
-    store, read from the stored dicts without decoding them."""
-    raw_items, _revision = api.store.list_prefix("/registry/pods/")
+    """``(key, (namespace, name, deleting, annotations, ready))`` for
+    every pod in one apiserver's store, read off the stored snapshots
+    without encoding them; only a dict value (replayed from a log and
+    not read since) is decoded."""
+    items, _revision = api.store.list_stored("/registry/pods/")
     rows = []
-    for _key, value, _rev in raw_items:
-        meta = value["metadata"]
-        namespace, name = meta.get("namespace"), meta.get("name")
-        rows.append((f"{namespace}/{name}" if namespace else name or "",
-                     (meta, _is_ready(value))))
+    for _key, stored in items:
+        pod = stored.value
+        if isinstance(pod, dict):
+            pod = Pod.from_dict(pod)
+        meta = pod.metadata
+        rows.append((pod.key, (meta.namespace, meta.name,
+                               meta.deletion_timestamp is not None,
+                               meta.annotations or {}, pod.status.is_ready)))
     return rows
-
-
-def _is_ready(value):
-    """``Pod.status.is_ready`` over a stored pod dict."""
-    for condition in (value.get("status") or {}).get("conditions") or ():
-        if condition.get("type") == "Ready":
-            return condition.get("status") == "True"
-    return False
 
 
 def check_convergence(env):
@@ -133,9 +131,10 @@ def check_convergence(env):
     nothing parked.  Returns ``(ok, detail)`` where ``detail`` lists the
     violations found (empty lists when ok).
 
-    The check reads the few fields it compares straight from the stored
-    wire dicts: a poll over every Pod of every store runs every half
-    simulated second, and decoding each one dominated a paper-scale run.
+    The check reads the few fields it compares straight off the stored
+    values: a poll over every Pod of every store runs every half
+    simulated second, and decoding (or encoding) each one dominated a
+    paper-scale run.
     """
     from repro.core.crd import super_namespace
     from repro.core.syncer.conversion import (
@@ -151,25 +150,25 @@ def check_convergence(env):
     tenant_live = {}  # tenant key -> set of (namespace, name)
     for key, handle in sorted(env.tenants.items()):
         live = set()
-        for pod_key, (meta, ready) in stored_pods(handle.control_plane.api):
-            if meta.get("deletionTimestamp") is not None:
+        for pod_key, row in stored_pods(handle.control_plane.api):
+            namespace, name, deleting, _annotations, ready = row
+            if deleting:
                 continue
-            namespace, name = meta.get("namespace"), meta.get("name")
             live.add((namespace, name))
             sname = super_namespace(handle.vc, namespace)
             super_pod = super_pods.get(f"{sname}/{name}")
             if super_pod is None:
                 missing.append((key, pod_key, "no super pod"))
-            elif super_pod[1] != ready:
+            elif super_pod[4] != ready:
                 missing.append((key, pod_key, "readiness mismatch"))
         tenant_live[key] = live
 
-    for pod_key, (meta, _ready) in super_pods.items():
-        annotations = meta.get("annotations") or {}
+    for pod_key, (_ns, _name, deleting, annotations, _ready) in \
+            super_pods.items():
         tenant = annotations.get(ANNOTATION_VC)
         if not tenant or tenant not in tenant_live:
             continue  # not synced, or its tenant was deleted wholesale
-        if meta.get("deletionTimestamp") is not None:
+        if deleting:
             continue
         origin = (annotations.get(ANNOTATION_TENANT_NAMESPACE) or None,
                   annotations.get(ANNOTATION_TENANT_NAME))

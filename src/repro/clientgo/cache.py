@@ -33,12 +33,12 @@ INDEX_LABELS = "labels"
 
 
 def estimate_object_bytes(obj, factor, overhead):
-    """Rough in-memory size of a decoded API object.
+    """Rough in-memory size of a cached API object.
 
     Proportional to the serialized size — like real informer caches, where
-    a Pod with managed fields occupies tens of kilobytes.  An apiserver
-    snapshot is sized from the wire dict it was decoded from, not
-    re-encoded (:func:`~repro.objects.meta.wire_chars`).
+    a Pod with managed fields occupies tens of kilobytes.  The size is
+    counted without encoding, and children an earlier revision shares
+    are not counted again (:func:`~repro.objects.meta.wire_chars`).
     """
     return int(wire_chars(obj) * factor) + overhead
 

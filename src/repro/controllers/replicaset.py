@@ -68,7 +68,7 @@ class ReplicaSetController(Controller):
                 pod.metadata.labels = dict(
                     rs.spec.template.metadata.labels or {})
                 pod.metadata.owner_references = [_controller_ref(rs)]
-                pod.spec = rs.spec.template.spec    # create() copies
+                pod.spec = rs.spec.template.spec    # shared, never edited
                 try:
                     yield from self.client.create(pod)
                 except AlreadyExists:
@@ -147,7 +147,7 @@ class DeploymentController(Controller):
             rs.metadata.owner_references = [_controller_ref(deployment)]
             rs.spec.replicas = deployment.spec.replicas
             rs.spec.selector = deployment.spec.selector
-            rs.spec.template = deployment.spec.template     # create() copies
+            rs.spec.template = deployment.spec.template     # shared, never edited
             try:
                 yield from self.client.create(rs)
             except AlreadyExists:

@@ -38,6 +38,18 @@ from .vn_agent import VnAgent
 # Super-cluster namespace holding the VirtualCluster objects.
 VC_NAMESPACE = "vc-manager"
 
+# The most kernel dispatches one run_until may spend: a wait past it is
+# a runaway (say, a controller creating Pods it never sees), failed
+# instead of left spinning until its simulated timeout.  Over twice the
+# largest single wait of the test suite, the paper-figure benchmarks
+# and the bench workloads: 456,653 dispatches, in Fig. 11b's run.
+RUN_DISPATCH_BUDGET = 1_000_000
+
+
+class RunawayRun(RuntimeError):
+    """A wait spent :data:`RUN_DISPATCH_BUDGET` dispatches and its
+    condition still did not hold."""
+
 
 class TenantHandle:
     """A tenant's view: its VC object, control plane, and client."""
@@ -328,12 +340,20 @@ class VirtualClusterEnv:
         self.sim.run(until=self.sim.now + seconds)
 
     def run_until(self, predicate, timeout=600.0, poll=0.1):
-        """Advance the sim until ``predicate()`` is true (or timeout)."""
+        """Advance the sim until ``predicate()`` is true; raises
+        TimeoutError at ``timeout`` simulated seconds, and
+        :class:`RunawayRun` once the wait has spent
+        :data:`RUN_DISPATCH_BUDGET` dispatches (checked between polls)."""
         deadline = self.sim.now + timeout
+        budget = self.sim.kernel_stats()["dispatched"] + RUN_DISPATCH_BUDGET
         while not predicate():
             if self.sim.now >= deadline:
                 raise TimeoutError(
                     f"condition not met within {timeout} simulated seconds")
+            if self.sim.kernel_stats()["dispatched"] >= budget:
+                raise RunawayRun(
+                    f"condition not met after {RUN_DISPATCH_BUDGET:,} "
+                    f"dispatches (at t={self.sim.now:g}s)")
             self.sim.run(until=min(self.sim.now + poll, deadline))
         return self.sim.now
 

@@ -227,6 +227,8 @@ class Kubelet:
                 if container.state == "running":
                     yield from runtime.stop_container(container)
             yield from runtime.stop_pod_sandbox(sandbox)
+            if self.enhanced_proxy is not None and sandbox.runtime == "kata":
+                self.enhanced_proxy.on_sandbox_stopped(sandbox)
             self.pods_stopped += 1
         self._workers.pop(pod_key, None)
 

@@ -33,7 +33,8 @@ class EnhancedKubeProxy(KubeProxy):
         self.scan_count = 0
 
     # ------------------------------------------------------------------
-    # Sandbox registration (called by the kubelet when a guest boots)
+    # Sandbox registration (called by the kubelet when a guest boots or
+    # stops)
     # ------------------------------------------------------------------
 
     def on_sandbox_started(self, sandbox, agent):
@@ -45,6 +46,10 @@ class EnhancedKubeProxy(KubeProxy):
         self._channels[sandbox.sandbox_id] = (channel, agent, sandbox)
         self.sim.spawn(self._initial_injection(sandbox.sandbox_id),
                        name=f"inject-{sandbox.sandbox_id}")
+
+    def on_sandbox_stopped(self, sandbox):
+        """Forget a stopped guest: scans and rule pushes stop calling it."""
+        self._channels.pop(sandbox.sandbox_id, None)
 
     def _initial_injection(self, sandbox_id):
         entry = self._channels.get(sandbox_id)

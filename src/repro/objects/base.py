@@ -4,30 +4,24 @@ Every API type declares its fields once via :class:`Field`; the base class
 derives the instance layout, the constructor behaviour,
 ``to_dict``/``from_dict`` (using the Kubernetes camelCase wire names),
 deep copy (``copy``), shallow copy-on-write (``replace``) and structural
-equality.  The wire format is JSON-shaped dicts, which is what the
-simulated etcd stores.
+equality.  The wire format is JSON-shaped dicts: what the write-ahead
+log, the replay digest and a raw store read carry.
 
 Object plane contract (DESIGN.md "Object plane"): a written value is
-immutable and shared, not copied.  The serde is the one place where
-wire dicts and typed objects meet, so it guarantees that they never
-alias each other: ``from_dict`` copies untyped dict/list payloads out of
-the wire dict and ``to_dict`` copies them into it.  A decoded object
-that is handed to more than one reader is a *snapshot*: readers must
-not mutate it, and writers derive their own object from it with
-``replace`` (new shell, untouched children shared) or ``copy`` (fully
-private).  :func:`freeze` is the guard for that rule — see
-:func:`set_freeze_guard`.
-
-Because written values and snapshots never change, successive revisions
-of one object share what did not change between them.
-``to_dict_against(base, wire)`` encodes an object against the base it
-was derived from and the base's wire dict: a field whose value *is* the
-base's reuses the wire's subtree, so a status write encodes the status
-and nothing else.  ``from_dict_against(data, base, wire)`` decodes the
-next revision against the previous one: a field whose wire subtree *is*
-the previous revision's takes the previous snapshot's child.  Identity
-implies equality on both sides; with the guard on, the apiserver checks
-each shortcut against the full serde (:func:`check_serde`).
+immutable and shared, not copied.  The store keeps each revision as the
+typed object the apiserver wrote, and readers share it: it is a
+*snapshot*, which readers must not mutate, and writers derive their own
+object from it with ``replace`` (new shell, untouched children shared)
+or ``copy`` (fully private).  :func:`freeze` is the guard for that rule
+— see :func:`set_freeze_guard`.  Because snapshots never change,
+successive revisions of one object share the children that did not
+change between them.  The serde is the one place where wire dicts and
+typed objects meet, so it guarantees that they never alias each other:
+``from_dict`` copies untyped dict/list payloads out of the wire dict and
+``to_dict`` copies them into it.  Wire dicts are made only where bytes
+leave the model (a log record, a replay digest); the Fig. 10 memory
+meter counts ``len(str(to_dict()))`` with ``wire_chars`` instead, and
+spec comparisons compare typed values (:func:`fields_equal`).
 
 Objects are lean because the informer caches hold one per object per
 revision: every type is slotted (``__slots__`` derived from its own
@@ -43,10 +37,9 @@ interpreter time), so ``__init_subclass__`` compiles a specialized
 ``__init__``/``to_dict``/``from_dict``/``replace`` per type — the field
 loop, container dispatch, and default handling are resolved at
 class-creation time, the way :mod:`dataclasses` builds ``__init__`` —
-and ``copy``, ``to_dict_against`` and ``from_dict_against`` the first
-time a type's method is looked up.  The
-generated methods are the only serde: a subclass declares ``FIELDS``
-and never writes them by hand.
+and ``copy`` and ``wire_chars`` the first time a type's method is
+looked up.  The generated methods are the only serde: a subclass
+declares ``FIELDS`` and never writes them by hand.
 """
 
 from .quantity import Quantity
@@ -109,27 +102,27 @@ class _Slotted(type):
 class Serializable(metaclass=_Slotted):
     """Base class implementing serde over a ``FIELDS`` declaration.
 
-    Every subclass gets seven generated methods (see
+    Every subclass gets six generated methods (see
     :class:`_SerdeCodegen`): ``__init__(**kwargs)`` filling undeclared
     fields with their defaults, ``to_dict()`` producing the camelCase
     wire representation, the classmethod ``from_dict(data)`` reading
     it back (unknown keys ignored, ``None`` passed through, absent
-    empty-default collections shared immutable empties), their
-    structural-sharing forms ``to_dict_against(base, wire)`` and
-    ``from_dict_against(data, base, wire)`` (module docstring; compiled
-    at their first lookup), ``copy()`` —
-    a fully private, mutable deep copy, compiled at its first lookup —
-    and ``replace(**fields)`` — a new object of the same type holding
-    the given field values and, for every other field, *the same* value
-    object as ``self``.  ``replace`` is a shallow shell, not a deep
-    copy: it is how a writer changes one field of a shared snapshot
-    (``pod.replace(status=new_status)``) without touching it.
+    empty-default collections shared immutable empties),
+    ``wire_chars()`` — ``len(str(to_dict()))`` without the dict,
+    memoized — and ``copy()`` — a fully private, mutable deep copy —
+    both compiled at their first lookup, and ``replace(**fields)`` — a
+    new object of the same type holding the given field values and, for
+    every other field, *the same* value object as ``self``.  ``replace``
+    is a shallow shell, not a deep copy: it is how a writer changes one
+    field of a shared snapshot (``pod.replace(status=new_status)``)
+    without touching it.
 
-    The one slot declared here is the freeze marker, set only by
-    :func:`freeze` under the guard.
+    The two slots declared here are the freeze marker, set only by
+    :func:`freeze` under the guard, and the ``wire_chars`` memo, which
+    neither ``replace`` nor ``copy`` carries over.
     """
 
-    __slots__ = ("_frozen",)
+    __slots__ = ("_frozen", "_chars")
     FIELDS = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -142,8 +135,7 @@ class Serializable(metaclass=_Slotted):
         cls.replace = gen.gen_replace(fields)
         # Set on every class, so that none inherits its base's methods.
         cls.copy = _COPY_ON_FIRST_USE
-        cls.to_dict_against = _TO_DICT_AGAINST_ON_FIRST_USE
-        cls.from_dict_against = _FROM_DICT_AGAINST_ON_FIRST_USE
+        cls.wire_chars = _WIRE_CHARS_ON_FIRST_USE
 
     @classmethod
     def _wire_header(cls):
@@ -163,6 +155,16 @@ class Serializable(metaclass=_Slotted):
                 for field in klass.__dict__.get("FIELDS", ()):
                     cached[field.py_name] = field
             cls._FIELD_INDEX = cached
+        return cached
+
+    @classmethod
+    def _wire_index(cls):
+        """Wire name -> :class:`Field`."""
+        cached = cls.__dict__.get("_WIRE_INDEX")
+        if cached is None:
+            cached = {field.json_name: field
+                      for field in cls._field_index().values()}
+            cls._WIRE_INDEX = cached
         return cached
 
     def __eq__(self, other):
@@ -198,12 +200,8 @@ class _CompileOnFirstUse:
 
 _COPY_ON_FIRST_USE = _CompileOnFirstUse(
     "copy", lambda gen, fields: gen.gen_copy(fields))
-_TO_DICT_AGAINST_ON_FIRST_USE = _CompileOnFirstUse(
-    "to_dict_against",
-    lambda gen, fields: gen.gen_to_dict_against(fields))
-_FROM_DICT_AGAINST_ON_FIRST_USE = _CompileOnFirstUse(
-    "from_dict_against",
-    lambda gen, fields: classmethod(gen.gen_from_dict_against(fields)))
+_WIRE_CHARS_ON_FIRST_USE = _CompileOnFirstUse(
+    "wire_chars", lambda gen, fields: gen.gen_wire_chars(fields))
 
 
 def fast_deep_copy(value):
@@ -269,21 +267,39 @@ def set_freeze_guard(enabled):
 
 
 def freeze_guard_on():
-    """Whether the guard is on.  The serde cross-checks run only then,
-    and only ever raise :class:`SerdeMismatch`."""
+    """Whether the guard is on.  The meter's cross-check runs only then,
+    and only ever raises :class:`SerdeMismatch`."""
     return _guard_on
 
 
 class SerdeMismatch(AssertionError):
-    """A structural-sharing shortcut disagreed with the full serde."""
+    """A serde shortcut disagreed with the full serde."""
 
 
-def check_serde(what, where, shortcut, full):
-    """Raise :class:`SerdeMismatch` unless a shortcut's result equals the
-    full serde's; ``where`` names the key and the revision."""
-    if shortcut != full:
-        raise SerdeMismatch(f"{what} of {where} differs from the full "
-                            f"serde: {shortcut!r} != {full!r}")
+def check_decoded_shape(obj):
+    """Under the guard, raise :class:`SerdeMismatch` unless ``obj`` is,
+    type for type, what decoding its encoding gives — no ``None`` over
+    a default, no dict standing in for a typed child.  A create stores
+    the caller's object as the snapshot readers get, where a decode
+    used to give them that normal form."""
+    if _guard_on and _shape(obj) != _shape(type(obj).from_dict(
+            obj.to_dict())):
+        raise SerdeMismatch(f"{obj!r} is not what its encoding decodes to")
+
+
+def _shape(value):
+    """The type of every node and leaf reachable from ``value``, a
+    frozen container counted as the plain one it stands for."""
+    kind = {FrozenList: list, FrozenDict: dict}.get(type(value),
+                                                    type(value))
+    if isinstance(value, Serializable):
+        return kind, tuple(_shape(getattr(value, name))
+                           for name in type(value)._field_index())
+    if isinstance(value, dict):
+        return kind, tuple((key, _shape(item)) for key, item in value.items())
+    if isinstance(value, list):
+        return kind, tuple(_shape(item) for item in value)
+    return kind
 
 
 def freeze(value):
@@ -401,6 +417,10 @@ class _SerdeCodegen:
             "_CONTAINER_TYPES": _CONTAINER_TYPES,
             "_EMPTY_LIST": EMPTY_LIST,
             "_EMPTY_DICT": EMPTY_DICT,
+            "_chars": _chars,
+            "_list_chars": _list_chars,
+            "_map_chars": _map_chars,
+            "_set": object.__setattr__,
         }
         self._n = 0
 
@@ -629,88 +649,135 @@ class _SerdeCodegen:
         lines.append("    return out")
         return self.compile("to_dict", lines)
 
-    def shares_children(self, field):
-        """Whether a single child of ``field`` is encoded and decoded
-        against its base's child (a nested API type) rather than whole."""
-        return (field.container is None and field.type is not None
-                and issubclass(field.type, Serializable))
-
-    def gen_to_dict_against(self, fields):
-        """``to_dict`` against a base object and the wire dict ``wire``
-        that is the base's encoding: a field whose value *is* the base's
-        reuses the wire's subtree, a nested object is encoded against
-        the base's child, and everything else is encoded as ``to_dict``
-        would.  Returns ``wire`` itself when nothing differs."""
-        lines = ["def to_dict_against(self, base, wire):",
-                 '    """``to_dict()``, sharing every subtree of ``wire``'
-                 ' (the encoding of ``base``) whose field is unchanged."""',
-                 self.header_line(),
-                 "    same = True"]
+    def gen_wire_chars(self, fields):
+        """``len(str(self.to_dict()))`` without the dict: each present
+        field adds its key, its ``": "`` and ``", "`` and its value's
+        count, exactly as ``to_dict`` would write it.  The count is
+        memoized in the ``_chars`` slot, so children that successive
+        revisions share are counted once."""
+        chars = 0
+        for key, value in self.cls._wire_header():
+            chars += len(repr(key)) + len(repr(value)) + 4
+        lines = ["def wire_chars(self):",
+                 '    """``len(str(self.to_dict()))``, memoized (see'
+                 ' :func:`wire_chars`)."""',
+                 "    n = getattr(self, '_chars', None)",
+                 "    if n is not None:",
+                 "        return n",
+                 f"    n = {chars}"]
         for field in fields:
-            key = field.json_name
-            lines += [f"    v = self.{field.py_name}",
-                      f"    b = base.{field.py_name}",
-                      f"    if v is b and {key!r} in wire:",
-                      f"        out[{key!r}] = wire[{key!r}]"]
-            if self.shares_children(field):
-                tname = self.const("ty", field.type)
-                lines += [
-                    "    elif v is not None:",
-                    f"        w = wire.get({key!r})",
-                    f"        if (type(v) is {tname} and type(b) is {tname}"
-                    " and isinstance(w, dict)):",
-                    "            d = v.to_dict_against(b, w)",
-                    "        else:",
-                    "            d = _dump(v)",
-                    f"        out[{key!r}] = d",
-                    "        if d is not w:",
-                    "            same = False",
-                    f"    elif {key!r} in wire:",
-                    "        same = False"]
-            else:
-                lines.append("    else:")
-                lines += self.encode_lines(field, "        ")
-                lines += [f"        if {key!r} in out or {key!r} in wire:",
-                          "            same = False"]
-        lines += ["    if same and len(out) == len(wire):",
-                  "        return wire",
-                  "    return out"]
-        return self.compile("to_dict_against", lines)
+            entry = len(repr(field.json_name)) + 4
+            lines.append(f"    v = self.{field.py_name}")
+            if field.container is None:
+                lines += ["    if v is not None:",
+                          f"        n += {entry} + _chars(v)"]
+                continue
+            count = "_list_chars" if field.container == "list" else "_map_chars"
+            lines += ["    if v:", f"        n += {entry} + {count}(v)"]
+            if self.keeps_empty(field):
+                lines += ["    elif v is not None:", f"        n += {entry + 2}"]
+        lines += ["    n = n or 2",
+                  "    _set(self, '_chars', n)",
+                  "    return n"]
+        return self.compile("wire_chars", lines)
 
-    def gen_from_dict_against(self, fields):
-        """``from_dict`` of ``data`` against a base object decoded from
-        ``wire``: a field whose wire value *is* the same object in both
-        dicts takes the base's value, a nested object whose wire values
-        differ is decoded against the base's child, and everything else
-        is decoded as ``from_dict`` would."""
-        lines = ["def from_dict_against(cls, data, base, wire):",
-                 '    """``from_dict(data)``, sharing every child of'
-                 ' ``base`` whose wire subtree ``data`` shares with'
-                 ' ``wire``."""',
-                 "    obj = cls.__new__(cls)",
-                 "    get = data.get",
-                 "    wget = wire.get"]
-        for field in fields:
-            key, name = field.json_name, field.py_name
-            lines += [f"    raw = get({key!r})",
-                      "    if raw is None:",
-                      f"        obj.{name} = {self.absent_expr(field)}",
-                      f"    elif raw is wget({key!r}):",
-                      f"        obj.{name} = base.{name}"]
-            decode = self.decode_expr(field)
-            if self.shares_children(field):
-                tname = self.const("ty", field.type)
-                lines += [
-                    "    else:",
-                    f"        w = wget({key!r})",
-                    f"        b = base.{name}",
-                    f"        if (type(b) is {tname} and isinstance(raw, dict)"
-                    " and isinstance(w, dict)):",
-                    f"            obj.{name} = {tname}.from_dict_against("
-                    "raw, b, w)",
-                    "        else:",
-                    f"            obj.{name} = {decode}"]
-            else:
-                lines += ["    else:", f"        obj.{name} = {decode}"]
-        lines.append("    return obj")
-        return self.compile("from_dict_against", lines)
+
+# Types whose ``repr`` is their wire form's: ``_dump`` passes a scalar
+# through and copies a plain container without converting its items.
+_REPR_IS_WIRE = frozenset((str, int, float, bool, type(None), dict, list))
+
+
+def _chars(value):
+    """``len(str(...))`` of what ``to_dict`` writes for one value."""
+    if value.__class__ in _REPR_IS_WIRE:
+        return len(repr(value))
+    if isinstance(value, Serializable):
+        return value.wire_chars()
+    if isinstance(value, _CONTAINER_TYPES) or not hasattr(
+            value, "to_serialized"):
+        return len(repr(value))
+    return len(repr(value.to_serialized()))
+
+
+def _list_chars(values):
+    # "[a, b]": two brackets and a ", " between items.
+    return sum(map(_chars, values)) + 2 * len(values)
+
+
+def _map_chars(values):
+    # "{k: a, l: b}": two braces, and ": " and ", " per item less one.
+    return (sum(map(len, map(repr, values))) + sum(map(_chars,
+                                                      values.values()))
+            + 4 * len(values))
+
+
+# ---------------------------------------------------------------------------
+# Reading typed values in wire terms
+# ---------------------------------------------------------------------------
+
+
+def _present(field, value):
+    """Whether ``to_dict`` writes ``field`` holding ``value``."""
+    if field.container is None:
+        return value is not None
+    return bool(value) or (value is not None
+                           and _SerdeCodegen.keeps_empty(field))
+
+
+def wire_equal(a, b):
+    """``_dump(a) == _dump(b)`` — whether two values have equal wire
+    forms — without encoding where it can be helped: identical values
+    are equal, and two objects of one type compare field by field."""
+    if a is b:
+        return True
+    if type(a) is type(b) and isinstance(a, Serializable):
+        return fields_equal(a, b)
+    return _dump(a) == _dump(b)
+
+
+def fields_equal(a, b, ignore=()):
+    """Whether two objects of one type have equal wire forms, the fields
+    whose wire names are in ``ignore`` aside."""
+    for field in type(a)._field_index().values():
+        if field.json_name in ignore:
+            continue
+        va = getattr(a, field.py_name)
+        vb = getattr(b, field.py_name)
+        if va is vb:
+            continue
+        present = _present(field, va)
+        if present != _present(field, vb):
+            return False
+        if not present:
+            continue
+        if field.container is None:
+            if not wire_equal(va, vb):
+                return False
+        elif field.container == "list":
+            if len(va) != len(vb) or not all(map(wire_equal, va, vb)):
+                return False
+        elif va.keys() != vb.keys() or not all(
+                wire_equal(value, vb[key]) for key, value in va.items()):
+            return False
+    return True
+
+
+def wire_child(obj, name):
+    """The value ``obj.to_dict()`` holds at key ``name``, left typed
+    where it is an object: None where the wire has no such key."""
+    field = type(obj)._wire_index().get(name)
+    if field is None:
+        return dict(type(obj)._wire_header()).get(name)
+    value = getattr(obj, field.py_name)
+    return value if _present(field, value) else None
+
+
+def wire_leaf(value):
+    """A value read with :func:`wire_child` as the wire holds it."""
+    if value is None or isinstance(value, _SCALAR_TYPES):
+        return value
+    if isinstance(value, list):
+        return [wire_leaf(item) for item in value]
+    if isinstance(value, dict):
+        return {key: wire_leaf(item) for key, item in value.items()}
+    return _dump(value)

@@ -3,10 +3,11 @@
 import itertools
 
 from .base import (
-    EMPTY_DICT,
     Field,
+    SerdeMismatch,
     Serializable,
-    check_serde,
+    _dump,
+    fields_equal,
     freeze_guard_on,
 )
 
@@ -75,11 +76,6 @@ class KubeObject(Serializable):
     FIELDS = (
         Field("metadata", type=ObjectMeta, default_factory=ObjectMeta),
     )
-    # ``_wire``: the stored wire dict an apiserver snapshot was decoded
-    # from (set by the apiserver only; see :func:`wire_chars`).  No
-    # other object has it: ``replace``/``copy``/``from_dict`` leave it
-    # unset.
-    __slots__ = ("metadata", "_wire")
 
     @classmethod
     def _wire_header(cls):
@@ -108,89 +104,50 @@ class KubeObject(Serializable):
         return f"<{self.KIND} {self.key!r} rv={self.metadata.resource_version}>"
 
 
-# ``'resourceVersion': '<rv>', `` less the ``<rv>``: what the stamped
-# resourceVersion adds to ``str(to_dict())`` of a snapshot whose wire
-# dict was stored without one (its metadata always holds a name too).
-_STAMPED_RV_CHARS = len(str({"resourceVersion": "", "x": 0})) - len(
-    str({"x": 0}))
+def stored_wire(value):
+    """The wire dict of a stored value, where bytes leave the model (a
+    log record, the replay digest, a raw read): a dict as it is, and an
+    apiserver snapshot encoded without the resourceVersion stamped on
+    it, which the stored revision carries instead.  Popping the key
+    leaves every other key in ``to_dict`` order."""
+    if isinstance(value, dict):
+        return value
+    wire = value.to_dict()
+    meta = wire.get("metadata")
+    if meta is not None:
+        meta.pop("resourceVersion", None)
+    return wire
 
 
 def wire_chars(obj):
-    """``len(str(obj.to_dict()))``, without the encode for an apiserver
-    snapshot: its stored wire dict plus the resourceVersion stamped on
-    it at decode.  Under the freeze guard the shortcut is checked
-    against the encode."""
-    wire = getattr(obj, "_wire", None)
-    if wire is None:
-        return len(str(obj.to_dict()))
-    rv = obj.metadata.resource_version
-    chars = len(str(wire)) + _STAMPED_RV_CHARS + len(rv)
-    if freeze_guard_on():
-        check_serde("wire size", f"{obj.key!r} at revision {rv}",
-                    chars, len(str(obj.to_dict())))
+    """``len(str(obj.to_dict()))``, the Fig. 10 meter's size of a
+    cached object, counted without the encode and memoized on each
+    object, so revisions recount only the children they replaced.
+    Under the freeze guard the count is checked against the encode."""
+    chars = obj.wire_chars()
+    if freeze_guard_on() and chars != len(str(obj.to_dict())):
+        raise SerdeMismatch(f"wire size of {obj!r} is not {chars}: "
+                            f"{obj.to_dict()!r}")
     return chars
 
 
 def same_spec(old, new, ignore=()):
     """Whether two objects' specs have equal wire forms, the top-level
-    wire keys in ``ignore`` aside (see :func:`spec_wires`)."""
-    return same_wires(spec_wires(old, new), ignore)
-
-
-def spec_wires(old, new):
-    """The wire forms of two objects' specs, as a pair to compare with
-    :func:`same_wires`.  A snapshot's spec is read off its stored wire
-    dict, and the other spec is encoded against it (so children the two
-    share are not re-encoded, and compare by identity).  A spec paired
-    with itself, or with no spec (which matches anything), is not
-    encoded: both sides are then the one shared empty dict."""
+    wire keys in ``ignore`` aside.  A spec paired with itself, or with
+    no spec (which matches anything), is equal; two typed specs compare
+    field by field, a shared child by identity."""
     old_spec = getattr(old, "spec", None)
     new_spec = getattr(new, "spec", None)
     if old_spec is new_spec or old_spec is None or new_spec is None:
-        return EMPTY_DICT, EMPTY_DICT
-    old_wire = _stored_spec(old)
-    new_wire = _stored_spec(new)
-    if old_wire is None:
-        old_wire = _spec_wire(old_spec, new_spec, new_wire)
-    if new_wire is None:
-        new_wire = _spec_wire(new_spec, old_spec, old_wire)
-    return old_wire, new_wire
-
-
-def same_wires(wires, ignore=()):
-    """Whether a :func:`spec_wires` pair is equal, the top-level keys in
-    ``ignore`` aside."""
-    old_wire, new_wire = wires
-    if old_wire is new_wire:
         return True
-    if ignore:
-        old_wire = {key: value for key, value in old_wire.items()
-                    if key not in ignore}
-        new_wire = {key: value for key, value in new_wire.items()
-                    if key not in ignore}
+    if type(old_spec) is type(new_spec) and isinstance(old_spec,
+                                                       Serializable):
+        return fields_equal(old_spec, new_spec, ignore)
+    old_wire, new_wire = _dump(old_spec), _dump(new_spec)
+    for key in ignore:
+        old_wire.pop(key, None)
+        new_wire.pop(key, None)
     return old_wire == new_wire
-
-
-def _stored_spec(obj):
-    """The spec subtree of an apiserver snapshot's wire dict, else None."""
-    wire = getattr(obj, "_wire", None)
-    return None if wire is None else wire.get("spec")
-
-
-def _spec_wire(spec, other, other_wire):
-    """``spec``'s wire form, encoded against ``other`` where that is a
-    spec of the same type whose wire form ``other_wire`` is known."""
-    if not isinstance(spec, Serializable):
-        return dict(spec)
-    if other_wire is None or type(other) is not type(spec):
-        return spec.to_dict()
-    wire = spec.to_dict_against(other, other_wire)
-    if freeze_guard_on():
-        # Compared, never stored: equality is what must hold (a
-        # snapshot's wire replayed from a log has sorted keys).
-        check_serde("shared spec encode", type(spec).__name__,
-                    wire, spec.to_dict())
-    return wire
 
 
 class ObjectReference(Serializable):

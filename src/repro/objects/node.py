@@ -78,8 +78,7 @@ class NodeStatus(Serializable):
 
     def with_condition(self, condition_type, status, reason=None, now=None):
         """A new status with one condition set, sharing every other
-        field with this one (a heartbeat re-encodes only the
-        conditions, see ``Serializable.to_dict_against``)."""
+        field with this one (so a heartbeat's revision shares them)."""
         new = self.replace(conditions=[condition.copy()
                                        for condition in self.conditions])
         new.set_condition(condition_type, status, reason=reason, now=now)

@@ -2,7 +2,7 @@
 
 from collections.abc import Hashable
 
-from .base import Field, Serializable
+from .base import Field, Serializable, wire_child, wire_leaf
 
 
 class LabelSelectorRequirement(Serializable):
@@ -80,18 +80,27 @@ def match_label_dict(selector_labels, labels):
     return all(labels.get(k) == v for k, v in selector_labels.items())
 
 
-def get_field(obj_dict, path):
-    """Resolve a dotted field path (e.g. ``spec.nodeName``) in a wire dict."""
-    current = obj_dict
+def get_field(value, path):
+    """Resolve a dotted wire path (e.g. ``spec.nodeName``) in a wire dict
+    or a typed object: a typed step goes through the field of that wire
+    name, so the result is what the encoded value holds there, and
+    nothing is encoded on the way."""
+    current = value
     for part in path.split("."):
-        if not isinstance(current, dict) or part not in current:
+        if isinstance(current, Serializable):
+            current = wire_child(current, part)
+        elif isinstance(current, dict):
+            current = current.get(part)
+        else:
             return None
-        current = current[part]
-    return current
+        if current is None:
+            return None
+    return wire_leaf(current)
 
 
 def match_fields(field_selector, obj_dict):
-    """Match a ``{path: value}`` field selector against a wire dict.
+    """Match a ``{path: value}`` field selector against a wire dict or a
+    typed object (see :func:`get_field`).
 
     A ``path!`` key (trailing bang) negates the match, mirroring the
     ``path!=value`` syntax of kubectl.

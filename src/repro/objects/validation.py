@@ -2,7 +2,7 @@
 
 import re
 
-from .meta import same_wires
+from .meta import same_spec
 
 _DNS1123_LABEL = re.compile(r"^[a-z0-9]([-a-z0-9]*[a-z0-9])?$")
 _DNS1123_SUBDOMAIN = re.compile(
@@ -77,17 +77,15 @@ def validate_pod(pod):
                 "spec.containers[].image")
 
 
-def validate_pod_update(old_pod, new_pod, wires):
-    """Pod specs are mostly immutable; only permitted mutations allowed.
-    ``wires`` is the pods' :func:`~repro.objects.meta.spec_wires` pair,
-    which the apiserver encodes once per update."""
+def validate_pod_update(old_pod, new_pod):
+    """Pod specs are mostly immutable; only permitted mutations allowed."""
     # Binding a pod (setting nodeName from empty) is allowed.
     if (old_pod.spec.node_name
             and new_pod.spec.node_name != old_pod.spec.node_name):
         raise ValidationError("pod nodeName may not be changed once set",
                               "spec.nodeName")
     # Tolerations may be appended.
-    if not same_wires(wires, ignore=("nodeName", "tolerations")):
+    if not same_spec(old_pod, new_pod, ignore=("nodeName", "tolerations")):
         raise ValidationError("pod spec is immutable after creation", "spec")
 
 

@@ -323,13 +323,14 @@ def _direct_convergence(env, namespaces, created):
     """:func:`check_convergence` for a direct run: every Pod the load
     created is Ready in the super store."""
     ready, pending = 0, []
-    for key, (meta, is_ready) in stored_pods(env.super_cluster.api):
-        if meta.get("namespace") not in namespaces:
+    for key, (namespace, _name, _deleting, _annotations, is_ready) in \
+            stored_pods(env.super_cluster.api):
+        if namespace not in namespaces:
             continue
         if is_ready:
             ready += 1
         else:
-            pending.append((meta["namespace"], key, "not ready"))
+            pending.append((namespace, key, "not ready"))
     return not pending and ready >= created, {
         "missing": pending, "orphaned": [], "open_circuits": [],
         "queues": {}}

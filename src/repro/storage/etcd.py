@@ -19,21 +19,23 @@ was dropped, so an older resume still raises :class:`RevisionCompacted`
 and the reflector relists.  Host memory therefore tracks live objects
 and in-flight lists, not the number of writes ever made.
 
-Values are JSON-shaped dicts (the wire form of API objects).  A value
-handed to the store is owned by the store from then on and is immutable:
-it is never copied and never mutated again.  The stored value, the
-``WatchEvent.value`` emitted for the write, the next event's
-``prev_value``, every read result, snapshots, WAL anchors and a
-follower's applied value are the *same* dict — writers must not touch a
-dict after handing it over, and readers must not mutate what they are
-given (DESIGN.md "Object plane").  With the freeze guard on
-(:func:`repro.objects.base.set_freeze_guard`) the hand-off converts the
-value to frozen containers, so a reader that mutates raises.
-
-Each written value also carries one ``decoded`` slot
-(:class:`StoredValue`), shared by the watch event emitted for it, where
-the apiserver keeps the typed snapshot it decoded from the value — so
-every reader of one (key, revision) shares one object.
+Values are immutable and owned by the store from the moment they are
+handed over: never copied and never mutated again.  The store reads a
+value only through a wire path (a watch hint, see
+:func:`~repro.objects.selectors.get_field`), so a value may be a
+JSON-shaped dict or a typed API object; the apiserver stores each
+revision as the frozen typed snapshot it wrote, and readers share it
+(DESIGN.md "Object plane").  The stored value, the ``WatchEvent.value``
+emitted for the write, the next event's ``prev_value``, a watch
+replay, snapshots, WAL anchors and a follower's applied value are the
+*same* object — writers must not touch it after handing it over, and
+readers must not mutate what they are given.  With the freeze guard on
+(:func:`repro.objects.base.set_freeze_guard`) the hand-off freezes the
+value (a dict into frozen containers), so a reader that mutates raises.
+A wire dict is made only where bytes leave the store: a WAL record, the
+replay digest, and the raw reads :meth:`EtcdStore.get`,
+:meth:`~EtcdStore.try_get` and :meth:`~EtcdStore.list_prefix`
+(:func:`~repro.objects.meta.stored_wire`).
 """
 
 from bisect import bisect_left, bisect_right
@@ -42,6 +44,7 @@ from itertools import chain
 from operator import attrgetter
 
 from repro.objects.base import freeze
+from repro.objects.meta import stored_wire
 from repro.objects.selectors import get_field
 from repro.telemetry import telemetry_of
 
@@ -72,28 +75,18 @@ class StoredValue:
     """One key's value at one revision, plus its MVCC bookkeeping.
 
     Immutable once written (an update stores a new ``StoredValue``),
-    except for two slots the store never reads: ``decoded``, a memo
-    filled by the apiserver with the typed snapshot of ``value`` at
-    ``mod_revision`` and shared by every later reader, and ``canonical``,
-    set by the apiserver on a value it encoded itself (so its key order
-    is the encoder's, not, say, the sorted order of a value replayed
-    from a log).  A DELETE event's record also carries ``deleted``, the
-    record it removed, until the apiserver has re-stamped that record's
-    snapshot for it.
+    except that the apiserver may put the typed snapshot of a dict
+    ``value`` in its place on the first read (the two are equal on the
+    wire), so every later reader shares that one object.
     """
 
-    __slots__ = ("value", "create_revision", "mod_revision", "version",
-                 "decoded", "canonical", "deleted")
+    __slots__ = ("value", "create_revision", "mod_revision", "version")
 
-    def __init__(self, value, create_revision, mod_revision, version,
-                 deleted=None):
+    def __init__(self, value, create_revision, mod_revision, version):
         self.value = value
         self.create_revision = create_revision
         self.mod_revision = mod_revision
         self.version = version
-        self.decoded = None
-        self.canonical = False
-        self.deleted = deleted
 
 
 class WatchEvent:
@@ -101,10 +94,9 @@ class WatchEvent:
 
     ``stored`` is the :class:`StoredValue` the event describes: for a
     PUT the very record the store holds for the key at ``revision`` (so
-    watchers and readers share its ``decoded`` memo); a DELETE — whose
-    object carries the delete revision — gets a record of its own whose
-    ``deleted`` is the removed record, and an event built outside the
-    store gets a plain record of its own.
+    watchers and readers share its value); a DELETE — whose object
+    carries the delete revision — gets a record of its own holding the
+    removed value, and so does an event built outside the store.
     """
 
     __slots__ = ("type", "key", "value", "revision", "prev_value", "stored")
@@ -349,9 +341,10 @@ class EtcdStore:
         return stored
 
     def get(self, key):
-        """Return (value, mod_revision); raises KeyNotFound."""
+        """Return (wire dict, mod_revision), a raw read that encodes a
+        typed value; raises KeyNotFound."""
         stored = self.get_stored(key)
-        return stored.value, stored.mod_revision
+        return stored_wire(stored.value), stored.mod_revision
 
     def try_get_stored(self, key):
         """Like :meth:`get_stored` but returns None for a missing key."""
@@ -363,7 +356,7 @@ class EtcdStore:
         stored = self.try_get_stored(key)
         if stored is None:
             return None, 0
-        return stored.value, stored.mod_revision
+        return stored_wire(stored.value), stored.mod_revision
 
     def update(self, key, value, expected_revision=None):
         """Replace a key's value, optionally as a CAS on mod_revision."""
@@ -399,10 +392,8 @@ class EtcdStore:
         self._revision += 1
         del self._data[key]
         self._index_remove(key)
-        self._emit(WatchEvent(
-            EVENT_DELETE, key, stored.value, self._revision,
-            stored=StoredValue(stored.value, self._revision,
-                               self._revision, 1, deleted=stored)))
+        self._emit(WatchEvent(EVENT_DELETE, key, stored.value,
+                              self._revision))
         return self._revision
 
     def txn(self, ops):
@@ -495,9 +486,10 @@ class EtcdStore:
         return sum(self._holds.values())
 
     def list_prefix(self, prefix):
-        """:meth:`list_stored` as (key, value, mod_revision) triples."""
+        """:meth:`list_stored` as (key, wire dict, mod_revision) triples:
+        a raw read, which encodes a typed value."""
         items, revision = self.list_stored(prefix)
-        return ([(key, stored.value, stored.mod_revision)
+        return ([(key, stored_wire(stored.value), stored.mod_revision)
                  for key, stored in items], revision)
 
     # ------------------------------------------------------------------
@@ -699,9 +691,9 @@ class EtcdStore:
 
         Captures data, the revision counter, the compaction floor and
         the fencing floors — everything needed to rebuild an equivalent
-        store.  The values are the stored (immutable) dicts themselves;
+        store.  The values are the stored (immutable) values themselves;
         later writes replace them in the store and never change them, so
-        the image stays consistent without a copy.  Watch registrations
+        the image stays consistent without a copy or an encode.  Watch registrations
         and replay history are deliberately excluded: they belong to
         live sessions, which a restore severs.
         """

@@ -47,6 +47,7 @@ Topology and failure model:
   leader against it, recording ``lost_writes`` per recovery.
 """
 
+from repro.objects.meta import stored_wire
 from repro.simkernel.resources import Channel, ChannelClosed
 from repro.telemetry import telemetry_of
 
@@ -467,7 +468,7 @@ class StoreGroup:
         for key, (value, mod_revision) in durable_state.items():
             stored = store.try_get_stored(key)
             if (stored is None or stored.mod_revision != mod_revision
-                    or stored.value != value):
+                    or stored_wire(stored.value) != stored_wire(value)):
                 lost += 1
         return lost
 

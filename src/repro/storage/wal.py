@@ -42,6 +42,7 @@ import zlib
 from bisect import bisect_right
 from operator import attrgetter
 
+from repro.objects.meta import stored_wire
 from repro.telemetry import telemetry_of
 
 from .errors import WalTornRecord
@@ -147,9 +148,11 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     def append_event(self, event):
-        """Log one store mutation (a :class:`WatchEvent`)."""
+        """Log one store mutation (a :class:`WatchEvent`), its value
+        encoded to the wire dict."""
         fields = {"type": event.type, "key": event.key,
-                  "revision": event.revision, "value": event.value}
+                  "revision": event.revision,
+                  "value": stored_wire(event.value)}
         self.append(WalRecord.make(event.type, event.revision, event.key,
                                    fields))
 

@@ -31,16 +31,20 @@ class MockProvider:
         self._ip_index = 0
 
     def create_pod(self, pod):
+        """``pod`` marked Running/Ready: a shell sharing its spec, with a
+        status of its own (``pod`` is a shared snapshot)."""
         self._ip_index += 1
         high, low = divmod(self._ip_index, 254)
-        pod.status.phase = "Running"
-        pod.status.pod_ip = f"10.88.{high % 254}.{low + 1}"
-        pod.status.start_time = self.sim.now
-        pod.status.set_condition("PodScheduled", "True", now=self.sim.now)
-        pod.status.set_condition("Initialized", "True", now=self.sim.now)
-        pod.status.set_condition("ContainersReady", "True", now=self.sim.now)
-        pod.status.set_condition("Ready", "True", now=self.sim.now)
-        return pod
+        now = self.sim.now
+        status = pod.status.replace(
+            phase="Running", pod_ip=f"10.88.{high % 254}.{low + 1}",
+            start_time=now,
+            conditions=[condition.replace()
+                        for condition in pod.status.conditions])
+        for condition_type in ("PodScheduled", "Initialized",
+                               "ContainersReady", "Ready"):
+            status.set_condition(condition_type, "True", now=now)
+        return pod.replace(status=status)
 
     def capacity(self):
         return {"cpu": "96", "memory": "328Gi", "pods": "1000"}
@@ -121,10 +125,7 @@ class VirtualKubelet:
             pod = self.pod_informer.cache.get(pod_key)
             if pod is None or pod.status.is_ready:
                 return
-            # The provider edits the status it is handed; the cached Pod
-            # is a shared snapshot, so hand it a private one.
-            pod = self.provider.create_pod(
-                pod.replace(status=pod.status.copy()))
+            pod = self.provider.create_pod(pod)
             try:
                 yield from self.client.update_status(pod)
                 self.pods_acked += 1

@@ -105,3 +105,17 @@ class TestKataDataPlane:
         assert proxy.injection_count >= 1
         # 20 rules at ~5.5 ms each plus gRPC: order 0.1-0.2 s.
         assert 0.05 < proxy.mean_injection_latency < 1.0
+
+    def test_deleted_kata_pod_leaves_the_proxy(self, dp_env):
+        """The kubelet's teardown tells the enhanced proxy that the guest
+        stopped: scans and rule pushes no longer call its VM."""
+        tenant = dp_env.run_coroutine(dp_env.create_tenant("acme"))
+        first = _ready_kata_pod(dp_env, tenant, "first")
+        _ready_kata_pod(dp_env, tenant, "second")
+        proxy = dp_env.kube_proxies[first.spec.node_name]
+        assert proxy.connected_guests == 2
+        dp_env.run_coroutine(tenant.client.delete("pods", "first",
+                                                  namespace="default"))
+        dp_env.run_for(10)
+        dp_env.run_coroutine(proxy.scan_all_guests())
+        assert proxy.connected_guests == 1

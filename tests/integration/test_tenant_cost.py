@@ -23,9 +23,10 @@ TENANTS = 20
 # work queue and fair-queue lane held empty ``collections.deque``s
 # (760 B each, 56 per tenant) and every informer cache maintained
 # namespace and label postings nobody queried; 127–130 KB with list
-# FIFOs and indexes built on first query.  The bound is 130.2 KB plus
-# 5 %.
-TRACED_BYTES_PER_TENANT_BOUND = 130.2 * 1024 * 1.05
+# FIFOs and indexes built on first query; 123.4 KB once a stored
+# revision kept no wire dict beside its typed snapshot.  The bound is
+# 123.4 KB plus 5 %.
+TRACED_BYTES_PER_TENANT_BOUND = 123.4 * 1024 * 1.05
 
 
 def _load_tenant_cost():

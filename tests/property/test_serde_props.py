@@ -27,9 +27,13 @@ from repro.objects.base import (
     FrozenError,
     FrozenList,
     Serializable,
+    fields_equal,
     freeze,
+    wire_equal,
 )
 from repro.objects.crd import make_custom_type
+from repro.objects.meta import stored_wire
+from repro.objects.selectors import get_field
 from repro.objects.pod import ContainerPort
 
 names = st.from_regex(r"[a-z][a-z0-9-]{0,20}[a-z0-9]", fullmatch=True)
@@ -388,11 +392,11 @@ def test_to_dict_shares_no_container_with_the_object(obj, frozen):
 
 
 # ----------------------------------------------------------------------
-# Structural sharing: encoding against a base and decoding against the
-# previous revision give exactly what the full serde gives — the same
-# wire bytes in the same key order, the same snapshot type for type —
-# for derived objects of every registered type and for random chains
-# of apiserver writes.
+# Typed values read in wire terms: the memoized char count is the length
+# of the encoding, a typed comparison agrees with comparing encodings,
+# and a wire path read off a typed object gives what its encoding holds
+# there — for derived objects of every registered type, whose children
+# (and their counts) are shared with their base.
 # ----------------------------------------------------------------------
 
 
@@ -412,34 +416,47 @@ def _derive(data, base, depth=0):
     return base.replace(**changes)
 
 
+def _wire_paths(wire, prefix=""):
+    """Every dotted path into ``wire``'s nested dicts, plus one absent."""
+    yield f"{prefix}absent"
+    for key, value in wire.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _wire_paths(value, f"{prefix}{key}.")
+
+
 @given(any_registered, st.data())
 @settings(max_examples=200, deadline=None)
-def test_shared_encode_and_decode_match_full_serde(obj, data):
+def test_typed_reads_match_the_encoding(obj, data):
     cls = type(obj)
-    wire = freeze(cls.from_dict(obj.to_dict()).to_dict())
-    base = cls.from_dict(wire)
+    base = cls.from_dict(obj.to_dict()) if data.draw(st.booleans()) else obj
     if data.draw(st.booleans()):
         freeze(base)
+    assert base.wire_chars() == len(str(base.to_dict()))
     derived = _derive(data, base)
-    encoded = derived.to_dict_against(base, wire)
-    assert repr(encoded) == repr(derived.to_dict())
-    if all(getattr(derived, name) is getattr(base, name)
-           for name in cls._field_index()):
-        assert encoded is wire
-    stored = freeze(encoded)
-    decoded = cls.from_dict_against(stored, base, wire)
-    full = cls.from_dict(stored)
-    assert repr(decoded.to_dict()) == repr(full.to_dict())
-    assert _shape(decoded) == _shape(full)
+    wire, derived_wire = base.to_dict(), derived.to_dict()
+    assert derived.wire_chars() == len(str(derived_wire))
+    assert fields_equal(base, derived) == (wire == derived_wire)
+    assert wire_equal(base, derived) == (wire == derived_wire)
+    ignore = data.draw(st.sets(st.sampled_from(sorted(
+        field.json_name for field in cls._field_index().values()))))
+    assert fields_equal(base, derived, ignore) == (
+        {key: value for key, value in wire.items() if key not in ignore}
+        == {key: value for key, value in derived_wire.items()
+            if key not in ignore})
+    for path in _wire_paths(derived_wire):
+        assert get_field(derived, path) == get_field(derived_wire, path), \
+            path
 
 
-def _check_record(api, key, record):
-    """The record's snapshot is the full decode of its value, stamped."""
-    snapshot = api._decode(Pod, record)
-    full = Pod.from_dict(record.value)
+def _check_record(api, record, deleted=False):
+    """The record's snapshot is the full decode of its wire dict,
+    stamped with its revision, type for type."""
+    snapshot = (api._deleted if deleted else api._decode)(Pod, record)
+    full = Pod.from_dict(stored_wire(record.value))
     full.metadata.resource_version = str(record.mod_revision)
-    assert repr(snapshot.to_dict()) == repr(full.to_dict()), key
-    assert _shape(snapshot) == _shape(full), key
+    assert repr(snapshot.to_dict()) == repr(full.to_dict())
+    assert _shape(snapshot) == _shape(full)
 
 
 _WRITES = ("status", "bind", "label", "finalize", "unfinalize", "noop",
@@ -501,8 +518,9 @@ def test_write_chains_store_what_full_serde_stores(pod, writes):
             break
         expected = written.replace(metadata=written.metadata.replace(
             resource_version=None)).to_dict()
-        assert json.dumps(record.value) == json.dumps(expected)
-        _check_record(api, key, record)
+        assert record.value is written
+        assert json.dumps(stored_wire(record.value)) == json.dumps(expected)
+        _check_record(api, record)
     while len(events):
         event = events.get().value
-        _check_record(api, event.key, event.stored)
+        _check_record(api, event.stored, deleted=event.type == "DELETE")

@@ -16,7 +16,7 @@ from repro.objects import (
     make_pod,
     make_service,
 )
-from repro.objects.meta import same_wires
+from repro.objects.meta import same_spec
 from repro.simkernel import Simulation
 
 
@@ -29,39 +29,47 @@ def run(api, coroutine):
     return api.sim.run(until=api.sim.process(coroutine))
 
 
+def _admitted(plugin, obj, plural="services"):
+    """What ``plugin`` leaves as the request's object on a create."""
+    request = AdmissionRequest("create", plural, obj)
+    plugin.admit(request, None)
+    return request.obj
+
+
 class TestClusterIPAllocator:
     def test_sequential_unique_ips(self):
         allocator = ClusterIPAllocator()
         ips = set()
         for index in range(300):  # spans the /24 rollover
-            service = make_service(f"svc-{index}")
-            request = AdmissionRequest("create", "services", service)
-            allocator.admit(request, None)
+            service = _admitted(allocator, make_service(f"svc-{index}"))
             assert service.spec.cluster_ip not in ips
             ips.add(service.spec.cluster_ip)
+
+    def test_allocation_replaces_the_spec(self):
+        """The caller's spec is the stored snapshot's child: the plugin
+        derives a new one rather than writing into it."""
+        service = make_service("s")
+        admitted = _admitted(ClusterIPAllocator(), service)
+        assert admitted.spec.cluster_ip and service.spec.cluster_ip is None
+        assert admitted.metadata is service.metadata
 
     def test_explicit_ip_reserved(self):
         allocator = ClusterIPAllocator()
         service = make_service("pinned")
         service.spec.cluster_ip = "10.96.0.77"
-        allocator.admit(AdmissionRequest("create", "services", service),
-                        None)
+        _admitted(allocator, service)
         clash = make_service("clash")
         clash.spec.cluster_ip = "10.96.0.77"
         with pytest.raises(Invalid):
-            allocator.admit(AdmissionRequest("create", "services", clash),
-                            None)
+            _admitted(allocator, clash)
 
     def test_release_allows_reuse(self):
         allocator = ClusterIPAllocator()
-        service = make_service("s")
-        allocator.admit(AdmissionRequest("create", "services", service),
-                        None)
-        ip = service.spec.cluster_ip
-        allocator.release(ip)
+        service = _admitted(allocator, make_service("s"))
+        allocator.release(service)
         again = make_service("s2")
-        again.spec.cluster_ip = ip
-        allocator.admit(AdmissionRequest("create", "services", again), None)
+        again.spec.cluster_ip = service.spec.cluster_ip
+        _admitted(allocator, again)
 
     def test_non_service_ignored(self):
         allocator = ClusterIPAllocator()
@@ -75,9 +83,10 @@ class TestPodDefaults:
         pod = make_pod("p")
         pod.spec.scheduler_name = None
         pod.spec.service_account_name = None
-        PodDefaults().admit(AdmissionRequest("create", "pods", pod), None)
-        assert pod.spec.scheduler_name == "default-scheduler"
-        assert pod.spec.service_account_name == "default"
+        admitted = _admitted(PodDefaults(), pod, plural="pods")
+        assert admitted.spec.scheduler_name == "default-scheduler"
+        assert admitted.spec.service_account_name == "default"
+        assert pod.spec.scheduler_name is None
 
     def test_update_not_redefaulted(self):
         pod = make_pod("p")
@@ -87,26 +96,35 @@ class TestPodDefaults:
 
 
 class TestSpecWires:
-    def test_encoded_once_per_request(self):
-        """Update validation and the generation bump share one encode of
-        the new spec; a plugin that swaps a spec gets a fresh one."""
+    def test_typed_specs_compare_field_by_field(self):
+        """Update validation and the generation bump compare typed specs:
+        a shared child by identity, a changed field by value, ignored
+        wire keys aside."""
         old = make_pod("p")
         new = old.replace(spec=old.spec.replace(node_name="n1"))
-        request = AdmissionRequest("update", "pods", new, old_obj=old)
-        wires = request.spec_wires()
-        assert request.spec_wires() is wires
-        assert not same_wires(wires)
-        assert same_wires(wires, ignore=("nodeName",))
-        request.obj = new.replace(spec=new.spec.replace(node_name="n2"))
-        assert request.spec_wires() is not wires
-        assert request.spec_wires()[1]["nodeName"] == "n2"
+        assert not same_spec(old, new)
+        assert same_spec(old, new, ignore=("nodeName",))
+        assert same_spec(old, old.replace(spec=old.spec.copy()))
+        assert not same_spec(old, old.replace(spec=old.spec.replace(
+            containers=[])))
 
-    def test_an_unchanged_spec_is_not_encoded(self):
-        pod = make_pod("p")
-        request = AdmissionRequest("update", "pods", pod.replace(),
-                                   old_obj=pod)
-        old_wire, new_wire = request.spec_wires()
-        assert old_wire is new_wire
+    def test_absent_and_empty_collections_are_equal_on_the_wire(self):
+        old = make_pod("p")
+        assert same_spec(old, old.replace(spec=old.spec.replace(
+            tolerations=None, volumes=[])))
+
+    def test_an_unchanged_spec_is_not_encoded(self, monkeypatch):
+        from repro.objects import PodSpec
+
+        def no_encode(self):
+            raise AssertionError("encoded")
+
+        old = make_pod("p")
+        new = old.replace(spec=old.spec.copy())
+        monkeypatch.setattr(PodSpec, "to_dict", no_encode)
+        assert same_spec(old, new)
+        assert not same_spec(old, new.replace(spec=new.spec.replace(
+            priority=5)))
 
 
 class TestNamespaceLifecycleViaServer:

@@ -28,7 +28,7 @@ from repro.objects import (
     make_pod,
     make_service,
 )
-from repro.objects.base import FrozenError
+from repro.objects.base import FrozenError, SerdeMismatch
 from repro.simkernel import Simulation
 
 
@@ -58,6 +58,20 @@ class TestCreate:
         assert pod.metadata.creation_timestamp is not None
         assert pod.metadata.resource_version
         assert pod.metadata.generation == 1
+
+    def test_created_object_must_be_in_decoded_form(self, sim, api):
+        """The stored snapshot is the caller's object, so under the guard
+        a create refuses one that decoding its encoding would change: a
+        ``None`` over a default, a dict standing in for a typed child."""
+        setup_namespace(sim, api)
+        pod = make_pod("p")
+        pod.status = None
+        with pytest.raises(SerdeMismatch):
+            run(sim, api.create(ADMIN, pod))
+        pod = make_pod("q")
+        pod.spec.containers = [pod.spec.containers[0].to_dict()]
+        with pytest.raises(SerdeMismatch):
+            run(sim, api.create(ADMIN, pod))
 
     def test_create_duplicate_fails(self, sim, api):
         setup_namespace(sim, api)
@@ -120,14 +134,14 @@ class TestGetListUpdate:
         """Every read of one revision is the same object, and the guard
         makes editing it an error; ``copy()`` is the private object."""
         setup_namespace(sim, api)
-        run(sim, api.create(ADMIN, make_pod("p")))
-        before = (api.decodes, api.decode_hits)
+        created = run(sim, api.create(ADMIN, make_pod("p")))
+        before = api.decodes
         a = run(sim, api.get(ADMIN, "pods", "p", namespace="default"))
         b = run(sim, api.get(ADMIN, "pods", "p", namespace="default"))
         listed, _rv = run(sim, api.list(ADMIN, "pods", namespace="default"))
-        assert a is b and len(listed) == 1 and listed[0] is a
-        assert (api.decodes, api.decode_hits) == (before[0] + 1,
-                                                  before[1] + 2)
+        assert a is b is created and len(listed) == 1 and listed[0] is a
+        # The record holds the snapshot create returned: nothing decodes.
+        assert api.decodes == before
         with pytest.raises(FrozenError):
             a.status.phase = "Hacked"
         with pytest.raises(FrozenError):
@@ -156,8 +170,8 @@ class TestGetListUpdate:
                                        label_selector=parse_selector(
                                            "app=web")))
         assert [p.name for p in items] == ["a"]
-        # Selected on the wire value: only the match was decoded.
-        assert api.decodes - before == 1
+        # Selected on the stored snapshots: nothing was decoded.
+        assert api.decodes == before
         items, _rv = run(sim, api.list(ADMIN, "pods", namespace="default",
                                        label_selector=parse_selector(
                                            "app!=web")))
@@ -172,11 +186,11 @@ class TestGetListUpdate:
             ADMIN, "pods", namespace="default",
             field_selector={"spec.nodeName": "n1"}))
         assert [p.name for p in items] == ["a"]
-        assert api.decodes - before == 1    # "b" was never decoded
+        assert api.decodes == before
 
     def test_update_with_stale_rv_conflicts(self, sim, api):
         setup_namespace(sim, api)
-        pod = run(sim, api.create(ADMIN, make_pod("p")))
+        pod = run(sim, api.create(ADMIN, make_pod("p"))).copy()
         stale = pod.copy()
         pod.metadata.labels["x"] = "1"
         run(sim, api.update(ADMIN, pod))
@@ -197,7 +211,7 @@ class TestGetListUpdate:
 
     def test_pod_spec_immutable(self, sim, api):
         setup_namespace(sim, api)
-        pod = run(sim, api.create(ADMIN, make_pod("p")))
+        pod = run(sim, api.create(ADMIN, make_pod("p"))).copy()
         pod.spec.containers[0].image = "other:latest"
         with pytest.raises(Invalid):
             run(sim, api.update(ADMIN, pod))
@@ -212,7 +226,7 @@ class TestGetListUpdate:
 
     def test_generation_bumps_on_spec_change(self, sim, api):
         setup_namespace(sim, api)
-        service = run(sim, api.create(ADMIN, make_service("svc")))
+        service = run(sim, api.create(ADMIN, make_service("svc"))).copy()
         service.spec.ports[0].port = 9090
         updated = run(sim, api.update(ADMIN, service))
         assert updated.metadata.generation == 2
@@ -240,6 +254,24 @@ class TestDelete:
             metadata=fresh.metadata.replace(finalizers=[]))))
         with pytest.raises(NotFound):
             run(sim, api.get(ADMIN, "pods", "p", namespace="default"))
+
+    def test_deleted_service_releases_its_cluster_ip(self, sim, api):
+        """A Service created with an explicit clusterIP, deleted and
+        created again with the same IP: the delete let the IP go."""
+        setup_namespace(sim, api)
+
+        def pinned():
+            service = make_service("svc")
+            service.spec.cluster_ip = "10.96.0.77"
+            return service
+
+        run(sim, api.create(ADMIN, pinned()))
+        with pytest.raises(Invalid):
+            run(sim, api.create(ADMIN, pinned().replace(
+                metadata=pinned().metadata.replace(name="clash"))))
+        run(sim, api.delete(ADMIN, "services", "svc", namespace="default"))
+        again = run(sim, api.create(ADMIN, pinned()))
+        assert again.spec.cluster_ip == "10.96.0.77"
 
     def test_namespace_delete_enters_terminating(self, sim, api):
         setup_namespace(sim, api, "doomed")

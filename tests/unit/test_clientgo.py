@@ -113,7 +113,7 @@ class TestInformer:
         sim.run(until=sim.now + 0.5)
 
         def mutate():
-            pod = yield from client.create(make_pod("p"))
+            pod = (yield from client.create(make_pod("p"))).copy()
             pod.metadata.labels["x"] = "1"
             yield from client.update(pod)
             yield from client.delete("pods", "p", namespace="default")

@@ -61,7 +61,7 @@ class TestEndpointsController:
 
         def create_ready_pod():
             created = yield from cluster.client.create(pod)
-            created.status = pod.status
+            created = created.replace(status=pod.status)
             yield from cluster.client.update_status(created)
 
         cluster.run(create_ready_pod())
@@ -77,7 +77,8 @@ class TestEndpointsController:
         def create_pod():
             pod = make_pod("p", labels={"app": "web"})
             created = yield from cluster.client.create(pod)
-            created.status.pod_ip = "10.0.0.6"
+            created = created.replace(
+                status=created.status.replace(pod_ip="10.0.0.6"))
             yield from cluster.client.update_status(created)
 
         cluster.run(create_pod())

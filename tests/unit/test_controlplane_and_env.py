@@ -67,6 +67,32 @@ class TestEnvHelpers:
         with pytest.raises(TimeoutError):
             env.run_until(lambda: False, timeout=1.0)
 
+    def test_runaway_wait_fails_on_its_dispatch_budget(self, monkeypatch):
+        """A condition that never holds over a busy env — a creator that
+        never stops, like a controller that cannot see its own Pods —
+        fails once the wait has spent the dispatch budget, long before
+        its simulated timeout."""
+        from repro.core import env as env_module
+
+        monkeypatch.setattr(env_module, "RUN_DISPATCH_BUDGET", 20_000)
+        env = VirtualClusterEnv(num_virtual_nodes=2)
+        env.bootstrap()
+        admin = env.super_admin_client()
+
+        def runaway():
+            index = 0
+            while True:
+                yield from admin.create(make_pod(f"p{index}"))
+                index += 1
+
+        env.sim.spawn(runaway(), name="runaway")
+        before = env.sim.kernel_stats()["dispatched"]
+        with pytest.raises(env_module.RunawayRun):
+            env.run_until(lambda: False, timeout=3600.0)
+        spent = env.sim.kernel_stats()["dispatched"] - before
+        assert 20_000 <= spent < 30_000
+        assert env.sim.now < 600.0
+
     def test_bootstrap_idempotent(self):
         env = VirtualClusterEnv(num_virtual_nodes=1)
         env.bootstrap()

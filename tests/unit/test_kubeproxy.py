@@ -38,7 +38,7 @@ class _ProxyHarness:
     def create_ready_backend(self, name, ip, labels):
         def flow():
             pod = make_pod(name, labels=labels, node_name="n1")
-            created = yield from self.client.create(pod)
+            created = (yield from self.client.create(pod)).copy()
             created.status.pod_ip = ip
             created.status.phase = "Running"
             created.status.set_condition("Ready", "True", now=self.sim.now)

@@ -15,7 +15,12 @@ import pytest
 
 from repro.core import VirtualClusterEnv
 from repro.objects import Pod, Quantity, make_namespace, make_pod
-from repro.objects.base import EMPTY_DICT, EMPTY_LIST, fast_deep_copy
+from repro.objects.base import (
+    EMPTY_DICT,
+    EMPTY_LIST,
+    fast_deep_copy,
+    set_freeze_guard,
+)
 from repro.simkernel import Simulation
 from repro.storage import EtcdStore
 from tests.conftest import api_types
@@ -157,11 +162,17 @@ def _drive_watchers(extra):
     original = Pod.from_dict.__func__
 
     before = api.decodes
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Pod, "from_dict", classmethod(
-            lambda cls, data: decoded.append(1) or original(cls, data)))
-        _submit_and_wait(env, admin)
-        env.run_for(1.0)    # let every stream drain
+    # Counted with the guard off, as a production run is: under it a
+    # create also checks its object against a decode of its encoding.
+    was_on = set_freeze_guard(False)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Pod, "from_dict", classmethod(
+                lambda cls, data: decoded.append(1) or original(cls, data)))
+            _submit_and_wait(env, admin)
+            env.run_for(1.0)    # let every stream drain
+    finally:
+        set_freeze_guard(was_on)
     return {"from_dict": len(decoded), "decodes": api.decodes - before,
             "seen": seen, "cache": env.syncer.super_informer("pods").cache}
 
@@ -172,11 +183,12 @@ def watcher_counts():
 
 
 def test_decodes_are_independent_of_watcher_count(watcher_counts):
-    """Five Pod watchers cost no more decodes than two: every stream,
-    informer cache and ``get`` shares one snapshot per revision."""
+    """Five Pod watchers cost no more decodes than two — none: the store
+    holds the snapshot each write made, and every stream, informer cache
+    and ``get`` shares it."""
     one, four = watcher_counts[1], watcher_counts[4]
-    assert one["decodes"] == four["decodes"] > 0
-    assert one["from_dict"] == four["from_dict"] > 0
+    assert one["decodes"] == four["decodes"] == 0
+    assert one["from_dict"] == four["from_dict"] == 0
     streams = four["seen"]
     assert all(len(stream) == len(streams[0]) > PODS for stream in streams)
     for events in zip(*streams):        # the same object on every stream
@@ -219,6 +231,52 @@ def test_store_never_deep_copies():
             if name.startswith("repro.storage")] == []
 
 
+def test_create_neither_copies_nor_decodes(copy_calls):
+    """A create stores a shell of the caller's object, with a metadata
+    shell of its own, and returns that snapshot: no ``copy()``, no
+    ``from_dict``, and the caller's metadata is left as it was."""
+    from repro.apiserver import ADMIN, APIServer
+
+    sim = Simulation()
+    api = APIServer(sim, "api")
+
+    def run(coroutine):
+        return sim.run(until=sim.process(coroutine))
+
+    run(api.create(ADMIN, make_namespace("default")))
+    decoded = []
+    original = Pod.from_dict.__func__
+    pod = make_pod("p", cpu="100m")
+    del copy_calls[:]
+    was_on = set_freeze_guard(False)    # as above
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Pod, "from_dict", classmethod(
+                lambda cls, data: decoded.append(1) or original(cls, data)))
+            created = run(api.create(ADMIN, pod))
+            got = run(api.get(ADMIN, "pods", "p", namespace="default"))
+    finally:
+        set_freeze_guard(was_on)
+    assert copy_calls == [] and decoded == []
+    record = api.store.get_stored("/registry/pods/default/p")
+    assert got is created is record.value
+    assert created.metadata.resource_version == str(record.mod_revision)
+    assert created.spec is pod.spec and created.metadata is not pod.metadata
+    assert pod.metadata.uid is None and pod.metadata.resource_version is None
+
+
+def test_written_records_hold_no_wire_dict():
+    """After a tenant's Pods are synced, no record in the super or the
+    tenant store holds a dict: each revision is kept once, typed."""
+    env, tenant = _tenant_env()
+    _sync_tenant_pods(env, tenant)
+    stores = (env.super_cluster.api.store, tenant.control_plane.api.store)
+    values = [stored.value for store in stores
+              for stored in store._data.values()]
+    assert len(values) > 2 * PODS
+    assert not [value for value in values if isinstance(value, dict)]
+
+
 def test_deep_copies_per_synced_pod_stay_small(copy_calls):
     """A Pod synced through one tenant (create, downward, schedule,
     bind, ack, upward) costs at most 10 top-level ``copy()`` calls, all
@@ -239,11 +297,13 @@ def test_deep_copies_per_synced_pod_stay_small(copy_calls):
 # guard on: 322.8 per Pod with a materialized ``__dict__`` per API
 # object and a fresh list per absent list field of every decode; 167.5
 # with slotted types and shared empties; 165.7 → 106.5 once the store
-# stopped keeping every superseded revision in its watch history (bound:
-# that plus ~15 %).  Any one regression alone crosses it: instance
-# dicts cost +37, an empty list per absent field +113 and the kept
-# history +59 objects per Pod.
-RETAINED_PER_POD_BOUND = 122
+# stopped keeping every superseded revision in its watch history; 83.6
+# → 64.1 once each revision was kept once, as the typed snapshot, with
+# no wire dict beside it (bound: that plus ~15 %).  Any one regression
+# alone crosses it: instance dicts cost +37, an empty list per absent
+# field +113, the kept history +59 and a kept wire dict +14 objects per
+# Pod.
+RETAINED_PER_POD_BOUND = 74
 
 
 def _tenant_env():
@@ -328,11 +388,10 @@ def test_store_history_keeps_no_earlier_instant():
 
 
 # ----------------------------------------------------------------------
-# Structural sharing: a status write re-encodes no spec, a Pod's spec is
-# decoded once per store however many revisions it has, and the memory
-# meter sizes a snapshot from its stored wire dict.  Counted with the
-# freeze guard off, as a production run is: under the guard every
-# shortcut is also checked against the full serde, which calls it.
+# Structural sharing: a status write encodes no spec, no write decodes
+# a Pod's spec, and the memory meter sizes a snapshot without encoding
+# it.  Counted with the freeze guard off, as a production run is: under
+# the guard the meter is also checked against the encode, which calls it.
 # ----------------------------------------------------------------------
 
 
@@ -342,8 +401,6 @@ def _drive_serde():
     from repro.apiserver.server import APIServer
     from repro.clientgo import cache as cache_module
     from repro.objects import PodSpec
-    from repro.objects import meta as meta_module
-    from repro.objects.base import set_freeze_guard
 
     env = VirtualClusterEnv(seed=11, num_virtual_nodes=10)
     env.bootstrap()
@@ -366,7 +423,6 @@ def _drive_serde():
         return wrapper
 
     update_core = APIServer._update_core
-    spec_wire = meta_module._spec_wire
     wire_chars = cache_module.wire_chars
     to_dict = {cls: cls.to_dict for cls in (Pod, PodSpec)}
     spec_from_dict = PodSpec.from_dict.__func__
@@ -382,21 +438,20 @@ def _drive_serde():
                 self, credential, obj, subresource=subresource)
         return update_core(self, credential, obj, subresource=subresource)
 
-    def counting_spec_wire(spec, other, other_wire):
-        if "full" in inside:
-            counts["full_update_spec_encodes"] += 1
-        return spec_wire(spec, other, other_wire)
-
     def counting_wire_chars(obj):
         if isinstance(obj, Pod):
             counts["meter_calls"] += 1
-            counts["meter_snapshots"] += hasattr(obj, "_wire")
+            # An apiserver snapshot carries its revision.
+            counts["meter_snapshots"] += (
+                obj.metadata.resource_version is not None)
         return tracking("meter", wire_chars)(obj)
 
     def counting_to_dict(cls):
         def wrapper(self):
             if cls is PodSpec and "status" in inside:
                 counts["status_spec_encodes"] += 1
+            if cls is PodSpec and "full" in inside:
+                counts["full_update_spec_encodes"] += 1
             if cls is Pod and "meter" in inside:
                 counts["meter_encodes"] += 1
             return to_dict[cls](self)
@@ -410,7 +465,6 @@ def _drive_serde():
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(APIServer, "_update_core", counting_update_core)
-            patch.setattr(meta_module, "_spec_wire", counting_spec_wire)
             patch.setattr(cache_module, "wire_chars", counting_wire_chars)
             for cls in to_dict:
                 patch.setattr(cls, "to_dict", counting_to_dict(cls))
@@ -433,18 +487,18 @@ def test_status_writes_encode_no_spec(serde_counts):
 
 
 def test_full_updates_encode_the_new_spec_once(serde_counts):
-    """A bind (a full Pod update) encodes its new spec once: the
-    generation bump and update validation compare the same pair.  Two
-    per update before they shared it."""
+    """A bind (a full Pod update) encodes no spec at all: the generation
+    bump and update validation compare typed specs.  One encode per
+    update when they compared wire forms, two before they shared it."""
     assert serde_counts["full_updates"] >= PODS
-    assert (serde_counts["full_update_spec_encodes"]
-            == serde_counts["full_updates"])
+    assert serde_counts["full_update_spec_encodes"] == 0
 
 
 def test_pod_spec_decoded_once_per_pod_per_store(serde_counts):
-    """Create, bind and status revisions of a Pod share one decoded
-    spec's children: the spec itself is decoded whole only once."""
-    assert serde_counts["spec_decodes"] == PODS
+    """Create, bind and status revisions of a Pod share the spec the
+    creator wrote: no revision decodes one (one per Pod per store when
+    the store held wire dicts)."""
+    assert serde_counts["spec_decodes"] == 0
 
 
 def test_meter_sizes_snapshots_without_encoding(serde_counts):

@@ -369,7 +369,6 @@ class TestIncrementalSnapshot:
         sim.run(until=sim.now + 2)
         assert harness.scheduler.scheduled_count == 1
         assert harness.scheduler.failed_count >= 1
-        assert "repro.apiserver.server" in copiers     # the bind's update
-        assert "repro.scheduler.scheduler" not in copiers
+        assert copiers == []    # a create takes no copy, nor a cycle
         for key, pod in originals.items():
             assert pod.to_dict() == seen[key]   # not edited in place

@@ -252,8 +252,8 @@ class TestC006SnapshotMutation:
                     pods[0].status = None
                     pods.sort(key=str)      # the list is the caller's
                     created = yield from self.client.create(pods[0].copy())
-                    created.metadata.labels["mine"] = "yes"
-        """) == ["C006", "C006"]
+                    created.metadata.labels["mine"] = "yes"  # stored too
+        """) == ["C006", "C006", "C006"]
 
     def test_index_reads_taint_their_elements(self, tmp_path):
         assert codes(tmp_path, """
